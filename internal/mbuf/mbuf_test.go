@@ -60,6 +60,67 @@ func TestFromBytesLargeUsesClusters(t *testing.T) {
 	}
 }
 
+// sameGeometry fails unless two chains are mbuf-for-mbuf alike: count, kind,
+// per-mbuf length, bytes and recorded packet length.
+func sameGeometry(t *testing.T, what string, got, want *Mbuf) {
+	t.Helper()
+	if got.NumBufs() != want.NumBufs() || got.Hdr().Len != want.Hdr().Len {
+		t.Fatalf("%s: %d mbufs / Len %d, want %d / %d", what, got.NumBufs(), got.Hdr().Len, want.NumBufs(), want.Hdr().Len)
+	}
+	for g, w, i := got, want, 0; g != nil; g, w, i = g.Next(), w.Next(), i+1 {
+		if g.Len() != w.Len() || g.IsCluster() != w.IsCluster() || !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("%s: mbuf %d differs (len %d cluster %v, want len %d cluster %v)",
+				what, i, g.Len(), g.IsCluster(), w.Len(), w.IsCluster())
+		}
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// Gather must lay the parts out exactly as FromBytes lays out the joined
+// bytes, wherever the parts are cut: every header/payload split point of a
+// 3,000-byte packet, a three-way cut, and the lengths around each small-mbuf
+// and cluster boundary.
+func TestGatherMatchesFromBytes(t *testing.T) {
+	p := NewPool()
+	const headroom = 64
+	joined := payload(3000)
+	want := p.FromBytes(joined, headroom)
+	for cut := 0; cut <= len(joined); cut++ {
+		got := p.Gather(headroom, joined[:cut], joined[cut:])
+		sameGeometry(t, "two parts", got, want)
+		got.Free()
+		mid := cut + (len(joined)-cut)/2
+		got = p.Gather(headroom, joined[:cut], joined[cut:mid], joined[mid:])
+		sameGeometry(t, "three parts", got, want)
+		got.Free()
+	}
+	want.Free()
+	first := MLEN - headroom
+	for _, n := range []int{0, 1, first - 1, first, first + 1, first + MLEN, first + MLEN + 1,
+		first + MCLBYTES, first + MCLBYTES + 1, first + MCLBYTES + MLEN + 1} {
+		want := p.FromBytes(payload(n), headroom)
+		for _, cut := range []int{0, 20, n / 2, n} {
+			if cut > n {
+				continue
+			}
+			got := p.Gather(headroom, payload(n)[:cut], nil, payload(n)[cut:])
+			sameGeometry(t, "boundary length", got, want)
+			got.Free()
+		}
+		want.Free()
+	}
+	if g := p.Gauge(); g.InUse != 0 || g.InUseClusters != 0 {
+		t.Errorf("leaked %d mbufs, %d clusters", g.InUse, g.InUseClusters)
+	}
+	// Warm pool: gathering header + two payload slices allocates nothing.
+	hdr, a, b := joined[:20], joined[20:700], joined[700:1480]
+	if n := testing.AllocsPerRun(100, func() { p.Gather(headroom, hdr, a, b).Free() }); n != 0 {
+		t.Errorf("Gather allocates %v per packet on a warm pool", n)
+	}
+}
+
 func TestBadHeadroomPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -78,6 +78,12 @@ type Stack struct {
 
 	cfg    StackConfig
 	raiser *modeRaiser
+
+	// tcpRecvFree recycles the records (and copy buffers) that carry TCP
+	// stream data to Monolithic user processes; tcpRecvLabel is their task
+	// label, built on first use. See TCPApp.deliver.
+	tcpRecvFree  []*tcpAppRecv
+	tcpRecvLabel string
 }
 
 // modeRaiser implements event.Raiser with the stack's dispatch structure:

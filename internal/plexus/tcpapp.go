@@ -9,7 +9,8 @@ import (
 
 // TCPAppOptions configure application-level connections.
 type TCPAppOptions struct {
-	// OnRecv delivers stream bytes in order (slice owned by callee).
+	// OnRecv delivers stream bytes in order. The slice is valid only during
+	// the call: copy what must outlive it.
 	OnRecv func(t *sim.Task, conn *TCPApp, data []byte)
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func(t *sim.Task, conn *TCPApp)
@@ -128,27 +129,61 @@ func (app *TCPApp) Options() TCPAppOptions { return app.opts }
 func (app *TCPApp) SetOptions(o TCPAppOptions) { app.opts = o }
 
 // deliver applies receive-side personality structure, then the app callback.
+// On SPIN the callback runs here, on the transport's own view of the bytes —
+// no copy, as an in-kernel extension sees packet data. On Monolithic the user
+// process runs later, after the transport has reused the buffer data aliases,
+// so the bytes are copied now: the copy across the user/kernel boundary that
+// CopyPerByte charges for.
 func (app *TCPApp) deliver(t *sim.Task, data []byte) {
 	st := app.st
-	run := func(task *sim.Task) {
-		if app.opts.AppRecvCost > 0 {
-			task.Charge(app.opts.AppRecvCost)
-		}
-		if app.opts.OnRecv != nil {
-			app.opts.OnRecv(task, app, data)
-		}
-	}
 	if st.Host.Personality == osmodel.SPIN {
-		run(t)
+		app.recv(t, data)
 		return
 	}
 	costs := st.Host.Costs
 	t.Charge(costs.SocketLayer + costs.Wakeup)
-	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, "tcp-app-recv:"+st.Name(), func(ut *sim.Task) {
-		ut.Charge(costs.CtxSwitch + costs.Syscall)
-		ut.ChargeBytes(len(data), costs.CopyPerByte)
-		run(ut)
-	})
+	var r *tcpAppRecv
+	if n := len(st.tcpRecvFree); n > 0 {
+		r = st.tcpRecvFree[n-1]
+		st.tcpRecvFree = st.tcpRecvFree[:n-1]
+	} else {
+		r = &tcpAppRecv{}
+	}
+	r.app = app
+	r.data = append(r.data[:0], data...)
+	if st.tcpRecvLabel == "" {
+		st.tcpRecvLabel = "tcp-app-recv:" + st.Name()
+	}
+	st.Host.CPU.SubmitAtArg(t.Now(), sim.PrioUser, st.tcpRecvLabel, tcpAppRecvTask, r)
+}
+
+// recv charges the application's per-chunk cost and runs its callback.
+func (app *TCPApp) recv(t *sim.Task, data []byte) {
+	if app.opts.AppRecvCost > 0 {
+		t.Charge(app.opts.AppRecvCost)
+	}
+	if app.opts.OnRecv != nil {
+		app.opts.OnRecv(t, app, data)
+	}
+}
+
+// tcpAppRecv is one chunk of stream data queued for a Monolithic user
+// process; records and their buffers recycle through Stack.tcpRecvFree.
+type tcpAppRecv struct {
+	app  *TCPApp
+	data []byte
+}
+
+// tcpAppRecvTask is the woken user process returning from its recv trap.
+func tcpAppRecvTask(ut *sim.Task, a any) {
+	r := a.(*tcpAppRecv)
+	app := r.app
+	costs := app.st.Host.Costs
+	ut.Charge(costs.CtxSwitch + costs.Syscall)
+	ut.ChargeBytes(len(r.data), costs.CopyPerByte)
+	app.recv(ut, r.data)
+	r.app = nil
+	app.st.tcpRecvFree = append(app.st.tcpRecvFree, r)
 }
 
 // inAppContext runs a control callback with personality structure: inline on

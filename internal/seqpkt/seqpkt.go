@@ -94,7 +94,7 @@ type Manager struct {
 	recvRef *event.Ref
 	cpu     *sim.CPU
 	pool    *mbuf.Pool
-	costs osmodel.Costs
+	costs   osmodel.Costs
 
 	ports map[uint16]*Endpoint
 	stats Stats

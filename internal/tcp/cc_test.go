@@ -248,3 +248,28 @@ func TestCCHotPathZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// The ACK clock re-arms the retransmit timer and arms and cancels the
+// delayed-ACK timer once per segment or two: with the event free list warm, a
+// whole arm / cancel cycle of both must allocate nothing.
+func TestTimerArmStopZeroAlloc(t *testing.T) {
+	s := sim.New(1)
+	c := ccTestConn(s, "newreno", 1460, 14600, 64000)
+	cycle := func() {
+		c.armRexmit()
+		c.scheduleDelayedACK()
+		c.armRexmit() // re-arm: stops the pending timer first
+		c.ackTimer.Stop()
+		c.disarmRexmit()
+		// Cancelled events leave the queue (and return to the free list)
+		// when their time comes.
+		s.RunUntil(s.Now() + 2*initialRTO)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("%v allocs per timer arm/stop cycle, want 0", allocs)
+	}
+	if c.rexmitTimer.Pending() || c.ackTimer.Pending() {
+		t.Error("a cancelled timer is still pending")
+	}
+}

@@ -79,7 +79,8 @@ const (
 // ConnOptions configure a connection's application-visible behaviour.
 type ConnOptions struct {
 	// OnRecv delivers in-order payload bytes as they arrive. The slice is
-	// owned by the callee.
+	// valid only during the call — it aliases a buffer the next segment
+	// overwrites — so a callee that defers its work copies what it keeps.
 	OnRecv func(t *sim.Task, c *Conn, data []byte)
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func(t *sim.Task, c *Conn)
@@ -203,14 +204,18 @@ type Conn struct {
 	lastOOOSeq uint32
 
 	// sndBuf holds bytes from snd.una onward (unacked + unsent).
-	sndBuf []byte
+	sndBuf byteRing
 	// finQueued marks that the application closed its send side; the FIN
 	// goes out after the buffer drains.
 	finQueued bool
 	finSeq    uint32 // sequence of our FIN, valid once sent
 	finSent   bool
 
-	ooo []oooSeg
+	// ooo is the out-of-order queue in sequence order; oooFree recycles its
+	// payload storage, so a connection allocates at most maxOOOSegs buffers
+	// however long it spends in recovery.
+	ooo     []oooSeg
+	oooFree [][]byte
 
 	// Receiver-side flow control: when the application pauses delivery,
 	// in-order data accumulates in rcvBuf and the advertised window
@@ -286,7 +291,7 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 	c.ccName = c.cc.Name()
 	c.cc.Init(c)
 	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		s, ok := parseSeg(pkt)
+		s, ok := parseHdr(pkt)
 		return ok && s.dstPort == c.localPort && s.srcPort == c.remotePort && s.src == c.remoteAddr
 	}
 	h := event.Handler{
@@ -334,7 +339,7 @@ func (c *Conn) RemoteAddr() (view.IP4, uint16) { return c.remoteAddr, c.remotePo
 func (c *Conn) RTO() sim.Time { return c.rto }
 
 // SendBufBytes returns how many bytes sit in the send buffer (unacked+unsent).
-func (c *Conn) SendBufBytes() int { return len(c.sndBuf) }
+func (c *Conn) SendBufBytes() int { return c.sndBuf.len() }
 
 // --- output ---
 
@@ -357,7 +362,7 @@ func (c *Conn) sendSYN(t *sim.Task) {
 	c.snd.nxt = c.snd.iss + 1
 	c.bumpSndMax()
 	c.stats.SegsSent++
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, 0, view.TCPSyn, c.rcv.wnd, c.synOpts(false), nil)
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, 0, view.TCPSyn, c.rcv.wnd, c.synOpts(false), nil, nil)
 	c.armRexmit()
 	c.startRTT(c.snd.iss)
 }
@@ -366,7 +371,7 @@ func (c *Conn) sendSYNACK(t *sim.Task) {
 	c.snd.nxt = c.snd.iss + 1
 	c.bumpSndMax()
 	c.stats.SegsSent++
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil)
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil, nil)
 	c.armRexmit()
 }
 
@@ -390,7 +395,7 @@ func (c *Conn) segWnd(s seg) uint32 {
 func (c *Conn) sendACK(t *sim.Task) {
 	c.ackTimer.Stop()
 	c.stats.SegsSent++
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPAck, c.wireRcvWnd(), c.ackOpts(), nil)
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPAck, c.wireRcvWnd(), c.ackOpts(), nil, nil)
 }
 
 // scheduleDelayedACK arms the 200ms ACK clock if not already pending.
@@ -398,17 +403,7 @@ func (c *Conn) scheduleDelayedACK() {
 	if c.ackTimer.Pending() {
 		return
 	}
-	c.ackTimer = c.mgr.sim.After(delayedAckDelay, "tcp-delack", func() {
-		if c.dead {
-			return
-		}
-		c.mgr.stats.DelayedAcks++
-		c.mgr.cpu.Submit(sim.PrioKernel, "tcp-delack", func(task *sim.Task) {
-			if !c.dead {
-				c.sendACK(task)
-			}
-		})
-	})
+	c.ackTimer = c.mgr.sim.AfterArg(delayedAckDelay, "tcp-delack", delackFire, c)
 }
 
 // Send appends data to the connection's stream. It is accepted immediately
@@ -422,7 +417,7 @@ func (c *Conn) Send(t *sim.Task, data []byte) error {
 	if c.finQueued {
 		return ErrClosed
 	}
-	c.sndBuf = append(c.sndBuf, data...)
+	c.sndBuf.append(data)
 	c.output(t)
 	return nil
 }
@@ -455,7 +450,7 @@ func (c *Conn) Abort(t *sim.Task) {
 		return
 	}
 	c.mgr.stats.RSTsSent++
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPRst|view.TCPAck, 0, nil, nil)
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPRst|view.TCPAck, 0, nil, nil, nil)
 	c.teardown(ErrReset, userCause(CauseAbort))
 }
 
@@ -483,10 +478,10 @@ func (c *Conn) output(t *sim.Task) {
 		offset := c.snd.nxt - c.snd.una // bytes of sndBuf already in flight
 		// The FIN occupies sequence space beyond the buffer; once it (or
 		// all buffered data) is in flight there is nothing new to send.
-		if offset >= uint32(len(c.sndBuf)) {
+		if offset >= uint32(c.sndBuf.len()) {
 			break
 		}
-		avail := uint32(len(c.sndBuf)) - offset
+		avail := uint32(c.sndBuf.len()) - offset
 		if c.usableWindow() == 0 {
 			break
 		}
@@ -509,10 +504,10 @@ func (c *Conn) output(t *sim.Task) {
 		if c.paceGate(n) {
 			break
 		}
-		payload := c.sndBuf[offset : offset+n]
+		pay0, pay1 := c.sndBuf.peek(int(offset), int(n))
 		flags := uint8(view.TCPAck)
 		// PSH on the last segment of the buffered data.
-		if offset+n == uint32(len(c.sndBuf)) {
+		if offset+n == uint32(c.sndBuf.len()) {
 			flags |= view.TCPPsh
 		}
 		seq := c.snd.nxt
@@ -521,25 +516,25 @@ func (c *Conn) output(t *sim.Task) {
 		c.stats.SegsSent++
 		c.stats.BytesSent += uint64(n)
 		c.ackTimer.Stop() // data segment carries the ACK
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, seq, c.rcv.nxt, flags, c.wireRcvWnd(), nil, payload)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, seq, c.rcv.nxt, flags, c.wireRcvWnd(), nil, pay0, pay1)
 		c.startRTT(seq)
 		c.armRexmit()
 	}
 	// Stalled with data waiting and either a closed window or nothing in
 	// flight to draw further ACKs (the sender-SWS small-window case):
 	// enter persist mode so a silent peer cannot deadlock the connection.
-	if c.snd.nxt-c.snd.una < uint32(len(c.sndBuf)) &&
+	if c.snd.nxt-c.snd.una < uint32(c.sndBuf.len()) &&
 		(c.snd.wnd == 0 || c.snd.nxt == c.snd.una) {
 		c.armPersist()
 	}
 	// Send the FIN once the buffer has fully drained into the window.
-	if c.finQueued && !c.finSent && c.snd.nxt == c.snd.una+uint32(len(c.sndBuf)) {
+	if c.finQueued && !c.finSent && c.snd.nxt == c.snd.una+uint32(c.sndBuf.len()) {
 		c.finSeq = c.snd.nxt
 		c.snd.nxt++
 		c.bumpSndMax()
 		c.finSent = true
 		c.stats.SegsSent++
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.finSeq, c.rcv.nxt, view.TCPFin|view.TCPAck, c.wireRcvWnd(), nil, nil)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.finSeq, c.rcv.nxt, view.TCPFin|view.TCPAck, c.wireRcvWnd(), nil, nil, nil)
 		c.armRexmit()
 	}
 }
@@ -565,19 +560,57 @@ func (c *Conn) armPace(d sim.Time) {
 	if c.paceTimer.Pending() {
 		return
 	}
-	c.paceTimer = c.mgr.sim.After(d, "tcp-pace", func() {
-		if c.dead {
-			return
-		}
-		c.mgr.cpu.Submit(sim.PrioKernel, "tcp-pace", func(task *sim.Task) {
-			if !c.dead {
-				c.output(task)
-			}
-		})
-	})
+	c.paceTimer = c.mgr.sim.AfterArg(d, "tcp-pace", paceFire, c)
 }
 
 // --- timers & RTT ---
+
+// Every connection timer fires in two steps: the simulator event hops onto
+// the host CPU at kernel priority, and the task does the work. Both steps are
+// package-level functions taking the *Conn as their argument, so arming a
+// timer allocates nothing.
+
+func (c *Conn) submitTimer(label string, fn func(*sim.Task, any)) {
+	if !c.dead {
+		c.mgr.cpu.SubmitAtArg(c.mgr.sim.Now(), sim.PrioKernel, label, fn, c)
+	}
+}
+
+func rexmitFire(a any)  { a.(*Conn).submitTimer("tcp-rexmit", rexmitTask) }
+func paceFire(a any)    { a.(*Conn).submitTimer("tcp-pace", paceTask) }
+func persistFire(a any) { a.(*Conn).submitTimer("tcp-persist", persistTask) }
+
+func delackFire(a any) {
+	c := a.(*Conn)
+	if !c.dead {
+		c.mgr.stats.DelayedAcks++
+		c.submitTimer("tcp-delack", delackTask)
+	}
+}
+
+func rexmitTask(t *sim.Task, a any) {
+	if c := a.(*Conn); !c.dead {
+		c.onRexmitTimeout(t)
+	}
+}
+
+func paceTask(t *sim.Task, a any) {
+	if c := a.(*Conn); !c.dead {
+		c.output(t)
+	}
+}
+
+func persistTask(t *sim.Task, a any) {
+	if c := a.(*Conn); !c.dead {
+		c.sendWindowProbe(t)
+	}
+}
+
+func delackTask(t *sim.Task, a any) {
+	if c := a.(*Conn); !c.dead {
+		c.sendACK(t)
+	}
+}
 
 func (c *Conn) startRTT(seq uint32) {
 	if c.rttValid {
@@ -632,16 +665,7 @@ func (c *Conn) armRexmit() {
 	if rto > maxRTO {
 		rto = maxRTO
 	}
-	c.rexmitTimer = c.mgr.sim.After(rto, "tcp-rexmit", func() {
-		if c.dead {
-			return
-		}
-		c.mgr.cpu.Submit(sim.PrioKernel, "tcp-rexmit", func(task *sim.Task) {
-			if !c.dead {
-				c.onRexmitTimeout(task)
-			}
-		})
-	})
+	c.rexmitTimer = c.mgr.sim.AfterArg(rto, "tcp-rexmit", rexmitFire, c)
 }
 
 func (c *Conn) disarmRexmit() {
@@ -667,7 +691,7 @@ func (c *Conn) onRexmitTimeout(t *sim.Task) {
 			return
 		}
 		c.stats.Retransmits++
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, 0, view.TCPSyn, c.rcv.wnd, c.synOpts(false), nil)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, 0, view.TCPSyn, c.rcv.wnd, c.synOpts(false), nil, nil)
 		c.armRexmit()
 		return
 	case StateSynRcvd:
@@ -677,7 +701,7 @@ func (c *Conn) onRexmitTimeout(t *sim.Task) {
 			return
 		}
 		c.stats.Retransmits++
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil, nil)
 		c.armRexmit()
 		return
 	}
@@ -733,13 +757,13 @@ func (c *Conn) retransmitHole(t *sim.Task, start, end uint32) uint32 {
 		start = c.snd.una
 	}
 	offset := start - c.snd.una
-	buflen := uint32(len(c.sndBuf))
+	buflen := uint32(c.sndBuf.len())
 	if offset >= buflen {
 		// Only the FIN lives beyond the buffer.
 		if c.finSent && seqLE(c.snd.una, c.finSeq) && seqLE(start, c.finSeq) {
 			c.stats.Retransmits++
 			c.cancelRTT()
-			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.finSeq, c.rcv.nxt, view.TCPFin|view.TCPAck, c.wireRcvWnd(), nil, nil)
+			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.finSeq, c.rcv.nxt, view.TCPFin|view.TCPAck, c.wireRcvWnd(), nil, nil, nil)
 		}
 		return 0
 	}
@@ -754,8 +778,8 @@ func (c *Conn) retransmitHole(t *sim.Task, start, end uint32) uint32 {
 	}
 	c.stats.Retransmits++
 	c.cancelRTT()
-	payload := c.sndBuf[offset : offset+n]
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, start, c.rcv.nxt, view.TCPAck|view.TCPPsh, c.wireRcvWnd(), nil, payload)
+	pay0, pay1 := c.sndBuf.peek(int(offset), int(n))
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, start, c.rcv.nxt, view.TCPAck|view.TCPPsh, c.wireRcvWnd(), nil, pay0, pay1)
 	return n
 }
 
@@ -891,17 +915,7 @@ func (c *Conn) armPersist() {
 	if d > maxPersistInterval {
 		d = maxPersistInterval
 	}
-	c.persistTimer = c.mgr.sim.After(d, "tcp-persist", func() {
-		if c.dead {
-			return
-		}
-		c.mgr.cpu.Submit(sim.PrioKernel, "tcp-persist", func(task *sim.Task) {
-			if c.dead {
-				return
-			}
-			c.sendWindowProbe(task)
-		})
-	})
+	c.persistTimer = c.mgr.sim.AfterArg(d, "tcp-persist", persistFire, c)
 }
 
 func (c *Conn) disarmPersist() {
@@ -917,10 +931,10 @@ func (c *Conn) disarmPersist() {
 // so a lost window update cannot deadlock the connection.
 func (c *Conn) sendWindowProbe(t *sim.Task) {
 	offset := c.snd.nxt - c.snd.una
-	if offset >= uint32(len(c.sndBuf)) {
+	if offset >= uint32(c.sndBuf.len()) {
 		return // nothing left to probe with
 	}
-	avail := uint32(len(c.sndBuf)) - offset
+	avail := uint32(c.sndBuf.len()) - offset
 	if w := c.usableWindow(); w >= c.mss || w >= avail {
 		// The window reopened; transmit normally.
 		c.output(t)
@@ -939,8 +953,8 @@ func (c *Conn) sendWindowProbe(t *sim.Task) {
 	}
 	c.stats.WindowProbes++
 	c.stats.SegsSent++
-	payload := c.sndBuf[offset : offset+n]
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPAck|view.TCPPsh, c.wireRcvWnd(), nil, payload)
+	pay0, pay1 := c.sndBuf.peek(int(offset), int(n))
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPAck|view.TCPPsh, c.wireRcvWnd(), nil, pay0, pay1)
 	if inWindow {
 		// A forced in-window send is real transmission: it advances
 		// snd.nxt and is covered by the retransmission timer.

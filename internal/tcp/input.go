@@ -1,8 +1,6 @@
 package tcp
 
 import (
-	"sort"
-
 	"plexus/internal/mbuf"
 	"plexus/internal/sim"
 	"plexus/internal/view"
@@ -16,7 +14,7 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 	if c.dead {
 		return
 	}
-	s, ok := parseSeg(pkt)
+	s, ok := parseHdr(pkt)
 	if !ok {
 		return
 	}
@@ -60,7 +58,7 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 	// Duplicate SYN|ACK retransmission handling in SYN-RCVD: re-ack.
 	if c.state == StateSynRcvd && s.flags&view.TCPSyn != 0 {
 		c.stats.SegsSent++
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil, nil)
 		return
 	}
 	// 4. ACK processing.
@@ -72,7 +70,7 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 			c.establish(t, segCause(s))
 		} else {
 			c.mgr.stats.RSTsSent++
-			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil)
+			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil, nil)
 			return
 		}
 	}
@@ -81,7 +79,7 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 		return
 	}
 	// 5. Payload and FIN processing.
-	c.processText(t, s)
+	c.processText(t, s, pkt)
 }
 
 // synSentInput handles segments in SYN-SENT (active open). A RST here is
@@ -95,7 +93,7 @@ func (c *Conn) synSentInput(t *sim.Task, s seg) {
 				c.mgr.stats.RSTsRejected++
 			} else {
 				c.mgr.stats.RSTsSent++
-				c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil)
+				c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil, nil)
 			}
 			return
 		}
@@ -277,7 +275,7 @@ func (c *Conn) processAck(t *sim.Task, s seg) {
 	c.backoff = 0 // forward progress: the path is passing traffic again
 	// An ACK covering one byte past the remaining buffer can only be our
 	// FIN — it was rewound by a timeout but had already reached the peer.
-	if c.finQueued && !c.finSent && acked > uint32(len(c.sndBuf)) {
+	if c.finQueued && !c.finSent && acked > uint32(c.sndBuf.len()) {
 		c.finSent = true
 	}
 	// Slide the send buffer past acknowledged bytes (FIN occupies sequence
@@ -286,11 +284,7 @@ func (c *Conn) processAck(t *sim.Task, s seg) {
 	if c.finSent && seqGT(ack, c.finSeq) {
 		dataAcked--
 	}
-	if uint32(len(c.sndBuf)) >= dataAcked {
-		c.sndBuf = c.sndBuf[dataAcked:]
-	} else {
-		c.sndBuf = nil
-	}
+	c.sndBuf.discard(int(dataAcked))
 	c.snd.una = ack
 	if seqGT(c.snd.una, c.snd.nxt) {
 		c.snd.nxt = c.snd.una // ack overtook a rewound snd.nxt
@@ -351,7 +345,7 @@ func (c *Conn) staleAck(t *sim.Task, s seg, newSack bool) {
 	// snd.una with data outstanding. A segment carrying new SACK
 	// information counts as a duplicate regardless of its window field
 	// (RFC 6675): the SACK proves the receiver took a new segment.
-	isDup := s.ack == c.snd.una && c.hasUnackedData() && len(s.payload) == 0 &&
+	isDup := s.ack == c.snd.una && c.hasUnackedData() && s.payLen == 0 &&
 		s.flags&(view.TCPSyn|view.TCPFin) == 0 &&
 		(newSack || c.segWnd(s) == wndBefore)
 	c.updateSndWnd(s)
@@ -469,26 +463,27 @@ func (c *Conn) hasUnackedData() bool {
 }
 
 // processText delivers in-order payload, buffers out-of-order segments, and
-// handles the peer's FIN.
-func (c *Conn) processText(t *sim.Task, s seg) {
+// handles the peer's FIN. pkt still holds the payload: it is copied out once,
+// into the out-of-order queue or the manager's scratch buffer.
+func (c *Conn) processText(t *sim.Task, s seg, pkt *mbuf.Mbuf) {
 	switch c.state {
 	case StateEstablished, StateFinWait1, StateFinWait2:
 	default:
 		return
 	}
 	fin := s.flags&view.TCPFin != 0
-	if len(s.payload) == 0 && !fin {
+	if s.payLen == 0 && !fin {
 		return
 	}
 	if seqGT(s.seq, c.rcv.nxt) {
 		// Out of order: buffer and send an immediate duplicate ACK so
 		// the sender's fast-retransmit counter advances.
-		c.bufferOOO(s)
+		c.bufferOOO(s, pkt)
 		c.sendACK(t)
 		return
 	}
 	// Trim any already-received prefix.
-	payload := s.payload
+	payload := c.mgr.payload(pkt, s)
 	if seqLT(s.seq, c.rcv.nxt) {
 		skip := c.rcv.nxt - s.seq
 		if skip >= uint32(len(payload)) {
@@ -520,7 +515,7 @@ func (c *Conn) processText(t *sim.Task, s seg) {
 		return
 	}
 	// ACK strategy: every second full segment immediately, else delayed.
-	if uint32(len(s.payload)) >= c.mss {
+	if uint32(s.payLen) >= c.mss {
 		if c.ackTimer.Pending() {
 			c.sendACK(t)
 		} else {
@@ -549,22 +544,40 @@ func (c *Conn) deliver(t *sim.Task, payload []byte) {
 	}
 }
 
-// bufferOOO stores an out-of-order segment (bounded; drops beyond the cap).
-func (c *Conn) bufferOOO(s seg) {
+// bufferOOO stores an out-of-order segment (bounded; drops beyond the cap),
+// copying its payload out of pkt into recycled storage and keeping the queue
+// in sequence order.
+func (c *Conn) bufferOOO(s seg, pkt *mbuf.Mbuf) {
 	if len(c.ooo) >= maxOOOSegs {
 		c.stats.OOODropped++
 		return
 	}
-	for _, o := range c.ooo {
+	at := len(c.ooo)
+	for i, o := range c.ooo {
 		if o.seq == s.seq {
 			return // duplicate
+		}
+		if at == len(c.ooo) && seqLT(s.seq, o.seq) {
+			at = i
 		}
 	}
 	c.stats.OOOBuffered++
 	c.lastOOOSeq = s.seq
-	p := append([]byte(nil), s.payload...)
-	c.ooo = append(c.ooo, oooSeg{seq: s.seq, payload: p, fin: s.flags&view.TCPFin != 0})
-	sort.Slice(c.ooo, func(i, j int) bool { return seqLT(c.ooo[i].seq, c.ooo[j].seq) })
+	var p []byte
+	if n := len(c.oooFree); n > 0 {
+		p = c.oooFree[n-1]
+		c.oooFree = c.oooFree[:n-1]
+	}
+	if cap(p) < s.payLen {
+		p = make([]byte, s.payLen)
+	}
+	p = p[:s.payLen]
+	if err := pkt.CopyTo(s.payOff, p); err != nil {
+		panic(err) // parseHdr checked the range against the chain
+	}
+	c.ooo = append(c.ooo, oooSeg{})
+	copy(c.ooo[at+1:], c.ooo[at:])
+	c.ooo[at] = oooSeg{seq: s.seq, payload: p, fin: s.flags&view.TCPFin != 0}
 }
 
 // drainOOO delivers buffered segments that have become contiguous; it
@@ -573,12 +586,11 @@ func (c *Conn) bufferOOO(s seg) {
 func (c *Conn) drainOOO(t *sim.Task) (bool, uint32) {
 	fin := false
 	var finSeq uint32
-	for len(c.ooo) > 0 {
+	for len(c.ooo) > 0 && !seqGT(c.ooo[0].seq, c.rcv.nxt) {
+		// Pop before delivering (the queue must never list data the
+		// application has seen), by shifting so the slice keeps its capacity.
 		o := c.ooo[0]
-		if seqGT(o.seq, c.rcv.nxt) {
-			break
-		}
-		c.ooo = c.ooo[1:]
+		c.ooo = c.ooo[:copy(c.ooo, c.ooo[1:])]
 		payload := o.payload
 		if seqLT(o.seq, c.rcv.nxt) {
 			skip := c.rcv.nxt - o.seq
@@ -589,6 +601,7 @@ func (c *Conn) drainOOO(t *sim.Task) (bool, uint32) {
 			}
 		}
 		c.deliver(t, payload)
+		c.oooFree = append(c.oooFree, o.payload[:0])
 		if o.fin {
 			c.rcv.nxt++
 			fin = true

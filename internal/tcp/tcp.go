@@ -94,6 +94,9 @@ type Manager struct {
 	nextPort uint16
 	issSeed  uint32
 	stats    Stats
+	// scratch is where a handler linearises the payload of the segment it is
+	// processing (see payload); allocated by the first data segment.
+	scratch []byte
 	// defaultCC names the congestion-control algorithm for connections
 	// that don't pick one ("" = NewReno).
 	defaultCC string
@@ -175,7 +178,7 @@ func New(cfg Config) (*Manager, error) {
 		if len(m.claimed) == 0 {
 			return true
 		}
-		s, ok := parseSeg(pkt)
+		s, ok := parseHdr(pkt)
 		return ok && !m.claimed[s.dstPort] && !m.claimed[s.srcPort]
 	}
 	_, err := cfg.Disp.Install(ip.RecvEvent, guard,
@@ -253,7 +256,9 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	}
 }
 
-// seg is a parsed incoming segment.
+// seg is the parsed header of an incoming segment. The payload stays in the
+// packet: payOff/payLen locate it, and a handler that needs the bytes calls
+// Manager.payload.
 type seg struct {
 	src     view.IP4
 	dst     view.IP4
@@ -263,7 +268,8 @@ type seg struct {
 	ack     uint32
 	flags   uint8
 	wnd     uint32
-	payload []byte
+	payOff  int // offset of the payload within the IP datagram
+	payLen  int
 	// Parsed options. mss is 0 when absent; wscale is -1 when absent.
 	mss      uint16
 	wscale   int8
@@ -272,26 +278,42 @@ type seg struct {
 	sack     [maxParsedSackBlocks]sackBlock
 }
 
-// parseSeg extracts the segment from an IP datagram packet.
-func parseSeg(pkt *mbuf.Mbuf) (seg, bool) {
-	ipv, err := view.IPv4(pkt.Bytes())
+// maxHdrLen is the longest TCP header the 4-bit data offset can express.
+const maxHdrLen = 60
+
+// parseHdr reads a segment's header from an IP datagram packet without
+// copying the segment: the TCP header is viewed in place in the head mbuf, or
+// gathered into a stack array when it straddles mbufs. Guards and handlers
+// alike call it, so it allocates nothing.
+func parseHdr(pkt *mbuf.Mbuf) (seg, bool) {
+	head := pkt.Bytes()
+	ipv, err := view.IPv4(head)
 	if err != nil {
 		return seg{}, false
 	}
 	hl := ipv.HdrLen()
 	segLen := ipv.TotalLen() - hl
-	raw, err := pkt.CopyData(hl, segLen)
-	if err != nil {
+	if segLen < view.TCPMinHdrLen || ipv.TotalLen() > pkt.PktLen() {
 		return seg{}, false
 	}
+	n := segLen
+	if n > maxHdrLen {
+		n = maxHdrLen
+	}
+	var straddle [maxHdrLen]byte
+	raw := straddle[:n]
+	if len(head) >= hl+n {
+		raw = head[hl : hl+n]
+	} else if err := pkt.CopyTo(hl, raw); err != nil {
+		return seg{}, false
+	}
+	// view.TCP rejects a data offset below 20 or beyond raw, and raw holds
+	// min(segLen, 60) bytes, so an accepted offset lies within the segment.
 	tv, err := view.TCP(raw)
 	if err != nil {
 		return seg{}, false
 	}
 	dataOff := tv.DataOff()
-	if dataOff < view.TCPMinHdrLen || dataOff > len(raw) {
-		return seg{}, false
-	}
 	s := seg{
 		src:     ipv.Src(),
 		dst:     ipv.Dst(),
@@ -301,7 +323,8 @@ func parseSeg(pkt *mbuf.Mbuf) (seg, bool) {
 		ack:     tv.Ack(),
 		flags:   tv.Flags(),
 		wnd:     uint32(tv.Window()),
-		payload: raw[dataOff:],
+		payOff:  hl + dataOff,
+		payLen:  segLen - dataOff,
 		wscale:  -1,
 	}
 	if dataOff > view.TCPMinHdrLen {
@@ -310,10 +333,33 @@ func parseSeg(pkt *mbuf.Mbuf) (seg, bool) {
 	return s, true
 }
 
+// payload linearises the payload of the segment a handler is processing into
+// the manager's scratch buffer. The slice is valid until the next call: it is
+// what OnRecv receives, which is why OnRecv data may not be retained.
+func (m *Manager) payload(pkt *mbuf.Mbuf, s seg) []byte {
+	if s.payLen == 0 {
+		return nil
+	}
+	if cap(m.scratch) < s.payLen {
+		n := m.MSS()
+		if n < s.payLen {
+			n = s.payLen
+		}
+		m.scratch = make([]byte, n)
+	}
+	b := m.scratch[:s.payLen]
+	if err := pkt.CopyTo(s.payOff, b); err != nil {
+		// parseHdr checked the range against the chain; only a corrupted
+		// chain gets here.
+		panic(err)
+	}
+	return b
+}
+
 // segTextLen returns the sequence-space length of a segment (payload plus
 // SYN/FIN flags).
 func (s seg) segTextLen() uint32 {
-	n := uint32(len(s.payload))
+	n := uint32(s.payLen)
 	if s.flags&view.TCPSyn != 0 {
 		n++
 	}
@@ -325,30 +371,30 @@ func (s seg) segTextLen() uint32 {
 
 // sendRSTFor answers a segment that matched nothing (RFC 793 p.36).
 func (m *Manager) sendRSTFor(t *sim.Task, pkt *mbuf.Mbuf) {
-	s, ok := parseSeg(pkt)
+	s, ok := parseHdr(pkt)
 	if !ok || s.flags&view.TCPRst != 0 {
 		return
 	}
 	m.stats.RSTsSent++
 	if s.flags&view.TCPAck != 0 {
-		m.sendSegment(t, s.dstPort, s.src, s.srcPort, s.ack, 0, view.TCPRst, 0, nil, nil)
+		m.sendSegment(t, s.dstPort, s.src, s.srcPort, s.ack, 0, view.TCPRst, 0, nil, nil, nil)
 	} else {
-		m.sendSegment(t, s.dstPort, s.src, s.srcPort, 0, s.seq+s.segTextLen(), view.TCPRst|view.TCPAck, 0, nil, nil)
+		m.sendSegment(t, s.dstPort, s.src, s.srcPort, 0, s.seq+s.segTextLen(), view.TCPRst|view.TCPAck, 0, nil, nil, nil)
 	}
 }
 
 // sendSegment builds and transmits one TCP segment. opts is the option
 // block (must be 32-bit aligned and at most 40 bytes); the data offset is
-// derived from its length.
-func (m *Manager) sendSegment(t *sim.Task, srcPort uint16, dst view.IP4, dstPort uint16, seqNum, ackNum uint32, flags uint8, wnd uint32, opts, payload []byte) {
+// derived from its length. The payload arrives as the two slices a send-ring
+// peek yields (either may be nil) and is copied once, straight into the
+// packet's mbufs.
+func (m *Manager) sendSegment(t *sim.Task, srcPort uint16, dst view.IP4, dstPort uint16, seqNum, ackNum uint32, flags uint8, wnd uint32, opts, pay0, pay1 []byte) {
 	m.stats.SegsOut++
-	hdrLen := view.TCPMinHdrLen + len(opts)
-	buf := make([]byte, hdrLen+len(payload))
-	copy(buf[view.TCPMinHdrLen:], opts)
-	copy(buf[hdrLen:], payload)
-	raw := buf
-	raw[12] = uint8(hdrLen/4) << 4
-	v, err := view.TCP(raw)
+	var hdrBuf [maxHdrLen]byte
+	hdr := hdrBuf[:view.TCPMinHdrLen+len(opts)]
+	copy(hdr[view.TCPMinHdrLen:], opts)
+	hdr[12] = uint8(len(hdr)/4) << 4
+	v, err := view.TCP(hdr)
 	if err != nil {
 		return
 	}
@@ -361,13 +407,15 @@ func (m *Manager) sendSegment(t *sim.Task, srcPort uint16, dst view.IP4, dstPort
 		wnd = 65535
 	}
 	v.SetWindow(uint16(wnd))
-	v.SetChecksum(0)
-	a := view.PseudoHeader(m.ip.Addr(), dst, view.IPProtoTCP, len(buf))
-	a.Add(buf)
+	segLen := len(hdr) + len(pay0) + len(pay1)
+	a := view.PseudoHeader(m.ip.Addr(), dst, view.IPProtoTCP, segLen)
+	a.Add(hdr)
+	a.Add(pay0)
+	a.Add(pay1)
 	v.SetChecksum(a.Fold())
 	t.ChargeProf(sim.ProfProto, "tcp", m.costs.TCPProc)
-	t.ChargeBytesProf(sim.ProfChecksum, "tcp", len(buf), m.costs.ChecksumPerByte)
-	seg := m.pool.FromBytes(buf, 64)
+	t.ChargeBytesProf(sim.ProfChecksum, "tcp", segLen, m.costs.ChecksumPerByte)
+	seg := m.pool.Gather(64, hdr, pay0, pay1)
 	if s := m.sim; s.MetricsEnabled() {
 		seg.Hdr().Span = s.NextSpan()
 		t.Hop(seg.Hdr().Span, "tcp", "send", seg.Hdr().Len)
@@ -426,7 +474,7 @@ func (m *Manager) Listen(port uint16, opts ConnOptions, accept func(t *sim.Task,
 	}
 	l := &Listener{mgr: m, port: port, accept: accept, opts: opts}
 	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		s, ok := parseSeg(pkt)
+		s, ok := parseHdr(pkt)
 		if !ok || s.dstPort != port {
 			return false
 		}
@@ -466,7 +514,7 @@ func (l *Listener) Close() {
 // input handles a segment for the listening port with no matching connection.
 func (l *Listener) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	defer pkt.Free()
-	s, ok := parseSeg(pkt)
+	s, ok := parseHdr(pkt)
 	if !ok {
 		return
 	}
@@ -475,7 +523,7 @@ func (l *Listener) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	}
 	if s.flags&view.TCPAck != 0 {
 		l.mgr.stats.RSTsSent++
-		l.mgr.sendSegment(t, l.port, s.src, s.srcPort, s.ack, 0, view.TCPRst, 0, nil, nil)
+		l.mgr.sendSegment(t, l.port, s.src, s.srcPort, s.ack, 0, view.TCPRst, 0, nil, nil, nil)
 		return
 	}
 	if s.flags&view.TCPSyn == 0 {
