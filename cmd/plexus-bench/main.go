@@ -10,7 +10,9 @@
 // Usage:
 //
 //	plexus-bench                 # run everything
-//	plexus-bench -exp fig5       # one experiment: fig5 | tput | fig6 | fig7 | http | loss | rogue | scale | fabric | ablations
+//	plexus-bench -exp fig5       # one experiment: fig5 | tput | fig6 | fig7 | http |
+//	                             #   latency | loss | rogue | scale | fabric |
+//	                             #   ablations | telemetry | cc
 //	plexus-bench -exp fig5 -fastdriver
 //	plexus-bench -size 2097152   # bulk-transfer size for tput
 //	plexus-bench -parallel 1     # sequential (deterministic baseline)

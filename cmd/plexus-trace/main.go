@@ -95,6 +95,7 @@ func main() {
 	var events *audit.AssertSink
 	var checker *audit.Checker
 	var jsonlFile *os.File
+	var jsonl *audit.JSONLSink
 	var ring *audit.RingSink
 	if *tcpstates != "" || *tcpjsonl != "" || *chrome != "" {
 		events = &audit.AssertSink{}
@@ -106,7 +107,8 @@ func main() {
 				os.Exit(1)
 			}
 			jsonlFile = f
-			sinks = append(sinks, audit.NewJSONLSink(f))
+			jsonl = audit.NewJSONLSink(f)
+			sinks = append(sinks, jsonl)
 		}
 		if *chrome != "" {
 			ring = audit.NewRingSink(4096)
@@ -224,11 +226,15 @@ func main() {
 		fmt.Printf("wrote folded CPU profile to %s\n", *folded)
 	}
 	if jsonlFile != nil {
-		if err := jsonlFile.Close(); err != nil {
+		err := jsonl.Err()
+		if cerr := jsonlFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "plexus-trace:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d TCP state transitions to %s\n", len(events.Events), *tcpjsonl)
+		fmt.Printf("wrote %d TCP state transitions to %s\n", jsonl.Lines(), *tcpjsonl)
 	}
 	switch {
 	case *tcpstates != "":

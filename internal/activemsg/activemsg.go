@@ -118,9 +118,6 @@ func (am *AM) Stats() Stats { return am.stats }
 // Binding exposes the event binding (tests observe termination counts).
 func (am *AM) Binding() *event.Binding { return am.binding }
 
-// Uninstall removes the extension from the protocol graph.
-func (am *AM) Uninstall(d *event.Dispatcher) { d.Uninstall(am.binding) }
-
 // Send transmits an active message request to the node with hardware address
 // dst, invoking handler idx there.
 func (am *AM) Send(t *sim.Task, dst view.MAC, idx int, arg uint32, payload []byte) (uint16, error) {

@@ -20,10 +20,7 @@
 // not merely surviving goodput.
 package audit
 
-import (
-	"plexus/internal/tcp"
-	"plexus/internal/view"
-)
+import "plexus/internal/tcp"
 
 // RingSink retains the most recent transitions in a preallocated ring with
 // overwrite-oldest semantics — flight-recorder behaviour: the tail of the
@@ -57,14 +54,6 @@ func (r *RingSink) Transition(ev tcp.Transition) {
 // the ring has since overwritten).
 func (r *RingSink) Recorded() uint64 { return r.total }
 
-// Dropped returns how many transitions the ring has overwritten.
-func (r *RingSink) Dropped() uint64 {
-	if r.total <= uint64(len(r.ring)) {
-		return 0
-	}
-	return r.total - uint64(len(r.ring))
-}
-
 // Events returns the retained transitions in recording order (oldest
 // first). It allocates; call at dump time, not on the hot path.
 func (r *RingSink) Events() []tcp.Transition {
@@ -76,19 +65,6 @@ func (r *RingSink) Events() []tcp.Transition {
 	out := make([]tcp.Transition, 0, len(r.ring))
 	out = append(out, r.ring[r.next:]...)
 	out = append(out, r.ring[:r.next]...)
-	return out
-}
-
-// ConnEvents returns the retained transitions of one connection endpoint,
-// identified by its 4-tuple as the endpoint sees it.
-func (r *RingSink) ConnEvents(local view.IP4, localPort uint16, remote view.IP4, remotePort uint16) []tcp.Transition {
-	var out []tcp.Transition
-	for _, ev := range r.Events() {
-		if ev.LocalAddr == local && ev.LocalPort == localPort &&
-			ev.RemoteAddr == remote && ev.RemotePort == remotePort {
-			out = append(out, ev)
-		}
-	}
 	return out
 }
 

@@ -118,12 +118,6 @@ func Legal(old, new tcp.State, cause tcp.Cause) (ok bool, reason string) {
 		old, new, cause.Kind, view.FlagString(cause.Flags), cause.Detail)
 }
 
-// Check validates one event; it returns "" when legal, else the reason.
-func Check(ev tcp.Transition) string {
-	_, reason := Legal(ev.Old, ev.New, ev.Cause)
-	return reason
-}
-
 // Violation is an illegal transition retained with its full event context.
 type Violation struct {
 	Event  tcp.Transition

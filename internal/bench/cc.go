@@ -171,11 +171,6 @@ type ccConnStats struct {
 	EndCwnd                                         uint32
 }
 
-// runCCDebug is runCC plus the senders' counter snapshots.
-func runCCDebug(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
-	return runCCInner(c, size)
-}
-
 // snapStats snapshots both senders' connection counters.
 func snapStats(flows *[2]ccFlow) [2]ccConnStats {
 	var out [2]ccConnStats

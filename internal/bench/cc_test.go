@@ -21,7 +21,7 @@ func ccFastCell(algoA, algoB string, loss float64) ccCell {
 func TestCCCellSmoke(t *testing.T) {
 	c := ccCell{algoA: "newreno", algoB: "newreno", bwMbps: 10,
 		prop: 50 * sim.Microsecond, loss: 0, seed: 1}
-	row, stats, err := runCCDebug(c, ccOfferedBytes(c.bwMbps))
+	row, stats, err := runCCInner(c, ccOfferedBytes(c.bwMbps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCCFairnessGate(t *testing.T) {
 func TestCCLossCellRecoveryCounters(t *testing.T) {
 	c := ccFastCell("newreno", "newreno", 0.02)
 	c.seed = 1
-	row, stats, err := runCCDebug(c, ccOfferedBytes(c.bwMbps))
+	row, stats, err := runCCInner(c, ccOfferedBytes(c.bwMbps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestCCLossCellRecoveryCounters(t *testing.T) {
 func TestCCCellDeterministic(t *testing.T) {
 	c := ccFastCell("newreno", "cubic", 0.02)
 	c.seed = 3
-	r1, s1, err := runCCDebug(c, ccOfferedBytes(c.bwMbps))
+	r1, s1, err := runCCInner(c, ccOfferedBytes(c.bwMbps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, s2, err := runCCDebug(c, ccOfferedBytes(c.bwMbps))
+	r2, s2, err := runCCInner(c, ccOfferedBytes(c.bwMbps))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,9 +99,6 @@ const (
 // DefaultScaleClients is the client-count sweep of `-exp scale`.
 func DefaultScaleClients() []int { return []int{1, 4, 16, 64, 256} }
 
-// DefaultScaleHosts is the sharded host-count sweep of `-exp scale`.
-func DefaultScaleHosts() []int { return []int{1000, 10000, 50000} }
-
 // ScaleRow is one cell of the `-exp scale` sweep.
 type ScaleRow struct {
 	Clients  int    `json:"clients"`

@@ -18,23 +18,12 @@ package domain
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 )
 
 // Symbol names an exported procedure or variable, conventionally
 // "Interface.Item" as in "Ethernet.PacketRecv".
 type Symbol string
-
-// Interface returns the interface component of the symbol ("Ethernet" for
-// "Ethernet.PacketRecv"), or the whole symbol if it has no dot.
-func (s Symbol) Interface() string {
-	if i := strings.IndexByte(string(s), '.'); i >= 0 {
-		return string(s[:i])
-	}
-	return string(s)
-}
 
 // Domain is a logical protection domain: a namespace of exported symbols.
 // Holding a *Domain is the capability to resolve and link against it.
@@ -84,59 +73,4 @@ func (d *Domain) Resolve(sym Symbol) (any, bool) {
 	defer d.mu.Unlock()
 	v, ok := d.symbols[sym]
 	return v, ok
-}
-
-// Symbols returns the domain's exported symbol names, sorted.
-func (d *Domain) Symbols() []Symbol {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Symbol, 0, len(d.symbols))
-	for s := range d.symbols {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Copy returns a snapshot domain with the same bindings, corresponding to
-// SPIN's domain copy operation: the copy evolves independently.
-func (d *Domain) Copy(name string) *Domain {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	nd := New(name)
-	for s, v := range d.symbols {
-		nd.symbols[s] = v
-	}
-	return nd
-}
-
-// Combine returns a new domain holding the union of the given domains'
-// bindings. Conflicting bindings for the same symbol fail, mirroring a
-// link-time multiple-definition error.
-func Combine(name string, domains ...*Domain) (*Domain, error) {
-	nd := New(name)
-	for _, d := range domains {
-		d.mu.Lock()
-		for s, v := range d.symbols {
-			if have, ok := nd.symbols[s]; ok && !same(have, v) {
-				d.mu.Unlock()
-				return nil, fmt.Errorf("domain combine %s: conflicting definitions of %q", name, s)
-			}
-			nd.symbols[s] = v
-		}
-		d.mu.Unlock()
-	}
-	return nd, nil
-}
-
-// same reports best-effort identity for conflict detection. Functions are not
-// comparable in Go, so two distinct bindings of the same symbol always
-// conflict unless they are comparable and equal.
-func same(a, b any) bool {
-	type comparer interface{ Equal(any) bool }
-	if c, ok := a.(comparer); ok {
-		return c.Equal(b)
-	}
-	defer func() { recover() }() //nolint:errcheck // comparison of uncomparable types ⇒ not same
-	return a == b
 }

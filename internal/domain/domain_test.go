@@ -6,15 +6,6 @@ import (
 	"testing"
 )
 
-func TestSymbolInterface(t *testing.T) {
-	if Symbol("Ethernet.PacketRecv").Interface() != "Ethernet" {
-		t.Error("Interface() wrong for dotted symbol")
-	}
-	if Symbol("Bare").Interface() != "Bare" {
-		t.Error("Interface() wrong for bare symbol")
-	}
-}
-
 func TestExportResolve(t *testing.T) {
 	d := New("kernel")
 	if d.Name() != "kernel" {
@@ -57,71 +48,6 @@ func TestMustExportPanics(t *testing.T) {
 	d.MustExport("X", 2)
 }
 
-func TestSymbolsSorted(t *testing.T) {
-	d := New("k")
-	d.MustExport("B", 1)
-	d.MustExport("A", 1)
-	d.MustExport("C", 1)
-	got := d.Symbols()
-	if len(got) != 3 || got[0] != "A" || got[1] != "B" || got[2] != "C" {
-		t.Fatalf("Symbols = %v", got)
-	}
-}
-
-func TestCopyIsIndependent(t *testing.T) {
-	d := New("orig")
-	d.MustExport("X", 1)
-	c := d.Copy("copy")
-	c.MustExport("Y", 2)
-	if _, ok := d.Resolve("Y"); ok {
-		t.Fatal("copy mutation leaked into original")
-	}
-	if _, ok := c.Resolve("X"); !ok {
-		t.Fatal("copy missing original binding")
-	}
-}
-
-func TestCombine(t *testing.T) {
-	a := New("a")
-	a.MustExport("A.x", 1)
-	b := New("b")
-	b.MustExport("B.y", 2)
-	u, err := Combine("union", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := u.Resolve("A.x"); !ok {
-		t.Error("union missing A.x")
-	}
-	if _, ok := u.Resolve("B.y"); !ok {
-		t.Error("union missing B.y")
-	}
-}
-
-func TestCombineConflict(t *testing.T) {
-	a := New("a")
-	a.MustExport("X", 1)
-	b := New("b")
-	b.MustExport("X", 2)
-	if _, err := Combine("u", a, b); err == nil {
-		t.Fatal("conflicting combine accepted")
-	}
-	// Equal comparable values do not conflict.
-	c := New("c")
-	c.MustExport("X", 1)
-	if _, err := Combine("u", a, c); err != nil {
-		t.Fatalf("equal bindings rejected: %v", err)
-	}
-	// Uncomparable values (functions) always conflict.
-	f := New("f")
-	f.MustExport("F", func() {})
-	g := New("g")
-	g.MustExport("F", func() {})
-	if _, err := Combine("u", f, g); err == nil {
-		t.Fatal("conflicting function bindings accepted")
-	}
-}
-
 func TestLinkSuccess(t *testing.T) {
 	kernel := New("kernel")
 	kernel.MustExport("Mbuf.Alloc", "alloc")
@@ -143,12 +69,6 @@ func TestLinkSuccess(t *testing.T) {
 	}
 	if sawAlloc != "alloc" {
 		t.Error("init did not receive resolved import")
-	}
-	if v, ok := l.Resolved("Mbuf.Alloc"); !ok || v != "alloc" {
-		t.Error("Resolved() lookup failed")
-	}
-	if l.Extension() != ext {
-		t.Error("Extension() accessor wrong")
 	}
 	if _, ok := kernel.Resolve("ActiveMessages.Handler"); !ok {
 		t.Fatal("export not installed after link")
@@ -199,8 +119,8 @@ func TestPerExtensionDomains(t *testing.T) {
 	full := New("kernel-full")
 	full.MustExport("Device.RawAccess", 1)
 	full.MustExport("Net.Send", 1)
-	restricted := full.Copy("kernel-restricted")
-	restricted.remove("Device.RawAccess")
+	restricted := New("kernel-restricted")
+	restricted.MustExport("Net.Send", 1)
 
 	ext := &Extension{Name: "driver", Imports: []Symbol{"Device.RawAccess"}}
 	if _, err := Link(ext, full, New("scratch")); err != nil {

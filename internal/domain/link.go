@@ -47,7 +47,6 @@ func (e *UnresolvedError) Error() string {
 type Linked struct {
 	ext      *Extension
 	into     *Domain
-	resolved map[Symbol]any
 	unlinked bool
 }
 
@@ -85,17 +84,8 @@ func Link(ext *Extension, against, into *Domain) (*Linked, error) {
 		}
 		installed = append(installed, sym)
 	}
-	return &Linked{ext: ext, into: into, resolved: resolved}, nil
+	return &Linked{ext: ext, into: into}, nil
 }
-
-// Resolved returns the value a named import was bound to at link time.
-func (l *Linked) Resolved(sym Symbol) (any, bool) {
-	v, ok := l.resolved[sym]
-	return v, ok
-}
-
-// Extension returns the linked extension descriptor.
-func (l *Linked) Extension() *Extension { return l.ext }
 
 // Unlink removes the extension's exports from its domain. Unlinking twice is
 // an error.

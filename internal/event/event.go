@@ -142,9 +142,9 @@ func (s BindingStats) Faults() uint64 {
 // Binding is one installed (guard, handler) pair; the handle for uninstall.
 //
 // Lifecycle: a *Binding stays valid after the binding stops delivering —
-// whether by Uninstall or by quarantine — so owners can read Stats(),
-// Quarantined(), and Removed() post-mortem. Only dispatch stops; the handle
-// is never recycled.
+// whether by Uninstall or by quarantine — so owners can read Stats() and
+// Quarantined() post-mortem. Only dispatch stops; the handle is never
+// recycled.
 type Binding struct {
 	event       *eventState
 	guard       Guard
@@ -158,21 +158,9 @@ type Binding struct {
 // Stats returns a snapshot of the binding's counters.
 func (b *Binding) Stats() BindingStats { return b.stats }
 
-// Handler returns the installed handler descriptor.
-func (b *Binding) Handler() Handler { return b.handler }
-
-// Allotment returns the per-invocation time budget (0 = unlimited).
-func (b *Binding) Allotment() sim.Time { return b.allotment }
-
 // Quarantined reports whether the dispatcher auto-disabled the binding after
 // it reached the quarantine policy's fault threshold.
 func (b *Binding) Quarantined() bool { return b.quarantined }
-
-// Removed reports whether the binding was uninstalled.
-func (b *Binding) Removed() bool { return b.removed }
-
-// Event returns the name of the event the binding was installed on.
-func (b *Binding) Event() Name { return b.event.name }
 
 // QuarantinePolicy configures runtime ejection of faulty bindings. The zero
 // value disables quarantine (faults are still counted in BindingStats).
@@ -187,9 +175,6 @@ type QuarantinePolicy struct {
 	// be cheap predicates. 0 = unlimited.
 	GuardBudget sim.Time
 }
-
-// Enabled reports whether the policy ejects bindings.
-func (p QuarantinePolicy) Enabled() bool { return p.Threshold > 0 }
 
 type eventState struct {
 	name     Name
@@ -234,9 +219,6 @@ func NewDispatcher(costs Costs) *Dispatcher {
 // policy. It applies to faults recorded after the call; bindings already
 // quarantined stay quarantined.
 func (d *Dispatcher) SetQuarantine(p QuarantinePolicy) { d.quar = p }
-
-// Quarantine returns the active quarantine policy.
-func (d *Dispatcher) Quarantine() QuarantinePolicy { return d.quar }
 
 // Health is a dispatcher-level snapshot of extension behavior: how many
 // bindings are live, how many the quarantine policy has ejected, and the
@@ -326,12 +308,6 @@ func (d *Dispatcher) MustDeclare(name Name, opts Options) {
 	if err := d.Declare(name, opts); err != nil {
 		panic(err)
 	}
-}
-
-// Declared reports whether name has been declared.
-func (d *Dispatcher) Declared(name Name) bool {
-	_, ok := d.events[name]
-	return ok
 }
 
 // Install attaches a handler (with optional guard; nil matches everything)

@@ -193,7 +193,7 @@ func TestAllotmentTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Allotment() != 10*sim.Microsecond {
+	if b.allotment != 10*sim.Microsecond {
 		t.Error("allotment not recorded")
 	}
 	m := pkt(t, 0)
@@ -311,12 +311,12 @@ func TestRaiseCycleDetected(t *testing.T) {
 func TestDeclaredAndHandlerAccessors(t *testing.T) {
 	d := NewDispatcher(DefaultCosts())
 	d.MustDeclare("E", Options{})
-	if !d.Declared("E") || d.Declared("F") {
+	if d.events["E"] == nil || d.events["F"] != nil {
 		t.Error("Declared wrong")
 	}
 	h := Ephemeral("x", func(*sim.Task, *mbuf.Mbuf) {})
 	b := mustInstall(t, d, "E", nil, h)
-	if b.Handler().Name != "x" || !b.Handler().Ephemeral {
+	if b.handler.Name != "x" || !b.handler.Ephemeral {
 		t.Error("Handler accessor wrong")
 	}
 	if d.Raises("F") != 0 || d.HandlerCount("F") != 0 {

@@ -230,7 +230,7 @@ func TestUninstallQuarantinedBinding(t *testing.T) {
 	if d.Uninstall(bad) {
 		t.Fatal("Uninstall of a quarantined binding must return false")
 	}
-	if !bad.Removed() {
+	if !bad.removed {
 		t.Fatal("uninstalled quarantined binding must still be marked removed")
 	}
 	if bad.Stats().Panics != 1 {

@@ -32,9 +32,6 @@ func NewECMP(name, match string, base filter.Base, paths int) (*ECMP, *Rule, err
 	return e, r, nil
 }
 
-// Paths returns the configured path count.
-func (e *ECMP) Paths() int { return e.paths }
-
 // Hits returns packets steered to each path.
 func (e *ECMP) Hits() []uint64 { return e.hits }
 

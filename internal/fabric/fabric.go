@@ -158,18 +158,6 @@ func NewRule(name, match string, base filter.Base, action Action) (*Rule, error)
 	return r, nil
 }
 
-// Name returns the rule's label.
-func (r *Rule) Name() string { return r.name }
-
-// Hits returns the rule's match count.
-func (r *Rule) Hits() uint64 { return r.hits }
-
-// Faults returns the rule's recovered-panic count.
-func (r *Rule) Faults() uint64 { return r.faults }
-
-// Quarantined reports whether the rule has been ejected by the policy.
-func (r *Rule) Quarantined() bool { return r.quarantined }
-
 // Table is an ordered rule list; the first matching live rule fires.
 type Table struct {
 	name  string
@@ -179,17 +167,11 @@ type Table struct {
 // NewTable creates an empty named table.
 func NewTable(name string) *Table { return &Table{name: name} }
 
-// Name returns the table's label.
-func (tb *Table) Name() string { return tb.name }
-
 // Add appends a rule.
 func (tb *Table) Add(r *Rule) *Table {
 	tb.rules = append(tb.rules, r)
 	return tb
 }
-
-// Rules returns the table's rules in evaluation order.
-func (tb *Table) Rules() []*Rule { return tb.rules }
 
 // PipelineStats counts pipeline-level activity.
 type PipelineStats struct {
@@ -202,7 +184,6 @@ type PipelineStats struct {
 // Pipeline is an ordered list of tables bound to a base framing and owner
 // name (the ChargeProf attribution label).
 type Pipeline struct {
-	name   string
 	owner  string
 	base   filter.Base
 	tables []*Table
@@ -224,7 +205,6 @@ type Pipeline struct {
 // configures rule quarantine (zero value = count faults but never eject).
 func NewPipeline(name string, base filter.Base, policy event.QuarantinePolicy) *Pipeline {
 	return &Pipeline{
-		name:       name,
 		owner:      "fabric:" + name,
 		base:       base,
 		policy:     policy,
@@ -232,12 +212,6 @@ func NewPipeline(name string, base filter.Base, policy event.QuarantinePolicy) *
 		ActionCost: DefaultActionCost,
 	}
 }
-
-// Name returns the pipeline's label.
-func (pl *Pipeline) Name() string { return pl.name }
-
-// Base returns the framing the pipeline matches against.
-func (pl *Pipeline) Base() filter.Base { return pl.base }
 
 // Add appends a table.
 func (pl *Pipeline) Add(tb *Table) *Pipeline {
@@ -269,16 +243,6 @@ func (pl *Pipeline) Snapshot() []RuleStats {
 		}
 	}
 	return out
-}
-
-// EachRule calls fn for every rule in table order — the allocation-free
-// traversal the telemetry probe samples hit counters through.
-func (pl *Pipeline) EachRule(fn func(table, rule string, hits, faults uint64, quarantined bool)) {
-	for _, tb := range pl.tables {
-		for _, r := range tb.rules {
-			fn(tb.name, r.name, r.hits, r.faults, r.quarantined)
-		}
-	}
 }
 
 // Exec runs the pipeline over p and returns the final verdict (Accept when

@@ -260,20 +260,20 @@ func TestLBConsistentHashingAffinity(t *testing.T) {
 	for h := byte(1); h <= 250; h++ {
 		for sp := uint16(3000); sp < 3004; sp++ {
 			flows = append(flows, flow{FlowTuple{
-				Src: view.IP4{10, 0, 1, h}.Uint32(), Dst: lb.VIP().Uint32(),
+				Src: view.IP4{10, 0, 1, h}.Uint32(), Dst: lb.vip.Uint32(),
 				Proto: view.IPProtoUDP, SPort: sp, DPort: 7,
 			}})
 		}
 	}
 	before := make([]view.IP4, len(flows))
 	for i, f := range flows {
-		before[i] = lb.PickAddr(f.ft)
+		before[i] = lb.servers[lb.Pick(f.ft.Hash())]
 	}
 	grown := append(append([]view.IP4{}, pool...), view.IP4{10, 0, 2, 5})
 	lb.SetServers(grown)
 	moved := 0
 	for i, f := range flows {
-		after := lb.PickAddr(f.ft)
+		after := lb.servers[lb.Pick(f.ft.Hash())]
 		if after != before[i] {
 			moved++
 			if after != (view.IP4{10, 0, 2, 5}) {
@@ -288,7 +288,7 @@ func TestLBConsistentHashingAffinity(t *testing.T) {
 	// Balance: each server serves a nontrivial share.
 	counts := map[view.IP4]int{}
 	for _, f := range flows {
-		counts[lb.PickAddr(f.ft)]++
+		counts[lb.servers[lb.Pick(f.ft.Hash())]]++
 	}
 	for _, s := range grown {
 		if counts[s] < len(flows)/20 {

@@ -101,11 +101,8 @@ func (lb *LoadBalancer) SetServers(servers []view.IP4) {
 	})
 }
 
-// Servers returns the current pool.
-func (lb *LoadBalancer) Servers() []view.IP4 { return lb.servers }
-
 // Hits returns the packets steered to each current server, index-aligned
-// with Servers.
+// with the pool as last set.
 func (lb *LoadBalancer) Hits() []uint64 {
 	out := make([]uint64, len(lb.servers))
 	for i, s := range lb.servers {
@@ -142,11 +139,6 @@ func (lb *LoadBalancer) Pick(h uint32) int {
 	return lb.ring[i].server
 }
 
-// PickAddr returns the server address a tuple's flow maps to.
-func (lb *LoadBalancer) PickAddr(ft FlowTuple) view.IP4 {
-	return lb.servers[lb.Pick(ft.Hash())]
-}
-
 // toServer rewrites VIP traffic to the consistently-hashed pool member.
 func (lb *LoadBalancer) toServer(t *sim.Task, p *Packet) Verdict {
 	if len(lb.servers) == 0 {
@@ -167,6 +159,3 @@ func (lb *LoadBalancer) toVIP(t *sim.Task, p *Packet) Verdict {
 	RewriteAddrPort(p, true, lb.vip, lb.port, true)
 	return NextTable
 }
-
-// VIP returns the service address.
-func (lb *LoadBalancer) VIP() view.IP4 { return lb.vip }

@@ -91,9 +91,6 @@ func NewNAT(name string, base filter.Base, cfg NATConfig) (*NAT, *Table, error) 
 // Occupancy reports live translation entries.
 func (n *NAT) Occupancy() int { return len(n.rev) }
 
-// Cap returns the table's maximum entry count.
-func (n *NAT) Cap() int { return n.max }
-
 // Exhausted reports flows dropped because the table was full.
 func (n *NAT) Exhausted() uint64 { return n.exhausted }
 

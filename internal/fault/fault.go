@@ -72,9 +72,6 @@ func Attach(s *sim.Sim, link *netdev.Link) *Injector {
 	return in
 }
 
-// Link returns the link the injector is attached to.
-func (in *Injector) Link() *netdev.Link { return in.link }
-
 // Lose adds a loss model; frames any model fires on vanish from the wire.
 func (in *Injector) Lose(m DropModel) *Injector {
 	in.loss = append(in.loss, m)

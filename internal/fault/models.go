@@ -75,9 +75,6 @@ func (g *GilbertElliott) Drop(rng *rand.Rand, wire []byte) bool {
 	return p > 0 && rng.Float64() < p
 }
 
-// InBadState reports the current channel state (tests observe burstiness).
-func (g *GilbertElliott) InBadState() bool { return g.bad }
-
 // Burst returns a Gilbert–Elliott channel tuned to a target mean loss rate
 // and mean burst length (frames lost per bad-state visit): the bad state
 // always loses, the good state never does, and the stationary bad-state

@@ -58,7 +58,6 @@ const (
 	FieldSrcPort
 	FieldDstPort
 	FieldTCPFlags
-	numFields
 )
 
 var fieldNames = map[string]Field{
@@ -89,15 +88,9 @@ func fieldProto(name string) uint8 {
 	return 0
 }
 
-// extract pulls a field's value from the packet. ok is false when the field
-// does not apply (wrong framing, wrong protocol, truncated packet).
-func extract(m *mbuf.Mbuf, base Base, f Field, wantProto uint8) (v uint32, ok bool) {
-	return extractBytes(m.Bytes(), base, f, wantProto)
-}
-
-// extractBytes is extract over a raw byte slice — the form the fabric plane
-// uses, where packets in flight are frames or header scratch buffers rather
-// than mbufs.
+// extractBytes pulls a field's value from a raw packet — a frame, a header
+// scratch buffer, or an mbuf's bytes. ok is false when the field does not
+// apply (wrong framing, wrong protocol, truncated packet).
 func extractBytes(b []byte, base Base, f Field, wantProto uint8) (v uint32, ok bool) {
 	ipOff := 0
 	if base == BaseEthernet {

@@ -77,6 +77,16 @@ func mustParse(t *testing.T, src string, base Base) *Filter {
 	return f
 }
 
+// mustCompile compiles f's source to VM bytecode, the differential twin of f.
+func mustCompile(t *testing.T, f *Filter) *Program {
+	t.Helper()
+	p, err := CompileInterpreted(f.src, f.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestBasicMatching(t *testing.T) {
 	udp7 := mkPacket(t, pktSpec{proto: view.IPProtoUDP, src: view.IP4{10, 0, 0, 1}, dst: view.IP4{10, 0, 0, 2}, sport: 5000, dport: 7})
 	tcp80 := mkPacket(t, pktSpec{proto: view.IPProtoTCP, src: view.IP4{10, 0, 0, 3}, dst: view.IP4{10, 0, 0, 2}, sport: 40000, dport: 80, tcpFlags: view.TCPSyn})
@@ -131,7 +141,7 @@ func TestCIDRMatching(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := mustParse(t, c.src, BaseEthernet)
-		prog := CompileFilter(f)
+		prog := mustCompile(t, f)
 		if got := f.Match(in24); got != c.wantIn24 {
 			t.Errorf("%q on in24: got %v, want %v", c.src, got, c.wantIn24)
 		}
@@ -170,7 +180,7 @@ func TestMatchBytes(t *testing.T) {
 	if !f.MatchBytes(m.Bytes()) {
 		t.Fatal("MatchBytes rejected matching buffer")
 	}
-	p := CompileFilter(f)
+	p := mustCompile(t, f)
 	if !p.RunBytes(nil, m.Bytes()) {
 		t.Fatal("RunBytes rejected matching buffer")
 	}
@@ -276,7 +286,7 @@ func TestQuickVMAgreesWithNative(t *testing.T) {
 			t.Fatalf("%q: %v", e, err)
 		}
 		filters[i] = f
-		programs[i] = CompileFilter(f)
+		programs[i] = mustCompile(t, f)
 	}
 	rng := rand.New(rand.NewSource(13))
 	f := func(protoPick, dportRaw, sportRaw uint16, srcLow, ttl uint8, frag bool) bool {

@@ -66,13 +66,6 @@ func CompileInterpreted(src string, base Base) (*Program, error) {
 	return p, nil
 }
 
-// CompileFilter compiles an already-parsed Filter to bytecode.
-func CompileFilter(f *Filter) *Program {
-	p := &Program{base: f.base, src: f.src, InstrCost: DefaultInstrCost}
-	p.compile(f.root)
-	return p
-}
-
 // Len reports the program length in instructions.
 func (p *Program) Len() int { return len(p.code) }
 

@@ -69,7 +69,6 @@ type Kernel struct {
 	flows   map[flowKey]*natEntry
 	byNAT   map[uint16]*natEntry
 	nextNAT uint16
-	binding *event.Binding
 	stats   KernelStats
 }
 
@@ -107,12 +106,10 @@ func NewKernel(st *plexus.Stack, proto uint8, servicePort uint16, backend view.I
 		_, isNAT := k.byNAT[dstPort]
 		return isNAT && ipv.Src() == backend
 	}
-	b, err := st.Host.Disp.Install(ip.RecvEvent, guard,
-		event.Ephemeral("forward.kernel", k.input), 0)
-	if err != nil {
+	if _, err := st.Host.Disp.Install(ip.RecvEvent, guard,
+		event.Ephemeral("forward.kernel", k.input), 0); err != nil {
 		return nil, err
 	}
-	k.binding = b
 	return k, nil
 }
 
@@ -126,16 +123,6 @@ func (k *Kernel) claim(port uint16) error {
 
 // Stats returns a snapshot of counters.
 func (k *Kernel) Stats() KernelStats { return k.stats }
-
-// Uninstall removes the forwarder node from the graph.
-func (k *Kernel) Uninstall() {
-	k.st.Host.Disp.Uninstall(k.binding)
-	if k.proto == view.IPProtoTCP {
-		k.st.TCP.Unclaim(k.servicePort)
-	} else {
-		k.st.UDP.Unclaim(k.servicePort)
-	}
-}
 
 // ports extracts (srcPort, dstPort) from the transport header.
 func (k *Kernel) ports(pkt *mbuf.Mbuf, ipv view.IPv4View) (uint16, uint16, bool) {

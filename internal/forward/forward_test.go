@@ -184,34 +184,3 @@ func TestKernelForwarderUDP(t *testing.T) {
 		t.Fatalf("reply = %q", reply)
 	}
 }
-
-func TestKernelForwarderUninstall(t *testing.T) {
-	n, client, fwd, server := threeHosts(t, osmodel.SPIN)
-	var echo *plexus.UDPApp
-	echo, err := server.OpenUDP(plexus.UDPAppOptions{Port: 9000}, func(task *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-		_ = echo.Send(task, src, srcPort, data)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := NewKernel(fwd, view.IPProtoUDP, 8000, server.Addr(), 9000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replies := 0
-	capp, err := client.OpenUDP(plexus.UDPAppOptions{}, func(task *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-		replies++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.Spawn("first", func(task *sim.Task) { _ = capp.Send(task, fwd.Addr(), 8000, []byte("x")) })
-	n.Sim.At(50*sim.Millisecond, "uninstall", k.Uninstall)
-	client.SpawnAt(100*sim.Millisecond, "second", func(task *sim.Task) {
-		_ = capp.Send(task, fwd.Addr(), 8000, []byte("y"))
-	})
-	n.Sim.RunUntil(10 * sim.Second)
-	if replies != 1 {
-		t.Fatalf("replies = %d, want 1 (forwarding stops at uninstall)", replies)
-	}
-}

@@ -5,7 +5,6 @@ import (
 
 	"plexus/internal/plexus"
 	"plexus/internal/sim"
-	"plexus/internal/tcp"
 	"plexus/internal/view"
 )
 
@@ -26,20 +25,17 @@ type Splice struct {
 	st          *plexus.Stack
 	backend     view.IP4
 	backendPort uint16
-	listener    *tcp.Listener
 	stats       SpliceStats
 }
 
 // NewSplice starts the user-level forwarder on servicePort.
 func NewSplice(st *plexus.Stack, servicePort uint16, backend view.IP4, backendPort uint16) (*Splice, error) {
 	s := &Splice{st: st, backend: backend, backendPort: backendPort}
-	l, err := st.ListenTCP(servicePort, plexus.TCPAppOptions{}, s.accept)
-	if err != nil {
+	// ListenTCP's accept callback gets the client side; the backend side
+	// is dialled there.
+	if _, err := st.ListenTCP(servicePort, plexus.TCPAppOptions{}, s.accept); err != nil {
 		return nil, fmt.Errorf("forward: %w", err)
 	}
-	// Rebind with per-connection plumbing: ListenTCP's accept callback
-	// gives us the client side; the backend side is dialled there.
-	s.listener = l
 	return s, nil
 }
 
@@ -97,6 +93,3 @@ func (s *Splice) accept(t *sim.Task, client *plexus.TCPApp) {
 	backend = nil // set on establish
 	_ = b
 }
-
-// Close stops accepting new connections.
-func (s *Splice) Close() { s.listener.Close() }

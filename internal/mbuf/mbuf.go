@@ -317,9 +317,6 @@ func (m *Mbuf) PktLen() int {
 // Hdr returns the packet header, or nil for a non-head mbuf.
 func (m *Mbuf) Hdr() *PktHdr { return m.hdr }
 
-// IsCluster reports whether this mbuf's storage is a cluster.
-func (m *Mbuf) IsCluster() bool { return m.clust != nil }
-
 // Freed reports whether this mbuf has been returned to the pool. A freed
 // mbuf must not be used; the accessor exists for fault diagnostics (e.g.
 // detecting that a dispatched frame was already consumed by its owner).
@@ -364,14 +361,8 @@ func (m *Mbuf) SetReadOnly() {
 	}
 }
 
-// ReadOnly reports whether this mbuf was marked read-only.
-func (m *Mbuf) ReadOnly() bool { return m.ro }
-
 // leadingSpace returns the unused bytes before the data in this mbuf.
 func (m *Mbuf) leadingSpace() int { return m.off }
-
-// trailingSpace returns the unused bytes after the data in this mbuf.
-func (m *Mbuf) trailingSpace() int { return len(m.storage()) - m.off - m.len }
 
 // Prepend grows the packet by n bytes at the front, returning the (possibly
 // new) head. The fresh bytes are zeroed and writable via MutableBytes on the
@@ -407,40 +398,6 @@ func (m *Mbuf) Prepend(n int) (*Mbuf, error) {
 	nm.next = m
 	nm.hdr.Len += n
 	return nm, nil
-}
-
-// Append adds data at the end of the chain, extending into trailing space or
-// allocating as needed. m must be the packet head.
-func (m *Mbuf) Append(data []byte) error {
-	if m.hdr == nil {
-		return errors.New("mbuf: Append on non-header mbuf")
-	}
-	tail := m
-	for tail.next != nil {
-		tail = tail.next
-	}
-	total := len(data)
-	for len(data) > 0 {
-		if tail.ro || tail.shared() {
-			return ErrReadOnly
-		}
-		if sp := tail.trailingSpace(); sp > 0 {
-			n := copy(tail.storage()[tail.off+tail.len:], data)
-			tail.len += n
-			data = data[n:]
-			continue
-		}
-		var nm *Mbuf
-		if len(data) > MLEN {
-			nm = m.pool.GetCluster()
-		} else {
-			nm = m.pool.get(false)
-		}
-		tail.next = nm
-		tail = nm
-	}
-	m.hdr.Len += total
-	return nil
 }
 
 // Adj trims the packet: n > 0 removes n bytes from the front, n < 0 removes
@@ -624,63 +581,6 @@ func (m *Mbuf) DeepCopy() (*Mbuf, error) {
 	return nm, nil
 }
 
-// Split divides the packet at byte offset off, returning two packets: the
-// first holding bytes [0,off), the second [off,len). The receiver is
-// consumed. Buffers wholly past the split point move (not alias) to the
-// second packet, so Split is legal on read-only chains; the moved buffers
-// retain their read-only marking.
-func (m *Mbuf) Split(off int) (*Mbuf, *Mbuf, error) {
-	if m.hdr == nil {
-		return nil, nil, errors.New("mbuf: Split on non-header mbuf")
-	}
-	if off < 0 || off > m.hdr.Len {
-		return nil, nil, ErrRange
-	}
-	total := m.hdr.Len
-	// Find the mbuf containing offset off.
-	mm := m
-	rem := off
-	for mm != nil && rem > mm.len {
-		rem -= mm.len
-		mm = mm.next
-	}
-	if mm == nil {
-		return nil, nil, ErrRange
-	}
-	second := m.pool.GetPkt()
-	second.hdr.RcvIf = m.hdr.RcvIf
-	second.hdr.Timestamp = m.hdr.Timestamp
-	if rem < mm.len {
-		// Copy the partial remainder of mm into second's head.
-		n := mm.len - rem
-		if n <= MLEN {
-			second.len = copy(second.small[:], mm.Bytes()[rem:])
-		} else {
-			c := m.pool.GetCluster()
-			c.len = copy(c.clust.buf, mm.Bytes()[rem:])
-			second.next = c
-		}
-		mm.len = rem
-	}
-	second.next = append_chain(second.next, mm.next)
-	mm.next = nil
-	m.hdr.Len = off
-	second.hdr.Len = total - off
-	return m, second, nil
-}
-
-func append_chain(a, b *Mbuf) *Mbuf {
-	if a == nil {
-		return b
-	}
-	t := a
-	for t.next != nil {
-		t = t.next
-	}
-	t.next = b
-	return a
-}
-
 // Cat appends packet n's data to packet m, consuming n. Both must be packet
 // heads.
 func (m *Mbuf) Cat(n *Mbuf) error {
@@ -735,15 +635,6 @@ func (m *Mbuf) Free() {
 		mm.release()
 		mm = next
 	}
-}
-
-// NumBufs counts the mbufs in the chain.
-func (m *Mbuf) NumBufs() int {
-	n := 0
-	for mm := m; mm != nil; mm = mm.next {
-		n++
-	}
-	return n
 }
 
 // CheckInvariants verifies structural invariants of a packet chain; property

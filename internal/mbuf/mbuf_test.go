@@ -14,6 +14,15 @@ func payload(n int) []byte {
 	return b
 }
 
+// numBufs counts the mbufs in a chain.
+func numBufs(m *Mbuf) int {
+	n := 0
+	for ; m != nil; m = m.next {
+		n++
+	}
+	return n
+}
+
 func TestFromBytesSmall(t *testing.T) {
 	p := NewPool()
 	data := payload(64)
@@ -22,8 +31,8 @@ func TestFromBytesSmall(t *testing.T) {
 	if m.PktLen() != 64 {
 		t.Fatalf("PktLen = %d, want 64", m.PktLen())
 	}
-	if m.NumBufs() != 1 {
-		t.Fatalf("NumBufs = %d, want 1", m.NumBufs())
+	if numBufs(m) != 1 {
+		t.Fatalf("%d mbufs, want 1", numBufs(m))
 	}
 	got, err := m.CopyData(0, 64)
 	if err != nil || !bytes.Equal(got, data) {
@@ -44,7 +53,7 @@ func TestFromBytesLargeUsesClusters(t *testing.T) {
 	}
 	cluster := false
 	for mm := m; mm != nil; mm = mm.Next() {
-		if mm.IsCluster() {
+		if mm.clust != nil {
 			cluster = true
 		}
 	}
@@ -64,13 +73,13 @@ func TestFromBytesLargeUsesClusters(t *testing.T) {
 // per-mbuf length, bytes and recorded packet length.
 func sameGeometry(t *testing.T, what string, got, want *Mbuf) {
 	t.Helper()
-	if got.NumBufs() != want.NumBufs() || got.Hdr().Len != want.Hdr().Len {
-		t.Fatalf("%s: %d mbufs / Len %d, want %d / %d", what, got.NumBufs(), got.Hdr().Len, want.NumBufs(), want.Hdr().Len)
+	if numBufs(got) != numBufs(want) || got.Hdr().Len != want.Hdr().Len {
+		t.Fatalf("%s: %d mbufs / Len %d, want %d / %d", what, numBufs(got), got.Hdr().Len, numBufs(want), want.Hdr().Len)
 	}
 	for g, w, i := got, want, 0; g != nil; g, w, i = g.Next(), w.Next(), i+1 {
-		if g.Len() != w.Len() || g.IsCluster() != w.IsCluster() || !bytes.Equal(g.Bytes(), w.Bytes()) {
+		if g.Len() != w.Len() || (g.clust != nil) != (w.clust != nil) || !bytes.Equal(g.Bytes(), w.Bytes()) {
 			t.Fatalf("%s: mbuf %d differs (len %d cluster %v, want len %d cluster %v)",
-				what, i, g.Len(), g.IsCluster(), w.Len(), w.IsCluster())
+				what, i, g.Len(), g.clust != nil, w.Len(), w.clust != nil)
 		}
 	}
 	if err := got.CheckInvariants(); err != nil {
@@ -205,36 +214,6 @@ func TestPrependOnNonHeader(t *testing.T) {
 	m.Free()
 }
 
-func TestAppend(t *testing.T) {
-	p := NewPool()
-	m := p.FromBytes(payload(16), 32)
-	defer m.Free()
-	extra := payload(3000)
-	if err := m.Append(extra); err != nil {
-		t.Fatal(err)
-	}
-	if m.PktLen() != 3016 {
-		t.Fatalf("PktLen = %d, want 3016", m.PktLen())
-	}
-	got, _ := m.CopyData(16, 3000)
-	if !bytes.Equal(got, extra) {
-		t.Fatal("appended data corrupted")
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAppendReadOnlyFails(t *testing.T) {
-	p := NewPool()
-	m := p.FromBytes(payload(16), 0)
-	defer m.Free()
-	m.SetReadOnly()
-	if err := m.Append([]byte{1}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("err = %v, want ErrReadOnly", err)
-	}
-}
-
 func TestAdjFront(t *testing.T) {
 	p := NewPool()
 	data := payload(600)
@@ -366,7 +345,7 @@ func TestCloneSharesClusters(t *testing.T) {
 	// Shared cluster regions must refuse mutation on both chains.
 	var sharedSeen bool
 	for mm := m; mm != nil; mm = mm.Next() {
-		if mm.IsCluster() {
+		if mm.clust != nil {
 			sharedSeen = true
 			if _, err := mm.MutableBytes(); !errors.Is(err, ErrReadOnly) {
 				t.Error("original cluster writable while shared")
@@ -383,7 +362,7 @@ func TestCloneSharesClusters(t *testing.T) {
 	// Freeing the clone restores writability to the original.
 	c.Free()
 	for mm := m; mm != nil; mm = mm.Next() {
-		if mm.IsCluster() {
+		if mm.clust != nil {
 			if _, err := mm.MutableBytes(); err != nil {
 				t.Error("original cluster still unwritable after clone freed")
 			}
@@ -420,8 +399,8 @@ func TestReadOnlyDiscipline(t *testing.T) {
 		t.Fatal("fresh packet should be writable")
 	}
 	m.SetReadOnly()
-	if !m.ReadOnly() {
-		t.Fatal("ReadOnly() = false after SetReadOnly")
+	if !m.ro {
+		t.Fatal("not read-only after SetReadOnly")
 	}
 	if _, err := m.MutableBytes(); !errors.Is(err, ErrReadOnly) {
 		t.Fatal("read-only packet was writable: the BadPacketRecv case must fail")
@@ -438,48 +417,6 @@ func TestReadOnlyDiscipline(t *testing.T) {
 	}
 	for i := range b {
 		b[i] = 0
-	}
-}
-
-func TestSplit(t *testing.T) {
-	p := NewPool()
-	data := payload(3000)
-	m := p.FromBytes(data, 0)
-	a, b, err := m.Split(1234)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Free()
-	defer b.Free()
-	if a.PktLen() != 1234 || b.PktLen() != 3000-1234 {
-		t.Fatalf("split lengths %d/%d", a.PktLen(), b.PktLen())
-	}
-	ga, _ := a.CopyData(0, a.PktLen())
-	gb, _ := b.CopyData(0, b.PktLen())
-	if !bytes.Equal(ga, data[:1234]) || !bytes.Equal(gb, data[1234:]) {
-		t.Fatal("split data wrong")
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitAtBoundaries(t *testing.T) {
-	p := NewPool()
-	for _, off := range []int{0, 500} {
-		m := p.FromBytes(payload(500), 0)
-		a, b, err := m.Split(off)
-		if err != nil {
-			t.Fatalf("Split(%d): %v", off, err)
-		}
-		if a.PktLen() != off || b.PktLen() != 500-off {
-			t.Fatalf("Split(%d) lengths %d/%d", off, a.PktLen(), b.PktLen())
-		}
-		a.Free()
-		b.Free()
 	}
 }
 
@@ -503,8 +440,8 @@ func TestPoolStatsAndRecycling(t *testing.T) {
 	p := NewPool()
 	m := p.FromBytes(payload(100), 0)
 	s := p.Stats()
-	if s.InUse != int64(m.NumBufs()) {
-		t.Fatalf("InUse = %d, want %d", s.InUse, m.NumBufs())
+	if s.InUse != int64(numBufs(m)) {
+		t.Fatalf("InUse = %d, want %d", s.InUse, numBufs(m))
 	}
 	m.Free()
 	s = p.Stats()
@@ -564,7 +501,7 @@ func TestHdrAccessors(t *testing.T) {
 func TestClusterRecycling(t *testing.T) {
 	p := NewPool()
 	m := p.GetCluster()
-	if !m.IsCluster() {
+	if m.clust == nil {
 		t.Fatal("GetCluster returned a non-cluster mbuf")
 	}
 	st := p.Stats()

@@ -17,9 +17,8 @@ const (
 	opAdjFront opKind = iota
 	opAdjBack
 	opPrepend
-	opAppend
+	opCat
 	opPullup
-	opSplitRejoin
 	numOps
 )
 
@@ -51,9 +50,9 @@ func TestQuickChainModelEquivalence(t *testing.T) {
 				}
 				m = nm
 				ref = append(make([]byte, n), ref...)
-			case opAppend:
+			case opCat:
 				data := payload(r.Intn(600))
-				if err := m.Append(data); err != nil {
+				if err := m.Cat(p.FromBytes(data, 0)); err != nil {
 					return false
 				}
 				ref = append(ref, data...)
@@ -70,19 +69,6 @@ func TestQuickChainModelEquivalence(t *testing.T) {
 				if m.Len() < want {
 					return false
 				}
-			case opSplitRejoin:
-				if m.PktLen() == 0 {
-					continue
-				}
-				off := r.Intn(m.PktLen() + 1)
-				a, b, err := m.Split(off)
-				if err != nil {
-					return false
-				}
-				if err := a.Cat(b); err != nil {
-					return false
-				}
-				m = a
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Logf("invariant violated after step %d: %v", step, err)
@@ -131,31 +117,6 @@ func TestQuickCloneIndependence(t *testing.T) {
 		return p.Stats().InUse == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(3))}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Split at any offset partitions the bytes exactly.
-func TestQuickSplitPartition(t *testing.T) {
-	f := func(sizeRaw, offRaw uint16) bool {
-		size := int(sizeRaw%5000) + 1
-		off := int(offRaw) % (size + 1)
-		p := NewPool()
-		data := payload(size)
-		m := p.FromBytes(data, 8)
-		a, b, err := m.Split(off)
-		if err != nil {
-			return false
-		}
-		ga, _ := a.CopyData(0, a.PktLen())
-		gb, _ := b.CopyData(0, b.PktLen())
-		ok := bytes.Equal(ga, data[:off]) && bytes.Equal(gb, data[off:]) &&
-			a.CheckInvariants() == nil && b.CheckInvariants() == nil
-		a.Free()
-		b.Free()
-		return ok && p.Stats().InUse == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -32,8 +32,8 @@ func newXRig(t *testing.T, model Model, echo bool) *xrig {
 		poolA:  mbuf.NewPool(),
 		poolB:  mbuf.NewPool(),
 	}
-	shardA := r.engine.AddShard("a", r.sa)
-	shardB := r.engine.AddShard("b", r.sb)
+	shardA := r.engine.AddShard(r.sa)
+	shardB := r.engine.AddShard(r.sb)
 	r.bnd = NewBoundary(r.sa, r.sb, "uplink", model)
 	r.engine.Connect(r.bnd.CouplingAB(), shardB)
 	r.engine.Connect(r.bnd.CouplingBA(), shardA)

@@ -227,9 +227,6 @@ func (l *Link) Dropped() uint64 { return l.dropped }
 // silently discarded (counted by DownDrops); receivers see nothing.
 func (l *Link) SetUp(up bool) { l.up = up }
 
-// Up reports the carrier state.
-func (l *Link) Up() bool { return l.up }
-
 // DownDrops reports how many frames were discarded because the link was down.
 func (l *Link) DownDrops() uint64 { return l.downDrops }
 
@@ -337,17 +334,11 @@ func NewNIC(s *sim.Sim, name string, model Model, link *Link, cfg Config) *NIC {
 	return n
 }
 
-// Name returns the interface name.
-func (n *NIC) Name() string { return n.name }
-
 // MAC returns the hardware address.
 func (n *NIC) MAC() view.MAC { return n.mac }
 
 // MTU returns the device MTU.
 func (n *NIC) MTU() int { return n.model.MTU }
-
-// Model returns the device model.
-func (n *NIC) Model() Model { return n.model }
 
 // Stats returns a snapshot of device counters.
 func (n *NIC) Stats() NICStats { return n.stats }

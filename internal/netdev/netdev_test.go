@@ -228,7 +228,7 @@ func TestLossInjection(t *testing.T) {
 // A down link discards frames silently; raising it restores delivery.
 func TestLinkDownDropsFrames(t *testing.T) {
 	r := newRig(t, EthernetModel(), false)
-	if !r.link.Up() {
+	if !r.link.up {
 		t.Fatal("new link must start up")
 	}
 	r.link.SetUp(false)
@@ -359,7 +359,7 @@ func TestFastDriverHalvesCosts(t *testing.T) {
 
 func TestModelAccessors(t *testing.T) {
 	r := newRig(t, EthernetModel(), false)
-	if r.a.Name() != "a/nic" || r.a.MTU() != 1500 || r.a.Model().Name != "ethernet" {
+	if r.a.name != "a/nic" || r.a.MTU() != 1500 || r.a.model.Name != "ethernet" {
 		t.Error("NIC accessors wrong")
 	}
 	if r.a.MAC() != (view.MAC{2, 0, 0, 0, 0, 1}) {

@@ -186,9 +186,6 @@ func (sw *Switch) Stats() SwitchStats { return sw.stats }
 // Ports returns the attached ports in attachment order.
 func (sw *Switch) Ports() []*Port { return sw.ports }
 
-// MACTableLen reports learned (possibly stale) MAC-table entries.
-func (sw *Switch) MACTableLen() int { return len(sw.macs) }
-
 // AttachLink creates a new port and joins it to cable l. Everything already
 // on the cable (typically one host NIC) becomes reachable through the fabric.
 func (sw *Switch) AttachLink(l *Link) *Port {

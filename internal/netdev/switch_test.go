@@ -107,8 +107,8 @@ func TestSwitchLearningAndFlooding(t *testing.T) {
 	if len(r.hosts[0].rx) != 1 {
 		t.Fatalf("host 0 received %d frames, want 1", len(r.hosts[0].rx))
 	}
-	if r.sw.MACTableLen() != 2 {
-		t.Errorf("MAC table has %d entries, want 2", r.sw.MACTableLen())
+	if len(r.sw.macs) != 2 {
+		t.Errorf("MAC table has %d entries, want 2", len(r.sw.macs))
 	}
 }
 

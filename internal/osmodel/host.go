@@ -46,11 +46,3 @@ func NewHost(s *sim.Sim, name string, p Personality, costs Costs) *Host {
 	h.Disp.AttachPool(h.Pool)
 	return h
 }
-
-// ChargeUserKernelCopy charges a boundary crossing of n bytes on monolithic
-// hosts; SPIN extensions are co-located with the kernel and pay nothing.
-func (h *Host) ChargeUserKernelCopy(t *sim.Task, n int) {
-	if h.Personality == Monolithic {
-		t.ChargeBytesProf(sim.ProfCopy, "user-copy", n, h.Costs.CopyPerByte)
-	}
-}

@@ -65,26 +65,3 @@ func TestHostAssembly(t *testing.T) {
 		t.Error("host fields wrong")
 	}
 }
-
-func TestChargeUserKernelCopy(t *testing.T) {
-	s := sim.New(1)
-	costs := DefaultCosts()
-	spinHost := NewHost(s, "spin", SPIN, costs)
-	duxHost := NewHost(s, "dux", Monolithic, costs)
-	var spinCharged, duxCharged sim.Time
-	spinHost.CPU.Submit(sim.PrioKernel, "t", func(task *sim.Task) {
-		spinHost.ChargeUserKernelCopy(task, 1000)
-		spinCharged = task.Charged()
-	})
-	duxHost.CPU.Submit(sim.PrioKernel, "t", func(task *sim.Task) {
-		duxHost.ChargeUserKernelCopy(task, 1000)
-		duxCharged = task.Charged()
-	})
-	s.Run()
-	if spinCharged != 0 {
-		t.Errorf("SPIN charged %v for a boundary copy; extensions are in-kernel", spinCharged)
-	}
-	if duxCharged != 1000*costs.CopyPerByte {
-		t.Errorf("DUX charged %v, want %v", duxCharged, 1000*costs.CopyPerByte)
-	}
-}

@@ -74,7 +74,7 @@ func TestUDPEchoSteadyStateAllocsThroughSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	top.PrimeARP()
-	client, server := top.Host("client"), top.Host("server")
+	client, server := hostNamed(top.Segments, "client"), hostNamed(top.Segments, "server")
 
 	var echo *UDPApp
 	echo, err = server.OpenUDP(UDPAppOptions{Port: 7}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {

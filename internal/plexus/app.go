@@ -144,24 +144,3 @@ func (app *UDPApp) Send(t *sim.Task, dst view.IP4, dstPort uint16, payload []byt
 	m := st.Host.Pool.FromBytes(payload, 64)
 	return app.ep.Send(t, dst, dstPort, m)
 }
-
-// SendMbuf transmits an already-built payload chain (consumed), for senders
-// that assemble data without a flat slice (the video server's disk path).
-func (app *UDPApp) SendMbuf(t *sim.Task, dst view.IP4, dstPort uint16, m *mbuf.Mbuf) error {
-	st := app.st
-	if st.Host.Personality == osmodel.Monolithic {
-		costs := st.Host.Costs
-		t.ChargeProf(sim.ProfTrap, "syscall", costs.Syscall+costs.SocketLayer)
-		t.ChargeBytesProf(sim.ProfCopy, "copyin", m.PktLen(), costs.CopyPerByte)
-	}
-	return app.ep.Send(t, dst, dstPort, m)
-}
-
-// Port returns the bound port.
-func (app *UDPApp) Port() uint16 { return app.ep.Port() }
-
-// Endpoint exposes the underlying manager endpoint.
-func (app *UDPApp) Endpoint() *udp.Endpoint { return app.ep }
-
-// Close releases the endpoint.
-func (app *UDPApp) Close() { app.ep.Close() }

@@ -49,9 +49,6 @@ type ExtensionCtx struct {
 	resolved map[domain.Symbol]any
 }
 
-// Stack returns the stack the extension is being installed into.
-func (c *ExtensionCtx) Stack() *Stack { return c.ext.st }
-
 // Resolve returns the value a named import was bound to at link time.
 func (c *ExtensionCtx) Resolve(sym domain.Symbol) (any, bool) {
 	v, ok := c.resolved[sym]
@@ -139,18 +136,6 @@ type Extension struct {
 	// Unload compares against to detect leaks.
 	baseInUse int64
 	unloaded  bool
-}
-
-// Name returns the extension's name.
-func (e *Extension) Name() string { return e.name }
-
-// Unloaded reports whether Unload has run.
-func (e *Extension) Unloaded() bool { return e.unloaded }
-
-// Bindings returns the bindings the extension owns (handles stay readable
-// after unload).
-func (e *Extension) Bindings() []*event.Binding {
-	return append([]*event.Binding(nil), e.bindings...)
 }
 
 // ExtensionStats aggregates dispatch and fault counters across the

@@ -58,8 +58,8 @@ func TestInstallExtensionResolvesAndInstalls(t *testing.T) {
 	if n := st.Host.Disp.HandlerCount(ether.RecvEvent); n != before+1 {
 		t.Fatalf("HandlerCount = %d, want %d", n, before+1)
 	}
-	if ext.Name() != "tap" || len(ext.Bindings()) != 1 {
-		t.Fatalf("extension handle wrong: %q, %d bindings", ext.Name(), len(ext.Bindings()))
+	if ext.name != "tap" || len(ext.bindings) != 1 {
+		t.Fatalf("extension handle wrong: %q, %d bindings", ext.name, len(ext.bindings))
 	}
 }
 

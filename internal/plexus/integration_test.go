@@ -293,7 +293,7 @@ func TestEndpointCloseStopsDelivery(t *testing.T) {
 		})
 	}
 	send(0)
-	n.Sim.At(5*sim.Millisecond, "close", sapp.Close)
+	n.Sim.At(5*sim.Millisecond, "close", sapp.ep.Close)
 	send(10 * sim.Millisecond)
 	n.Sim.Run()
 	if got != 1 {

@@ -131,8 +131,8 @@ func TestMetricsProfileAttribution(t *testing.T) {
 
 // TestUDPEchoSteadyStateAllocsWithMetrics is the metrics-enabled twin of
 // TestUDPEchoSteadyStateAllocs: with the flight recorder attached the
-// steady-state per-round allocation count must still be zero — spans, hops,
-// samples, and histograms all live in preallocated storage.
+// steady-state per-round allocation count must still be zero — spans, hops
+// and samples all live in preallocated storage.
 func TestUDPEchoSteadyStateAllocsWithMetrics(t *testing.T) {
 	spec := func(name string) HostSpec {
 		return HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchInterrupt}
@@ -181,5 +181,65 @@ func TestUDPEchoSteadyStateAllocsWithMetrics(t *testing.T) {
 	if rec.HopsRecorded() == 0 || rec.SamplesRecorded() == 0 {
 		t.Fatalf("recorder idle during alloc run: hops=%d samples=%d",
 			rec.HopsRecorded(), rec.SamplesRecorded())
+	}
+}
+
+// TestTCPAppBoundaryCostsProfiled checks that Monolithic TCP's user/kernel
+// boundary — syscalls, socket layer, wakeups, context switches and the
+// copies — reaches the profile as ProfTrap and ProfCopy, the split the
+// paper's comparison rests on, while SPIN's in-kernel application pays no
+// app-path copy at all.
+func TestTCPAppBoundaryCostsProfiled(t *testing.T) {
+	const size = 16 << 10
+	for _, spec := range []func(string) HostSpec{duxSpec, spinSpec} {
+		n, client, server, err := TwoHosts(1, netdev.EthernetModel(), spec("client"), spec("server"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := stats.NewRecorder(stats.Config{})
+		n.Sim.SetMetrics(rec)
+		got := 0
+		if _, err := server.ListenTCP(80, TCPAppOptions{
+			OnRecv:    func(_ *sim.Task, _ *TCPApp, data []byte) { got += len(data) },
+			OnPeerFin: func(task *sim.Task, conn *TCPApp) { conn.Close(task) },
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		client.Spawn("client", func(task *sim.Task) {
+			if _, err := client.ConnectTCP(task, server.Addr(), 80, TCPAppOptions{
+				OnEstablished: func(task *sim.Task, conn *TCPApp) {
+					if err := conn.Send(task, make([]byte, size)); err != nil {
+						t.Error(err)
+					}
+					conn.Close(task)
+				},
+			}); err != nil {
+				t.Error(err)
+			}
+		})
+		n.Sim.RunUntil(10 * sim.Second)
+		if got != size {
+			t.Fatalf("%v: delivered %d of %d bytes", client.Host.Personality, got, size)
+		}
+		prof := map[sim.ProfKind]map[string]sim.Time{sim.ProfTrap: {}, sim.ProfCopy: {}}
+		for _, row := range rec.Profile() {
+			if m := prof[row.Kind]; m != nil {
+				m[row.Owner] += row.Total
+			}
+		}
+		copies := prof[sim.ProfCopy]
+		if client.Host.Personality == osmodel.SPIN {
+			if copies["copyin"] != 0 || copies["copyout"] != 0 {
+				t.Errorf("SPIN charged app-path copies %v", copies)
+			}
+			continue
+		}
+		want := size * client.Host.Costs.CopyPerByte
+		if copies["copyin"] != want || copies["copyout"] != want {
+			t.Errorf("DUX copies copyin=%v copyout=%v, want %v each", copies["copyin"], copies["copyout"], want)
+		}
+		if prof[sim.ProfTrap]["syscall"] == 0 || prof[sim.ProfTrap]["socket"] == 0 {
+			t.Errorf("DUX traps missing from the profile: %v", prof[sim.ProfTrap])
+		}
 	}
 }

@@ -76,16 +76,6 @@ func NewNetwork(seed int64, model netdev.Model, specs []HostSpec) (*Network, err
 	return n, nil
 }
 
-// Host returns the host with the given name, or nil.
-func (n *Network) Host(name string) *Stack {
-	for _, h := range n.Hosts {
-		if h.Name() == name {
-			return h
-		}
-	}
-	return nil
-}
-
 // PrimeARP installs static ARP entries pairwise so latency experiments
 // measure the protocol path, not a first-packet ARP exchange (the paper's
 // numbers are steady-state).

@@ -46,10 +46,10 @@ func checkQuarantined(t *testing.T, exts []*Extension) {
 	for _, ext := range exts {
 		st := ext.Stats()
 		if st.Quarantined != st.Bindings {
-			t.Errorf("%s: %d/%d bindings quarantined", ext.Name(), st.Quarantined, st.Bindings)
+			t.Errorf("%s: %d/%d bindings quarantined", ext.name, st.Quarantined, st.Bindings)
 		}
 		if st.Faults != threshold {
-			t.Errorf("%s: %d faults, want exactly the threshold %d", ext.Name(), st.Faults, threshold)
+			t.Errorf("%s: %d faults, want exactly the threshold %d", ext.name, st.Faults, threshold)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func rogueTCPBulk(t *testing.T, personality osmodel.Personality, dispatch osmode
 			t.Fatal(err)
 		}
 		if rep.LeakedMbufs != 0 {
-			t.Errorf("%s: LeakedMbufs = %d, want 0", ext.Name(), rep.LeakedMbufs)
+			t.Errorf("%s: LeakedMbufs = %d, want 0", ext.name, rep.LeakedMbufs)
 		}
 	}
 	if inUse := server.Host.Pool.Stats().InUse; inUse != 0 {

@@ -52,7 +52,7 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 		Sims:       []*sim.Sim{gwSim},
 		Gateway:    &Gateway{CPU: sim.NewCPU(gwSim, gw.Name)},
 	}
-	gwShard := top.Engine.AddShard(gw.Name, gwSim)
+	gwShard := top.Engine.AddShard(gwSim)
 	for si, spec := range segs {
 		if !spec.Switched {
 			return nil, fmt.Errorf("plexus: segment %s: sharded topologies require switched segments", spec.Name)
@@ -62,7 +62,7 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 		}
 		segSim := sim.New(seed + 1 + int64(si))
 		segSim.SetSpanBase(sim.SpanBase(si + 1))
-		segShard := top.Engine.AddShard(spec.Name, segSim)
+		segShard := top.Engine.AddShard(segSim)
 		top.Sims = append(top.Sims, segSim)
 
 		seg := &Segment{Name: spec.Name, Subnet: spec.Subnet}
@@ -147,27 +147,6 @@ func (top *ShardedTopology) Run(until sim.Time, workers int) {
 
 // Executed sums fired events across all shards.
 func (top *ShardedTopology) Executed() uint64 { return top.Engine.Executed() }
-
-// SpanCount sums allocated packet spans across all shards.
-func (top *ShardedTopology) SpanCount() uint64 {
-	var n uint64
-	for _, s := range top.Sims {
-		n += s.SpanCount()
-	}
-	return n
-}
-
-// Host returns the host with the given name from any segment, or nil.
-func (top *ShardedTopology) Host(name string) *Stack {
-	for _, seg := range top.Segments {
-		for _, h := range seg.Hosts {
-			if h.Name() == name {
-				return h
-			}
-		}
-	}
-	return nil
-}
 
 // PrimeARPSparse installs the static ARP entries the scale workloads need —
 // O(hosts), not the O(hosts²) full mesh of PrimeARP: every host resolves its

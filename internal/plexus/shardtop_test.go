@@ -27,7 +27,7 @@ func shardedPair(t *testing.T, seed int64) (*ShardedTopology, *Stack, *Stack) {
 		t.Fatal(err)
 	}
 	top.PrimeARPSparse()
-	return top, top.Host("remote"), top.Host("server")
+	return top, hostNamed(top.Segments, "remote"), hostNamed(top.Segments, "server")
 }
 
 // TestShardedTopologyCrossSegmentEcho drives a closed-loop UDP echo between
@@ -71,20 +71,23 @@ func TestShardedTopologyCrossSegmentEcho(t *testing.T) {
 
 // TestShardedTopologyDeterministicAcrossWorkers is the cross-shard
 // determinism property at the full-stack level: RTT schedules, per-shard
-// event counts, and flight-recorder span counts are all byte-identical at
+// event counts, and flight-recorder hop counts are all byte-identical at
 // any worker count and GOMAXPROCS (exercised further by the bench property
 // test over -exp scale rows).
 func TestShardedTopologyDeterministicAcrossWorkers(t *testing.T) {
 	type outcome struct {
 		rtts  []sim.Time
 		execs []uint64
-		spans uint64
+		hops  uint64
 		fwd   uint64
 	}
 	run := func(workers int) outcome {
 		top, client, server := shardedPair(t, 1)
+		var recs []*stats.Recorder
 		for _, s := range top.Sims {
-			s.SetMetrics(stats.NewRecorder(stats.Config{HopCap: 1 << 10, SampleCap: 1 << 10}))
+			rec := stats.NewRecorder(stats.Config{HopCap: 1 << 10, SampleCap: 1 << 10})
+			s.SetMetrics(rec)
+			recs = append(recs, rec)
 		}
 		var echo *UDPApp
 		echo, err := server.OpenUDP(UDPAppOptions{Port: 7}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
@@ -113,13 +116,15 @@ func TestShardedTopologyDeterministicAcrossWorkers(t *testing.T) {
 		for _, s := range top.Sims {
 			o.execs = append(o.execs, s.Executed())
 		}
-		o.spans = top.SpanCount()
+		for _, rec := range recs {
+			o.hops += rec.HopsRecorded()
+		}
 		o.fwd = top.Gateway.Stats().Forwarded
 		return o
 	}
 	base := run(1)
-	if len(base.rtts) == 0 || base.spans == 0 {
-		t.Fatalf("degenerate baseline: %d rtts, %d spans", len(base.rtts), base.spans)
+	if len(base.rtts) == 0 || base.hops == 0 {
+		t.Fatalf("degenerate baseline: %d rtts, %d hops", len(base.rtts), base.hops)
 	}
 	for _, workers := range []int{2, 3, 8} {
 		if got := run(workers); !reflect.DeepEqual(got, base) {

@@ -279,20 +279,11 @@ func (st *Stack) LinkExtension(ext *domain.Extension) (*domain.Linked, error) {
 	return domain.Link(ext, st.Host.ExtensionDomain, st.Host.ExtensionDomain)
 }
 
-// LinkPrivileged links against the full kernel domain ("few extensions have
-// access to this domain").
-func (st *Stack) LinkPrivileged(ext *domain.Extension) (*domain.Linked, error) {
-	return domain.Link(ext, st.Host.KernelDomain, st.Host.KernelDomain)
-}
-
 // Name returns the host name.
 func (st *Stack) Name() string { return st.Host.Name }
 
 // Addr returns the host's IP address.
 func (st *Stack) Addr() view.IP4 { return st.cfg.Addr }
-
-// Config returns the stack's configuration.
-func (st *Stack) Config() StackConfig { return st.cfg }
 
 // Raiser returns the stack's mode-aware event raiser.
 func (st *Stack) Raiser() event.Raiser { return st.raiser }

@@ -66,7 +66,7 @@ func (st *Stack) connOptions(app *TCPApp, opts TCPAppOptions) tcp.ConnOptions {
 func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPAppOptions) (*TCPApp, error) {
 	app := &TCPApp{st: st, opts: opts}
 	if st.Host.Personality == osmodel.Monolithic {
-		t.Charge(st.Host.Costs.Syscall + st.Host.Costs.SocketLayer)
+		t.ChargeProf(sim.ProfTrap, "syscall", st.Host.Costs.Syscall+st.Host.Costs.SocketLayer)
 	}
 	c, err := st.TCP.Connect(t, dst, dstPort, st.connOptions(app, opts))
 	if err != nil {
@@ -141,7 +141,7 @@ func (app *TCPApp) deliver(t *sim.Task, data []byte) {
 		return
 	}
 	costs := st.Host.Costs
-	t.Charge(costs.SocketLayer + costs.Wakeup)
+	t.ChargeProf(sim.ProfTrap, "socket", costs.SocketLayer+costs.Wakeup)
 	var r *tcpAppRecv
 	if n := len(st.tcpRecvFree); n > 0 {
 		r = st.tcpRecvFree[n-1]
@@ -179,8 +179,8 @@ func tcpAppRecvTask(ut *sim.Task, a any) {
 	r := a.(*tcpAppRecv)
 	app := r.app
 	costs := app.st.Host.Costs
-	ut.Charge(costs.CtxSwitch + costs.Syscall)
-	ut.ChargeBytes(len(r.data), costs.CopyPerByte)
+	ut.ChargeProf(sim.ProfTrap, "syscall", costs.CtxSwitch+costs.Syscall)
+	ut.ChargeBytesProf(sim.ProfCopy, "copyout", len(r.data), costs.CopyPerByte)
 	app.recv(ut, r.data)
 	r.app = nil
 	app.st.tcpRecvFree = append(app.st.tcpRecvFree, r)
@@ -195,10 +195,10 @@ func (app *TCPApp) inAppContext(t *sim.Task, nbytes int, fn func(task *sim.Task)
 		return
 	}
 	costs := st.Host.Costs
-	t.Charge(costs.Wakeup)
+	t.ChargeProf(sim.ProfTrap, "socket", costs.Wakeup)
 	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, "tcp-app-ctl:"+st.Name(), func(ut *sim.Task) {
-		ut.Charge(costs.CtxSwitch)
-		ut.ChargeBytes(nbytes, costs.CopyPerByte)
+		ut.ChargeProf(sim.ProfTrap, "syscall", costs.CtxSwitch)
+		ut.ChargeBytesProf(sim.ProfCopy, "copyout", nbytes, costs.CopyPerByte)
 		fn(ut)
 	})
 }
@@ -208,8 +208,8 @@ func (app *TCPApp) Send(t *sim.Task, data []byte) error {
 	st := app.st
 	if st.Host.Personality == osmodel.Monolithic {
 		costs := st.Host.Costs
-		t.Charge(costs.Syscall + costs.SocketLayer)
-		t.ChargeBytes(len(data), costs.CopyPerByte)
+		t.ChargeProf(sim.ProfTrap, "syscall", costs.Syscall+costs.SocketLayer)
+		t.ChargeBytesProf(sim.ProfCopy, "copyin", len(data), costs.CopyPerByte)
 	}
 	return app.conn.Send(t, data)
 }
@@ -217,7 +217,7 @@ func (app *TCPApp) Send(t *sim.Task, data []byte) error {
 // Close ends the send side (FIN after buffered data).
 func (app *TCPApp) Close(t *sim.Task) {
 	if app.st.Host.Personality == osmodel.Monolithic {
-		t.Charge(app.st.Host.Costs.Syscall)
+		t.ChargeProf(sim.ProfTrap, "syscall", app.st.Host.Costs.Syscall)
 	}
 	app.conn.Close(t)
 }

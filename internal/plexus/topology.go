@@ -104,9 +104,6 @@ func (g *Gateway) Stats() GatewayStats { return g.stats }
 // with the IP header at offset 0.
 func (g *Gateway) InstallPipeline(pl *fabric.Pipeline) { g.pipeline = pl }
 
-// Pipeline returns the installed forwarding pipeline, or nil.
-func (g *Gateway) Pipeline() *fabric.Pipeline { return g.pipeline }
-
 // Topology is a set of segments joined by a gateway.
 type Topology struct {
 	Sim      *sim.Sim
@@ -223,18 +220,6 @@ func NewTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*Topology, error
 		}
 	}
 	return top, nil
-}
-
-// Host returns the host with the given name from any segment, or nil.
-func (top *Topology) Host(name string) *Stack {
-	for _, seg := range top.Segments {
-		for _, h := range seg.Hosts {
-			if h.Name() == name {
-				return h
-			}
-		}
-	}
-	return nil
 }
 
 // PrimeARP installs static ARP entries per subnet — all host pairs plus the

@@ -8,6 +8,18 @@ import (
 	"plexus/internal/view"
 )
 
+// hostNamed returns the host called name from any segment, or nil.
+func hostNamed(segs []*Segment, name string) *Stack {
+	for _, seg := range segs {
+		for _, h := range seg.Hosts {
+			if h.Name() == name {
+				return h
+			}
+		}
+	}
+	return nil
+}
+
 // A UDP echo crosses two subnets through the gateway: out one interface
 // stack, TTL-decremented, in the other — twice (request and reply).
 func TestTopologyCrossSubnetEcho(t *testing.T) {
@@ -22,8 +34,8 @@ func TestTopologyCrossSubnetEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	top.PrimeARP()
-	client := top.Host("client")
-	server := top.Host("server")
+	client := hostNamed(top.Segments, "client")
+	server := hostNamed(top.Segments, "server")
 	if client.Addr() != (view.IP4{10, 0, 1, 1}) || server.Addr() != (view.IP4{10, 0, 2, 1}) {
 		t.Fatalf("addressing: client %v server %v", client.Addr(), server.Addr())
 	}
@@ -94,7 +106,7 @@ func TestTopologyNoRouteCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	top.PrimeARP()
-	h1 := top.Host("h1")
+	h1 := hostNamed(top.Segments, "h1")
 	capp, err := h1.OpenUDP(UDPAppOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +131,7 @@ func TestTopologySingleSwitchedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	top.PrimeARP()
-	a, b, c := top.Host("a"), top.Host("b"), top.Host("c")
+	a, b, c := hostNamed(top.Segments, "a"), hostNamed(top.Segments, "b"), hostNamed(top.Segments, "c")
 	got := 0
 	var echo *UDPApp
 	echo, err = b.OpenUDP(UDPAppOptions{Port: 9}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {

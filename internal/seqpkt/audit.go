@@ -91,9 +91,6 @@ type TransitionSink interface {
 // SetAuditSink installs (or clears, with nil) the manager's transition sink.
 func (m *Manager) SetAuditSink(s TransitionSink) { m.audit = s }
 
-// AuditSink returns the installed transition sink, or nil.
-func (m *Manager) AuditSink() TransitionSink { return m.audit }
-
 // setState performs a lifecycle transition and emits it. Every write of
 // p.state after construction must go through here. Unlike TCP's setState it
 // emits self-edges too: the Sent→Sent retry loop is exactly what a

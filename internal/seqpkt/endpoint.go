@@ -2,7 +2,6 @@ package seqpkt
 
 import (
 	"fmt"
-	"sort"
 
 	"plexus/internal/event"
 	"plexus/internal/mbuf"
@@ -88,9 +87,6 @@ func (m *Manager) Open(port uint16, recv RecvFunc) (*Endpoint, error) {
 	m.ports[port] = e
 	return e, nil
 }
-
-// Port returns the bound port.
-func (e *Endpoint) Port() uint16 { return e.port }
 
 // Stats returns a snapshot of counters.
 func (e *Endpoint) Stats() EndpointStats { return e.stats }
@@ -247,18 +243,4 @@ func (e *Endpoint) drainOOO(t *sim.Task, ps *peerState, src view.IP4, srcPort ui
 		e.handoff(t, ps.nextSeq, data, src, srcPort)
 		ps.nextSeq++
 	}
-}
-
-// BufferedSeqs lists out-of-order sequence numbers held for a peer (tests).
-func (e *Endpoint) BufferedSeqs(src view.IP4, srcPort uint16) []uint32 {
-	ps := e.peers[peerKey{addr: src, port: srcPort}]
-	if ps == nil {
-		return nil
-	}
-	out := make([]uint32, 0, len(ps.ooo))
-	for s := range ps.ooo {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

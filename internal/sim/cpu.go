@@ -39,17 +39,12 @@ func (p Priority) String() string {
 // follow-on work) are stamped with the task's current virtual time so causality
 // is preserved within a single run-to-completion activity.
 type Task struct {
-	cpu     *CPU
-	label   string
-	prio    Priority
-	start   Time
-	charged Time
-	// budget, if > 0, is the EPHEMERAL time allotment (paper §3.3). The
-	// dispatcher checks Exceeded after the handler body runs and clamps the
-	// charge, simulating premature termination.
-	budget     Time
-	terminated bool
-	nextFree   *Task // CPU task free list
+	cpu      *CPU
+	label    string
+	prio     Priority
+	start    Time
+	charged  Time
+	nextFree *Task // CPU task free list
 }
 
 // Now returns the task's current virtual time: its start time plus everything
@@ -61,9 +56,6 @@ func (t *Task) Start() Time { return t.start }
 
 // Charged returns the total CPU time this task has consumed.
 func (t *Task) Charged() Time { return t.charged }
-
-// Label returns the diagnostic label the task was submitted with.
-func (t *Task) Label() string { return t.label }
 
 // Priority returns the priority the task runs at.
 func (t *Task) Priority() Priority { return t.prio }
@@ -89,30 +81,6 @@ func (t *Task) ChargeBytes(n int, perByte Time) {
 		panic(fmt.Sprintf("sim: negative byte count %d in task %q", n, t.label))
 	}
 	t.charged += Time(n) * perByte
-}
-
-// SetBudget assigns an EPHEMERAL time allotment for the remainder of the task.
-// Zero means unlimited.
-func (t *Task) SetBudget(d Time) { t.budget = d }
-
-// Budget returns the task's remaining allotment semantics: the configured
-// budget (0 = unlimited).
-func (t *Task) Budget() Time { return t.budget }
-
-// Exceeded reports whether the task has consumed more than its budget.
-func (t *Task) Exceeded() bool { return t.budget > 0 && t.charged > t.budget }
-
-// Terminated reports whether the dispatcher prematurely terminated this task
-// for exceeding its EPHEMERAL budget.
-func (t *Task) Terminated() bool { return t.terminated }
-
-// MarkTerminated records premature termination and clamps the task's charge to
-// its budget: the handler stopped consuming CPU at the allotment boundary.
-func (t *Task) MarkTerminated() {
-	t.terminated = true
-	if t.budget > 0 && t.charged > t.budget {
-		t.charged = t.budget
-	}
 }
 
 // Refund returns d of previously charged time. The event dispatcher uses this
@@ -188,8 +156,6 @@ type CPU struct {
 	markBusy Time // busy at last MarkUtilization
 	markTime Time // clock at last MarkUtilization
 
-	tasksRun uint64
-
 	// Allocation-free dispatch machinery: pooled submissions, a pooled
 	// Task (at most one task body runs per CPU at a time — the model is
 	// run-to-completion — so a small free list suffices), and the
@@ -210,12 +176,6 @@ func NewCPU(s *Sim, name string) *CPU {
 
 // Name returns the CPU's diagnostic name.
 func (c *CPU) Name() string { return c.name }
-
-// Sim returns the owning simulator.
-func (c *CPU) Sim() *Sim { return c.sim }
-
-// TasksRun reports how many task bodies have executed.
-func (c *CPU) TasksRun() uint64 { return c.tasksRun }
 
 // Submit enqueues work at the current simulated time. The body runs when the
 // CPU is free and no higher-priority work is queued.
@@ -313,7 +273,6 @@ func (c *CPU) runTask(start Time, pt pendingTask) {
 	} else {
 		pt.fn(task)
 	}
-	c.tasksRun++
 	c.busy += task.charged
 	c.freeAt = start + task.charged
 	c.running = false

@@ -13,8 +13,8 @@ func TestTaskChargeAndNow(t *testing.T) {
 		task.Charge(10 * Microsecond)
 		task.ChargeBytes(100, 50*Nanosecond)
 		sawNow = task.Now()
-		if task.Label() != "work" || task.Priority() != PrioKernel {
-			t.Errorf("task metadata wrong: %q %v", task.Label(), task.Priority())
+		if task.label != "work" || task.Priority() != PrioKernel {
+			t.Errorf("task metadata wrong: %q %v", task.label, task.Priority())
 		}
 		if task.CPU() != c || task.Sim() != s {
 			t.Error("task back-pointers wrong")
@@ -30,9 +30,6 @@ func TestTaskChargeAndNow(t *testing.T) {
 	}
 	if c.Busy() != want {
 		t.Errorf("busy = %v, want %v", c.Busy(), want)
-	}
-	if c.TasksRun() != 1 {
-		t.Errorf("TasksRun = %d, want 1", c.TasksRun())
 	}
 }
 
@@ -185,36 +182,6 @@ func TestUtilizationClamped(t *testing.T) {
 	s.RunUntil(Microsecond)
 	if got := c.Utilization(); got > 1 {
 		t.Errorf("utilization = %v, want clamped to <= 1", got)
-	}
-}
-
-func TestEphemeralBudget(t *testing.T) {
-	s := New(1)
-	c := NewCPU(s, "cpu0")
-	c.Submit(PrioInterrupt, "eph", func(task *Task) {
-		task.SetBudget(10 * Microsecond)
-		if task.Budget() != 10*Microsecond {
-			t.Error("budget not recorded")
-		}
-		task.Charge(5 * Microsecond)
-		if task.Exceeded() {
-			t.Error("exceeded too early")
-		}
-		task.Charge(20 * Microsecond)
-		if !task.Exceeded() {
-			t.Error("not exceeded after overrun")
-		}
-		task.MarkTerminated()
-		if !task.Terminated() {
-			t.Error("not marked terminated")
-		}
-		if task.Charged() != 10*Microsecond {
-			t.Errorf("charge not clamped: %v", task.Charged())
-		}
-	})
-	s.Run()
-	if c.Busy() != 10*Microsecond {
-		t.Errorf("busy = %v, want clamped 10µs", c.Busy())
 	}
 }
 

@@ -8,8 +8,7 @@ package sim
 //
 // The hooks are designed to cost one nil-check when disabled and to allocate
 // nothing when enabled: every argument is a value or a precomputed string, and
-// the concrete sink (internal/stats.Recorder) writes into preallocated rings
-// and fixed-bucket histograms.
+// the concrete sink (internal/stats.Recorder) writes into preallocated rings.
 
 // ProfKind classifies an attributed CPU charge for the simulated-CPU
 // profiler. The paper's latency decomposition argues the SPIN/DUX gap is
@@ -105,11 +104,6 @@ func (s *Sim) NextSpan() uint64 {
 // spans stay unique across the whole topology while each shard allocates
 // them locally and deterministically. Call before any span is stamped.
 func (s *Sim) SetSpanBase(base uint64) { s.spanSeq = base }
-
-// SpanCount reports how many spans this simulator has allocated (regardless
-// of any base offset). The cross-shard determinism property test compares
-// per-shard span counts — IDs differ by construction, counts must not.
-func (s *Sim) SpanCount() uint64 { return s.spanSeq & (1<<spanBaseShift - 1) }
 
 // spanBaseShift is the low-bit width reserved for per-shard span sequence
 // numbers; bases passed to SetSpanBase must be multiples of 1<<spanBaseShift.

@@ -64,27 +64,14 @@ type Coupling interface {
 // Shard is one partition of a sharded simulation: a Sim plus the couplings
 // that deliver into it.
 type Shard struct {
-	name string
-	sim  *Sim
-	in   []Coupling
+	sim *Sim
+	in  []Coupling
 	// busyWall accumulates wall-clock time spent inside this shard's round
 	// work (drains + RunUntil). Written by whichever worker owns the shard
 	// in a round; the WaitGroup barrier orders those writes before any
 	// post-Run read.
 	busyWall time.Duration
 }
-
-// Name returns the shard's diagnostic name.
-func (sh *Shard) Name() string { return sh.name }
-
-// Sim returns the shard's simulator.
-func (sh *Shard) Sim() *Sim { return sh.sim }
-
-// BusyWall reports accumulated wall-clock time executing this shard's
-// rounds. Wall-clock diagnostics are intentionally outside the deterministic
-// telemetry record: they vary run to run, so they surface through Engine
-// accessors (and plexus-top's live view), never through series exports.
-func (sh *Shard) BusyWall() time.Duration { return sh.busyWall }
 
 // Engine coordinates a set of shards through windowed barrier rounds.
 type Engine struct {
@@ -103,8 +90,8 @@ func NewEngine() *Engine { return &Engine{} }
 
 // AddShard registers s as a shard. Registration order is part of the
 // deterministic schedule (flips and sequential execution follow it).
-func (e *Engine) AddShard(name string, s *Sim) *Shard {
-	sh := &Shard{name: name, sim: s}
+func (e *Engine) AddShard(s *Sim) *Shard {
+	sh := &Shard{sim: s}
 	e.shards = append(e.shards, sh)
 	return sh
 }
@@ -118,9 +105,6 @@ func (e *Engine) Connect(c Coupling, dst *Shard) {
 
 // Shards returns the registered shards in registration order.
 func (e *Engine) Shards() []*Shard { return e.shards }
-
-// Now returns the barrier time every shard has reached.
-func (e *Engine) Now() Time { return e.now }
 
 // Rounds reports how many barrier rounds have completed.
 func (e *Engine) Rounds() uint64 { return e.rounds }
@@ -244,8 +228,9 @@ func (e *Engine) horizon(window, until Time) Time {
 func (e *Engine) ParallelWall() time.Duration { return e.parallelWall }
 
 // BarrierWait estimates how long sh sat idle at round barriers: total
-// parallel-phase wall time minus the shard's own busy time. Like BusyWall
-// this is a nondeterministic diagnostic, kept out of series exports.
+// parallel-phase wall time minus the shard's own busy time. Wall-clock
+// diagnostics vary run to run, so they stay out of the deterministic
+// telemetry record and its series exports.
 func (e *Engine) BarrierWait(sh *Shard) time.Duration {
 	w := e.parallelWall - sh.busyWall
 	if w < 0 {

@@ -49,7 +49,7 @@ func pingPong(n int, delay Time, hops int) (*Engine, [][]string) {
 	logs := make([][]string, n)
 	for i := 0; i < n; i++ {
 		sims[i] = New(int64(i + 1))
-		shards[i] = e.AddShard(fmt.Sprintf("s%d", i), sims[i])
+		shards[i] = e.AddShard(sims[i])
 	}
 	couplings := make([]*testCoupling, n)
 	for i := 0; i < n; i++ {
@@ -79,9 +79,9 @@ func pingPong(n int, delay Time, hops int) (*Engine, [][]string) {
 
 func TestEngineWindowIsMinLookahead(t *testing.T) {
 	e := NewEngine()
-	s1, s2 := e.AddShard("a", New(1)), e.AddShard("b", New(2))
-	e.Connect(&testCoupling{dst: s2.Sim(), lookahead: 30 * Microsecond}, s2)
-	e.Connect(&testCoupling{dst: s1.Sim(), lookahead: 10 * Microsecond}, s1)
+	s1, s2 := e.AddShard(New(1)), e.AddShard(New(2))
+	e.Connect(&testCoupling{dst: s2.sim, lookahead: 30 * Microsecond}, s2)
+	e.Connect(&testCoupling{dst: s1.sim, lookahead: 10 * Microsecond}, s1)
 	if w := e.Window(); w != 10*Microsecond {
 		t.Fatalf("window = %v, want 10µs", w)
 	}
@@ -89,8 +89,8 @@ func TestEngineWindowIsMinLookahead(t *testing.T) {
 
 func TestEngineRejectsNonPositiveLookahead(t *testing.T) {
 	e := NewEngine()
-	sh := e.AddShard("a", New(1))
-	e.Connect(&testCoupling{dst: sh.Sim(), lookahead: 0}, sh)
+	sh := e.AddShard(New(1))
+	e.Connect(&testCoupling{dst: sh.sim, lookahead: 0}, sh)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero lookahead did not panic")
@@ -106,7 +106,7 @@ func TestEngineUncoupledShardsRunToHorizon(t *testing.T) {
 		i := i
 		s := New(int64(i))
 		s.At(7*Microsecond, "tick", func() { fired[i]++ })
-		e.AddShard(fmt.Sprintf("s%d", i), s)
+		e.AddShard(s)
 	}
 	e.Run(Millisecond, 2)
 	if fired != [2]int{1, 1} {
@@ -115,8 +115,8 @@ func TestEngineUncoupledShardsRunToHorizon(t *testing.T) {
 	if e.Rounds() != 1 {
 		t.Fatalf("uncoupled shards took %d rounds, want 1", e.Rounds())
 	}
-	if e.Now() != Millisecond {
-		t.Fatalf("engine now = %v, want 1ms", e.Now())
+	if e.now != Millisecond {
+		t.Fatalf("engine now = %v, want 1ms", e.now)
 	}
 }
 
@@ -138,9 +138,9 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		e.Run(30*Millisecond, workers)
 		var execs []uint64
 		for _, sh := range e.Shards() {
-			execs = append(execs, sh.Sim().Executed())
+			execs = append(execs, sh.sim.Executed())
 		}
-		return result{logs: logs, execs: execs, now: e.Now()}
+		return result{logs: logs, execs: execs, now: e.now}
 	}
 	base := run(1, 1)
 	if base.execs[0] == 0 {
@@ -189,7 +189,7 @@ func TestSpanBase(t *testing.T) {
 		t.Fatalf("first span = %#x, want %#x", first, SpanBase(3)+1)
 	}
 	s.NextSpan()
-	if got := s.SpanCount(); got != 2 {
+	if got := s.spanSeq & (1<<spanBaseShift - 1); got != 2 {
 		t.Fatalf("span count = %d, want 2", got)
 	}
 }

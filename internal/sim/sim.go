@@ -151,10 +151,6 @@ func (t Timer) Pending() bool {
 	return t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
 }
 
-// Stopped reports whether the timer is no longer pending — never scheduled,
-// cancelled, or already fired.
-func (t Timer) Stopped() bool { return !t.Pending() }
-
 // alloc takes an event from the free list, or the heap when it is empty.
 func (s *Sim) alloc() *event {
 	if e := s.free; e != nil {
@@ -327,17 +323,5 @@ func (s *Sim) RunUntil(t Time) {
 }
 
 // QueueLen reports the event-queue length including cancelled entries — the
-// O(1) depth gauge the telemetry plane samples every tick (Pending is the
-// exact-but-O(n) live count).
+// O(1) depth gauge the telemetry plane samples every tick.
 func (s *Sim) QueueLen() int { return len(s.queue) }
-
-// Pending reports the number of live events still queued.
-func (s *Sim) Pending() int {
-	n := 0
-	for _, e := range s.queue {
-		if !e.dead {
-			n++
-		}
-	}
-	return n
-}

@@ -63,11 +63,6 @@ func (s *Sim) EnableTrace(cats ...TraceCategory) {
 	}
 }
 
-// TraceOn reports whether trace lines in cat would currently be emitted.
-func (s *Sim) TraceOn(cat TraceCategory) bool {
-	return s.tracer != nil && cat >= 0 && cat < numTraceCategories && s.traceEnabled[cat]
-}
-
 // Tracef emits a trace line at the current simulated time. Disabled
 // categories return before the format arguments are rendered.
 func (s *Sim) Tracef(cat TraceCategory, format string, args ...any) {
@@ -80,12 +75,6 @@ func (s *Sim) tracef(cat TraceCategory, at Time, format string, args ...any) {
 	}
 	s.tracer.Trace(cat, at, fmt.Sprintf(format, args...))
 }
-
-// FuncTracer adapts a function to the Tracer interface.
-type FuncTracer func(cat TraceCategory, at Time, msg string)
-
-// Trace implements Tracer.
-func (f FuncTracer) Trace(cat TraceCategory, at Time, msg string) { f(cat, at, msg) }
 
 // RecordingTracer accumulates trace lines, optionally filtered by category;
 // tests and the plexus-trace tool use it.

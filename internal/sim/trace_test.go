@@ -14,9 +14,6 @@ func TestEnableTraceFiltersInEmitPath(t *testing.T) {
 	}
 
 	s.EnableTrace(TraceNet)
-	if !s.TraceOn(TraceNet) || s.TraceOn(TraceApp) || s.TraceOn(TraceCPU) {
-		t.Fatal("EnableTrace(TraceNet) should leave only net enabled")
-	}
 	s.Tracef(TraceNet, "net %d", 2)
 	s.Tracef(TraceApp, "app %d", 2)
 	s.Tracef(TraceProto, "proto %d", 2)
@@ -32,9 +29,6 @@ func TestEnableTraceFiltersInEmitPath(t *testing.T) {
 	}
 
 	s.SetTracer(nil)
-	if s.TraceOn(TraceNet) {
-		t.Fatal("TraceOn must be false with no tracer installed")
-	}
 	s.Tracef(TraceNet, "dropped %d", 4)
 	if len(rec.Lines) != 4 {
 		t.Fatal("nil tracer must drop all lines")

@@ -67,11 +67,6 @@ type ChromeInstant struct {
 	Args map[string]any
 }
 
-// WriteChromeTrace emits the retained samples and hops as trace_event JSON.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	return r.WriteChromeTraceWith(w, nil, nil)
-}
-
 // WriteChromeTraceWith emits the profiler timeline plus externally supplied
 // counter tracks (telemetry series) and instant events (audit transitions),
 // merged into the same per-host processes so queue depths and window sizes

@@ -1,9 +1,9 @@
-// Package stats is the flight-recorder plane: fixed-footprint histograms,
-// bounded record rings, and a profile aggregator that together implement
-// sim.Metrics without allocating in steady state. Everything here is
-// deterministic — quantiles come from integer bucket walks, dump orders are
-// sorted — so metrics output diffs byte-identical across runs and across
-// `-parallel` settings.
+// Package stats is the flight-recorder plane: bounded record rings and a
+// profile aggregator that implement sim.Metrics without allocating in steady
+// state, plus fixed-footprint histograms for latency percentiles. Everything
+// here is deterministic — quantiles come from integer bucket walks, dump
+// orders are sorted — so metrics output diffs byte-identical across runs and
+// across `-parallel` settings.
 package stats
 
 import "math/bits"
@@ -73,23 +73,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Sum returns the total of all recorded samples.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest recorded sample (0 when empty).
-func (h *Histogram) Max() int64 { return h.max }
-
 // Mean returns the integer mean of the recorded samples (0 when empty).
 func (h *Histogram) Mean() int64 {
 	if h.n == 0 {
@@ -145,33 +128,4 @@ func (h *Histogram) Quantile(q float64) int64 {
 		return v
 	}
 	return h.max
-}
-
-// Merge folds other's samples into h — the cross-shard aggregation step:
-// each shard's recorder observes into its own fixed rings, and the report
-// merges them bucket-by-bucket. Identical geometry on both sides means the
-// merge is exact (the merged histogram equals one that observed every sample
-// directly), regardless of how many samples each side holds.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for i, c := range other.counts {
-		if c != 0 {
-			h.counts[i] += c
-		}
-	}
-	h.n += other.n
-	h.sum += other.sum
-}
-
-// Reset clears the histogram for reuse without releasing its storage.
-func (h *Histogram) Reset() {
-	*h = Histogram{}
 }

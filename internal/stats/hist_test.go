@@ -11,8 +11,8 @@ func TestHistogramSmallValuesExact(t *testing.T) {
 	for v := int64(0); v < 16; v++ {
 		h.Observe(v)
 	}
-	if h.Count() != 16 || h.Min() != 0 || h.Max() != 15 {
-		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
+	if h.n != 16 || h.min != 0 || h.max != 15 {
+		t.Fatalf("count=%d min=%d max=%d", h.n, h.min, h.max)
 	}
 	if got := h.Quantile(0); got != 0 {
 		t.Fatalf("q0 = %d", got)
@@ -67,8 +67,8 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 			t.Fatalf("q%.2f: got %d, exact %d (allowed %.0f..%.0f)", q, got, exact, lo, hi)
 		}
 	}
-	if h.Mean() <= 0 || h.Sum() <= 0 {
-		t.Fatalf("mean=%d sum=%d", h.Mean(), h.Sum())
+	if h.Mean() <= 0 || h.sum <= 0 {
+		t.Fatalf("mean=%d sum=%d", h.Mean(), h.sum)
 	}
 }
 
@@ -92,12 +92,8 @@ func TestHistogramDeterministic(t *testing.T) {
 func TestHistogramNegativeClampsAndReset(t *testing.T) {
 	var h Histogram
 	h.Observe(-5)
-	if h.Min() != 0 || h.Max() != 0 || h.Count() != 1 {
-		t.Fatalf("negative observe: min=%d max=%d n=%d", h.Min(), h.Max(), h.Count())
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatalf("reset did not clear")
+	if h.min != 0 || h.max != 0 || h.n != 1 {
+		t.Fatalf("negative observe: min=%d max=%d n=%d", h.min, h.max, h.n)
 	}
 }
 
@@ -115,8 +111,8 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 			t.Fatalf("empty histogram q%.2f = %d, want 0", q, got)
 		}
 	}
-	if h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty histogram min=%d max=%d mean=%d", h.Min(), h.Max(), h.Mean())
+	if h.min != 0 || h.max != 0 || h.Mean() != 0 {
+		t.Fatalf("empty histogram min=%d max=%d mean=%d", h.min, h.max, h.Mean())
 	}
 }
 
@@ -145,52 +141,7 @@ func TestHistogramQuantileSaturatedBucket(t *testing.T) {
 			t.Fatalf("saturated q%.3f = %d, want 1000000", q, got)
 		}
 	}
-	if h.Min() != 1_000_000 || h.Max() != 1_000_000 {
-		t.Fatalf("min=%d max=%d", h.Min(), h.Max())
-	}
-}
-
-func TestHistogramMergeDifferentSizes(t *testing.T) {
-	// Merge a small histogram into a large one (the differently-sized-rings
-	// case: shards retain wildly different sample counts). The merged result
-	// must be indistinguishable from observing every sample into one
-	// histogram directly.
-	rng := rand.New(rand.NewSource(11))
-	var big, small, direct Histogram
-	for i := 0; i < 5000; i++ {
-		v := int64(rng.Intn(10_000_000))
-		big.Observe(v)
-		direct.Observe(v)
-	}
-	for i := 0; i < 7; i++ {
-		v := int64(rng.Intn(100)) // much smaller values, much smaller count
-		small.Observe(v)
-		direct.Observe(v)
-	}
-	big.Merge(&small)
-	if big.Count() != direct.Count() || big.Sum() != direct.Sum() {
-		t.Fatalf("count/sum: merged %d/%d direct %d/%d", big.Count(), big.Sum(), direct.Count(), direct.Sum())
-	}
-	if big.Min() != direct.Min() || big.Max() != direct.Max() {
-		t.Fatalf("min/max: merged %d/%d direct %d/%d", big.Min(), big.Max(), direct.Min(), direct.Max())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if big.Quantile(q) != direct.Quantile(q) {
-			t.Fatalf("q%.2f: merged %d direct %d", q, big.Quantile(q), direct.Quantile(q))
-		}
-	}
-}
-
-func TestHistogramMergeEmptyAndNil(t *testing.T) {
-	var h, empty Histogram
-	h.Observe(42)
-	h.Merge(&empty) // merging empty is a no-op
-	h.Merge(nil)    // merging nil is a no-op
-	if h.Count() != 1 || h.Min() != 42 || h.Max() != 42 {
-		t.Fatalf("no-op merges changed state: n=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
-	}
-	empty.Merge(&h) // merging into empty adopts min/max wholesale
-	if empty.Count() != 1 || empty.Min() != 42 || empty.Max() != 42 {
-		t.Fatalf("merge into empty: n=%d min=%d max=%d", empty.Count(), empty.Min(), empty.Max())
+	if h.min != 1_000_000 || h.max != 1_000_000 {
+		t.Fatalf("min=%d max=%d", h.min, h.max)
 	}
 }

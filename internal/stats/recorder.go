@@ -53,8 +53,7 @@ type Config struct {
 }
 
 // Recorder is the canonical sim.Metrics sink: preallocated rings for raw
-// hop/sample records, fixed histograms per profile kind, and a folded-profile
-// aggregator. After construction (and a warm-up that touches every
+// hop/sample records and a folded-profile aggregator. After construction (and a warm-up that touches every
 // host/kind/owner triple) the record path allocates nothing, so the
 // AllocsPerRun=0 invariant holds with metrics enabled.
 type Recorder struct {
@@ -65,9 +64,6 @@ type Recorder struct {
 	samples     []SampleRecord
 	sampleNext  int
 	sampleTotal uint64
-
-	kindTime [sim.NumProfKinds]Histogram // charge durations per kind
-	depth    Histogram                   // CPU run-queue depth at each arrival
 
 	agg      map[aggKey]*aggVal
 	aggOrder []aggKey // insertion order; dumps sort, so this is just the key list
@@ -101,7 +97,6 @@ func (r *Recorder) Hop(span uint64, at sim.Time, host, layer, action string, byt
 
 // Sample implements sim.Metrics.
 func (r *Recorder) Sample(host string, kind sim.ProfKind, owner string, prio sim.Priority, start, dur sim.Time) {
-	r.kindTime[kind].Observe(int64(dur))
 	k := aggKey{Host: host, Kind: kind, Owner: owner}
 	a := r.agg[k]
 	if a == nil {
@@ -119,33 +114,15 @@ func (r *Recorder) Sample(host string, kind sim.ProfKind, owner string, prio sim
 	r.sampleTotal++
 }
 
-// QueueDepth implements sim.Metrics.
-func (r *Recorder) QueueDepth(host string, depth int) {
-	r.depth.Observe(int64(depth))
-}
+// QueueDepth implements sim.Metrics; the recorder keeps no run-queue series.
+func (r *Recorder) QueueDepth(host string, depth int) {}
 
 // HopsRecorded returns the total number of hops ever recorded (including
 // ones the ring has since overwritten).
 func (r *Recorder) HopsRecorded() uint64 { return r.hopTotal }
 
-// HopsDropped returns how many hop records the ring has overwritten.
-func (r *Recorder) HopsDropped() uint64 {
-	if r.hopTotal <= uint64(len(r.hops)) {
-		return 0
-	}
-	return r.hopTotal - uint64(len(r.hops))
-}
-
 // SamplesRecorded returns the total number of samples ever recorded.
 func (r *Recorder) SamplesRecorded() uint64 { return r.sampleTotal }
-
-// SamplesDropped returns how many sample records the ring has overwritten.
-func (r *Recorder) SamplesDropped() uint64 {
-	if r.sampleTotal <= uint64(len(r.samples)) {
-		return 0
-	}
-	return r.sampleTotal - uint64(len(r.samples))
-}
 
 // Hops returns the retained hop records in recording order (oldest first).
 // It allocates; call it at dump time, not on the hot path.
@@ -196,12 +173,6 @@ func (r *Recorder) Spans() []uint64 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// KindHist returns the duration histogram for one profile kind.
-func (r *Recorder) KindHist(k sim.ProfKind) *Histogram { return &r.kindTime[k] }
-
-// QueueDepthHist returns the CPU run-queue-depth histogram.
-func (r *Recorder) QueueDepthHist() *Histogram { return &r.depth }
 
 // ProfileRow is one line of the folded profile: total attributed CPU time
 // for a (host, kind, owner) triple.

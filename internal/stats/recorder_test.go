@@ -14,11 +14,11 @@ func TestRecorderRingOverwrite(t *testing.T) {
 		r.Hop(uint64(i), sim.Time(i)*sim.Microsecond, "h", "ip", "send", 8)
 		r.Sample("h", sim.ProfProto, "ip", sim.PrioKernel, sim.Time(i), sim.Microsecond)
 	}
-	if r.HopsRecorded() != 6 || r.HopsDropped() != 2 {
-		t.Fatalf("hops recorded=%d dropped=%d, want 6/2", r.HopsRecorded(), r.HopsDropped())
+	if r.HopsRecorded() != 6 {
+		t.Fatalf("hops recorded=%d, want 6", r.HopsRecorded())
 	}
-	if r.SamplesRecorded() != 6 || r.SamplesDropped() != 2 {
-		t.Fatalf("samples recorded=%d dropped=%d, want 6/2", r.SamplesRecorded(), r.SamplesDropped())
+	if n := len(r.Samples()); r.SamplesRecorded() != 6 || n != 4 {
+		t.Fatalf("samples recorded=%d retained=%d, want 6/4", r.SamplesRecorded(), n)
 	}
 	hops := r.Hops()
 	if len(hops) != 4 {
@@ -37,9 +37,6 @@ func TestRecorderRingPartialFill(t *testing.T) {
 	r := NewRecorder(Config{HopCap: 8, SampleCap: 8})
 	r.Hop(1, 0, "h", "ip", "send", 8)
 	r.Hop(1, sim.Microsecond, "h", "ether", "send", 22)
-	if r.HopsDropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", r.HopsDropped())
-	}
 	if hops := r.Hops(); len(hops) != 2 || hops[0].Layer != "ip" || hops[1].Layer != "ether" {
 		t.Fatalf("unexpected retained hops: %+v", hops)
 	}
@@ -83,20 +80,6 @@ func TestRecorderProfileAndFolded(t *testing.T) {
 	if got := r.Folded(); got != want {
 		t.Fatalf("Folded() = %q, want %q", got, want)
 	}
-	if h := r.KindHist(sim.ProfProto); h.Count() != 3 {
-		t.Fatalf("proto kind hist count = %d", h.Count())
-	}
-}
-
-func TestRecorderQueueDepth(t *testing.T) {
-	r := NewRecorder(Config{})
-	for _, d := range []int{1, 1, 2, 3} {
-		r.QueueDepth("h", d)
-	}
-	h := r.QueueDepthHist()
-	if h.Count() != 4 || h.Max() != 3 {
-		t.Fatalf("depth hist count=%d max=%d", h.Count(), h.Max())
-	}
 }
 
 // TestRecorderHotPathNoAlloc pins the flight-recorder invariant: once the
@@ -123,7 +106,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	r.Hop(1, 8*sim.Microsecond, "server", "udp", "recv", 8)
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := r.WriteChromeTraceWith(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var trace struct {
@@ -157,7 +140,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	// Determinism: a second export of the same recorder is byte-identical.
 	var buf2 bytes.Buffer
-	if err := r.WriteChromeTrace(&buf2); err != nil {
+	if err := r.WriteChromeTraceWith(&buf2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {

@@ -21,9 +21,9 @@ import (
 type CauseKind uint8
 
 const (
-	// CauseNone marks a transition with no recorded cause (never emitted by
-	// this implementation; checkers treat it as illegal).
-	CauseNone CauseKind = iota
+	// The zero CauseKind marks a transition with no recorded cause (never
+	// emitted by this implementation; checkers treat it as illegal).
+	_ CauseKind = iota
 	// CauseSegment is an arriving segment; Flags/Seq/Ack describe it.
 	CauseSegment
 	// CauseTimer is a protocol timer expiry; Detail names the timer.
@@ -105,9 +105,6 @@ type TransitionSink interface {
 // SetAuditSink installs (or clears, with nil) the manager's transition sink.
 // Installing mid-run is safe; only transitions after the call are seen.
 func (m *Manager) SetAuditSink(s TransitionSink) { m.audit = s }
-
-// AuditSink returns the installed transition sink, or nil.
-func (m *Manager) AuditSink() TransitionSink { return m.audit }
 
 // setState performs a state transition and emits it to the audit sink. Every
 // write of c.state outside construction must go through here — the audit

@@ -78,10 +78,6 @@ func parseOptions(b []byte, s *seg) {
 	}
 }
 
-// synOptsLen is the worst-case SYN option block: MSS(4) + NOP NOP
-// SACK-permitted(2) + NOP WScale(3).
-const synOptsLen = 12
-
 // putSynOptions writes the handshake options into buf and returns the slice
 // used. wscale < 0 omits the window-scale option.
 func putSynOptions(buf []byte, mss uint16, wscale int8, sackPerm bool) []byte {

@@ -153,7 +153,7 @@ func TestParseHdrFields(t *testing.T) {
 // the linearised copy does.
 func TestParseHdrStraddlingHead(t *testing.T) {
 	p, m := mbuf.NewPool(), parseTestManager()
-	opts := putSynOptions(make([]byte, synOptsLen), 1460, 7, true)
+	opts := putSynOptions(make([]byte, sackOptsLen), 1460, 7, true)
 	for _, d := range [][]byte{
 		dgram(nil, nil),
 		dgram(nil, bytes.Repeat([]byte{0xab}, 1460)),

@@ -14,11 +14,3 @@ func seqGT(a, b uint32) bool { return int32(a-b) > 0 }
 
 // seqGE reports a >= b in sequence space.
 func seqGE(a, b uint32) bool { return int32(a-b) >= 0 }
-
-// seqMax returns the later of a and b in sequence space.
-func seqMax(a, b uint32) uint32 {
-	if seqGT(a, b) {
-		return a
-	}
-	return b
-}

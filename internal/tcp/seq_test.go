@@ -27,15 +27,6 @@ func TestSeqComparisonsBasic(t *testing.T) {
 	}
 }
 
-func TestSeqMax(t *testing.T) {
-	if seqMax(5, 9) != 9 || seqMax(9, 5) != 9 {
-		t.Error("seqMax basic")
-	}
-	if seqMax(0xFFFFFFFF, 1) != 1 {
-		t.Error("seqMax should respect wraparound (1 is after 0xFFFFFFFF)")
-	}
-}
-
 // Properties of sequence arithmetic, valid for values within half the space.
 func TestQuickSeqProperties(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(11))}
@@ -59,15 +50,6 @@ func TestQuickSeqProperties(t *testing.T) {
 		delta := deltaRaw%(1<<30) + 1
 		b := a + delta
 		return seqLT(a, b) == seqLT(a+off, b+off)
-	}, cfg); err != nil {
-		t.Error(err)
-	}
-
-	// seqMax returns one of its arguments and is ≥ both.
-	if err := quick.Check(func(a uint32, deltaRaw uint32) bool {
-		b := a + deltaRaw%(1<<30)
-		m := seqMax(a, b)
-		return (m == a || m == b) && seqGE(m, a) && seqGE(m, b)
 	}, cfg); err != nil {
 		t.Error(err)
 	}

@@ -212,12 +212,6 @@ func (m *Manager) Claim(port uint16) error {
 	return nil
 }
 
-// Unclaim returns a claimed port to this manager.
-func (m *Manager) Unclaim(port uint16) { delete(m.claimed, port) }
-
-// LocalAddr returns the host's IP address.
-func (m *Manager) LocalAddr() view.IP4 { return m.ip.Addr() }
-
 // MSS returns the maximum segment size for the interface.
 func (m *Manager) MSS() int { return m.ip.MTU() - view.IPv4MinHdrLen - view.TCPMinHdrLen }
 
@@ -458,12 +452,10 @@ func (m *Manager) iss() uint32 {
 
 // Listener accepts incoming connections on a port.
 type Listener struct {
-	mgr     *Manager
-	port    uint16
-	binding *event.Binding
-	accept  func(t *sim.Task, c *Conn)
-	opts    ConnOptions
-	closed  bool
+	mgr    *Manager
+	port   uint16
+	accept func(t *sim.Task, c *Conn)
+	opts   ConnOptions
 }
 
 // Listen binds a passive endpoint: a guard matching SYNs (and continuing
@@ -485,31 +477,16 @@ func (m *Manager) Listen(port uint16, opts ConnOptions, accept func(t *sim.Task,
 		return !exists
 	}
 	h := event.Handler{Name: fmt.Sprintf("tcp.listen:%d", port), Fn: l.input, Ephemeral: true}
-	b, err := m.disp.Install(RecvEvent, guard, h, 0)
-	if err != nil {
+	if _, err := m.disp.Install(RecvEvent, guard, h, 0); err != nil {
 		return nil, err
 	}
-	l.binding = b
 	m.listeners[port] = l
 	return l, nil
 }
 
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
-
 // SetConnOptions replaces the options applied to subsequently accepted
 // connections (already-open connections are unaffected).
 func (l *Listener) SetConnOptions(opts ConnOptions) { l.opts = opts }
-
-// Close stops accepting connections.
-func (l *Listener) Close() {
-	if l.closed {
-		return
-	}
-	l.closed = true
-	l.mgr.disp.Uninstall(l.binding)
-	delete(l.mgr.listeners, l.port)
-}
 
 // input handles a segment for the listening port with no matching connection.
 func (l *Listener) input(t *sim.Task, pkt *mbuf.Mbuf) {

@@ -85,9 +85,3 @@ func (c *Conn) Recovery() RecoveryState { return c.recovery }
 // SackedBytes returns the sequence space the peer has selectively
 // acknowledged above snd.una.
 func (c *Conn) SackedBytes() uint32 { return c.sb.sackedBytes() }
-
-// SackEnabled reports whether SACK was negotiated on the handshake.
-func (c *Conn) SackEnabled() bool { return c.peerSackOK }
-
-// WndScales returns the negotiated send/receive window-scale shifts.
-func (c *Conn) WndScales() (snd, rcv uint8) { return c.sndWndScale, c.rcvWndScale }

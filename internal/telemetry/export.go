@@ -1,9 +1,7 @@
 // Exporters. All deterministic: series are emitted in sorted key order,
 // points oldest first, numbers rendered by strconv — two identical runs (at
 // any -parallel / -shards setting) produce byte-identical files. JSONL is
-// hand-rolled append encoding like the audit plane's JSONLSink; the
-// Prometheus writer emits the standard text exposition format for the future
-// overlay bridge to scrape.
+// hand-rolled append encoding like the audit plane's JSONLSink.
 package telemetry
 
 import (
@@ -54,78 +52,6 @@ func (e *Engine) WriteJSONL(w io.Writer) error {
 			if _, err := bw.Write(buf); err != nil {
 				return err
 			}
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteCSV dumps every retained point as series,host,labels,at_ns,value.
-func (e *Engine) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("series,host,labels,at_ns,value\n"); err != nil {
-		return err
-	}
-	var buf []byte
-	var pts []Point
-	for _, se := range e.sortedSeries() {
-		pts = se.Points(pts[:0])
-		for _, p := range pts {
-			buf = buf[:0]
-			buf = append(buf, se.name...)
-			buf = append(buf, ',')
-			buf = append(buf, se.host...)
-			buf = append(buf, ',')
-			// Labels hold commas; CSV-quote them.
-			if se.labels != "" {
-				buf = append(buf, '"')
-				buf = append(buf, se.labels...)
-				buf = append(buf, '"')
-			}
-			buf = append(buf, ',')
-			buf = strconv.AppendInt(buf, int64(p.At), 10)
-			buf = append(buf, ',')
-			buf = strconv.AppendInt(buf, p.Val, 10)
-			buf = append(buf, '\n')
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// WritePromText emits the last value of every series in the Prometheus text
-// exposition format, gauges named plexus_<metric> with dots folded to
-// underscores, timestamped in simulated milliseconds:
-//
-//	# TYPE plexus_tcp_cwnd gauge
-//	plexus_tcp_cwnd{host="a",conn="..."} 2920 12
-func (e *Engine) WritePromText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	lastName := ""
-	for _, se := range e.sortedSeries() {
-		if !se.seen {
-			continue
-		}
-		prom := "plexus_" + strings.NewReplacer(".", "_", "-", "_").Replace(se.name)
-		if prom != lastName {
-			if _, err := fmt.Fprintf(bw, "# TYPE %s gauge\n", prom); err != nil {
-				return err
-			}
-			lastName = prom
-		}
-		lbl := `host="` + se.host + `"`
-		if se.labels != "" {
-			for _, kv := range strings.Split(se.labels, ",") {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					continue
-				}
-				lbl += `,` + k + `="` + v + `"`
-			}
-		}
-		if _, err := fmt.Fprintf(bw, "%s{%s} %d %d\n", prom, lbl, se.lastVal, int64(se.lastAt)/int64(sim.Millisecond)); err != nil {
-			return err
 		}
 	}
 	return bw.Flush()

@@ -42,7 +42,6 @@ type Series struct {
 	next   int
 	total  uint64
 
-	lastAt  sim.Time
 	lastVal int64
 	seen    bool
 }
@@ -56,17 +55,8 @@ func (se *Series) Host() string { return se.host }
 // Labels returns the pre-rendered extra labels ("" if none).
 func (se *Series) Labels() string { return se.labels }
 
-// Key returns the full series identity — name plus every label — which is
-// also the flow identity a watchdog Alarm carries.
-func (se *Series) Key() string { return se.key }
-
 // Total reports how many points were ever pushed (>= retained).
 func (se *Series) Total() uint64 { return se.total }
-
-// Last returns the most recent observation.
-func (se *Series) Last() (at sim.Time, val int64, ok bool) {
-	return se.lastAt, se.lastVal, se.seen
-}
 
 func (se *Series) push(at sim.Time, v int64) {
 	se.points[se.next] = Point{At: at, Val: v}
@@ -75,7 +65,7 @@ func (se *Series) push(at sim.Time, v int64) {
 		se.next = 0
 	}
 	se.total++
-	se.lastAt, se.lastVal, se.seen = at, v, true
+	se.lastVal, se.seen = v, true
 }
 
 // Points appends the retained window, oldest first, to buf and returns it.
@@ -86,14 +76,6 @@ func (se *Series) Points(buf []Point) []Point {
 	}
 	buf = append(buf, se.points[se.next:]...)
 	return append(buf, se.points[:se.next]...)
-}
-
-// Retained reports how many points the ring currently holds.
-func (se *Series) Retained() int {
-	if se.total < uint64(len(se.points)) {
-		return int(se.total)
-	}
-	return len(se.points)
 }
 
 // Sample is the context handed to every probe on each tick.
@@ -140,7 +122,6 @@ type Engine struct {
 	rules      []*Rule
 	alarms     []Alarm
 	alarmTotal uint64
-	onAlarm    func(Alarm)
 
 	sample  Sample
 	running bool
@@ -166,9 +147,6 @@ func New(s *sim.Sim, opts Options) *Engine {
 		alarms:    make([]Alarm, 0, opts.AlarmCap),
 	}
 }
-
-// Sim returns the simulator the engine samples.
-func (e *Engine) Sim() *sim.Sim { return e.sim }
 
 // Interval returns the sampling period.
 func (e *Engine) Interval() sim.Time { return e.interval }

@@ -32,9 +32,8 @@ func TestEngineSamplesOnInterval(t *testing.T) {
 	if se.Total() != 10 {
 		t.Fatalf("points = %d, want 10", se.Total())
 	}
-	at, v, ok := se.Last()
-	if !ok || v != 7 || at != 10*sim.Millisecond {
-		t.Fatalf("last = (%d, %d, %v)", at, v, ok)
+	if !se.seen || se.lastVal != 7 {
+		t.Fatalf("last = (%d, %v)", se.lastVal, se.seen)
 	}
 	pts := se.Points(nil)
 	for i, p := range pts {
@@ -61,10 +60,10 @@ func TestSeriesRingOverwritesOldest(t *testing.T) {
 		}
 	}
 	se := e.Series("test.counter", "a", "")
-	if se.Retained() != 4 || se.Total() != 10 {
-		t.Fatalf("retained=%d total=%d", se.Retained(), se.Total())
-	}
 	pts := se.Points(nil)
+	if len(pts) != 4 || se.Total() != 10 {
+		t.Fatalf("retained=%d total=%d", len(pts), se.Total())
+	}
 	for i, p := range pts {
 		if p.Val != want[i] {
 			t.Fatalf("ring window %v, want %v", pts, want)
@@ -236,34 +235,5 @@ func TestExportDeterminismAndRoundTrip(t *testing.T) {
 	}
 	if last := pts[len(pts)-1]; last.Series != "test.gauge" || last.Labels != "port=3" || last.V != 401 {
 		t.Fatalf("last point %+v", last)
-	}
-}
-
-func TestWriteCSVAndPromText(t *testing.T) {
-	s, e, src := newTestEngine(sim.Millisecond, 8)
-	e.Start()
-	src.v = 5
-	s.RunUntil(3 * sim.Millisecond)
-
-	var csv bytes.Buffer
-	if err := e.WriteCSV(&csv); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	want := "series,host,labels,at_ns,value\n" +
-		"test.counter,a,,1000000,5\n" +
-		"test.counter,a,,2000000,5\n" +
-		"test.counter,a,,3000000,5\n"
-	if csv.String() != want {
-		t.Fatalf("CSV:\n%s\nwant:\n%s", csv.String(), want)
-	}
-
-	var prom bytes.Buffer
-	if err := e.WritePromText(&prom); err != nil {
-		t.Fatalf("WritePromText: %v", err)
-	}
-	got := prom.String()
-	if !strings.Contains(got, "# TYPE plexus_test_counter gauge\n") ||
-		!strings.Contains(got, `plexus_test_counter{host="a"} 5 3`+"\n") {
-		t.Fatalf("prom text:\n%s", got)
 	}
 }

@@ -98,11 +98,6 @@ func (e *Engine) Alarms() []Alarm { return e.alarms }
 // AlarmTotal reports how many alarms were ever raised (>= retained).
 func (e *Engine) AlarmTotal() uint64 { return e.alarmTotal }
 
-// OnAlarm installs a callback invoked synchronously on every raise — the
-// chaos soak uses it to fail fast. The callback must not allocate if the
-// zero-alloc pin matters to the caller.
-func (e *Engine) OnAlarm(fn func(Alarm)) { e.onAlarm = fn }
-
 func (e *Engine) raise(r *Rule, now sim.Time, val int64) {
 	r.fired = true
 	a := Alarm{
@@ -116,9 +111,6 @@ func (e *Engine) raise(r *Rule, now sim.Time, val int64) {
 	e.alarmTotal++
 	if len(e.alarms) < cap(e.alarms) {
 		e.alarms = append(e.alarms, a)
-	}
-	if e.onAlarm != nil {
-		e.onAlarm(a)
 	}
 }
 

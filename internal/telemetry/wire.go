@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"plexus/internal/fabric"
 	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/sim"
@@ -90,51 +89,6 @@ func AttachSimQueue(e *Engine, name string, s *sim.Sim) {
 	depth := e.Series("sim.queue_depth", name, "")
 	e.Register("simq:"+name, func(sm *Sample) {
 		sm.Observe(depth, int64(s.QueueLen()))
-	})
-}
-
-// AttachNAT samples a NAT table's occupancy and exhaustion drops, with a
-// near-cap watchdog at 95% of the table bound.
-func AttachNAT(e *Engine, host, name string, n *fabric.NAT) {
-	lbl := "nat=" + name
-	occ := e.Series("nat.occupancy", host, lbl)
-	exh := e.Series("nat.exhausted", host, lbl)
-	e.Register("nat:"+host+":"+name, func(s *Sample) {
-		s.Observe(occ, int64(n.Occupancy()))
-		s.Observe(exh, int64(n.Exhausted()))
-	})
-	if c := n.Cap(); c > 0 {
-		e.Watch(Rule{
-			Name: "nat.near_cap", Kind: RuleNearCap,
-			Watch: occ, Threshold: int64(c), Pct: 95,
-		})
-	}
-}
-
-// pipeProbe carries the per-tick visitor state for AttachPipeline so the
-// EachRule closure is built once at attach time.
-type pipeProbe struct {
-	series []*Series
-	s      *Sample
-	i      int
-}
-
-// AttachPipeline samples per-rule hit counters across the pipeline's tables.
-// The rule set is fixed at install time; rules added later are not sampled.
-func AttachPipeline(e *Engine, host string, pl *fabric.Pipeline) {
-	pp := &pipeProbe{}
-	pl.EachRule(func(table, rule string, _, _ uint64, _ bool) {
-		pp.series = append(pp.series, e.Series("fabric.rule_hits", host, "table="+table+",rule="+rule))
-	})
-	visit := func(_, _ string, hits, _ uint64, _ bool) {
-		if pp.i < len(pp.series) {
-			pp.s.Observe(pp.series[pp.i], int64(hits))
-		}
-		pp.i++
-	}
-	e.Register("fabric:"+host, func(s *Sample) {
-		pp.s, pp.i = s, 0
-		pl.EachRule(visit)
 	})
 }
 

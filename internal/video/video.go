@@ -103,9 +103,6 @@ func NewServer(st *plexus.Stack, cfg ServerConfig) (*Server, error) {
 // (or unicast client address).
 func (s *Server) AddStream(group view.IP4) { s.streams = append(s.streams, group) }
 
-// Streams returns the number of configured streams.
-func (s *Server) Streams() int { return len(s.streams) }
-
 // Stats returns a snapshot of counters.
 func (s *Server) Stats() ServerStats { return s.stats }
 
@@ -154,8 +151,8 @@ func (s *Server) sendFrames(t *sim.Task) {
 			// read(2): trap plus copyout of the file data to the
 			// user buffer. (The subsequent send pays the copyin;
 			// SPIN's in-kernel extension pays neither — §5.1.)
-			t.Charge(costs.Syscall)
-			t.ChargeBytes(s.cfg.FrameSize, costs.CopyPerByte)
+			t.ChargeProf(sim.ProfTrap, "syscall", costs.Syscall)
+			t.ChargeBytesProf(sim.ProfCopy, "copyout", s.cfg.FrameSize, costs.CopyPerByte)
 		}
 		frame := s.buildFrame(uint32(i), s.seq)
 		if err := s.app.Send(t, dst, s.cfg.Port, frame); err != nil {
@@ -202,7 +199,6 @@ type ClientStats struct {
 // result to the framebuffer.
 type Client struct {
 	st    *plexus.Stack
-	app   *plexus.UDPApp
 	stats ClientStats
 	// FramebufferBound, when false, models the faster video hardware the
 	// paper anticipates (DEC J300): display writes cost RAM speed instead.
@@ -217,14 +213,12 @@ type Client struct {
 // NewClient subscribes to the stream on the given port (multicast accepted).
 func NewClient(st *plexus.Stack, port uint16) (*Client, error) {
 	c := &Client{st: st, FramebufferBound: true}
-	app, err := st.OpenUDP(plexus.UDPAppOptions{
+	if _, err := st.OpenUDP(plexus.UDPAppOptions{
 		Port:            port,
 		AcceptMulticast: true,
-	}, c.frame)
-	if err != nil {
+	}, c.frame); err != nil {
 		return nil, fmt.Errorf("video: %w", err)
 	}
-	c.app = app
 	return c, nil
 }
 
@@ -266,6 +260,3 @@ func (c *Client) frame(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
 	c.stats.FramesRcvd++
 	c.stats.BytesDisplayed += uint64(len(payload))
 }
-
-// Close releases the client endpoint.
-func (c *Client) Close() { c.app.Close() }

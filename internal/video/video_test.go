@@ -37,7 +37,7 @@ func TestVideoDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.AddStream(group(0))
-	if srv.Streams() != 1 {
+	if len(srv.streams) != 1 {
 		t.Fatal("stream not registered")
 	}
 	srv.Run(1 * sim.Second)

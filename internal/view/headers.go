@@ -85,9 +85,6 @@ func (v ARPView) SenderMAC() MAC { return MAC(v.b[8:14]) }
 // SenderIP returns the sender protocol address.
 func (v ARPView) SenderIP() IP4 { return IP4(v.b[14:18]) }
 
-// TargetMAC returns the target hardware address.
-func (v ARPView) TargetMAC() MAC { return MAC(v.b[18:24]) }
-
 // TargetIP returns the target protocol address.
 func (v ARPView) TargetIP() IP4 { return IP4(v.b[24:28]) }
 
@@ -104,11 +101,8 @@ func (v ARPView) Init(op uint16, senderMAC MAC, senderIP IP4, targetMAC MAC, tar
 	copy(v.b[24:28], targetIP[:])
 }
 
-// IPv4 fragmentation flag bits (in the flags/fragment-offset word).
-const (
-	IPFlagDF = 0x4000 // don't fragment
-	IPFlagMF = 0x2000 // more fragments
-)
+// IPFlagMF is the more-fragments bit of the flags/fragment-offset word.
+const IPFlagMF = 0x2000
 
 // IPv4View is a typed view of an IPv4 header.
 type IPv4View struct{ b []byte }
@@ -141,17 +135,11 @@ func (v IPv4View) Version() int { return int(v.b[0] >> 4) }
 // HdrLen returns the header length in bytes (IHL×4).
 func (v IPv4View) HdrLen() int { return int(v.b[0]&0x0f) * 4 }
 
-// TOS returns the type-of-service byte.
-func (v IPv4View) TOS() uint8 { return v.b[1] }
-
 // TotalLen returns the datagram's total length.
 func (v IPv4View) TotalLen() int { return int(be16(v.b, 2)) }
 
 // ID returns the identification field.
 func (v IPv4View) ID() uint16 { return be16(v.b, 4) }
-
-// FlagsFrag returns the raw flags/fragment-offset word.
-func (v IPv4View) FlagsFrag() uint16 { return be16(v.b, 6) }
 
 // FragOffset returns the fragment offset in bytes.
 func (v IPv4View) FragOffset() int { return int(be16(v.b, 6)&0x1fff) * 8 }
@@ -159,26 +147,17 @@ func (v IPv4View) FragOffset() int { return int(be16(v.b, 6)&0x1fff) * 8 }
 // MoreFragments reports the MF bit.
 func (v IPv4View) MoreFragments() bool { return be16(v.b, 6)&IPFlagMF != 0 }
 
-// DontFragment reports the DF bit.
-func (v IPv4View) DontFragment() bool { return be16(v.b, 6)&IPFlagDF != 0 }
-
 // TTL returns the time-to-live.
 func (v IPv4View) TTL() uint8 { return v.b[8] }
 
 // Proto returns the payload protocol number.
 func (v IPv4View) Proto() uint8 { return v.b[9] }
 
-// Checksum returns the header checksum field.
-func (v IPv4View) Checksum() uint16 { return be16(v.b, 10) }
-
 // Src returns the source address.
 func (v IPv4View) Src() IP4 { return IP4(v.b[12:16]) }
 
 // Dst returns the destination address.
 func (v IPv4View) Dst() IP4 { return IP4(v.b[16:20]) }
-
-// SetVersionIHL writes version 4 and a header length of hdrLen bytes.
-func (v IPv4View) SetVersionIHL(hdrLen int) { v.b[0] = 0x40 | byte(hdrLen/4) }
 
 // SetTOS writes the type-of-service byte.
 func (v IPv4View) SetTOS(tos uint8) { v.b[1] = tos }
@@ -245,12 +224,6 @@ func ICMP(b []byte) (ICMPView, error) {
 
 // Type returns the ICMP type.
 func (v ICMPView) Type() uint8 { return v.b[0] }
-
-// Code returns the ICMP code.
-func (v ICMPView) Code() uint8 { return v.b[1] }
-
-// Checksum returns the checksum field.
-func (v ICMPView) Checksum() uint16 { return be16(v.b, 2) }
 
 // Ident returns the echo identifier.
 func (v ICMPView) Ident() uint16 { return be16(v.b, 4) }
@@ -355,12 +328,6 @@ func (v TCPView) Flags() uint8 { return v.b[13] & 0x3f }
 // Window returns the advertised receive window.
 func (v TCPView) Window() uint16 { return be16(v.b, 14) }
 
-// Checksum returns the checksum field.
-func (v TCPView) Checksum() uint16 { return be16(v.b, 16) }
-
-// UrgPtr returns the urgent pointer.
-func (v TCPView) UrgPtr() uint16 { return be16(v.b, 18) }
-
 // SetSrcPort writes the source port.
 func (v TCPView) SetSrcPort(p uint16) { put16(v.b, 0, p) }
 
@@ -373,9 +340,6 @@ func (v TCPView) SetSeq(s uint32) { put32(v.b, 4, s) }
 // SetAck writes the acknowledgment number.
 func (v TCPView) SetAck(a uint32) { put32(v.b, 8, a) }
 
-// SetDataOff writes the header length (bytes, multiple of 4).
-func (v TCPView) SetDataOff(n int) { v.b[12] = byte(n/4) << 4 }
-
 // SetFlags writes the flag bits.
 func (v TCPView) SetFlags(f uint8) { v.b[13] = f & 0x3f }
 
@@ -384,9 +348,6 @@ func (v TCPView) SetWindow(w uint16) { put16(v.b, 14, w) }
 
 // SetChecksum writes the checksum field.
 func (v TCPView) SetChecksum(c uint16) { put16(v.b, 16, c) }
-
-// SetUrgPtr writes the urgent pointer.
-func (v TCPView) SetUrgPtr(p uint16) { put16(v.b, 18, p) }
 
 // FlagString renders TCP flags like "SYN|ACK" for traces.
 func FlagString(f uint8) string {

@@ -78,20 +78,3 @@ func put32(b []byte, off int, v uint32) {
 	b[off+2] = byte(v >> 8)
 	b[off+3] = byte(v)
 }
-
-// U16 reads a big-endian uint16 at off with an explicit bounds check — the
-// scalar form of VIEW for ad-hoc guard predicates.
-func U16(b []byte, off int) (uint16, error) {
-	if off < 0 || off+2 > len(b) {
-		return 0, ErrShort
-	}
-	return be16(b, off), nil
-}
-
-// U32 reads a big-endian uint32 at off with an explicit bounds check.
-func U32(b []byte, off int) (uint32, error) {
-	if off < 0 || off+4 > len(b) {
-		return 0, ErrShort
-	}
-	return be32(b, off), nil
-}
