@@ -17,6 +17,7 @@
 //	plexus-bench -size 2097152   # bulk-transfer size for tput
 //	plexus-bench -parallel 1     # sequential (deterministic baseline)
 //	plexus-bench -json           # also write BENCH_<exp>.json per experiment
+//	                             #   (host timings go to stderr)
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -40,7 +42,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "experiment cells run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	shards := flag.Int("shards", 1, "shard worker goroutines per sharded scale cell (rows identical at any value)")
 	hosts := flag.String("hosts", "1000,10000,50000", "comma-separated host counts for the sharded scale cells (\"\" = none)")
-	jsonOut := flag.Bool("json", false, "write BENCH_<exp>.json with rows, wall-clock, events/sec, allocs/event")
+	jsonOut := flag.Bool("json", false, "write BENCH_<exp>.json with the rows and simulated event count; wall-clock, events/sec and allocs/event go to stderr")
 	telemetryOut := flag.String("telemetry", "", "write the telemetry sweep's raw JSONL series to this path (determinism witness; implies running -exp telemetry's cells)")
 	flag.Parse()
 
@@ -52,59 +54,63 @@ func main() {
 		os.Exit(1)
 	}
 
-	run := func(name string, fn func() (any, error)) {
-		if *exp != "all" && *exp != name {
-			return
+	experiments := []struct {
+		name string
+		run  func() (any, error)
+	}{
+		{"fig5", func() (any, error) { return fig5(*fast) }},
+		{"tput", func() (any, error) { return tput(*size) }},
+		{"fig6", fig6},
+		{"fig7", fig7},
+		{"http", httpDemo},
+		{"latency", latency},
+		{"loss", loss},
+		{"rogue", rogue},
+		{"scale", func() (any, error) { return scale(hostCounts) }},
+		{"fabric", fabricExp},
+		{"ablations", ablations},
+		{"telemetry", telemetryExp},
+		{"cc", ccExp},
+	}
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "plexus-bench: unknown experiment %q; valid: %s\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
+
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
 		bench.ResetEventCount()
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		rows, err := fn()
+		rows, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "plexus-bench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "plexus-bench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		wall := time.Since(start)
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
 		if !*jsonOut {
-			return
+			continue
 		}
+		// The file holds only what the simulation determines; the host's
+		// cost of producing it goes to stderr.
 		events := bench.EventCount()
-		allocs := after.Mallocs - before.Mallocs
-		report := benchReport{
-			Experiment:   name,
-			Parallel:     bench.Parallelism(),
-			WallClockSec: wall.Seconds(),
-			SimEvents:    events,
-			Rows:         rows,
-		}
-		if wall > 0 {
-			report.EventsPerSec = float64(events) / wall.Seconds()
-		}
-		if events > 0 {
-			report.AllocsPerEvent = float64(allocs) / float64(events)
-		}
+		fmt.Fprintf(os.Stderr, "plexus-bench: %s: %.3fs wall, %.0f events/s, %.2f allocs/event\n", e.name,
+			wall.Seconds(), float64(events)/wall.Seconds(), float64(after.Mallocs-before.Mallocs)/float64(max(events, 1)))
+		report := benchReport{Experiment: e.name, Parallel: bench.Parallelism(), SimEvents: events, Rows: rows}
 		if err := writeReport(report); err != nil {
-			fmt.Fprintf(os.Stderr, "plexus-bench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "plexus-bench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 	}
-
-	run("fig5", func() (any, error) { return fig5(*fast) })
-	run("tput", func() (any, error) { return tput(*size) })
-	run("fig6", fig6)
-	run("fig7", fig7)
-	run("http", httpDemo)
-	run("latency", latency)
-	run("loss", loss)
-	run("rogue", rogue)
-	run("scale", func() (any, error) { return scale(hostCounts) })
-	run("fabric", fabricExp)
-	run("ablations", ablations)
-	run("telemetry", telemetryExp)
-	run("cc", ccExp)
 
 	if *telemetryOut != "" {
 		if err := writeTelemetryDump(*telemetryOut); err != nil {
@@ -146,15 +152,13 @@ func parseCounts(s string) ([]int, error) {
 }
 
 // benchReport is the machine-readable record of one experiment, written as
-// BENCH_<exp>.json so the perf trajectory is tracked across PRs.
+// BENCH_<exp>.json. Every field is simulated behaviour, so a committed file
+// changes only when the model does.
 type benchReport struct {
-	Experiment     string  `json:"experiment"`
-	Parallel       int     `json:"parallel"`
-	WallClockSec   float64 `json:"wall_clock_sec"`
-	SimEvents      uint64  `json:"sim_events"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	Rows           any     `json:"rows"`
+	Experiment string `json:"experiment"`
+	Parallel   int    `json:"parallel"`
+	SimEvents  uint64 `json:"sim_events"`
+	Rows       any    `json:"rows"`
 }
 
 func writeReport(r benchReport) error {

@@ -7,11 +7,9 @@ import (
 	"plexus/internal/filter"
 	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
-	"plexus/internal/osmodel"
 	"plexus/internal/plexus"
 	"plexus/internal/sim"
 	"plexus/internal/udp"
-	"plexus/internal/video"
 	"plexus/internal/view"
 )
 
@@ -30,8 +28,7 @@ type AblationRow struct {
 // SendRaw under each policy (averaged over n sends).
 func SpoofPolicyAblation(n int) ([]AblationRow, error) {
 	return RunCells([]udp.SpoofPolicy{udp.Overwrite, udp.Verify}, func(policy udp.SpoofPolicy) (AblationRow, error) {
-		net, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
-			hostSpec("client", SysPlexusInterrupt), hostSpec("server", SysPlexusInterrupt))
+		net, client, server, err := twoHosts(netdev.EthernetModel(), SysPlexusInterrupt)
 		if err != nil {
 			return AblationRow{}, err
 		}
@@ -70,46 +67,57 @@ func SpoofPolicyAblation(n int) ([]AblationRow, error) {
 	})
 }
 
+// echoOnce times one payload-byte UDP round trip between two Plexus hosts on
+// Ethernet, against an echo service on server port 7. noChecksum turns the
+// UDP checksum off at both ends; install, when non-nil, first loads whatever
+// the ablation measures onto the server.
+func echoOnce(payload int, noChecksum bool, install func(server *plexus.Stack) error) (sim.Time, error) {
+	n, client, server, err := twoHosts(netdev.EthernetModel(), SysPlexusInterrupt)
+	if err != nil {
+		return 0, err
+	}
+	defer recordEvents(n.Sim)
+	if install != nil {
+		if err := install(server); err != nil {
+			return 0, err
+		}
+	}
+	var echo *plexus.UDPApp
+	echo, err = server.OpenUDP(plexus.UDPAppOptions{Port: 7, DisableChecksum: noChecksum},
+		func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+			_ = echo.Send(t, src, srcPort, data)
+		})
+	if err != nil {
+		return 0, err
+	}
+	var sentAt, gotAt sim.Time
+	capp, err := client.OpenUDP(plexus.UDPAppOptions{DisableChecksum: noChecksum},
+		func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+			gotAt = t.Now()
+		})
+	if err != nil {
+		return 0, err
+	}
+	client.Spawn("client", func(t *sim.Task) {
+		sentAt = t.Now()
+		_ = capp.Send(t, server.Addr(), 7, make([]byte, payload))
+	})
+	n.Sim.RunUntil(10 * sim.Second)
+	if gotAt == 0 {
+		return 0, fmt.Errorf("bench: no echo")
+	}
+	return gotAt - sentAt, nil
+}
+
 // ChecksumAblation compares UDP round-trip latency with the checksum enabled
 // and disabled (the §1.1 application-specific variant), for a payload large
 // enough that the per-byte cost shows.
 func ChecksumAblation(payload int) ([]AblationRow, error) {
-	run := func(disable bool) (sim.Time, error) {
-		n, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
-			hostSpec("client", SysPlexusInterrupt), hostSpec("server", SysPlexusInterrupt))
-		if err != nil {
-			return 0, err
-		}
-		defer recordEvents(n.Sim)
-		var echo *plexus.UDPApp
-		echo, err = server.OpenUDP(plexus.UDPAppOptions{Port: 7, DisableChecksum: disable},
-			func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-				_ = echo.Send(t, src, srcPort, data)
-			})
-		if err != nil {
-			return 0, err
-		}
-		var sentAt, gotAt sim.Time
-		capp, err := client.OpenUDP(plexus.UDPAppOptions{DisableChecksum: disable},
-			func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-				gotAt = t.Now()
-			})
-		if err != nil {
-			return 0, err
-		}
-		client.Spawn("client", func(t *sim.Task) {
-			sentAt = t.Now()
-			_ = capp.Send(t, server.Addr(), 7, make([]byte, payload))
-		})
-		n.Sim.RunUntil(10 * sim.Second)
-		if gotAt == 0 {
-			return 0, fmt.Errorf("bench: no echo")
-		}
-		return gotAt - sentAt, nil
-	}
-	results, err := RunCells([]bool{false, true}, run)
+	results, err := RunCells([]bool{false, true}, func(off bool) (sim.Time, error) {
+		return echoOnce(payload, off, nil)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checksum ablation: %w", err)
 	}
 	return []AblationRow{
 		{Name: fmt.Sprintf("udp-checksum/on (%dB)", payload), Value: results[0], Note: "standard UDP"},
@@ -122,42 +130,20 @@ func ChecksumAblation(payload int) ([]AblationRow, error) {
 // property: extensions do not tax each other).
 func GuardChainAblation(extraEndpoints []int) ([]AblationRow, error) {
 	return RunCells(extraEndpoints, func(extra int) (AblationRow, error) {
-		n, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
-			hostSpec("client", SysPlexusInterrupt), hostSpec("server", SysPlexusInterrupt))
-		if err != nil {
-			return AblationRow{}, err
-		}
-		defer recordEvents(n.Sim)
-		for i := 0; i < extra; i++ {
-			if _, err := server.OpenUDP(plexus.UDPAppOptions{Port: uint16(3000 + i)}, nil); err != nil {
-				return AblationRow{}, err
+		rtt, err := echoOnce(8, false, func(server *plexus.Stack) error {
+			for i := 0; i < extra; i++ {
+				if _, err := server.OpenUDP(plexus.UDPAppOptions{Port: uint16(3000 + i)}, nil); err != nil {
+					return err
+				}
 			}
-		}
-		var echo *plexus.UDPApp
-		echo, err = server.OpenUDP(plexus.UDPAppOptions{Port: 7}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			_ = echo.Send(t, src, srcPort, data)
+			return nil
 		})
 		if err != nil {
-			return AblationRow{}, err
-		}
-		var sentAt, gotAt sim.Time
-		capp, err := client.OpenUDP(plexus.UDPAppOptions{}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			gotAt = t.Now()
-		})
-		if err != nil {
-			return AblationRow{}, err
-		}
-		client.Spawn("client", func(t *sim.Task) {
-			sentAt = t.Now()
-			_ = capp.Send(t, server.Addr(), 7, make([]byte, 8))
-		})
-		n.Sim.RunUntil(10 * sim.Second)
-		if gotAt == 0 {
-			return AblationRow{}, fmt.Errorf("bench: no echo with %d endpoints", extra)
+			return AblationRow{}, fmt.Errorf("guard chain with %d endpoints: %w", extra, err)
 		}
 		return AblationRow{
 			Name:  fmt.Sprintf("guard-chain/%d-extra-endpoints", extra),
-			Value: gotAt - sentAt,
+			Value: rtt,
 			Note:  "UDP 8B RTT",
 		}, nil
 	})
@@ -169,63 +155,36 @@ func GuardChainAblation(extraEndpoints []int) ([]AblationRow, error) {
 // mechanism) — by installing `extra` rejecting filters of each kind on the
 // server's Ethernet.PacketRecv and measuring an 8-byte UDP echo RTT.
 func FilterBackendAblation(extra int) ([]AblationRow, error) {
-	run := func(interpreted bool) (sim.Time, error) {
-		n, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
-			hostSpec("client", SysPlexusInterrupt), hostSpec("server", SysPlexusInterrupt))
-		if err != nil {
-			return 0, err
-		}
-		defer recordEvents(n.Sim)
-		// Rejecting filters: no UDP traffic in this experiment uses port
-		// 60000, so every filter evaluates and fails.
-		const src = "ip.proto == 17 && udp.dport == 60000"
-		for i := 0; i < extra; i++ {
-			var guard event.Guard
-			if interpreted {
-				prog, err := filter.CompileInterpreted(src, filter.BaseEthernet)
-				if err != nil {
-					return 0, err
+	results, err := RunCells([]bool{false, true}, func(interpreted bool) (sim.Time, error) {
+		return echoOnce(8, false, func(server *plexus.Stack) error {
+			// Rejecting filters: no UDP traffic in this experiment uses
+			// port 60000, so every filter evaluates and fails.
+			const src = "ip.proto == 17 && udp.dport == 60000"
+			for i := 0; i < extra; i++ {
+				var guard event.Guard
+				if interpreted {
+					prog, err := filter.CompileInterpreted(src, filter.BaseEthernet)
+					if err != nil {
+						return err
+					}
+					guard = prog.Guard()
+				} else {
+					f, err := filter.Parse(src, filter.BaseEthernet)
+					if err != nil {
+						return err
+					}
+					guard = f.Guard()
 				}
-				guard = prog.Guard()
-			} else {
-				f, err := filter.Parse(src, filter.BaseEthernet)
-				if err != nil {
-					return 0, err
+				if _, err := server.Ether.InstallRecv(guard,
+					event.Ephemeral("filter-sink", func(t *sim.Task, m *mbuf.Mbuf) { m.Free() }), 0); err != nil {
+					return err
 				}
-				guard = f.Guard()
 			}
-			if _, err := server.Ether.InstallRecv(guard,
-				event.Ephemeral("filter-sink", func(t *sim.Task, m *mbuf.Mbuf) { m.Free() }), 0); err != nil {
-				return 0, err
-			}
-		}
-		var echo *plexus.UDPApp
-		echo, err = server.OpenUDP(plexus.UDPAppOptions{Port: 7}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			_ = echo.Send(t, src, srcPort, data)
+			return nil
 		})
-		if err != nil {
-			return 0, err
-		}
-		var sentAt, gotAt sim.Time
-		capp, err := client.OpenUDP(plexus.UDPAppOptions{}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			gotAt = t.Now()
-		})
-		if err != nil {
-			return 0, err
-		}
-		client.Spawn("client", func(t *sim.Task) {
-			sentAt = t.Now()
-			_ = capp.Send(t, server.Addr(), 7, make([]byte, 8))
-		})
-		n.Sim.RunUntil(10 * sim.Second)
-		if gotAt == 0 {
-			return 0, fmt.Errorf("bench: no echo with %d filters", extra)
-		}
-		return gotAt - sentAt, nil
-	}
-	results, err := RunCells([]bool{false, true}, run)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("filter backend with %d filters: %w", extra, err)
 	}
 	return []AblationRow{
 		{Name: fmt.Sprintf("filter-backend/native×%d", extra), Value: results[0], Note: "compiled guards (typesafe extension)"},
@@ -237,35 +196,10 @@ func FilterBackendAblation(extra int) ([]AblationRow, error) {
 // layer processing (paper §5.1: the client "is a good candidate for the
 // integrated layer processing optimizations suggested by Clark").
 func ILPAblation(streams int) ([]AblationRow, error) {
-	measure := func(ilp bool) (float64, error) {
-		n, err := plexus.NewNetwork(1, netdev.DECT3Model(), []plexus.HostSpec{
-			hostSpec("server", SysPlexusInterrupt),
-			{Name: "client", Personality: osmodel.SPIN},
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer recordEvents(n.Sim)
-		n.PrimeARP()
-		sv, cl := n.Hosts[0], n.Hosts[1]
-		srv, err := video.NewServer(sv, video.ServerConfig{})
-		if err != nil {
-			return 0, err
-		}
-		client, err := video.NewClient(cl, video.DefaultPort)
-		if err != nil {
-			return 0, err
-		}
-		client.ILP = ilp
-		for i := 0; i < streams; i++ {
-			srv.AddStream(view.IP4{224, 0, 1, byte(i + 1)})
-		}
-		cl.Host.CPU.MarkUtilization()
-		srv.Run(1 * sim.Second)
-		n.Sim.RunUntil(1 * sim.Second)
-		return cl.Host.CPU.Utilization(), nil
-	}
-	results, err := RunCells([]bool{false, true}, measure)
+	results, err := RunCells([]bool{false, true}, func(ilp bool) (float64, error) {
+		_, client, _, err := videoRun(SysPlexusInterrupt, streams, ilp, sim.Second)
+		return client, err
+	})
 	if err != nil {
 		return nil, err
 	}

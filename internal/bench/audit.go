@@ -7,45 +7,49 @@ import (
 	"plexus/internal/plexus"
 )
 
-// auditPair is the RFC 793 conformance checkers riding along on a rig's two
-// hosts. Every robustness cell runs with one attached: the sweep's
-// acceptance bar is zero illegal transitions, not merely surviving goodput,
-// so a cell whose storm pushes a TCB across a forbidden edge fails the
-// whole experiment rather than quietly producing a row.
-type auditPair struct {
-	client, server *audit.Checker
+// auditSet is the RFC 793 conformance checkers riding along on a rig's
+// hosts, one per host. Every robustness cell runs with one attached: the
+// sweep's acceptance bar is zero illegal transitions, not merely surviving
+// goodput, so a cell whose storm pushes a TCB across a forbidden edge fails
+// the whole experiment rather than quietly producing a row.
+type auditSet []*audit.Checker
+
+// attachAudit installs a conformance checker on every host.
+func attachAudit(hosts ...*plexus.Stack) auditSet {
+	set := make(auditSet, len(hosts))
+	for i, h := range hosts {
+		set[i] = audit.NewChecker(nil)
+		h.TCP.SetAuditSink(set[i])
+	}
+	return set
 }
 
-// attachAudit installs a conformance checker on both hosts of a rig.
-func attachAudit(client, server *plexus.Stack) auditPair {
-	p := auditPair{client: audit.NewChecker(nil), server: audit.NewChecker(nil)}
-	client.TCP.SetAuditSink(p.client)
-	server.TCP.SetAuditSink(p.server)
-	return p
+// transitions returns the total state transitions observed on all hosts.
+func (set auditSet) transitions() uint64 {
+	var n uint64
+	for _, c := range set {
+		n += c.Events()
+	}
+	return n
 }
 
-// transitions returns the total state transitions observed on both hosts.
-func (p auditPair) transitions() uint64 {
-	return p.client.Events() + p.server.Events()
-}
-
-// violations returns the total illegal transitions observed on both hosts.
-func (p auditPair) violations() uint64 {
-	return p.client.ViolationCount() + p.server.ViolationCount()
+// violations returns the total illegal transitions observed on all hosts.
+func (set auditSet) violations() uint64 {
+	var n uint64
+	for _, c := range set {
+		n += c.ViolationCount()
+	}
+	return n
 }
 
 // check returns an error naming the first retained violation, or nil.
-func (p auditPair) check() error {
-	if p.violations() == 0 {
-		return nil
+func (set auditSet) check() error {
+	for i, c := range set {
+		if vs := c.Violations(); len(vs) > 0 {
+			v := vs[0]
+			return fmt.Errorf("bench: %d illegal TCP transitions (first on host %d at %v, %v->%v: %s)",
+				set.violations(), i, v.Event.At, v.Event.Old, v.Event.New, v.Reason)
+		}
 	}
-	vs := p.client.Violations()
-	host := "client"
-	if len(vs) == 0 {
-		vs = p.server.Violations()
-		host = "server"
-	}
-	v := vs[0]
-	return fmt.Errorf("bench: %d illegal TCP transitions (first on %s at %v, %v->%v: %s)",
-		p.violations(), host, v.Event.At, v.Event.Old, v.Event.New, v.Reason)
+	return nil
 }

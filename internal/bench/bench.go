@@ -47,6 +47,101 @@ func hostSpec(name string, sys System) plexus.HostSpec {
 	}
 }
 
+// twoHosts is the paper's two-machine testbed with both hosts running sys.
+func twoHosts(model netdev.Model, sys System) (*plexus.Network, *plexus.Stack, *plexus.Stack, error) {
+	return plexus.TwoHosts(1, model, hostSpec("client", sys), hostSpec("server", sys))
+}
+
+// mean is the average of samples.
+func mean(samples []sim.Time) sim.Time {
+	var total sim.Time
+	for _, r := range samples {
+		total += r
+	}
+	return total / sim.Time(len(samples))
+}
+
+// postWarmup pairs the send and receive times of a ping-pong into the rounds
+// round trips that follow the first (warm-up) one.
+func postWarmup(starts, ends []sim.Time, rounds int) ([]sim.Time, error) {
+	if len(ends) < rounds+1 {
+		return nil, fmt.Errorf("bench: only %d rounds completed", len(ends))
+	}
+	rtts := make([]sim.Time, rounds)
+	for i := 1; i <= rounds; i++ {
+		rtts[i-1] = ends[i] - starts[i]
+	}
+	return rtts, nil
+}
+
+// bulkRx is what a bulk-transfer receiver got, and when.
+type bulkRx struct {
+	got         int
+	first, last sim.Time
+}
+
+// mbps is the receiver-observed goodput over the delivery window.
+func (rx *bulkRx) mbps() float64 {
+	if rx.got == 0 || rx.last <= rx.first {
+		return 0
+	}
+	return float64(rx.got) * 8 / (rx.last - rx.first).Seconds() / 1e6
+}
+
+// startBulk listens on server port 5001 and spawns a client that connects,
+// sends size bytes and closes; the receiver tallies what arrives.
+func startBulk(client, server *plexus.Stack, size int) (*bulkRx, error) {
+	rx := &bulkRx{}
+	_, err := server.ListenTCP(5001, plexus.TCPAppOptions{
+		OnRecv: func(t *sim.Task, conn *plexus.TCPApp, data []byte) {
+			if rx.got == 0 {
+				rx.first = t.Now()
+			}
+			rx.got += len(data)
+			rx.last = t.Now()
+		},
+		OnPeerFin: func(t *sim.Task, conn *plexus.TCPApp) { conn.Close(t) },
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	msg := make([]byte, size)
+	client.Spawn("sender", func(t *sim.Task) {
+		_, _ = client.ConnectTCP(t, server.Addr(), 5001, plexus.TCPAppOptions{
+			OnEstablished: func(t2 *sim.Task, conn *plexus.TCPApp) {
+				_ = conn.Send(t2, msg)
+				conn.Close(t2)
+			},
+		})
+	})
+	return rx, nil
+}
+
+// serveHTTP answers every request on server port 80 with a 1KB page.
+func serveHTTP(server *plexus.Stack) error {
+	_, err := httpx.Serve(server, 80, func(t *sim.Task, req *httpx.Request) httpx.Response {
+		return httpx.Response{Status: 200, Body: make([]byte, 1024)}
+	})
+	return err
+}
+
+// getsAt spawns n GETs of the server's page from client, the i'th at
+// first + i·gap, and tallies those that complete with 200.
+func getsAt(client, server *plexus.Stack, n int, first, gap sim.Time) *tally {
+	done := &tally{}
+	for i := 0; i < n; i++ {
+		client.SpawnAt(first+sim.Time(i)*gap, "get", func(t *sim.Task) {
+			_ = httpx.Get(t, client, server.Addr(), 80, "/", func(t2 *sim.Task, r httpx.Result, err error) {
+				if err == nil && r.Status == 200 {
+					done.ops++
+					done.rtts = append(done.rtts, r.Latency)
+				}
+			})
+		})
+	}
+	return done
+}
+
 // ---------------------------------------------------------------------------
 // Figure 5: UDP round-trip latency for small (8-byte) packets.
 
@@ -69,11 +164,7 @@ func UDPEchoRTT(model netdev.Model, sys System, payload, rounds int) (sim.Time, 
 	if err != nil {
 		return 0, err
 	}
-	var total sim.Time
-	for _, r := range rtts {
-		total += r
-	}
-	return total / sim.Time(rounds), nil
+	return mean(rtts), nil
 }
 
 // driverEchoRTTs measures round trips with a raw echo handler installed
@@ -81,8 +172,7 @@ func UDPEchoRTT(model netdev.Model, sys System, payload, rounds int) (sim.Time, 
 // round trip time ... as measured between the device drivers" — returning
 // every post-warm-up sample.
 func driverEchoRTTs(model netdev.Model, payload, rounds int) ([]sim.Time, error) {
-	n, client, server, err := plexus.TwoHosts(1, model,
-		hostSpec("client", SysDriverMin), hostSpec("server", SysDriverMin))
+	n, client, server, err := twoHosts(model, SysDriverMin)
 	if err != nil {
 		return nil, err
 	}
@@ -125,14 +215,7 @@ func driverEchoRTTs(model netdev.Model, payload, rounds int) ([]sim.Time, error)
 	}
 	client.Spawn("client", send)
 	n.Sim.RunUntil(60 * sim.Second)
-	if len(ends) < rounds+1 {
-		return nil, fmt.Errorf("bench: only %d raw rounds completed", len(ends))
-	}
-	rtts := make([]sim.Time, rounds)
-	for i := 1; i <= rounds; i++ {
-		rtts[i-1] = ends[i] - starts[i]
-	}
-	return rtts, nil
+	return postWarmup(starts, ends, rounds)
 }
 
 // DriverEchoRTT is driverEchoRTTs reduced to its mean.
@@ -141,11 +224,7 @@ func DriverEchoRTT(model netdev.Model, payload, rounds int) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	var total sim.Time
-	for _, r := range rtts {
-		total += r
-	}
-	return total / sim.Time(rounds), nil
+	return mean(rtts), nil
 }
 
 // Fig5 regenerates Figure 5 (and the §1/§4.1 headline numbers). fastDriver
@@ -205,41 +284,20 @@ type TputRow struct {
 
 // TCPThroughput measures a one-way bulk transfer of size bytes.
 func TCPThroughput(model netdev.Model, sys System, size int) (float64, error) {
-	n, client, server, err := plexus.TwoHosts(1, model, hostSpec("client", sys), hostSpec("server", sys))
+	n, client, server, err := twoHosts(model, sys)
 	if err != nil {
 		return 0, err
 	}
 	defer recordEvents(n.Sim)
-	var got int
-	var first, last sim.Time
-	_, err = server.ListenTCP(5001, plexus.TCPAppOptions{
-		OnRecv: func(t *sim.Task, conn *plexus.TCPApp, data []byte) {
-			if got == 0 {
-				first = t.Now()
-			}
-			got += len(data)
-			last = t.Now()
-		},
-		OnPeerFin: func(t *sim.Task, conn *plexus.TCPApp) { conn.Close(t) },
-	}, nil)
+	rx, err := startBulk(client, server, size)
 	if err != nil {
 		return 0, err
 	}
-	msg := make([]byte, size)
-	client.Spawn("sender", func(t *sim.Task) {
-		_, _ = client.ConnectTCP(t, server.Addr(), 5001, plexus.TCPAppOptions{
-			OnEstablished: func(t2 *sim.Task, conn *plexus.TCPApp) {
-				_ = conn.Send(t2, msg)
-				conn.Close(t2)
-			},
-		})
-	})
 	n.Sim.RunUntil(10 * 60 * sim.Second)
-	if got != size || last <= first {
-		return 0, fmt.Errorf("bench: transfer incomplete: %d/%d bytes", got, size)
+	if rx.got != size || rx.last <= rx.first {
+		return 0, fmt.Errorf("bench: transfer incomplete: %d/%d bytes", rx.got, size)
 	}
-	elapsed := last - first
-	return float64(got) * 8 / elapsed.Seconds() / 1e6, nil
+	return rx.mbps(), nil
 }
 
 // Throughput regenerates the §4.2 numbers: TCP on Ethernet and ATM for both
@@ -277,35 +335,37 @@ type Fig6Row struct {
 	GoodputMbps float64
 }
 
-// videoUtilization runs the Figure 6 workload on a T3 for one configuration.
-func videoUtilization(sys System, streams int, duration sim.Time) (util float64, goodput float64, err error) {
+// videoRun serves streams multicast video streams from a sys server to one
+// SPIN client over a T3 for duration. It returns the server's and the
+// client's CPU utilization over the run and the client's goodput in Mb/s;
+// ilp turns on the client's integrated layer processing.
+func videoRun(sys System, streams int, ilp bool, duration sim.Time) (server, client, goodput float64, err error) {
 	n, err := plexus.NewNetwork(1, netdev.DECT3Model(), []plexus.HostSpec{
 		hostSpec("server", sys),
 		{Name: "client", Personality: osmodel.SPIN},
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer recordEvents(n.Sim)
 	n.PrimeARP()
 	sv, cl := n.Hosts[0], n.Hosts[1]
 	srv, err := video.NewServer(sv, video.ServerConfig{})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	client, err := video.NewClient(cl, video.DefaultPort)
+	vc, err := video.NewClient(cl, video.DefaultPort)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
+	vc.ILP = ilp
 	for i := 0; i < streams; i++ {
 		srv.AddStream(view.IP4{224, 0, 1, byte(i + 1)})
 	}
-	sv.Host.CPU.MarkUtilization()
 	srv.Run(duration)
 	n.Sim.RunUntil(duration)
-	util = sv.Host.CPU.Utilization()
-	goodput = float64(client.Stats().BytesDisplayed) * 8 / duration.Seconds() / 1e6
-	return util, goodput, nil
+	goodput = float64(vc.Stats().BytesDisplayed) * 8 / duration.Seconds() / 1e6
+	return sv.Host.CPU.Utilization(), cl.Host.CPU.Utilization(), goodput, nil
 }
 
 // Fig6 regenerates Figure 6 for the given stream counts. Each (streams,
@@ -329,7 +389,7 @@ func Fig6(streamCounts []int) ([]Fig6Row, error) {
 		}
 	}
 	results, err := RunCells(cells, func(c cell) (result, error) {
-		u, gp, err := videoUtilization(c.sys, c.streams, duration)
+		u, _, gp, err := videoRun(c.sys, c.streams, false, duration)
 		if err != nil {
 			return result{}, fmt.Errorf("fig6 %s/%d: %w", c.sys, c.streams, err)
 		}
@@ -473,30 +533,15 @@ func HTTPLatency(sys System, n int) (sim.Time, error) {
 		return 0, err
 	}
 	defer recordEvents(net.Sim)
-	_, err = httpx.Serve(server, 80, func(t *sim.Task, req *httpx.Request) httpx.Response {
-		return httpx.Response{Status: 200, Body: make([]byte, 1024)}
-	})
-	if err != nil {
+	if err := serveHTTP(server); err != nil {
 		return 0, err
 	}
-	var total sim.Time
-	var done int
-	for i := 0; i < n; i++ {
-		at := sim.Time(i) * 20 * sim.Millisecond
-		client.SpawnAt(at, "get", func(t *sim.Task) {
-			_ = httpx.Get(t, client, server.Addr(), 80, "/", func(t2 *sim.Task, r httpx.Result, err error) {
-				if err == nil && r.Status == 200 {
-					total += r.Latency
-					done++
-				}
-			})
-		})
-	}
+	gets := getsAt(client, server, n, 0, 20*sim.Millisecond)
 	net.Sim.RunUntil(10 * 60 * sim.Second)
-	if done != n {
-		return 0, fmt.Errorf("bench: %d of %d HTTP requests completed", done, n)
+	if len(gets.rtts) != n {
+		return 0, fmt.Errorf("bench: %d of %d HTTP requests completed", len(gets.rtts), n)
 	}
-	return total / sim.Time(n), nil
+	return mean(gets.rtts), nil
 }
 
 // HTTP regenerates the concluding-demo comparison.

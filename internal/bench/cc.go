@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"plexus/internal/audit"
 	"plexus/internal/fault"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
@@ -188,15 +187,11 @@ func snapStats(flows *[2]ccFlow) [2]ccConnStats {
 	return out
 }
 
-// runCC runs one fairness cell: two clients each offer size bytes (more than
-// the wire can move inside the horizon, so neither sender runs dry) to the
-// server through the shared switch, flow B starting 5ms after flow A so the
-// cell measures convergence to fairness rather than lockstep symmetry.
-func runCC(c ccCell, size int) (CCRow, error) {
-	row, _, err := runCCInner(c, size)
-	return row, err
-}
-
+// runCCInner runs one fairness cell: two clients each offer size bytes (more
+// than the wire can move inside the horizon, so neither sender runs dry) to
+// the server through the shared switch, flow B starting 5ms after flow A so
+// the cell measures convergence to fairness rather than lockstep symmetry.
+// Beside the row it returns both senders' connection counters.
 func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 	winEnd := ccWindowEnd(c.bwMbps)
 	model := ccModel(c.bwMbps, c.prop)
@@ -232,11 +227,7 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 	seg := top.Segments[0]
 	fa, fb, srv := seg.Hosts[0], seg.Hosts[1], seg.Hosts[2]
 
-	checkers := make([]*audit.Checker, 3)
-	for i, h := range []*plexus.Stack{fa, fb, srv} {
-		checkers[i] = audit.NewChecker(nil)
-		h.TCP.SetAuditSink(checkers[i])
-	}
+	aud := attachAudit(fa, fb, srv)
 
 	// One injector per cable: the drop hook runs on the host-transmit side
 	// of a wire, so the clients' cables lose data frames and the server's
@@ -315,12 +306,8 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 
 	top.Sim.RunUntil(ccHorizon(c.bwMbps))
 
-	for i, ck := range checkers {
-		if n := ck.ViolationCount(); n > 0 {
-			v := ck.Violations()[0]
-			return CCRow{}, [2]ccConnStats{}, fmt.Errorf("bench: cc cell host %d: %d illegal TCP transitions (first at %v, %v->%v: %s)",
-				i, n, v.Event.At, v.Event.Old, v.Event.New, v.Reason)
-		}
+	if err := aud.check(); err != nil {
+		return CCRow{}, [2]ccConnStats{}, err
 	}
 	if flows[0].gotTotal == 0 || flows[1].gotTotal == 0 {
 		return CCRow{}, [2]ccConnStats{}, fmt.Errorf("bench: cc flow stalled: A %d B %d bytes delivered",
@@ -345,10 +332,6 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 		}
 		return float64(st.Retransmits) / float64(st.SegsSent)
 	}
-	var transitions uint64
-	for _, ck := range checkers {
-		transitions += ck.Events()
-	}
 	row := CCRow{
 		GoodputA:         goodput(&flows[0]),
 		GoodputB:         goodput(&flows[1]),
@@ -358,7 +341,7 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 		QueuePeak:        peak,
 		QueueCap:         seg.Switch.QueueCap(),
 		PortDrops:        port.Stats().Drops,
-		AuditTransitions: transitions,
+		AuditTransitions: aud.transitions(),
 	}
 	for _, in := range injs {
 		row.FaultLost += in.Stats().Lost
@@ -384,7 +367,7 @@ func runCCCell(c ccCell) (CCRow, error) {
 	var agg CCRow
 	for seed := int64(1); seed <= ccSeeds; seed++ {
 		c.seed = seed
-		row, err := runCC(c, ccOfferedBytes(c.bwMbps))
+		row, _, err := runCCInner(c, ccOfferedBytes(c.bwMbps))
 		if err != nil {
 			return CCRow{}, fmt.Errorf("cc %s/%s %dMbps %v %.0f%% seed %d: %w",
 				c.algoA, c.algoB, c.bwMbps, c.prop, 100*c.loss, seed, err)

@@ -191,35 +191,22 @@ func fabricCell(rate, pool int, duration sim.Time) (FabricRow, error) {
 	}
 
 	interval := sim.Second / sim.Time(rate)
-	var pcs []*pacedClient
+	var ts []*tally
 	for ci, cl := range top.Segments[0].Hosts {
-		pc := &pacedClient{st: cl, server: fabricVIP, interval: interval, duration: duration,
-			msg: make([]byte, fabricEchoPayload)}
-		pc.app, err = cl.OpenUDP(plexus.UDPAppOptions{}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			pc.onReply(t, data)
-		})
+		// Stagger starts across the interval so offered load is smooth.
+		offset := interval * sim.Time(ci) / sim.Time(fabricClients)
+		pc, err := startPaced(cl, fabricVIP, fabricEchoPayload, interval, offset, duration)
 		if err != nil {
 			return FabricRow{}, err
 		}
-		pcs = append(pcs, pc)
-		// Stagger starts across the interval so offered load is smooth.
-		offset := interval * sim.Time(ci) / sim.Time(fabricClients)
-		cl.Host.Sim.AtArg(offset, "paced-tick", pacedTick, pc)
+		ts = append(ts, &pc.tally)
 	}
 
 	top.Sim.RunUntil(duration)
 
-	row := FabricRow{Rate: rate, PoolSize: pool, Clients: fabricClients}
-	var rtts []sim.Time
-	for _, pc := range pcs {
-		row.Ops += pc.ops
-		row.Retries += pc.retries
-		row.GoodputMbps += float64(pc.bytes)
-		rtts = append(rtts, pc.rtts...)
-	}
-	row.GoodputMbps = row.GoodputMbps * 8 / duration.Seconds() / 1e6
-	s := summarize(rtts)
-	row.P50, row.P99 = s.P50, s.P99
+	all, rtt := fold(ts)
+	row := FabricRow{Rate: rate, PoolSize: pool, Clients: fabricClients,
+		Ops: all.ops, Retries: all.retries, GoodputMbps: all.mbps(duration), P50: rtt.P50, P99: rtt.P99}
 
 	hits := lb.Hits()
 	var total, max uint64

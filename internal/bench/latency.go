@@ -24,18 +24,13 @@ import (
 // includes the mbuf gauge). rec, when non-nil, is installed as the cell
 // simulator's metrics sink before any traffic flows.
 func udpEchoRTTs(model netdev.Model, sys System, payload, rounds int, rec sim.Metrics) ([]sim.Time, event.Health, error) {
-	n, client, server, err := plexus.TwoHosts(1, model, hostSpec("client", sys), hostSpec("server", sys))
+	n, client, server, err := twoHosts(model, sys)
 	if err != nil {
 		return nil, event.Health{}, err
 	}
 	n.Sim.SetMetrics(rec)
 	defer recordEvents(n.Sim)
-	var echo *plexus.UDPApp
-	echo, err = server.OpenUDP(plexus.UDPAppOptions{Port: 7}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-		t.Charge(server.Host.Costs.AppHandler)
-		_ = echo.Send(t, src, srcPort, data)
-	})
-	if err != nil {
+	if err := startEchoServer(server); err != nil {
 		return nil, event.Health{}, err
 	}
 	msg := make([]byte, payload)
@@ -57,14 +52,8 @@ func udpEchoRTTs(model netdev.Model, sys System, payload, rounds int, rec sim.Me
 		_ = capp.Send(t, server.Addr(), 7, msg)
 	})
 	n.Sim.RunUntil(60 * sim.Second)
-	if len(ends) < rounds+1 {
-		return nil, event.Health{}, fmt.Errorf("bench: only %d echo rounds completed", len(ends))
-	}
-	rtts := make([]sim.Time, rounds)
-	for i := 1; i <= rounds; i++ { // skip warm-up
-		rtts[i-1] = ends[i] - starts[i]
-	}
-	return rtts, server.Host.Disp.Health(), nil
+	rtts, err := postWarmup(starts, ends, rounds)
+	return rtts, server.Host.Disp.Health(), err
 }
 
 // rttSummary reduces round-trip samples through a fixed-bucket histogram to

@@ -6,7 +6,6 @@ import (
 
 	"plexus/internal/event"
 	"plexus/internal/fault"
-	"plexus/internal/httpx"
 	"plexus/internal/netdev"
 	"plexus/internal/plexus"
 	"plexus/internal/seqpkt"
@@ -87,192 +86,157 @@ func lossModel(pattern string, rate float64) fault.DropModel {
 	return fault.Bernoulli{P: rate}
 }
 
-// lossRig is a faulted two-host network: host 0 is the client/sender,
-// host 1 the server/receiver.
-func lossRig(sys System, pattern string, rate float64) (*plexus.Network, *plexus.Stack, *plexus.Stack, *fault.Injector, error) {
-	n, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
-		hostSpec("client", sys), hostSpec("server", sys))
+// The legitimate flows the loss and rogue sweeps offer.
+const (
+	flowBulkBytes = 128 << 10 // one-way TCP transfer
+	flowSPPMsgs   = 50        // SPP messages, 300B each, one per 20ms
+	flowSPPSize   = 300
+	flowGets      = 40 // HTTP GETs of a 1KB page, one per 25ms
+)
+
+// flowOutcome is what a flow delivered: the completed fraction of its offered
+// load (bytes, messages or requests), the bulk receiver's goodput, and the
+// message or request latencies.
+type flowOutcome struct {
+	pct  float64
+	mbps float64
+	lats []sim.Time
+}
+
+// runFlow offers workload wl from client to server and runs the network to
+// the workload's horizon. TCP is reliable, so a bulk transfer short of 100%
+// within the (generous) horizon means recovery stalled — itself a result.
+// SPP retransmits on a fixed 500ms timer and abandons after its cap, so loss
+// shows up as a latency tail first and as missing messages only under
+// sustained loss; likewise loss stretches the HTTP tail long before it moves
+// the median.
+func runFlow(n *plexus.Network, client, server *plexus.Stack, wl string) (flowOutcome, error) {
+	switch wl {
+	case WorkloadTCPBulk:
+		rx, err := startBulk(client, server, flowBulkBytes)
+		if err != nil {
+			return flowOutcome{}, err
+		}
+		n.Sim.RunUntil(10 * 60 * sim.Second)
+		return flowOutcome{pct: 100 * float64(rx.got) / flowBulkBytes, mbps: rx.mbps()}, nil
+	case WorkloadSPPStream:
+		sp, err := startSPP(client, server)
+		if err != nil {
+			return flowOutcome{}, err
+		}
+		n.Sim.RunUntil(5 * 60 * sim.Second)
+		return flowOutcome{pct: 100 * float64(sp.rx.Stats().Delivered) / flowSPPMsgs, lats: sp.lats}, nil
+	default:
+		if err := serveHTTP(server); err != nil {
+			return flowOutcome{}, err
+		}
+		gets := getsAt(client, server, flowGets, 25*sim.Millisecond, 25*sim.Millisecond)
+		n.Sim.RunUntil(10 * 60 * sim.Second)
+		return flowOutcome{pct: 100 * float64(len(gets.rtts)) / flowGets, lats: gets.rtts}, nil
+	}
+}
+
+// installSPP loads the sequenced-packet protocol on st as an extension.
+func installSPP(st *plexus.Stack) (*seqpkt.Manager, error) {
+	return seqpkt.Install(seqpkt.Config{
+		Sim:              st.Host.Sim,
+		IP:               st.IP,
+		Disp:             st.Host.Disp,
+		Raise:            st.Raiser(),
+		CPU:              st.Host.CPU,
+		Pool:             st.Host.Pool,
+		Costs:            st.Host.Costs,
+		RequireEphemeral: st.InterruptMode(),
+	})
+}
+
+// sppStream is an SPP message stream from client port 41 to server port 40
+// with each message's send→deliver latency.
+type sppStream struct {
+	rx     *seqpkt.Endpoint
+	sentAt map[uint32]sim.Time
+	lats   []sim.Time
+}
+
+// startSPP installs SPP on both hosts and schedules the flow's messages.
+func startSPP(client, server *plexus.Stack) (*sppStream, error) {
+	mc, err := installSPP(client)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
+	}
+	ms, err := installSPP(server)
+	if err != nil {
+		return nil, err
+	}
+	sp := &sppStream{sentAt: make(map[uint32]sim.Time, flowSPPMsgs)}
+	sp.rx, err = ms.Open(40, func(t *sim.Task, seq uint32, data []byte, src view.IP4, srcPort uint16) {
+		if at, ok := sp.sentAt[seq]; ok {
+			sp.lats = append(sp.lats, t.Now()-at)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	tx, err := mc.Open(41, nil)
+	if err != nil {
+		return nil, err
+	}
+	payload := make([]byte, flowSPPSize)
+	for i := 0; i < flowSPPMsgs; i++ {
+		client.SpawnAt(sim.Time(i+1)*20*sim.Millisecond, "spp-sender", func(t *sim.Task) {
+			seq, err := tx.Send(t, server.Addr(), 40, payload)
+			if err == nil {
+				sp.sentAt[seq] = t.Now()
+			}
+		})
+	}
+	return sp, nil
+}
+
+// tail returns the median and 99th percentile of lats, sorting it in place.
+func tail(lats []sim.Time) (p50, p99 sim.Time) {
+	if len(lats) == 0 {
+		return 0, 0
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return lats[len(lats)/2], lats[min(len(lats)-1, len(lats)*99/100)]
+}
+
+// lossCell runs workload wl on a two-host Ethernet whose link drops frames
+// per (pattern, rate), with the RFC 793 checkers on both hosts: host 0 is
+// the client/sender, host 1 the server/receiver.
+func lossCell(sys System, pattern string, rate float64, wl string) (LossRow, error) {
+	n, client, server, err := twoHosts(netdev.EthernetModel(), sys)
+	if err != nil {
+		return LossRow{}, err
 	}
 	in := fault.Attach(n.Sim, n.Link)
 	if rate > 0 {
 		in.Lose(lossModel(pattern, rate))
 	}
-	return n, client, server, in, nil
-}
-
-// lossTCPBulk pushes size bytes through one TCP connection under loss and
-// reports goodput over the delivered window plus the delivered fraction.
-// TCP is reliable, so anything short of 100% within the (generous) horizon
-// indicates recovery has stalled — itself a result.
-func lossTCPBulk(sys System, pattern string, rate float64, size int) (LossRow, error) {
-	n, client, server, in, err := lossRig(sys, pattern, rate)
-	if err != nil {
-		return LossRow{}, err
-	}
 	aud := attachAudit(client, server)
 	defer recordEvents(n.Sim)
-	var got int
-	var first, last sim.Time
-	_, err = server.ListenTCP(5001, plexus.TCPAppOptions{
-		OnRecv: func(t *sim.Task, conn *plexus.TCPApp, data []byte) {
-			if got == 0 {
-				first = t.Now()
-			}
-			got += len(data)
-			last = t.Now()
-		},
-		OnPeerFin: func(t *sim.Task, conn *plexus.TCPApp) { conn.Close(t) },
-	}, nil)
+	f, err := runFlow(n, client, server, wl)
 	if err != nil {
 		return LossRow{}, err
 	}
-	msg := make([]byte, size)
-	client.Spawn("sender", func(t *sim.Task) {
-		_, _ = client.ConnectTCP(t, server.Addr(), 5001, plexus.TCPAppOptions{
-			OnEstablished: func(t2 *sim.Task, conn *plexus.TCPApp) {
-				_ = conn.Send(t2, msg)
-				conn.Close(t2)
-			},
-		})
-	})
-	n.Sim.RunUntil(10 * 60 * sim.Second)
 	if err := aud.check(); err != nil {
 		return LossRow{}, err
 	}
 	row := LossRow{
-		DeliveredPct:     100 * float64(got) / float64(size),
+		Pattern:          pattern,
+		RatePct:          100 * rate,
+		System:           sys,
+		Workload:         wl,
+		GoodputMbps:      f.mbps,
+		DeliveredPct:     f.pct,
 		Fault:            in.Stats(),
 		LinkDropped:      n.Link.Dropped(),
 		AuditTransitions: aud.transitions(),
 		AuditViolations:  aud.violations(),
 		TCP:              tcpGauge(client, server),
 	}
-	if got > 0 && last > first {
-		row.GoodputMbps = float64(got) * 8 / (last - first).Seconds() / 1e6
-	}
-	return row, nil
-}
-
-// lossSPPStream sends msgs fixed-size SPP messages at a 20ms cadence and
-// reports the delivered fraction plus send→deliver latency percentiles.
-// SPP retransmits on a fixed 500ms timer and abandons after its cap, so
-// loss shows up as a latency tail first and as missing messages only under
-// sustained loss.
-func lossSPPStream(sys System, pattern string, rate float64, msgs, msgSize int) (LossRow, error) {
-	n, client, server, in, err := lossRig(sys, pattern, rate)
-	if err != nil {
-		return LossRow{}, err
-	}
-	aud := attachAudit(client, server)
-	defer recordEvents(n.Sim)
-	install := func(st *plexus.Stack) (*seqpkt.Manager, error) {
-		return seqpkt.Install(seqpkt.Config{
-			Sim:              st.Host.Sim,
-			IP:               st.IP,
-			Disp:             st.Host.Disp,
-			Raise:            st.Raiser(),
-			CPU:              st.Host.CPU,
-			Pool:             st.Host.Pool,
-			Costs:            st.Host.Costs,
-			RequireEphemeral: st.InterruptMode(),
-		})
-	}
-	mc, err := install(client)
-	if err != nil {
-		return LossRow{}, err
-	}
-	ms, err := install(server)
-	if err != nil {
-		return LossRow{}, err
-	}
-	sentAt := make(map[uint32]sim.Time, msgs)
-	var lats []sim.Time
-	rx, err := ms.Open(40, func(t *sim.Task, seq uint32, data []byte, src view.IP4, srcPort uint16) {
-		if at, ok := sentAt[seq]; ok {
-			lats = append(lats, t.Now()-at)
-		}
-	})
-	if err != nil {
-		return LossRow{}, err
-	}
-	tx, err := mc.Open(41, nil)
-	if err != nil {
-		return LossRow{}, err
-	}
-	payload := make([]byte, msgSize)
-	for i := 0; i < msgs; i++ {
-		client.SpawnAt(sim.Time(i+1)*20*sim.Millisecond, "spp-sender", func(t *sim.Task) {
-			seq, err := tx.Send(t, server.Addr(), 40, payload)
-			if err == nil {
-				sentAt[seq] = t.Now()
-			}
-		})
-	}
-	n.Sim.RunUntil(5 * 60 * sim.Second)
-	if err := aud.check(); err != nil {
-		return LossRow{}, err
-	}
-	row := LossRow{
-		DeliveredPct:     100 * float64(rx.Stats().Delivered) / float64(msgs),
-		Fault:            in.Stats(),
-		LinkDropped:      n.Link.Dropped(),
-		AuditTransitions: aud.transitions(),
-		AuditViolations:  aud.violations(),
-		TCP:              tcpGauge(client, server),
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		row.P50 = lats[len(lats)/2]
-		row.P99 = lats[min(len(lats)-1, len(lats)*99/100)]
-	}
-	return row, nil
-}
-
-// lossHTTP issues n GETs at a 25ms cadence and reports completion plus
-// latency percentiles over the requests that finished — loss stretches the
-// tail (p99) long before it moves the median.
-func lossHTTP(sys System, pattern string, rate float64, reqs int) (LossRow, error) {
-	n, client, server, in, err := lossRig(sys, pattern, rate)
-	if err != nil {
-		return LossRow{}, err
-	}
-	aud := attachAudit(client, server)
-	defer recordEvents(n.Sim)
-	_, err = httpx.Serve(server, 80, func(t *sim.Task, req *httpx.Request) httpx.Response {
-		return httpx.Response{Status: 200, Body: make([]byte, 1024)}
-	})
-	if err != nil {
-		return LossRow{}, err
-	}
-	var lats []sim.Time
-	for i := 0; i < reqs; i++ {
-		client.SpawnAt(sim.Time(i+1)*25*sim.Millisecond, "get", func(t *sim.Task) {
-			_ = httpx.Get(t, client, server.Addr(), 80, "/", func(t2 *sim.Task, r httpx.Result, err error) {
-				if err == nil && r.Status == 200 {
-					lats = append(lats, r.Latency)
-				}
-			})
-		})
-	}
-	n.Sim.RunUntil(10 * 60 * sim.Second)
-	if err := aud.check(); err != nil {
-		return LossRow{}, err
-	}
-	row := LossRow{
-		DeliveredPct:     100 * float64(len(lats)) / float64(reqs),
-		Fault:            in.Stats(),
-		LinkDropped:      n.Link.Dropped(),
-		AuditTransitions: aud.transitions(),
-		AuditViolations:  aud.violations(),
-		TCP:              tcpGauge(client, server),
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		row.P50 = lats[len(lats)/2]
-		row.P99 = lats[min(len(lats)-1, len(lats)*99/100)]
-	}
+	row.P50, row.P99 = tail(f.lats)
 	return row, nil
 }
 
@@ -281,12 +245,6 @@ func lossHTTP(sys System, pattern string, rate float64, reqs int) (LossRow, erro
 // out over RunCells — rows are byte-identical at any parallelism. The burst
 // pattern is skipped at rate 0 (identical to random at 0).
 func Loss(rates []float64) ([]LossRow, error) {
-	const (
-		tcpBytes = 128 << 10
-		sppMsgs  = 50
-		sppSize  = 300
-		httpGets = 40
-	)
 	type cell struct {
 		pattern string
 		rate    float64
@@ -307,23 +265,10 @@ func Loss(rates []float64) ([]LossRow, error) {
 		}
 	}
 	return RunCells(cells, func(c cell) (LossRow, error) {
-		var row LossRow
-		var err error
-		switch c.wl {
-		case WorkloadTCPBulk:
-			row, err = lossTCPBulk(c.sys, c.pattern, c.rate, tcpBytes)
-		case WorkloadSPPStream:
-			row, err = lossSPPStream(c.sys, c.pattern, c.rate, sppMsgs, sppSize)
-		default:
-			row, err = lossHTTP(c.sys, c.pattern, c.rate, httpGets)
-		}
+		row, err := lossCell(c.sys, c.pattern, c.rate, c.wl)
 		if err != nil {
 			return LossRow{}, fmt.Errorf("loss %s/%.0f%%/%s/%s: %w", c.pattern, 100*c.rate, c.sys, c.wl, err)
 		}
-		row.Pattern = c.pattern
-		row.RatePct = 100 * c.rate
-		row.System = c.sys
-		row.Workload = c.wl
 		return row, nil
 	})
 }

@@ -6,9 +6,7 @@ import (
 	"plexus/internal/event"
 	"plexus/internal/netdev"
 	"plexus/internal/plexus"
-	"plexus/internal/seqpkt"
 	"plexus/internal/sim"
-	"plexus/internal/view"
 )
 
 // This file implements the `-exp rogue` sandbox experiment: how much a
@@ -59,146 +57,54 @@ func rogueQuarantine() event.QuarantinePolicy {
 	return event.QuarantinePolicy{Threshold: rogueThreshold, GuardBudget: rogueGuardBudget}
 }
 
-// rogueRig is a two-host network with rogues rogue extensions installed on
-// the server, cycling through the archetypes in canonical order.
-func rogueRig(sys System, rogues int) (*plexus.Network, *plexus.Stack, *plexus.Stack, error) {
+// rogueCell runs workload wl on a two-host Ethernet with rogues misbehaving
+// extensions installed on the server, cycling through the archetypes in
+// canonical order, and reports the flow's outcome — under 100% delivered
+// means the sandbox failed to protect the flow within the horizon — plus
+// the server dispatcher's fault counters.
+func rogueCell(sys System, rogues int, wl string) (RogueRow, error) {
 	ca, sa := hostSpec("client", sys), hostSpec("server", sys)
 	ca.Quarantine, sa.Quarantine = rogueQuarantine(), rogueQuarantine()
 	n, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(), ca, sa)
 	if err != nil {
-		return nil, nil, nil, err
+		return RogueRow{}, err
 	}
 	kinds := plexus.RogueKinds()
 	for i := 0; i < rogues; i++ {
 		if _, err := server.InstallExtension(plexus.RogueExtension(kinds[i%len(kinds)], i)); err != nil {
-			return nil, nil, nil, fmt.Errorf("install rogue %d: %w", i, err)
+			return RogueRow{}, fmt.Errorf("install rogue %d: %w", i, err)
 		}
 	}
-	return n, client, server, nil
-}
-
-// health copies the server dispatcher's fault counters into the row.
-func (r *RogueRow) health(server *plexus.Stack) {
+	aud := attachAudit(client, server)
+	defer recordEvents(n.Sim)
+	f, err := runFlow(n, client, server, wl)
+	if err != nil {
+		return RogueRow{}, err
+	}
+	if err := aud.check(); err != nil {
+		return RogueRow{}, err
+	}
 	h := server.Host.Disp.Health()
-	r.Quarantined = h.Quarantined
-	r.Panics = h.Panics
-	r.GuardPanics = h.GuardPanics
-	r.Terminations = h.Terminations
-	r.GuardOverruns = h.GuardOverruns
-}
-
-// rogueTCPBulk pushes size bytes through one TCP connection while the
-// rogues misbehave on the receive path and reports goodput plus the
-// delivered fraction — TCP is reliable, so under 100% means the sandbox
-// failed to protect the flow within the horizon.
-func rogueTCPBulk(sys System, rogues, size int) (RogueRow, error) {
-	n, client, server, err := rogueRig(sys, rogues)
-	if err != nil {
-		return RogueRow{}, err
-	}
-	aud := attachAudit(client, server)
-	defer recordEvents(n.Sim)
-	var got int
-	var first, last sim.Time
-	_, err = server.ListenTCP(5001, plexus.TCPAppOptions{
-		OnRecv: func(t *sim.Task, conn *plexus.TCPApp, data []byte) {
-			if got == 0 {
-				first = t.Now()
-			}
-			got += len(data)
-			last = t.Now()
-		},
-		OnPeerFin: func(t *sim.Task, conn *plexus.TCPApp) { conn.Close(t) },
-	}, nil)
-	if err != nil {
-		return RogueRow{}, err
-	}
-	msg := make([]byte, size)
-	client.Spawn("sender", func(t *sim.Task) {
-		_, _ = client.ConnectTCP(t, server.Addr(), 5001, plexus.TCPAppOptions{
-			OnEstablished: func(t2 *sim.Task, conn *plexus.TCPApp) {
-				_ = conn.Send(t2, msg)
-				conn.Close(t2)
-			},
-		})
-	})
-	n.Sim.RunUntil(10 * 60 * sim.Second)
-	if err := aud.check(); err != nil {
-		return RogueRow{}, err
-	}
-	row := RogueRow{DeliveredPct: 100 * float64(got) / float64(size)}
-	if got > 0 && last > first {
-		row.GoodputMbps = float64(got) * 8 / (last - first).Seconds() / 1e6
-	}
-	row.AuditTransitions = aud.transitions()
-	row.AuditViolations = aud.violations()
-	row.health(server)
-	return row, nil
-}
-
-// rogueSPPStream sends msgs fixed-size SPP messages at a 20ms cadence with
-// the rogues installed on the receiver and reports the delivered fraction.
-func rogueSPPStream(sys System, rogues, msgs, msgSize int) (RogueRow, error) {
-	n, client, server, err := rogueRig(sys, rogues)
-	if err != nil {
-		return RogueRow{}, err
-	}
-	aud := attachAudit(client, server)
-	defer recordEvents(n.Sim)
-	install := func(st *plexus.Stack) (*seqpkt.Manager, error) {
-		return seqpkt.Install(seqpkt.Config{
-			Sim:              st.Host.Sim,
-			IP:               st.IP,
-			Disp:             st.Host.Disp,
-			Raise:            st.Raiser(),
-			CPU:              st.Host.CPU,
-			Pool:             st.Host.Pool,
-			Costs:            st.Host.Costs,
-			RequireEphemeral: st.InterruptMode(),
-		})
-	}
-	mc, err := install(client)
-	if err != nil {
-		return RogueRow{}, err
-	}
-	ms, err := install(server)
-	if err != nil {
-		return RogueRow{}, err
-	}
-	rx, err := ms.Open(40, func(t *sim.Task, seq uint32, data []byte, src view.IP4, srcPort uint16) {})
-	if err != nil {
-		return RogueRow{}, err
-	}
-	tx, err := mc.Open(41, nil)
-	if err != nil {
-		return RogueRow{}, err
-	}
-	payload := make([]byte, msgSize)
-	for i := 0; i < msgs; i++ {
-		client.SpawnAt(sim.Time(i+1)*20*sim.Millisecond, "spp-sender", func(t *sim.Task) {
-			_, _ = tx.Send(t, server.Addr(), 40, payload)
-		})
-	}
-	n.Sim.RunUntil(5 * 60 * sim.Second)
-	if err := aud.check(); err != nil {
-		return RogueRow{}, err
-	}
-	row := RogueRow{DeliveredPct: 100 * float64(rx.Stats().Delivered) / float64(msgs)}
-	row.AuditTransitions = aud.transitions()
-	row.AuditViolations = aud.violations()
-	row.health(server)
-	return row, nil
+	return RogueRow{
+		Rogues:           rogues,
+		System:           sys,
+		Workload:         wl,
+		GoodputMbps:      f.mbps,
+		DeliveredPct:     f.pct,
+		Quarantined:      h.Quarantined,
+		Panics:           h.Panics,
+		GuardPanics:      h.GuardPanics,
+		Terminations:     h.Terminations,
+		GuardOverruns:    h.GuardOverruns,
+		AuditTransitions: aud.transitions(),
+		AuditViolations:  aud.violations(),
+	}, nil
 }
 
 // Rogue runs the sandbox sweep: every rogue count × system × workload as an
 // independent cell (its own sim and hosts), fanned out over RunCells —
 // rows are byte-identical at any parallelism.
 func Rogue(counts []int) ([]RogueRow, error) {
-	const (
-		tcpBytes = 128 << 10
-		sppMsgs  = 50
-		sppSize  = 300
-	)
 	type cell struct {
 		rogues int
 		sys    System
@@ -213,20 +119,10 @@ func Rogue(counts []int) ([]RogueRow, error) {
 		}
 	}
 	return RunCells(cells, func(c cell) (RogueRow, error) {
-		var row RogueRow
-		var err error
-		switch c.wl {
-		case WorkloadTCPBulk:
-			row, err = rogueTCPBulk(c.sys, c.rogues, tcpBytes)
-		default:
-			row, err = rogueSPPStream(c.sys, c.rogues, sppMsgs, sppSize)
-		}
+		row, err := rogueCell(c.sys, c.rogues, c.wl)
 		if err != nil {
 			return RogueRow{}, fmt.Errorf("rogue %d/%s/%s: %w", c.rogues, c.sys, c.wl, err)
 		}
-		row.Rogues = c.rogues
-		row.System = c.sys
-		row.Workload = c.wl
 		return row, nil
 	})
 }

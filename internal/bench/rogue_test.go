@@ -18,7 +18,7 @@ func TestRogueCellsAreCellLocal(t *testing.T) {
 	done := make(chan int, 2)
 	for i := range results {
 		go func(i int) {
-			row, err := rogueTCPBulk(SysPlexusInterrupt, 4, 32<<10)
+			row, err := rogueCell(SysPlexusInterrupt, 4, WorkloadTCPBulk)
 			results[i] = out{row, err}
 			done <- i
 		}(i)

@@ -42,8 +42,6 @@ const (
 	scaleEchoPayload = 32
 	// scaleRetryAfter rearms a client whose echo was tail-dropped.
 	scaleRetryAfter = 25 * sim.Millisecond
-	// scaleHTTPBody is the HTTP response body size.
-	scaleHTTPBody = 1024
 	// scaleSegmentClients caps clients per subnet (a /24 minus the server,
 	// the gateway, and headroom); larger populations split across two
 	// switched segments joined by the gateway.
@@ -217,6 +215,32 @@ func scaleTopology(sys System, clients int) (*plexus.Topology, *plexus.Stack, []
 	return top, server, cs, nil
 }
 
+// tally is one client's accounting of its completed operations.
+type tally struct {
+	ops     uint64
+	retries uint64
+	bytes   uint64
+	rtts    []sim.Time
+}
+
+// fold sums clients' tallies, pooling their RTTs in client order, and
+// reduces the pool to its percentiles.
+func fold(ts []*tally) (tally, rttSummary) {
+	var all tally
+	for _, t := range ts {
+		all.ops += t.ops
+		all.retries += t.retries
+		all.bytes += t.bytes
+		all.rtts = append(all.rtts, t.rtts...)
+	}
+	return all, summarize(all.rtts)
+}
+
+// mbps is the tallied payload as goodput over duration.
+func (t *tally) mbps(duration sim.Time) float64 {
+	return float64(t.bytes) * 8 / duration.Seconds() / 1e6
+}
+
 // echoClient is one closed-loop UDP echo client with loss recovery: a reply
 // matching the outstanding sequence number completes the op and sends the
 // next; a retry timer re-sends the same op (keeping its original start time,
@@ -238,10 +262,7 @@ type echoClient struct {
 	timer    sim.Timer
 	msg      []byte
 
-	ops     uint64
-	retries uint64
-	bytes   uint64
-	rtts    []sim.Time
+	tally
 }
 
 func (c *echoClient) send(t *sim.Task) {
@@ -304,10 +325,7 @@ type pacedClient struct {
 	outstanding bool
 	msg         []byte
 
-	ops     uint64
-	retries uint64
-	bytes   uint64
-	rtts    []sim.Time
+	tally
 }
 
 // pacedTick is the interval timer: submit the next send (or the timeout
@@ -345,6 +363,23 @@ func (c *pacedClient) onReply(t *sim.Task, data []byte) {
 	c.bytes += uint64(len(data))
 }
 
+// startPaced opens a UDP endpoint on cl and starts a paced client echoing
+// payload bytes off server port 7: the first op at offset, then one every
+// interval until duration, its RTT log sized for every op.
+func startPaced(cl *plexus.Stack, server view.IP4, payload int, interval, offset, duration sim.Time) (*pacedClient, error) {
+	pc := &pacedClient{st: cl, server: server, interval: interval, duration: duration, msg: make([]byte, payload)}
+	pc.rtts = make([]sim.Time, 0, int(duration/interval)+2)
+	var err error
+	pc.app, err = cl.OpenUDP(plexus.UDPAppOptions{}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+		pc.onReply(t, data)
+	})
+	if err != nil {
+		return nil, err
+	}
+	cl.Host.Sim.AtArg(offset, "paced-tick", pacedTick, pc)
+	return pc, nil
+}
+
 // startEchoServer opens the UDP echo service on port 7.
 func startEchoServer(server *plexus.Stack) error {
 	var echo *plexus.UDPApp
@@ -356,11 +391,63 @@ func startEchoServer(server *plexus.Stack) error {
 	return err
 }
 
-// scaleHostCell runs one sharded host cell: hosts/scaleHostsPerSegment
-// switched segments, each with one server (echoing on port 7), one paced
-// cross-segment client aimed at the next segment's server, and paced local
-// echo clients staggered across their interval. The engine advances every
-// segment concurrently on ShardWorkers() goroutines.
+// buildHostCell builds a sharded host cell: k switched segments of perSeg
+// hosts joined through the gateway on the scale uplink. Host 0 of each
+// segment serves echo; host 1 paces cross-segment ops through the gateway at
+// the next segment's server, so every op crosses two shard boundaries; the
+// rest echo off the local server every interval, start times staggered
+// across it so the offered load — and the event stream each shard round
+// handles — is smooth. It returns the clients' tallies.
+func buildHostCell(sys System, k, perSeg int, interval, duration sim.Time) (*plexus.ShardedTopology, []*tally, error) {
+	segs := make([]plexus.SegmentSpec, k)
+	for i := range segs {
+		segs[i] = plexus.SegmentSpec{
+			Name: fmt.Sprintf("seg%03d", i), Model: netdev.EthernetModel(), Switched: true,
+			Uplink: scaleUplinkModel(),
+			Subnet: view.IP4{10, byte((i + 1) >> 8), byte(i + 1), 0},
+			Hosts:  []plexus.HostSpec{hostSpec(fmt.Sprintf("s%03d", i), sys)},
+		}
+		for c := 1; c < perSeg; c++ {
+			segs[i].Hosts = append(segs[i].Hosts, hostSpec(fmt.Sprintf("h%03d-%03d", i, c), SysPlexusInterrupt))
+		}
+	}
+	gw := hostSpec("gw", SysPlexusInterrupt)
+	top, err := plexus.NewShardedTopology(1, &gw, segs)
+	if err != nil {
+		return nil, nil, err
+	}
+	top.PrimeARPSparse()
+	for _, seg := range top.Segments {
+		if err := startEchoServer(seg.Hosts[0]); err != nil {
+			return nil, nil, err
+		}
+	}
+	var ts []*tally
+	start := func(cl *plexus.Stack, server view.IP4, interval, offset sim.Time) error {
+		pc, err := startPaced(cl, server, scaleEchoPayload, interval, offset, duration)
+		if err == nil {
+			ts = append(ts, &pc.tally)
+		}
+		return err
+	}
+	for si, seg := range top.Segments {
+		remote := top.Segments[(si+1)%k].Hosts[0]
+		if err := start(seg.Hosts[1], remote.Addr(), scaleCrossInterval, 0); err != nil {
+			return nil, nil, err
+		}
+		nLocal := len(seg.Hosts) - 2
+		for ci, cl := range seg.Hosts[2:] {
+			if err := start(cl, seg.Hosts[0].Addr(), interval, interval*sim.Time(ci)/sim.Time(nLocal)); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return top, ts, nil
+}
+
+// scaleHostCell runs one sharded host cell of hosts/scaleHostsPerSegment
+// segments. The engine advances every segment concurrently on
+// ShardWorkers() goroutines.
 func scaleHostCell(sys System, hosts int, duration sim.Time) (ScaleRow, error) {
 	k := hosts / scaleHostsPerSegment
 	if k < 2 {
@@ -374,97 +461,28 @@ func scaleHostCell(sys System, hosts int, duration sim.Time) (ScaleRow, error) {
 	// This only shifts wall-clock — simulated results never depend on it.
 	gcPct := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcPct)
-	segs := make([]plexus.SegmentSpec, k)
-	for i := 0; i < k; i++ {
-		spec := plexus.SegmentSpec{
-			Name: fmt.Sprintf("seg%03d", i), Model: netdev.EthernetModel(), Switched: true,
-			Uplink: scaleUplinkModel(),
-			Subnet: view.IP4{10, byte((i + 1) >> 8), byte(i + 1), 0},
-		}
-		spec.Hosts = append(spec.Hosts, hostSpec(fmt.Sprintf("s%03d", i), sys))
-		for c := 1; c < scaleHostsPerSegment; c++ {
-			spec.Hosts = append(spec.Hosts, hostSpec(fmt.Sprintf("h%03d-%03d", i, c), SysPlexusInterrupt))
-		}
-		segs[i] = spec
-	}
-	gw := hostSpec("gw", SysPlexusInterrupt)
-	top, err := plexus.NewShardedTopology(1, &gw, segs)
+	top, ts, err := buildHostCell(sys, k, scaleHostsPerSegment, scaleLocalInterval, duration)
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	top.PrimeARPSparse()
 	defer func() {
 		for _, s := range top.Sims {
 			recordEvents(s)
 		}
 	}()
-
-	row := ScaleRow{System: sys, Workload: WorkloadUDPEcho, Hosts: hosts, Segments: k}
-	var pcs []*pacedClient
-	for _, seg := range top.Segments {
-		server := seg.Hosts[0]
-		if err := startEchoServer(server); err != nil {
-			return ScaleRow{}, err
-		}
-		server.Host.CPU.MarkUtilization()
-	}
-	opCap := int(duration/scaleLocalInterval) + 2
-	start := func(cl *plexus.Stack, server view.IP4, interval, offset sim.Time) error {
-		pc := &pacedClient{st: cl, server: server, interval: interval, duration: duration,
-			msg: make([]byte, scaleEchoPayload), rtts: make([]sim.Time, 0, opCap)}
-		var err error
-		pc.app, err = cl.OpenUDP(plexus.UDPAppOptions{}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			pc.onReply(t, data)
-		})
-		if err != nil {
-			return err
-		}
-		pcs = append(pcs, pc)
-		cl.Host.Sim.AtArg(offset, "paced-tick", pacedTick, pc)
-		return nil
-	}
-	for si, seg := range top.Segments {
-		// Host 1 is the cross-segment client, paced through the gateway at
-		// the next segment's server; the rest echo off the local server,
-		// start times staggered across the interval so the offered load —
-		// and the event stream each shard round handles — is smooth.
-		remote := top.Segments[(si+1)%k].Hosts[0]
-		if err := start(seg.Hosts[1], remote.Addr(), scaleCrossInterval, 0); err != nil {
-			return ScaleRow{}, err
-		}
-		local := seg.Hosts[0].Addr()
-		nLocal := len(seg.Hosts) - 2
-		for ci, cl := range seg.Hosts[2:] {
-			offset := scaleLocalInterval * sim.Time(ci) / sim.Time(nLocal)
-			if err := start(cl, local, scaleLocalInterval, offset); err != nil {
-				return ScaleRow{}, err
-			}
-		}
-	}
-	row.Clients = len(pcs)
-
-	// Sweep the construction garbage and re-arm the collector before the
-	// measured run (see the SetGCPercent note above).
-	runtime.GC()
+	runtime.GC() // sweep the construction garbage, then re-arm the collector
 	debug.SetGCPercent(gcPct)
 	top.Run(duration, ShardWorkers())
 
-	var rtts []sim.Time
-	for _, pc := range pcs {
-		row.Ops += pc.ops
-		row.Retries += pc.retries
-		row.GoodputMbps += float64(pc.bytes)
-		rtts = append(rtts, pc.rtts...)
-	}
-	row.GoodputMbps = row.GoodputMbps * 8 / duration.Seconds() / 1e6
+	all, rtt := fold(ts)
+	row := ScaleRow{System: sys, Workload: WorkloadUDPEcho, Hosts: hosts, Segments: k, Clients: len(ts),
+		Ops: all.ops, Retries: all.retries, GoodputMbps: all.mbps(duration), P50: rtt.P50, P99: rtt.P99}
 	for _, seg := range top.Segments {
 		row.ServerCPU += seg.Hosts[0].Host.CPU.Utilization()
 		row.SwitchDrops += seg.Switch.QueueDrops()
 		row.RxErrors += seg.Hosts[0].NIC.Stats().RxErrors
 	}
 	row.ServerCPU /= float64(k)
-	s := summarize(rtts)
-	row.P50, row.P99 = s.P50, s.P99
 	row.Events = top.Executed()
 	if row.Ops == 0 {
 		return ScaleRow{}, fmt.Errorf("no operations completed")
@@ -481,7 +499,7 @@ func scaleCell(sys System, workload string, clients int, duration sim.Time) (Sca
 	defer recordEvents(top.Sim)
 	row := ScaleRow{Clients: clients, System: sys, Workload: workload, Segments: len(top.Segments)}
 
-	var ecs []*echoClient
+	var ts []*tally
 	switch workload {
 	case WorkloadUDPEcho:
 		if err := startEchoServer(server); err != nil {
@@ -496,17 +514,15 @@ func scaleCell(sys System, workload string, clients int, duration sim.Time) (Sca
 			if err != nil {
 				return ScaleRow{}, err
 			}
-			ecs = append(ecs, ec)
+			ts = append(ts, &ec.tally)
 			cl.Spawn("echo-start", ec.send)
 		}
 	case WorkloadHTTPGet:
-		if _, err = httpx.Serve(server, 80, func(t *sim.Task, req *httpx.Request) httpx.Response {
-			return httpx.Response{Status: 200, Body: make([]byte, scaleHTTPBody)}
-		}); err != nil {
+		if err := serveHTTP(server); err != nil {
 			return ScaleRow{}, err
 		}
 		for _, cl := range cs {
-			ec := &echoClient{st: cl, server: server.Addr(), duration: duration}
+			tl := &tally{}
 			var issue func(t *sim.Task)
 			issue = func(t *sim.Task) {
 				if t.Now() >= duration {
@@ -515,39 +531,30 @@ func scaleCell(sys System, workload string, clients int, duration sim.Time) (Sca
 				started := t.Now()
 				err := httpx.Get(t, cl, server.Addr(), 80, "/", func(t2 *sim.Task, r httpx.Result, err error) {
 					if err == nil && r.Status == 200 {
-						ec.rtts = append(ec.rtts, t2.Now()-started)
-						ec.ops++
-						ec.bytes += uint64(len(r.Body))
+						tl.rtts = append(tl.rtts, t2.Now()-started)
+						tl.ops++
+						tl.bytes += uint64(len(r.Body))
 					} else {
-						ec.retries++
+						tl.retries++
 					}
 					issue(t2)
 				})
 				if err != nil {
-					ec.retries++
+					tl.retries++
 				}
 			}
-			ecs = append(ecs, ec)
+			ts = append(ts, tl)
 			cl.Spawn("http-start", issue)
 		}
 	default:
 		return ScaleRow{}, fmt.Errorf("unknown workload %q", workload)
 	}
 
-	server.Host.CPU.MarkUtilization()
 	top.Sim.RunUntil(duration)
 
-	var rtts []sim.Time
-	for _, ec := range ecs {
-		row.Ops += ec.ops
-		row.Retries += ec.retries
-		row.GoodputMbps += float64(ec.bytes)
-		rtts = append(rtts, ec.rtts...)
-	}
-	row.GoodputMbps = row.GoodputMbps * 8 / duration.Seconds() / 1e6
+	all, rtt := fold(ts)
+	row.Ops, row.Retries, row.GoodputMbps, row.P50, row.P99 = all.ops, all.retries, all.mbps(duration), rtt.P50, rtt.P99
 	row.ServerCPU = server.Host.CPU.Utilization()
-	s := summarize(rtts)
-	row.P50, row.P99 = s.P50, s.P99
 	for _, seg := range top.Segments {
 		if seg.Switch != nil {
 			row.SwitchDrops += seg.Switch.QueueDrops()

@@ -1,69 +1,10 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
-	"plexus/internal/netdev"
-	"plexus/internal/plexus"
 	"plexus/internal/sim"
-	"plexus/internal/view"
 )
-
-// buildShardedCell builds a miniature host cell — k switched segments of
-// hostsPerSeg Plexus hosts joined through the gateway on the scale uplink —
-// wired exactly like scaleHostCell's cells: host 0 serves echo, host 1 paces
-// cross-segment ops at the NEXT segment's server (every op crosses two shard
-// boundaries), and the remaining hosts echo off the local server at interval,
-// staggered so the offered load is smooth. opCap preallocates each client's
-// RTT log.
-func buildShardedCell(tb testing.TB, k, hostsPerSeg int, interval sim.Time, duration sim.Time, opCap int) (*plexus.ShardedTopology, []*pacedClient) {
-	tb.Helper()
-	segs := make([]plexus.SegmentSpec, k)
-	for i := 0; i < k; i++ {
-		spec := plexus.SegmentSpec{
-			Name: fmt.Sprintf("seg%03d", i), Model: netdev.EthernetModel(), Switched: true,
-			Uplink: scaleUplinkModel(),
-			Subnet: view.IP4{10, byte((i + 1) >> 8), byte(i + 1), 0},
-		}
-		for c := 0; c < hostsPerSeg; c++ {
-			spec.Hosts = append(spec.Hosts, hostSpec(fmt.Sprintf("h%03d-%03d", i, c), SysPlexusInterrupt))
-		}
-		segs[i] = spec
-	}
-	gw := hostSpec("gw", SysPlexusInterrupt)
-	top, err := plexus.NewShardedTopology(1, &gw, segs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	top.PrimeARPSparse()
-	var pcs []*pacedClient
-	start := func(cl *plexus.Stack, server view.IP4, ival, offset sim.Time) {
-		pc := &pacedClient{st: cl, server: server, interval: ival, duration: duration,
-			msg: make([]byte, scaleEchoPayload), rtts: make([]sim.Time, 0, opCap)}
-		var err error
-		pc.app, err = cl.OpenUDP(plexus.UDPAppOptions{}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			pc.onReply(t, data)
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		pcs = append(pcs, pc)
-		cl.Host.Sim.AtArg(offset, "paced-tick", pacedTick, pc)
-	}
-	for si, seg := range top.Segments {
-		if err := startEchoServer(seg.Hosts[0]); err != nil {
-			tb.Fatal(err)
-		}
-		remote := top.Segments[(si+1)%k].Hosts[0]
-		start(seg.Hosts[1], remote.Addr(), scaleCrossInterval, 0)
-		nLocal := len(seg.Hosts) - 2
-		for ci, cl := range seg.Hosts[2:] {
-			start(cl, seg.Hosts[0].Addr(), interval, interval*sim.Time(ci)/sim.Time(nLocal))
-		}
-	}
-	return top, pcs
-}
 
 // The sharded steady state is allocation-free: once the first pacing
 // intervals have warmed the pools (mbufs, CPU submissions, switch ingress
@@ -75,7 +16,11 @@ func TestScaleSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation pin on a full host cell")
 	}
 	const step = 100 * sim.Millisecond
-	top, _ := buildShardedCell(t, 2, scaleHostsPerSegment, scaleLocalInterval, 1<<62, 64)
+	// The clients keep sending past the last step the pin runs.
+	top, _, err := buildHostCell(SysPlexusInterrupt, 2, scaleHostsPerSegment, scaleLocalInterval, sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	until := step
 	top.Run(until, 1) // warm every pool through a full pacing interval
 	start := top.Executed()
@@ -104,7 +49,10 @@ func TestScaleSteadyStateAllocs(t *testing.T) {
 // in-flight frames handed over.
 func BenchmarkShardBarrier(b *testing.B) {
 	window := scaleUplinkModel().PropDelay
-	top, pcs := buildShardedCell(b, 2, 3, window, 1<<62, b.N+2)
+	top, ts, err := buildHostCell(SysPlexusInterrupt, 2, 3, window, sim.Time(b.N+2)*window)
+	if err != nil {
+		b.Fatal(err)
+	}
 	top.Run(window, 1) // settle ARP-less startup before timing
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -114,10 +62,7 @@ func BenchmarkShardBarrier(b *testing.B) {
 		top.Run(until, 1)
 	}
 	b.StopTimer()
-	var ops uint64
-	for _, pc := range pcs {
-		ops += pc.ops
-	}
+	all, _ := fold(ts)
 	b.ReportMetric(float64(top.Executed())/float64(b.N), "events/round")
-	b.ReportMetric(float64(ops)/float64(b.N), "ops/round")
+	b.ReportMetric(float64(all.ops)/float64(b.N), "ops/round")
 }

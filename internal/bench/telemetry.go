@@ -93,34 +93,20 @@ func telemetryMonitorOptions() plexus.MonitorOptions {
 
 // telemetryTCPBulk monitors a 256KB bulk transfer end to end.
 func telemetryTCPBulk(sys System) (TelemetryRow, []byte, error) {
-	n, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
-		hostSpec("client", sys), hostSpec("server", sys))
+	n, client, server, err := twoHosts(netdev.EthernetModel(), sys)
 	if err != nil {
 		return TelemetryRow{}, nil, err
 	}
 	eng := n.Monitor(telemetryMonitorOptions())
 	defer recordEvents(n.Sim)
 	const size = 256 << 10
-	got := 0
-	_, err = server.ListenTCP(5001, plexus.TCPAppOptions{
-		OnRecv:    func(t *sim.Task, conn *plexus.TCPApp, data []byte) { got += len(data) },
-		OnPeerFin: func(t *sim.Task, conn *plexus.TCPApp) { conn.Close(t) },
-	}, nil)
+	rx, err := startBulk(client, server, size)
 	if err != nil {
 		return TelemetryRow{}, nil, err
 	}
-	msg := make([]byte, size)
-	client.Spawn("sender", func(t *sim.Task) {
-		_, _ = client.ConnectTCP(t, server.Addr(), 5001, plexus.TCPAppOptions{
-			OnEstablished: func(t2 *sim.Task, conn *plexus.TCPApp) {
-				_ = conn.Send(t2, msg)
-				conn.Close(t2)
-			},
-		})
-	})
 	n.Sim.RunUntil(10 * sim.Second)
-	if got != size {
-		return TelemetryRow{}, nil, fmt.Errorf("bulk transfer delivered %d of %d bytes", got, size)
+	if rx.got != size {
+		return TelemetryRow{}, nil, fmt.Errorf("bulk transfer delivered %d of %d bytes", rx.got, size)
 	}
 	row := telemetryRowFrom(sys, WorkloadTCPBulk, []*telemetry.Engine{eng})
 	row.TCP = tcpGauge(client, server)
@@ -130,8 +116,7 @@ func telemetryTCPBulk(sys System) (TelemetryRow, []byte, error) {
 
 // telemetryUDPEcho monitors a continuous 8-byte UDP echo loop.
 func telemetryUDPEcho(sys System) (TelemetryRow, []byte, error) {
-	n, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
-		hostSpec("client", sys), hostSpec("server", sys))
+	n, client, server, err := twoHosts(netdev.EthernetModel(), sys)
 	if err != nil {
 		return TelemetryRow{}, nil, err
 	}
@@ -198,18 +183,11 @@ func telemetrySharded(sys System) (TelemetryRow, []byte, error) {
 
 	var pcs []*pacedClient
 	start := func(cl *plexus.Stack, server view.IP4, ival, offset sim.Time) error {
-		pc := &pacedClient{st: cl, server: server, interval: ival, duration: duration,
-			msg: make([]byte, scaleEchoPayload), rtts: make([]sim.Time, 0, int(duration/ival)+2)}
-		var err error
-		pc.app, err = cl.OpenUDP(plexus.UDPAppOptions{}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			pc.onReply(t, data)
-		})
-		if err != nil {
-			return err
+		pc, err := startPaced(cl, server, scaleEchoPayload, ival, offset, duration)
+		if err == nil {
+			pcs = append(pcs, pc)
 		}
-		pcs = append(pcs, pc)
-		cl.Host.Sim.AtArg(offset, "paced-tick", pacedTick, pc)
-		return nil
+		return err
 	}
 	for si, seg := range top.Segments {
 		if err := startEchoServer(seg.Hosts[0]); err != nil {

@@ -12,11 +12,16 @@ import (
 	"plexus/internal/view"
 )
 
-// HostSpec describes one host for NewNetwork.
+// HostSpec describes one host: everything about it that does not depend on
+// where a topology builder attaches it.
 type HostSpec struct {
-	Name        string
+	Name string
+	// Personality selects SPIN or Monolithic structure.
 	Personality osmodel.Personality
-	Dispatch    osmodel.DispatchMode
+	// Dispatch selects interrupt- or thread-level handler execution on
+	// SPIN hosts (ignored for Monolithic, which always hands receive
+	// processing to a softirq-level continuation).
+	Dispatch osmodel.DispatchMode
 	// Costs overrides the default cost model (nil = defaults).
 	Costs *osmodel.Costs
 	// Pool overrides the host's mbuf pool (nil = a fresh per-host pool).
@@ -24,17 +29,25 @@ type HostSpec struct {
 	// simulator — because experiment cells run concurrently and pools
 	// carry per-sim statistics and free lists.
 	Pool *mbuf.Pool
-	// Quarantine configures the host dispatcher's fault-ejection policy
-	// (zero value = disabled).
+	// Quarantine configures the host dispatcher's fault-ejection policy for
+	// misbehaving handlers (zero value = disabled; faults are still counted
+	// in BindingStats).
 	Quarantine event.QuarantinePolicy
 	// Audit receives every TCP state transition on this host (nil = off).
+	// The canonical sinks and the RFC 793 conformance checker live in
+	// internal/audit.
 	Audit tcp.TransitionSink
-	// CC selects the host's default congestion-control algorithm
-	// ("" = tcp.DefaultCC).
+	// CC selects the default congestion-control algorithm for connections
+	// opened on this host ("" = tcp.DefaultCC). Individual connections may
+	// still override it via tcp.ConnOptions.CC.
 	CC string
-	// MinRTO overrides the TCP retransmission-timeout floor (0 = 1s).
+	// MinRTO overrides the TCP retransmission-timeout floor (0 = the
+	// RFC 6298 conservative 1s).
 	MinRTO sim.Time
 }
+
+// mask24 is the netmask of every subnet the builders create.
+var mask24 = view.IP4{255, 255, 255, 0}
 
 // Network is a set of hosts sharing one link — the paper's two-machine
 // testbeds and the video experiment's server-plus-clients configuration.
@@ -52,22 +65,8 @@ func NewNetwork(seed int64, model netdev.Model, specs []HostSpec) (*Network, err
 	n := &Network{Sim: s, Link: link}
 	for i, spec := range specs {
 		idx := byte(i + 1)
-		cfg := StackConfig{
-			Personality: spec.Personality,
-			Dispatch:    spec.Dispatch,
-			Model:       model,
-			Link:        link,
-			MAC:         view.MAC{0x02, 0x00, 0x00, 0x00, 0x00, idx},
-			Addr:        view.IP4{10, 0, 0, idx},
-			Mask:        view.IP4{255, 255, 255, 0},
-			Costs:       spec.Costs,
-			Pool:        spec.Pool,
-			Quarantine:  spec.Quarantine,
-			Audit:       spec.Audit,
-			CC:          spec.CC,
-			MinRTO:      spec.MinRTO,
-		}
-		st, err := NewStack(s, spec.Name, cfg)
+		st, err := NewStack(s, StackConfig{HostSpec: spec, Model: model, Link: link,
+			MAC: view.MAC{0x02, 0x00, 0x00, 0x00, 0x00, idx}, Addr: view.IP4{10, 0, 0, idx}, Mask: mask24})
 		if err != nil {
 			return nil, fmt.Errorf("plexus: host %s: %w", spec.Name, err)
 		}

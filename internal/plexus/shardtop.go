@@ -76,19 +76,8 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 			cable := netdev.NewLink(segSim, spec.Name+"/cable")
 			seg.Switch.AttachLink(cable)
 			seg.Cables = append(seg.Cables, cable)
-			st, err := NewStack(segSim, hs.Name, StackConfig{
-				Personality: hs.Personality,
-				Dispatch:    hs.Dispatch,
-				Model:       spec.Model,
-				Link:        cable,
-				MAC:         segMAC(si, idx),
-				Addr:        addr(idx),
-				Mask:        view.IP4{255, 255, 255, 0},
-				Gateway:     gwAddr,
-				Costs:       hs.Costs,
-				Pool:        hs.Pool,
-				Quarantine:  hs.Quarantine,
-			})
+			st, err := NewStack(segSim, StackConfig{HostSpec: hs, Model: spec.Model, Link: cable,
+				MAC: segMAC(si, idx), Addr: addr(idx), Mask: mask24, Gateway: gwAddr})
 			if err != nil {
 				return nil, fmt.Errorf("plexus: host %s: %w", hs.Name, err)
 			}
@@ -103,17 +92,10 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 			uplink = spec.Model
 		}
 		bnd := netdev.NewBoundary(gwSim, segSim, spec.Name+"/uplink", uplink)
-		st, err := NewStack(gwSim, gw.Name+"/"+spec.Name, StackConfig{
-			Personality: gw.Personality,
-			Dispatch:    gw.Dispatch,
-			Model:       uplink,
-			Link:        bnd.LinkA(),
-			MAC:         segMAC(si, gatewayHostByte),
-			Addr:        gwAddr,
-			Mask:        view.IP4{255, 255, 255, 0},
-			Costs:       gw.Costs,
-			CPU:         top.Gateway.CPU,
-		})
+		iface := *gw
+		iface.Name = gw.Name + "/" + spec.Name
+		st, err := NewStack(gwSim, StackConfig{HostSpec: iface, Model: uplink, Link: bnd.LinkA(),
+			MAC: segMAC(si, gatewayHostByte), Addr: gwAddr, Mask: mask24, CPU: top.Gateway.CPU})
 		if err != nil {
 			return nil, fmt.Errorf("plexus: gateway on %s: %w", spec.Name, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"plexus/internal/audit"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
 	"plexus/internal/sim"
@@ -130,6 +131,57 @@ func TestShardedTopologyDeterministicAcrossWorkers(t *testing.T) {
 		if got := run(workers); !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d diverged:\ngot  %+v\nwant %+v", workers, got, base)
 		}
+	}
+}
+
+// TestShardedTopologyKeepsHostSettings: a sharded host gets every setting its
+// HostSpec names, as in NewTopology — the connection it opens runs the host's
+// congestion control, arms its RTO at the host's floor, and reports its
+// transitions to the host's audit sink.
+func TestShardedTopologyKeepsHostSettings(t *testing.T) {
+	chk := audit.NewChecker(nil)
+	spec := func(name string) HostSpec {
+		return HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchInterrupt}
+	}
+	client := spec("client")
+	client.CC, client.MinRTO, client.Audit = "cubic", 200*sim.Millisecond, chk
+	gw := spec("gw")
+	top, err := NewShardedTopology(1, &gw, []SegmentSpec{
+		{Name: "lan0", Model: netdev.EthernetModel(), Switched: true,
+			Subnet: view.IP4{10, 0, 1, 0}, Hosts: []HostSpec{spec("server"), client}},
+		{Name: "lan1", Model: netdev.EthernetModel(), Switched: true,
+			Subnet: view.IP4{10, 0, 2, 0}, Hosts: []HostSpec{spec("remote")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top.PrimeARPSparse()
+	server, cl := top.Segments[0].Hosts[0], top.Segments[0].Hosts[1]
+	if _, err := server.ListenTCP(5001, TCPAppOptions{
+		OnPeerFin: func(tk *sim.Task, conn *TCPApp) { conn.Close(tk) },
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var app *TCPApp
+	cl.Spawn("connect", func(tk *sim.Task) {
+		app, _ = cl.ConnectTCP(tk, server.Addr(), 5001, TCPAppOptions{
+			OnEstablished: func(tk2 *sim.Task, conn *TCPApp) { _ = conn.Send(tk2, make([]byte, 4096)) },
+		})
+	})
+	top.Run(100*sim.Millisecond, 1)
+	if app == nil {
+		t.Fatal("connect failed")
+	}
+	conn := app.Conn()
+	if got := conn.CCName(); got != "cubic" {
+		t.Errorf("CCName() = %q, want the host's cubic", got)
+	}
+	// A switched-LAN RTT is far under 200ms, so the RTO sits on the floor.
+	if got := conn.RTO(); got != 200*sim.Millisecond {
+		t.Errorf("RTO() = %v, want the host's 200ms floor", got)
+	}
+	if chk.Events() == 0 {
+		t.Error("the host's audit sink saw no TCP transitions")
 	}
 }
 

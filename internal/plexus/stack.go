@@ -24,14 +24,10 @@ import (
 	"plexus/internal/view"
 )
 
-// StackConfig describes one host's stack.
+// StackConfig describes one host's stack: the host itself, plus the wiring
+// a topology builder assigns it.
 type StackConfig struct {
-	// Personality selects SPIN or Monolithic structure.
-	Personality osmodel.Personality
-	// Dispatch selects interrupt- or thread-level handler execution on
-	// SPIN hosts (ignored for Monolithic, which always hands receive
-	// processing to a softirq-level continuation).
-	Dispatch osmodel.DispatchMode
+	HostSpec
 	// Model is the device type; Link the wire it attaches to.
 	Model netdev.Model
 	Link  *netdev.Link
@@ -40,29 +36,10 @@ type StackConfig struct {
 	Addr    view.IP4
 	Mask    view.IP4
 	Gateway view.IP4
-	// Costs defaults to osmodel.DefaultCosts when zero.
-	Costs *osmodel.Costs
-	// Pool overrides the host's mbuf pool (nil = a fresh per-host pool).
-	Pool *mbuf.Pool
 	// CPU overrides the host's processor (nil = a fresh per-host CPU). A
 	// multi-homed gateway runs all of its interface stacks on one CPU so
 	// that forwarding between subnets contends for a single processor.
 	CPU *sim.CPU
-	// Quarantine configures the dispatcher's fault-ejection policy for
-	// misbehaving handlers (zero value = disabled; faults are still
-	// counted in BindingStats).
-	Quarantine event.QuarantinePolicy
-	// Audit receives every TCP state transition on this host (nil = off).
-	// The canonical sinks and the RFC 793 conformance checker live in
-	// internal/audit.
-	Audit tcp.TransitionSink
-	// CC selects the default congestion-control algorithm for connections
-	// opened on this host ("" = tcp.DefaultCC). Individual connections may
-	// still override it via tcp.ConnOptions.CC.
-	CC string
-	// MinRTO overrides the TCP retransmission-timeout floor (0 = the
-	// RFC 6298 conservative 1s).
-	MinRTO sim.Time
 }
 
 // Stack is a fully assembled protocol graph on one host.
@@ -135,7 +112,8 @@ func (r *modeRaiser) RaiseRef(t *sim.Task, ref *event.Ref, m *mbuf.Mbuf) int {
 }
 
 // NewStack assembles a host and its protocol graph.
-func NewStack(s *sim.Sim, name string, cfg StackConfig) (*Stack, error) {
+func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
+	name := cfg.Name
 	costs := osmodel.DefaultCosts()
 	if cfg.Costs != nil {
 		costs = *cfg.Costs

@@ -162,22 +162,8 @@ func NewTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*Topology, error
 		}
 		for i, hs := range spec.Hosts {
 			idx := byte(i + 1)
-			st, err := NewStack(s, hs.Name, StackConfig{
-				Personality: hs.Personality,
-				Dispatch:    hs.Dispatch,
-				Model:       spec.Model,
-				Link:        attach(),
-				MAC:         view.MAC{0x02, 0x00, 0x00, 0x00, byte(si + 1), idx},
-				Addr:        addr(idx),
-				Mask:        view.IP4{255, 255, 255, 0},
-				Gateway:     gwAddr,
-				Costs:       hs.Costs,
-				Pool:        hs.Pool,
-				Quarantine:  hs.Quarantine,
-				Audit:       hs.Audit,
-				CC:          hs.CC,
-				MinRTO:      hs.MinRTO,
-			})
+			st, err := NewStack(s, StackConfig{HostSpec: hs, Model: spec.Model, Link: attach(),
+				MAC: view.MAC{0x02, 0x00, 0x00, 0x00, byte(si + 1), idx}, Addr: addr(idx), Mask: mask24, Gateway: gwAddr})
 			if err != nil {
 				return nil, fmt.Errorf("plexus: host %s: %w", hs.Name, err)
 			}
@@ -188,22 +174,14 @@ func NewTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*Topology, error
 			// interfaces count down from .253 — the equal-cost links an
 			// ECMP rule spreads flows across.
 			for k := 0; k < gwLinks; k++ {
-				name := gw.Name + "/" + spec.Name
+				iface := *gw
+				iface.Name = gw.Name + "/" + spec.Name
 				if k > 0 {
-					name = fmt.Sprintf("%s.%d", name, k)
+					iface.Name = fmt.Sprintf("%s.%d", iface.Name, k)
 				}
 				hb := byte(gatewayHostByte - k)
-				st, err := NewStack(s, name, StackConfig{
-					Personality: gw.Personality,
-					Dispatch:    gw.Dispatch,
-					Model:       spec.Model,
-					Link:        attach(),
-					MAC:         view.MAC{0x02, 0x00, 0x00, 0x00, byte(si + 1), hb},
-					Addr:        addr(hb),
-					Mask:        view.IP4{255, 255, 255, 0},
-					Costs:       gw.Costs,
-					CPU:         top.Gateway.CPU,
-				})
+				st, err := NewStack(s, StackConfig{HostSpec: iface, Model: spec.Model, Link: attach(),
+					MAC: view.MAC{0x02, 0x00, 0x00, 0x00, byte(si + 1), hb}, Addr: addr(hb), Mask: mask24, CPU: top.Gateway.CPU})
 				if err != nil {
 					return nil, fmt.Errorf("plexus: gateway on %s: %w", spec.Name, err)
 				}
