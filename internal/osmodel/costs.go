@@ -1,15 +1,13 @@
-// Package osmodel defines the two operating-system personalities the paper
-// compares — SPIN/Plexus (application protocol code runs in the kernel) and a
-// monolithic DIGITAL-UNIX-like system (application code runs at user level) —
-// together with the CPU cost model that separates them.
+// Package osmodel defines where application code runs in the two systems the
+// paper compares — SPIN/Plexus (in the kernel) and DIGITAL UNIX (at user
+// level) — and the CPU cost model that separates them.
 //
 // The paper's central claim is structural: both systems run the *same*
 // protocol code and the *same* device drivers (§4), so every measured
 // difference comes from operating-system structure — traps, data copies
 // across the user/kernel boundary, scheduling and context switches, and where
-// handlers run (interrupt level vs threads vs user processes). This package
-// makes those structural terms explicit as simulated-time constants, with
-// magnitudes chosen for a 1995 DEC Alpha 21064 @ 133MHz (DEC 3000/400). The
+// handlers run. Boundary is that decision; Costs prices its terms in
+// simulated time for a 1995 DEC Alpha 21064 @ 133MHz (DEC 3000/400). The
 // reproduction does not claim cycle accuracy; EXPERIMENTS.md records how the
 // resulting shapes compare with the paper's figures.
 package osmodel
@@ -20,13 +18,9 @@ import "plexus/internal/sim"
 type Personality int
 
 const (
-	// SPIN hosts run application protocol extensions inside the kernel:
-	// no boundary crossings, handlers at interrupt level or on kernel
-	// threads.
+	// SPIN hosts run application protocol extensions inside the kernel.
 	SPIN Personality = iota
-	// Monolithic hosts model DIGITAL UNIX: applications at user level,
-	// each send a trap + copyin, each receive a wakeup + context switch +
-	// copyout.
+	// Monolithic hosts model DIGITAL UNIX: applications at user level.
 	Monolithic
 )
 
@@ -42,7 +36,8 @@ func (p Personality) String() string {
 }
 
 // DispatchMode selects how a SPIN host runs application receive handlers
-// (the two Plexus bars of Figure 5).
+// (the two Plexus bars of Figure 5). NewHost folds it and the personality
+// into one Boundary.
 type DispatchMode int
 
 const (
@@ -58,6 +53,36 @@ func (m DispatchMode) String() string {
 		return "interrupt"
 	}
 	return "thread"
+}
+
+// Boundary is where a host's application code runs relative to the kernel,
+// the one decision the paper's comparison turns on (§3.3, §4): the traps,
+// copies, wakeups and context switches a packet pays all follow from it.
+type Boundary int
+
+const (
+	// PlexusInterrupt runs applications as kernel extensions whose receive
+	// handlers execute EPHEMERAL in the network interrupt.
+	PlexusInterrupt Boundary = iota
+	// PlexusThread runs applications as kernel extensions, handing every
+	// event raise to a fresh kernel thread.
+	PlexusThread
+	// DigitalUnix runs applications as user processes; the interrupt hands
+	// receive processing to a softirq.
+	DigitalUnix
+)
+
+func (b Boundary) String() string {
+	return [...]string{"Plexus (interrupt)", "Plexus (thread)", "DIGITAL UNIX"}[b]
+}
+
+// AppPriority is the priority application code runs at: kernel for Plexus
+// extensions, user for DIGITAL UNIX processes.
+func (b Boundary) AppPriority() sim.Priority {
+	if b == DigitalUnix {
+		return sim.PrioUser
+	}
+	return sim.PrioKernel
 }
 
 // Costs is the CPU cost model. All values are simulated time on the host CPU.

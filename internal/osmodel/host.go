@@ -8,15 +8,16 @@ import (
 )
 
 // Host is one simulated machine: a CPU, an event dispatcher (the kernel's),
-// an mbuf pool, the protection-domain namespace, and an OS personality.
+// an mbuf pool, the protection-domain namespace, and where application code
+// runs relative to the kernel.
 type Host struct {
-	Name        string
-	Sim         *sim.Sim
-	CPU         *sim.CPU
-	Disp        *event.Dispatcher
-	Pool        *mbuf.Pool
-	Personality Personality
-	Costs       Costs
+	Name     string
+	Sim      *sim.Sim
+	CPU      *sim.CPU
+	Disp     *event.Dispatcher
+	Pool     *mbuf.Pool
+	Boundary Boundary
+	Costs    Costs
 
 	// KernelDomain holds every kernel interface; few extensions link
 	// against it (paper §2).
@@ -27,15 +28,23 @@ type Host struct {
 	ExtensionDomain *domain.Domain
 }
 
-// NewHost assembles a host on simulator s.
-func NewHost(s *sim.Sim, name string, p Personality, costs Costs) *Host {
+// NewHost assembles a host on simulator s. The dispatch mode matters only on
+// SPIN: a Monolithic host is always DigitalUnix.
+func NewHost(s *sim.Sim, name string, p Personality, d DispatchMode, costs Costs) *Host {
+	b := DigitalUnix
+	if p == SPIN {
+		b = PlexusInterrupt
+		if d == DispatchThread {
+			b = PlexusThread
+		}
+	}
 	h := &Host{
-		Name:        name,
-		Sim:         s,
-		CPU:         sim.NewCPU(s, name),
-		Pool:        mbuf.NewPool(),
-		Personality: p,
-		Costs:       costs,
+		Name:     name,
+		Sim:      s,
+		CPU:      sim.NewCPU(s, name),
+		Pool:     mbuf.NewPool(),
+		Boundary: b,
+		Costs:    costs,
 		Disp: event.NewDispatcher(event.Costs{
 			GuardEval: costs.GuardEval,
 			Invoke:    costs.EventInvoke,

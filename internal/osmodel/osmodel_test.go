@@ -57,11 +57,33 @@ func TestDefaultCostsPopulated(t *testing.T) {
 
 func TestHostAssembly(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h", SPIN, DefaultCosts())
+	h := NewHost(s, "h", SPIN, DispatchInterrupt, DefaultCosts())
 	if h.CPU == nil || h.Disp == nil || h.Pool == nil || h.KernelDomain == nil || h.ExtensionDomain == nil {
 		t.Fatal("host pieces missing")
 	}
-	if h.Name != "h" || h.Sim != s || h.Personality != SPIN {
+	if h.Name != "h" || h.Sim != s || h.Boundary != PlexusInterrupt {
 		t.Error("host fields wrong")
+	}
+}
+
+func TestBoundaryFromPersonalityAndDispatch(t *testing.T) {
+	for _, c := range []struct {
+		p    Personality
+		d    DispatchMode
+		want Boundary
+		prio sim.Priority
+	}{
+		{SPIN, DispatchInterrupt, PlexusInterrupt, sim.PrioKernel},
+		{SPIN, DispatchThread, PlexusThread, sim.PrioKernel},
+		{Monolithic, DispatchInterrupt, DigitalUnix, sim.PrioUser},
+		{Monolithic, DispatchThread, DigitalUnix, sim.PrioUser}, // dispatch ignored
+	} {
+		b := NewHost(sim.New(1), "h", c.p, c.d, DefaultCosts()).Boundary
+		if b != c.want || b.AppPriority() != c.prio {
+			t.Errorf("%v/%v: boundary %v at %v, want %v at %v", c.p, c.d, b, b.AppPriority(), c.want, c.prio)
+		}
+	}
+	if PlexusThread.String() != "Plexus (thread)" || DigitalUnix.String() != "DIGITAL UNIX" {
+		t.Error("boundary names wrong")
 	}
 }

@@ -11,51 +11,66 @@ import (
 )
 
 // TestUDPEchoSteadyStateAllocs pins the zero-alloc property of the per-packet
-// path: once warm (ARP primed, pools and free lists populated), a complete
-// application-to-application UDP echo round — two sends, two wire crossings,
-// two interrupt deliveries, full header processing — allocates nothing.
+// path on every boundary: once warm (ARP primed, pools and free lists
+// populated), a complete application-to-application UDP echo round — two
+// sends, two wire crossings, two receive hand-offs (interrupt, kernel thread,
+// or softirq plus a woken user process), full header processing — allocates
+// nothing.
 func TestUDPEchoSteadyStateAllocs(t *testing.T) {
-	spec := func(name string) HostSpec {
-		return HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchInterrupt}
-	}
-	n, client, server, err := TwoHosts(1, netdev.EthernetModel(), spec("client"), spec("server"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var echo *UDPApp
-	echo, err = server.OpenUDP(UDPAppOptions{Port: 7}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-		_ = echo.Send(tk, src, srcPort, data)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := make([]byte, 8)
-	rounds := 0
-	var capp *UDPApp
-	capp, err = client.OpenUDP(UDPAppOptions{}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-		rounds++
-		_ = capp.Send(tk, server.Addr(), 7, msg)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.Spawn("kick", func(tk *sim.Task) { _ = capp.Send(tk, server.Addr(), 7, msg) })
-
-	runRounds := func(k int) {
-		target := rounds + k
-		for rounds < target {
-			if !n.Sim.Step() {
-				t.Fatal("simulation drained before completing echo rounds")
+	for _, c := range []struct {
+		name string
+		p    osmodel.Personality
+		d    osmodel.DispatchMode
+	}{
+		{"interrupt", osmodel.SPIN, osmodel.DispatchInterrupt},
+		{"thread", osmodel.SPIN, osmodel.DispatchThread},
+		{"dux", osmodel.Monolithic, osmodel.DispatchInterrupt},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec := func(name string) HostSpec {
+				return HostSpec{Name: name, Personality: c.p, Dispatch: c.d}
 			}
-		}
-	}
-	// Warm up: prime every free list (events, tasks, submissions, mbufs,
-	// clusters, wire frames, receive buffers).
-	runRounds(64)
+			n, client, server, err := TwoHosts(1, netdev.EthernetModel(), spec("client"), spec("server"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var echo *UDPApp
+			echo, err = server.OpenUDP(UDPAppOptions{Port: 7}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+				_ = echo.Send(tk, src, srcPort, data)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := make([]byte, 8)
+			rounds := 0
+			var capp *UDPApp
+			capp, err = client.OpenUDP(UDPAppOptions{}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+				rounds++
+				_ = capp.Send(tk, server.Addr(), 7, msg)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.Spawn("kick", func(tk *sim.Task) { _ = capp.Send(tk, server.Addr(), 7, msg) })
 
-	avg := testing.AllocsPerRun(100, func() { runRounds(1) })
-	if avg != 0 {
-		t.Fatalf("steady-state UDP echo round allocates %.2f/iter, want 0", avg)
+			runRounds := func(k int) {
+				target := rounds + k
+				for rounds < target {
+					if !n.Sim.Step() {
+						t.Fatal("simulation drained before completing echo rounds")
+					}
+				}
+			}
+			// Warm up: prime every free list (events, tasks, submissions,
+			// mbufs, clusters, wire frames, raise jobs, wake records,
+			// receive buffers) and build the hand-off task labels.
+			runRounds(64)
+
+			avg := testing.AllocsPerRun(100, func() { runRounds(1) })
+			if avg != 0 {
+				t.Fatalf("steady-state UDP echo round allocates %.2f/iter, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -44,7 +44,7 @@ func udpEchoRTT(t *testing.T, model netdev.Model, a, b HostSpec, payload int) si
 	capp, err := client.OpenUDP(UDPAppOptions{}, func(task *sim.Task, data []byte, src view.IP4, srcPort uint16) {
 		task.Charge(client.Host.Costs.AppHandler)
 		recvTime = task.Now()
-		got = data
+		got = append([]byte(nil), data...) // valid only during the call
 	})
 	if err != nil {
 		t.Fatal(err)

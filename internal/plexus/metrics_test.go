@@ -184,14 +184,18 @@ func TestUDPEchoSteadyStateAllocsWithMetrics(t *testing.T) {
 	}
 }
 
-// TestTCPAppBoundaryCostsProfiled checks that Monolithic TCP's user/kernel
-// boundary — syscalls, socket layer, wakeups, context switches and the
-// copies — reaches the profile as ProfTrap and ProfCopy, the split the
-// paper's comparison rests on, while SPIN's in-kernel application pays no
-// app-path copy at all.
+// TestTCPAppBoundaryCostsProfiled checks that each boundary's TCP cost split
+// reaches the profile: DIGITAL UNIX's user/kernel boundary — syscalls, socket
+// layer, wakeups, context switches and the copies — as ProfTrap and ProfCopy,
+// the split the paper's comparison rests on; Plexus's in-kernel application
+// pays no app-path copy at all, and its thread mode pays a ProfDispatch
+// thread spawn per raise instead.
 func TestTCPAppBoundaryCostsProfiled(t *testing.T) {
 	const size = 16 << 10
-	for _, spec := range []func(string) HostSpec{duxSpec, spinSpec} {
+	threadSpec := func(name string) HostSpec {
+		return HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchThread}
+	}
+	for _, spec := range []func(string) HostSpec{duxSpec, spinSpec, threadSpec} {
 		n, client, server, err := TwoHosts(1, netdev.EthernetModel(), spec("client"), spec("server"))
 		if err != nil {
 			t.Fatal(err)
@@ -218,19 +222,23 @@ func TestTCPAppBoundaryCostsProfiled(t *testing.T) {
 			}
 		})
 		n.Sim.RunUntil(10 * sim.Second)
+		b := client.Host.Boundary
 		if got != size {
-			t.Fatalf("%v: delivered %d of %d bytes", client.Host.Personality, got, size)
+			t.Fatalf("%v: delivered %d of %d bytes", b, got, size)
 		}
-		prof := map[sim.ProfKind]map[string]sim.Time{sim.ProfTrap: {}, sim.ProfCopy: {}}
+		prof := map[sim.ProfKind]map[string]sim.Time{sim.ProfTrap: {}, sim.ProfCopy: {}, sim.ProfDispatch: {}}
 		for _, row := range rec.Profile() {
 			if m := prof[row.Kind]; m != nil {
 				m[row.Owner] += row.Total
 			}
 		}
-		copies := prof[sim.ProfCopy]
-		if client.Host.Personality == osmodel.SPIN {
+		copies, spawns := prof[sim.ProfCopy], prof[sim.ProfDispatch]["thread-spawn"]
+		if b != osmodel.DigitalUnix {
 			if copies["copyin"] != 0 || copies["copyout"] != 0 {
-				t.Errorf("SPIN charged app-path copies %v", copies)
+				t.Errorf("%v charged app-path copies %v", b, copies)
+			}
+			if (b == osmodel.PlexusThread) != (spawns > 0) {
+				t.Errorf("%v charged %v of thread spawns", b, spawns)
 			}
 			continue
 		}

@@ -16,12 +16,12 @@ import (
 // where a topology builder attaches it.
 type HostSpec struct {
 	Name string
-	// Personality selects SPIN or Monolithic structure.
+	// Personality and Dispatch choose the host's osmodel.Boundary: SPIN
+	// with DispatchInterrupt is Plexus (interrupt), SPIN with
+	// DispatchThread is Plexus (thread), and Monolithic is DIGITAL UNIX
+	// whatever Dispatch says.
 	Personality osmodel.Personality
-	// Dispatch selects interrupt- or thread-level handler execution on
-	// SPIN hosts (ignored for Monolithic, which always hands receive
-	// processing to a softirq-level continuation).
-	Dispatch osmodel.DispatchMode
+	Dispatch    osmodel.DispatchMode
 	// Costs overrides the default cost model (nil = defaults).
 	Costs *osmodel.Costs
 	// Pool overrides the host's mbuf pool (nil = a fresh per-host pool).

@@ -2,8 +2,8 @@
 // simulated host and exposes the architecture's public surface: building
 // stacks, opening endpoints through protocol managers, installing
 // application-specific extensions at runtime, and running the same protocol
-// code under either OS personality (SPIN/Plexus in-kernel, or a monolithic
-// DIGITAL-UNIX-like structure) so their structural costs can be compared.
+// code on either side of each osmodel.Boundary (Plexus in-kernel, or a
+// DIGITAL UNIX user process) so their structural costs can be compared.
 package plexus
 
 import (
@@ -53,62 +53,82 @@ type Stack struct {
 	UDP   *udp.Manager
 	TCP   *tcp.Manager
 
-	cfg    StackConfig
-	raiser *modeRaiser
-
-	// tcpRecvFree recycles the records (and copy buffers) that carry TCP
-	// stream data to Monolithic user processes; tcpRecvLabel is their task
-	// label, built on first use. See TCPApp.deliver.
-	tcpRecvFree  []*tcpAppRecv
-	tcpRecvLabel string
+	cfg StackConfig
+	// raiseFree and wakeFree recycle the records that carry work deferred
+	// across the boundary: raises (see RaiseRef) and, with their copy
+	// buffers, deliveries to DIGITAL UNIX processes (see deliver).
+	raiseFree []*raiseJob
+	wakeFree  []*userWake
+	labels    map[[2]string]string // see Stack.label
 }
 
-// modeRaiser implements event.Raiser with the stack's dispatch structure:
-//
-//   - SPIN/interrupt: raise inline — handlers run in the raising task, which
-//     on the receive path is the network interrupt (paper §3.3).
-//   - SPIN/thread: each raise creates a kernel thread (paper Figure 5's
-//     "thread" bars): charge thread creation, continue at kernel priority.
-//   - Monolithic: the first raise out of the interrupt (Ethernet.PacketRecv)
-//     models the netisr hand-off: charge the softirq dispatch and continue at
-//     kernel priority; subsequent layers run inline in that softirq.
-type modeRaiser struct {
-	host *osmodel.Host
-	mode osmodel.DispatchMode
+// label returns prefix+name, built once per stack so that labelling a
+// deferred task allocates nothing on the per-packet path.
+func (st *Stack) label(prefix, name string) string {
+	k := [2]string{prefix, name}
+	l, ok := st.labels[k]
+	if !ok {
+		l = prefix + name
+		st.labels[k] = l
+	}
+	return l
 }
 
-// Raise implements event.Raiser.
-func (r *modeRaiser) Raise(t *sim.Task, name event.Name, m *mbuf.Mbuf) int {
-	return r.RaiseRef(t, r.host.Disp.Ref(name), m)
+// raiseJob is one raise deferred to a kernel thread or softirq; jobs recycle
+// through Stack.raiseFree, so raising allocates nothing.
+type raiseJob struct {
+	st  *Stack
+	ref *event.Ref
+	m   *mbuf.Mbuf
+}
+
+// Raise implements event.Raiser: a Stack is the raiser its layers raise
+// through.
+func (st *Stack) Raise(t *sim.Task, name event.Name, m *mbuf.Mbuf) int {
+	return st.RaiseRef(t, st.Host.Disp.Ref(name), m)
 }
 
 // RaiseRef implements event.Raiser's resolved-handle raise — the form every
-// protocol layer uses on its per-packet path.
-func (r *modeRaiser) RaiseRef(t *sim.Task, ref *event.Ref, m *mbuf.Mbuf) int {
-	switch {
-	case r.host.Personality == osmodel.SPIN && r.mode == osmodel.DispatchThread:
-		n := ref.HandlerCount()
-		if n == 0 {
-			return 0
-		}
-		t.ChargeProf(sim.ProfDispatch, "thread-spawn", r.host.Costs.ThreadSpawn)
-		r.host.CPU.SubmitAt(t.Now(), sim.PrioKernel, "raise:"+string(ref.Name()), func(t2 *sim.Task) {
-			ref.Raise(t2, m)
-		})
-		return n
-	case r.host.Personality == osmodel.Monolithic && ref.Name() == ether.RecvEvent:
-		n := ref.HandlerCount()
-		if n == 0 {
-			return 0
-		}
-		r.host.CPU.SubmitAt(t.Now(), sim.PrioKernel, "softirq:"+string(ref.Name()), func(t2 *sim.Task) {
-			t2.ChargeProf(sim.ProfDispatch, "softirq", r.host.Costs.SoftIRQ)
-			ref.Raise(t2, m)
-		})
-		return n
-	default:
+// protocol layer uses on its per-packet path — as the boundary's receive
+// hand-off:
+//
+//   - Plexus (interrupt): raise inline — handlers run in the raising task,
+//     which on the receive path is the network interrupt (paper §3.3).
+//   - Plexus (thread): each raise creates a kernel thread (paper Figure 5's
+//     "thread" bars): charge thread creation, continue at kernel priority.
+//   - DIGITAL UNIX: the first raise out of the interrupt (Ethernet.PacketRecv)
+//     models the netisr hand-off: charge the softirq dispatch and continue at
+//     kernel priority; subsequent layers run inline in that softirq.
+func (st *Stack) RaiseRef(t *sim.Task, ref *event.Ref, m *mbuf.Mbuf) int {
+	b := st.Host.Boundary
+	if b == osmodel.PlexusInterrupt || b == osmodel.DigitalUnix && ref.Name() != ether.RecvEvent {
 		return ref.Raise(t, m)
 	}
+	n := ref.HandlerCount()
+	if n == 0 {
+		return 0
+	}
+	prefix := "softirq:"
+	if b == osmodel.PlexusThread {
+		prefix = "raise:"
+		t.ChargeProf(sim.ProfDispatch, "thread-spawn", st.Host.Costs.ThreadSpawn)
+	}
+	j := pop(&st.raiseFree)
+	j.st, j.ref, j.m = st, ref, m
+	st.Host.CPU.SubmitAtArg(t.Now(), sim.PrioKernel, st.label(prefix, string(ref.Name())), raiseTask, j)
+	return n
+}
+
+// raiseTask runs a deferred raise on its kernel thread or softirq.
+func raiseTask(t *sim.Task, a any) {
+	j := a.(*raiseJob)
+	st, ref, m := j.st, j.ref, j.m
+	j.ref, j.m = nil, nil
+	st.raiseFree = append(st.raiseFree, j)
+	if st.Host.Boundary == osmodel.DigitalUnix {
+		t.ChargeProf(sim.ProfDispatch, "softirq", st.Host.Costs.SoftIRQ)
+	}
+	ref.Raise(t, m)
 }
 
 // NewStack assembles a host and its protocol graph.
@@ -118,7 +138,7 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 	if cfg.Costs != nil {
 		costs = *cfg.Costs
 	}
-	host := osmodel.NewHost(s, name, cfg.Personality, costs)
+	host := osmodel.NewHost(s, name, cfg.Personality, cfg.Dispatch, costs)
 	if cfg.Pool != nil {
 		host.Pool = cfg.Pool
 	}
@@ -126,12 +146,11 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 		host.CPU = cfg.CPU
 	}
 	host.Disp.SetQuarantine(cfg.Quarantine)
-	raiser := &modeRaiser{host: host, mode: cfg.Dispatch}
-	interruptMode := cfg.Personality == osmodel.SPIN && cfg.Dispatch == osmodel.DispatchInterrupt
+	st := &Stack{Host: host, cfg: cfg, labels: make(map[[2]string]string)}
 
 	nic := netdev.NewNIC(s, name+"/"+cfg.Model.Name, cfg.Model, cfg.Link, netdev.Config{
 		CPU:   host.CPU,
-		Raise: raiser,
+		Raise: st,
 		Pool:  host.Pool,
 		MAC:   cfg.MAC,
 	})
@@ -140,14 +159,14 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 	eth, err := ether.New(ether.Config{
 		NIC:   nic,
 		Disp:  host.Disp,
-		Raise: raiser,
+		Raise: st,
 		Pool:  host.Pool,
 		CPU:   host.CPU,
 		Costs: costs,
 		// §3.3: handlers delegated interrupt-level work must be
-		// EPHEMERAL. Thread/monolithic stacks run handlers on threads,
-		// so the restriction is lifted there.
-		RequireEphemeral: interruptMode,
+		// EPHEMERAL. The other boundaries run handlers in kernel tasks
+		// (a thread or the softirq), so the restriction is lifted there.
+		RequireEphemeral: st.InterruptMode(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("plexus: %w", err)
@@ -180,10 +199,10 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 		IP:               ipl,
 		ICMP:             icmpl,
 		Disp:             host.Disp,
-		Raise:            raiser,
+		Raise:            st,
 		Pool:             host.Pool,
 		Costs:            costs,
-		RequireEphemeral: interruptMode,
+		RequireEphemeral: st.InterruptMode(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("plexus: %w", err)
@@ -192,7 +211,7 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 		Sim:              s,
 		IP:               ipl,
 		Disp:             host.Disp,
-		Raise:            raiser,
+		Raise:            st,
 		CPU:              host.CPU,
 		Pool:             host.Pool,
 		Costs:            costs,
@@ -205,18 +224,7 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 		return nil, fmt.Errorf("plexus: %w", err)
 	}
 	tcpm.AttachHealth(host.Disp)
-	st := &Stack{
-		Host:   host,
-		NIC:    nic,
-		Ether:  eth,
-		ARP:    ar,
-		IP:     ipl,
-		ICMP:   icmpl,
-		UDP:    udpm,
-		TCP:    tcpm,
-		cfg:    cfg,
-		raiser: raiser,
-	}
+	st.NIC, st.Ether, st.ARP, st.IP, st.ICMP, st.UDP, st.TCP = nic, eth, ar, ipl, icmpl, udpm, tcpm
 	st.populateDomains()
 	return st, nil
 }
@@ -263,29 +271,19 @@ func (st *Stack) Name() string { return st.Host.Name }
 // Addr returns the host's IP address.
 func (st *Stack) Addr() view.IP4 { return st.cfg.Addr }
 
-// Raiser returns the stack's mode-aware event raiser.
-func (st *Stack) Raiser() event.Raiser { return st.raiser }
+// Raiser returns the stack as the event raiser extensions raise through.
+func (st *Stack) Raiser() event.Raiser { return st }
 
 // InterruptMode reports whether receive handlers run at interrupt level.
-func (st *Stack) InterruptMode() bool {
-	return st.cfg.Personality == osmodel.SPIN && st.cfg.Dispatch == osmodel.DispatchInterrupt
-}
+func (st *Stack) InterruptMode() bool { return st.Host.Boundary == osmodel.PlexusInterrupt }
 
-// Spawn starts application code in a fresh task at the personality's natural
-// priority: kernel for SPIN extensions, user for monolithic processes.
+// Spawn starts application code in a fresh task at the boundary's natural
+// priority: kernel for Plexus extensions, user for DIGITAL UNIX processes.
 func (st *Stack) Spawn(label string, fn func(t *sim.Task)) {
-	prio := sim.PrioKernel
-	if st.Host.Personality == osmodel.Monolithic {
-		prio = sim.PrioUser
-	}
-	st.Host.CPU.Submit(prio, label, fn)
+	st.Host.CPU.Submit(st.Host.Boundary.AppPriority(), label, fn)
 }
 
 // SpawnAt is Spawn at an absolute simulated time.
 func (st *Stack) SpawnAt(at sim.Time, label string, fn func(t *sim.Task)) {
-	prio := sim.PrioKernel
-	if st.Host.Personality == osmodel.Monolithic {
-		prio = sim.PrioUser
-	}
-	st.Host.CPU.SubmitAt(at, prio, label, fn)
+	st.Host.CPU.SubmitAt(at, st.Host.Boundary.AppPriority(), label, fn)
 }

@@ -42,7 +42,7 @@ func TestCrossPersonalityInterop(t *testing.T) {
 			}
 			var udpGot []byte
 			capp, err := client.OpenUDP(UDPAppOptions{}, func(task *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-				udpGot = data
+				udpGot = append([]byte(nil), data...) // valid only during the call
 			})
 			if err != nil {
 				t.Fatal(err)

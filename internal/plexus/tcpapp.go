@@ -1,7 +1,6 @@
 package plexus
 
 import (
-	"plexus/internal/osmodel"
 	"plexus/internal/sim"
 	"plexus/internal/tcp"
 	"plexus/internal/view"
@@ -28,47 +27,38 @@ type TCPAppOptions struct {
 	NoSack bool
 }
 
-// TCPApp is an application-level TCP connection with personality costs.
+// TCPApp is an application-level TCP connection with the host boundary's
+// costs.
 type TCPApp struct {
 	st   *Stack
 	conn *tcp.Conn
 	opts TCPAppOptions
 }
 
-func (st *Stack) connOptions(app *TCPApp, opts TCPAppOptions) tcp.ConnOptions {
-	return tcp.ConnOptions{
+// ConnectTCP performs an active open to dst:dstPort.
+func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPAppOptions) (*TCPApp, error) {
+	app := &TCPApp{st: st, opts: opts}
+	st.Syscall(t, st.Host.Costs.SocketLayer, 0, 0)
+	c, err := st.TCP.Connect(t, dst, dstPort, tcp.ConnOptions{
 		Ephemeral: true,
 		CC:        opts.CC,
 		NoSack:    opts.NoSack,
 		OnRecv: func(t *sim.Task, c *tcp.Conn, data []byte) {
-			app.deliver(t, data)
+			st.deliver(t, "tcp-app-recv:", app, data, view.IP4{}, 0)
 		},
 		OnEstablished: func(t *sim.Task, c *tcp.Conn) {
 			app.conn = c
-			if opts.OnEstablished != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { opts.OnEstablished(task, app) })
-			}
+			app.control(t, opts.OnEstablished)
 		},
 		OnPeerFin: func(t *sim.Task, c *tcp.Conn) {
-			if opts.OnPeerFin != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { opts.OnPeerFin(task, app) })
-			}
+			app.control(t, opts.OnPeerFin)
 		},
 		OnClose: func(c *tcp.Conn, err error) {
 			if opts.OnClose != nil {
 				opts.OnClose(app, err)
 			}
 		},
-	}
-}
-
-// ConnectTCP performs an active open to dst:dstPort.
-func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPAppOptions) (*TCPApp, error) {
-	app := &TCPApp{st: st, opts: opts}
-	if st.Host.Personality == osmodel.Monolithic {
-		t.ChargeProf(sim.ProfTrap, "syscall", st.Host.Costs.Syscall+st.Host.Costs.SocketLayer)
-	}
-	c, err := st.TCP.Connect(t, dst, dstPort, st.connOptions(app, opts))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -91,22 +81,18 @@ func (st *Stack) ListenTCP(port uint16, opts TCPAppOptions, accept func(t *sim.T
 		Ephemeral: true,
 		OnRecv: func(t *sim.Task, c *tcp.Conn, data []byte) {
 			if app := apps[c]; app != nil {
-				app.deliver(t, data)
+				st.deliver(t, "tcp-app-recv:", app, data, view.IP4{}, 0)
 			}
 		},
 		OnEstablished: func(t *sim.Task, c *tcp.Conn) {
 			app := &TCPApp{st: st, conn: c, opts: opts}
 			apps[c] = app
-			if accept != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { accept(task, app) })
-			}
-			if app.opts.OnEstablished != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { app.opts.OnEstablished(task, app) })
-			}
+			app.control(t, accept)
+			app.control(t, app.opts.OnEstablished)
 		},
 		OnPeerFin: func(t *sim.Task, c *tcp.Conn) {
-			if app := apps[c]; app != nil && app.opts.OnPeerFin != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { app.opts.OnPeerFin(task, app) })
+			if app := apps[c]; app != nil {
+				app.control(t, app.opts.OnPeerFin)
 			}
 		},
 		OnClose: func(c *tcp.Conn, err error) {
@@ -128,37 +114,10 @@ func (app *TCPApp) Options() TCPAppOptions { return app.opts }
 // effect for subsequent deliveries.
 func (app *TCPApp) SetOptions(o TCPAppOptions) { app.opts = o }
 
-// deliver applies receive-side personality structure, then the app callback.
-// On SPIN the callback runs here, on the transport's own view of the bytes —
-// no copy, as an in-kernel extension sees packet data. On Monolithic the user
-// process runs later, after the transport has reused the buffer data aliases,
-// so the bytes are copied now: the copy across the user/kernel boundary that
-// CopyPerByte charges for.
-func (app *TCPApp) deliver(t *sim.Task, data []byte) {
-	st := app.st
-	if st.Host.Personality == osmodel.SPIN {
-		app.recv(t, data)
-		return
-	}
-	costs := st.Host.Costs
-	t.ChargeProf(sim.ProfTrap, "socket", costs.SocketLayer+costs.Wakeup)
-	var r *tcpAppRecv
-	if n := len(st.tcpRecvFree); n > 0 {
-		r = st.tcpRecvFree[n-1]
-		st.tcpRecvFree = st.tcpRecvFree[:n-1]
-	} else {
-		r = &tcpAppRecv{}
-	}
-	r.app = app
-	r.data = append(r.data[:0], data...)
-	if st.tcpRecvLabel == "" {
-		st.tcpRecvLabel = "tcp-app-recv:" + st.Name()
-	}
-	st.Host.CPU.SubmitAtArg(t.Now(), sim.PrioUser, st.tcpRecvLabel, tcpAppRecvTask, r)
-}
-
-// recv charges the application's per-chunk cost and runs its callback.
-func (app *TCPApp) recv(t *sim.Task, data []byte) {
+// recv charges the application's per-chunk cost and runs its callback. The
+// callback is read now, so one replaced by SetOptions takes effect for data
+// already queued.
+func (app *TCPApp) recv(t *sim.Task, data []byte, _ view.IP4, _ uint16) {
 	if app.opts.AppRecvCost > 0 {
 		t.Charge(app.opts.AppRecvCost)
 	}
@@ -167,58 +126,15 @@ func (app *TCPApp) recv(t *sim.Task, data []byte) {
 	}
 }
 
-// tcpAppRecv is one chunk of stream data queued for a Monolithic user
-// process; records and their buffers recycle through Stack.tcpRecvFree.
-type tcpAppRecv struct {
-	app  *TCPApp
-	data []byte
-}
-
-// tcpAppRecvTask is the woken user process returning from its recv trap.
-func tcpAppRecvTask(ut *sim.Task, a any) {
-	r := a.(*tcpAppRecv)
-	app := r.app
-	costs := app.st.Host.Costs
-	ut.ChargeProf(sim.ProfTrap, "syscall", costs.CtxSwitch+costs.Syscall)
-	ut.ChargeBytesProf(sim.ProfCopy, "copyout", len(r.data), costs.CopyPerByte)
-	app.recv(ut, r.data)
-	r.app = nil
-	app.st.tcpRecvFree = append(app.st.tcpRecvFree, r)
-}
-
-// inAppContext runs a control callback with personality structure: inline on
-// SPIN, as a woken user process on Monolithic.
-func (app *TCPApp) inAppContext(t *sim.Task, nbytes int, fn func(task *sim.Task)) {
-	st := app.st
-	if st.Host.Personality == osmodel.SPIN {
-		fn(t)
-		return
-	}
-	costs := st.Host.Costs
-	t.ChargeProf(sim.ProfTrap, "socket", costs.Wakeup)
-	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, "tcp-app-ctl:"+st.Name(), func(ut *sim.Task) {
-		ut.ChargeProf(sim.ProfTrap, "syscall", costs.CtxSwitch)
-		ut.ChargeBytesProf(sim.ProfCopy, "copyout", nbytes, costs.CopyPerByte)
-		fn(ut)
-	})
-}
-
-// Send writes data to the stream, applying send-side personality costs.
+// Send writes data to the stream: a write(2) on DIGITAL UNIX.
 func (app *TCPApp) Send(t *sim.Task, data []byte) error {
-	st := app.st
-	if st.Host.Personality == osmodel.Monolithic {
-		costs := st.Host.Costs
-		t.ChargeProf(sim.ProfTrap, "syscall", costs.Syscall+costs.SocketLayer)
-		t.ChargeBytesProf(sim.ProfCopy, "copyin", len(data), costs.CopyPerByte)
-	}
+	app.st.Syscall(t, app.st.Host.Costs.SocketLayer, len(data), 0)
 	return app.conn.Send(t, data)
 }
 
 // Close ends the send side (FIN after buffered data).
 func (app *TCPApp) Close(t *sim.Task) {
-	if app.st.Host.Personality == osmodel.Monolithic {
-		t.ChargeProf(sim.ProfTrap, "syscall", app.st.Host.Costs.Syscall)
-	}
+	app.st.Syscall(t, 0, 0, 0)
 	app.conn.Close(t)
 }
 

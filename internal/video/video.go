@@ -19,7 +19,6 @@ package video
 import (
 	"fmt"
 
-	"plexus/internal/osmodel"
 	"plexus/internal/plexus"
 	"plexus/internal/sim"
 	"plexus/internal/view"
@@ -147,13 +146,10 @@ func (s *Server) sendFrames(t *sim.Task) {
 		// Read the frame from disk through the file system.
 		t.Charge(costs.DiskReadSetup)
 		t.ChargeBytes(s.cfg.FrameSize, costs.DiskReadPerByte)
-		if s.st.Host.Personality == osmodel.Monolithic {
-			// read(2): trap plus copyout of the file data to the
-			// user buffer. (The subsequent send pays the copyin;
-			// SPIN's in-kernel extension pays neither — §5.1.)
-			t.ChargeProf(sim.ProfTrap, "syscall", costs.Syscall)
-			t.ChargeBytesProf(sim.ProfCopy, "copyout", s.cfg.FrameSize, costs.CopyPerByte)
-		}
+		// read(2) on DIGITAL UNIX: trap plus copyout of the file data to
+		// the user buffer. (The subsequent send pays the copyin; SPIN's
+		// in-kernel extension pays neither — §5.1.)
+		s.st.Syscall(t, 0, 0, s.cfg.FrameSize)
 		frame := s.buildFrame(uint32(i), s.seq)
 		if err := s.app.Send(t, dst, s.cfg.Port, frame); err != nil {
 			s.st.Host.Sim.Tracef(sim.TraceApp, "video: send failed: %v", err)
