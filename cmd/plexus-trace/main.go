@@ -1,15 +1,13 @@
 // Command plexus-trace runs a small scenario on the simulated network and
-// dumps what the flight recorder saw: the annotated text trace (CPU task
-// scheduling, wire transmissions, protocol decisions, dispatcher activity),
-// single-packet lifecycle itineraries, a simulated-CPU profile as Chrome
-// trace_event JSON (loadable in Perfetto) or folded stacks, each stamped
-// with simulated time. It is the debugging lens for the protocol graph.
+// dumps what the flight recorder saw: a timeline of every CPU task and
+// packet hop, single-packet lifecycle itineraries, a simulated-CPU profile as
+// Chrome trace_event JSON (loadable in Perfetto) or folded stacks, each
+// stamped with simulated time. It is the debugging lens for the protocol graph.
 //
 // Usage:
 //
-//	plexus-trace                      # UDP echo scenario, all categories
+//	plexus-trace                      # UDP echo scenario: task + hop timeline
 //	plexus-trace -scenario tcp        # TCP handshake + small transfer
-//	plexus-trace -only net,proto      # filter categories (cpu,net,proto,app,event)
 //	plexus-trace -spans               # list packet lifecycle spans
 //	plexus-trace -follow 3            # one packet's full itinerary, per-hop deltas
 //	plexus-trace -chrome out.json     # Chrome trace_event profile (Perfetto):
@@ -27,7 +25,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -43,45 +43,52 @@ import (
 	"plexus/internal/view"
 )
 
+// options are the command's flags.
+type options struct {
+	scenario  string
+	spans     bool
+	follow    uint64
+	chrome    string
+	folded    string
+	tcpstates string
+	tcpjsonl  string
+}
+
 func main() {
-	scenario := flag.String("scenario", "udp", "scenario: udp | tcp | ping")
-	only := flag.String("only", "", "comma-separated categories: cpu,net,proto,app,event (default all)")
-	spans := flag.Bool("spans", false, "list packet lifecycle spans instead of the text trace")
-	follow := flag.Uint64("follow", 0, "print the full itinerary of one packet span (see -spans)")
-	chrome := flag.String("chrome", "", "write a Chrome trace_event JSON profile to this file")
-	folded := flag.String("folded", "", "write a folded-stacks CPU profile to this file")
-	tcpstates := flag.String("tcpstates", "", `print audited TCP state transitions: "all" or "ip:port-ip:port"`)
-	tcpjsonl := flag.String("tcpjsonl", "", "write TCP state transitions as JSON lines to this file")
+	var o options
+	flag.StringVar(&o.scenario, "scenario", "udp", "scenario: udp | tcp | ping")
+	flag.BoolVar(&o.spans, "spans", false, "list packet lifecycle spans instead of the timeline")
+	flag.Uint64Var(&o.follow, "follow", 0, "print the full itinerary of one packet span (see -spans)")
+	flag.StringVar(&o.chrome, "chrome", "", "write a Chrome trace_event JSON profile to this file")
+	flag.StringVar(&o.folded, "folded", "", "write a folded-stacks CPU profile to this file")
+	flag.StringVar(&o.tcpstates, "tcpstates", "", `print audited TCP state transitions: "all" or "ip:port-ip:port"`)
+	flag.StringVar(&o.tcpjsonl, "tcpjsonl", "", "write TCP state transitions as JSON lines to this file")
 	flag.Parse()
-
-	var cats []sim.TraceCategory
-	if *only != "" {
-		names := map[string]sim.TraceCategory{
-			"cpu": sim.TraceCPU, "net": sim.TraceNet, "proto": sim.TraceProto,
-			"app": sim.TraceApp, "event": sim.TraceEvent,
-		}
-		for _, n := range strings.Split(*only, ",") {
-			cat, ok := names[strings.TrimSpace(n)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "plexus-trace: unknown category %q\n", n)
-				os.Exit(2)
-			}
-			cats = append(cats, cat)
-		}
-	}
-
-	net, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
-		plexus.HostSpec{Name: "client", Personality: osmodel.SPIN},
-		plexus.HostSpec{Name: "server", Personality: osmodel.SPIN})
-	if err != nil {
+	if err := run(os.Stdout, o, osmodel.PlexusInterrupt); err != nil {
 		fmt.Fprintln(os.Stderr, "plexus-trace:", err)
 		os.Exit(1)
 	}
-	rec := &sim.RecordingTracer{}
-	net.Sim.SetTracer(rec)
-	if len(cats) > 0 {
-		// Emit-path filtering: disabled categories never pay the Sprintf.
-		net.Sim.EnableTrace(cats...)
+}
+
+// hostSpec is the HostSpec whose personality and dispatch mode give b.
+func hostSpec(name string, b osmodel.Boundary) plexus.HostSpec {
+	spec := plexus.HostSpec{Name: name, Personality: osmodel.SPIN}
+	switch b {
+	case osmodel.PlexusThread:
+		spec.Dispatch = osmodel.DispatchThread
+	case osmodel.DigitalUnix:
+		spec.Personality = osmodel.Monolithic
+	}
+	return spec
+}
+
+// run plays o's scenario between two hosts with boundary b and writes the
+// views o asks for to w; with no view flag set, the timeline.
+func run(w io.Writer, o options, b osmodel.Boundary) error {
+	net, client, server, err := plexus.TwoHosts(1, netdev.EthernetModel(),
+		hostSpec("client", b), hostSpec("server", b))
+	if err != nil {
+		return err
 	}
 	metrics := stats.NewRecorder(stats.Config{})
 	net.Sim.SetMetrics(metrics)
@@ -97,20 +104,18 @@ func main() {
 	var jsonlFile *os.File
 	var jsonl *audit.JSONLSink
 	var ring *audit.RingSink
-	if *tcpstates != "" || *tcpjsonl != "" || *chrome != "" {
+	if o.tcpstates != "" || o.tcpjsonl != "" || o.chrome != "" {
 		events = &audit.AssertSink{}
 		sinks := audit.Tee{events}
-		if *tcpjsonl != "" {
-			f, err := os.Create(*tcpjsonl)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "plexus-trace:", err)
-				os.Exit(1)
+		if o.tcpjsonl != "" {
+			if jsonlFile, err = os.Create(o.tcpjsonl); err != nil {
+				return err
 			}
-			jsonlFile = f
-			jsonl = audit.NewJSONLSink(f)
+			defer jsonlFile.Close()
+			jsonl = audit.NewJSONLSink(jsonlFile)
 			sinks = append(sinks, jsonl)
 		}
-		if *chrome != "" {
+		if o.chrome != "" {
 			ring = audit.NewRingSink(4096)
 			sinks = append(sinks, ring)
 		}
@@ -127,7 +132,7 @@ func main() {
 	// points at 1ms) from overwriting it with idle tail.
 	var eng *telemetry.Engine
 	horizon := 120 * sim.Second
-	if *chrome != "" {
+	if o.chrome != "" {
 		eng = net.Monitor(plexus.MonitorOptions{
 			Telemetry: telemetry.Options{Interval: sim.Millisecond},
 			PoolCap:   1 << 20,
@@ -135,95 +140,78 @@ func main() {
 		horizon = 2 * sim.Second
 	}
 
-	switch *scenario {
+	// appErr is the first error the scenario's application code saw.
+	var appErr error
+	switch o.scenario {
 	case "udp":
 		var echo *plexus.UDPApp
 		echo, err = server.OpenUDP(plexus.UDPAppOptions{Port: 7}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			t.Sim().Tracef(sim.TraceApp, "server: echoing %dB to %v:%d", len(data), src, srcPort)
 			_ = echo.Send(t, src, srcPort, data)
 		})
 		if err != nil {
-			break
+			return err
 		}
 		var capp *plexus.UDPApp
-		capp, err = client.OpenUDP(plexus.UDPAppOptions{}, func(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-			t.Sim().Tracef(sim.TraceApp, "client: got %dB back", len(data))
-		})
+		capp, err = client.OpenUDP(plexus.UDPAppOptions{}, func(*sim.Task, []byte, view.IP4, uint16) {})
 		if err != nil {
-			break
+			return err
 		}
 		client.Spawn("client", func(t *sim.Task) {
-			t.Sim().Tracef(sim.TraceApp, "client: sending 8B to %v:7", server.Addr())
 			_ = capp.Send(t, server.Addr(), 7, []byte("01234567"))
 		})
 	case "tcp":
 		_, err = server.ListenTCP(80, plexus.TCPAppOptions{
 			OnRecv: func(t *sim.Task, conn *plexus.TCPApp, data []byte) {
-				t.Sim().Tracef(sim.TraceApp, "server: %dB received", len(data))
 				_ = conn.Send(t, data)
 			},
 			OnPeerFin: func(t *sim.Task, conn *plexus.TCPApp) { conn.Close(t) },
 		}, nil)
 		if err != nil {
-			break
+			return err
 		}
 		client.Spawn("client", func(t *sim.Task) {
-			_, cerr := client.ConnectTCP(t, server.Addr(), 80, plexus.TCPAppOptions{
+			_, appErr = client.ConnectTCP(t, server.Addr(), 80, plexus.TCPAppOptions{
 				OnEstablished: func(t2 *sim.Task, conn *plexus.TCPApp) {
-					t2.Sim().Tracef(sim.TraceApp, "client: established, sending")
 					_ = conn.Send(t2, []byte("hello over tcp"))
 					conn.Close(t2)
 				},
-				OnRecv: func(t2 *sim.Task, conn *plexus.TCPApp, data []byte) {
-					t2.Sim().Tracef(sim.TraceApp, "client: %dB echoed", len(data))
-				},
+				OnRecv: func(*sim.Task, *plexus.TCPApp, []byte) {},
 			})
-			if cerr != nil {
-				t.Sim().Tracef(sim.TraceApp, "client: connect failed: %v", cerr)
-			}
 		})
 	case "ping":
 		client.Spawn("ping", func(t *sim.Task) {
-			_ = client.ICMP.Ping(t, server.Addr(), 1, 1, []byte("ping"), func(t2 *sim.Task, r icmp.EchoReply) {
-				t2.Sim().Tracef(sim.TraceApp, "ping: reply seq=%d from %v", r.Seq, r.From)
-			})
+			appErr = client.ICMP.Ping(t, server.Addr(), 1, 1, []byte("ping"), func(*sim.Task, icmp.EchoReply) {})
 		})
 	default:
-		fmt.Fprintf(os.Stderr, "plexus-trace: unknown scenario %q\n", *scenario)
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "plexus-trace:", err)
-		os.Exit(1)
+		return fmt.Errorf("unknown scenario %q", o.scenario)
 	}
 	net.Sim.RunUntil(horizon)
+	if appErr != nil {
+		return appErr
+	}
 
-	if *chrome != "" {
-		f, err := os.Create(*chrome)
+	if o.chrome != "" {
+		f, err := os.Create(o.chrome)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "plexus-trace:", err)
-			os.Exit(1)
+			return err
 		}
 		counters := telemetry.ChromeCounters(eng)
 		instants := audit.ChromeInstants(ring)
-		if err := metrics.WriteChromeTraceWith(f, counters, instants); err == nil {
-			err = f.Close()
-		} else {
+		if err := metrics.WriteChromeTraceWith(f, counters, instants); err != nil {
 			f.Close()
+			return err
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "plexus-trace:", err)
-			os.Exit(1)
+		if err := f.Close(); err != nil {
+			return err
 		}
-		fmt.Printf("wrote Chrome trace (%d samples, %d hops, %d counter points, %d state instants) to %s — open at ui.perfetto.dev\n",
-			metrics.SamplesRecorded(), metrics.HopsRecorded(), len(counters), len(instants), *chrome)
+		fmt.Fprintf(w, "wrote Chrome trace (%d samples, %d hops, %d counter points, %d state instants) to %s — open at ui.perfetto.dev\n",
+			metrics.SamplesRecorded(), metrics.HopsRecorded(), len(counters), len(instants), o.chrome)
 	}
-	if *folded != "" {
-		if err := os.WriteFile(*folded, []byte(metrics.Folded()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "plexus-trace:", err)
-			os.Exit(1)
+	if o.folded != "" {
+		if err := os.WriteFile(o.folded, []byte(metrics.Folded()), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("wrote folded CPU profile to %s\n", *folded)
+		fmt.Fprintf(w, "wrote folded CPU profile to %s\n", o.folded)
 	}
 	if jsonlFile != nil {
 		err := jsonl.Err()
@@ -231,36 +219,62 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "plexus-trace:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("wrote %d TCP state transitions to %s\n", jsonl.Lines(), *tcpjsonl)
+		fmt.Fprintf(w, "wrote %d TCP state transitions to %s\n", jsonl.Lines(), o.tcpjsonl)
 	}
 	switch {
-	case *tcpstates != "":
-		printTCPStates(events, checker, *tcpstates)
-	case *follow != 0:
-		printItinerary(metrics, *follow)
-	case *spans:
-		printSpans(metrics)
-	case *chrome == "" && *folded == "" && *tcpjsonl == "":
-		fmt.Print(rec.String())
-		fmt.Printf("%d trace events, %d sim events executed, final time %v\n",
-			len(rec.Lines), net.Sim.Executed(), net.Sim.Now())
+	case o.tcpstates != "":
+		return printTCPStates(w, events, checker, o.tcpstates)
+	case o.follow != 0:
+		return printItinerary(w, metrics, o.follow)
+	case o.spans:
+		printSpans(w, metrics)
+	case o.chrome == "" && o.folded == "" && o.tcpjsonl == "":
+		printTimeline(w, metrics)
+		fmt.Fprintf(w, "%d sim events executed, final time %v\n", net.Sim.Executed(), net.Sim.Now())
 	}
+	return nil
+}
+
+// printTimeline prints, in simulated-time order, every CPU task the recorder
+// retained (at its start, with the time it charged) and every packet hop.
+// Entries at the same instant keep the order the recorder saw them in, hops
+// before tasks: a hop at a task's start time ended the task before it.
+func printTimeline(w io.Writer, m *stats.Recorder) {
+	type entry struct {
+		at   sim.Time
+		line string
+	}
+	var entries []entry
+	for _, h := range m.Hops() {
+		entries = append(entries, entry{h.At, fmt.Sprintf("%-6s hop  %-26s span %-4d %dB",
+			h.Host, h.Layer+"."+h.Action, h.Span, h.Bytes)})
+	}
+	hops := len(entries)
+	for _, s := range m.Samples() {
+		if s.Kind == sim.ProfTask {
+			entries = append(entries, entry{s.Start, fmt.Sprintf("%-6s task %-26s %-9s charged=%v",
+				s.Host, s.Owner, s.Prio, s.Dur)})
+		}
+	}
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].at < entries[j].at })
+	for _, e := range entries {
+		fmt.Fprintf(w, "%12v  %s\n", e.at, e.line)
+	}
+	fmt.Fprintf(w, "%d tasks, %d hops\n", len(entries)-hops, hops)
 }
 
 // printTCPStates prints the audited transitions (all, or one endpoint's) and
 // the RFC 793 conformance verdict.
-func printTCPStates(events *audit.AssertSink, checker *audit.Checker, filter string) {
+func printTCPStates(w io.Writer, events *audit.AssertSink, checker *audit.Checker, filter string) error {
 	var match func(ev tcp.Transition) bool
 	if filter == "all" {
 		match = func(tcp.Transition) bool { return true }
 	} else {
 		la, lp, ra, rp, err := parseConn(filter)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "plexus-trace:", err)
-			os.Exit(2)
+			return err
 		}
 		match = func(ev tcp.Transition) bool {
 			return ev.LocalAddr == la && ev.LocalPort == lp && ev.RemoteAddr == ra && ev.RemotePort == rp
@@ -279,15 +293,16 @@ func printTCPStates(events *audit.AssertSink, checker *audit.Checker, filter str
 		case tcp.CauseTimer, tcp.CauseUser:
 			cause = fmt.Sprintf("%s %q", ev.Cause.Kind, ev.Cause.Detail)
 		}
-		fmt.Printf("%12v  %-6s %15s:%-5d → %15s:%-5d  %-12s → %-12s  on %s\n",
+		fmt.Fprintf(w, "%12v  %-6s %15s:%-5d → %15s:%-5d  %-12s → %-12s  on %s\n",
 			ev.At, ev.Host, ev.LocalAddr, ev.LocalPort, ev.RemoteAddr, ev.RemotePort,
 			ev.Old, ev.New, cause)
 	}
-	fmt.Printf("%d transitions (%d total), %d RFC 793 conformance violations\n",
+	fmt.Fprintf(w, "%d transitions (%d total), %d RFC 793 conformance violations\n",
 		n, checker.Events(), checker.ViolationCount())
 	for _, v := range checker.Violations() {
-		fmt.Printf("  VIOLATION at %v on %s: %s\n", v.Event.At, v.Event.Host, v.Reason)
+		fmt.Fprintf(w, "  VIOLATION at %v on %s: %s\n", v.Event.At, v.Event.Host, v.Reason)
 	}
+	return nil
 }
 
 // parseConn parses "ip:port-ip:port" as (local, remote) seen from one
@@ -330,35 +345,35 @@ func parseAddr(s string) (view.IP4, uint16, error) {
 }
 
 // printSpans summarizes every recorded packet span: first/last hop and count.
-func printSpans(m *stats.Recorder) {
+func printSpans(w io.Writer, m *stats.Recorder) {
 	ids := m.Spans()
 	if len(ids) == 0 {
-		fmt.Println("no packet spans recorded")
+		fmt.Fprintln(w, "no packet spans recorded")
 		return
 	}
 	for _, id := range ids {
 		hops := m.SpanHops(id)
 		first, last := hops[0], hops[len(hops)-1]
-		fmt.Printf("span %-4d %2d hops  %12v → %-12v  %s/%s.%s → %s/%s.%s\n",
+		fmt.Fprintf(w, "span %-4d %2d hops  %12v → %-12v  %s/%s.%s → %s/%s.%s\n",
 			id, len(hops), first.At, last.At,
 			first.Host, first.Layer, first.Action, last.Host, last.Layer, last.Action)
 	}
-	fmt.Printf("%d spans; follow one with -follow <n>\n", len(ids))
+	fmt.Fprintf(w, "%d spans; follow one with -follow <n>\n", len(ids))
 }
 
 // printItinerary prints one packet's lifecycle with per-hop simulated-time
 // deltas — the "where did my packet spend its time" view.
-func printItinerary(m *stats.Recorder, span uint64) {
+func printItinerary(w io.Writer, m *stats.Recorder, span uint64) error {
 	hops := m.SpanHops(span)
 	if len(hops) == 0 {
-		fmt.Printf("span %d: no hops recorded (use -spans to list)\n", span)
-		os.Exit(1)
+		return fmt.Errorf("span %d: no hops recorded (use -spans to list)", span)
 	}
-	fmt.Printf("span %d: %d hops, %v total\n", span, len(hops), hops[len(hops)-1].At-hops[0].At)
+	fmt.Fprintf(w, "span %d: %d hops, %v total\n", span, len(hops), hops[len(hops)-1].At-hops[0].At)
 	prev := hops[0].At
 	for _, h := range hops {
-		fmt.Printf("  %12v  +%-10v %-8s %-6s %-14s %dB\n",
+		fmt.Fprintf(w, "  %12v  +%-10v %-8s %-6s %-14s %dB\n",
 			h.At, h.At-prev, h.Host, h.Layer, h.Action, h.Bytes)
 		prev = h.At
 	}
+	return nil
 }

@@ -177,9 +177,7 @@ func (a *ARP) sendRequest(t *sim.Task, ip view.IP4, r *resolution) {
 	v, _ := view.ARP(b)
 	v.Init(view.ARPRequest, a.eth.MAC(), a.selfIP, view.MAC{}, ip)
 	a.stats.RequestsSent++
-	if err := a.eth.Send(t, view.BroadcastMAC, view.EtherTypeARP, req); err != nil {
-		a.sim.Tracef(sim.TraceProto, "arp: request send failed: %v", err)
-	}
+	_ = a.eth.Send(t, view.BroadcastMAC, view.EtherTypeARP, req) // the retry timer covers a loss
 	r.timer = a.sim.After(RetryInterval, "arp-retry", func() {
 		cur, ok := a.pending[ip]
 		if !ok || cur != r {
@@ -192,7 +190,6 @@ func (a *ARP) sendRequest(t *sim.Task, ip view.IP4, r *resolution) {
 				a.stats.Drops++
 			}
 			delete(a.pending, ip)
-			a.sim.Tracef(sim.TraceProto, "arp: resolution of %v failed", ip)
 			return
 		}
 		// Retransmit from a fresh kernel-priority task.
@@ -225,9 +222,7 @@ func (a *ARP) input(t *sim.Task, m *mbuf.Mbuf) {
 		rv, _ := view.ARP(b)
 		rv.Init(view.ARPReply, a.eth.MAC(), a.selfIP, v.SenderMAC(), v.SenderIP())
 		a.stats.RepliesSent++
-		if err := a.eth.Send(t, v.SenderMAC(), view.EtherTypeARP, rep); err != nil {
-			a.sim.Tracef(sim.TraceProto, "arp: reply send failed: %v", err)
-		}
+		_ = a.eth.Send(t, v.SenderMAC(), view.EtherTypeARP, rep) // the requester retries a loss
 	case view.ARPReply:
 		a.stats.RepliesRecvd++
 	}
@@ -240,9 +235,7 @@ func (a *ARP) learn(ip view.IP4, mac view.MAC, t *sim.Task) {
 		r.timer.Stop()
 		delete(a.pending, ip)
 		for _, p := range r.pkts {
-			if err := a.eth.Send(t, mac, p.t, p.m); err != nil {
-				a.sim.Tracef(sim.TraceProto, "arp: flush send failed: %v", err)
-			}
+			_ = a.eth.Send(t, mac, p.t, p.m) // a loss, for the transport above to recover
 		}
 	}
 }

@@ -431,44 +431,33 @@ type graphPanic struct{ msg string }
 func (g graphPanic) Error() string  { return g.msg }
 func (g graphPanic) String() string { return g.msg }
 
+// contain is crash containment, deferred around a guard or handler: a panic
+// sets *panicked, except a dispatcher-integrity panic, which it rethrows.
+func contain(panicked *bool) {
+	if r := recover(); r != nil {
+		if gp, isGraph := r.(graphPanic); isGraph {
+			panic(gp)
+		}
+		*panicked = true
+	}
+}
+
 // evalGuard runs one guard under crash containment. A panicking guard is
 // treated as a reject; the fault is the caller's to count.
-func (d *Dispatcher) evalGuard(t *sim.Task, name Name, b *Binding, m *mbuf.Mbuf) (ok, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if gp, isGraph := r.(graphPanic); isGraph {
-				panic(gp)
-			}
-			panicked = true
-			if t.Sim().TraceEnabled() {
-				t.Sim().Tracef(sim.TraceEvent, "%s: guard of %s panicked (contained): %v",
-					name, b.handler.Name, r)
-			}
-		}
-	}()
+func (d *Dispatcher) evalGuard(t *sim.Task, b *Binding, m *mbuf.Mbuf) (ok, panicked bool) {
+	defer contain(&panicked)
 	return b.guard(t, m), false
 }
 
 // invoke runs one handler body under crash containment.
-func (d *Dispatcher) invoke(t *sim.Task, name Name, b *Binding, m *mbuf.Mbuf) (panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if gp, isGraph := r.(graphPanic); isGraph {
-				panic(gp)
-			}
-			panicked = true
-			if t.Sim().TraceEnabled() {
-				t.Sim().Tracef(sim.TraceEvent, "%s: handler %s panicked (contained): %v",
-					name, b.handler.Name, r)
-			}
-		}
-	}()
+func (d *Dispatcher) invoke(t *sim.Task, b *Binding, m *mbuf.Mbuf) (panicked bool) {
+	defer contain(&panicked)
 	b.handler.Fn(t, m)
 	return false
 }
 
 // fault applies the quarantine policy after a fault was recorded on b.
-func (d *Dispatcher) fault(t *sim.Task, name Name, b *Binding) {
+func (d *Dispatcher) fault(b *Binding) {
 	if d.quar.Threshold == 0 || b.quarantined || b.removed {
 		return
 	}
@@ -478,10 +467,6 @@ func (d *Dispatcher) fault(t *sim.Task, name Name, b *Binding) {
 	b.quarantined = true
 	detach(b)
 	d.ejected = append(d.ejected, b)
-	if t.Sim().TraceEnabled() {
-		t.Sim().Tracef(sim.TraceEvent, "%s: handler %s quarantined after %d faults",
-			name, b.handler.Name, b.stats.Faults())
-	}
 }
 
 // Raise announces the event to every installed handler whose guard accepts
@@ -541,19 +526,19 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 		if b.guard != nil {
 			t.ChargeProf(sim.ProfDispatch, b.handler.Name, d.costs.GuardEval)
 			before := t.Charged()
-			ok, panicked := d.evalGuard(t, name, b, m)
+			ok, panicked := d.evalGuard(t, b, m)
 			if d.quar.GuardBudget > 0 {
 				if over := t.Charged() - before - d.quar.GuardBudget; over > 0 {
 					// The guard overran its budget: terminate it there, like
 					// a handler at its allotment.
 					t.Refund(over)
 					b.stats.GuardOverruns++
-					d.fault(t, name, b)
+					d.fault(b)
 				}
 			}
 			if panicked {
 				b.stats.GuardPanics++
-				d.fault(t, name, b)
+				d.fault(b)
 				continue
 			}
 			if !ok {
@@ -572,20 +557,18 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 		}
 		t.ChargeProf(sim.ProfDispatch, b.handler.Name, d.costs.Invoke)
 		before := t.Charged()
-		panicked := d.invoke(t, name, b, m)
+		panicked := d.invoke(t, b, m)
 		consumed := t.Charged() - before
 		if b.allotment > 0 && consumed > b.allotment {
 			// Premature termination: the handler stopped at its
 			// allotment; CPU time beyond it was never consumed.
 			t.Refund(consumed - b.allotment)
-			t.Sim().Tracef(sim.TraceEvent, "%s: handler %s terminated after %v (allotment %v)",
-				name, b.handler.Name, consumed, b.allotment)
 			b.stats.Terminations++
-			d.fault(t, name, b)
+			d.fault(b)
 		}
 		if panicked {
 			b.stats.Panics++
-			d.fault(t, name, b)
+			d.fault(b)
 		}
 		if mm := t.Sim().Metrics(); mm != nil {
 			// Attribute the handler body's post-clamp consumption; the

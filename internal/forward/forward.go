@@ -19,9 +19,10 @@ package forward
 
 import (
 	"errors"
-	"fmt"
 
 	"plexus/internal/event"
+	"plexus/internal/fabric"
+	"plexus/internal/filter"
 	"plexus/internal/ip"
 	"plexus/internal/mbuf"
 	"plexus/internal/plexus"
@@ -70,6 +71,8 @@ type Kernel struct {
 	byNAT   map[uint16]*natEntry
 	nextNAT uint16
 	stats   KernelStats
+	// scratch is the reusable copy of the datagram being rewritten.
+	scratch []byte
 }
 
 // NewKernel installs a forwarder for proto (view.IPProtoTCP or
@@ -96,7 +99,7 @@ func NewKernel(st *plexus.Stack, proto uint8, servicePort uint16, backend view.I
 		if err != nil || ipv.Proto() != proto {
 			return false
 		}
-		_, dstPort, ok := k.ports(pkt, ipv)
+		_, dstPort, ok := ports(pkt, ipv)
 		if !ok {
 			return false
 		}
@@ -124,10 +127,10 @@ func (k *Kernel) claim(port uint16) error {
 // Stats returns a snapshot of counters.
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
-// ports extracts (srcPort, dstPort) from the transport header.
-func (k *Kernel) ports(pkt *mbuf.Mbuf, ipv view.IPv4View) (uint16, uint16, bool) {
-	hdr, err := pkt.CopyData(ipv.HdrLen(), 4)
-	if err != nil {
+// ports reads (srcPort, dstPort) from the transport header.
+func ports(pkt *mbuf.Mbuf, ipv view.IPv4View) (uint16, uint16, bool) {
+	var hdr [4]byte
+	if pkt.CopyTo(ipv.HdrLen(), hdr[:]) != nil {
 		return 0, 0, false
 	}
 	return uint16(hdr[0])<<8 | uint16(hdr[1]), uint16(hdr[2])<<8 | uint16(hdr[3]), true
@@ -143,14 +146,20 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		k.stats.Dropped++
 		return
 	}
-	srcPort, dstPort, ok := k.ports(pkt, ipv)
+	srcPort, dstPort, ok := ports(pkt, ipv)
 	if !ok {
 		k.stats.Dropped++
 		return
 	}
-	// Work on a private copy: the incoming chain is read-only.
-	out, err := pkt.DeepCopy()
-	if err != nil {
+	// Work on a private copy: the incoming chain is read-only. All
+	// forwarding runs on this host's one CPU, so one scratch buffer serves
+	// every packet.
+	n := pkt.PktLen()
+	if cap(k.scratch) < n {
+		k.scratch = make([]byte, n)
+	}
+	buf := k.scratch[:n]
+	if pkt.CopyTo(0, buf) != nil {
 		k.stats.Dropped++
 		return
 	}
@@ -161,7 +170,6 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		if !okf {
 			natPort, err := k.allocNAT()
 			if err != nil {
-				out.Free()
 				k.stats.Dropped++
 				return
 			}
@@ -170,8 +178,7 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 			k.byNAT[natPort] = e
 			k.stats.FlowsCreated++
 		}
-		if err := k.rewrite(out, k.st.Addr(), k.backend, e.natPort, k.backendPort); err != nil {
-			out.Free()
+		if !k.rewrite(buf, k.backend, e.natPort, k.backendPort) {
 			k.stats.Dropped++
 			return
 		}
@@ -180,17 +187,17 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		// Backend → client.
 		e, okf := k.byNAT[dstPort]
 		if !okf {
-			out.Free()
 			k.stats.Dropped++
 			return
 		}
-		if err := k.rewrite(out, k.st.Addr(), e.key.client, k.servicePort, e.key.clientPort); err != nil {
-			out.Free()
+		if !k.rewrite(buf, e.key.client, k.servicePort, e.key.clientPort) {
 			k.stats.Dropped++
 			return
 		}
 		k.stats.Returned++
 	}
+	out := k.st.Host.Pool.FromBytes(buf, 0)
+	out.Hdr().Span = pkt.Hdr().Span
 	if err := k.st.IP.Forward(t, out); err != nil {
 		k.stats.Dropped++
 	}
@@ -213,62 +220,27 @@ func (k *Kernel) allocNAT() (uint16, error) {
 	return 0, errNATFull
 }
 
-// rewrite updates addresses and ports on the private copy and recomputes the
-// IP and transport checksums over the new pseudo-header.
-func (k *Kernel) rewrite(out *mbuf.Mbuf, newSrc, newDst view.IP4, newSrcPort, newDstPort uint16) error {
-	b, err := out.MutableBytes()
-	if err != nil {
-		return err
+// rewrite redirects the datagram in buf from this host to dst:dstPort with
+// source port srcPort, decrementing the TTL. The fabric rewriter fixes the
+// IP and transport checksums incrementally. It reports false, for the
+// datagram to be dropped, when the TTL has run out or the transport header
+// is truncated.
+func (k *Kernel) rewrite(buf []byte, dst view.IP4, srcPort, dstPort uint16) bool {
+	ipv, err := view.IPv4(buf)
+	if err != nil || ipv.TTL() <= 1 {
+		return false
 	}
-	ipv, err := view.IPv4(b)
-	if err != nil {
-		return err
+	need := view.UDPHdrLen
+	if k.proto == view.IPProtoTCP {
+		need = 18 // through the TCP checksum field
 	}
-	hl := ipv.HdrLen()
-	if ttl := ipv.TTL(); ttl <= 1 {
-		return fmt.Errorf("forward: TTL expired")
+	if ipv.HdrLen()+need > len(buf) {
+		return false
 	}
-	ipv.SetSrc(newSrc)
-	ipv.SetDst(newDst)
+	p := fabric.Packet{Buf: buf, Base: filter.BaseIP, Writable: true}
+	fabric.RewriteAddrPort(&p, true, k.st.Addr(), srcPort, true)
+	fabric.RewriteAddrPort(&p, false, dst, dstPort, true)
 	ipv.SetTTL(ipv.TTL() - 1)
 	ipv.ComputeChecksum()
-	// The transport header is contiguous in the head buffer for any
-	// well-formed packet (DeepCopy packs from the front).
-	if hl+view.UDPHdrLen > len(b) {
-		return fmt.Errorf("forward: truncated transport header")
-	}
-	seg := b[hl:]
-	seg[0] = byte(newSrcPort >> 8)
-	seg[1] = byte(newSrcPort)
-	seg[2] = byte(newDstPort >> 8)
-	seg[3] = byte(newDstPort)
-	segLen := ipv.TotalLen() - hl
-	switch k.proto {
-	case view.IPProtoTCP:
-		if len(seg) < 18 {
-			return fmt.Errorf("forward: truncated TCP header")
-		}
-		seg[16], seg[17] = 0, 0
-		a := view.PseudoHeader(newSrc, newDst, view.IPProtoTCP, segLen)
-		if err := ip.ChecksumChain(&a, out, hl, segLen); err != nil {
-			return err
-		}
-		c := a.Fold()
-		seg[16], seg[17] = byte(c>>8), byte(c)
-	case view.IPProtoUDP:
-		if seg[6] == 0 && seg[7] == 0 {
-			return nil // sender disabled the checksum; leave it off
-		}
-		seg[6], seg[7] = 0, 0
-		a := view.PseudoHeader(newSrc, newDst, view.IPProtoUDP, segLen)
-		if err := ip.ChecksumChain(&a, out, hl, segLen); err != nil {
-			return err
-		}
-		c := a.Fold()
-		if c == 0 {
-			c = 0xffff
-		}
-		seg[6], seg[7] = byte(c>>8), byte(c)
-	}
-	return nil
+	return true
 }

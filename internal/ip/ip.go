@@ -375,7 +375,9 @@ func (l *Layer) input(t *sim.Task, m *mbuf.Mbuf) {
 		t.Hop(hdr.Span, "ip", "recv", hdr.Len)
 	}
 	if l.eth.RaiseRef(t, l.recvRef, m) == 0 {
-		l.sim.Tracef(sim.TraceProto, "ip: datagram proto=%d with no handler", v.Proto())
+		if hdr := m.Hdr(); hdr != nil {
+			t.Hop(hdr.Span, "ip", "drop-nohandler", hdr.Len)
+		}
 		m.Free()
 	}
 }

@@ -566,21 +566,6 @@ func (m *Mbuf) Clone() (*Mbuf, error) {
 	return head, nil
 }
 
-// DeepCopy produces a fully private, writable copy of the packet.
-func (m *Mbuf) DeepCopy() (*Mbuf, error) {
-	if m.hdr == nil {
-		return nil, errors.New("mbuf: DeepCopy on non-header mbuf")
-	}
-	data, err := m.CopyData(0, m.hdr.Len)
-	if err != nil {
-		return nil, err
-	}
-	nm := m.pool.FromBytes(data, 0)
-	nm.hdrStore = *m.hdr
-	nm.hdr.Len = len(data)
-	return nm, nil
-}
-
 // Cat appends packet n's data to packet m, consuming n. Both must be packet
 // heads.
 func (m *Mbuf) Cat(n *Mbuf) error {

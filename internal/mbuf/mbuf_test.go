@@ -371,26 +371,6 @@ func TestCloneSharesClusters(t *testing.T) {
 	m.Free()
 }
 
-func TestDeepCopyIsWritable(t *testing.T) {
-	p := NewPool()
-	m := p.FromBytes(payload(3000), 0)
-	defer m.Free()
-	m.SetReadOnly()
-	d, err := m.DeepCopy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Free()
-	for mm := d; mm != nil; mm = mm.Next() {
-		if !mm.Writable() {
-			t.Fatal("deep copy not writable")
-		}
-	}
-	if d.PktLen() != 3000 {
-		t.Fatalf("deep copy PktLen = %d", d.PktLen())
-	}
-}
-
 func TestReadOnlyDiscipline(t *testing.T) {
 	p := NewPool()
 	m := p.FromBytes(payload(64), 16)
@@ -406,10 +386,11 @@ func TestReadOnlyDiscipline(t *testing.T) {
 		t.Fatal("read-only packet was writable: the BadPacketRecv case must fail")
 	}
 	// The paper's GoodPacketRecv: copy, then modify.
-	cp, err := m.DeepCopy()
-	if err != nil {
+	data := make([]byte, m.PktLen())
+	if err := m.CopyTo(0, data); err != nil {
 		t.Fatal(err)
 	}
+	cp := p.FromBytes(data, 0)
 	defer cp.Free()
 	b, err := cp.MutableBytes()
 	if err != nil {

@@ -370,9 +370,6 @@ func (n *NIC) Transmit(t *sim.Task, m *mbuf.Mbuf) error {
 	if !n.link.up {
 		n.link.downDrops++
 		t.Hop(span, "wire", "drop-linkdown", size)
-		if n.sim.TraceEnabled() {
-			n.sim.Tracef(sim.TraceNet, "%s: link down, frame dropped", n.name)
-		}
 		m.Free()
 		return nil
 	}
@@ -381,9 +378,6 @@ func (n *NIC) Transmit(t *sim.Task, m *mbuf.Mbuf) error {
 	if n.model.MaxBacklog > 0 && n.link.busyUntil > t.Now()+n.model.MaxBacklog {
 		n.stats.TxDrops++
 		t.Hop(span, "wire", "drop-overflow", size)
-		if n.sim.TraceEnabled() {
-			n.sim.Tracef(sim.TraceNet, "%s: tx queue overflow, frame dropped", n.name)
-		}
 		m.Free()
 		return nil
 	}
@@ -403,10 +397,6 @@ func (n *NIC) Transmit(t *sim.Task, m *mbuf.Mbuf) error {
 	arrival := depart + n.model.PropDelay
 	n.link.frames++
 	n.link.bytes += uint64(size)
-	if n.sim.TraceEnabled() {
-		n.sim.Tracef(sim.TraceNet, "%s: tx %dB depart=%v arrive=%v", n.name, size, depart, arrival)
-	}
-
 	t.Hop(span, "wire", "tx", size)
 
 	// Snapshot the wire bytes once into a recycled frame; every receiver
@@ -426,9 +416,6 @@ func (n *NIC) Transmit(t *sim.Task, m *mbuf.Mbuf) error {
 		n.link.dropped++
 		t.Hop(span, "wire", "drop-loss", size)
 		releaseFrame(f)
-		if n.sim.TraceEnabled() {
-			n.sim.Tracef(sim.TraceNet, "%s: frame dropped by loss injector", n.name)
-		}
 		return nil
 	}
 	if n.link.delayFn != nil {
@@ -513,9 +500,7 @@ func nicRx(t *sim.Task, a any) {
 	// Received packets are read-only through the graph (§3.4).
 	m.SetReadOnly()
 	if n.raiser.RaiseRef(t, n.recvRef, m) == 0 {
-		if n.sim.TraceEnabled() {
-			n.sim.Tracef(sim.TraceNet, "%s: frame with no handler, dropped", n.name)
-		}
+		t.Hop(m.Hdr().Span, "wire", "drop-nohandler", len(wire))
 		m.Free()
 	}
 }

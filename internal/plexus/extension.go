@@ -196,6 +196,21 @@ func (e *Extension) Unload() (UnloadReport, error) {
 	if e.unloaded {
 		return UnloadReport{}, fmt.Errorf("%w: %s", ErrExtensionUnloaded, e.name)
 	}
+	r := e.teardown()
+	r.LeakedMbufs = e.st.Host.Pool.Stats().InUse - e.baseInUse
+	if e.linked != nil {
+		if err := e.linked.Unlink(); err != nil {
+			return r, fmt.Errorf("plexus: extension %s: %w", e.name, err)
+		}
+	}
+	return r, nil
+}
+
+// teardown marks the extension unloaded, uninstalls every binding, stops
+// every timer and ticker, and runs the closers in reverse order, counting
+// what it did. Unload adds the leak delta and the unlink; a failed install
+// needs neither, since its link never completed.
+func (e *Extension) teardown() UnloadReport {
 	e.unloaded = true
 	var r UnloadReport
 	for _, b := range e.bindings {
@@ -220,32 +235,7 @@ func (e *Extension) Unload() (UnloadReport, error) {
 		e.closers[i]()
 		r.ClosersRun++
 	}
-	r.LeakedMbufs = e.st.Host.Pool.Stats().InUse - e.baseInUse
-	if e.linked != nil {
-		if err := e.linked.Unlink(); err != nil {
-			return r, fmt.Errorf("plexus: extension %s: %w", e.name, err)
-		}
-	}
-	return r, nil
-}
-
-// rollback tears down a partially installed extension (install-failure
-// path): same teardown as Unload, minus the unlink (the link never
-// completed) and the report.
-func (e *Extension) rollback() {
-	e.unloaded = true
-	for _, b := range e.bindings {
-		e.st.Host.Disp.Uninstall(b)
-	}
-	for _, tk := range e.tickers {
-		tk.stop()
-	}
-	for _, tm := range e.timers {
-		tm.Stop()
-	}
-	for i := len(e.closers) - 1; i >= 0; i-- {
-		e.closers[i]()
-	}
+	return r
 }
 
 // InstallExtension atomically installs an application extension: the
@@ -277,7 +267,7 @@ func (st *Stack) InstallExtension(spec ExtensionSpec) (*Extension, error) {
 	}
 	linked, err := domain.Link(dext, against, against)
 	if err != nil {
-		ext.rollback()
+		ext.teardown()
 		return nil, fmt.Errorf("plexus: extension %q: %w", spec.Name, err)
 	}
 	ext.linked = linked

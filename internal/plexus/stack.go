@@ -195,7 +195,6 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 		return nil, fmt.Errorf("plexus: %w", err)
 	}
 	udpm, err := udp.New(udp.Config{
-		Sim:              s,
 		IP:               ipl,
 		ICMP:             icmpl,
 		Disp:             host.Disp,

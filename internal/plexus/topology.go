@@ -320,7 +320,7 @@ func (g *Gateway) expireTTL(t *sim.Task, ingress *Stack, m *mbuf.Mbuf) {
 
 // copyOut copies the datagram to the gateway's pooled scratch buffer and
 // frees the original chain. The received chain is read-only (§3.4); a
-// DeepCopy here would allocate a fresh buffer for every cross-segment frame.
+// fresh copy here would allocate for every cross-segment frame.
 func (g *Gateway) copyOut(m *mbuf.Mbuf) (buf []byte, span uint64, ok bool) {
 	n := m.PktLen()
 	if cap(g.scratch) < n {

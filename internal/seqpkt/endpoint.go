@@ -160,9 +160,7 @@ func (e *Endpoint) armRexmit(p *pendingSend) {
 			e.stats.Retransmits++
 			e.mgr.stats.Retransmits++
 			e.setState(p, XferSent, CauseRexmit)
-			if err := e.mgr.send(task, e.port, p.dst, p.dstPort, typeData, p.seq, p.payload); err != nil {
-				e.mgr.sim.Tracef(sim.TraceProto, "seqpkt: rexmit failed: %v", err)
-			}
+			_ = e.mgr.send(task, e.port, p.dst, p.dstPort, typeData, p.seq, p.payload) // the re-armed timer retries a loss
 			e.armRexmit(p)
 		})
 	})
@@ -219,9 +217,7 @@ func (e *Endpoint) deliver(t *sim.Task, pkt *mbuf.Mbuf) {
 		}
 		if ack {
 			e.mgr.stats.AcksSent++
-			if err := e.mgr.send(t, e.port, h.src, h.srcPort, typeAck, h.seq, nil); err != nil {
-				e.mgr.sim.Tracef(sim.TraceProto, "seqpkt: ack failed: %v", err)
-			}
+			_ = e.mgr.send(t, e.port, h.src, h.srcPort, typeAck, h.seq, nil) // the sender's retransmit covers a loss
 		}
 	}
 }

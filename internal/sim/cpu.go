@@ -265,9 +265,6 @@ func (c *CPU) runTask(start Time, pt pendingTask) {
 	} else {
 		task = &Task{cpu: c, label: pt.label, prio: pt.prio, start: start}
 	}
-	if c.sim.tracer != nil {
-		c.sim.tracef(TraceCPU, start, "%s: run %s (%s)", c.name, pt.label, pt.prio)
-	}
 	if pt.argFn != nil {
 		pt.argFn(task, pt.arg)
 	} else {
@@ -278,9 +275,6 @@ func (c *CPU) runTask(start Time, pt pendingTask) {
 	c.running = false
 	if m := c.sim.metrics; m != nil {
 		m.Sample(c.name, ProfTask, pt.label, pt.prio, start, task.charged)
-	}
-	if c.sim.tracer != nil {
-		c.sim.tracef(TraceCPU, c.freeAt, "%s: done %s charged=%v", c.name, pt.label, task.charged)
 	}
 	// The task body has returned; its *Task is dead and may be reused by
 	// the next dispatch. (Capturing a *Task beyond the body was always a

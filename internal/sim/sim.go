@@ -88,16 +88,14 @@ func eventBefore(a, b *event) bool {
 // use: the whole point is a single deterministic timeline. Independent Sims
 // (one per experiment cell) may run on different goroutines concurrently.
 type Sim struct {
-	now          Time
-	seq          uint64
-	queue        []*event // 4-ary min-heap keyed on (at, seq)
-	free         *event   // recycled events
-	rng          *rand.Rand
-	executed     uint64
-	tracer       Tracer
-	traceEnabled [numTraceCategories]bool
-	metrics      Metrics
-	spanSeq      uint64 // packet-lifecycle trace IDs; 0 = unstamped
+	now      Time
+	seq      uint64
+	queue    []*event // 4-ary min-heap keyed on (at, seq)
+	free     *event   // recycled events
+	rng      *rand.Rand
+	executed uint64
+	metrics  Metrics
+	spanSeq  uint64 // packet-lifecycle trace IDs; 0 = unstamped
 }
 
 // New returns a simulator whose clock starts at zero and whose PRNG is
@@ -116,11 +114,6 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Executed reports how many events have fired so far; useful in tests, for
 // detecting runaway schedules, and for the bench harness's events/sec metric.
 func (s *Sim) Executed() uint64 { return s.executed }
-
-// TraceEnabled reports whether a tracer is installed. Hot paths guard their
-// Tracef calls with it so that the variadic arguments are not materialized
-// (boxed and heap-allocated) when tracing is off.
-func (s *Sim) TraceEnabled() bool { return s.tracer != nil }
 
 // Timer is a handle to a scheduled callback, returned by At/After. It is a
 // small value (not a pointer) so scheduling does not allocate; the zero

@@ -211,41 +211,6 @@ func TestQuickEventOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	s := New(1)
-	rec := &RecordingTracer{}
-	s.SetTracer(rec)
-	s.Tracef(TraceApp, "hello %d", 42)
-	if len(rec.Lines) != 1 || rec.Lines[0].Msg != "hello 42" || rec.Lines[0].Cat != TraceApp {
-		t.Fatalf("unexpected trace: %+v", rec.Lines)
-	}
-	if rec.String() == "" {
-		t.Error("empty trace render")
-	}
-}
-
-func TestTracerFilter(t *testing.T) {
-	s := New(1)
-	rec := &RecordingTracer{Only: map[TraceCategory]bool{TraceNet: true}}
-	s.SetTracer(rec)
-	s.Tracef(TraceApp, "drop me")
-	s.Tracef(TraceNet, "keep me")
-	if len(rec.Lines) != 1 || rec.Lines[0].Msg != "keep me" {
-		t.Fatalf("filter failed: %+v", rec.Lines)
-	}
-}
-
-func TestTraceCategoryString(t *testing.T) {
-	for c := TraceCategory(0); c < numTraceCategories; c++ {
-		if c.String() == "" {
-			t.Errorf("empty String for category %d", int(c))
-		}
-	}
-	if TraceCategory(99).String() != "TraceCategory(99)" {
-		t.Error("unknown category String mismatch")
-	}
-}
-
 // Stop after the timer fired must report false and change nothing — timer
 // users re-arm based on this distinction.
 func TestTimerStopAfterFire(t *testing.T) {

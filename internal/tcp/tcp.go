@@ -414,9 +414,9 @@ func (m *Manager) sendSegment(t *sim.Task, srcPort uint16, dst view.IP4, dstPort
 		seg.Hdr().Span = s.NextSpan()
 		t.Hop(seg.Hdr().Span, "tcp", "send", seg.Hdr().Len)
 	}
-	if err := m.ip.Send(t, view.IP4{}, dst, view.IPProtoTCP, seg); err != nil {
-		m.sim.Tracef(sim.TraceProto, "tcp: segment send failed: %v", err)
-	}
+	// A segment that fails to send is lost, and retransmission recovers it
+	// as it would a loss on the wire.
+	_ = m.ip.Send(t, view.IP4{}, dst, view.IPProtoTCP, seg)
 }
 
 // allocPort picks a free local port for an active open.

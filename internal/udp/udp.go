@@ -70,7 +70,6 @@ type Stats struct {
 
 // Manager is the UDP protocol manager for one host.
 type Manager struct {
-	sim   *sim.Sim
 	ip    *ip.Layer
 	icmp  *icmp.Layer // may be nil; used for port-unreachable
 	disp  *event.Dispatcher
@@ -95,7 +94,6 @@ type Manager struct {
 
 // Config wires a Manager.
 type Config struct {
-	Sim   *sim.Sim
 	IP    *ip.Layer
 	ICMP  *icmp.Layer
 	Disp  *event.Dispatcher
@@ -111,7 +109,6 @@ type Config struct {
 // layer's guard/handler on IP.PacketRecv.
 func New(cfg Config) (*Manager, error) {
 	m := &Manager{
-		sim:              cfg.Sim,
 		ip:               cfg.IP,
 		icmp:             cfg.ICMP,
 		disp:             cfg.Disp,
@@ -218,9 +215,8 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	if m.raise.RaiseRef(t, m.recvRef, pkt) == 0 {
 		m.stats.NoPort++
 		if m.icmp != nil {
-			if err := m.icmp.SendUnreachable(t, pkt); err != nil {
-				m.sim.Tracef(sim.TraceProto, "udp: unreachable send failed: %v", err)
-			}
+			// Best effort, as ICMP errors are: NoPort has counted the drop.
+			_ = m.icmp.SendUnreachable(t, pkt)
 		}
 		pkt.Free()
 		return

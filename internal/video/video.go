@@ -152,7 +152,6 @@ func (s *Server) sendFrames(t *sim.Task) {
 		s.st.Syscall(t, 0, 0, s.cfg.FrameSize)
 		frame := s.buildFrame(uint32(i), s.seq)
 		if err := s.app.Send(t, dst, s.cfg.Port, frame); err != nil {
-			s.st.Host.Sim.Tracef(sim.TraceApp, "video: send failed: %v", err)
 			continue
 		}
 		s.stats.FramesSent++
