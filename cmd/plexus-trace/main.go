@@ -97,13 +97,12 @@ func run(w io.Writer, o options, b osmodel.Boundary) error {
 	// transition, the checker screens each against RFC 793, and the optional
 	// JSONL sink writes the deterministic offline form. One shared pipeline
 	// serves both hosts, so events interleave in simulated-time order. The
-	// Chrome export adds a flight-recorder ring whose retained transitions
-	// become instant events on each host's "states" track.
+	// Chrome export renders the retained transitions as instant events on
+	// each host's "states" track.
 	var events *audit.AssertSink
 	var checker *audit.Checker
 	var jsonlFile *os.File
 	var jsonl *audit.JSONLSink
-	var ring *audit.RingSink
 	if o.tcpstates != "" || o.tcpjsonl != "" || o.chrome != "" {
 		events = &audit.AssertSink{}
 		sinks := audit.Tee{events}
@@ -114,10 +113,6 @@ func run(w io.Writer, o options, b osmodel.Boundary) error {
 			defer jsonlFile.Close()
 			jsonl = audit.NewJSONLSink(jsonlFile)
 			sinks = append(sinks, jsonl)
-		}
-		if o.chrome != "" {
-			ring = audit.NewRingSink(4096)
-			sinks = append(sinks, ring)
 		}
 		checker = audit.NewChecker(sinks)
 		client.TCP.SetAuditSink(checker)
@@ -196,7 +191,7 @@ func run(w io.Writer, o options, b osmodel.Boundary) error {
 			return err
 		}
 		counters := telemetry.ChromeCounters(eng)
-		instants := audit.ChromeInstants(ring)
+		instants := audit.ChromeInstants(events.Events)
 		if err := metrics.WriteChromeTraceWith(f, counters, instants); err != nil {
 			f.Close()
 			return err

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,22 +85,23 @@ func TestSpanViews(t *testing.T) {
 	}
 }
 
-// TestExportsDeterministic checks the Chrome trace and the folded profile
-// are well formed, and that two identical runs write byte-identical Chrome
-// and JSONL transition files.
+// TestExportsDeterministic fences the exports byte for byte: every
+// scenario's Chrome trace on every boundary against its SHA-256 in
+// testdata/chrome.sha256 (the traces are megabytes), and the tcp scenario's
+// JSONL transitions against testdata/tcp-<boundary>.jsonl. It also checks
+// that the Chrome trace parses and that the folded profile is written. After
+// an intended model change, regenerate the files from -chrome and -tcpjsonl
+// output with sha256sum.
 func TestExportsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	export := func(i string) options {
-		return options{
-			scenario: "tcp",
-			chrome:   filepath.Join(dir, "trace-"+i+".json"),
-			folded:   filepath.Join(dir, "folded-"+i+".txt"),
-			tcpjsonl: filepath.Join(dir, "audit-"+i+".jsonl"),
-		}
+	sums, err := os.ReadFile(filepath.Join("testdata", "chrome.sha256"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := export("a"), export("b")
-	runOut(t, a, osmodel.PlexusInterrupt)
-	runOut(t, b, osmodel.PlexusInterrupt)
+	wantSum := map[string]string{}
+	for _, l := range strings.Split(strings.TrimSpace(string(sums)), "\n") {
+		sum, name, _ := strings.Cut(l, "  ")
+		wantSum[name] = sum
+	}
 	read := func(path string) []byte {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -109,15 +112,32 @@ func TestExportsDeterministic(t *testing.T) {
 		}
 		return data
 	}
-	chrome := read(a.chrome)
-	read(a.folded)
-	if !bytes.Equal(chrome, read(b.chrome)) {
-		t.Error("two identical runs wrote different Chrome traces")
-	}
-	if !bytes.Equal(read(a.tcpjsonl), read(b.tcpjsonl)) {
-		t.Error("two identical runs wrote different JSONL transition logs")
+	dir := t.TempDir()
+	for _, sc := range []string{"udp", "tcp", "ping"} {
+		for _, bd := range boundaries {
+			name := sc + "-" + bd.name
+			o := options{scenario: sc, chrome: filepath.Join(dir, name+".json")}
+			if sc == "tcp" {
+				o.tcpjsonl = filepath.Join(dir, name+".jsonl")
+			}
+			runOut(t, o, bd.b)
+			if got := fmt.Sprintf("%x", sha256.Sum256(read(o.chrome))); got != wantSum[name+".json"] {
+				t.Errorf("%s.json: sha256 %s, want %s", name, got, wantSum[name+".json"])
+			}
+			if o.tcpjsonl == "" {
+				continue
+			}
+			want := read(filepath.Join("testdata", name+".jsonl"))
+			if got := read(o.tcpjsonl); !bytes.Equal(got, want) {
+				t.Errorf("%s.jsonl differs from testdata:\n%s", name, got)
+			}
+		}
 	}
 
+	o := options{scenario: "tcp", chrome: filepath.Join(dir, "trace.json"), folded: filepath.Join(dir, "folded.txt")}
+	runOut(t, o, osmodel.PlexusInterrupt)
+	read(o.folded)
+	chrome := read(o.chrome)
 	var trace struct {
 		TraceEvents []struct {
 			Name string `json:"name"`

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"plexus/internal/seqpkt"
 	"plexus/internal/sim"
 	"plexus/internal/tcp"
 	"plexus/internal/view"
@@ -142,27 +143,6 @@ func TestCheckerForwards(t *testing.T) {
 	}
 }
 
-func TestRingSinkOverflow(t *testing.T) {
-	r := NewRingSink(4)
-	for i := 0; i < 10; i++ {
-		e := ev(tcp.StateClosed, tcp.StateSynSent, userC(tcp.CauseConnect))
-		e.At = sim.Time(i)
-		r.Transition(e)
-	}
-	if got := r.Recorded(); got != 10 {
-		t.Errorf("Recorded() = %d, want 10", got)
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len(Events()) = %d, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := sim.Time(6 + i); e.At != want {
-			t.Errorf("Events()[%d].At = %d, want %d (oldest-first order)", i, e.At, want)
-		}
-	}
-}
-
 func TestJSONLSinkDeterministicLines(t *testing.T) {
 	events := []tcp.Transition{
 		ev(tcp.StateClosed, tcp.StateSynSent, userC(tcp.CauseConnect)),
@@ -238,21 +218,22 @@ func TestTeeFansOut(t *testing.T) {
 	}
 }
 
-// The ring sink and checker sit on the transport's emission path in storms;
-// neither may allocate per legal event.
+// Both checkers and the JSONL sink sit on the transports' emission paths in
+// storms; none may allocate per legal event.
 func TestSinkSteadyStateAllocs(t *testing.T) {
-	r := NewRingSink(64)
 	legal := ev(tcp.StateClosed, tcp.StateSynSent, userC(tcp.CauseConnect))
-	if n := testing.AllocsPerRun(200, func() { r.Transition(legal) }); n != 0 {
-		t.Errorf("RingSink.Transition allocates %.1f per event, want 0", n)
-	}
-	c := NewChecker(r)
-	if n := testing.AllocsPerRun(200, func() { c.Transition(legal) }); n != 0 {
-		t.Errorf("Checker.Transition allocates %.1f per legal event, want 0", n)
-	}
 	j := NewJSONLSink(io.Discard)
 	j.Transition(legal) // warm the buffer
 	if n := testing.AllocsPerRun(200, func() { j.Transition(legal) }); n != 0 {
 		t.Errorf("JSONLSink.Transition allocates %.1f per event, want 0", n)
+	}
+	c := NewChecker(j)
+	if n := testing.AllocsPerRun(200, func() { c.Transition(legal) }); n != 0 {
+		t.Errorf("Checker.Transition allocates %.1f per legal event, want 0", n)
+	}
+	s := NewSPPChecker(nil)
+	sent := sppEv(seqpkt.XferUnsent, seqpkt.XferSent, seqpkt.CauseSend)
+	if n := testing.AllocsPerRun(200, func() { s.Transition(sent) }); n != 0 {
+		t.Errorf("SPPChecker.Transition allocates %.1f per legal event, want 0", n)
 	}
 }

@@ -118,40 +118,40 @@ func Legal(old, new tcp.State, cause tcp.Cause) (ok bool, reason string) {
 		old, new, cause.Kind, view.FlagString(cause.Flags), cause.Detail)
 }
 
-// Violation is an illegal transition retained with its full event context.
-type Violation struct {
-	Event  tcp.Transition
+// violation is an illegal transition retained with its full event context.
+type violation[E any] struct {
+	Event  E
 	Reason string
 }
 
-// maxViolations bounds how many violations a Checker retains with full
+// maxViolations bounds how many violations a checker retains with full
 // context; the count keeps incrementing past it.
 const maxViolations = 64
 
-// Checker is a pass-through TransitionSink that validates every event
-// against the RFC 793 legality table. Legal events cost a table lookup and
-// no allocation; the first maxViolations illegal ones are retained with
-// full context. Attach it as the standing invariant in storms: the run
-// passes only if ViolationCount() == 0.
-type Checker struct {
-	next       tcp.TransitionSink // optional downstream sink
+// checker is a pass-through transition sink that validates every event with
+// legal. Legal events cost a table lookup and no allocation; the first
+// maxViolations illegal ones are retained with full context. Attach one as
+// the standing invariant in storms: the run passes only if
+// ViolationCount() == 0.
+type checker[E any] struct {
+	legal      func(E) (ok bool, reason string)
+	next       interface{ Transition(E) } // optional downstream sink
 	events     uint64
 	violations uint64
-	retained   []Violation
+	retained   []violation[E]
 }
 
-// NewChecker returns a Checker forwarding to next (which may be nil).
-func NewChecker(next tcp.TransitionSink) *Checker {
-	return &Checker{next: next, retained: make([]Violation, 0, maxViolations)}
+func newChecker[E any](legal func(E) (bool, string), next interface{ Transition(E) }) *checker[E] {
+	return &checker[E]{legal: legal, next: next, retained: make([]violation[E], 0, maxViolations)}
 }
 
-// Transition implements tcp.TransitionSink.
-func (c *Checker) Transition(ev tcp.Transition) {
+// Transition counts ev, retains it if illegal, and forwards it downstream.
+func (c *checker[E]) Transition(ev E) {
 	c.events++
-	if ok, reason := Legal(ev.Old, ev.New, ev.Cause); !ok {
+	if ok, reason := c.legal(ev); !ok {
 		c.violations++
 		if len(c.retained) < cap(c.retained) {
-			c.retained = append(c.retained, Violation{Event: ev, Reason: reason})
+			c.retained = append(c.retained, violation[E]{Event: ev, Reason: reason})
 		}
 	}
 	if c.next != nil {
@@ -160,12 +160,22 @@ func (c *Checker) Transition(ev tcp.Transition) {
 }
 
 // Events returns how many transitions the checker has seen.
-func (c *Checker) Events() uint64 { return c.events }
+func (c *checker[E]) Events() uint64 { return c.events }
 
 // ViolationCount returns how many illegal transitions were seen.
-func (c *Checker) ViolationCount() uint64 { return c.violations }
+func (c *checker[E]) ViolationCount() uint64 { return c.violations }
 
 // Violations returns the retained violations (first maxViolations).
-func (c *Checker) Violations() []Violation { return c.retained }
+func (c *checker[E]) Violations() []violation[E] { return c.retained }
+
+// Checker validates TCP transitions against the RFC 793 legality table.
+type Checker = checker[tcp.Transition]
+
+// NewChecker returns a Checker forwarding to next (which may be nil).
+func NewChecker(next tcp.TransitionSink) *Checker {
+	return newChecker[tcp.Transition](func(ev tcp.Transition) (bool, string) {
+		return Legal(ev.Old, ev.New, ev.Cause)
+	}, next)
+}
 
 var _ tcp.TransitionSink = (*Checker)(nil)

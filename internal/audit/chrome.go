@@ -1,20 +1,20 @@
-// Chrome trace bridge: render the flight recorder's retained TCP state
-// transitions as instant events on each host's "states" track, merged into
-// the same trace_event file as the CPU profile and telemetry counters.
+// Chrome trace bridge: render recorded TCP state transitions as instant
+// events on each host's "states" track, merged into the same trace_event
+// file as the CPU profile and telemetry counters.
 package audit
 
 import (
 	"fmt"
 
 	"plexus/internal/stats"
+	"plexus/internal/tcp"
 )
 
-// ChromeInstants converts the ring's retained transitions (oldest first)
-// into Chrome instant events. Each carries the connection four-tuple and
-// the transition's cause as args, so clicking a marker in Perfetto shows
-// which segment or timer moved the state machine.
-func ChromeInstants(r *RingSink) []stats.ChromeInstant {
-	evs := r.Events()
+// ChromeInstants converts transitions (in recording order) into Chrome
+// instant events. Each carries the connection four-tuple and the
+// transition's cause as args, so clicking a marker in Perfetto shows which
+// segment or timer moved the state machine.
+func ChromeInstants(evs []tcp.Transition) []stats.ChromeInstant {
 	out := make([]stats.ChromeInstant, 0, len(evs))
 	for _, ev := range evs {
 		out = append(out, stats.ChromeInstant{

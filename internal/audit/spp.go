@@ -43,48 +43,15 @@ func SPPLegal(old, new seqpkt.XferState, cause string) (ok bool, reason string) 
 	return false, fmt.Sprintf("edge %v->%v not legal for cause %q", old, new, cause)
 }
 
-// SPPViolation is an illegal SPP transition retained with its event context.
-type SPPViolation struct {
-	Event  seqpkt.Transition
-	Reason string
-}
-
-// SPPChecker is a pass-through seqpkt.TransitionSink validating every event
-// against the transfer-lifecycle table, the same standing-invariant role
-// Checker plays for TCP.
-type SPPChecker struct {
-	next       seqpkt.TransitionSink
-	events     uint64
-	violations uint64
-	retained   []SPPViolation
-}
+// SPPChecker validates SPP transitions against the transfer-lifecycle
+// table, the same standing-invariant role Checker plays for TCP.
+type SPPChecker = checker[seqpkt.Transition]
 
 // NewSPPChecker returns an SPPChecker forwarding to next (which may be nil).
 func NewSPPChecker(next seqpkt.TransitionSink) *SPPChecker {
-	return &SPPChecker{next: next, retained: make([]SPPViolation, 0, maxViolations)}
+	return newChecker[seqpkt.Transition](func(ev seqpkt.Transition) (bool, string) {
+		return SPPLegal(ev.Old, ev.New, ev.Cause)
+	}, next)
 }
-
-// Transition implements seqpkt.TransitionSink.
-func (c *SPPChecker) Transition(ev seqpkt.Transition) {
-	c.events++
-	if ok, reason := SPPLegal(ev.Old, ev.New, ev.Cause); !ok {
-		c.violations++
-		if len(c.retained) < cap(c.retained) {
-			c.retained = append(c.retained, SPPViolation{Event: ev, Reason: reason})
-		}
-	}
-	if c.next != nil {
-		c.next.Transition(ev)
-	}
-}
-
-// Events returns how many transitions the checker has seen.
-func (c *SPPChecker) Events() uint64 { return c.events }
-
-// ViolationCount returns how many illegal transitions were seen.
-func (c *SPPChecker) ViolationCount() uint64 { return c.violations }
-
-// Violations returns the retained violations (first maxViolations).
-func (c *SPPChecker) Violations() []SPPViolation { return c.retained }
 
 var _ seqpkt.TransitionSink = (*SPPChecker)(nil)

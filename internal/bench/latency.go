@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"plexus/internal/event"
+	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/plexus"
 	"plexus/internal/sim"
@@ -20,18 +20,18 @@ import (
 // that recording perturbs neither the simulated results nor determinism.
 
 // udpEchoRTTs runs the Figure 5 UDP ping-pong and returns every post-warm-up
-// round-trip sample plus the server dispatcher's health snapshot (which
-// includes the mbuf gauge). rec, when non-nil, is installed as the cell
-// simulator's metrics sink before any traffic flows.
-func udpEchoRTTs(model netdev.Model, sys System, payload, rounds int, rec sim.Metrics) ([]sim.Time, event.Health, error) {
+// round-trip sample plus the server's mbuf gauge after the run. rec, when
+// non-nil, is installed as the cell simulator's metrics sink before any
+// traffic flows.
+func udpEchoRTTs(model netdev.Model, sys System, payload, rounds int, rec sim.Metrics) ([]sim.Time, mbuf.Gauge, error) {
 	n, client, server, err := twoHosts(model, sys)
 	if err != nil {
-		return nil, event.Health{}, err
+		return nil, mbuf.Gauge{}, err
 	}
 	n.Sim.SetMetrics(rec)
 	defer recordEvents(n.Sim)
 	if err := startEchoServer(server); err != nil {
-		return nil, event.Health{}, err
+		return nil, mbuf.Gauge{}, err
 	}
 	msg := make([]byte, payload)
 	var capp *plexus.UDPApp
@@ -45,7 +45,7 @@ func udpEchoRTTs(model netdev.Model, sys System, payload, rounds int, rec sim.Me
 		}
 	})
 	if err != nil {
-		return nil, event.Health{}, err
+		return nil, mbuf.Gauge{}, err
 	}
 	client.Spawn("client", func(t *sim.Task) {
 		starts = append(starts, t.Now())
@@ -53,7 +53,7 @@ func udpEchoRTTs(model netdev.Model, sys System, payload, rounds int, rec sim.Me
 	})
 	n.Sim.RunUntil(60 * sim.Second)
 	rtts, err := postWarmup(starts, ends, rounds)
-	return rtts, server.Host.Disp.Health(), err
+	return rtts, server.Host.Pool.Gauge(), err
 }
 
 // rttSummary reduces round-trip samples through a fixed-bucket histogram to
@@ -113,15 +113,15 @@ func Latency(rounds int) ([]LatencyRow, error) {
 	}
 	return RunCells(cells, func(c cell) (LatencyRow, error) {
 		rec := stats.NewRecorder(stats.Config{})
-		rtts, health, err := udpEchoRTTs(c.model, c.sys, payload, rounds, rec)
+		rtts, gauge, err := udpEchoRTTs(c.model, c.sys, payload, rounds, rec)
 		if err != nil {
 			return LatencyRow{}, fmt.Errorf("latency %s/%s: %w", c.model.Name, c.sys, err)
 		}
 		row := LatencyRow{Device: c.model.Name, System: c.sys, Rounds: rounds,
 			rttSummary: summarize(rtts), HopsRecorded: rec.HopsRecorded()}
-		row.Mbuf.InUse = health.Mbuf.InUse
-		row.Mbuf.ClustersInUse = health.Mbuf.InUseClusters
-		row.Mbuf.HighWater = health.Mbuf.HighWater
+		row.Mbuf.InUse = gauge.InUse
+		row.Mbuf.ClustersInUse = gauge.InUseClusters
+		row.Mbuf.HighWater = gauge.HighWater
 		return row, nil
 	})
 }

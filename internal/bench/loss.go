@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"plexus/internal/event"
 	"plexus/internal/fault"
 	"plexus/internal/netdev"
 	"plexus/internal/plexus"
@@ -58,22 +57,32 @@ type LossRow struct {
 	AuditTransitions uint64 `json:"audit_transitions"`
 	AuditViolations  uint64 `json:"audit_violations"`
 
-	// TCP is the transports' conformance gauge summed over both hosts —
-	// rejected RSTs and TIME-WAIT quiet-period activity — read through the
-	// same dispatcher Health snapshot the monitoring plane scrapes.
-	TCP event.TCPGauge `json:"tcp"`
+	// TCP is the transports' conformance gauge summed over both hosts.
+	TCP TCPGauge `json:"tcp"`
 }
 
-// tcpGauge sums the dispatcher Health TCP gauge over a rig's hosts.
-func tcpGauge(hosts ...*plexus.Stack) event.TCPGauge {
-	var g event.TCPGauge
+// TCPGauge is the slice of tcp.Stats a row reports: rejected RSTs,
+// TIME-WAIT quiet-period activity, and loss recovery.
+type TCPGauge struct {
+	RSTsRejected       uint64 `json:"tcp_rsts_rejected"`
+	TimeWaitRearms     uint64 `json:"tcp_timewait_rearms"`
+	TimeWaitQuietDrops uint64 `json:"tcp_timewait_quiet_drops"`
+	// FastRecoveries counts NewReno fast-recovery episodes; SackRexmits
+	// counts scoreboard-driven selective retransmissions.
+	FastRecoveries uint64 `json:"tcp_fast_recoveries"`
+	SackRexmits    uint64 `json:"tcp_sack_rexmits"`
+}
+
+// tcpGauge sums the TCP managers' counters over a rig's hosts.
+func tcpGauge(hosts ...*plexus.Stack) TCPGauge {
+	var g TCPGauge
 	for _, h := range hosts {
-		hg := h.Host.Disp.Health().TCP
-		g.RSTsRejected += hg.RSTsRejected
-		g.TimeWaitRearms += hg.TimeWaitRearms
-		g.TimeWaitQuietDrops += hg.TimeWaitQuietDrops
-		g.FastRecoveries += hg.FastRecoveries
-		g.SackRexmits += hg.SackRexmits
+		s := h.TCP.Stats()
+		g.RSTsRejected += s.RSTsRejected
+		g.TimeWaitRearms += s.TimeWaitRearms
+		g.TimeWaitQuietDrops += s.TimeWaitQuietDrops
+		g.FastRecoveries += s.FastRecoveries
+		g.SackRexmits += s.SackRexmits
 	}
 	return g
 }

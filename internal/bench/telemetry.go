@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 
-	"plexus/internal/event"
 	"plexus/internal/netdev"
 	"plexus/internal/plexus"
 	"plexus/internal/sim"
@@ -51,7 +50,7 @@ type TelemetryRow struct {
 	Alarms uint64 `json:"alarms"`
 	// TCP is the transports' conformance gauge summed over every host in the
 	// cell (see LossRow.TCP).
-	TCP event.TCPGauge `json:"tcp"`
+	TCP TCPGauge `json:"tcp"`
 }
 
 // telemetryRowFrom summarizes one cell's engines into a row.

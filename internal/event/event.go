@@ -199,12 +199,6 @@ type Dispatcher struct {
 	// ejected retains quarantined bindings (already detached from their
 	// events) so Health can still account for them.
 	ejected []*Binding
-	// pool, when attached, contributes the host's mbuf gauge to Health so
-	// buffer leaks surface in the same snapshot as fault counters.
-	pool *mbuf.Pool
-	// tcpGauge, when attached, contributes the transport's conformance
-	// counters to Health (the event layer cannot import internal/tcp).
-	tcpGauge func() TCPGauge
 }
 
 // maxRaiseDepth bounds protocol-graph recursion; real stacks are ~6 deep.
@@ -233,28 +227,6 @@ type Health struct {
 	Terminations  uint64 // allotment overruns terminated
 	GuardOverruns uint64 // guard budget overruns
 	Faults        uint64 // sum of the four fault classes
-
-	// Mbuf is the host pool's live-buffer gauge (zero value when no pool
-	// is attached): in-flight mbufs/clusters and their high-water marks.
-	Mbuf mbuf.Gauge
-
-	// TCP is the transport's conformance gauge (zero value when no TCP
-	// manager is attached): rejected RSTs and TIME-WAIT quiet-period
-	// activity.
-	TCP TCPGauge
-}
-
-// TCPGauge surfaces the transport's RFC 793 conformance counters in Health.
-// The dispatcher sits below the protocol stack and cannot import
-// internal/tcp, so — like the mbuf pool — the transport attaches a provider.
-type TCPGauge struct {
-	RSTsRejected       uint64 `json:"tcp_rsts_rejected"`
-	TimeWaitRearms     uint64 `json:"tcp_timewait_rearms"`
-	TimeWaitQuietDrops uint64 `json:"tcp_timewait_quiet_drops"`
-	// FastRecoveries counts NewReno fast-recovery episodes; SackRexmits
-	// counts scoreboard-driven selective retransmissions.
-	FastRecoveries uint64 `json:"tcp_fast_recoveries"`
-	SackRexmits    uint64 `json:"tcp_sack_rexmits"`
 }
 
 // Health returns the dispatcher's current health snapshot.
@@ -277,22 +249,8 @@ func (d *Dispatcher) Health() Health {
 	for _, b := range d.ejected {
 		acc(b)
 	}
-	if d.pool != nil {
-		h.Mbuf = d.pool.Gauge()
-	}
-	if d.tcpGauge != nil {
-		h.TCP = d.tcpGauge()
-	}
 	return h
 }
-
-// AttachPool associates the host's mbuf pool with the dispatcher so Health
-// includes the buffer gauge. Nil detaches.
-func (d *Dispatcher) AttachPool(p *mbuf.Pool) { d.pool = p }
-
-// AttachTCPGauge associates a TCP conformance-counter provider with the
-// dispatcher so Health includes the transport gauge. Nil detaches.
-func (d *Dispatcher) AttachTCPGauge(fn func() TCPGauge) { d.tcpGauge = fn }
 
 // Declare registers an event name. Redeclaration fails.
 func (d *Dispatcher) Declare(name Name, opts Options) error {

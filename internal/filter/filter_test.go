@@ -1,10 +1,8 @@
 package filter
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"plexus/internal/mbuf"
 	"plexus/internal/view"
@@ -265,9 +263,12 @@ func TestFilterStringRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: the interpreted VM agrees with the native evaluator on random
-// packets and a corpus of expressions.
-func TestQuickVMAgreesWithNative(t *testing.T) {
+// FuzzVMAgreesWithNative is differential: on any bytes — a well-formed
+// frame, a truncated one or garbage — the native evaluator and the
+// interpreted VM give every expression of a fixed list the same verdict. The
+// seeds are a UDP, TCP and ICMP frame, each whole and fragmented, plus their
+// truncations at every header boundary.
+func FuzzVMAgreesWithNative(f *testing.F) {
 	exprs := []string{
 		"ether.type == 0x0800",
 		"ip.proto == 17 && udp.dport == 7",
@@ -281,43 +282,42 @@ func TestQuickVMAgreesWithNative(t *testing.T) {
 	filters := make([]*Filter, len(exprs))
 	programs := make([]*Program, len(exprs))
 	for i, e := range exprs {
-		f, err := Parse(e, BaseEthernet)
+		fl, err := Parse(e, BaseEthernet)
 		if err != nil {
-			t.Fatalf("%q: %v", e, err)
+			f.Fatalf("%q: %v", e, err)
 		}
-		filters[i] = f
-		programs[i] = mustCompile(t, f)
+		p, err := CompileInterpreted(e, BaseEthernet)
+		if err != nil {
+			f.Fatalf("%q: %v", e, err)
+		}
+		filters[i], programs[i] = fl, p
 	}
-	rng := rand.New(rand.NewSource(13))
-	f := func(protoPick, dportRaw, sportRaw uint16, srcLow, ttl uint8, frag bool) bool {
-		proto := []uint8{view.IPProtoUDP, view.IPProtoTCP, view.IPProtoICMP}[protoPick%3]
-		spec := pktSpec{
-			proto: proto,
-			src:   view.IP4{10, 0, 0, srcLow},
-			dst:   view.IP4{10, 0, 0, 2},
-			sport: sportRaw,
-			dport: dportRaw % 100,
-			ttl:   ttl,
-		}
-		if ttl == 0 {
-			spec.ttl = 1
-		}
-		if frag {
-			spec.fragOff = 1480
-		}
-		m := mkPacket(nil, spec)
-		defer m.Free()
-		for i := range filters {
-			if filters[i].Match(m) != programs[i].Run(nil, m) {
-				t.Logf("disagreement on %q", exprs[i])
-				return false
+	ports := map[uint8]uint16{view.IPProtoUDP: 7, view.IPProtoTCP: 80, view.IPProtoICMP: 0}
+	for _, proto := range []uint8{view.IPProtoUDP, view.IPProtoTCP, view.IPProtoICMP} {
+		for _, frag := range []bool{false, true} {
+			spec := pktSpec{proto: proto, src: view.IP4{10, 0, 0, 1}, dst: view.IP4{10, 0, 0, 2},
+				ttl: 4, sport: 1024, dport: ports[proto], tcpFlags: view.TCPSyn}
+			if frag {
+				spec.fragOff = 1480
+			}
+			m := mkPacket(nil, spec)
+			b := append([]byte(nil), m.Bytes()...)
+			m.Free()
+			ip := view.EthernetHdrLen
+			for _, n := range []int{0, ip - 1, ip, ip + 19, ip + 20, ip + 23, ip + 24, ip + 33, ip + 34, len(b)} {
+				if n <= len(b) {
+					f.Add(b[:n])
+				}
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
-		t.Error(err)
-	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for i, fl := range filters {
+			if native, vm := fl.MatchBytes(b), programs[i].RunBytes(nil, b); native != vm {
+				t.Errorf("%q on % x: native %v, VM %v", exprs[i], b, native, vm)
+			}
+		}
+	})
 }
 
 func TestVMDisassemblyAndCost(t *testing.T) {

@@ -107,9 +107,9 @@ type Stats struct {
 }
 
 // Gauge is the pool's live-buffer gauge: what is in flight right now and the
-// worst it has ever been. Dispatcher.Health() and the bench -json output
-// surface it so leak regressions show up as a nonzero in-use count (or a
-// high-water jump) in diffable artifacts.
+// worst it has ever been. The `-exp latency` rows and the telemetry pool
+// probe surface it so leak regressions show up as a nonzero in-use count (or
+// a high-water jump) in diffable artifacts.
 type Gauge struct {
 	InUse             int64 `json:"mbuf_in_use"`
 	InUseClusters     int64 `json:"mbuf_clusters_in_use"`

@@ -38,7 +38,7 @@ func NewHost(s *sim.Sim, name string, p Personality, d DispatchMode, costs Costs
 			b = PlexusThread
 		}
 	}
-	h := &Host{
+	return &Host{
 		Name:     name,
 		Sim:      s,
 		CPU:      sim.NewCPU(s, name),
@@ -52,6 +52,4 @@ func NewHost(s *sim.Sim, name string, p Personality, d DispatchMode, costs Costs
 		KernelDomain:    domain.New(name + "/kernel"),
 		ExtensionDomain: domain.New(name + "/extension"),
 	}
-	h.Disp.AttachPool(h.Pool)
-	return h
 }

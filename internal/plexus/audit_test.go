@@ -243,21 +243,20 @@ func TestTCPAuditForceStateCaught(t *testing.T) {
 }
 
 // TestUDPEchoSteadyStateAllocsWithAudit re-pins the zero-alloc steady-state
-// invariant with the audit plane attached: a ring sink behind the RFC 793
-// checker on both hosts, primed with a real TCP handshake's transitions, must
-// not add a single allocation to the echo hot path.
+// invariant with the audit plane attached: the RFC 793 checker on both hosts,
+// primed with a real TCP handshake's transitions, must not add a single
+// allocation to the echo hot path.
 func TestUDPEchoSteadyStateAllocsWithAudit(t *testing.T) {
 	n, client, server, err := TwoHosts(1, netdev.EthernetModel(), auditSpec("client"), auditSpec("server"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := audit.NewRingSink(0)
-	chk := audit.NewChecker(ring)
+	chk := audit.NewChecker(nil)
 	client.TCP.SetAuditSink(chk)
 	server.TCP.SetAuditSink(chk)
 
-	// A live TCP connection alongside the UDP workload, so the sinks have
-	// real transitions recorded while the allocation pin runs.
+	// A live TCP connection alongside the UDP workload, so the checker has
+	// seen real transitions while the allocation pin runs.
 	if _, err := server.ListenTCP(9, TCPAppOptions{}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +299,8 @@ func TestUDPEchoSteadyStateAllocsWithAudit(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("audit-enabled UDP echo round allocates %.2f/iter, want 0", avg)
 	}
-	if ring.Recorded() < 5 {
-		t.Fatalf("ring sink recorded %d transitions, want the full handshake", ring.Recorded())
+	if chk.Events() < 5 {
+		t.Fatalf("checker saw %d transitions, want the full handshake", chk.Events())
 	}
 	if chk.ViolationCount() != 0 {
 		t.Fatalf("handshake produced %d conformance violations: %+v",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plexus/internal/event"
-	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
 	"plexus/internal/sim"
@@ -13,7 +12,9 @@ import (
 )
 
 // HostSpec describes one host: everything about it that does not depend on
-// where a topology builder attaches it.
+// where a topology builder attaches it. Every host gets a fresh mbuf pool
+// (Host.Pool): experiment cells run concurrently, and a pool carries
+// per-simulation statistics and free lists.
 type HostSpec struct {
 	Name string
 	// Personality and Dispatch choose the host's osmodel.Boundary: SPIN
@@ -24,11 +25,6 @@ type HostSpec struct {
 	Dispatch    osmodel.DispatchMode
 	// Costs overrides the default cost model (nil = defaults).
 	Costs *osmodel.Costs
-	// Pool overrides the host's mbuf pool (nil = a fresh per-host pool).
-	// Every host must have its own pool — or at least one private to its
-	// simulator — because experiment cells run concurrently and pools
-	// carry per-sim statistics and free lists.
-	Pool *mbuf.Pool
 	// Quarantine configures the host dispatcher's fault-ejection policy for
 	// misbehaving handlers (zero value = disabled; faults are still counted
 	// in BindingStats).

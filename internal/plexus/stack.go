@@ -139,9 +139,6 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 		costs = *cfg.Costs
 	}
 	host := osmodel.NewHost(s, name, cfg.Personality, cfg.Dispatch, costs)
-	if cfg.Pool != nil {
-		host.Pool = cfg.Pool
-	}
 	if cfg.CPU != nil {
 		host.CPU = cfg.CPU
 	}
@@ -222,7 +219,6 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plexus: %w", err)
 	}
-	tcpm.AttachHealth(host.Disp)
 	st.NIC, st.Ether, st.ARP, st.IP, st.ICMP, st.UDP, st.TCP = nic, eth, ar, ipl, icmpl, udpm, tcpm
 	st.populateDomains()
 	return st, nil

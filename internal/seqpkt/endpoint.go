@@ -14,6 +14,7 @@ type RecvFunc func(t *sim.Task, seq uint32, data []byte, src view.IP4, srcPort u
 
 // pendingSend is an unacknowledged outgoing datagram.
 type pendingSend struct {
+	ep      *Endpoint
 	dst     view.IP4
 	dstPort uint16
 	seq     uint32
@@ -117,6 +118,7 @@ func (e *Endpoint) Send(t *sim.Task, dst view.IP4, dstPort uint16, payload []byt
 	e.nextSend++
 	seq := e.nextSend
 	p := &pendingSend{
+		ep:      e,
 		dst:     dst,
 		dstPort: dstPort,
 		seq:     seq,
@@ -133,37 +135,45 @@ func (e *Endpoint) Send(t *sim.Task, dst view.IP4, dstPort uint16, payload []byt
 	return seq, nil
 }
 
+// armRexmit starts p's retransmission timer. Like TCP's, it hops onto the
+// CPU through package-level functions taking p, so arming allocates nothing.
 func (e *Endpoint) armRexmit(p *pendingSend) {
-	p.timer = e.mgr.sim.After(RexmitTimeout, "seqpkt-rexmit", func() {
-		p.timer = sim.Timer{}
-		if e.closed {
-			return
-		}
-		if _, still := e.pending[p.seq]; !still {
-			return
-		}
-		e.mgr.cpu.Submit(sim.PrioKernel, "seqpkt-rexmit", func(task *sim.Task) {
-			if e.closed {
-				return
-			}
-			if _, still := e.pending[p.seq]; !still {
-				return
-			}
-			p.tries++
-			if p.tries >= MaxRexmits {
-				delete(e.pending, p.seq)
-				e.stats.Abandoned++
-				e.mgr.stats.Abandoned++
-				e.setState(p, XferAbandoned, CauseRetryCap)
-				return
-			}
-			e.stats.Retransmits++
-			e.mgr.stats.Retransmits++
-			e.setState(p, XferSent, CauseRexmit)
-			_ = e.mgr.send(task, e.port, p.dst, p.dstPort, typeData, p.seq, p.payload) // the re-armed timer retries a loss
-			e.armRexmit(p)
-		})
-	})
+	p.timer = e.mgr.sim.AfterArg(RexmitTimeout, "seqpkt-rexmit", rexmitFire, p)
+}
+
+func rexmitFire(a any) {
+	p := a.(*pendingSend)
+	p.timer = sim.Timer{}
+	if e := p.ep; e.outstanding(p) {
+		e.mgr.cpu.SubmitAtArg(e.mgr.sim.Now(), sim.PrioKernel, "seqpkt-rexmit", rexmitTask, p)
+	}
+}
+
+func rexmitTask(t *sim.Task, a any) {
+	p := a.(*pendingSend)
+	e := p.ep
+	if !e.outstanding(p) {
+		return
+	}
+	p.tries++
+	if p.tries >= MaxRexmits {
+		delete(e.pending, p.seq)
+		e.stats.Abandoned++
+		e.mgr.stats.Abandoned++
+		e.setState(p, XferAbandoned, CauseRetryCap)
+		return
+	}
+	e.stats.Retransmits++
+	e.mgr.stats.Retransmits++
+	e.setState(p, XferSent, CauseRexmit)
+	_ = e.mgr.send(t, e.port, p.dst, p.dstPort, typeData, p.seq, p.payload) // the re-armed timer retries a loss
+	e.armRexmit(p)
+}
+
+// outstanding reports whether p still awaits its ACK on an open endpoint.
+func (e *Endpoint) outstanding(p *pendingSend) bool {
+	_, still := e.pending[p.seq]
+	return !e.closed && still
 }
 
 // deliver handles one validated SPP packet for this endpoint.

@@ -259,7 +259,10 @@ func TestTimerArmStopZeroAlloc(t *testing.T) {
 		c.armRexmit()
 		c.scheduleDelayedACK()
 		c.armRexmit() // re-arm: stops the pending timer first
+		c.rearmTimeWait()
+		c.rearmTimeWait() // a retransmitted FIN re-arms TIME-WAIT
 		c.ackTimer.Stop()
+		c.twTimer.Stop()
 		c.disarmRexmit()
 		// Cancelled events leave the queue (and return to the free list)
 		// when their time comes.
@@ -269,7 +272,7 @@ func TestTimerArmStopZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Errorf("%v allocs per timer arm/stop cycle, want 0", allocs)
 	}
-	if c.rexmitTimer.Pending() || c.ackTimer.Pending() {
+	if c.rexmitTimer.Pending() || c.ackTimer.Pending() || c.twTimer.Pending() {
 		t.Error("a cancelled timer is still pending")
 	}
 }

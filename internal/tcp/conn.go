@@ -565,10 +565,10 @@ func (c *Conn) armPace(d sim.Time) {
 
 // --- timers & RTT ---
 
-// Every connection timer fires in two steps: the simulator event hops onto
-// the host CPU at kernel priority, and the task does the work. Both steps are
-// package-level functions taking the *Conn as their argument, so arming a
-// timer allocates nothing.
+// Every connection timer is a package-level function taking the *Conn as its
+// argument, so arming a timer allocates nothing. All but TIME-WAIT's fire in
+// two steps: the simulator event hops onto the host CPU at kernel priority,
+// and the task does the work.
 
 func (c *Conn) submitTimer(label string, fn func(*sim.Task, any)) {
 	if !c.dead {
@@ -585,6 +585,14 @@ func delackFire(a any) {
 	if !c.dead {
 		c.mgr.stats.DelayedAcks++
 		c.submitTimer("tcp-delack", delackTask)
+	}
+}
+
+// timeWaitFire ends TIME-WAIT. It runs as a plain simulator event, not a
+// CPU task: freeing the TCB charges nothing.
+func timeWaitFire(a any) {
+	if c := a.(*Conn); !c.dead {
+		c.teardown(nil, timerCause(Cause2MSL))
 	}
 }
 
@@ -858,11 +866,7 @@ func (c *Conn) enterTimeWait(cause Cause) {
 // TIME-WAIT restarts it (RFC 793 p.73); only its expiry may leave the state.
 func (c *Conn) rearmTimeWait() {
 	c.twTimer.Stop()
-	c.twTimer = c.mgr.sim.After(2*msl, "tcp-timewait", func() {
-		if !c.dead {
-			c.teardown(nil, timerCause(Cause2MSL))
-		}
-	})
+	c.twTimer = c.mgr.sim.AfterArg(2*msl, "tcp-timewait", timeWaitFire, c)
 }
 
 // --- receiver flow control and the persist timer ---

@@ -15,28 +15,10 @@
 //     path is pure field reads.
 package tcp
 
-import (
-	"plexus/internal/event"
-	"plexus/internal/sim"
-)
+import "plexus/internal/sim"
 
 // HostName returns the precomputed host label (the CPU name).
 func (m *Manager) HostName() string { return m.hostName }
-
-// AttachHealth contributes the manager's conformance counters (rejected
-// RSTs, TIME-WAIT quiet-period activity) to the dispatcher's Health
-// snapshot, the same way the mbuf pool contributes its gauge.
-func (m *Manager) AttachHealth(d *event.Dispatcher) {
-	d.AttachTCPGauge(func() event.TCPGauge {
-		return event.TCPGauge{
-			RSTsRejected:       m.stats.RSTsRejected,
-			TimeWaitRearms:     m.stats.TimeWaitRearms,
-			TimeWaitQuietDrops: m.stats.TimeWaitQuietDrops,
-			FastRecoveries:     m.stats.FastRecoveries,
-			SackRexmits:        m.stats.SackRexmits,
-		}
-	})
-}
 
 // EachConn calls fn for every live connection in creation order.
 func (m *Manager) EachConn(fn func(*Conn)) {

@@ -125,6 +125,7 @@ type Engine struct {
 
 	sample  Sample
 	running bool
+	tick    sim.Timer // the scheduled sampling event; see Start
 	ticks   uint64
 }
 
@@ -195,17 +196,20 @@ func tickFn(arg any) {
 		return
 	}
 	e.Tick()
-	e.sim.AfterArg(e.interval, "telemetry.tick", tickFn, e)
+	e.tick = e.sim.AfterArg(e.interval, "telemetry.tick", tickFn, e)
 }
 
 // Start begins periodic sampling: the first tick fires one interval from
-// now, then every interval after.
+// now, then every interval after. Restarting a stopped engine whose last
+// tick has not lapsed yet resumes that tick's schedule.
 func (e *Engine) Start() {
 	if e.running {
 		return
 	}
 	e.running = true
-	e.sim.AfterArg(e.interval, "telemetry.tick", tickFn, e)
+	if !e.tick.Pending() {
+		e.tick = e.sim.AfterArg(e.interval, "telemetry.tick", tickFn, e)
+	}
 }
 
 // Stop halts periodic sampling after the currently scheduled tick lapses.

@@ -48,6 +48,29 @@ func TestEngineSamplesOnInterval(t *testing.T) {
 	}
 }
 
+// TestEngineRestartKeepsRate restarts the engine before its pending tick
+// lapses, then again after: either way it samples once per interval, never
+// on two interleaved chains.
+func TestEngineRestartKeepsRate(t *testing.T) {
+	s, e, _ := newTestEngine(sim.Millisecond, 0)
+	e.Start()
+	s.RunUntil(500 * sim.Microsecond)
+	e.Stop()
+	s.RunUntil(600 * sim.Microsecond)
+	e.Start() // the tick due at 1ms is still pending
+	s.RunUntil(10*sim.Millisecond + 600*sim.Microsecond)
+	if e.Ticks() != 10 {
+		t.Fatalf("ticks after a restart within one interval = %d, want 10", e.Ticks())
+	}
+	e.Stop()
+	s.RunUntil(12*sim.Millisecond + 600*sim.Microsecond) // the 11ms tick lapses
+	e.Start()
+	s.RunUntil(14*sim.Millisecond + 600*sim.Microsecond)
+	if e.Ticks() != 12 {
+		t.Fatalf("ticks after a restart past a lapsed tick = %d, want 12", e.Ticks())
+	}
+}
+
 func TestSeriesRingOverwritesOldest(t *testing.T) {
 	s, e, src := newTestEngine(sim.Millisecond, 4)
 	e.Start()
