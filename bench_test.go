@@ -161,16 +161,24 @@ func BenchmarkFig7Payload1460(b *testing.B) { benchFig7(b, 1460) }
 // --- µ1: dispatcher overhead ≈ procedure call (paper §2) --------------------
 
 // BenchmarkDispatch measures the real (wall-clock) cost of the dispatcher
-// mechanism itself: declare → raise through guard chains of varying length.
-func benchDispatch(b *testing.B, guards int) {
+// mechanism itself: declare → raise through guard chains of varying length,
+// whose rejecting guards are closures or, keyed, exact-match keys.
+func benchDispatch(b *testing.B, guards int, keyed bool) {
 	b.Helper()
 	s := sim.New(1)
 	cpu := sim.NewCPU(s, "cpu")
 	d := event.NewDispatcher(event.Costs{})
-	d.MustDeclare("E", event.Options{})
+	d.MustDeclare("E", event.Options{Key: func(m *mbuf.Mbuf) (event.Key, bool) { return event.Key(m.Bytes()[0]), true }})
 	reject := func(*sim.Task, *mbuf.Mbuf) bool { return false }
 	for i := 0; i < guards-1; i++ {
-		if _, err := d.Install("E", reject, event.Proc("r", func(*sim.Task, *mbuf.Mbuf) {}), 0); err != nil {
+		h := event.Proc("r", func(*sim.Task, *mbuf.Mbuf) {})
+		var err error
+		if keyed {
+			_, err = d.InstallKey("E", event.Key(i+1), h, 0)
+		} else {
+			_, err = d.Install("E", reject, h, 0)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,9 +196,10 @@ func benchDispatch(b *testing.B, guards int) {
 	}
 }
 
-func BenchmarkDispatch1Guard(b *testing.B)   { benchDispatch(b, 1) }
-func BenchmarkDispatch8Guards(b *testing.B)  { benchDispatch(b, 8) }
-func BenchmarkDispatch64Guards(b *testing.B) { benchDispatch(b, 64) }
+func BenchmarkDispatch1Guard(b *testing.B)   { benchDispatch(b, 1, false) }
+func BenchmarkDispatch8Guards(b *testing.B)  { benchDispatch(b, 8, false) }
+func BenchmarkDispatch64Guards(b *testing.B) { benchDispatch(b, 64, false) }
+func BenchmarkDispatch64Keyed(b *testing.B)  { benchDispatch(b, 64, true) }
 
 // --- µ2: VIEW (zero-copy header access) vs copying --------------------------
 

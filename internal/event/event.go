@@ -20,6 +20,18 @@
 // Dispatch cost is charged to the raising task: "the overhead of invoking
 // each handler is roughly one procedure call".
 //
+// # Keyed guards
+//
+// An event whose bindings mostly demultiplex on an exact header match (a
+// transport's per-connection 4-tuple) may declare a key extractor. A binding
+// installed with InstallKey carries an exact-match Key as its guard: the
+// dispatcher extracts the packet's key at most once per raise and compares
+// it against each keyed binding, instead of running one closure per binding
+// that re-parses the packet. A keyed guard is charged, counted and ordered
+// exactly like a closure guard; only its body is cheaper. The extractor
+// belongs to the event's owner, like the raise itself, and runs outside
+// crash containment.
+//
 // # Crash containment and quarantine
 //
 // A handler or guard that panics is caught by the dispatcher: the time it
@@ -61,6 +73,10 @@ type Raiser interface {
 // Guards must be side-effect free; they run for every raise of the event.
 type Guard func(t *sim.Task, m *mbuf.Mbuf) bool
 
+// Key is an exact-match demultiplexing key, packed by the event's owner from
+// the header fields its bindings match on.
+type Key uint64
+
 // HandlerFunc is the procedure executed in response to an event.
 type HandlerFunc func(t *sim.Task, m *mbuf.Mbuf)
 
@@ -90,6 +106,10 @@ type Options struct {
 	// RequireEphemeral makes the event reject non-EPHEMERAL handlers at
 	// install time. Events raised from interrupt context declare this.
 	RequireEphemeral bool
+	// Key, if set, extracts a packet's exact-match key for the event's
+	// keyed bindings (InstallKey); ok=false means no keyed binding matches
+	// the packet. It must not panic: it runs outside crash containment.
+	Key func(*mbuf.Mbuf) (Key, bool)
 }
 
 // Costs parameterize what raising an event charges the running task. The
@@ -120,6 +140,9 @@ var (
 	// termination, which only EPHEMERAL handlers tolerate (§3.3); terminating
 	// an ordinary handler could leave shared state corrupt.
 	ErrAllotmentNotEphemeral = errors.New("event: time allotment requires an EPHEMERAL handler")
+	// ErrNoKey reports a keyed install on an event that declares no key
+	// extractor.
+	ErrNoKey = errors.New("event: event declares no key")
 )
 
 // BindingStats counts a binding's dispatch activity and its faults. The sum
@@ -148,6 +171,8 @@ func (s BindingStats) Faults() uint64 {
 type Binding struct {
 	event       *eventState
 	guard       Guard
+	keyed       bool // the guard is key, compared with the packet's extracted key
+	key         Key
 	handler     Handler
 	allotment   sim.Time // 0 = unlimited
 	removed     bool
@@ -272,9 +297,26 @@ func (d *Dispatcher) MustDeclare(name Name, opts Options) {
 // to an event. allotment, if nonzero, is the EPHEMERAL time budget per
 // invocation. Installation order is dispatch order.
 func (d *Dispatcher) Install(name Name, guard Guard, h Handler, allotment sim.Time) (*Binding, error) {
+	return d.install(name, &Binding{guard: guard, handler: h, allotment: allotment})
+}
+
+// InstallKey is Install with an exact-match guard: the binding matches the
+// packets whose key, as the event's declared extractor computes it, equals
+// key. It fails with ErrNoKey if the event declares no extractor.
+func (d *Dispatcher) InstallKey(name Name, key Key, h Handler, allotment sim.Time) (*Binding, error) {
+	return d.install(name, &Binding{keyed: true, key: key, handler: h, allotment: allotment})
+}
+
+// install validates b against the named event and appends it to the
+// event's dispatch list.
+func (d *Dispatcher) install(name Name, b *Binding) (*Binding, error) {
+	h, allotment := b.handler, b.allotment
 	ev, ok := d.events[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownEvent, name)
+	}
+	if b.keyed && ev.opts.Key == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNoKey, name)
 	}
 	if ev.opts.RequireEphemeral && !h.Ephemeral {
 		return nil, fmt.Errorf("%w: %s on %s", ErrNotEphemeral, h.Name, name)
@@ -288,7 +330,7 @@ func (d *Dispatcher) Install(name Name, guard Guard, h Handler, allotment sim.Ti
 	if allotment > 0 && !h.Ephemeral {
 		return nil, fmt.Errorf("%w: %s on %s", ErrAllotmentNotEphemeral, h.Name, name)
 	}
-	b := &Binding{event: ev, guard: guard, handler: h, allotment: allotment}
+	b.event = ev
 	ev.bindings = append(ev.bindings, b)
 	return b, nil
 }
@@ -477,21 +519,34 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 	// view later guards see. matched overlays the snapshot's storage: it
 	// only ever writes an index the scan has already passed.
 	matched := bindings[:0]
+	// The packet's key, extracted when the scan reaches its first keyed
+	// binding.
+	var key Key
+	keyOK, keyDone := false, false
 	for _, b := range bindings {
 		if b.removed || b.quarantined {
 			continue
 		}
-		if b.guard != nil {
+		if b.guard != nil || b.keyed {
 			t.ChargeProf(sim.ProfDispatch, b.handler.Name, d.costs.GuardEval)
-			before := t.Charged()
-			ok, panicked := d.evalGuard(t, b, m)
-			if d.quar.GuardBudget > 0 {
-				if over := t.Charged() - before - d.quar.GuardBudget; over > 0 {
-					// The guard overran its budget: terminate it there, like
-					// a handler at its allotment.
-					t.Refund(over)
-					b.stats.GuardOverruns++
-					d.fault(b)
+			var ok, panicked bool
+			if b.keyed {
+				if !keyDone {
+					key, keyOK = ev.opts.Key(m)
+					keyDone = true
+				}
+				ok = keyOK && key == b.key
+			} else {
+				before := t.Charged()
+				ok, panicked = d.evalGuard(t, b, m)
+				if d.quar.GuardBudget > 0 {
+					if over := t.Charged() - before - d.quar.GuardBudget; over > 0 {
+						// The guard overran its budget: terminate it there,
+						// like a handler at its allotment.
+						t.Refund(over)
+						b.stats.GuardOverruns++
+						d.fault(b)
+					}
 				}
 			}
 			if panicked {

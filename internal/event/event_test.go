@@ -374,10 +374,11 @@ func TestDefaultCostsShape(t *testing.T) {
 
 // TestRaiseSteadyStateAllocs pins the zero-alloc property of dispatch: on a
 // warm dispatcher (scratch snapshot buffer grown), Raise allocates nothing
-// per call, even with a mix of guards accepting and rejecting.
+// per call, even with a mix of closure and keyed guards accepting and
+// rejecting.
 func TestRaiseSteadyStateAllocs(t *testing.T) {
 	d := NewDispatcher(DefaultCosts())
-	d.MustDeclare("E", Options{})
+	d.MustDeclare("E", Options{Key: firstByteKey})
 	accept := func(task *sim.Task, m *mbuf.Mbuf) bool { return m.Bytes()[0] == 9 }
 	reject := func(task *sim.Task, m *mbuf.Mbuf) bool { return m.Bytes()[0] != 9 }
 	for i := 0; i < 4; i++ {
@@ -387,13 +388,19 @@ func TestRaiseSteadyStateAllocs(t *testing.T) {
 		if _, err := d.Install("E", reject, Proc("miss", func(task *sim.Task, m *mbuf.Mbuf) {}), 0); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := d.InstallKey("E", 9, Proc("keyed-hit", func(task *sim.Task, m *mbuf.Mbuf) {}), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.InstallKey("E", 8, Proc("keyed-miss", func(task *sim.Task, m *mbuf.Mbuf) {}), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m := pkt(t, 9)
 	run(t, func(task *sim.Task) {
 		d.Raise(task, "E", m) // warm: grows the scratch buffer once
 		avg := testing.AllocsPerRun(100, func() {
-			if n := d.Raise(task, "E", m); n != 4 {
-				t.Fatalf("Raise invoked %d handlers, want 4", n)
+			if n := d.Raise(task, "E", m); n != 8 {
+				t.Fatalf("Raise invoked %d handlers, want 8", n)
 			}
 		})
 		if avg != 0 {

@@ -188,6 +188,39 @@ func TestTCPOrderlyCloseBothSides(t *testing.T) {
 	}
 }
 
+// An active open never takes a local port ceded to another implementation:
+// the manager's IP guard would hide the SYN-ACK, leaving the connection stuck
+// in SYN-SENT.
+func TestTCPConnectSkipsClaimedPort(t *testing.T) {
+	n, client, server, err := TwoHosts(1, netdev.EthernetModel(), spinSpec("a"), spinSpec("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.TCP.Claim(32768); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.ListenTCP(80, TCPAppOptions{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var conn *TCPApp
+	client.Spawn("client", func(task *sim.Task) {
+		conn, err = client.ConnectTCP(task, server.Addr(), 80, TCPAppOptions{})
+		if err != nil {
+			t.Errorf("connect: %v", err)
+		}
+	})
+	n.Sim.RunUntil(5 * sim.Second)
+	if conn == nil || conn.Conn() == nil {
+		t.Fatal("no connection")
+	}
+	if p := conn.Conn().LocalPort(); p == 32768 {
+		t.Errorf("active open took the claimed port %d", p)
+	}
+	if s := conn.State(); s != tcp.StateEstablished {
+		t.Errorf("state after 5s = %v, want ESTABLISHED", s)
+	}
+}
+
 func stateOf(c *TCPApp) tcp.State {
 	if c == nil || c.Conn() == nil {
 		return tcp.StateClosed

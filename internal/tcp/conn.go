@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plexus/internal/event"
-	"plexus/internal/mbuf"
 	"plexus/internal/sim"
 	"plexus/internal/view"
 )
@@ -254,8 +253,8 @@ type Conn struct {
 	probeTag any
 }
 
-// newConn allocates a TCB and installs its guard (exact 4-tuple match — the
-// anti-snooping edge) on TCP.PacketRecv.
+// newConn allocates a TCB and installs its keyed guard (exact 4-tuple match —
+// the anti-snooping edge) on TCP.PacketRecv.
 func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, opts ConnOptions) *Conn {
 	c := &Conn{
 		mgr:        m,
@@ -290,19 +289,15 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 	c.cc = newCC(name)
 	c.ccName = c.cc.Name()
 	c.cc.Init(c)
-	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		s, ok := parseHdr(pkt)
-		return ok && s.dstPort == c.localPort && s.srcPort == c.remotePort && s.src == c.remoteAddr
-	}
 	h := event.Handler{
 		Name:      fmt.Sprintf("tcp.conn:%d-%v:%d", localPort, remote, remotePort),
 		Fn:        c.segArrives,
 		Ephemeral: true,
 	}
-	b, err := m.disp.Install(RecvEvent, guard, h, 0)
+	b, err := m.disp.InstallKey(RecvEvent, connKeyOf(localPort, remote, remotePort), h, 0)
 	if err != nil {
-		// RecvEvent is always declared by New; install can only fail on
-		// a nil handler, which cannot happen here.
+		// RecvEvent is always declared by New, with segKey; install can
+		// only fail on a nil handler, which cannot happen here.
 		panic(err)
 	}
 	c.binding = b

@@ -79,7 +79,9 @@ func chain(p *mbuf.Pool, dgram []byte, headLen int) *mbuf.Mbuf {
 }
 
 // checkAgainstRef parses one layout of dgram both ways and fails on any
-// difference in verdict, fields or payload bytes.
+// difference in verdict, fields or payload bytes. It holds segKey to the same
+// reference: a connection's keyed binding must accept exactly the segments a
+// guard comparing the parsed 4-tuple would.
 func checkAgainstRef(t *testing.T, p *mbuf.Pool, m *Manager, dgram []byte, headLen int) {
 	t.Helper()
 	pkt := chain(p, dgram, headLen)
@@ -89,8 +91,15 @@ func checkAgainstRef(t *testing.T, p *mbuf.Pool, m *Manager, dgram []byte, headL
 	if ok != wantOK {
 		t.Fatalf("head %d: parseHdr ok=%v, reference ok=%v", headLen, ok, wantOK)
 	}
+	key, keyOK := segKey(pkt)
+	if keyOK != wantOK {
+		t.Fatalf("head %d: segKey ok=%v, reference ok=%v", headLen, keyOK, wantOK)
+	}
 	if !ok {
 		return
+	}
+	if wantKey := connKeyOf(want.dstPort, want.src, want.srcPort); key != wantKey {
+		t.Fatalf("head %d: segKey %#x, reference 4-tuple key %#x", headLen, key, wantKey)
 	}
 	if got != want.seg {
 		t.Fatalf("head %d: parseHdr\n %+v\nreference\n %+v", headLen, got, want.seg)
@@ -210,7 +219,8 @@ func TestParseHdrMalformed(t *testing.T) {
 
 // FuzzParseHdr is differential: whatever the bytes and wherever the head mbuf
 // ends, the in-place header parse and the linearise-then-parse reference agree
-// on the verdict, every field and the payload, and neither panics.
+// on the verdict, every field and the payload, segKey agrees with both on the
+// verdict and the connection key, and none of them panics.
 func FuzzParseHdr(f *testing.F) {
 	// The seeds are the committed corpus in testdata/fuzz/FuzzParseHdr.
 	f.Add(dgram(nil, []byte("data")), uint8(255))
@@ -220,8 +230,8 @@ func FuzzParseHdr(f *testing.F) {
 	})
 }
 
-// BenchmarkParseHdr is what every guard on TCP.PacketRecv pays per segment:
-// a full-size data segment laid out as the transmit path builds it.
+// BenchmarkParseHdr is what a handler on TCP.PacketRecv pays per segment: a
+// full-size data segment laid out as the transmit path builds it.
 func BenchmarkParseHdr(b *testing.B) {
 	p := mbuf.NewPool()
 	pkt := p.FromBytes(dgram(nil, make([]byte, 1460)), 64)

@@ -167,7 +167,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.CPU != nil {
 		m.hostName = cfg.CPU.Name()
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral}); err != nil {
+	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, Key: segKey}); err != nil {
 		return nil, err
 	}
 	m.recvRef = cfg.Disp.Ref(RecvEvent)
@@ -327,6 +327,22 @@ func parseHdr(pkt *mbuf.Mbuf) (seg, bool) {
 	return s, true
 }
 
+// segKey is RecvEvent's key extractor: the segment's connection key as seen
+// from the receiver, ok exactly when parseHdr accepts the segment. A
+// connection's keyed binding thus matches exactly the segments of its
+// 4-tuple (the local address is IP's to check).
+func segKey(pkt *mbuf.Mbuf) (event.Key, bool) {
+	s, ok := parseHdr(pkt)
+	return connKeyOf(s.dstPort, s.src, s.srcPort), ok
+}
+
+// connKeyOf packs a connection's 4-tuple, less the local address, into the
+// key its binding on RecvEvent matches.
+func connKeyOf(localPort uint16, remote view.IP4, remotePort uint16) event.Key {
+	return event.Key(localPort)<<48 | event.Key(remotePort)<<32 |
+		event.Key(remote[0])<<24 | event.Key(remote[1])<<16 | event.Key(remote[2])<<8 | event.Key(remote[3])
+}
+
 // payload linearises the payload of the segment a handler is processing into
 // the manager's scratch buffer. The slice is valid until the next call: it is
 // what OnRecv receives, which is why OnRecv data may not be retained.
@@ -419,7 +435,8 @@ func (m *Manager) sendSegment(t *sim.Task, srcPort uint16, dst view.IP4, dstPort
 	_ = m.ip.Send(t, view.IP4{}, dst, view.IPProtoTCP, seg)
 }
 
-// allocPort picks a free local port for an active open.
+// allocPort picks a free local port for an active open: neither in local use
+// nor ceded to another implementation with Claim.
 func (m *Manager) allocPort() (uint16, error) {
 	for i := 0; i < 16384; i++ {
 		p := m.nextPort
@@ -427,7 +444,7 @@ func (m *Manager) allocPort() (uint16, error) {
 		if m.nextPort == 49152 {
 			m.nextPort = 32768
 		}
-		if _, used := m.listeners[p]; used {
+		if _, used := m.listeners[p]; used || m.claimed[p] {
 			continue
 		}
 		inUse := false

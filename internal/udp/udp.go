@@ -224,7 +224,8 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	m.stats.Delivered++
 }
 
-// allocEphemeral picks a free high port.
+// allocEphemeral picks a free high port: neither bound nor ceded to another
+// implementation with Claim.
 func (m *Manager) allocEphemeral() (uint16, error) {
 	for i := 0; i < 16384; i++ {
 		p := m.nextEphemeral
@@ -232,7 +233,7 @@ func (m *Manager) allocEphemeral() (uint16, error) {
 		if m.nextEphemeral == 0 {
 			m.nextEphemeral = 49152
 		}
-		if _, used := m.ports[p]; !used && p != 0 {
+		if _, used := m.ports[p]; !used && !m.claimed[p] && p != 0 {
 			return p, nil
 		}
 	}

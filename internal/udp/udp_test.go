@@ -248,6 +248,22 @@ func TestClaimedPortInvisible(t *testing.T) {
 	}
 }
 
+// The ephemeral allocator never hands out a port ceded to another
+// implementation: the manager's own guard would hide its traffic.
+func TestEphemeralSkipsClaimedPort(t *testing.T) {
+	_, _, b := pair(t)
+	if err := b.UDP.Claim(49152); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := b.UDP.Open(udp.EndpointOptions{Ephemeral: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.Port() == 49152 {
+		t.Fatal("ephemeral allocation returned the claimed port 49152")
+	}
+}
+
 func TestClaimBoundPortFails(t *testing.T) {
 	_, a, _ := pair(t)
 	if _, err := a.UDP.Open(udp.EndpointOptions{Port: 70, Ephemeral: true}, nil); err != nil {
