@@ -72,9 +72,10 @@ type Layer struct {
 	mask view.IP4
 	gw   view.IP4 // zero = no gateway
 
-	ident uint16
-	reasm map[reasmKey]*reasmBuf
-	stats Stats
+	ident     uint16
+	reasm     map[reasmKey]*reasmBuf
+	reasmFree *reasmBuf // recycled reassembly buffers (see freeReasmBuf)
+	stats     Stats
 
 	// recvRef/sendRef are the layer's resolved event handles for the
 	// per-packet path.
@@ -225,7 +226,8 @@ func (l *Layer) Send(t *sim.Task, src, dst view.IP4, proto uint8, m *mbuf.Mbuf) 
 	if view.IPv4MinHdrLen+m.PktLen() <= mtu {
 		return l.sendFragment(t, src, dst, proto, id, 0, false, m, nh)
 	}
-	// Fragment: each piece carries a copy of the payload slice.
+	// Fragment: each piece is a copy of its payload range, built straight
+	// from the source chain into pool mbufs.
 	l.stats.FragmentsSent++ // counts fragmented datagrams
 	maxPayload := (mtu - view.IPv4MinHdrLen) &^ 7
 	total := m.PktLen()
@@ -236,13 +238,12 @@ func (l *Layer) Send(t *sim.Task, src, dst view.IP4, proto uint8, m *mbuf.Mbuf) 
 			n = total - off
 			last = true
 		}
-		part, err := m.CopyData(off, n)
+		frag, err := l.pool.CopyRange(m, off, n, 64)
 		if err != nil {
 			m.Free()
 			return err
 		}
 		t.ChargeBytes(n, l.costs.RAMPerByte)
-		frag := l.pool.FromBytes(part, 64)
 		if err := l.sendFragment(t, src, dst, proto, id, off, !last, frag, nh); err != nil {
 			m.Free()
 			return err

@@ -20,7 +20,7 @@ func spin(name string) plexus.HostSpec {
 	return plexus.HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchInterrupt}
 }
 
-func pair(t *testing.T) (*plexus.Network, *plexus.Stack, *plexus.Stack) {
+func pair(t testing.TB) (*plexus.Network, *plexus.Stack, *plexus.Stack) {
 	t.Helper()
 	n, a, b, err := plexus.TwoHosts(1, netdev.EthernetModel(), spin("a"), spin("b"))
 	if err != nil {
@@ -225,36 +225,200 @@ func TestReassemblyTimeout(t *testing.T) {
 	}
 }
 
-// Fragments arriving out of order still reassemble.
-func TestReassemblyOutOfOrder(t *testing.T) {
-	n, a, b := pair(t)
-	var got []byte
-	if _, err := b.OpenUDP(plexus.UDPAppOptions{Port: 9}, func(task *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-		got = data
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Delay the first fragment by re-sending it after the rest: simulate
-	// by dropping fragment 1 on its first pass and re-transmitting the
-	// datagram; the second copy's fragment 1 completes the first set.
-	frames := 0
+// captureFragments sends msg from a to b's UDP port 9 with every IPv4 frame
+// dropped on the wire, and returns the dropped datagrams (IP header first),
+// ready to be replayed in any order with replay.
+func captureFragments(t *testing.T, n *plexus.Network, a, b *plexus.Stack, msg []byte) [][]byte {
+	t.Helper()
+	var frags [][]byte
 	n.Link.SetDropFn(func(wire []byte) bool {
-		frames++
-		return frames == 1
+		if wire[12] != 0x08 || wire[13] != 0x00 {
+			return false
+		}
+		frags = append(frags, append([]byte(nil), wire[view.EthernetHdrLen:]...))
+		return true
 	})
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	a.Spawn("send", func(task *sim.Task) { _ = capp.Send(task, b.Addr(), 9, msg) })
+	n.Sim.Run()
+	n.Link.SetDropFn(nil)
+	return frags
+}
+
+// replay transmits raw IPv4 datagrams from a to b's MAC, in order.
+func replay(t *testing.T, n *plexus.Network, a, b *plexus.Stack, dgrams ...[]byte) {
+	t.Helper()
+	a.Spawn("replay", func(task *sim.Task) {
+		for _, d := range dgrams {
+			if err := a.Ether.Send(task, b.NIC.MAC(), view.EtherTypeIPv4, a.Host.Pool.FromBytes(d, 32)); err != nil {
+				t.Errorf("replay: %v", err)
+			}
+		}
+	})
+	n.Sim.Run()
+}
+
+// rawFragment builds one IPv4 fragment from a to b by hand.
+func rawFragment(a, b *plexus.Stack, id uint16, off int, more bool, payload []byte) []byte {
+	d := make([]byte, view.IPv4MinHdrLen+len(payload))
+	d[0] = 0x45
+	v, _ := view.IPv4(d)
+	v.SetTotalLen(len(d))
+	v.SetID(id)
+	flags := uint16(0)
+	if more {
+		flags = view.IPFlagMF
+	}
+	v.SetFlagsFrag(flags, off)
+	v.SetTTL(64)
+	v.SetProto(253) // RFC 3692 experimentation: no handler above IP
+	v.SetSrc(a.Addr())
+	v.SetDst(b.Addr())
+	v.ComputeChecksum()
+	copy(d[view.IPv4MinHdrLen:], payload)
+	return d
+}
+
+// One datagram's fragments arrive last first, with the middle one twice:
+// they still reassemble, exactly once, into the bytes that were sent.
+func TestReassemblyOutOfOrder(t *testing.T) {
+	n, a, b := pair(t)
+	var got []byte
+	seen := 0
+	if _, err := b.OpenUDP(plexus.UDPAppOptions{Port: 9}, func(task *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+		got = append([]byte(nil), data...)
+		seen++
+	}); err != nil {
 		t.Fatal(err)
 	}
 	msg := make([]byte, 3000)
 	for i := range msg {
 		msg[i] = byte(i * 3)
 	}
-	a.Spawn("send", func(task *sim.Task) { _ = capp.Send(task, b.Addr(), 9, msg) })
-	a.SpawnAt(10*sim.Millisecond, "resend", func(task *sim.Task) { _ = capp.Send(task, b.Addr(), 9, msg) })
-	n.Sim.RunUntil(60 * sim.Second)
+	frags := captureFragments(t, n, a, b, msg)
+	if len(frags) != 3 {
+		t.Fatalf("captured %d fragments, want 3", len(frags))
+	}
+	replay(t, n, a, b, frags[2], frags[1], frags[1], frags[0])
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("out-of-order reassembly failed: got %d bytes", len(got))
+	}
+	if st := b.IP.Stats(); seen != 1 || st.Reassembled != 1 || st.FragmentsRcvd != 4 {
+		t.Errorf("delivered %d, Reassembled %d, FragmentsRcvd %d; want 1, 1, 4", seen, st.Reassembled, st.FragmentsRcvd)
+	}
+}
+
+// Reassembly buffers are recycled: after an all-0xAA datagram, a shorter
+// patterned one whose last fragment arrives first (so its end is known while
+// the recycled buffer's stale arrival map and bytes are still there), and
+// then one longer than either, each arrive byte-exact.
+func TestReassemblyReusesBuffers(t *testing.T) {
+	n, a, b := pair(t)
+	var got []byte
+	if _, err := b.OpenUDP(plexus.UDPAppOptions{Port: 9}, func(task *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+		got = append([]byte(nil), data...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(msg []byte) {
+		got = nil
+		a.Spawn("send", func(task *sim.Task) { _ = capp.Send(task, b.Addr(), 9, msg) })
+		n.Sim.Run()
+	}
+	pattern := func(size int) []byte {
+		msg := make([]byte, size)
+		for j := range msg {
+			msg[j] = byte(j*5 + size)
+		}
+		return msg
+	}
+	first := bytes.Repeat([]byte{0xaa}, 5000)
+	send(first)
+	if !bytes.Equal(got, first) {
+		t.Fatalf("first datagram: got %d bytes, not the bytes sent", len(got))
+	}
+	second := pattern(3001)
+	frags := captureFragments(t, n, a, b, second)
+	got = nil
+	replay(t, n, a, b, frags[2], frags[1], frags[0])
+	if !bytes.Equal(got, second) {
+		t.Fatalf("reversed datagram in a recycled buffer: got %d bytes, not the bytes sent", len(got))
+	}
+	third := pattern(6007)
+	send(third)
+	if !bytes.Equal(got, third) {
+		t.Fatalf("longer datagram in a recycled buffer: got %d bytes, not the bytes sent", len(got))
+	}
+	if r := b.IP.Stats().Reassembled; r != 3 {
+		t.Errorf("Reassembled = %d, want 3", r)
+	}
+}
+
+// A fragment other than the last whose payload is not a multiple of eight
+// bytes would leave a hole before the next fragment's offset: it is dropped
+// as a bad header, and the datagram is never delivered.
+func TestReassemblyRejectsShortMiddleFragment(t *testing.T) {
+	n, a, b := pair(t)
+	seen := 0
+	if _, err := b.OpenUDP(plexus.UDPAppOptions{Port: 9}, func(*sim.Task, []byte, view.IP4, uint16) {
+		seen++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n.Link.SetMangleFn(func(wire []byte) {
+		v, err := view.IPv4(wire[view.EthernetHdrLen:])
+		if err != nil || !v.MoreFragments() || v.FragOffset() != 0 {
+			return
+		}
+		v.SetTotalLen(v.TotalLen() - 3) // the last 3 bytes become link padding
+		v.ComputeChecksum()
+	})
+	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Spawn("send", func(task *sim.Task) { _ = capp.Send(task, b.Addr(), 9, make([]byte, 3000)) })
+	n.Sim.RunUntil(ip.ReassemblyTimeout + 5*sim.Second)
+	st := b.IP.Stats()
+	if seen != 0 || st.Reassembled != 0 {
+		t.Fatalf("datagram with a hole delivered: app saw %d, Reassembled = %d", seen, st.Reassembled)
+	}
+	if st.BadHeader != 1 || st.ReasmTimeouts != 1 {
+		t.Errorf("BadHeader = %d, ReasmTimeouts = %d; want 1, 1", st.BadHeader, st.ReasmTimeouts)
+	}
+}
+
+// A fragment ending past the largest datagram IPv4 can describe is dropped
+// as a bad header before any reassembly state is made for it.
+func TestReassemblyRejectsOverrun(t *testing.T) {
+	n, a, b := pair(t)
+	replay(t, n, a, b, rawFragment(a, b, 7, 65528, false, make([]byte, 16)))
+	n.Sim.RunUntil(ip.ReassemblyTimeout + 5*sim.Second)
+	if st := b.IP.Stats(); st.BadHeader != 1 || st.ReasmTimeouts != 0 {
+		t.Errorf("BadHeader = %d, ReasmTimeouts = %d; want 1, 0", st.BadHeader, st.ReasmTimeouts)
+	}
+}
+
+// Once the last fragment has fixed the datagram's end, a fragment that
+// contradicts it — a second last fragment ending elsewhere, or one reaching
+// past the end — is dropped, and the datagram completes from the others.
+func TestReassemblyRejectsConflictingEnd(t *testing.T) {
+	n, a, b := pair(t)
+	replay(t, n, a, b,
+		rawFragment(a, b, 9, 8, false, []byte{1, 2, 3}),        // ends at 11
+		rawFragment(a, b, 9, 16, false, []byte{4, 5, 6, 7, 8}), // ends at 21
+		rawFragment(a, b, 9, 16, true, make([]byte, 8)),        // past 11
+		rawFragment(a, b, 9, 0, true, make([]byte, 8)),
+	)
+	if st := b.IP.Stats(); st.BadHeader != 2 || st.Reassembled != 1 {
+		t.Errorf("BadHeader = %d, Reassembled = %d; want 2, 1", st.BadHeader, st.Reassembled)
 	}
 }
 
@@ -309,5 +473,34 @@ func TestBroadcastDelivery(t *testing.T) {
 	n.Sim.Run()
 	if got != 2 {
 		t.Fatalf("broadcast reached %d of 2 hosts", got)
+	}
+}
+
+// BenchmarkFragmentRoundTrip carries one 12,500-byte UDP datagram — a
+// Figure 6 video frame, nine fragments — from one host to the other per op:
+// fragmentation, the wire, and reassembly.
+func BenchmarkFragmentRoundTrip(b *testing.B) {
+	n, a, bh := pair(b)
+	got := 0
+	if _, err := bh.OpenUDP(plexus.UDPAppOptions{Port: 9}, func(*sim.Task, []byte, view.IP4, uint16) {
+		got++
+	}); err != nil {
+		b.Fatal(err)
+	}
+	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	msg := make([]byte, 12500)
+	send := func(task *sim.Task) { _ = capp.Send(task, bh.Addr(), 9, msg) }
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Spawn("send", send)
+		n.Sim.Run()
+	}
+	if got != b.N {
+		b.Fatalf("delivered %d of %d datagrams", got, b.N)
 	}
 }

@@ -1,6 +1,8 @@
 package ip
 
 import (
+	"slices"
+
 	"plexus/internal/mbuf"
 	"plexus/internal/sim"
 	"plexus/internal/view"
@@ -14,56 +16,125 @@ type reasmKey struct {
 	id    uint16
 }
 
-// reasmBuf accumulates one datagram's fragments.
+// Bounds on the reassembly free list: at most reasmFreeMax buffers are kept,
+// none holding more than reasmRetainMax bytes, so a layer retains at most a
+// few maximum-size datagrams however many it has reassembled.
+const (
+	reasmFreeMax   = 4
+	reasmRetainMax = 1 << 16
+)
+
+// reasmBuf accumulates one datagram's fragments. Buffers are recycled through
+// the layer's free list, so data and have keep their capacity between
+// datagrams: bytes past what this datagram's fragments wrote are stale, and
+// only a datagram whose every unit arrived is delivered.
 type reasmBuf struct {
+	l        *Layer
+	key      reasmKey
 	data     []byte
 	have     []bool // per-8-byte-unit arrival map
 	totalLen int    // payload length, known once the last fragment arrives
 	timer    sim.Timer
+
+	next  *reasmBuf // free-list link
+	depth int       // free-list length from this buffer down
+}
+
+// reasmExpire is the reassembly timeout's callback, scheduled with AfterArg
+// so arming the timer allocates no closure.
+func reasmExpire(arg any) {
+	rb := arg.(*reasmBuf)
+	l := rb.l
+	if cur, ok := l.reasm[rb.key]; ok && cur == rb {
+		delete(l.reasm, rb.key)
+		l.stats.ReasmTimeouts++
+		l.freeReasmBuf(rb)
+	}
+}
+
+// getReasmBuf takes a buffer from the free list, or allocates one.
+func (l *Layer) getReasmBuf(key reasmKey) *reasmBuf {
+	rb := l.reasmFree
+	if rb == nil {
+		rb = &reasmBuf{l: l}
+	} else {
+		l.reasmFree = rb.next
+		rb.next = nil
+	}
+	rb.key = key
+	return rb
+}
+
+// freeReasmBuf returns rb to the free list, unless the list is full or rb
+// grew past the retained-capacity bound.
+func (l *Layer) freeReasmBuf(rb *reasmBuf) {
+	depth := 1
+	if l.reasmFree != nil {
+		depth = l.reasmFree.depth + 1
+	}
+	if depth > reasmFreeMax || cap(rb.data) > reasmRetainMax {
+		return
+	}
+	rb.data = rb.data[:0]
+	rb.have = rb.have[:0]
+	rb.totalLen = 0
+	rb.timer = sim.Timer{}
+	rb.next = l.reasmFree
+	rb.depth = depth
+	l.reasmFree = rb
 }
 
 // reassemble incorporates the validated fragment m (consumed) and returns the
 // complete datagram as a fresh packet — rebuilt with a synthetic header whose
 // fragment fields are cleared — or nil while fragments are still missing.
+//
+// A fragment that would leave a hole or overrun the datagram is dropped as a
+// bad header: a fragment other than the last must carry a multiple of eight
+// bytes (RFC 791), no fragment may end past the 65,535-byte datagram limit
+// (RFC 1858), and no fragment may contradict the end the last fragment set.
 func (l *Layer) reassemble(t *sim.Task, v view.IPv4View, m *mbuf.Mbuf) *mbuf.Mbuf {
+	hl := v.HdrLen()
+	fragOff := v.FragOffset()
+	payloadLen := v.TotalLen() - hl
+	end := fragOff + payloadLen
+	if v.MoreFragments() && payloadLen%8 != 0 || end > 0xffff-hl {
+		l.stats.BadHeader++
+		m.Free()
+		return nil
+	}
 	key := reasmKey{src: v.Src(), dst: v.Dst(), proto: v.Proto(), id: v.ID()}
 	rb, ok := l.reasm[key]
 	if !ok {
-		rb = &reasmBuf{}
+		rb = l.getReasmBuf(key)
 		l.reasm[key] = rb
-		rb.timer = l.sim.After(ReassemblyTimeout, "ip-reasm-timeout", func() {
-			if cur, ok := l.reasm[key]; ok && cur == rb {
-				delete(l.reasm, key)
-				l.stats.ReasmTimeouts++
-			}
-		})
+		rb.timer = l.sim.AfterArg(ReassemblyTimeout, "ip-reasm-timeout", reasmExpire, rb)
 	}
-	fragOff := v.FragOffset()
-	payloadLen := v.TotalLen() - v.HdrLen()
-	payload, err := m.CopyData(v.HdrLen(), payloadLen)
+	last := !v.MoreFragments()
+	if rb.totalLen > 0 && (end > rb.totalLen || last && end != rb.totalLen) || last && end < len(rb.data) {
+		l.stats.BadHeader++
+		m.Free()
+		return nil
+	}
+	if end > len(rb.data) {
+		units, old := (end+7)/8, len(rb.have)
+		rb.data = slices.Grow(rb.data, end-len(rb.data))[:end]
+		rb.have = slices.Grow(rb.have, units-old)[:units]
+		clear(rb.have[old:])
+	}
+	err := m.CopyTo(hl, rb.data[fragOff:end])
 	m.Free()
 	if err != nil {
 		return nil
 	}
 	t.ChargeBytes(payloadLen, l.costs.RAMPerByte)
 
-	end := fragOff + payloadLen
-	if end > len(rb.data) {
-		nd := make([]byte, end)
-		copy(nd, rb.data)
-		rb.data = nd
-		nh := make([]bool, (end+7)/8)
-		copy(nh, rb.have)
-		rb.have = nh
-	}
-	copy(rb.data[fragOff:], payload)
 	for u := fragOff / 8; u < (end+7)/8; u++ {
 		rb.have[u] = true
 	}
-	if !v.MoreFragments() {
+	if last {
 		rb.totalLen = end
 	}
-	if rb.totalLen == 0 || len(rb.data) < rb.totalLen {
+	if rb.totalLen == 0 {
 		return nil
 	}
 	for u := 0; u < (rb.totalLen+7)/8; u++ {
@@ -76,6 +147,7 @@ func (l *Layer) reassemble(t *sim.Task, v view.IPv4View, m *mbuf.Mbuf) *mbuf.Mbu
 	delete(l.reasm, key)
 	l.stats.Reassembled++
 	whole := l.pool.FromBytes(rb.data[:rb.totalLen], view.IPv4MinHdrLen+16)
+	l.freeReasmBuf(rb)
 	dm, err := whole.Prepend(view.IPv4MinHdrLen)
 	if err != nil {
 		whole.Free()

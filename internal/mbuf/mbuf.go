@@ -269,6 +269,35 @@ func (p *Pool) Gather(headroom int, parts ...[]byte) *Mbuf {
 	return head
 }
 
+// CopyRange builds a packet chain holding a copy of bytes [off, off+n) of
+// packet m, laid out exactly as FromBytes lays out the same bytes, without
+// first copying them into an intermediate slice: the range's per-mbuf slices
+// feed Gather. IP fragmentation builds each fragment this way.
+func (p *Pool) CopyRange(m *Mbuf, off, n, headroom int) (*Mbuf, error) {
+	if m.hdr == nil {
+		return nil, errors.New("mbuf: CopyRange on non-header mbuf")
+	}
+	if off < 0 || n < 0 || off+n > m.hdr.Len {
+		return nil, ErrRange
+	}
+	var stack [8][]byte // a fragment-sized range spans two or three mbufs
+	parts := stack[:0]
+	for mm := m; mm != nil && n > 0; mm = mm.next {
+		if off >= mm.len {
+			off -= mm.len
+			continue
+		}
+		b := mm.Bytes()[off:]
+		if len(b) > n {
+			b = b[:n]
+		}
+		parts = append(parts, b)
+		n -= len(b)
+		off = 0
+	}
+	return p.Gather(headroom, parts...), nil
+}
+
 // gatherSrc is a read cursor over a list of byte slices.
 type gatherSrc struct {
 	parts  [][]byte

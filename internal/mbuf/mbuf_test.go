@@ -130,6 +130,53 @@ func TestGatherMatchesFromBytes(t *testing.T) {
 	}
 }
 
+// CopyRange must build the same chain FromBytes builds from the range's
+// bytes, for ranges starting and ending inside the head, a small mbuf and a
+// cluster of a chain mixing both; it rejects ranges outside the packet and
+// allocates nothing on a warm pool.
+func TestCopyRangeMatchesFromBytes(t *testing.T) {
+	p := NewPool()
+	const headroom = 64
+	data := payload(5000)
+	src := p.FromBytes(data[:100], 16)
+	if err := src.Cat(p.FromBytes(data[100:300], 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Cat(p.FromBytes(data[300:], 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int{0, 1, 99, 100, 250, 300, 301, 2400, 4999, 5000} {
+		for _, n := range []int{0, 1, 7, 200, 1480, 2100, 5000} {
+			if off+n > len(data) {
+				continue
+			}
+			got, err := p.CopyRange(src, off, n, headroom)
+			if err != nil {
+				t.Fatalf("off %d n %d: %v", off, n, err)
+			}
+			want := p.FromBytes(data[off:off+n], headroom)
+			sameGeometry(t, "range", got, want)
+			got.Free()
+			want.Free()
+		}
+	}
+	for _, r := range [][2]int{{-1, 10}, {0, -1}, {4990, 11}} {
+		if _, err := p.CopyRange(src, r[0], r[1], headroom); !errors.Is(err, ErrRange) {
+			t.Errorf("CopyRange(%d, %d) = %v, want ErrRange", r[0], r[1], err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		m, _ := p.CopyRange(src, 250, 1480, headroom)
+		m.Free()
+	}); n != 0 {
+		t.Errorf("CopyRange allocates %v per packet on a warm pool", n)
+	}
+	src.Free()
+	if g := p.Gauge(); g.InUse != 0 || g.InUseClusters != 0 {
+		t.Errorf("leaked %d mbufs, %d clusters", g.InUse, g.InUseClusters)
+	}
+}
+
 func TestBadHeadroomPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

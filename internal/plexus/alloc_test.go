@@ -1,8 +1,10 @@
 package plexus
 
 import (
+	"fmt"
 	"testing"
 
+	"plexus/internal/ip"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
 	"plexus/internal/sim"
@@ -15,7 +17,8 @@ import (
 // populated), a complete application-to-application UDP echo round — two
 // sends, two wire crossings, two receive hand-offs (interrupt, kernel thread,
 // or softirq plus a woken user process), full header processing — allocates
-// nothing.
+// nothing. The 4000B case sends three fragments each way, so fragmentation,
+// reassembly and its timeout timer are pinned too.
 func TestUDPEchoSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -27,50 +30,68 @@ func TestUDPEchoSteadyStateAllocs(t *testing.T) {
 		{"dux", osmodel.Monolithic, osmodel.DispatchInterrupt},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			spec := func(name string) HostSpec {
-				return HostSpec{Name: name, Personality: c.p, Dispatch: c.d}
-			}
-			n, client, server, err := TwoHosts(1, netdev.EthernetModel(), spec("client"), spec("server"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var echo *UDPApp
-			echo, err = server.OpenUDP(UDPAppOptions{Port: 7}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-				_ = echo.Send(tk, src, srcPort, data)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			msg := make([]byte, 8)
-			rounds := 0
-			var capp *UDPApp
-			capp, err = client.OpenUDP(UDPAppOptions{}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-				rounds++
-				_ = capp.Send(tk, server.Addr(), 7, msg)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			client.Spawn("kick", func(tk *sim.Task) { _ = capp.Send(tk, server.Addr(), 7, msg) })
-
-			runRounds := func(k int) {
-				target := rounds + k
-				for rounds < target {
-					if !n.Sim.Step() {
-						t.Fatal("simulation drained before completing echo rounds")
-					}
-				}
-			}
-			// Warm up: prime every free list (events, tasks, submissions,
-			// mbufs, clusters, wire frames, raise jobs, wake records,
-			// receive buffers) and build the hand-off task labels.
-			runRounds(64)
-
-			avg := testing.AllocsPerRun(100, func() { runRounds(1) })
-			if avg != 0 {
-				t.Fatalf("steady-state UDP echo round allocates %.2f/iter, want 0", avg)
+			for _, size := range []int{8, 4000} {
+				t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+					udpEchoSteadyStateAllocs(t, c.p, c.d, size)
+				})
 			}
 		})
+	}
+}
+
+func udpEchoSteadyStateAllocs(t *testing.T, p osmodel.Personality, d osmodel.DispatchMode, size int) {
+	spec := func(name string) HostSpec {
+		return HostSpec{Name: name, Personality: p, Dispatch: d}
+	}
+	n, client, server, err := TwoHosts(1, netdev.EthernetModel(), spec("client"), spec("server"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var echo *UDPApp
+	echo, err = server.OpenUDP(UDPAppOptions{Port: 7}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+		_ = echo.Send(tk, src, srcPort, data)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, size)
+	rounds := 0
+	var capp *UDPApp
+	capp, err = client.OpenUDP(UDPAppOptions{}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+		rounds++
+		_ = capp.Send(tk, server.Addr(), 7, msg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Spawn("kick", func(tk *sim.Task) { _ = capp.Send(tk, server.Addr(), 7, msg) })
+
+	runRounds := func(k int) {
+		target := rounds + k
+		for rounds < target {
+			if !n.Sim.Step() {
+				t.Fatal("simulation drained before completing echo rounds")
+			}
+		}
+	}
+	// Warm up: prime every free list (events, tasks, submissions,
+	// mbufs, clusters, wire frames, raise jobs, wake records,
+	// receive buffers, reassembly buffers) and build the hand-off
+	// task labels.
+	runRounds(64)
+	// A fragmented round arms a reassembly timer per direction and stops
+	// it on completion, and a stopped timer's event stays queued until its
+	// deadline: the queue and the event free list settle only once one
+	// whole timeout of simulated time has passed.
+	if size > client.IP.MTU() {
+		for n.Sim.Now() < ip.ReassemblyTimeout {
+			runRounds(1)
+		}
+	}
+
+	avg := testing.AllocsPerRun(100, func() { runRounds(1) })
+	if avg != 0 {
+		t.Fatalf("steady-state %d B UDP echo round allocates %.2f/iter, want 0", size, avg)
 	}
 }
 

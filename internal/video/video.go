@@ -17,6 +17,7 @@
 package video
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"plexus/internal/plexus"
@@ -33,13 +34,28 @@ const (
 )
 
 // appChecksum is the client's application-level checksum pass: a simple
-// 32-bit sum placed in the frame header by the server.
+// 32-bit sum of the bytes, placed in the frame header by the server. It adds
+// eight bytes per step: a word splits into four 16-bit lanes of byte-pair
+// sums, and the lanes are totalled every 128 words, before any can overflow
+// (128 * 2 * 255 < 2^16).
 func appChecksum(b []byte) uint32 {
-	var s uint32
-	for _, x := range b {
-		s += uint32(x)
+	const pairs = 0x00ff00ff00ff00ff
+	var total uint64
+	for len(b) >= 8 {
+		n := min(len(b)/8, 128)
+		var lanes uint64
+		for i := 0; i < 8*n; i += 8 {
+			w := binary.LittleEndian.Uint64(b[i:])
+			lanes += w&pairs + w>>8&pairs
+		}
+		b = b[8*n:]
+		lanes = lanes&0x0000ffff0000ffff + lanes>>16&0x0000ffff0000ffff
+		total += lanes&0xffffffff + lanes>>32
 	}
-	return s
+	for _, x := range b {
+		total += uint64(x)
+	}
+	return uint32(total)
 }
 
 // frameHdrLen is the application frame header: stream id, frame seq,
@@ -80,6 +96,7 @@ type Server struct {
 	app     *plexus.UDPApp
 	streams []view.IP4
 	seq     uint32
+	frame   []byte // reused by buildFrame
 	stats   ServerStats
 
 	running  bool
@@ -95,7 +112,7 @@ func NewServer(st *plexus.Stack, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("video: %w", err)
 	}
-	return &Server{st: st, cfg: cfg, app: app}, nil
+	return &Server{st: st, cfg: cfg, app: app, frame: make([]byte, cfg.FrameSize)}, nil
 }
 
 // AddStream adds one client stream addressed to the given multicast group
@@ -158,17 +175,37 @@ func (s *Server) sendFrames(t *sim.Task) {
 	}
 }
 
-// buildFrame synthesizes frame content with the application-level header the
-// client verifies.
+// buildFrame synthesizes frame content, byte i being seq+7i (mod 256), with
+// the application-level header the client verifies. It rewrites the server's
+// one frame buffer: Send copies the frame into mbufs before returning.
 func (s *Server) buildFrame(stream, seq uint32) []byte {
-	b := make([]byte, s.cfg.FrameSize)
-	for i := frameHdrLen; i < len(b); i++ {
-		b[i] = byte(int(seq) + i*7)
-	}
+	b := s.frame
+	fillRamp(b[frameHdrLen:], byte(seq)+frameHdrLen*7)
 	be32(b[0:], stream)
 	be32(b[4:], seq)
 	be32(b[8:], appChecksum(b[frameHdrLen:]))
 	return b
+}
+
+// fillRamp writes b[k] = first+7k (mod 256), eight bytes per step: from one
+// word to the next every byte grows by 56, added lane by lane with the top
+// bit of each byte masked so that no carry crosses into its neighbour.
+func fillRamp(b []byte, first byte) {
+	const (
+		step = 0x3838383838383838 // 56 in every byte
+		high = 0x8080808080808080
+	)
+	var w uint64
+	for k := 0; k < 8; k++ {
+		w |= uint64(first+byte(7*k)) << (8 * k)
+	}
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, w)
+		w = (w&^high + step) ^ w&high
+	}
+	for k := range b {
+		b[k] = byte(w >> (8 * k))
+	}
 }
 
 func be32(b []byte, v uint32) {

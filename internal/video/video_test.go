@@ -285,3 +285,40 @@ func TestVideoMultipleClientHosts(t *testing.T) {
 		}
 	}
 }
+
+// The word-at-a-time frame fill and checksum agree byte for byte with their
+// one-byte-per-step definitions, at every length around the 8-byte word and
+// the 1,024-byte lane-flush boundaries.
+func TestFrameKernelsMatchBytewise(t *testing.T) {
+	for _, size := range []int{frameHdrLen, frameHdrLen + 1, 19, 20, 21, 1035, 1036, 1037, 2060, DefaultFrameSize} {
+		for _, seq := range []uint32{0, 1, 37, 255, 1 << 20} {
+			s := &Server{cfg: ServerConfig{FrameSize: size}, frame: make([]byte, size)}
+			got := s.buildFrame(3, seq)
+			want := make([]byte, size)
+			for i := frameHdrLen; i < size; i++ {
+				want[i] = byte(int(seq) + i*7)
+			}
+			var sum uint32
+			for _, x := range want[frameHdrLen:] {
+				sum += uint32(x)
+			}
+			be32(want[0:], 3)
+			be32(want[4:], seq)
+			be32(want[8:], sum)
+			if string(got) != string(want) {
+				t.Fatalf("size %d seq %d: frame differs from the bytewise fill", size, seq)
+			}
+		}
+	}
+	b := make([]byte, 70000)
+	for i := range b {
+		b[i] = 0xff
+	}
+	var want uint32
+	for _, x := range b {
+		want += uint32(x)
+	}
+	if got := appChecksum(b); got != want {
+		t.Errorf("appChecksum of %d x 0xff = %d, want %d", len(b), got, want)
+	}
+}

@@ -1,6 +1,8 @@
 package view
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -94,31 +96,83 @@ func TestAccumAddUint16AtOddOffsetPanics(t *testing.T) {
 	a.AddUint16(7)
 }
 
+// PseudoHeader must seed the sum exactly as the flat pseudo-header bytes
+// would, including the all-zero header (a zero sum) and all-ones fields.
 func TestPseudoHeader(t *testing.T) {
-	src, dst := IP4{10, 0, 0, 1}, IP4{10, 0, 0, 2}
-	payload := []byte{0xca, 0xfe, 0xba, 0xbe}
-	a := PseudoHeader(src, dst, IPProtoUDP, len(payload))
-	a.Add(payload)
-	got := a.Fold()
-	flat := []byte{
-		10, 0, 0, 1,
-		10, 0, 0, 2,
-		0, IPProtoUDP,
-		0, byte(len(payload)),
-		0xca, 0xfe, 0xba, 0xbe,
-	}
-	if want := refChecksum(flat); got != want {
-		t.Errorf("pseudo-header checksum = %#04x, want %#04x", got, want)
+	for _, c := range []struct {
+		src, dst IP4
+		proto    uint8
+		payload  []byte
+	}{
+		{IP4{10, 0, 0, 1}, IP4{10, 0, 0, 2}, IPProtoUDP, []byte{0xca, 0xfe, 0xba, 0xbe}},
+		{IP4{}, IP4{}, 0, nil},
+		{IP4{255, 255, 255, 255}, IP4{255, 255, 255, 255}, 255, bytes.Repeat([]byte{0xff}, 301)},
+		{IP4{192, 168, 1, 77}, IP4{0, 0, 0, 1}, IPProtoTCP, make([]byte, 65535)},
+	} {
+		a := PseudoHeader(c.src, c.dst, c.proto, len(c.payload))
+		a.Add(c.payload)
+		flat := append(append(c.src[:], c.dst[:]...), 0, c.proto, byte(len(c.payload)>>8), byte(len(c.payload)))
+		if got, want := a.Fold(), refChecksum(append(flat, c.payload...)); got != want {
+			t.Errorf("%v > %v proto %d, %d bytes: checksum = %#04x, want %#04x",
+				c.src, c.dst, c.proto, len(c.payload), got, want)
+		}
 	}
 }
 
-func BenchmarkChecksum1500(b *testing.B) {
-	buf := make([]byte, 1500)
-	for i := range buf {
-		buf[i] = byte(i)
+// FuzzAccumAgreesWithRef is differential: any bytes, cut into runs at any
+// offsets (odd ones included) and fed through Accum.Add, checksum exactly as
+// refChecksum does over the flat slice. cuts is read a byte at a time, each
+// the length of the next run modulo what is left. The seeds straddle the
+// 64-byte block and 8-byte word edges of Add's loops.
+func FuzzAccumAgreesWithRef(f *testing.F) {
+	pattern := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + i>>8)
+		}
+		return b
 	}
-	b.SetBytes(1500)
-	for i := 0; i < b.N; i++ {
-		Checksum(buf)
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0xab}, []byte{})
+	for _, n := range []int{63, 64, 65} {
+		f.Add(pattern(n), []byte{})
+	}
+	f.Add(make([]byte, 1500), []byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 1500), []byte{})
+	f.Add(pattern(9000), []byte{})
+	f.Add(pattern(1500), []byte{1, 64, 3, 65, 7})
+	f.Add(bytes.Repeat([]byte{0xff}, 200), []byte{3, 129, 1})
+	f.Fuzz(func(t *testing.T, b, cuts []byte) {
+		want := refChecksum(b)
+		var a Accum
+		rest := b
+		for _, c := range cuts {
+			n := int(c) % (len(rest) + 1)
+			a.Add(rest[:n])
+			rest = rest[n:]
+		}
+		a.Add(rest)
+		if got := a.Fold(); got != want {
+			t.Errorf("%d bytes cut by %v: Accum %#04x, ref %#04x", len(b), cuts, got, want)
+		}
+	})
+}
+
+var checksumSink uint16
+
+// BenchmarkChecksum covers the short packets of echo and forwarding
+// workloads (20 and 64 B) as well as full Ethernet and jumbo frames.
+func BenchmarkChecksum(b *testing.B) {
+	for _, n := range []int{20, 64, 1500, 9000} {
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = byte(i)
+		}
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				checksumSink = Checksum(buf)
+			}
+		})
 	}
 }
