@@ -21,142 +21,106 @@ import (
 	"plexus/internal/view"
 )
 
+// simBench runs the sub-benchmark name of b: one simulated experiment b.N
+// times, reporting the last run's simulated metrics, by unit, next to the
+// wall-clock ns/op.
+func simBench(b *testing.B, name string, run func() (map[string]float64, error)) {
+	b.Run(name, func(b *testing.B) {
+		var last map[string]float64
+		for i := 0; i < b.N; i++ {
+			m, err := run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			last = m
+		}
+		for unit, v := range last {
+			b.ReportMetric(v, unit)
+		}
+	})
+}
+
 // --- Figure 5: UDP round-trip latency --------------------------------------
 
-func benchFig5(b *testing.B, model netdev.Model, sys bench.System) {
-	b.Helper()
-	var last sim.Time
-	for i := 0; i < b.N; i++ {
-		rtt, err := bench.UDPEchoRTT(model, sys, 8, 4)
-		if err != nil {
-			b.Fatal(err)
+func BenchmarkFig5(b *testing.B) {
+	for _, model := range bench.Devices() {
+		for _, sys := range []bench.System{bench.SysPlexusInterrupt, bench.SysPlexusThread, bench.SysDUX, bench.SysDriverMin} {
+			simBench(b, model.Name+"/"+string(sys), func() (map[string]float64, error) {
+				if sys == bench.SysDriverMin {
+					rtt, err := bench.DriverEchoRTT(model, 8, 4)
+					return map[string]float64{"sim-µs/RTT": rtt.Micros()}, err
+				}
+				rtt, err := bench.UDPEchoRTT(model, sys, 8, 4)
+				return map[string]float64{"sim-µs/RTT": rtt.Micros()}, err
+			})
 		}
-		last = rtt
 	}
-	b.ReportMetric(last.Micros(), "sim-µs/RTT")
 }
 
-func BenchmarkFig5EthernetPlexusInterrupt(b *testing.B) {
-	benchFig5(b, netdev.EthernetModel(), bench.SysPlexusInterrupt)
-}
-func BenchmarkFig5EthernetPlexusThread(b *testing.B) {
-	benchFig5(b, netdev.EthernetModel(), bench.SysPlexusThread)
-}
-func BenchmarkFig5EthernetDUX(b *testing.B) {
-	benchFig5(b, netdev.EthernetModel(), bench.SysDUX)
-}
-func BenchmarkFig5ATMPlexusInterrupt(b *testing.B) {
-	benchFig5(b, netdev.ForeATMModel(), bench.SysPlexusInterrupt)
-}
-func BenchmarkFig5ATMPlexusThread(b *testing.B) {
-	benchFig5(b, netdev.ForeATMModel(), bench.SysPlexusThread)
-}
-func BenchmarkFig5ATMDUX(b *testing.B) {
-	benchFig5(b, netdev.ForeATMModel(), bench.SysDUX)
-}
-func BenchmarkFig5T3PlexusInterrupt(b *testing.B) {
-	benchFig5(b, netdev.DECT3Model(), bench.SysPlexusInterrupt)
-}
-func BenchmarkFig5T3PlexusThread(b *testing.B) {
-	benchFig5(b, netdev.DECT3Model(), bench.SysPlexusThread)
-}
-func BenchmarkFig5T3DUX(b *testing.B) {
-	benchFig5(b, netdev.DECT3Model(), bench.SysDUX)
-}
-
-func benchDriverMin(b *testing.B, model netdev.Model) {
-	b.Helper()
-	var last sim.Time
-	for i := 0; i < b.N; i++ {
-		rtt, err := bench.DriverEchoRTT(model, 8, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rtt
+// The §4.1 fast-driver variant (337µs Ethernet / 241µs ATM in the paper; the
+// paper wrote none for T3).
+func BenchmarkFig5FastDriver(b *testing.B) {
+	for _, model := range bench.Devices()[:2] {
+		simBench(b, model.Name, func() (map[string]float64, error) {
+			rtt, err := bench.UDPEchoRTT(netdev.FastDriver(model), bench.SysPlexusInterrupt, 8, 4)
+			return map[string]float64{"sim-µs/RTT": rtt.Micros()}, err
+		})
 	}
-	b.ReportMetric(last.Micros(), "sim-µs/RTT")
-}
-
-func BenchmarkFig5EthernetDriverMin(b *testing.B) { benchDriverMin(b, netdev.EthernetModel()) }
-func BenchmarkFig5ATMDriverMin(b *testing.B)      { benchDriverMin(b, netdev.ForeATMModel()) }
-func BenchmarkFig5T3DriverMin(b *testing.B)       { benchDriverMin(b, netdev.DECT3Model()) }
-
-// The §4.1 fast-driver variant (337µs Ethernet / 241µs ATM in the paper).
-func BenchmarkFig5EthernetFastDriver(b *testing.B) {
-	benchFig5(b, netdev.FastDriver(netdev.EthernetModel()), bench.SysPlexusInterrupt)
-}
-func BenchmarkFig5ATMFastDriver(b *testing.B) {
-	benchFig5(b, netdev.FastDriver(netdev.ForeATMModel()), bench.SysPlexusInterrupt)
 }
 
 // --- §4.2 throughput table --------------------------------------------------
 
-func benchTput(b *testing.B, model netdev.Model, sys bench.System) {
-	b.Helper()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		mbps, err := bench.TCPThroughput(model, sys, 1<<20)
-		if err != nil {
-			b.Fatal(err)
+func BenchmarkTput(b *testing.B) {
+	for _, model := range bench.Devices() {
+		for _, sys := range []bench.System{bench.SysPlexusInterrupt, bench.SysDUX} {
+			simBench(b, model.Name+"/"+string(sys), func() (map[string]float64, error) {
+				mbps, err := bench.TCPThroughput(model, sys, bench.TputBytes)
+				return map[string]float64{"sim-Mb/s": mbps}, err
+			})
 		}
-		last = mbps
 	}
-	b.ReportMetric(last, "sim-Mb/s")
 }
-
-func BenchmarkTputEthernetPlexus(b *testing.B) {
-	benchTput(b, netdev.EthernetModel(), bench.SysPlexusInterrupt)
-}
-func BenchmarkTputEthernetDUX(b *testing.B) { benchTput(b, netdev.EthernetModel(), bench.SysDUX) }
-func BenchmarkTputATMPlexus(b *testing.B) {
-	benchTput(b, netdev.ForeATMModel(), bench.SysPlexusInterrupt)
-}
-func BenchmarkTputATMDUX(b *testing.B)   { benchTput(b, netdev.ForeATMModel(), bench.SysDUX) }
-func BenchmarkTputT3Plexus(b *testing.B) { benchTput(b, netdev.DECT3Model(), bench.SysPlexusInterrupt) }
-func BenchmarkTputT3DUX(b *testing.B)    { benchTput(b, netdev.DECT3Model(), bench.SysDUX) }
 
 // --- Figure 6: video server CPU utilization ---------------------------------
 
-func benchFig6(b *testing.B, streams int) {
-	b.Helper()
-	var spin, dux float64
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig6([]int{streams})
-		if err != nil {
-			b.Fatal(err)
-		}
-		spin = rows[0].Utilization[bench.SysPlexusInterrupt]
-		dux = rows[0].Utilization[bench.SysDUX]
+func BenchmarkFig6(b *testing.B) {
+	for _, streams := range []int{5, 10, 15, 30} {
+		simBench(b, fmt.Sprintf("streams=%d", streams), func() (map[string]float64, error) {
+			rows, err := bench.Fig6([]int{streams})
+			if err != nil {
+				return nil, err
+			}
+			u := rows[0].Utilization
+			return map[string]float64{"sim-%CPU-SPIN": u[bench.SysPlexusInterrupt] * 100, "sim-%CPU-DUX": u[bench.SysDUX] * 100}, nil
+		})
 	}
-	b.ReportMetric(spin*100, "sim-%CPU-SPIN")
-	b.ReportMetric(dux*100, "sim-%CPU-DUX")
 }
-
-func BenchmarkFig6Streams5(b *testing.B)  { benchFig6(b, 5) }
-func BenchmarkFig6Streams10(b *testing.B) { benchFig6(b, 10) }
-func BenchmarkFig6Streams15(b *testing.B) { benchFig6(b, 15) }
-func BenchmarkFig6Streams30(b *testing.B) { benchFig6(b, 30) }
 
 // --- Figure 7: TCP redirection latency --------------------------------------
 
-func benchFig7(b *testing.B, payload int) {
-	b.Helper()
-	var kernel, splice sim.Time
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig7([]int{payload})
-		if err != nil {
-			b.Fatal(err)
-		}
-		kernel = rows[0].KernelLatency
-		splice = rows[0].SpliceLatency
+func BenchmarkFig7(b *testing.B) {
+	for _, payload := range []int{64, 512, 1460} {
+		simBench(b, fmt.Sprintf("payload=%d", payload), func() (map[string]float64, error) {
+			rows, err := bench.Fig7([]int{payload})
+			if err != nil {
+				return nil, err
+			}
+			k, sp := rows[0].KernelLatency.Micros(), rows[0].SpliceLatency.Micros()
+			return map[string]float64{"sim-µs-kernel": k, "sim-µs-splice": sp}, nil
+		})
 	}
-	b.ReportMetric(kernel.Micros(), "sim-µs-kernel")
-	b.ReportMetric(splice.Micros(), "sim-µs-splice")
 }
 
-func BenchmarkFig7Payload64(b *testing.B)   { benchFig7(b, 64) }
-func BenchmarkFig7Payload512(b *testing.B)  { benchFig7(b, 512) }
-func BenchmarkFig7Payload1460(b *testing.B) { benchFig7(b, 1460) }
+// --- the paper's concluding HTTP demo ----------------------------------------
+
+func BenchmarkHTTP(b *testing.B) {
+	for _, sys := range []bench.System{bench.SysPlexusInterrupt, bench.SysDUX} {
+		simBench(b, string(sys), func() (map[string]float64, error) {
+			lat, err := bench.HTTPLatency(sys, 5)
+			return map[string]float64{"sim-µs/GET": lat.Micros()}, err
+		})
+	}
+}
 
 // --- µ1: dispatcher overhead ≈ procedure call (paper §2) --------------------
 
@@ -253,29 +217,3 @@ func BenchmarkMbufPrependAdj(b *testing.B) {
 		m.Free()
 	}
 }
-
-// --- sanity: the harness prints the same rows as cmd/plexus-bench -----------
-
-func Example_fig5RowFormat() {
-	fmt.Printf("%-10s %-22s %s\n", "device", "system", "RTT")
-	// Output:
-	// device     system                 RTT
-}
-
-// --- the paper's concluding HTTP demo ----------------------------------------
-
-func benchHTTP(b *testing.B, sys bench.System) {
-	b.Helper()
-	var last sim.Time
-	for i := 0; i < b.N; i++ {
-		lat, err := bench.HTTPLatency(sys, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = lat
-	}
-	b.ReportMetric(last.Micros(), "sim-µs/GET")
-}
-
-func BenchmarkHTTPSPINServer(b *testing.B) { benchHTTP(b, bench.SysPlexusInterrupt) }
-func BenchmarkHTTPDUXServer(b *testing.B)  { benchHTTP(b, bench.SysDUX) }

@@ -3,43 +3,8 @@ package bench
 import (
 	"testing"
 
-	"plexus/internal/netdev"
 	"plexus/internal/sim"
 )
-
-func TestFig5Shapes(t *testing.T) {
-	rows, err := Fig5(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[string]sim.Time{}
-	for _, r := range rows {
-		byKey[r.Device+"/"+string(r.System)] = r.RTT
-		t.Logf("%-10s %-22s %v", r.Device, r.System, r.RTT)
-	}
-	for _, dev := range []string{"ethernet", "fore-atm", "dec-t3"} {
-		intr := byKey[dev+"/"+string(SysPlexusInterrupt)]
-		thr := byKey[dev+"/"+string(SysPlexusThread)]
-		dux := byKey[dev+"/"+string(SysDUX)]
-		drv := byKey[dev+"/"+string(SysDriverMin)]
-		if !(drv < intr && intr < thr && thr < dux) {
-			t.Errorf("%s: ordering violated: drv=%v intr=%v thr=%v dux=%v", dev, drv, intr, thr, dux)
-		}
-		if ratio := float64(dux) / float64(intr); ratio < 1.4 {
-			t.Errorf("%s: DUX/Plexus ratio %.2f below 1.4", dev, ratio)
-		}
-	}
-	// Paper §1 headline envelopes.
-	if rtt := byKey["ethernet/"+string(SysPlexusInterrupt)]; rtt > 600*sim.Microsecond {
-		t.Errorf("Ethernet Plexus RTT %v > 600µs", rtt)
-	}
-	if rtt := byKey["fore-atm/"+string(SysPlexusInterrupt)]; rtt > 350*sim.Microsecond {
-		t.Errorf("ATM Plexus RTT %v > 350µs", rtt)
-	}
-	if rtt := byKey["dec-t3/"+string(SysPlexusInterrupt)]; rtt > 330*sim.Microsecond {
-		t.Errorf("T3 Plexus RTT %v > 330µs", rtt)
-	}
-}
 
 func TestFig5FastDriver(t *testing.T) {
 	rows, err := Fig5(true)
@@ -66,175 +31,5 @@ func TestFig5FastDriver(t *testing.T) {
 	}
 	if fast := find(rows, "ethernet-fastdrv", SysPlexusInterrupt); fast >= find(slow, "ethernet", SysPlexusInterrupt) {
 		t.Errorf("fast driver not faster: %v", fast)
-	}
-}
-
-func TestThroughputShapes(t *testing.T) {
-	rows, err := Throughput(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(dev string, sys System) float64 {
-		for _, r := range rows {
-			if r.Device == dev && r.System == sys {
-				return r.Mbps
-			}
-		}
-		return 0
-	}
-	for _, r := range rows {
-		t.Logf("%-10s %-22s %6.1f Mb/s", r.Device, r.System, r.Mbps)
-	}
-	// Ethernet: both systems wire-limited and nearly identical (§4.2).
-	eSpin, eDux := get("ethernet", SysPlexusInterrupt), get("ethernet", SysDUX)
-	if eSpin < 7.5 || eSpin > 10 {
-		t.Errorf("Ethernet Plexus %.1f Mb/s outside [7.5, 10]", eSpin)
-	}
-	if diff := eSpin - eDux; diff < -1 || diff > 2 {
-		t.Errorf("Ethernet systems should be nearly identical: %.1f vs %.1f", eSpin, eDux)
-	}
-	// ATM: PIO-limited; Plexus wins (paper: 33 vs 27.9).
-	aSpin, aDux := get("fore-atm", SysPlexusInterrupt), get("fore-atm", SysDUX)
-	if aSpin <= aDux {
-		t.Errorf("ATM: Plexus (%.1f) should beat DUX (%.1f)", aSpin, aDux)
-	}
-	if aSpin > 53 {
-		t.Errorf("ATM Plexus %.1f exceeds the 53Mb/s PIO ceiling", aSpin)
-	}
-}
-
-func TestFig6Shapes(t *testing.T) {
-	rows, err := Fig6([]int{5, 10, 15, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prevSpin float64
-	for _, r := range rows {
-		spin := r.Utilization[SysPlexusInterrupt]
-		dux := r.Utilization[SysDUX]
-		t.Logf("%2d streams: SPIN %5.1f%%  DUX %5.1f%%  goodput %5.1f Mb/s",
-			r.Streams, spin*100, dux*100, r.GoodputMbps)
-		if dux < 1.6*spin {
-			t.Errorf("%d streams: DUX should use ~2x the CPU (%.3f vs %.3f)", r.Streams, dux, spin)
-		}
-		if spin < prevSpin {
-			t.Errorf("utilization decreased at %d streams", r.Streams)
-		}
-		prevSpin = spin
-	}
-	// Saturation: goodput at 15 streams near the 45Mb/s T3.
-	for _, r := range rows {
-		if r.Streams == 15 && (r.GoodputMbps < 38 || r.GoodputMbps > 46) {
-			t.Errorf("15 streams should saturate the T3: %.1f Mb/s", r.GoodputMbps)
-		}
-	}
-}
-
-func TestFig7Shapes(t *testing.T) {
-	rows, err := Fig7([]int{64, 512, 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%5dB: kernel %v  splice %v  ratio %.2f",
-			r.PayloadBytes, r.KernelLatency, r.SpliceLatency,
-			float64(r.SpliceLatency)/float64(r.KernelLatency))
-		if r.SpliceLatency <= r.KernelLatency {
-			t.Errorf("%dB: splice should be slower", r.PayloadBytes)
-		}
-	}
-}
-
-func TestSpoofPolicyAblation(t *testing.T) {
-	rows, err := SpoofPolicyAblation(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		t.Logf("%-28s %v (%s)", r.Name, r.Value, r.Note)
-		if r.Value <= 0 {
-			t.Errorf("%s: no cost measured", r.Name)
-		}
-	}
-}
-
-func TestChecksumAblation(t *testing.T) {
-	rows, err := ChecksumAblation(1400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[1].Value >= rows[0].Value {
-		t.Errorf("checksum-off (%v) should beat checksum-on (%v)", rows[1].Value, rows[0].Value)
-	}
-	for _, r := range rows {
-		t.Logf("%-28s %v", r.Name, r.Value)
-	}
-}
-
-func TestGuardChainAblation(t *testing.T) {
-	rows, err := GuardChainAblation([]int{0, 25, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-36s %v", r.Name, r.Value)
-	}
-	// 100 extra guards cost well under the protocol-processing scale.
-	if added := rows[2].Value - rows[0].Value; added > 100*sim.Microsecond {
-		t.Errorf("100 extra guards added %v", added)
-	}
-}
-
-func TestDevicesList(t *testing.T) {
-	d := Devices()
-	if len(d) != 3 {
-		t.Fatalf("Devices() = %d models", len(d))
-	}
-	if d[0].Name != netdev.EthernetModel().Name {
-		t.Error("device order changed; EXPERIMENTS.md tables depend on it")
-	}
-}
-
-func TestFilterBackendAblation(t *testing.T) {
-	rows, err := FilterBackendAblation(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-36s %v (%s)", r.Name, r.Value, r.Note)
-	}
-	if rows[1].Value <= rows[0].Value {
-		t.Errorf("interpreted filters (%v) should cost more than native guards (%v)",
-			rows[1].Value, rows[0].Value)
-	}
-}
-
-func TestILPAblation(t *testing.T) {
-	rows, err := ILPAblation(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-40s %v (%s)", r.Name, r.Value, r.Note)
-	}
-	if rows[1].Value >= rows[0].Value {
-		t.Errorf("ILP (%v) should beat two-pass (%v)", rows[1].Value, rows[0].Value)
-	}
-}
-
-func TestHTTPDemo(t *testing.T) {
-	rows, err := HTTP(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-22s %v", r.System, r.Latency)
-	}
-	if rows[1].Latency <= rows[0].Latency {
-		t.Errorf("monolithic HTTP server (%v) should be slower than the SPIN extension (%v)",
-			rows[1].Latency, rows[0].Latency)
 	}
 }

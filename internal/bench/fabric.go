@@ -26,8 +26,6 @@ import (
 
 // Fabric-experiment parameters.
 const (
-	// DefaultFabricDuration is the per-cell simulated run length.
-	DefaultFabricDuration = 200 * sim.Millisecond
 	// fabricClients is the client population of every cell.
 	fabricClients = 16
 	// fabricEchoPayload is the request/response payload size.
@@ -43,15 +41,6 @@ var (
 	fabricVIP     = view.IP4{10, 0, 9, 9}
 	fabricNATAddr = view.IP4{10, 0, 2, 200}
 )
-
-// DefaultFabricRates is the per-client offered request rate sweep (req/s).
-// The ceiling is set by the wire model: a VIP round trip crosses eight
-// 10Mb/s serializations (~1.4ms), so 400 req/s per client is already deep
-// into queueing territory on the shared gateway links.
-func DefaultFabricRates() []int { return []int{100, 200, 400} }
-
-// DefaultFabricPools is the server-pool size sweep.
-func DefaultFabricPools() []int { return []int{2, 4, 8} }
 
 // FabricRuleHits is one rule's hit counter in a row.
 type FabricRuleHits struct {

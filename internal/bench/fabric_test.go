@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"testing"
 
 	"plexus/internal/sim"
@@ -31,27 +30,5 @@ func TestFabricCellSmoke(t *testing.T) {
 	}
 	if r.Skew < 1.0 {
 		t.Errorf("skew %.2f < 1", r.Skew)
-	}
-}
-
-// Rows are byte-identical whatever the cell parallelism.
-func TestFabricDeterministicAcrossParallelism(t *testing.T) {
-	run := func(par int) string {
-		SetParallelism(par)
-		defer SetParallelism(0)
-		rows, err := Fabric([]int{200}, []int{2, 4}, 20*sim.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	seq := run(1)
-	par := run(4)
-	if seq != par {
-		t.Errorf("rows differ across parallelism:\nseq: %s\npar: %s", seq, par)
 	}
 }

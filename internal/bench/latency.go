@@ -125,6 +125,3 @@ func Latency(rounds int) ([]LatencyRow, error) {
 		return row, nil
 	})
 }
-
-// DefaultLatencyRounds is the per-cell round count of `-exp latency`.
-const DefaultLatencyRounds = 200

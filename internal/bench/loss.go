@@ -281,6 +281,3 @@ func Loss(rates []float64) ([]LossRow, error) {
 		return row, nil
 	})
 }
-
-// DefaultLossRates is the sweep of the `-exp loss` experiment.
-func DefaultLossRates() []float64 { return []float64{0, 0.01, 0.05, 0.10, 0.20} }

@@ -126,6 +126,3 @@ func Rogue(counts []int) ([]RogueRow, error) {
 		return row, nil
 	})
 }
-
-// DefaultRogueCounts is the sweep of the `-exp rogue` experiment.
-func DefaultRogueCounts() []int { return []int{0, 1, 2, 4} }

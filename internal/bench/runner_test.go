@@ -2,7 +2,6 @@ package bench
 
 import (
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,24 +59,4 @@ func TestRunCellsFirstErrorByIndex(t *testing.T) {
 		}
 	}
 	SetParallelism(0)
-}
-
-// TestFig5Deterministic is the determinism regression test the parallel
-// harness rests on: every cell owns its seeded simulator, so sequential and
-// fanned-out execution must produce identical rows.
-func TestFig5Deterministic(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(1)
-	seq, err := Fig5(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetParallelism(4)
-	par, err := Fig5(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("Fig5 rows differ between sequential and parallel runs:\nseq: %+v\npar: %+v", seq, par)
-	}
 }

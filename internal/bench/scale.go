@@ -36,8 +36,6 @@ import (
 
 // Scale-experiment parameters.
 const (
-	// DefaultScaleDuration is the per-cell simulated run length.
-	DefaultScaleDuration = 300 * sim.Millisecond
 	// scaleEchoPayload is the UDP echo message size.
 	scaleEchoPayload = 32
 	// scaleRetryAfter rearms a client whose echo was tail-dropped.
@@ -93,9 +91,6 @@ const (
 	WorkloadUDPEcho = "udp-echo"
 	WorkloadHTTPGet = "http-get"
 )
-
-// DefaultScaleClients is the client-count sweep of `-exp scale`.
-func DefaultScaleClients() []int { return []int{1, 4, 16, 64, 256} }
 
 // ScaleRow is one cell of the `-exp scale` sweep.
 type ScaleRow struct {

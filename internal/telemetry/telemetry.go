@@ -101,9 +101,10 @@ type Options struct {
 	Interval sim.Time
 	// SeriesCap is the per-series ring capacity in points; 0 means 2048.
 	SeriesCap int
-	// AlarmCap bounds retained watchdog alarms; 0 means 64.
-	AlarmCap int
 }
+
+// alarmCap bounds the watchdog alarms an engine retains.
+const alarmCap = 64
 
 // DefaultInterval is the sampling period when Options.Interval is zero.
 const DefaultInterval = sim.Millisecond
@@ -137,15 +138,12 @@ func New(s *sim.Sim, opts Options) *Engine {
 	if opts.SeriesCap <= 0 {
 		opts.SeriesCap = 2048
 	}
-	if opts.AlarmCap <= 0 {
-		opts.AlarmCap = 64
-	}
 	return &Engine{
 		sim:       s,
 		interval:  opts.Interval,
 		seriesCap: opts.SeriesCap,
 		byKey:     make(map[string]*Series),
-		alarms:    make([]Alarm, 0, opts.AlarmCap),
+		alarms:    make([]Alarm, 0, alarmCap),
 	}
 }
 

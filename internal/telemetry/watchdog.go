@@ -92,7 +92,7 @@ func (e *Engine) Watch(r Rule) *Rule {
 	return rule
 }
 
-// Alarms returns the retained alarms in raise order (bounded by AlarmCap).
+// Alarms returns the retained alarms in raise order (at most alarmCap).
 func (e *Engine) Alarms() []Alarm { return e.alarms }
 
 // AlarmTotal reports how many alarms were ever raised (>= retained).
