@@ -77,7 +77,6 @@ func runDemo(refresh sim.Time, width int) error {
 	eng := n.Monitor(plexus.MonitorOptions{
 		Telemetry:      telemetry.Options{Interval: sim.Millisecond},
 		TCPStallWindow: 5 * sim.Second,
-		PoolCap:        1 << 20,
 	})
 	if _, err := server.ListenTCP(5001, plexus.TCPAppOptions{
 		OnRecv:    func(t *sim.Task, conn *plexus.TCPApp, data []byte) {},

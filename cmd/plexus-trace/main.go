@@ -90,7 +90,7 @@ func run(w io.Writer, o options, b osmodel.Boundary) error {
 	if err != nil {
 		return err
 	}
-	metrics := stats.NewRecorder(stats.Config{})
+	metrics := stats.NewRecorder()
 	net.Sim.SetMetrics(metrics)
 
 	// The TCP conformance-audit plane: an assertion sink retains every state
@@ -130,7 +130,6 @@ func run(w io.Writer, o options, b osmodel.Boundary) error {
 	if o.chrome != "" {
 		eng = net.Monitor(plexus.MonitorOptions{
 			Telemetry: telemetry.Options{Interval: sim.Millisecond},
-			PoolCap:   1 << 20,
 		})
 		horizon = 2 * sim.Second
 	}

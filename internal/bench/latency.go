@@ -112,7 +112,7 @@ func Latency(rounds int) ([]LatencyRow, error) {
 		}
 	}
 	return RunCells(cells, func(c cell) (LatencyRow, error) {
-		rec := stats.NewRecorder(stats.Config{})
+		rec := stats.NewRecorder()
 		rtts, gauge, err := udpEchoRTTs(c.model, c.sys, payload, rounds, rec)
 		if err != nil {
 			return LatencyRow{}, fmt.Errorf("latency %s/%s: %w", c.model.Name, c.sys, err)

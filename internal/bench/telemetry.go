@@ -85,7 +85,6 @@ func telemetryMonitorOptions() plexus.MonitorOptions {
 	return plexus.MonitorOptions{
 		Telemetry:       telemetry.Options{Interval: telemetryInterval},
 		TCPStallWindow:  5 * sim.Second,
-		PoolCap:         1 << 20,
 		SwitchPinWindow: 100 * sim.Millisecond,
 	}
 }

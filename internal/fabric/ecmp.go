@@ -7,10 +7,9 @@ import (
 
 // ECMP: equal-cost multipath selection by 5-tuple flow hashing. The rule
 // stamps a path index on the packet; the gateway folds it into egress
-// selection among parallel candidate links (and a switch pipeline may use
-// the steer variant to pin frames to a port outright). Hashing the full
-// tuple keeps each flow on one path — no reordering — while spreading flows
-// across all of them.
+// selection among parallel candidate links. Hashing the full tuple keeps
+// each flow on one path — no reordering — while spreading flows across all
+// of them.
 
 // ECMP is the path-selection state, exposing per-path counters.
 type ECMP struct {
@@ -43,16 +42,4 @@ func (e *ECMP) selectPath(t *sim.Task, p *Packet) Verdict {
 	p.Path = int(ft.Hash() % uint32(e.paths))
 	e.hits[p.Path]++
 	return NextTable
-}
-
-// NewSteerRule builds a switch-side rule that forces matching frames out a
-// specific port, overriding the MAC-table lookup.
-func NewSteerRule(name, match string, base filter.Base, port int) (*Rule, error) {
-	return NewRule(name, match, base, ActionFunc{
-		Label: name,
-		Fn: func(t *sim.Task, p *Packet) Verdict {
-			p.OutPort = port
-			return Accept
-		},
-	})
 }

@@ -1,19 +1,18 @@
 // Package fabric is the programmable forwarding plane: match-action
-// pipelines installable on switch ports and on the gateway's forwarding
-// hook. It generalizes internal/filter's packet filters (the paper's §3.5
-// guards) into the match half of a P4-style match-action table: a Pipeline
-// is an ordered list of Tables, each an ordered list of Rules pairing a
-// filter-compiled match with a typed Action; the first matching rule in a
-// table fires its action, whose verdict steers evaluation onward.
+// pipelines installed on the gateway's forwarding hook. It generalizes
+// internal/filter's packet filters (the paper's §3.5 guards) into the match
+// half of a P4-style match-action table: a Pipeline is an ordered list of
+// Tables, each an ordered list of Rules pairing a filter-compiled match with
+// a typed Action; the first matching rule in a table fires its action, whose
+// verdict steers evaluation onward.
 //
 // Fabric programs are extensions in the paper's sense and are sandboxed the
 // same way endpoint extensions are (PR 3): an action that panics is
 // recovered and counted against its rule, and repeat offenders are
 // quarantined by the same event.QuarantinePolicy — a fully quarantined
 // pipeline degenerates to plain forwarding. Execution cost is deterministic
-// simulated time: on the gateway (which has a CPU) it is charged through
-// ChargeProf under ProfFabric so fabric work shows up in the flight
-// recorder; on the CPU-less switch it is folded into forwarding latency.
+// simulated time, charged to the gateway's task through ChargeProf under
+// ProfFabric so fabric work shows up in the flight recorder.
 package fabric
 
 import (
@@ -61,10 +60,9 @@ const (
 )
 
 // Packet is the mutable view of one packet traversing a pipeline. Buf holds
-// the full packet in the pipeline's base framing. On switch ports the
-// underlying frame is shared with every other attachment on the wire, so
-// Writable is false and rewrite actions must not touch it — Mutable panics,
-// which the sandbox converts into a rule fault.
+// the full packet in the pipeline's base framing. A packet whose bytes are
+// shared has Writable false, and rewrite actions must not touch it — Mutable
+// panics, which the sandbox converts into a rule fault.
 type Packet struct {
 	Buf      []byte
 	Base     filter.Base
@@ -72,18 +70,14 @@ type Packet struct {
 	// Path is the ECMP path index selected for this packet (default 0); the
 	// gateway folds it into egress selection among parallel candidate links.
 	Path int
-	// OutPort, when >= 0, steers a switch frame out a specific port,
-	// overriding the MAC-table lookup. Ignored on the gateway.
+	// OutPort is read by nothing; it stays for the callers that still set it.
 	OutPort int
-	// Cost accumulates pipeline execution time when no task is present (the
-	// CPU-less switch); the caller folds it into forwarding latency.
-	Cost sim.Time
 }
 
 // Mutable returns the packet bytes for in-place rewriting, panicking when
-// the packet is read-only (a shared switch frame). The panic is deliberate:
-// it surfaces a misdeployed rewrite action as a sandbox fault instead of
-// corrupting frames other ports are still delivering.
+// the packet is read-only. The panic is deliberate: it surfaces a
+// misdeployed rewrite action as a sandbox fault instead of corrupting bytes
+// someone else still holds.
 func (p *Packet) Mutable() []byte {
 	if !p.Writable {
 		panic("fabric: rewrite of read-only packet")
@@ -95,8 +89,8 @@ func (p *Packet) Mutable() []byte {
 type Action interface {
 	// Name labels the action in stats and traces.
 	Name() string
-	// Apply processes the packet (t may be nil on the CPU-less switch path)
-	// and returns the verdict steering pipeline evaluation.
+	// Apply processes the packet on the gateway's task t and returns the
+	// verdict steering pipeline evaluation.
 	Apply(t *sim.Task, p *Packet) Verdict
 }
 
@@ -181,11 +175,10 @@ type PipelineStats struct {
 	Quarantined uint64 // rules ejected by the policy
 }
 
-// Pipeline is an ordered list of tables bound to a base framing and owner
-// name (the ChargeProf attribution label).
+// Pipeline is an ordered list of tables bound to an owner name (the
+// ChargeProf attribution label).
 type Pipeline struct {
 	owner  string
-	base   filter.Base
 	tables []*Table
 	policy event.QuarantinePolicy
 	stats  PipelineStats
@@ -194,19 +187,15 @@ type Pipeline struct {
 	// MatchCost is charged per rule evaluated; ActionCost per action fired.
 	MatchCost  sim.Time
 	ActionCost sim.Time
-
-	// scratch is the switch-path packet context, reused per frame so the
-	// per-frame fabric path allocates nothing.
-	scratch Packet
 }
 
-// NewPipeline creates an empty pipeline. base is the framing packets arrive
-// in (BaseEthernet on switch ports, BaseIP on the gateway hook); policy
-// configures rule quarantine (zero value = count faults but never eject).
+// NewPipeline creates an empty pipeline. base names the framing packets
+// arrive in (BaseIP on the gateway hook); each rule compiles its match for
+// its own base, so the pipeline does not keep it. policy configures rule
+// quarantine (zero value = count faults but never eject).
 func NewPipeline(name string, base filter.Base, policy event.QuarantinePolicy) *Pipeline {
 	return &Pipeline{
 		owner:      "fabric:" + name,
-		base:       base,
 		policy:     policy,
 		MatchCost:  DefaultMatchCost,
 		ActionCost: DefaultActionCost,
@@ -246,9 +235,8 @@ func (pl *Pipeline) Snapshot() []RuleStats {
 }
 
 // Exec runs the pipeline over p and returns the final verdict (Accept when
-// no rule decided otherwise). When t is non-nil the execution cost is
-// charged through ChargeProf under ProfFabric; otherwise it accumulates in
-// p.Cost for the caller to fold into forwarding latency.
+// no rule decided otherwise). The execution cost is charged to t through
+// ChargeProf under ProfFabric.
 func (pl *Pipeline) Exec(t *sim.Task, p *Packet) Verdict {
 	pl.stats.Packets++
 	cost := sim.Time(0)
@@ -285,11 +273,7 @@ scan:
 	if verdict == Drop {
 		pl.stats.Drops++
 	}
-	if t != nil {
-		t.ChargeProf(sim.ProfFabric, pl.owner, cost)
-	} else {
-		p.Cost += cost
-	}
+	t.ChargeProf(sim.ProfFabric, pl.owner, cost)
 	return verdict
 }
 
@@ -310,13 +294,4 @@ func (pl *Pipeline) invoke(t *sim.Task, r *Rule, p *Packet) (v Verdict, ok bool)
 		}
 	}()
 	return r.action.Apply(t, p), true
-}
-
-// ProcessFrame implements netdev's switch-port pipeline hook: frames are
-// shared read-only, the verdict reduces to drop/steer, and the execution
-// cost is returned for the switch to fold into its forwarding latency.
-func (pl *Pipeline) ProcessFrame(b []byte) (drop bool, steer int, cost sim.Time) {
-	pl.scratch = Packet{Buf: b, Base: pl.base, OutPort: -1}
-	v := pl.Exec(nil, &pl.scratch)
-	return v == Drop, pl.scratch.OutPort, pl.scratch.Cost
 }

@@ -53,7 +53,16 @@ func checksumsValid(t *testing.T, b []byte) {
 }
 
 func wpkt(b []byte) *Packet {
-	return &Packet{Buf: b, Base: filter.BaseIP, Writable: true, OutPort: -1}
+	return &Packet{Buf: b, Base: filter.BaseIP, Writable: true}
+}
+
+// exec runs p through pl on a task, as the gateway does.
+func exec(pl *Pipeline, p *Packet) Verdict {
+	s := sim.New(1)
+	var v Verdict
+	sim.NewCPU(s, "gw").Submit(sim.PrioKernel, "fabric", func(t *sim.Task) { v = pl.Exec(t, p) })
+	s.Run()
+	return v
 }
 
 func TestRewritePreservesChecksums(t *testing.T) {
@@ -107,13 +116,13 @@ func TestPipelineVerdictsAndHits(t *testing.T) {
 	svc := mkUDP(view.IP4{10, 0, 1, 5}, view.IP4{10, 0, 9, 9}, 3333, 7, 0)
 	other := mkUDP(view.IP4{10, 0, 1, 5}, view.IP4{10, 0, 9, 9}, 3333, 99, 0)
 
-	if v := pl.Exec(nil, wpkt(svc)); v != Accept {
+	if v := exec(pl, wpkt(svc)); v != Accept {
 		t.Fatalf("service packet verdict %v", v)
 	}
 	if mark != 1 {
 		t.Fatalf("permit did not continue to next table: mark=%d", mark)
 	}
-	if v := pl.Exec(nil, wpkt(other)); v != Drop {
+	if v := exec(pl, wpkt(other)); v != Drop {
 		t.Fatalf("default-deny verdict %v", v)
 	}
 	if mark != 1 {
@@ -144,7 +153,7 @@ func TestSandboxQuarantinesRepeatOffender(t *testing.T) {
 
 	b := mkUDP(view.IP4{10, 0, 1, 5}, view.IP4{10, 0, 2, 9}, 1, 2, 0)
 	for i := 0; i < 5; i++ {
-		if v := pl.Exec(nil, wpkt(b)); v != Accept {
+		if v := exec(pl, wpkt(b)); v != Accept {
 			t.Fatalf("packet %d: verdict %v (panic escaped or dropped)", i, v)
 		}
 	}
@@ -176,11 +185,11 @@ func TestFullyQuarantinedPipelineIsInert(t *testing.T) {
 	tb.Add(bad)
 	pl.Add(tb)
 	b := mkUDP(view.IP4{10, 0, 1, 5}, view.IP4{10, 0, 2, 9}, 1, 2, 0)
-	pl.Exec(nil, wpkt(b))
+	exec(pl, wpkt(b))
 	if !pl.Quarantined() {
 		t.Fatal("single-rule pipeline not quarantined after threshold")
 	}
-	if v := pl.Exec(nil, wpkt(b)); v != Accept {
+	if v := exec(pl, wpkt(b)); v != Accept {
 		t.Fatalf("quarantined pipeline verdict %v, want Accept (plain forwarding)", v)
 	}
 }
@@ -188,18 +197,19 @@ func TestFullyQuarantinedPipelineIsInert(t *testing.T) {
 func TestNATDeterministicMapping(t *testing.T) {
 	natAddr := view.IP4{10, 0, 2, 200}
 	n, tb, err := NewNAT("nat", filter.BaseIP, NATConfig{
-		Addr: natAddr, InsideCIDR: "10.0.1.0/24", PortBase: 20000, MaxEntries: 2,
+		Addr: natAddr, InsideCIDR: "10.0.1.0/24",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.max = 2
 	pl := NewPipeline("t", filter.BaseIP, event.QuarantinePolicy{}).Add(tb)
 
 	out := func(host byte, sport uint16) []byte {
 		return mkUDP(view.IP4{10, 0, 1, host}, view.IP4{10, 0, 2, 9}, sport, 7, 8)
 	}
 	b1 := out(5, 3000)
-	pl.Exec(nil, wpkt(b1))
+	exec(pl, wpkt(b1))
 	ipv, _ := view.IPv4(b1)
 	uv, _ := view.UDP(b1[ipv.HdrLen():])
 	if ipv.Src() != natAddr || uv.SrcPort() != 20000 {
@@ -209,26 +219,26 @@ func TestNATDeterministicMapping(t *testing.T) {
 
 	// Same flow again: same mapping, no new entry.
 	b1b := out(5, 3000)
-	pl.Exec(nil, wpkt(b1b))
+	exec(pl, wpkt(b1b))
 	uv2, _ := view.UDP(b1b[view.IPv4MinHdrLen:])
 	if uv2.SrcPort() != 20000 || n.Occupancy() != 1 {
 		t.Fatalf("repeat flow: port %d occupancy %d", uv2.SrcPort(), n.Occupancy())
 	}
 	// Second flow: next port.
 	b2 := out(6, 3000)
-	pl.Exec(nil, wpkt(b2))
+	exec(pl, wpkt(b2))
 	uv3, _ := view.UDP(b2[view.IPv4MinHdrLen:])
 	if uv3.SrcPort() != 20001 || n.Occupancy() != 2 {
 		t.Fatalf("second flow: port %d occupancy %d", uv3.SrcPort(), n.Occupancy())
 	}
 	// Table full: third flow dropped.
-	if v := pl.Exec(nil, wpkt(out(7, 3000))); v != Drop || n.Exhausted() != 1 {
+	if v := exec(pl, wpkt(out(7, 3000))); v != Drop || n.Exhausted() != 1 {
 		t.Fatalf("exhaustion: verdict %v exhausted %d", v, n.Exhausted())
 	}
 
 	// Reply to the first mapping translates back.
 	reply := mkUDP(view.IP4{10, 0, 2, 9}, natAddr, 7, 20000, 8)
-	pl.Exec(nil, wpkt(reply))
+	exec(pl, wpkt(reply))
 	rv, _ := view.IPv4(reply)
 	ru, _ := view.UDP(reply[rv.HdrLen():])
 	if rv.Dst() != (view.IP4{10, 0, 1, 5}) || ru.DstPort() != 3000 {
@@ -236,7 +246,7 @@ func TestNATDeterministicMapping(t *testing.T) {
 	}
 	checksumsValid(t, reply)
 	// Reply to an unallocated port is dropped.
-	if v := pl.Exec(nil, wpkt(mkUDP(view.IP4{10, 0, 2, 9}, natAddr, 7, 29999, 0))); v != Drop {
+	if v := exec(pl, wpkt(mkUDP(view.IP4{10, 0, 2, 9}, natAddr, 7, 29999, 0))); v != Drop {
 		t.Fatalf("unmatched inbound verdict %v", v)
 	}
 	if n.Unmatched() != 1 {
@@ -308,7 +318,7 @@ func TestLBRewritesAndReplies(t *testing.T) {
 	}
 	pl := NewPipeline("t", filter.BaseIP, event.QuarantinePolicy{}).Add(tb)
 	req := mkUDP(view.IP4{10, 0, 1, 5}, vip, 3000, 7, 16)
-	pl.Exec(nil, wpkt(req))
+	exec(pl, wpkt(req))
 	ipv, _ := view.IPv4(req)
 	srv := ipv.Dst()
 	if srv != pool[0] && srv != pool[1] {
@@ -320,7 +330,7 @@ func TestLBRewritesAndReplies(t *testing.T) {
 		t.Fatalf("hits %v", hits)
 	}
 	reply := mkUDP(srv, view.IP4{10, 0, 1, 5}, 7, 3000, 16)
-	pl.Exec(nil, wpkt(reply))
+	exec(pl, wpkt(reply))
 	rv, _ := view.IPv4(reply)
 	if rv.Src() != vip {
 		t.Fatalf("reply source %v, want VIP", rv.Src())
@@ -338,11 +348,11 @@ func TestECMPSpreadsFlowsStably(t *testing.T) {
 	for sp := uint16(3000); sp < 3120; sp++ {
 		b := mkUDP(view.IP4{10, 0, 1, 5}, view.IP4{10, 0, 2, 9}, sp, 7, 0)
 		p := wpkt(b)
-		pl.Exec(nil, p)
+		exec(pl, p)
 		paths[sp] = p.Path
 		// Same flow must take the same path every time.
 		p2 := wpkt(mkUDP(view.IP4{10, 0, 1, 5}, view.IP4{10, 0, 2, 9}, sp, 7, 0))
-		pl.Exec(nil, p2)
+		exec(pl, p2)
 		if p2.Path != p.Path {
 			t.Fatalf("flow sport=%d flapped paths %d -> %d", sp, p.Path, p2.Path)
 		}
@@ -365,21 +375,5 @@ func TestECMPSpreadsFlowsStably(t *testing.T) {
 	}
 	if total != 240 {
 		t.Errorf("ECMP hit total %d, want 240", total)
-	}
-}
-
-func TestPipelineCostAccumulatesWithoutTask(t *testing.T) {
-	pl := NewPipeline("t", filter.BaseIP, event.QuarantinePolicy{})
-	tb := NewTable("svc")
-	r1, _ := NewRule("miss", "udp.dport == 9999", filter.BaseIP, VerdictAction{Label: "drop", V: Drop})
-	r2, _ := NewRule("hit", "", filter.BaseIP, VerdictAction{Label: "permit", V: NextTable})
-	tb.Add(r1).Add(r2)
-	pl.Add(tb)
-	b := mkUDP(view.IP4{10, 0, 1, 5}, view.IP4{10, 0, 2, 9}, 1, 2, 0)
-	p := wpkt(b)
-	pl.Exec(nil, p)
-	want := 2*pl.MatchCost + pl.ActionCost
-	if p.Cost != want {
-		t.Errorf("cost = %v, want %v", p.Cost, want)
 	}
 }

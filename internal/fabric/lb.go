@@ -15,8 +15,8 @@ import (
 // property plain modulo hashing lacks — mostly survives pool resizes: only
 // ~1/N of flows move when the pool grows from N-1 to N servers.
 
-// DefaultLBReplicas is the virtual-node count per server on the hash ring.
-const DefaultLBReplicas = 64
+// LBReplicas is the virtual-node count per server on the hash ring.
+const LBReplicas = 64
 
 // LBConfig configures a virtual-IP load balancer.
 type LBConfig struct {
@@ -30,9 +30,6 @@ type LBConfig struct {
 	// PoolCIDR covers the server pool, e.g. "10.0.2.0/24" — the reply rule
 	// matches it to rewrite server sources back to the VIP.
 	PoolCIDR string
-	// Replicas is the virtual-node count per server (DefaultLBReplicas
-	// when zero).
-	Replicas int
 }
 
 type ringPoint struct {
@@ -42,12 +39,11 @@ type ringPoint struct {
 
 // LoadBalancer is the pool and ring state shared by the VIP and reply rules.
 type LoadBalancer struct {
-	vip      view.IP4
-	port     uint16
-	replicas int
-	servers  []view.IP4
-	ring     []ringPoint
-	hits     map[uint32]uint64 // server addr -> flows/packets steered to it
+	vip     view.IP4
+	port    uint16
+	servers []view.IP4
+	ring    []ringPoint
+	hits    map[uint32]uint64 // server addr -> flows/packets steered to it
 }
 
 // NewLB creates the service and its match-action table: a VIP rule
@@ -55,14 +51,10 @@ type LoadBalancer struct {
 // (src in PoolCIDR with the service source port: rewrite the source back to
 // the VIP).
 func NewLB(name string, base filter.Base, cfg LBConfig) (*LoadBalancer, *Table, error) {
-	if cfg.Replicas == 0 {
-		cfg.Replicas = DefaultLBReplicas
-	}
 	lb := &LoadBalancer{
-		vip:      cfg.VIP,
-		port:     cfg.Port,
-		replicas: cfg.Replicas,
-		hits:     make(map[uint32]uint64),
+		vip:  cfg.VIP,
+		port: cfg.Port,
+		hits: make(map[uint32]uint64),
 	}
 	lb.SetServers(cfg.Servers)
 	tb := NewTable(name)
@@ -89,7 +81,7 @@ func (lb *LoadBalancer) SetServers(servers []view.IP4) {
 	lb.servers = append(lb.servers[:0], servers...)
 	lb.ring = lb.ring[:0]
 	for i, s := range servers {
-		for r := 0; r < lb.replicas; r++ {
+		for r := 0; r < LBReplicas; r++ {
 			lb.ring = append(lb.ring, ringPoint{hash: vnodeHash(s, r), server: i})
 		}
 	}

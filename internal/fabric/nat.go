@@ -11,13 +11,15 @@ import (
 // Source NAT: flows originating inside the configured CIDR are rewritten to
 // the NAT address with a deterministically allocated mapped port; traffic
 // arriving for the NAT address is translated back through the same table.
-// Port mapping is strictly sequential from PortBase, so a replayed run
+// Port mapping is strictly sequential from NATPortBase, so a replayed run
 // builds a byte-identical translation table.
 
-// NATDefaults.
 const (
-	DefaultNATPortBase   = 20000
-	DefaultNATMaxEntries = 4096
+	// NATPortBase is the first mapped port.
+	NATPortBase = 20000
+	// NATMaxEntries bounds the translation table; flows beyond the bound
+	// are dropped and counted.
+	NATMaxEntries = 4096
 )
 
 // NATConfig configures a source-NAT service.
@@ -28,11 +30,6 @@ type NATConfig struct {
 	Addr view.IP4
 	// InsideCIDR selects outbound traffic to translate, e.g. "10.0.1.0/24".
 	InsideCIDR string
-	// PortBase is the first mapped port (DefaultNATPortBase when zero).
-	PortBase uint16
-	// MaxEntries bounds the translation table (DefaultNATMaxEntries when
-	// zero); flows beyond the bound are dropped and counted.
-	MaxEntries int
 }
 
 type natKey struct {
@@ -43,13 +40,12 @@ type natKey struct {
 
 // NAT is the translation state shared by the outbound and inbound rules.
 type NAT struct {
-	base     filter.Base
-	addr     view.IP4
-	portBase uint16
-	max      int
+	base filter.Base
+	addr view.IP4
+	max  int // NATMaxEntries; the tests lower it
 
 	fwd map[natKey]int // original flow -> slot
-	rev []natKey       // slot -> original flow; mapped port = portBase + slot
+	rev []natKey       // slot -> original flow; mapped port = NATPortBase + slot
 
 	exhausted uint64 // flows dropped because the table was full
 	unmatched uint64 // inbound packets with no translation entry
@@ -59,18 +55,11 @@ type NAT struct {
 // inbound rule (dst == Addr: reverse translation) and an outbound rule
 // (src in InsideCIDR: allocate/lookup a mapping and rewrite).
 func NewNAT(name string, base filter.Base, cfg NATConfig) (*NAT, *Table, error) {
-	if cfg.PortBase == 0 {
-		cfg.PortBase = DefaultNATPortBase
-	}
-	if cfg.MaxEntries == 0 {
-		cfg.MaxEntries = DefaultNATMaxEntries
-	}
 	n := &NAT{
-		base:     base,
-		addr:     cfg.Addr,
-		portBase: cfg.PortBase,
-		max:      cfg.MaxEntries,
-		fwd:      make(map[natKey]int),
+		base: base,
+		addr: cfg.Addr,
+		max:  NATMaxEntries,
+		fwd:  make(map[natKey]int),
 	}
 	tb := NewTable(name)
 	in, err := NewRule("nat-in", fmt.Sprintf("ip.dst == %d.%d.%d.%d",
@@ -114,7 +103,7 @@ func (n *NAT) outbound(t *sim.Task, p *Packet) Verdict {
 		n.rev = append(n.rev, k)
 		n.fwd[k] = slot
 	}
-	RewriteAddrPort(p, true, n.addr, n.portBase+uint16(slot), true)
+	RewriteAddrPort(p, true, n.addr, NATPortBase+uint16(slot), true)
 	return NextTable
 }
 
@@ -124,7 +113,7 @@ func (n *NAT) inbound(t *sim.Task, p *Packet) Verdict {
 	if !ok || ft.Proto != view.IPProtoUDP && ft.Proto != view.IPProtoTCP {
 		return NextTable
 	}
-	slot := int(ft.DPort) - int(n.portBase)
+	slot := int(ft.DPort) - NATPortBase
 	if slot < 0 || slot >= len(n.rev) {
 		n.unmatched++
 		return Drop

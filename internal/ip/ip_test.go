@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"plexus/internal/event"
 	"plexus/internal/ip"
 	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
@@ -280,6 +281,55 @@ func rawFragment(a, b *plexus.Stack, id uint16, off int, more bool, payload []by
 	v.ComputeChecksum()
 	copy(d[view.IPv4MinHdrLen:], payload)
 	return d
+}
+
+// FuzzReassembly sends one datagram as whatever fragments the fuzz bytes
+// choose: size sets the datagram's length, and each 3-byte record of frags
+// is one fragment, sent in record order — two bytes pick its first 8-byte
+// unit and one byte its length in units, cut at the datagram's end. So the
+// bytes choose the boundaries, the order, the duplicates and the overlaps.
+// Every datagram the receiver delivers must be the bytes sent, nothing may
+// panic, and once ReassemblyTimeout has passed the receiver's mbuf pool must
+// be back at its baseline.
+func FuzzReassembly(f *testing.F) {
+	f.Add(uint16(2999), []byte{0, 0, 184, 0, 185, 184, 1, 114, 4})              // in order
+	f.Add(uint16(2999), []byte{1, 114, 4, 0, 185, 184, 0, 185, 184, 0, 0, 184}) // last first, a duplicate
+	f.Add(uint16(2006), []byte{0, 100, 120, 0, 0, 160, 0, 200, 90, 0, 50, 184}) // overlaps
+	f.Add(uint16(12), []byte{0, 1, 0, 0, 0, 0})                                 // a short last fragment
+	const proto = 253                                                           // rawFragment's protocol
+	f.Fuzz(func(t *testing.T, size uint16, frags []byte) {
+		n, a, b := pair(t)
+		src := make([]byte, 1+int(size)%4000)
+		for i := range src {
+			src[i] = byte(i*7 + len(src))
+		}
+		units := (len(src) + 7) / 8
+		var dgrams [][]byte
+		for ; len(frags) >= 3 && len(dgrams) < 32; frags = frags[3:] {
+			off := (int(frags[0])<<8 | int(frags[1])) % units * 8
+			end := min(off+8*(1+int(frags[2])%185), len(src))
+			dgrams = append(dgrams, rawFragment(a, b, 77, off, end < len(src), src[off:end]))
+		}
+		isProto := func(_ *sim.Task, m *mbuf.Mbuf) bool {
+			v, err := view.IPv4(m.Bytes())
+			return err == nil && v.Proto() == proto
+		}
+		if _, err := b.Host.Disp.Install(ip.RecvEvent, isProto, event.Ephemeral("fuzz.sink", func(_ *sim.Task, m *mbuf.Mbuf) {
+			got, err := m.CopyData(view.IPv4MinHdrLen, m.PktLen()-view.IPv4MinHdrLen)
+			m.Free()
+			if err != nil || !bytes.Equal(got, src) {
+				t.Errorf("delivered %d bytes (err %v), not the %d sent", len(got), err, len(src))
+			}
+		}), 0); err != nil {
+			t.Fatal(err)
+		}
+		base := b.Host.Pool.Stats().InUse
+		replay(t, n, a, b, dgrams...)
+		n.Sim.RunUntil(n.Sim.Now() + ip.ReassemblyTimeout)
+		if inUse := b.Host.Pool.Stats().InUse; inUse != base {
+			t.Errorf("receiver pool holds %d mbufs after the reassembly timeout, %d before", inUse, base)
+		}
+	})
 }
 
 // One datagram's fragments arrive last first, with the middle one twice:

@@ -43,13 +43,13 @@ func newXRig(t *testing.T, model Model, echo bool) *xrig {
 	dispB.MustDeclare(testRecvEvent, event.Options{})
 	cpuA, cpuB := sim.NewCPU(r.sa, "a"), sim.NewCPU(r.sb, "b")
 	r.a = NewNIC(r.sa, "a/nic", model, r.bnd.LinkA(), Config{
-		CPU: cpuA, Raise: dispA, Pool: r.poolA,
-		RecvRef: dispA.Ref(testRecvEvent), MAC: view.MAC{2, 0, 0, 0, 0, 1},
+		CPU: cpuA, Raise: dispA, Pool: r.poolA, MAC: view.MAC{2, 0, 0, 0, 0, 1},
 	})
+	r.a.SetRecvRef(dispA.Ref(testRecvEvent))
 	r.b = NewNIC(r.sb, "b/nic", model, r.bnd.LinkB(), Config{
-		CPU: cpuB, Raise: dispB, Pool: r.poolB,
-		RecvRef: dispB.Ref(testRecvEvent), MAC: view.MAC{2, 0, 0, 0, 0, 2},
+		CPU: cpuB, Raise: dispB, Pool: r.poolB, MAC: view.MAC{2, 0, 0, 0, 0, 2},
 	})
+	r.b.SetRecvRef(dispB.Ref(testRecvEvent))
 	if _, err := dispA.Install(testRecvEvent, nil, event.Proc("sinkA", func(task *sim.Task, m *mbuf.Mbuf) {
 		r.rxAtA = append(r.rxAtA, task.Now())
 		m.Free()
@@ -96,7 +96,7 @@ func (r *xrig) sendA(t *testing.T, payload int) {
 // arrive at exactly the timestamp it would have on a same-model local link —
 // the boundary is a scheduling artifact, not a network element.
 func TestBoundaryTimingMatchesLocalLink(t *testing.T) {
-	local := newRig(t, EthernetModel(), false)
+	local := newRig(t, EthernetModel())
 	local.send(t, local.frameTo(local.b.MAC(), 100))
 	local.sim.Run()
 	if len(local.rxAtB) != 1 {

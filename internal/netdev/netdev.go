@@ -279,7 +279,6 @@ type NIC struct {
 	// priority, after driver costs) for every frame that passes the MAC
 	// filter.
 	recvRef *event.Ref
-	promisc bool
 	stats   NICStats
 	// rxLabel and jobFree back the allocation-free receive path: the task
 	// label is materialized once and rx jobs are pooled.
@@ -302,32 +301,25 @@ type Config struct {
 	// raises inline, a Stack may interpose thread handoff.
 	Raise event.Raiser
 	Pool  *mbuf.Pool
-	// RecvRef must reference a declared event; the NIC raises it on
-	// arrivals. It may be left nil and wired later with SetRecvRef when
-	// the NIC is built before the layer that declares its receive event.
-	RecvRef *event.Ref
-	MAC     view.MAC
-	// Promiscuous disables the MAC destination filter (the forwarder and
-	// trace tools use it).
-	Promiscuous bool
+	MAC   view.MAC
 }
 
-// SetRecvRef wires (or rewires) the NIC's receive event after construction.
+// SetRecvRef wires (or rewires) the NIC's receive event, which it raises on
+// arrivals; r must reference a declared event. The NIC is built before the
+// layer that declares that event, so this follows construction.
 func (n *NIC) SetRecvRef(r *event.Ref) { n.recvRef = r }
 
 // NewNIC creates a NIC and attaches it to the link.
 func NewNIC(s *sim.Sim, name string, model Model, link *Link, cfg Config) *NIC {
 	n := &NIC{
-		sim:     s,
-		cpu:     cfg.CPU,
-		raiser:  cfg.Raise,
-		pool:    cfg.Pool,
-		model:   model,
-		name:    name,
-		mac:     cfg.MAC,
-		link:    link,
-		recvRef: cfg.RecvRef,
-		promisc: cfg.Promiscuous,
+		sim:    s,
+		cpu:    cfg.CPU,
+		raiser: cfg.Raise,
+		pool:   cfg.Pool,
+		model:  model,
+		name:   name,
+		mac:    cfg.MAC,
+		link:   link,
 	}
 	n.rxLabel = "rx:" + name
 	link.atts = append(link.atts, n)
@@ -453,13 +445,10 @@ func (n *NIC) deliverAt(at sim.Time, f *frame) {
 		n.stats.RxErrors++
 		return
 	}
-	// MAC destination filter (unless promiscuous).
-	if !n.promisc {
-		dst := eth.Dst()
-		if dst != n.mac && !dst.IsBroadcast() && !dst.IsMulticast() {
-			n.stats.RxFiltered++
-			return
-		}
+	// MAC destination filter.
+	if dst := eth.Dst(); dst != n.mac && !dst.IsBroadcast() && !dst.IsMulticast() {
+		n.stats.RxFiltered++
+		return
 	}
 	f.refs++
 	j := n.jobFree

@@ -27,7 +27,7 @@ type rig struct {
 
 const testRecvEvent event.Name = "Test.PacketRecv"
 
-func newRig(t *testing.T, model Model, promiscB bool) *rig {
+func newRig(t *testing.T, model Model) *rig {
 	t.Helper()
 	s := sim.New(1)
 	r := &rig{
@@ -43,14 +43,13 @@ func newRig(t *testing.T, model Model, promiscB bool) *rig {
 	r.dispA.MustDeclare(testRecvEvent, event.Options{})
 	r.dispB.MustDeclare(testRecvEvent, event.Options{})
 	r.a = NewNIC(s, "a/nic", model, r.link, Config{
-		CPU: r.cpuA, Raise: r.dispA, Pool: r.poolA,
-		RecvRef: r.dispA.Ref(testRecvEvent), MAC: view.MAC{2, 0, 0, 0, 0, 1},
+		CPU: r.cpuA, Raise: r.dispA, Pool: r.poolA, MAC: view.MAC{2, 0, 0, 0, 0, 1},
 	})
+	r.a.SetRecvRef(r.dispA.Ref(testRecvEvent))
 	r.b = NewNIC(s, "b/nic", model, r.link, Config{
-		CPU: r.cpuB, Raise: r.dispB, Pool: r.poolB,
-		RecvRef: r.dispB.Ref(testRecvEvent), MAC: view.MAC{2, 0, 0, 0, 0, 2},
-		Promiscuous: promiscB,
+		CPU: r.cpuB, Raise: r.dispB, Pool: r.poolB, MAC: view.MAC{2, 0, 0, 0, 0, 2},
 	})
+	r.b.SetRecvRef(r.dispB.Ref(testRecvEvent))
 	if _, err := r.dispB.Install(testRecvEvent, nil, event.Proc("sink", func(task *sim.Task, m *mbuf.Mbuf) {
 		data, _ := m.CopyData(0, m.PktLen())
 		r.rxB = append(r.rxB, data)
@@ -82,7 +81,7 @@ func (r *rig) send(t *testing.T, m *mbuf.Mbuf) {
 }
 
 func TestUnicastDelivery(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	r.send(t, r.frameTo(r.b.MAC(), 100))
 	r.sim.Run()
 	if len(r.rxB) != 1 || len(r.rxB[0]) != 114 {
@@ -94,7 +93,7 @@ func TestUnicastDelivery(t *testing.T) {
 }
 
 func TestMACFilterDropsForeignFrames(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	r.send(t, r.frameTo(view.MAC{2, 0, 0, 0, 0, 99}, 100)) // not B's address
 	r.sim.Run()
 	if len(r.rxB) != 0 {
@@ -105,17 +104,8 @@ func TestMACFilterDropsForeignFrames(t *testing.T) {
 	}
 }
 
-func TestPromiscuousAcceptsAll(t *testing.T) {
-	r := newRig(t, EthernetModel(), true)
-	r.send(t, r.frameTo(view.MAC{2, 0, 0, 0, 0, 99}, 100))
-	r.sim.Run()
-	if len(r.rxB) != 1 {
-		t.Fatal("promiscuous NIC filtered a frame")
-	}
-}
-
 func TestBroadcastAndMulticastAccepted(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	r.send(t, r.frameTo(view.BroadcastMAC, 10))
 	r.send(t, r.frameTo(view.MAC{0x01, 0x00, 0x5e, 0, 0, 1}, 10))
 	r.sim.Run()
@@ -125,7 +115,7 @@ func TestBroadcastAndMulticastAccepted(t *testing.T) {
 }
 
 func TestSerializationDelay(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	r.send(t, r.frameTo(r.b.MAC(), 1486)) // full 1500B frame
 	r.sim.Run()
 	if r.link.Frames() != 1 || r.link.Bytes() != 1500 {
@@ -155,7 +145,7 @@ func TestMinFramePadding(t *testing.T) {
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	m := r.frameTo(r.b.MAC(), 2000)
 	r.cpuA.Submit(sim.PrioKernel, "tx", func(task *sim.Task) {
 		if err := r.a.Transmit(task, m); err == nil {
@@ -166,7 +156,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 }
 
 func TestNonPacketMbufRejected(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	m := r.poolA.Get() // no packet header
 	r.cpuA.Submit(sim.PrioKernel, "tx", func(task *sim.Task) {
 		if err := r.a.Transmit(task, m); err == nil {
@@ -180,7 +170,7 @@ func TestNonPacketMbufRejected(t *testing.T) {
 func TestTxQueueOverflowDrops(t *testing.T) {
 	model := EthernetModel()
 	model.MaxBacklog = 5 * sim.Millisecond // ~4 full frames
-	r := newRig(t, model, false)
+	r := newRig(t, model)
 	r.cpuA.Submit(sim.PrioKernel, "burst", func(task *sim.Task) {
 		for i := 0; i < 20; i++ {
 			b := make([]byte, 1514)
@@ -207,7 +197,7 @@ func TestTxQueueOverflowDrops(t *testing.T) {
 }
 
 func TestLossInjection(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	n := 0
 	r.link.SetDropFn(func(wire []byte) bool {
 		n++
@@ -227,7 +217,7 @@ func TestLossInjection(t *testing.T) {
 
 // A down link discards frames silently; raising it restores delivery.
 func TestLinkDownDropsFrames(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	if !r.link.up {
 		t.Fatal("new link must start up")
 	}
@@ -250,7 +240,7 @@ func TestLinkDownDropsFrames(t *testing.T) {
 
 // The duplication hook delivers a frame twice to every receiver.
 func TestDuplicationHook(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	n := 0
 	r.link.SetDupFn(func(wire []byte) bool {
 		n++
@@ -272,7 +262,7 @@ func TestDuplicationHook(t *testing.T) {
 // downstream always see original first.
 func TestDuplicateArrivesAfterOriginal(t *testing.T) {
 	model := EthernetModel()
-	r := newRig(t, model, false)
+	r := newRig(t, model)
 	r.link.SetDupFn(func(wire []byte) bool { return true })
 	r.send(t, r.frameTo(r.b.MAC(), 100))
 	r.sim.Run()
@@ -288,7 +278,7 @@ func TestDuplicateArrivesAfterOriginal(t *testing.T) {
 
 // Malformed frames are frame errors, not MAC-filter drops.
 func TestMalformedFrameCountsRxErrors(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	short := r.poolA.FromBytes(make([]byte, 8), 0) // too short for an Ethernet header
 	r.send(t, short)
 	r.send(t, r.frameTo(view.MAC{2, 0, 0, 0, 0, 99}, 100)) // foreign but well-formed
@@ -308,7 +298,7 @@ func TestMalformedFrameCountsRxErrors(t *testing.T) {
 // Every wire snapshot is released once deliveries quiesce — under loss,
 // duplication, and plain delivery alike.
 func TestLiveFramesBalanced(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	n := 0
 	r.link.SetDropFn(func(wire []byte) bool {
 		n++
@@ -329,7 +319,7 @@ func TestPIOChargesCPU(t *testing.T) {
 	dma := DECT3Model()
 	pio := ForeATMModel()
 	measure := func(model Model) (txBusy, rxBusy sim.Time) {
-		r := newRig(t, model, false)
+		r := newRig(t, model)
 		r.send(t, r.frameTo(r.b.MAC(), 4000))
 		r.sim.Run()
 		return r.cpuA.Busy(), r.cpuB.Busy()
@@ -358,7 +348,7 @@ func TestFastDriverHalvesCosts(t *testing.T) {
 }
 
 func TestModelAccessors(t *testing.T) {
-	r := newRig(t, EthernetModel(), false)
+	r := newRig(t, EthernetModel())
 	if r.a.name != "a/nic" || r.a.MTU() != 1500 || r.a.model.Name != "ethernet" {
 		t.Error("NIC accessors wrong")
 	}

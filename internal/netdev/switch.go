@@ -24,21 +24,19 @@ import (
 
 // Switch tunables.
 const (
-	// DefaultSwitchLatency is the store-and-forward processing delay: the
-	// gap between the last bit arriving on the ingress port and the frame
+	// SwitchLatency is the store-and-forward processing delay: the gap
+	// between the last bit arriving on the ingress port and the frame
 	// becoming eligible for egress serialization.
-	DefaultSwitchLatency = 4 * sim.Microsecond
+	SwitchLatency = 4 * sim.Microsecond
 	// DefaultPortQueueFrames bounds each port's output queue.
 	DefaultPortQueueFrames = 64
-	// DefaultMACAgeTime expires idle MAC-table entries.
-	DefaultMACAgeTime = 300 * sim.Second
+	// MACAgeTime expires idle MAC-table entries.
+	MACAgeTime = 300 * sim.Second
 )
 
 // SwitchConfig tunes a Switch; zero fields take the defaults above.
 type SwitchConfig struct {
-	Latency     sim.Time
 	QueueFrames int
-	AgeTime     sim.Time
 	// RED enables random early detection on every output queue (zero
 	// value = pure tail drop).
 	RED REDConfig
@@ -69,28 +67,15 @@ type SwitchStats struct {
 	RxErrors  uint64 // malformed frames discarded at ingress
 	Learned   uint64 // MAC-table inserts or moves
 	Aged      uint64 // MAC-table entries expired by aging
-	PipeDrops uint64 // frames dropped by port pipelines
-	Steered   uint64 // frames whose egress a pipeline chose directly
 }
 
 // PortStats counts one port's activity.
 type PortStats struct {
-	RxFrames  uint64
-	TxFrames  uint64
-	TxBytes   uint64
-	Drops     uint64 // output-queue drops (tail and RED together)
-	REDDrops  uint64 // the subset of Drops RED chose early
-	PipeDrops uint64 // frames a pipeline on this port dropped
-}
-
-// PortPipeline is a match-action program installable on a switch port (the
-// fabric plane implements it). ProcessFrame inspects the frame — switch
-// frames are shared with every attachment on the wire, so implementations
-// must treat b as read-only — and returns whether to drop it, a port index
-// to steer it out (-1 for none; ingress side only), and the program's
-// execution cost, which the CPU-less switch folds into forwarding latency.
-type PortPipeline interface {
-	ProcessFrame(b []byte) (drop bool, steer int, cost sim.Time)
+	RxFrames uint64
+	TxFrames uint64
+	TxBytes  uint64
+	Drops    uint64 // output-queue drops (tail and RED together)
+	REDDrops uint64 // the subset of Drops RED chose early
 }
 
 type macEntry struct {
@@ -103,9 +88,8 @@ type Switch struct {
 	sim     *sim.Sim
 	name    string
 	model   Model
-	latency sim.Time
 	qcap    int
-	ageTime sim.Time
+	ageTime sim.Time // MACAgeTime; the tests shorten it
 	red     REDConfig
 
 	ports   []*Port
@@ -134,11 +118,6 @@ type Port struct {
 	departs []sim.Time
 	head    int
 	stats   PortStats
-	// inPipe/outPipe are the port's optional match-action programs, run at
-	// frame ingress (drop/steer before the MAC lookup) and egress (drop
-	// before queue admission).
-	inPipe  PortPipeline
-	outPipe PortPipeline
 }
 
 // swJob carries one frame from a cable to the switch's ingress processing
@@ -152,14 +131,8 @@ type swJob struct {
 // NewSwitch creates an empty switch whose ports all run the given device
 // model (wire rate, propagation, minimum frame).
 func NewSwitch(s *sim.Sim, name string, model Model, cfg SwitchConfig) *Switch {
-	if cfg.Latency == 0 {
-		cfg.Latency = DefaultSwitchLatency
-	}
 	if cfg.QueueFrames == 0 {
 		cfg.QueueFrames = DefaultPortQueueFrames
-	}
-	if cfg.AgeTime == 0 {
-		cfg.AgeTime = DefaultMACAgeTime
 	}
 	if cfg.RED.MaxProb > 0 && cfg.RED.MaxFrames == 0 {
 		cfg.RED.MaxFrames = cfg.QueueFrames
@@ -168,9 +141,8 @@ func NewSwitch(s *sim.Sim, name string, model Model, cfg SwitchConfig) *Switch {
 		sim:     s,
 		name:    name,
 		model:   model,
-		latency: cfg.Latency,
 		qcap:    cfg.QueueFrames,
-		ageTime: cfg.AgeTime,
+		ageTime: MACAgeTime,
 		red:     cfg.RED,
 		macs:    make(map[view.MAC]macEntry),
 		inLabel: "switch:" + name,
@@ -208,16 +180,6 @@ func (p *Port) ID() int { return p.id }
 
 // Stats returns a snapshot of the port's counters.
 func (p *Port) Stats() PortStats { return p.stats }
-
-// SetIngressPipeline installs (or clears, with nil) the port's ingress
-// match-action program, run on every frame arriving on this port before the
-// MAC-table lookup.
-func (p *Port) SetIngressPipeline(pipe PortPipeline) { p.inPipe = pipe }
-
-// SetEgressPipeline installs (or clears, with nil) the port's egress
-// match-action program, run on every frame bound for this port's output
-// queue (including floods).
-func (p *Port) SetEgressPipeline(pipe PortPipeline) { p.outPipe = pipe }
 
 // QueueDrops sums tail drops across every port — the scale experiments'
 // congestion signal.
@@ -287,25 +249,6 @@ func switchIngress(a any) {
 		e.expires = now + sw.ageTime
 		sw.macs[src] = e
 	}
-	// The port's ingress program runs before the MAC lookup: it may drop the
-	// frame, steer it out a specific port, or just cost time — the switch
-	// has no CPU, so pipeline execution is modelled as added latency.
-	if p.inPipe != nil {
-		drop, steer, cost := p.inPipe.ProcessFrame(f.buf)
-		if drop {
-			p.stats.PipeDrops++
-			sw.stats.PipeDrops++
-			releaseFrame(f)
-			return
-		}
-		now += cost
-		if steer >= 0 && steer < len(sw.ports) && sw.ports[steer] != p {
-			sw.stats.Steered++
-			sw.ports[steer].enqueue(now, f)
-			releaseFrame(f)
-			return
-		}
-	}
 	dst := eth.Dst()
 	if dst.IsBroadcast() || dst.IsMulticast() {
 		sw.flood(now, p, f)
@@ -341,17 +284,6 @@ func (sw *Switch) flood(now sim.Time, in *Port, f *frame) {
 // models store-and-forward latency plus serialization on the port's
 // transmitter, and delivers the frame to everything on the cable.
 func (p *Port) enqueue(now sim.Time, f *frame) {
-	// The port's egress program filters queue admission; steering is an
-	// ingress-side concept and is ignored here.
-	if p.outPipe != nil {
-		drop, _, cost := p.outPipe.ProcessFrame(f.buf)
-		if drop {
-			p.stats.PipeDrops++
-			p.sw.stats.PipeDrops++
-			return
-		}
-		now += cost
-	}
 	// A down cable (pulled, port flapped) discards egress silently, just
 	// as it does for the host-transmit direction.
 	if !p.link.up {
@@ -385,7 +317,7 @@ func (p *Port) enqueue(now sim.Time, f *frame) {
 		}
 	}
 	size := len(f.buf)
-	start := now + p.sw.latency
+	start := now + SwitchLatency
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}

@@ -39,9 +39,9 @@ func newSwRig(t *testing.T, model Model, cfg SwitchConfig, n int) *swRig {
 		disp := event.NewDispatcher(event.DefaultCosts())
 		disp.MustDeclare(testRecvEvent, event.Options{})
 		h.nic = NewNIC(s, "nic", model, h.cable, Config{
-			CPU: h.cpu, Raise: disp, Pool: h.pool,
-			RecvRef: disp.Ref(testRecvEvent), MAC: view.MAC{2, 0, 0, 0, 1, byte(i + 1)},
+			CPU: h.cpu, Raise: disp, Pool: h.pool, MAC: view.MAC{2, 0, 0, 0, 1, byte(i + 1)},
 		})
+		h.nic.SetRecvRef(disp.Ref(testRecvEvent))
 		if _, err := disp.Install(testRecvEvent, nil, event.Proc("sink", func(task *sim.Task, m *mbuf.Mbuf) {
 			data, _ := m.CopyData(0, m.PktLen())
 			h.rx = append(h.rx, data)
@@ -162,7 +162,8 @@ func TestSwitchBroadcastFloods(t *testing.T) {
 
 // Aged MAC entries are evicted and the frame floods again.
 func TestSwitchMACAging(t *testing.T) {
-	r := newSwRig(t, EthernetModel(), SwitchConfig{AgeTime: 10 * sim.Millisecond}, 3)
+	r := newSwRig(t, EthernetModel(), SwitchConfig{}, 3)
+	r.sw.ageTime = 10 * sim.Millisecond
 	r.send(t, 1, r.hosts[0].nic.MAC(), 10) // learn host 1
 	r.sim.Run()
 	r.send(t, 0, r.hosts[1].nic.MAC(), 10) // forwarded, not flooded
@@ -228,7 +229,7 @@ func TestSwitchStoreAndForwardLatency(t *testing.T) {
 	if len(r.hosts[1].rxAt) != 1 {
 		t.Fatalf("received %d frames", len(r.hosts[1].rxAt))
 	}
-	min := 2*model.serialization(1414) + DefaultSwitchLatency
+	min := 2*model.serialization(1414) + SwitchLatency
 	if got := r.hosts[1].rxAt[0]; got < min {
 		t.Errorf("one-hop delivery at %v, store-and-forward floor is %v", got, min)
 	}

@@ -126,11 +126,6 @@ type UDPAppOptions struct {
 	DisableChecksum bool
 	// AcceptMulticast admits datagrams to multicast groups.
 	AcceptMulticast bool
-	// Allotment bounds each receive invocation (EPHEMERAL time budget).
-	Allotment sim.Time
-	// AppRecvCost is charged per received datagram to model the
-	// application's own processing (0 = charge nothing).
-	AppRecvCost sim.Time
 }
 
 // UDPApp is an application endpoint bound through the UDP protocol manager,
@@ -156,7 +151,6 @@ func (st *Stack) OpenUDP(opts UDPAppOptions, onRecv UDPAppRecv) (*UDPApp, error)
 		DisableChecksum: opts.DisableChecksum,
 		AcceptMulticast: opts.AcceptMulticast,
 		Ephemeral:       true, // application handlers declare EPHEMERAL; see package doc
-		Allotment:       opts.Allotment,
 	}
 	ep, err := st.UDP.Open(epOpts, app.deliver)
 	if err != nil {
@@ -181,11 +175,8 @@ func (app *UDPApp) deliver(t *sim.Task, payload *mbuf.Mbuf, src view.IP4, srcPor
 	}
 }
 
-// recv charges the application's per-datagram cost and runs its callback.
+// recv runs the application's callback.
 func (app *UDPApp) recv(t *sim.Task, data []byte, src view.IP4, srcPort uint16) {
-	if app.opts.AppRecvCost > 0 {
-		t.Charge(app.opts.AppRecvCost)
-	}
 	if app.onRecv != nil {
 		app.onRecv(t, data, src, srcPort)
 	}

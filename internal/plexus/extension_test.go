@@ -83,6 +83,42 @@ func TestInstallExtensionRejectsUnresolvedImport(t *testing.T) {
 	}
 }
 
+// A privileged extension links against the kernel domain, so the
+// kernel-only Device.NIC resolves; its exports land in that domain, and
+// Unload unlinks them.
+func TestInstallPrivilegedExtensionLinksKernelDomain(t *testing.T) {
+	_, st := oneHost(t)
+	var nic any
+	ext, err := st.InstallExtension(ExtensionSpec{
+		Name:       "nic-tap",
+		Imports:    []domain.Symbol{"Device.NIC"},
+		Exports:    map[domain.Symbol]any{"NICTap.Frames": new(int)},
+		Privileged: true,
+		Install: func(ctx *ExtensionCtx) error {
+			nic, _ = ctx.Resolve("Device.NIC")
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nic != any(st.NIC) {
+		t.Fatalf("Device.NIC resolved to %v, want the host's NIC", nic)
+	}
+	if _, ok := st.Host.KernelDomain.Resolve("NICTap.Frames"); !ok {
+		t.Fatal("export missing from the kernel domain")
+	}
+	if _, ok := st.Host.ExtensionDomain.Resolve("NICTap.Frames"); ok {
+		t.Fatal("export of a privileged extension landed in the extension domain")
+	}
+	if _, err := ext.Unload(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Host.KernelDomain.Resolve("NICTap.Frames"); ok {
+		t.Fatal("Unload left the export linked")
+	}
+}
+
 // Atomicity: an install that fails partway must roll back every binding,
 // timer, and closer it had already created.
 func TestInstallExtensionRollbackOnPartialFailure(t *testing.T) {

@@ -199,8 +199,8 @@ func TestGatewayFabricNATRoundTrip(t *testing.T) {
 		if src != natAddr {
 			t.Errorf("server saw source %v, want NAT address %v", src, natAddr)
 		}
-		if srcPort < fabric.DefaultNATPortBase {
-			t.Errorf("server saw source port %d, want >= %d", srcPort, fabric.DefaultNATPortBase)
+		if srcPort < fabric.NATPortBase {
+			t.Errorf("server saw source port %d, want >= %d", srcPort, fabric.NATPortBase)
 		}
 		_ = echo.Send(tk, src, srcPort, data)
 	})

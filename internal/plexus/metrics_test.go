@@ -21,7 +21,7 @@ func runEchoWithRecorder(t *testing.T, rounds int) *stats.Recorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := stats.NewRecorder(stats.Config{})
+	rec := stats.NewRecorder()
 	n.Sim.SetMetrics(rec)
 	var echo *UDPApp
 	echo, err = server.OpenUDP(UDPAppOptions{Port: 7}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
@@ -141,7 +141,7 @@ func TestUDPEchoSteadyStateAllocsWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := stats.NewRecorder(stats.Config{})
+	rec := stats.NewRecorder()
 	n.Sim.SetMetrics(rec)
 	var echo *UDPApp
 	echo, err = server.OpenUDP(UDPAppOptions{Port: 7}, func(tk *sim.Task, data []byte, src view.IP4, srcPort uint16) {
@@ -200,7 +200,7 @@ func TestTCPAppBoundaryCostsProfiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := stats.NewRecorder(stats.Config{})
+		rec := stats.NewRecorder()
 		n.Sim.SetMetrics(rec)
 		got := 0
 		if _, err := server.ListenTCP(80, TCPAppOptions{

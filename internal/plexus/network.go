@@ -7,7 +7,6 @@ import (
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
 	"plexus/internal/sim"
-	"plexus/internal/tcp"
 	"plexus/internal/view"
 )
 
@@ -23,19 +22,12 @@ type HostSpec struct {
 	// whatever Dispatch says.
 	Personality osmodel.Personality
 	Dispatch    osmodel.DispatchMode
-	// Costs overrides the default cost model (nil = defaults).
-	Costs *osmodel.Costs
 	// Quarantine configures the host dispatcher's fault-ejection policy for
 	// misbehaving handlers (zero value = disabled; faults are still counted
 	// in BindingStats).
 	Quarantine event.QuarantinePolicy
-	// Audit receives every TCP state transition on this host (nil = off).
-	// The canonical sinks and the RFC 793 conformance checker live in
-	// internal/audit.
-	Audit tcp.TransitionSink
-	// CC selects the default congestion-control algorithm for connections
-	// opened on this host ("" = tcp.DefaultCC). Individual connections may
-	// still override it via tcp.ConnOptions.CC.
+	// CC selects the congestion-control algorithm for every connection
+	// opened on this host ("" = tcp.DefaultCC).
 	CC string
 	// MinRTO overrides the TCP retransmission-timeout floor (0 = the
 	// RFC 6298 conservative 1s).

@@ -86,7 +86,7 @@ func TestShardedTopologyDeterministicAcrossWorkers(t *testing.T) {
 		top, client, server := shardedPair(t, 1)
 		var recs []*stats.Recorder
 		for _, s := range top.Sims {
-			rec := stats.NewRecorder(stats.Config{HopCap: 1 << 10, SampleCap: 1 << 10})
+			rec := stats.NewRecorder()
 			s.SetMetrics(rec)
 			recs = append(recs, rec)
 		}
@@ -136,15 +136,15 @@ func TestShardedTopologyDeterministicAcrossWorkers(t *testing.T) {
 
 // TestShardedTopologyKeepsHostSettings: a sharded host gets every setting its
 // HostSpec names, as in NewTopology — the connection it opens runs the host's
-// congestion control, arms its RTO at the host's floor, and reports its
-// transitions to the host's audit sink.
+// congestion control and arms its RTO at the host's floor — and its TCP
+// reports transitions to the sink installed on it.
 func TestShardedTopologyKeepsHostSettings(t *testing.T) {
 	chk := audit.NewChecker(nil)
 	spec := func(name string) HostSpec {
 		return HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchInterrupt}
 	}
 	client := spec("client")
-	client.CC, client.MinRTO, client.Audit = "cubic", 200*sim.Millisecond, chk
+	client.CC, client.MinRTO = "cubic", 200*sim.Millisecond
 	gw := spec("gw")
 	top, err := NewShardedTopology(1, &gw, []SegmentSpec{
 		{Name: "lan0", Model: netdev.EthernetModel(), Switched: true,
@@ -157,6 +157,7 @@ func TestShardedTopologyKeepsHostSettings(t *testing.T) {
 	}
 	top.PrimeARPSparse()
 	server, cl := top.Segments[0].Hosts[0], top.Segments[0].Hosts[1]
+	cl.TCP.SetAuditSink(chk)
 	if _, err := server.ListenTCP(5001, TCPAppOptions{
 		OnPeerFin: func(tk *sim.Task, conn *TCPApp) { conn.Close(tk) },
 	}, nil); err != nil {

@@ -135,9 +135,6 @@ func raiseTask(t *sim.Task, a any) {
 func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 	name := cfg.Name
 	costs := osmodel.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
 	host := osmodel.NewHost(s, name, cfg.Personality, cfg.Dispatch, costs)
 	if cfg.CPU != nil {
 		host.CPU = cfg.CPU
@@ -212,7 +209,6 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 		Pool:             host.Pool,
 		Costs:            costs,
 		RequireEphemeral: false, // connection handlers are installed by the manager itself
-		Audit:            cfg.Audit,
 		DefaultCC:        cfg.CC,
 		MinRTO:           cfg.MinRTO,
 	})

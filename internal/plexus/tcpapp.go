@@ -17,11 +17,6 @@ type TCPAppOptions struct {
 	OnPeerFin func(t *sim.Task, conn *TCPApp)
 	// OnClose fires at full termination.
 	OnClose func(conn *TCPApp, err error)
-	// AppRecvCost is charged per delivered chunk.
-	AppRecvCost sim.Time
-	// CC overrides the host's congestion-control algorithm for this
-	// connection ("" = the host default).
-	CC string
 	// NoSack withholds SACK from this connection's handshake, forcing
 	// cumulative-ACK-only loss recovery.
 	NoSack bool
@@ -41,7 +36,6 @@ func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPA
 	st.Syscall(t, st.Host.Costs.SocketLayer, 0, 0)
 	c, err := st.TCP.Connect(t, dst, dstPort, tcp.ConnOptions{
 		Ephemeral: true,
-		CC:        opts.CC,
 		NoSack:    opts.NoSack,
 		OnRecv: func(t *sim.Task, c *tcp.Conn, data []byte) {
 			st.deliver(t, "tcp-app-recv:", app, data, view.IP4{}, 0)
@@ -114,13 +108,9 @@ func (app *TCPApp) Options() TCPAppOptions { return app.opts }
 // effect for subsequent deliveries.
 func (app *TCPApp) SetOptions(o TCPAppOptions) { app.opts = o }
 
-// recv charges the application's per-chunk cost and runs its callback. The
-// callback is read now, so one replaced by SetOptions takes effect for data
-// already queued.
+// recv runs the application's callback. The callback is read now, so one
+// replaced by SetOptions takes effect for data already queued.
 func (app *TCPApp) recv(t *sim.Task, data []byte, _ view.IP4, _ uint16) {
-	if app.opts.AppRecvCost > 0 {
-		t.Charge(app.opts.AppRecvCost)
-	}
 	if app.opts.OnRecv != nil {
 		app.opts.OnRecv(t, app, data)
 	}

@@ -11,17 +11,17 @@ import (
 	"plexus/internal/telemetry"
 )
 
+// poolCap is the cap the mbuf near-cap watchdog watches on every host pool.
+// The simulated pool is unbounded, so the cap is the monitoring policy, not
+// an enforcement limit.
+const poolCap = 1 << 20
+
 // MonitorOptions configures Monitor.
 type MonitorOptions struct {
-	// Telemetry configures the engine (zero value = 1ms interval, 2048-point
-	// rings).
+	// Telemetry configures the engine (zero value = 1ms interval).
 	Telemetry telemetry.Options
 	// TCPStallWindow arms the per-connection no-progress watchdog (0 = off).
 	TCPStallWindow sim.Time
-	// PoolCap, when nonzero, arms the mbuf near-cap watchdog on every host
-	// pool. The simulated pool is unbounded, so the cap is the monitoring
-	// policy, not an enforcement limit.
-	PoolCap int64
 	// SwitchPinWindow arms the per-port queue-pinned watchdog on sharded
 	// topologies (0 = off).
 	SwitchPinWindow sim.Time
@@ -35,7 +35,7 @@ func (n *Network) Monitor(opts MonitorOptions) *telemetry.Engine {
 	telemetry.AttachSimQueue(e, "net", n.Sim)
 	telemetry.AttachLink(e, "link", n.Link)
 	for _, h := range n.Hosts {
-		telemetry.AttachPool(e, h.Name(), h.Host.Pool, opts.PoolCap)
+		telemetry.AttachPool(e, h.Name(), h.Host.Pool, poolCap)
 		telemetry.AttachTCP(e, h.TCP, telemetry.TCPOptions{StallWindow: opts.TCPStallWindow})
 	}
 	e.Start()
@@ -52,7 +52,7 @@ func (top *ShardedTopology) Monitor(opts MonitorOptions) []*telemetry.Engine {
 	gw := telemetry.New(top.GatewaySim, opts.Telemetry)
 	telemetry.AttachSimQueue(gw, "gw", top.GatewaySim)
 	for _, iface := range top.Gateway.Ifaces {
-		telemetry.AttachPool(gw, iface.Name(), iface.Host.Pool, opts.PoolCap)
+		telemetry.AttachPool(gw, iface.Name(), iface.Host.Pool, poolCap)
 		telemetry.AttachTCP(gw, iface.TCP, telemetry.TCPOptions{StallWindow: opts.TCPStallWindow})
 	}
 	gw.Start()
@@ -63,7 +63,7 @@ func (top *ShardedTopology) Monitor(opts MonitorOptions) []*telemetry.Engine {
 		telemetry.AttachSimQueue(e, seg.Name, top.Sims[si+1])
 		telemetry.AttachSwitch(e, seg.Switch, opts.SwitchPinWindow)
 		for _, h := range seg.Hosts {
-			telemetry.AttachPool(e, h.Name(), h.Host.Pool, opts.PoolCap)
+			telemetry.AttachPool(e, h.Name(), h.Host.Pool, poolCap)
 			telemetry.AttachTCP(e, h.TCP, telemetry.TCPOptions{StallWindow: opts.TCPStallWindow})
 		}
 		e.Start()

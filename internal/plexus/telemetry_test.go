@@ -24,9 +24,8 @@ func TestUDPEchoSteadyStateAllocsWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := n.Monitor(MonitorOptions{
-		Telemetry:      telemetry.Options{Interval: 10 * sim.Microsecond, SeriesCap: 256},
+		Telemetry:      telemetry.Options{Interval: 10 * sim.Microsecond},
 		TCPStallWindow: sim.Second,
-		PoolCap:        1 << 20,
 	})
 
 	var echo *UDPApp
@@ -89,7 +88,6 @@ func monitoredBulkDump(t *testing.T) ([]byte, uint64) {
 	eng := n.Monitor(MonitorOptions{
 		Telemetry:      telemetry.Options{Interval: sim.Millisecond},
 		TCPStallWindow: 5 * sim.Second,
-		PoolCap:        1 << 20,
 	})
 	got := 0
 	_, err = server.ListenTCP(5001, TCPAppOptions{
@@ -163,7 +161,6 @@ func TestShardedMonitorDeterministicAcrossWorkers(t *testing.T) {
 		top, client, server := shardedPair(t, 1)
 		engines := top.Monitor(MonitorOptions{
 			Telemetry:       telemetry.Options{Interval: sim.Millisecond},
-			PoolCap:         1 << 20,
 			SwitchPinWindow: 100 * sim.Millisecond,
 		})
 		var echo *UDPApp

@@ -259,7 +259,7 @@ func (g *Gateway) forwardFrom(ingress *Stack) func(t *sim.Task, m *mbuf.Mbuf) bo
 		if !ok {
 			return true
 		}
-		g.pkt = fabric.Packet{Buf: buf, Base: filter.BaseIP, Writable: true, OutPort: -1}
+		g.pkt = fabric.Packet{Buf: buf, Base: filter.BaseIP, Writable: true}
 		if g.pipeline.Exec(t, &g.pkt) == fabric.Drop {
 			g.stats.PipeDrops++
 			return true

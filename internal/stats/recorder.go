@@ -42,15 +42,10 @@ type aggVal struct {
 	Count uint64
 }
 
-// Config sizes a Recorder. The zero value selects the defaults.
-type Config struct {
-	// HopCap bounds the hop ring (default 64K records, ~4MB). When it
-	// fills, the oldest records are overwritten — flight-recorder
-	// semantics: the tail of the run is always retained.
-	HopCap int
-	// SampleCap bounds the sample ring (default 64K records).
-	SampleCap int
-}
+// ringCap bounds each of a Recorder's rings: 64K records, ~4MB of hops.
+// When a ring fills, the oldest records are overwritten — flight-recorder
+// semantics: the tail of the run is always retained.
+const ringCap = 1 << 16
 
 // Recorder is the canonical sim.Metrics sink: preallocated rings for raw
 // hop/sample records and a folded-profile aggregator. After construction (and a warm-up that touches every
@@ -70,16 +65,13 @@ type Recorder struct {
 }
 
 // NewRecorder returns a Recorder with all storage preallocated.
-func NewRecorder(cfg Config) *Recorder {
-	if cfg.HopCap <= 0 {
-		cfg.HopCap = 1 << 16
-	}
-	if cfg.SampleCap <= 0 {
-		cfg.SampleCap = 1 << 16
-	}
+func NewRecorder() *Recorder { return newRecorder(ringCap) }
+
+// newRecorder returns a Recorder whose rings hold n records each.
+func newRecorder(n int) *Recorder {
 	return &Recorder{
-		hops:     make([]HopRecord, cfg.HopCap),
-		samples:  make([]SampleRecord, cfg.SampleCap),
+		hops:     make([]HopRecord, n),
+		samples:  make([]SampleRecord, n),
 		agg:      make(map[aggKey]*aggVal, 256),
 		aggOrder: make([]aggKey, 0, 256),
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRecorderRingOverwrite(t *testing.T) {
-	r := NewRecorder(Config{HopCap: 4, SampleCap: 4})
+	r := newRecorder(4)
 	for i := 0; i < 6; i++ {
 		r.Hop(uint64(i), sim.Time(i)*sim.Microsecond, "h", "ip", "send", 8)
 		r.Sample("h", sim.ProfProto, "ip", sim.PrioKernel, sim.Time(i), sim.Microsecond)
@@ -34,7 +34,7 @@ func TestRecorderRingOverwrite(t *testing.T) {
 }
 
 func TestRecorderRingPartialFill(t *testing.T) {
-	r := NewRecorder(Config{HopCap: 8, SampleCap: 8})
+	r := newRecorder(8)
 	r.Hop(1, 0, "h", "ip", "send", 8)
 	r.Hop(1, sim.Microsecond, "h", "ether", "send", 22)
 	if hops := r.Hops(); len(hops) != 2 || hops[0].Layer != "ip" || hops[1].Layer != "ether" {
@@ -43,7 +43,7 @@ func TestRecorderRingPartialFill(t *testing.T) {
 }
 
 func TestRecorderSpans(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	r.Hop(3, 0, "a", "udp", "send", 8)
 	r.Hop(1, 10, "a", "ip", "send", 36)
 	r.Hop(3, 20, "b", "udp", "recv", 8)
@@ -60,7 +60,7 @@ func TestRecorderSpans(t *testing.T) {
 }
 
 func TestRecorderProfileAndFolded(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	// Insert out of order; Profile must sort host, kind, descending total.
 	r.Sample("b", sim.ProfCopy, "copyin", sim.PrioKernel, 0, 5*sim.Microsecond)
 	r.Sample("a", sim.ProfProto, "udp", sim.PrioKernel, 0, 2*sim.Microsecond)
@@ -86,7 +86,7 @@ func TestRecorderProfileAndFolded(t *testing.T) {
 // aggregation map has seen every (host, kind, owner) triple, Hop/Sample/
 // QueueDepth allocate nothing.
 func TestRecorderHotPathNoAlloc(t *testing.T) {
-	r := NewRecorder(Config{HopCap: 64, SampleCap: 64})
+	r := newRecorder(64)
 	r.Sample("h", sim.ProfProto, "ip", sim.PrioKernel, 0, sim.Microsecond) // warm the agg key
 	allocs := testing.AllocsPerRun(500, func() {
 		r.Hop(1, sim.Microsecond, "h", "ip", "send", 8)
@@ -99,7 +99,7 @@ func TestRecorderHotPathNoAlloc(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder()
 	r.Sample("client", sim.ProfTask, "app", sim.PrioUser, 0, 10*sim.Microsecond)
 	r.Sample("server", sim.ProfProto, "ip", sim.PrioKernel, 5*sim.Microsecond, 2*sim.Microsecond)
 	r.Hop(1, sim.Microsecond, "client", "udp", "send", 8)

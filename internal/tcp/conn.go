@@ -90,12 +90,6 @@ type ConnOptions struct {
 	OnPeerFin func(t *sim.Task, c *Conn)
 	// Ephemeral marks the segment handler EPHEMERAL.
 	Ephemeral bool
-	// RcvWnd overrides the advertised window (default 64KB-1). Values above
-	// 64KB-1 negotiate window scaling (RFC 7323) on the handshake.
-	RcvWnd uint32
-	// CC selects the congestion-control algorithm by registry name
-	// ("newreno", "cubic", "bbr"); empty uses the manager's default.
-	CC string
 	// NoSack withholds the SACK-permitted option from this end's SYN (or
 	// SYN|ACK), so neither side sends SACK blocks and loss recovery runs on
 	// cumulative ACKs alone — the knob for comparing recovery with and
@@ -266,9 +260,6 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 		rto:        initialRTO,
 	}
 	c.rcv.wnd = defaultRcvWnd
-	if opts.RcvWnd != 0 {
-		c.rcv.wnd = opts.RcvWnd
-	}
 	c.rcvWndCap = c.rcv.wnd
 	// Provisional receive-window scale; zeroed if the peer doesn't
 	// negotiate RFC 7323 scaling on the handshake.
@@ -282,11 +273,7 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 	// behind the receiver's delayed-ACK clock for 200ms.
 	c.snd.cwnd = 2 * c.mss
 	c.snd.ssthresh = 65535
-	name := opts.CC
-	if name == "" {
-		name = m.defaultCC
-	}
-	c.cc = newCC(name)
+	c.cc = newCC(m.defaultCC)
 	c.ccName = c.cc.Name()
 	c.cc.Init(c)
 	h := event.Handler{

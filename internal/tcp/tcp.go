@@ -129,11 +129,8 @@ type Config struct {
 	Costs osmodel.Costs
 	// RequireEphemeral rejects non-EPHEMERAL connection handlers (§3.3).
 	RequireEphemeral bool
-	// Audit receives every connection state transition (nil = disabled;
-	// SetAuditSink can install one later).
-	Audit TransitionSink
-	// DefaultCC names the congestion-control algorithm for connections that
-	// don't select one via ConnOptions.CC ("" = NewReno).
+	// DefaultCC names the congestion-control algorithm by registry name
+	// ("newreno", "cubic", "bbr") for every connection ("" = NewReno).
 	DefaultCC string
 	// MinRTO overrides the retransmission-timeout floor (0 = the RFC 6298
 	// conservative 1s). Modern low-latency stacks use ~200ms.
@@ -156,7 +153,6 @@ func New(cfg Config) (*Manager, error) {
 		claimed:          make(map[uint16]bool),
 		nextPort:         32768,
 		issSeed:          uint32(cfg.Sim.Rand().Int63()),
-		audit:            cfg.Audit,
 		defaultCC:        cfg.DefaultCC,
 		minRTO:           cfg.MinRTO,
 		requireEphemeral: cfg.RequireEphemeral,

@@ -99,9 +99,10 @@ type probe struct {
 type Options struct {
 	// Interval is the sampling period; 0 means 1ms.
 	Interval sim.Time
-	// SeriesCap is the per-series ring capacity in points; 0 means 2048.
-	SeriesCap int
 }
+
+// seriesPoints is each series ring's capacity in points.
+const seriesPoints = 2048
 
 // alarmCap bounds the watchdog alarms an engine retains.
 const alarmCap = 64
@@ -114,7 +115,7 @@ const DefaultInterval = sim.Millisecond
 type Engine struct {
 	sim       *sim.Sim
 	interval  sim.Time
-	seriesCap int
+	seriesCap int // seriesPoints; the tests shrink it
 
 	probes []probe
 	series []*Series
@@ -135,13 +136,10 @@ func New(s *sim.Sim, opts Options) *Engine {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
 	}
-	if opts.SeriesCap <= 0 {
-		opts.SeriesCap = 2048
-	}
 	return &Engine{
 		sim:       s,
 		interval:  opts.Interval,
-		seriesCap: opts.SeriesCap,
+		seriesCap: seriesPoints,
 		byKey:     make(map[string]*Series),
 		alarms:    make([]Alarm, 0, alarmCap),
 	}

@@ -13,7 +13,10 @@ type counterSource struct{ v int64 }
 
 func newTestEngine(interval sim.Time, cap int) (*sim.Sim, *Engine, *counterSource) {
 	s := sim.New(1)
-	e := New(s, Options{Interval: interval, SeriesCap: cap})
+	e := New(s, Options{Interval: interval})
+	if cap > 0 {
+		e.seriesCap = cap
+	}
 	src := &counterSource{}
 	se := e.Series("test.counter", "a", "")
 	e.Register("test", func(sm *Sample) { sm.Observe(se, src.v) })

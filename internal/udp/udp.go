@@ -260,8 +260,6 @@ type EndpointOptions struct {
 	// Ephemeral marks the receive handler EPHEMERAL (required on
 	// interrupt-dispatch stacks).
 	Ephemeral bool
-	// Allotment bounds each receive-handler invocation (0 = unlimited).
-	Allotment sim.Time
 	// AcceptMulticast also matches datagrams addressed to multicast
 	// groups (the network-video client sets this).
 	AcceptMulticast bool
@@ -297,7 +295,7 @@ func (m *Manager) Open(opts EndpointOptions, recv RecvFunc) (*Endpoint, error) {
 	e := &Endpoint{mgr: m, opts: opts, port: port, recv: recv}
 	guard := e.guard()
 	h := event.Handler{Name: fmt.Sprintf("udp.endpoint:%d", port), Fn: e.deliver, Ephemeral: opts.Ephemeral}
-	b, err := m.disp.Install(RecvEvent, guard, h, opts.Allotment)
+	b, err := m.disp.Install(RecvEvent, guard, h, 0)
 	if err != nil {
 		return nil, err
 	}

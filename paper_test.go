@@ -136,6 +136,18 @@ var paperClaims = []claim{
 		func(r *paperRows, _ float64) error {
 			return each(r.fig7, func(row bench.Fig7Row) error { return below(row.KernelLatency.Micros(), row.SpliceLatency.Micros()) })
 		}},
+	{"fig7.gap-shrinks", "§5, Figure 7", "the in-kernel node wins most at small (latency-dominated) requests", 0, false,
+		func(r *paperRows, _ float64) error {
+			ratio := func(row bench.Fig7Row) float64 { return row.SpliceLatency.Micros() / row.KernelLatency.Micros() }
+			for i := 1; i < len(r.fig7); i++ {
+				a, b := r.fig7[i-1], r.fig7[i]
+				if err := expect(a.PayloadBytes < b.PayloadBytes && ratio(b) < ratio(a),
+					"splice:kernel ratio %.3f at %d B, then %.3f at %d B", ratio(a), a.PayloadBytes, ratio(b), b.PayloadBytes); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 	{"http.extension-faster", "§7", "the stack services HTTP requests, in the kernel faster than from user level", 0, false,
 		func(r *paperRows, _ float64) error {
 			return below(find(r.http, func(row bench.HTTPRow) bool { return row.System == intr }).Latency.Micros(),
@@ -230,6 +242,10 @@ func TestPaperExpectationsCanFail(t *testing.T) {
 		"fig6.dux-cpu":     func(r *paperRows) { r.fig6[3].Utilization[dux] = 1.5 * r.fig6[3].Utilization[intr] },
 		"rogue.quarantine": func(r *paperRows) { r.rogue[len(r.rogue)-1].Quarantined = 0 },
 		"latency.no-leak":  func(r *paperRows) { r.latency[0].Mbuf.InUse = 1 },
+		"fig7.gap-shrinks": func(r *paperRows) { // kernel still faster, ratio rising at 1460 B
+			last := &r.fig7[len(r.fig7)-1]
+			last.SpliceLatency = last.KernelLatency * 3 / 2
+		},
 	} {
 		r := loadPaperRows(t)
 		doctor(r)

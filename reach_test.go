@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,14 +21,12 @@ import (
 // reachAllow names the declarations TestReachable keeps although no root
 // reaches them, each with the reason it stays. Each is one more root.
 var reachAllow = map[string]string{
-	"mbuf.Mbuf.CheckInvariants":      "the chain invariant checker the mbuf tests run after every operation",
-	"netdev.Port.SetIngressPipeline": "switch-port match-action hook the switch pipeline tests drive; no sweep installs one yet",
-	"netdev.Port.SetEgressPipeline":  "the egress side of SetIngressPipeline",
-	"plexus.Extension.Unload":        "extension lifecycle: the extension and rogue tests assert its teardown and leak accounting",
-	"plexus.Extension.Stats":         "extension lifecycle: the per-extension fault counters the rogue tests assert",
-	"plexus.ExtensionCtx.After":      "extension lifecycle: a timer Unload must cancel",
-	"plexus.ExtensionCtx.Every":      "extension lifecycle: a ticker Unload must stop",
-	"plexus.ExtensionCtx.OnUnload":   "extension lifecycle: a closer Unload must run",
+	"mbuf.Mbuf.CheckInvariants":    "the chain invariant checker the mbuf tests run after every operation",
+	"plexus.Extension.Unload":      "extension lifecycle: the extension and rogue tests assert its teardown and leak accounting",
+	"plexus.Extension.Stats":       "extension lifecycle: the per-extension fault counters the rogue tests assert",
+	"plexus.ExtensionCtx.After":    "extension lifecycle: a timer Unload must cancel",
+	"plexus.ExtensionCtx.Every":    "extension lifecycle: a ticker Unload must stop",
+	"plexus.ExtensionCtx.OnUnload": "extension lifecycle: a closer Unload must run",
 }
 
 // TestReachable is the dead-code gate. Every package-level declaration in
@@ -67,6 +66,191 @@ func TestReachableFixture(t *testing.T) {
 	if want := "a.Unused"; len(got) != 1 || got[0] != want {
 		t.Fatalf("unreachable = %v, want [%s]", got, want)
 	}
+}
+
+// optionsAllow names the option fields TestOptionsSet keeps although no
+// non-test code sets them, each with the reason it stays.
+var optionsAllow = map[string]string{
+	"plexus.TCPAppOptions.NoSack":     "stands in for a peer that does not offer SACK; the SACK-versus-cumulative recovery tests turn it on",
+	"plexus.TCPAppOptions.OnClose":    "the application's close callback, the one way a TCPApp learns its connection ended; the TCP app tests set it",
+	"plexus.UDPAppOptions.Remote":     "Figure 1's connected endpoint: a peer filter in the guard, so other senders cannot snoop its port",
+	"plexus.UDPAppOptions.RemotePort": "the port half of Remote",
+	"plexus.ExtensionSpec.Exports":    "the section 2 protection domains: the interfaces an extension offers other extensions",
+	"plexus.ExtensionSpec.Privileged": "the section 2 protection domains: a kernel extension may link kernel-only imports",
+	"video.ServerConfig.FPS":          "benchmark/ passes NewServer a zero ServerConfig, so the type and its fields wait for a change to benchmark/",
+	"video.ServerConfig.FrameSize":    "kept with FPS",
+	"video.ServerConfig.Port":         "kept with FPS",
+}
+
+// optionSuffixes are the type-name endings that make an exported struct a
+// set of options. The cost tables (osmodel.Costs, event.Costs, netdev.Model)
+// are the model's constants, not options, and their names keep them out.
+var optionSuffixes = []string{"Options", "Config", "Spec", "Policy"}
+
+// TestOptionsSet is the dead-option gate. Every exported field of an
+// exported *Options, *Config, *Spec or *Policy struct must get a value from
+// non-test code: a composite literal anywhere, or an assignment outside the
+// declaring package (one inside it only fills a default). A value copied
+// from another option field counts only if that field is set. Delete the
+// field a caller never sets, or allowlist it with a reason.
+func TestOptionsSet(t *testing.T) {
+	unset, n, err := unsetOptions(".", "plexus", optionsAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d option fields in scope", n)
+	if len(unset) > 0 {
+		report := make([]string, len(unset))
+		for i, d := range unset {
+			report[i] = fmt.Sprintf("%s: %s", d.pos, d.name)
+		}
+		t.Errorf("%d option fields no non-test code sets; delete them, or allowlist them with a reason:\n\t%s",
+			len(report), strings.Join(report, "\n\t"))
+	}
+}
+
+// TestOptionsSetFixture runs the gate over testdata/reach: one field set by
+// a literal, one only defaulted in its own package, one copied from the set
+// field and one copied from the defaulted one. Only the second and the last
+// may be reported.
+func TestOptionsSetFixture(t *testing.T) {
+	unset, n, err := unsetOptions(filepath.Join("testdata", "reach"), "reachfix", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range unset {
+		got = append(got, d.name)
+	}
+	if want := []string{"a.Options.Depth", "a.Config.Mirror"}; n != 4 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("unset = %v of %d fields, want %v of 4", got, n, want)
+	}
+}
+
+// unsetOptions loads the module rooted at dir and returns, in source order,
+// the option fields its non-test code never sets, with the number of option
+// fields in scope. The names in allow (pkg.Type.Field) count as set, and so
+// do the fields copied from them; each must name an unset field.
+func unsetOptions(dir, module string, allow map[string]string) ([]deadDecl, int, error) {
+	m, err := loadModule(dir, module)
+	if err != nil {
+		return nil, 0, err
+	}
+	isOptions := func(name string) bool {
+		return slices.ContainsFunc(optionSuffixes, func(s string) bool { return strings.HasSuffix(name, s) })
+	}
+	fields := map[*types.Var]string{}
+	for _, p := range m.pkgs {
+		for _, name := range p.pkg.Scope().Names() {
+			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !isOptions(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = path.Base(p.pkg.Path()) + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+
+	set := map[*types.Var]bool{}
+	copied := map[*types.Var][]*types.Var{} // source field -> fields copied from it
+	assign := func(info *types.Info, f *types.Var, value ast.Expr) {
+		if _, ok := fields[f]; !ok {
+			return
+		}
+		if sel, ok := ast.Unparen(value).(*ast.SelectorExpr); ok {
+			if v, _ := info.Uses[sel.Sel].(*types.Var); fields[v] != "" {
+				copied[v] = append(copied[v], f)
+				return
+			}
+		}
+		set[f] = true
+	}
+	for _, p := range m.pkgs {
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := p.info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							f, _ := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+							assign(p.info, f, kv.Value)
+						} else {
+							assign(p.info, st.Field(i), elt)
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						f, _ := p.info.Uses[sel.Sel].(*types.Var)
+						if f == nil || f.Pkg() == p.pkg {
+							continue
+						}
+						var value ast.Expr
+						if len(n.Rhs) == len(n.Lhs) && n.Tok == token.ASSIGN {
+							value = n.Rhs[i]
+						}
+						assign(p.info, f, value)
+					}
+				}
+				return true
+			})
+		}
+	}
+	// reach marks roots set, and every field copied from a set field.
+	reach := func(roots []*types.Var) {
+		for len(roots) > 0 {
+			f := roots[len(roots)-1]
+			roots = roots[:len(roots)-1]
+			set[f] = true
+			for _, to := range copied[f] {
+				if !set[to] {
+					roots = append(roots, to)
+				}
+			}
+		}
+	}
+	var roots []*types.Var
+	for f := range set {
+		roots = append(roots, f)
+	}
+	reach(roots)
+
+	byName := map[string]*types.Var{}
+	for f, name := range fields {
+		byName[name] = f
+	}
+	var extra []*types.Var
+	for name := range allow {
+		f := byName[name]
+		if f == nil || set[f] {
+			return nil, 0, fmt.Errorf("allowlisted option %s is gone or set: drop it from the allowlist", name)
+		}
+		extra = append(extra, f)
+	}
+	reach(extra)
+
+	var unset []deadDecl
+	for f, name := range fields {
+		if !set[f] {
+			unset = append(unset, deadDecl{pos: reachFset.Position(f.Pos()), name: name})
+		}
+	}
+	sortDecls(unset)
+	return unset, len(fields), nil
 }
 
 // A deadDecl is a package-level declaration that no root reaches.
@@ -167,10 +351,22 @@ type reachGraph struct {
 	queue   []types.Object
 }
 
-// unreachable loads the module rooted at dir, whose import path is module,
-// and returns its unreachable declarations in source order. The names in
-// allow are extra roots; each must name a declaration no other root reaches.
-func unreachable(dir, module string, allow map[string]string) ([]deadDecl, error) {
+// A reachModule is a module type-checked from source: the non-test build
+// of each package, then its in-package and external test builds.
+type reachModule struct {
+	pkgs  []*reachPkg // in import-path order
+	tests []*reachPkg
+}
+
+// reachModules caches loadModule by directory, so the gates in this file
+// type-check the module once per test binary.
+var reachModules = map[string]*reachModule{}
+
+// loadModule loads the module rooted at dir, whose import path is module.
+func loadModule(dir, module string) (*reachModule, error) {
+	if m := reachModules[dir]; m != nil {
+		return m, nil
+	}
 	l := &reachLoader{dirs: map[string]*build.Package{}, pkgs: map[string]*reachPkg{}, files: map[string]*ast.File{}}
 	err := filepath.WalkDir(dir, func(p string, e fs.DirEntry, err error) error {
 		if err != nil || !e.IsDir() {
@@ -202,6 +398,46 @@ func unreachable(dir, module string, allow map[string]string) ([]deadDecl, error
 	}
 	sort.Strings(paths)
 
+	m := &reachModule{}
+	for _, ip := range paths {
+		if len(l.dirs[ip].GoFiles) == 0 {
+			continue
+		}
+		p, err := l.canonical(ip)
+		if err != nil {
+			return nil, err
+		}
+		m.pkgs = append(m.pkgs, p)
+	}
+	for _, ip := range paths {
+		bp := l.dirs[ip]
+		if len(bp.TestGoFiles) > 0 {
+			p, err := l.check(ip, bp.Dir, bp.GoFiles, bp.TestGoFiles)
+			if err != nil {
+				return nil, err
+			}
+			m.tests = append(m.tests, p)
+		}
+		if len(bp.XTestGoFiles) > 0 {
+			p, err := l.check(ip+"_test", bp.Dir, bp.XTestGoFiles)
+			if err != nil {
+				return nil, err
+			}
+			m.tests = append(m.tests, p)
+		}
+	}
+	reachModules[dir] = m
+	return m, nil
+}
+
+// unreachable loads the module rooted at dir, whose import path is module,
+// and returns its unreachable declarations in source order. The names in
+// allow are extra roots; each must name a declaration no other root reaches.
+func unreachable(dir, module string, allow map[string]string) ([]deadDecl, error) {
+	m, err := loadModule(dir, module)
+	if err != nil {
+		return nil, err
+	}
 	g := &reachGraph{
 		refs:    map[types.Object][]types.Object{},
 		pos:     map[types.Object]token.Pos{},
@@ -210,49 +446,20 @@ func unreachable(dir, module string, allow map[string]string) ([]deadDecl, error
 		reached: map[types.Object]bool{},
 	}
 	var roots []types.Object
-	var checked []*reachPkg
-	for _, ip := range paths {
-		bp := l.dirs[ip]
-		if len(bp.GoFiles) == 0 {
-			continue
-		}
-		p, err := l.canonical(ip)
-		if err != nil {
-			return nil, err
-		}
+	for _, p := range m.pkgs {
 		roots = append(roots, g.addDecls(p)...)
-		checked = append(checked, p)
 	}
 	// Tests: a use from another package's test file is a root.
-	for _, ip := range paths {
-		bp := l.dirs[ip]
-		var tests []*reachPkg
-		if len(bp.TestGoFiles) > 0 {
-			p, err := l.check(ip, bp.Dir, bp.GoFiles, bp.TestGoFiles)
-			if err != nil {
-				return nil, err
+	for _, p := range m.tests {
+		for id, obj := range p.info.Uses {
+			obj = origin(obj)
+			if obj.Pkg() != nil && obj.Pkg() != p.pkg && g.refs[obj] != nil &&
+				strings.HasSuffix(reachFset.File(id.Pos()).Name(), "_test.go") {
+				roots = append(roots, obj)
 			}
-			tests = append(tests, p)
-		}
-		if len(bp.XTestGoFiles) > 0 {
-			p, err := l.check(ip+"_test", bp.Dir, bp.XTestGoFiles)
-			if err != nil {
-				return nil, err
-			}
-			tests = append(tests, p)
-		}
-		for _, p := range tests {
-			for id, obj := range p.info.Uses {
-				obj = origin(obj)
-				if obj.Pkg() != nil && obj.Pkg() != p.pkg && g.refs[obj] != nil &&
-					strings.HasSuffix(reachFset.File(id.Pos()).Name(), "_test.go") {
-					roots = append(roots, obj)
-				}
-			}
-			checked = append(checked, p)
 		}
 	}
-	for _, p := range checked {
+	for _, p := range append(m.pkgs[:len(m.pkgs):len(m.pkgs)], m.tests...) {
 		for _, tv := range p.info.Types {
 			g.addIfaces(tv.Type)
 		}
@@ -294,14 +501,19 @@ func unreachable(dir, module string, allow map[string]string) ([]deadDecl, error
 			dead = append(dead, deadDecl{pos: reachFset.Position(g.pos[obj]), name: declName(obj)})
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := dead[i].pos, dead[j].pos
+	sortDecls(dead)
+	return dead, nil
+}
+
+// sortDecls puts ds in source order.
+func sortDecls(ds []deadDecl) {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i].pos, ds[j].pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
 		return a.Offset < b.Offset
 	})
-	return dead, nil
 }
 
 // addDecls adds a node per package-level declaration of p and returns the

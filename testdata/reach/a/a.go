@@ -27,3 +27,25 @@ func OnlyFromTest() int { return 1 }
 
 // Unused is used by nothing but this package's own test.
 func Unused() int { return 2 }
+
+// Options is the option gate's fixture: main's literal sets Size, and Depth
+// is only defaulted in this package.
+type Options struct {
+	Size  int
+	Depth int
+}
+
+// Config is built from Options: Width copies the set Size, Mirror the unset
+// Depth.
+type Config struct {
+	Width  int
+	Mirror int
+}
+
+// New fills o's defaults and builds its Config.
+func New(o Options) Config {
+	if o.Depth == 0 {
+		o.Depth = 1
+	}
+	return Config{Width: o.Size, Mirror: o.Depth}
+}

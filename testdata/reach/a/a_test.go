@@ -7,3 +7,10 @@ func TestUnused(t *testing.T) {
 		t.Fatal("Unused")
 	}
 }
+
+// A test's literal does not set an option.
+func TestNew(t *testing.T) {
+	if c := New(Options{Depth: 2}); c.Mirror != 2 {
+		t.Fatal("Mirror")
+	}
+}

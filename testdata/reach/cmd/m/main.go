@@ -7,4 +7,4 @@ import (
 	"reachfix/a"
 )
 
-func main() { fmt.Println(a.Total(a.NewSquare(2))) }
+func main() { fmt.Println(a.Total(a.NewSquare(2)), a.New(a.Options{Size: 3})) }
