@@ -53,7 +53,7 @@ type Config struct {
 // New declares the Ethernet events on the host dispatcher and returns the
 // layer. It must be called once per interface per dispatcher.
 func New(cfg Config) (*Layer, error) {
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral}); err != nil {
+	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, NoMatch: dropNoHandler}); err != nil {
 		return nil, err
 	}
 	if err := cfg.Disp.Declare(SendEvent, event.Options{}); err != nil {
@@ -76,15 +76,10 @@ func (l *Layer) CPUSubmit(label string, fn func(*sim.Task)) {
 	l.cpu.Submit(sim.PrioKernel, label, fn)
 }
 
-// Raise re-raises an event through the stack's configured raise path; upper
+// RaiseRef raises an event through the stack's configured raise path; upper
 // layers use it to push packets to the next node of the graph.
-func (l *Layer) Raise(t *sim.Task, name event.Name, m *mbuf.Mbuf) int {
-	return l.raise.Raise(t, name, m)
-}
-
-// RaiseRef is Raise through a resolved handle — the per-packet form.
-func (l *Layer) RaiseRef(t *sim.Task, r *event.Ref, m *mbuf.Mbuf) int {
-	return l.raise.RaiseRef(t, r, m)
+func (l *Layer) RaiseRef(t *sim.Task, r *event.Ref, m *mbuf.Mbuf) {
+	l.raise.RaiseRef(t, r, m)
 }
 
 // MAC returns the interface hardware address.
@@ -152,4 +147,13 @@ func TypeGuard(etherType uint16) event.Guard {
 		}
 		return eth.EtherType() == etherType
 	}
+}
+
+// dropNoHandler is Ethernet.PacketRecv's NoMatch action: a frame no protocol
+// took is freed.
+func dropNoHandler(t *sim.Task, m *mbuf.Mbuf) {
+	if hdr := m.Hdr(); hdr != nil {
+		t.Hop(hdr.Span, "wire", "drop-nohandler", hdr.Len)
+	}
+	m.Free()
 }

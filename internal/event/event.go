@@ -23,14 +23,16 @@
 // # Keyed guards
 //
 // An event whose bindings mostly demultiplex on an exact header match (a
-// transport's per-connection 4-tuple) may declare a key extractor. A binding
-// installed with InstallKey carries an exact-match Key as its guard: the
-// dispatcher extracts the packet's key at most once per raise and compares
-// it against each keyed binding, instead of running one closure per binding
-// that re-parses the packet. A keyed guard is charged, counted and ordered
-// exactly like a closure guard; only its body is cheaper. The extractor
-// belongs to the event's owner, like the raise itself, and runs outside
-// crash containment.
+// transport's per-connection 4-tuple) may declare a key extractor, its
+// owner's code, run at most once per raise outside crash containment;
+// InstallKey installs a binding whose guard is an exact-match Key. Consecutive
+// keyed bindings form a run, one dispatch-list entry that indexes its members
+// by key, so a raise's host cost grows with closure guards and matches, not
+// keyed bindings. Simulated cost stays linear: a run charges n×GuardEval (one
+// ChargeProf per member with a sim.Metrics sink) and derives GuardRejects from
+// its scan count, so every charge, sample and counter is a closure guard's.
+// The index relies on guards being side-effect free: none installs or
+// uninstalls.
 //
 // # Crash containment and quarantine
 //
@@ -49,6 +51,7 @@ package event
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"plexus/internal/mbuf"
@@ -61,12 +64,13 @@ type Name string
 // Raiser abstracts how an event raise is performed. The Dispatcher raises
 // inline (handlers run in the raising task — the paper's interrupt-level
 // dispatch); a protocol stack may interpose thread handoff or a monolithic
-// kernel's softirq step between layers instead. RaiseRef is the per-packet
-// form: layers that raise the same event for every packet resolve the name
-// to a Ref once at construction and stay off the name map in steady state.
+// kernel's softirq step between layers instead. Layers that raise the same
+// event for every packet resolve the name to a Ref once at construction and
+// stay off the name map in steady state. A deferred raise has not run when
+// RaiseRef returns, so what happens to a packet no handler takes is the
+// event's NoMatch action, not the caller's.
 type Raiser interface {
-	Raise(t *sim.Task, name Name, m *mbuf.Mbuf) int
-	RaiseRef(t *sim.Task, r *Ref, m *mbuf.Mbuf) int
+	RaiseRef(t *sim.Task, r *Ref, m *mbuf.Mbuf)
 }
 
 // Guard is a packet-filter predicate evaluated before a handler is invoked.
@@ -110,6 +114,10 @@ type Options struct {
 	// keyed bindings (InstallKey); ok=false means no keyed binding matches
 	// the packet. It must not panic: it runs outside crash containment.
 	Key func(*mbuf.Mbuf) (Key, bool)
+	// NoMatch, if set, disposes of a packet a raise invoked no handler for
+	// (counts the drop, answers with an error, frees it). It runs at the end
+	// of that raise, in whichever task the raise runs, outside containment.
+	NoMatch HandlerFunc
 }
 
 // Costs parameterize what raising an event charges the running task. The
@@ -169,19 +177,27 @@ func (s BindingStats) Faults() uint64 {
 // Quarantined() post-mortem. Only dispatch stops; the handle is never
 // recycled.
 type Binding struct {
-	event       *eventState
-	guard       Guard
-	keyed       bool // the guard is key, compared with the packet's extracted key
-	key         Key
-	handler     Handler
-	allotment   sim.Time // 0 = unlimited
-	removed     bool
-	quarantined bool
-	stats       BindingStats
+	event     *Ref
+	guard     Guard
+	key       Key      // a keyed binding's guard: the packet's extracted key must equal it
+	run       *keyRun  // the run holding a live keyed binding, or the run a run entry stands for
+	next      *Binding // the run's next binding with the same key, in install order
+	name      string   // the handler's diagnostic name
+	fn        HandlerFunc
+	allotment sim.Time // 0 = unlimited
+	// The flags share one word: a Binding stays in the 128-byte size class.
+	keyed, ephemeral, removed, quarantined bool
+	stats                                  BindingStats
 }
 
 // Stats returns a snapshot of the binding's counters.
-func (b *Binding) Stats() BindingStats { return b.stats }
+func (b *Binding) Stats() BindingStats {
+	s := b.stats
+	if b.run != nil { // a live member holds −(its run's scans at join + accepts)
+		s.GuardRejects += b.run.scans
+	}
+	return s
+}
 
 // Quarantined reports whether the dispatcher auto-disabled the binding after
 // it reached the quarantine policy's fault threshold.
@@ -201,17 +217,47 @@ type QuarantinePolicy struct {
 	GuardBudget sim.Time
 }
 
-type eventState struct {
-	name     Name
-	opts     Options
-	bindings []*Binding
-	raises   uint64
+// keyRun is a run: consecutive keyed bindings of one event. Its entry is the
+// Binding that stands for it in the event's dispatch list.
+type keyRun struct {
+	entry    Binding
+	bindings []*Binding       // live members, in install order
+	index    map[Key]*Binding // first member with each key; later ones chain through next
+	scans    uint64           // raises that reached the run
+}
+
+// add appends b to ev's dispatch order: into the run at its end if b is
+// keyed and the last entry is a run, else as a new entry.
+func (ev *Ref) add(b *Binding) {
+	if !b.keyed {
+		ev.bindings = append(ev.bindings, b)
+		return
+	}
+	var r *keyRun
+	if n := len(ev.bindings); n > 0 && ev.bindings[n-1].keyed {
+		r = ev.bindings[n-1].run
+	} else {
+		r = &keyRun{index: make(map[Key]*Binding)}
+		r.entry = Binding{keyed: true, run: r}
+		ev.bindings = append(ev.bindings, &r.entry)
+	}
+	b.run = r
+	b.stats.GuardRejects -= r.scans
+	r.bindings = append(r.bindings, b)
+	if h := r.index[b.key]; h == nil {
+		r.index[b.key] = b
+	} else {
+		for h.next != nil {
+			h = h.next
+		}
+		h.next = b
+	}
 }
 
 // Dispatcher routes raised events to installed handlers.
 type Dispatcher struct {
 	costs  Costs
-	events map[Name]*eventState
+	events map[Name]*Ref
 	// raiseDepth guards against accidental unbounded event recursion in a
 	// misbuilt protocol graph.
 	raiseDepth int32
@@ -219,6 +265,9 @@ type Dispatcher struct {
 	// the per-raise snapshot does not allocate in steady state. Indexed by
 	// depth-1; nested raises each get their own buffer.
 	scratch [][]*Binding
+	// spill is, per raise depth, matched's buffer once a raise's runs accept
+	// more bindings than the snapshot has room for (see scanRun).
+	spill [][]*Binding
 	// quar is the quarantine policy; zero value = disabled.
 	quar QuarantinePolicy
 	// ejected retains quarantined bindings (already detached from their
@@ -231,7 +280,7 @@ const maxRaiseDepth = 64
 
 // NewDispatcher creates a dispatcher with the given cost model.
 func NewDispatcher(costs Costs) *Dispatcher {
-	return &Dispatcher{costs: costs, events: make(map[Name]*eventState)}
+	return &Dispatcher{costs: costs, events: make(map[Name]*Ref)}
 }
 
 // SetQuarantine installs (or, with the zero value, disables) the quarantine
@@ -266,9 +315,15 @@ func (d *Dispatcher) Health() Health {
 		h.Faults += b.stats.Faults()
 	}
 	for _, ev := range d.events {
-		h.Bindings += len(ev.bindings)
+		h.Bindings += ev.HandlerCount()
 		for _, b := range ev.bindings {
-			acc(b)
+			if !b.keyed {
+				acc(b)
+				continue
+			}
+			for _, kb := range b.run.bindings {
+				acc(kb)
+			}
 		}
 	}
 	for _, b := range d.ejected {
@@ -282,7 +337,7 @@ func (d *Dispatcher) Declare(name Name, opts Options) error {
 	if _, ok := d.events[name]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, name)
 	}
-	d.events[name] = &eventState{name: name, opts: opts}
+	d.events[name] = &Ref{d: d, name: name, opts: opts}
 	return nil
 }
 
@@ -297,20 +352,19 @@ func (d *Dispatcher) MustDeclare(name Name, opts Options) {
 // to an event. allotment, if nonzero, is the EPHEMERAL time budget per
 // invocation. Installation order is dispatch order.
 func (d *Dispatcher) Install(name Name, guard Guard, h Handler, allotment sim.Time) (*Binding, error) {
-	return d.install(name, &Binding{guard: guard, handler: h, allotment: allotment})
+	return d.install(name, &Binding{guard: guard}, h, allotment)
 }
 
 // InstallKey is Install with an exact-match guard: the binding matches the
 // packets whose key, as the event's declared extractor computes it, equals
 // key. It fails with ErrNoKey if the event declares no extractor.
 func (d *Dispatcher) InstallKey(name Name, key Key, h Handler, allotment sim.Time) (*Binding, error) {
-	return d.install(name, &Binding{keyed: true, key: key, handler: h, allotment: allotment})
+	return d.install(name, &Binding{keyed: true, key: key}, h, allotment)
 }
 
-// install validates b against the named event and appends it to the
-// event's dispatch list.
-func (d *Dispatcher) install(name Name, b *Binding) (*Binding, error) {
-	h, allotment := b.handler, b.allotment
+// install validates b, with handler h and its allotment, against the named
+// event and appends it to the event's dispatch order.
+func (d *Dispatcher) install(name Name, b *Binding, h Handler, allotment sim.Time) (*Binding, error) {
 	ev, ok := d.events[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownEvent, name)
@@ -330,8 +384,8 @@ func (d *Dispatcher) install(name Name, b *Binding) (*Binding, error) {
 	if allotment > 0 && !h.Ephemeral {
 		return nil, fmt.Errorf("%w: %s on %s", ErrAllotmentNotEphemeral, h.Name, name)
 	}
-	b.event = ev
-	ev.bindings = append(ev.bindings, b)
+	b.event, b.name, b.fn, b.ephemeral, b.allotment = ev, h.Name, h.Fn, h.Ephemeral, allotment
+	ev.add(b)
 	return b, nil
 }
 
@@ -354,39 +408,68 @@ func (d *Dispatcher) Uninstall(b *Binding) bool {
 	if b.quarantined {
 		return false
 	}
-	return detach(b)
+	detach(b)
+	return true
 }
 
-// detach splices a binding out of its event's dispatch list.
-func detach(b *Binding) bool {
+// detach takes a live binding out of its event's dispatch order: out of its
+// run if it is keyed, dropping the run's entry once the run is empty.
+func detach(b *Binding) {
 	ev := b.event
-	for i, x := range ev.bindings {
-		if x == b {
-			ev.bindings = append(ev.bindings[:i], ev.bindings[i+1:]...)
-			return true
+	entry := b
+	if r := b.run; r != nil {
+		if r.remove(b); len(r.bindings) > 0 {
+			return
 		}
+		entry = &r.entry
 	}
-	return false
+	i := slices.Index(ev.bindings, entry)
+	ev.bindings = append(ev.bindings[:i], ev.bindings[i+1:]...)
+}
+
+// remove takes b out of the run and its key chain and freezes its
+// GuardRejects.
+func (r *keyRun) remove(b *Binding) {
+	b.stats.GuardRejects += r.scans
+	b.run = nil
+	i := slices.Index(r.bindings, b)
+	r.bindings = slices.Delete(r.bindings, i, i+1)
+	if h := r.index[b.key]; h != b {
+		for h.next != b {
+			h = h.next
+		}
+		h.next = b.next
+	} else if b.next != nil {
+		r.index[b.key] = b.next
+	} else {
+		delete(r.index, b.key)
+	}
+	b.next = nil
 }
 
 // HandlerCount reports the number of handlers installed on an event.
 func (d *Dispatcher) HandlerCount(name Name) int {
 	if ev, ok := d.events[name]; ok {
-		return len(ev.bindings)
+		return ev.HandlerCount()
 	}
 	return 0
 }
 
-// Ref is a resolved handle to one declared event. The handle pins the
-// event's dispatch state, so raising or counting handlers through it skips
-// the name-map lookup that Raise and HandlerCount pay — the difference is
-// a few percent of total runtime on the per-packet path, where every layer
-// raises the same one or two events for every packet. Declarations are
-// permanent, so a Ref never goes stale; handlers installed or removed later
-// are seen by the next raise through it, exactly as with Raise by name.
+// Ref is one declared event: its dispatch state, and the resolved handle to
+// it. Raising or counting handlers through the handle skips the name-map
+// lookup that Raise and HandlerCount pay — the difference is a few percent
+// of total runtime on the per-packet path, where every layer raises the
+// same one or two events for every packet. Declarations are permanent, so a
+// Ref never goes stale; handlers installed or removed later are seen by the
+// next raise through it, exactly as with Raise by name.
 type Ref struct {
-	d  *Dispatcher
-	ev *eventState
+	d    *Dispatcher
+	name Name
+	opts Options
+	// bindings is the dispatch order: closure-guarded and unguarded
+	// bindings, and one entry per run of keyed bindings.
+	bindings []*Binding
+	raises   uint64
 }
 
 // Ref resolves name to a dispatch handle. Like raising an undeclared event,
@@ -397,22 +480,28 @@ func (d *Dispatcher) Ref(name Name) *Ref {
 	if !ok {
 		panic(graphPanic{fmt.Sprintf("event: ref to undeclared event %s", name)})
 	}
-	return &Ref{d: d, ev: ev}
+	return ev
 }
 
 // Name returns the referenced event's name.
-func (r *Ref) Name() Name { return r.ev.name }
+func (r *Ref) Name() Name { return r.name }
 
 // HandlerCount reports the number of handlers installed on the event.
-func (r *Ref) HandlerCount() int { return len(r.ev.bindings) }
+func (r *Ref) HandlerCount() int {
+	n := len(r.bindings)
+	for _, b := range r.bindings {
+		if b.keyed {
+			n += len(b.run.bindings) - 1
+		}
+	}
+	return n
+}
 
 // Raise is Dispatcher.Raise through the resolved handle.
-func (r *Ref) Raise(t *sim.Task, m *mbuf.Mbuf) int { return r.d.raise(t, r.ev, m) }
+func (r *Ref) Raise(t *sim.Task, m *mbuf.Mbuf) int { return r.d.raise(t, r, m) }
 
 // RaiseRef implements Raiser's resolved-handle raise for inline dispatch.
-func (d *Dispatcher) RaiseRef(t *sim.Task, r *Ref, m *mbuf.Mbuf) int {
-	return d.raise(t, r.ev, m)
-}
+func (d *Dispatcher) RaiseRef(t *sim.Task, r *Ref, m *mbuf.Mbuf) { d.raise(t, r, m) }
 
 // Raises reports how many times an event has been raised.
 func (d *Dispatcher) Raises(name Name) uint64 {
@@ -452,7 +541,7 @@ func (d *Dispatcher) evalGuard(t *sim.Task, b *Binding, m *mbuf.Mbuf) (ok, panic
 // invoke runs one handler body under crash containment.
 func (d *Dispatcher) invoke(t *sim.Task, b *Binding, m *mbuf.Mbuf) (panicked bool) {
 	defer contain(&panicked)
-	b.handler.Fn(t, m)
+	b.fn(t, m)
 	return false
 }
 
@@ -467,6 +556,47 @@ func (d *Dispatcher) fault(b *Binding) {
 	b.quarantined = true
 	detach(b)
 	d.ejected = append(d.ejected, b)
+}
+
+// keyScan is a raise's state across its runs: the packet's key, extracted at
+// the first run, and whether matched has moved to the spill buffer.
+type keyScan struct {
+	key               Key
+	ok, done, spilled bool
+}
+
+// scanRun evaluates run r, the snapshot's entry i: it charges every member's
+// guard and appends the members keyed as the packet is to matched. If
+// duplicate keys make the hits outnumber the entries passed, matched moves to
+// the depth's spill buffer rather than overwrite an entry not yet scanned.
+func (d *Dispatcher) scanRun(t *sim.Task, ev *Ref, r *keyRun, m *mbuf.Mbuf, ks *keyScan, matched []*Binding, i int, depth int32) []*Binding {
+	if t.Sim().Metrics() != nil {
+		for _, kb := range r.bindings {
+			t.ChargeProf(sim.ProfDispatch, kb.name, d.costs.GuardEval)
+		}
+	} else {
+		t.Charge(sim.Time(len(r.bindings)) * d.costs.GuardEval)
+	}
+	r.scans++
+	if !ks.done {
+		ks.key, ks.ok = ev.opts.Key(m)
+		ks.done = true
+	}
+	if !ks.ok {
+		return matched
+	}
+	for kb := r.index[ks.key]; kb != nil; kb = kb.next {
+		kb.stats.GuardRejects-- // accepted: this scan is no reject
+		if len(matched) > i && !ks.spilled {
+			for int(depth) > len(d.spill) {
+				d.spill = append(d.spill, nil)
+			}
+			matched = append(d.spill[depth-1][:0], matched...)
+			ks.spilled = true
+		}
+		matched = append(matched, kb)
+	}
+	return matched
 }
 
 // Raise announces the event to every installed handler whose guard accepts
@@ -490,7 +620,7 @@ func (d *Dispatcher) Raise(t *sim.Task, name Name, m *mbuf.Mbuf) int {
 }
 
 // raise dispatches to ev's handlers; see Raise for the semantics.
-func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
+func (d *Dispatcher) raise(t *sim.Task, ev *Ref, m *mbuf.Mbuf) int {
 	name := ev.name
 	depth := atomic.AddInt32(&d.raiseDepth, 1)
 	if depth > maxRaiseDepth {
@@ -517,36 +647,28 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 	// packet first, then the matching handlers run. A handler may consume
 	// the packet (strip headers, free it), which must not corrupt the
 	// view later guards see. matched overlays the snapshot's storage: it
-	// only ever writes an index the scan has already passed.
+	// only ever writes an index the scan has already passed (see scanRun).
 	matched := bindings[:0]
-	// The packet's key, extracted when the scan reaches its first keyed
-	// binding.
-	var key Key
-	keyOK, keyDone := false, false
-	for _, b := range bindings {
+	var ks keyScan
+	for i, b := range bindings {
 		if b.removed || b.quarantined {
 			continue
 		}
 		if b.guard != nil || b.keyed {
-			t.ChargeProf(sim.ProfDispatch, b.handler.Name, d.costs.GuardEval)
-			var ok, panicked bool
 			if b.keyed {
-				if !keyDone {
-					key, keyOK = ev.opts.Key(m)
-					keyDone = true
-				}
-				ok = keyOK && key == b.key
-			} else {
-				before := t.Charged()
-				ok, panicked = d.evalGuard(t, b, m)
-				if d.quar.GuardBudget > 0 {
-					if over := t.Charged() - before - d.quar.GuardBudget; over > 0 {
-						// The guard overran its budget: terminate it there,
-						// like a handler at its allotment.
-						t.Refund(over)
-						b.stats.GuardOverruns++
-						d.fault(b)
-					}
+				matched = d.scanRun(t, ev, b.run, m, &ks, matched, i, depth)
+				continue
+			}
+			t.ChargeProf(sim.ProfDispatch, b.name, d.costs.GuardEval)
+			before := t.Charged()
+			ok, panicked := d.evalGuard(t, b, m)
+			if d.quar.GuardBudget > 0 {
+				if over := t.Charged() - before - d.quar.GuardBudget; over > 0 {
+					// The guard overran its budget: terminate it there,
+					// like a handler at its allotment.
+					t.Refund(over)
+					b.stats.GuardOverruns++
+					d.fault(b)
 				}
 			}
 			if panicked {
@@ -561,6 +683,9 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 		}
 		matched = append(matched, b)
 	}
+	if ks.spilled {
+		d.spill[depth-1] = matched[:0]
+	}
 	for _, b := range matched {
 		// Re-check liveness: an earlier handler in this same raise may have
 		// uninstalled b, or b's guard fault may have quarantined it after it
@@ -568,7 +693,7 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 		if b.removed || b.quarantined {
 			continue
 		}
-		t.ChargeProf(sim.ProfDispatch, b.handler.Name, d.costs.Invoke)
+		t.ChargeProf(sim.ProfDispatch, b.name, d.costs.Invoke)
 		before := t.Charged()
 		panicked := d.invoke(t, b, m)
 		consumed := t.Charged() - before
@@ -586,11 +711,14 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 		if mm := t.Sim().Metrics(); mm != nil {
 			// Attribute the handler body's post-clamp consumption; the
 			// slice starts where the body began in virtual time.
-			mm.Sample(t.CPU().Name(), sim.ProfHandler, b.handler.Name, t.Priority(),
+			mm.Sample(t.CPU().Name(), sim.ProfHandler, b.name, t.Priority(),
 				t.Start()+before, t.Charged()-before)
 		}
 		b.stats.Invocations++
 		invoked++
+	}
+	if invoked == 0 && ev.opts.NoMatch != nil {
+		ev.opts.NoMatch(t, m)
 	}
 	return invoked
 }

@@ -2,6 +2,7 @@ package event
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"plexus/internal/mbuf"
@@ -316,7 +317,7 @@ func TestDeclaredAndHandlerAccessors(t *testing.T) {
 	}
 	h := Ephemeral("x", func(*sim.Task, *mbuf.Mbuf) {})
 	b := mustInstall(t, d, "E", nil, h)
-	if b.handler.Name != "x" || !b.handler.Ephemeral {
+	if b.name != "x" || !b.ephemeral {
 		t.Error("Handler accessor wrong")
 	}
 	if d.Raises("F") != 0 || d.HandlerCount("F") != 0 {
@@ -374,37 +375,97 @@ func TestDefaultCostsShape(t *testing.T) {
 
 // TestRaiseSteadyStateAllocs pins the zero-alloc property of dispatch: on a
 // warm dispatcher (scratch snapshot buffer grown), Raise allocates nothing
-// per call, even with a mix of closure and keyed guards accepting and
-// rejecting.
+// per call, whether closure and keyed guards mix and accept or reject, or
+// one run holds 4,096 keyed bindings with duplicate keys and the raise hits,
+// misses or carries no key.
 func TestRaiseSteadyStateAllocs(t *testing.T) {
-	d := NewDispatcher(DefaultCosts())
-	d.MustDeclare("E", Options{Key: firstByteKey})
-	accept := func(task *sim.Task, m *mbuf.Mbuf) bool { return m.Bytes()[0] == 9 }
-	reject := func(task *sim.Task, m *mbuf.Mbuf) bool { return m.Bytes()[0] != 9 }
-	for i := 0; i < 4; i++ {
-		if _, err := d.Install("E", accept, Proc("hit", func(task *sim.Task, m *mbuf.Mbuf) {}), 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Install("E", reject, Proc("miss", func(task *sim.Task, m *mbuf.Mbuf) {}), 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.InstallKey("E", 9, Proc("keyed-hit", func(task *sim.Task, m *mbuf.Mbuf) {}), 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.InstallKey("E", 8, Proc("keyed-miss", func(task *sim.Task, m *mbuf.Mbuf) {}), 0); err != nil {
-			t.Fatal(err)
-		}
+	nop := func(*sim.Task, *mbuf.Mbuf) {}
+	cases := []struct {
+		name    string
+		install func(d *Dispatcher) error
+		raises  map[byte]int // a packet's first byte → handlers it invokes
+	}{
+		{"mixed closure and keyed guards", func(d *Dispatcher) error {
+			accept := func(task *sim.Task, m *mbuf.Mbuf) bool { return m.Bytes()[0] == 9 }
+			reject := func(task *sim.Task, m *mbuf.Mbuf) bool { return m.Bytes()[0] != 9 }
+			for i := 0; i < 4; i++ {
+				if _, err := d.Install("E", accept, Proc("hit", nop), 0); err != nil {
+					return err
+				}
+				if _, err := d.Install("E", reject, Proc("miss", nop), 0); err != nil {
+					return err
+				}
+				if _, err := d.InstallKey("E", 9, Proc("keyed-hit", nop), 0); err != nil {
+					return err
+				}
+				if _, err := d.InstallKey("E", 8, Proc("keyed-miss", nop), 0); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, map[byte]int{9: 8}},
+		{"4096 keyed bindings in one run", func(d *Dispatcher) error {
+			for i := 0; i < 4096; i++ {
+				// Keys 0..253, each on 16 or 17 bindings; 0xfe is a miss
+				// and 0xff no key.
+				if _, err := d.InstallKey("E", Key(i%254), Proc("keyed", nop), 0); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, map[byte]int{7: 17, 0xfe: 0, 0xff: 0}},
 	}
-	m := pkt(t, 9)
-	run(t, func(task *sim.Task) {
-		d.Raise(task, "E", m) // warm: grows the scratch buffer once
-		avg := testing.AllocsPerRun(100, func() {
-			if n := d.Raise(task, "E", m); n != 8 {
-				t.Fatalf("Raise invoked %d handlers, want 8", n)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := NewDispatcher(DefaultCosts())
+			d.MustDeclare("E", Options{Key: firstByteKey})
+			if err := c.install(d); err != nil {
+				t.Fatal(err)
+			}
+			for first, want := range c.raises {
+				m := pkt(t, first)
+				run(t, func(task *sim.Task) {
+					d.Raise(task, "E", m) // warm: grows the scratch buffer once
+					avg := testing.AllocsPerRun(100, func() {
+						if n := d.Raise(task, "E", m); n != want {
+							t.Fatalf("Raise of %#x invoked %d handlers, want %d", first, n, want)
+						}
+					})
+					if avg != 0 {
+						t.Errorf("warm Raise of %#x allocates %.2f/call, want 0", first, avg)
+					}
+				})
 			}
 		})
-		if avg != 0 {
-			t.Errorf("warm Raise allocates %.2f/call, want 0", avg)
+	}
+}
+
+// TestDeclareInstallAllocs pins what an event without keyed bindings costs
+// to set up: declaring it and installing 8 closure bindings allocates 13
+// times — the event's state, the 8 bindings and 4 growths of its dispatch
+// list — as it did before keyed runs existed. A run's entry and index are
+// paid only by events that install keyed bindings.
+func TestDeclareInstallAllocs(t *testing.T) {
+	d := NewDispatcher(DefaultCosts())
+	d.events = make(map[Name]*Ref, 256) // declaring grows no map
+	names := make([]Name, 101)
+	for i := range names {
+		names[i] = Name(fmt.Sprintf("E%d", i))
+	}
+	h := Proc("h", func(*sim.Task, *mbuf.Mbuf) {})
+	accept := func(*sim.Task, *mbuf.Mbuf) bool { return true }
+	next := 0
+	avg := testing.AllocsPerRun(100, func() {
+		name := names[next]
+		next++
+		d.MustDeclare(name, Options{})
+		for i := 0; i < 8; i++ {
+			if _, err := d.Install(name, accept, h, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
+	if avg != 13 {
+		t.Errorf("declaring an event and installing 8 closure bindings allocates %v times, want 13", avg)
+	}
 }

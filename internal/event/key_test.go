@@ -2,6 +2,8 @@ package event
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"plexus/internal/mbuf"
@@ -221,4 +223,253 @@ func TestKeyedBindings(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, tc.run)
 	}
+}
+
+// FuzzKeyedAgreesWithClosure is differential: a script of installs,
+// uninstalls and raises plays once with keyed bindings, which the dispatcher
+// gathers into indexed runs, and once with every keyed binding installed as
+// its equivalent closure guard, which is the ordered scan. Handlers charge,
+// uninstall, install, panic into quarantine and raise again. With and
+// without a metrics sink, the two plays must agree on every invocation and
+// return value, the charge after every raise, every sample, and at the end
+// every binding's stats, HandlerCount and Health.
+//
+// A script is a sequence of operations, each an opcode byte and its
+// arguments (see scriptOp); the seeds hit duplicate keys, an emptied run, a
+// closure between two runs, a run uninstalled mid-raise and quarantine.
+func FuzzKeyedAgreesWithClosure(f *testing.F) {
+	keyed := func(key, behavior, param byte) []byte { return []byte{opKeyed, key, behavior, param} }
+	closure := func(variant, key, behavior, param byte) []byte {
+		return []byte{opClosure, variant, key, behavior, param}
+	}
+	uninstall := func(j byte) []byte { return []byte{opUninstall, j} }
+	raise := func(p byte) []byte { return []byte{opRaise, p} }
+	for _, seed := range [][][]byte{
+		// duplicate keys within one run, a hit, a miss and no key
+		{keyed(1, doCharge, 1), keyed(1, doCharge, 2), keyed(2, doCharge, 3), keyed(1, doCharge, 0),
+			closure(guardNone, 0, doCharge, 1), raise(1), raise(2), raise(3), raise(4)},
+		// a run emptied between raises, then refilled
+		{keyed(1, doCharge, 1), keyed(2, doCharge, 1), raise(1), uninstall(0), uninstall(1), raise(1),
+			keyed(1, doCharge, 2), raise(1), raise(2)},
+		// a closure between two runs, then uninstalled
+		{keyed(1, doCharge, 1), keyed(2, doCharge, 1), closure(guardKey, 1, doCharge, 2), keyed(1, doCharge, 3),
+			keyed(3, doCharge, 1), raise(1), uninstall(2), keyed(1, doCharge, 1), raise(1), raise(3)},
+		// a run uninstalled mid-raise by its own members, a keyed install
+		// and a nested raise in the same raise
+		{keyed(1, doUninstall, 0), keyed(1, doUninstall, 1), closure(guardNone, 0, doInstall, 1<<2|1),
+			closure(guardNone, 0, doRaise, 0), raise(1), raise(1), raise(2)},
+		// handler and guard panics into quarantine at threshold 2
+		{keyed(1, doPanic, 0), closure(guardPanic, 1, doCharge, 1), keyed(1, doCharge, 1), keyed(2, doPanic, 0),
+			raise(1), raise(2), raise(1), raise(2), raise(1), raise(4)},
+	} {
+		f.Add(slices.Concat(seed...))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > maxScriptLen {
+			script = script[:maxScriptLen]
+		}
+		for _, sink := range []bool{false, true} {
+			k, c := playScript(t, script, true, sink), playScript(t, script, false, sink)
+			if i := firstDiff(k.log, c.log); i >= 0 {
+				t.Fatalf("sink=%v: step %d: keyed %q, closure %q", sink, i, at(k.log, i), at(c.log, i))
+			}
+			if i := firstDiff(k.samples, c.samples); i >= 0 {
+				t.Fatalf("sink=%v: sample %d: keyed %+v, closure %+v", sink, i, at(k.samples, i), at(c.samples, i))
+			}
+			if i := firstDiff(k.bindings, c.bindings); i >= 0 {
+				t.Fatalf("sink=%v: binding %d: keyed %+v, closure %+v", sink, i, at(k.bindings, i), at(c.bindings, i))
+			}
+			if k.handlers != c.handlers || k.health != c.health {
+				t.Fatalf("sink=%v: keyed %d handlers %+v, closure %d handlers %+v", sink, k.handlers, k.health, c.handlers, c.health)
+			}
+		}
+	})
+}
+
+// Script opcodes, with their argument bytes.
+const (
+	opKeyed     = iota // key, behavior, param: a keyed binding
+	opClosure          // variant, key, behavior, param: a closure-guarded binding
+	opUninstall        // j: uninstall the j-th binding installed
+	opRaise            // p: raise the p-th test packet
+	numOps
+)
+
+// Closure guard variants.
+const (
+	guardNone  = iota // unguarded
+	guardKey          // keyGuard(key)
+	guardPanic        // panics on key, rejects anything else
+	numGuards
+)
+
+// Handler behaviors; param is the behavior's argument.
+const (
+	doCharge    = iota // charge param%4 µs
+	doUninstall        // uninstall the param-th binding installed
+	doInstall          // install a keyed binding on key param%4 behaving as param>>2
+	doPanic            // panic
+	doRaise            // raise the packet again, at depth ≤ 2
+	numBehaviors
+)
+
+// Bounds on one script, so that nested raises over many bindings keep an
+// execution short: its length in bytes and the bindings it installs.
+const (
+	maxScriptLen      = 256
+	maxScriptBindings = 24
+)
+
+// play is one play of a script: the observables the two plays compare.
+type play struct {
+	log      []string
+	samples  []sample
+	bindings []bindingEnd
+	handlers int
+	health   Health
+}
+
+// bindingEnd is a binding's state at the end of a play.
+type bindingEnd struct {
+	Stats       BindingStats
+	Quarantined bool
+}
+
+// scriptWorld is the dispatcher and bindings one play drives.
+type scriptWorld struct {
+	d     *Dispatcher
+	keyed bool // keyed installs use InstallKey, else keyGuard
+	bs    []*Binding
+	depth int
+	log   []string
+}
+
+// playScript plays script on a fresh dispatcher, keyed or as closures, with
+// or without a recording metrics sink.
+func playScript(t *testing.T, script []byte, keyed, sink bool) play {
+	w := &scriptWorld{d: NewDispatcher(DefaultCosts()), keyed: keyed}
+	w.d.SetQuarantine(QuarantinePolicy{Threshold: 2})
+	w.d.MustDeclare("E", Options{Key: firstByteKey, NoMatch: func(*sim.Task, *mbuf.Mbuf) {
+		w.log = append(w.log, "no match")
+	}})
+	pkts := []*mbuf.Mbuf{pkt(t, 0), pkt(t, 1), pkt(t, 2), pkt(t, 3), pkt(t, 0xff)}
+	body := func(task *sim.Task) {
+		for i := 0; i < len(script); {
+			arg := func(n int) byte {
+				if i+n < len(script) {
+					return script[i+n]
+				}
+				return 0
+			}
+			switch script[i] % numOps {
+			case opKeyed:
+				w.install(guardKey, true, Key(arg(1)%4), arg(2), arg(3))
+				i += 4
+			case opClosure:
+				w.install(arg(1)%numGuards, false, Key(arg(2)%4), arg(3), arg(4))
+				i += 5
+			case opUninstall:
+				w.uninstall(arg(1))
+				i += 2
+			case opRaise:
+				w.raise(task, pkts[int(arg(1))%len(pkts)])
+				i += 2
+			}
+		}
+	}
+	var p play
+	if sink {
+		p.samples = runRecorded(body).samples
+	} else {
+		run(t, body)
+	}
+	p.log = w.log
+	for _, b := range w.bs {
+		p.bindings = append(p.bindings, bindingEnd{b.Stats(), b.Quarantined()})
+	}
+	p.handlers, p.health = w.d.HandlerCount("E"), w.d.Health()
+	return p
+}
+
+// install adds binding number len(w.bs): keyed on key (a keyGuard in the
+// closure play), or closure-guarded by variant.
+func (w *scriptWorld) install(variant byte, keyed bool, key Key, behavior, param byte) {
+	id := len(w.bs)
+	if id >= maxScriptBindings {
+		return
+	}
+	h := Proc(fmt.Sprintf("h%d", id), func(task *sim.Task, m *mbuf.Mbuf) {
+		w.log = append(w.log, fmt.Sprintf("h%d", id))
+		w.act(task, m, behavior, param)
+	})
+	var b *Binding
+	var err error
+	switch {
+	case keyed && w.keyed:
+		b, err = w.d.InstallKey("E", key, h, 0)
+	case variant == guardNone:
+		b, err = w.d.Install("E", nil, h, 0)
+	case variant == guardKey:
+		b, err = w.d.Install("E", keyGuard(key), h, 0)
+	default:
+		b, err = w.d.Install("E", func(_ *sim.Task, m *mbuf.Mbuf) bool {
+			if k, ok := firstByteKey(m); ok && k == key {
+				panic("rogue guard")
+			}
+			return false
+		}, h, 0)
+	}
+	if err != nil {
+		panic(err)
+	}
+	w.bs = append(w.bs, b)
+}
+
+func (w *scriptWorld) uninstall(j byte) {
+	if len(w.bs) > 0 {
+		w.log = append(w.log, fmt.Sprintf("uninstall %v", w.d.Uninstall(w.bs[int(j)%len(w.bs)])))
+	}
+}
+
+func (w *scriptWorld) raise(task *sim.Task, m *mbuf.Mbuf) {
+	w.depth++
+	n := w.d.Raise(task, "E", m)
+	w.depth--
+	w.log = append(w.log, fmt.Sprintf("raised %d, charged %v", n, task.Charged()))
+}
+
+// act is a script handler's body.
+func (w *scriptWorld) act(task *sim.Task, m *mbuf.Mbuf, behavior, param byte) {
+	switch behavior % numBehaviors {
+	case doCharge:
+		task.Charge(sim.Time(param%4) * sim.Microsecond)
+	case doUninstall:
+		w.uninstall(param)
+	case doInstall:
+		w.install(guardKey, true, Key(param%4), param>>2, param)
+	case doPanic:
+		panic("rogue handler")
+	case doRaise:
+		if w.depth < 2 {
+			w.raise(task, m)
+		}
+	}
+}
+
+// firstDiff is the first index at which a and b differ, or -1.
+func firstDiff[T comparable](a, b []T) int {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// at is s[i], or the zero value past its end.
+func at[T any](s []T, i int) (v T) {
+	if i < len(s) {
+		v = s[i]
+	}
+	return v
 }

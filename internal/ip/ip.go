@@ -122,7 +122,7 @@ func New(cfg Config) (*Layer, error) {
 		reasm:            make(map[reasmKey]*reasmBuf),
 		VerifyRxChecksum: true,
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{}); err != nil {
+	if err := cfg.Disp.Declare(RecvEvent, event.Options{NoMatch: dropNoHandler}); err != nil {
 		return nil, err
 	}
 	if err := cfg.Disp.Declare(SendEvent, event.Options{}); err != nil {
@@ -375,10 +375,14 @@ func (l *Layer) input(t *sim.Task, m *mbuf.Mbuf) {
 	if hdr := m.Hdr(); hdr != nil {
 		t.Hop(hdr.Span, "ip", "recv", hdr.Len)
 	}
-	if l.eth.RaiseRef(t, l.recvRef, m) == 0 {
-		if hdr := m.Hdr(); hdr != nil {
-			t.Hop(hdr.Span, "ip", "drop-nohandler", hdr.Len)
-		}
-		m.Free()
+	l.eth.RaiseRef(t, l.recvRef, m)
+}
+
+// dropNoHandler is IP.PacketRecv's NoMatch action: a datagram no transport
+// took is freed.
+func dropNoHandler(t *sim.Task, m *mbuf.Mbuf) {
+	if hdr := m.Hdr(); hdr != nil {
+		t.Hop(hdr.Span, "ip", "drop-nohandler", hdr.Len)
 	}
+	m.Free()
 }

@@ -488,8 +488,5 @@ func nicRx(t *sim.Task, a any) {
 	}
 	// Received packets are read-only through the graph (§3.4).
 	m.SetReadOnly()
-	if n.raiser.RaiseRef(t, n.recvRef, m) == 0 {
-		t.Hop(m.Hdr().Span, "wire", "drop-nohandler", len(wire))
-		m.Free()
-	}
+	n.raiser.RaiseRef(t, n.recvRef, m)
 }

@@ -82,15 +82,8 @@ type raiseJob struct {
 	m   *mbuf.Mbuf
 }
 
-// Raise implements event.Raiser: a Stack is the raiser its layers raise
-// through.
-func (st *Stack) Raise(t *sim.Task, name event.Name, m *mbuf.Mbuf) int {
-	return st.RaiseRef(t, st.Host.Disp.Ref(name), m)
-}
-
-// RaiseRef implements event.Raiser's resolved-handle raise — the form every
-// protocol layer uses on its per-packet path — as the boundary's receive
-// hand-off:
+// RaiseRef implements event.Raiser — a Stack is the raiser its layers raise
+// through — as the boundary's receive hand-off:
 //
 //   - Plexus (interrupt): raise inline — handlers run in the raising task,
 //     which on the receive path is the network interrupt (paper §3.3).
@@ -99,14 +92,14 @@ func (st *Stack) Raise(t *sim.Task, name event.Name, m *mbuf.Mbuf) int {
 //   - DIGITAL UNIX: the first raise out of the interrupt (Ethernet.PacketRecv)
 //     models the netisr hand-off: charge the softirq dispatch and continue at
 //     kernel priority; subsequent layers run inline in that softirq.
-func (st *Stack) RaiseRef(t *sim.Task, ref *event.Ref, m *mbuf.Mbuf) int {
+//
+// An event with no handler installed has nothing to hand off to: it is raised
+// inline, where its NoMatch action disposes of the packet.
+func (st *Stack) RaiseRef(t *sim.Task, ref *event.Ref, m *mbuf.Mbuf) {
 	b := st.Host.Boundary
-	if b == osmodel.PlexusInterrupt || b == osmodel.DigitalUnix && ref.Name() != ether.RecvEvent {
-		return ref.Raise(t, m)
-	}
-	n := ref.HandlerCount()
-	if n == 0 {
-		return 0
+	if b == osmodel.PlexusInterrupt || b == osmodel.DigitalUnix && ref.Name() != ether.RecvEvent || ref.HandlerCount() == 0 {
+		ref.Raise(t, m)
+		return
 	}
 	prefix := "softirq:"
 	if b == osmodel.PlexusThread {
@@ -116,7 +109,6 @@ func (st *Stack) RaiseRef(t *sim.Task, ref *event.Ref, m *mbuf.Mbuf) int {
 	j := pop(&st.raiseFree)
 	j.st, j.ref, j.m = st, ref, m
 	st.Host.CPU.SubmitAtArg(t.Now(), sim.PrioKernel, st.label(prefix, string(ref.Name())), raiseTask, j)
-	return n
 }
 
 // raiseTask runs a deferred raise on its kernel thread or softirq.

@@ -133,7 +133,7 @@ func Install(cfg Config) (*Manager, error) {
 		ports:    make(map[uint16]*Endpoint),
 		hostName: cfg.CPU.Name(),
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral}); err != nil {
+	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, NoMatch: m.noPort}); err != nil {
 		return nil, err
 	}
 	m.recvRef = cfg.Disp.Ref(RecvEvent)
@@ -179,10 +179,13 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		pkt.Free()
 		return
 	}
-	if m.raise.RaiseRef(t, m.recvRef, pkt) == 0 {
-		m.stats.NoPort++
-		pkt.Free()
-	}
+	m.raise.RaiseRef(t, m.recvRef, pkt)
+}
+
+// noPort is SeqPkt.PacketRecv's NoMatch action.
+func (m *Manager) noPort(_ *sim.Task, pkt *mbuf.Mbuf) {
+	m.stats.NoPort++
+	pkt.Free()
 }
 
 // header is a parsed SPP packet.

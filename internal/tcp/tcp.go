@@ -163,7 +163,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.CPU != nil {
 		m.hostName = cfg.CPU.Name()
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, Key: segKey}); err != nil {
+	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, Key: segKey, NoMatch: m.noMatch}); err != nil {
 		return nil, err
 	}
 	m.recvRef = cfg.Disp.Ref(RecvEvent)
@@ -239,11 +239,15 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		pkt.Free()
 		return
 	}
-	if m.raise.RaiseRef(t, m.recvRef, pkt) == 0 {
-		m.stats.NoMatch++
-		m.sendRSTFor(t, pkt)
-		pkt.Free()
-	}
+	m.raise.RaiseRef(t, m.recvRef, pkt)
+}
+
+// noMatch is TCP.PacketRecv's NoMatch action: a segment no connection or
+// listener took is answered with a reset.
+func (m *Manager) noMatch(t *sim.Task, pkt *mbuf.Mbuf) {
+	m.stats.NoMatch++
+	m.sendRSTFor(t, pkt)
+	pkt.Free()
 }
 
 // seg is the parsed header of an incoming segment. The payload stays in the

@@ -120,7 +120,7 @@ func New(cfg Config) (*Manager, error) {
 		nextEphemeral:    49152,
 		requireEphemeral: cfg.RequireEphemeral,
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral}); err != nil {
+	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, NoMatch: m.noPort}); err != nil {
 		return nil, err
 	}
 	if err := cfg.Disp.Declare(SendEvent, event.Options{}); err != nil {
@@ -212,16 +212,22 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 			return
 		}
 	}
-	if m.raise.RaiseRef(t, m.recvRef, pkt) == 0 {
-		m.stats.NoPort++
-		if m.icmp != nil {
-			// Best effort, as ICMP errors are: NoPort has counted the drop.
-			_ = m.icmp.SendUnreachable(t, pkt)
-		}
-		pkt.Free()
-		return
-	}
+	// Delivered counts the datagram as it is raised; the NoMatch action
+	// takes the count back if no endpoint claims it.
 	m.stats.Delivered++
+	m.raise.RaiseRef(t, m.recvRef, pkt)
+}
+
+// noPort is UDP.PacketRecv's NoMatch action: a datagram no endpoint took is
+// answered with an ICMP port unreachable.
+func (m *Manager) noPort(t *sim.Task, pkt *mbuf.Mbuf) {
+	m.stats.Delivered--
+	m.stats.NoPort++
+	if m.icmp != nil {
+		// Best effort, as ICMP errors are: NoPort has counted the drop.
+		_ = m.icmp.SendUnreachable(t, pkt)
+	}
+	pkt.Free()
 }
 
 // allocEphemeral picks a free high port: neither bound nor ceded to another
