@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"strconv"
 
 	"plexus/internal/event"
 	"plexus/internal/sim"
@@ -277,7 +278,7 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 	c.ccName = c.cc.Name()
 	c.cc.Init(c)
 	h := event.Handler{
-		Name:      fmt.Sprintf("tcp.conn:%d-%v:%d", localPort, remote, remotePort),
+		Name:      connName(localPort, remote, remotePort),
 		Fn:        c.segArrives,
 		Ephemeral: true,
 	}
@@ -291,6 +292,19 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 	m.conns[connKey{localPort, remote, remotePort}] = c
 	m.connList = append(m.connList, c)
 	return c
+}
+
+// connName is a connection handler's name, tcp.conn:<lport>-<raddr>:<rport>
+// — the name trace exports and BindingStats report.
+func connName(localPort uint16, remote view.IP4, remotePort uint16) string {
+	var b [40]byte
+	n := append(b[:0], "tcp.conn:"...)
+	n = strconv.AppendUint(n, uint64(localPort), 10)
+	n = append(n, '-')
+	n = remote.AppendTo(n)
+	n = append(n, ':')
+	n = strconv.AppendUint(n, uint64(remotePort), 10)
+	return string(n)
 }
 
 // Connect performs an active open to dst:dstPort.
@@ -398,6 +412,9 @@ func (c *Conn) Send(t *sim.Task, data []byte) error {
 	}
 	if c.finQueued {
 		return ErrClosed
+	}
+	if c.sndBuf.buf == nil {
+		c.sndBuf.buf = c.mgr.takeRing(len(data))
 	}
 	c.sndBuf.append(data)
 	c.output(t)
@@ -823,6 +840,7 @@ func (c *Conn) teardown(err error, cause Cause) {
 	c.twTimer.Stop()
 	c.paceTimer.Stop()
 	c.disarmPersist()
+	c.releaseSndBuf()
 	c.mgr.disp.Uninstall(c.binding)
 	delete(c.mgr.conns, connKey{c.localPort, c.remoteAddr, c.remotePort})
 	for i, lc := range c.mgr.connList {
@@ -841,7 +859,18 @@ func (c *Conn) teardown(err error, cause Cause) {
 func (c *Conn) enterTimeWait(cause Cause) {
 	c.setState(StateTimeWait, cause)
 	c.disarmRexmit()
+	c.releaseSndBuf()
 	c.rearmTimeWait()
+}
+
+// releaseSndBuf hands an empty send ring's storage to the manager's pool.
+// The connection sends nothing more: TIME-WAIT and CLOSED refuse Send, and
+// everything sent has been acknowledged.
+func (c *Conn) releaseSndBuf() {
+	if c.sndBuf.len() == 0 {
+		c.mgr.keepRing(c.sndBuf.buf)
+		c.sndBuf = byteRing{}
+	}
 }
 
 // rearmTimeWait (re)starts the 2*MSL timer. A retransmitted FIN arriving in

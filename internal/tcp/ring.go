@@ -55,3 +55,39 @@ func (r *byteRing) peek(off, n int) (a, b []byte) {
 	}
 	return r.buf[start : start+n], nil
 }
+
+// Send-ring recycling bounds: storage above maxPooledRing is never kept (a
+// bulk connection's ring goes to the garbage collector with its TCB), and a
+// manager holds at most maxPooledRings rings, so well under 512 KiB.
+const (
+	maxPooledRing  = 8 << 10
+	maxPooledRings = 64
+)
+
+// takeRing returns pooled send-ring storage of exactly the size a first
+// write of need bytes would make, so a recycled ring grows (or not) as a
+// fresh one would; nil when the pool has none.
+func (m *Manager) takeRing(need int) []byte {
+	if need == 0 || need > maxPooledRing {
+		return nil
+	}
+	size := 1 << bits.Len(uint(need-1))
+	for i := len(m.rings) - 1; i >= 0; i-- {
+		if b := m.rings[i]; len(b) == size {
+			last := len(m.rings) - 1
+			m.rings[i] = m.rings[last]
+			m.rings[last] = nil
+			m.rings = m.rings[:last]
+			return b
+		}
+	}
+	return nil
+}
+
+// keepRing pools a finished connection's send-ring storage (nil or a power
+// of two long) if the bounds allow.
+func (m *Manager) keepRing(buf []byte) {
+	if len(buf) != 0 && len(buf) <= maxPooledRing && len(m.rings) < maxPooledRings {
+		m.rings = append(m.rings, buf)
+	}
+}

@@ -2,8 +2,12 @@ package tcp
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"plexus/internal/sim"
+	"plexus/internal/view"
 )
 
 // ringBytes copies held bytes [off, off+n) out through peek.
@@ -114,3 +118,108 @@ func BenchmarkByteRing(b *testing.B) {
 }
 
 var sinkInt int
+
+// ringConn is a bare SYN-SENT connection — Send buffers, output sends
+// nothing — whose first Send wrote size bytes; acked of them are then
+// acknowledged.
+func ringConn(m *Manager, size, acked int) *Conn {
+	c := &Conn{mgr: m, state: StateSynSent}
+	if err := c.Send(nil, make([]byte, size)); err != nil {
+		panic(err)
+	}
+	c.sndBuf.discard(acked)
+	return c
+}
+
+// A connection entering TIME-WAIT with everything acknowledged keeps no send
+// storage, and the next connection's first Send takes that ring instead of
+// allocating one.
+func TestTimeWaitRingIsRecycled(t *testing.T) {
+	m := &Manager{sim: sim.New(1)}
+	c := ringConn(m, 1000, 1000)
+	ring := c.sndBuf.buf
+	if len(ring) != 1024 {
+		t.Fatalf("a 1000-byte write made a %d-byte ring, want 1024", len(ring))
+	}
+	c.enterTimeWait(userCause(CauseClose))
+	if c.sndBuf.buf != nil || len(m.rings) != 1 {
+		t.Fatalf("TIME-WAIT holds %d bytes of ring, pool %d rings", len(c.sndBuf.buf), len(m.rings))
+	}
+	next := ringConn(m, 900, 0)
+	if &next.sndBuf.buf[0] != &ring[0] || len(m.rings) != 0 {
+		t.Fatal("the next connection's first Send allocated a ring instead of taking the pooled one")
+	}
+}
+
+// Teardown returns an empty ring too, but not one still holding data (a
+// reset mid-stream), and never one above the recycling bound: a bulk
+// connection's storage goes to the garbage collector with its TCB.
+func TestTeardownRingRecycling(t *testing.T) {
+	m := &Manager{sim: sim.New(1)}
+	ringConn(m, 1000, 1000).teardown(nil, userCause(CauseClose))
+	if len(m.rings) != 1 {
+		t.Fatalf("pool holds %d rings after an empty teardown, want 1", len(m.rings))
+	}
+	// This one takes the pooled ring and is reset with data buffered.
+	ringConn(m, 1000, 10).teardown(ErrReset, userCause(CauseAbort))
+	if len(m.rings) != 0 {
+		t.Fatalf("pool holds %d rings after a teardown with data buffered, want 0", len(m.rings))
+	}
+	big := ringConn(m, 20000, 20000)
+	if len(big.sndBuf.buf) != 32<<10 {
+		t.Fatalf("a 20000-byte write made a %d-byte ring, want 32 KiB", len(big.sndBuf.buf))
+	}
+	big.enterTimeWait(userCause(CauseClose))
+	if big.sndBuf.buf != nil || len(m.rings) != 0 {
+		t.Fatalf("a ring above the bound was kept (pool %d rings)", len(m.rings))
+	}
+}
+
+// The pool keeps rings up to maxPooledRing, at most maxPooledRings of them,
+// and hands out only a ring of exactly the size a fresh first write would
+// make; a take and a return allocate nothing.
+func TestRingPoolBounds(t *testing.T) {
+	var m Manager
+	m.keepRing(nil)
+	m.keepRing(make([]byte, 2*maxPooledRing))
+	if len(m.rings) != 0 {
+		t.Fatalf("pool kept %d rings, want none", len(m.rings))
+	}
+	for i := 0; i <= maxPooledRings; i++ {
+		m.keepRing(make([]byte, 2048))
+	}
+	if len(m.rings) != maxPooledRings {
+		t.Fatalf("pool holds %d rings, want %d", len(m.rings), maxPooledRings)
+	}
+	if b := m.takeRing(1000); b != nil {
+		t.Fatalf("a 1000-byte write got a %d-byte ring, want none", len(b))
+	}
+	if b := m.takeRing(0); b != nil {
+		t.Fatal("an empty write took a ring")
+	}
+	if b := m.takeRing(1500); len(b) != 2048 || len(m.rings) != maxPooledRings-1 {
+		t.Fatalf("a 1500-byte write got %d bytes (pool %d)", len(b), len(m.rings))
+	}
+	data := make([]byte, 1500)
+	if n := testing.AllocsPerRun(100, func() {
+		r := byteRing{buf: m.takeRing(len(data))}
+		r.append(data)
+		r.discard(r.len())
+		m.keepRing(r.buf)
+	}); n != 0 {
+		t.Errorf("take, fill and return allocates %v", n)
+	}
+}
+
+// connName builds byte for byte what fmt's %d-%v:%d made, trace exports and
+// goldens included.
+func TestConnNameMatchesFmt(t *testing.T) {
+	for _, port := range []uint16{0, 1, 9, 10, 99, 255, 256, 32768, 65535} {
+		for _, addr := range []view.IP4{{0, 0, 0, 0}, {10, 0, 0, 2}, {1, 22, 133, 4}, {255, 255, 255, 255}} {
+			want := fmt.Sprintf("tcp.conn:%d-%v:%d", port, addr, 65535-port)
+			if got := connName(port, addr, 65535-port); got != want {
+				t.Errorf("connName = %q, want %q", got, want)
+			}
+		}
+	}
+}

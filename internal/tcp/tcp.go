@@ -89,11 +89,14 @@ type Manager struct {
 	// claimed ports are owned by another implementation of TCP installed
 	// in the graph (paper §3.1: TCP-standard's guard processes all TCP
 	// packets but those destined for TCP-special); segments to or from
-	// them are invisible to this manager.
+	// them are invisible to this manager. Nil until the first Claim.
 	claimed  map[uint16]bool
 	nextPort uint16
 	issSeed  uint32
 	stats    Stats
+	// rings holds send-ring storage of connections that finished sending,
+	// for the next connections' first Sends (see takeRing).
+	rings [][]byte
 	// scratch is where a handler linearises the payload of the segment it is
 	// processing (see payload); allocated by the first data segment.
 	scratch []byte
@@ -150,7 +153,6 @@ func New(cfg Config) (*Manager, error) {
 		costs:            cfg.Costs,
 		listeners:        make(map[uint16]*Listener),
 		conns:            make(map[connKey]*Conn),
-		claimed:          make(map[uint16]bool),
 		nextPort:         32768,
 		issSeed:          uint32(cfg.Sim.Rand().Int63()),
 		defaultCC:        cfg.DefaultCC,
@@ -203,6 +205,9 @@ func (m *Manager) Claim(port uint16) error {
 		if k.localPort == port {
 			return fmt.Errorf("%w: %d", ErrPortInUse, port)
 		}
+	}
+	if m.claimed == nil {
+		m.claimed = make(map[uint16]bool)
 	}
 	m.claimed[port] = true
 	return nil

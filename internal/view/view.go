@@ -16,6 +16,7 @@ package view
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // ErrShort reports a buffer too short for the requested header view.
@@ -43,7 +44,19 @@ type IP4 [4]byte
 
 // String renders dotted-quad form.
 func (a IP4) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+	var b [15]byte
+	return string(a.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad form to b.
+func (a IP4) AppendTo(b []byte) []byte {
+	for i, octet := range a {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	return b
 }
 
 // Uint32 returns the address as a big-endian integer.

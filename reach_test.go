@@ -72,7 +72,6 @@ func TestReachableFixture(t *testing.T) {
 // non-test code sets them, each with the reason it stays.
 var optionsAllow = map[string]string{
 	"plexus.TCPAppOptions.NoSack":     "stands in for a peer that does not offer SACK; the SACK-versus-cumulative recovery tests turn it on",
-	"plexus.TCPAppOptions.OnClose":    "the application's close callback, the one way a TCPApp learns its connection ended; the TCP app tests set it",
 	"plexus.UDPAppOptions.Remote":     "Figure 1's connected endpoint: a peer filter in the guard, so other senders cannot snoop its port",
 	"plexus.UDPAppOptions.RemotePort": "the port half of Remote",
 	"plexus.ExtensionSpec.Exports":    "the section 2 protection domains: the interfaces an extension offers other extensions",
