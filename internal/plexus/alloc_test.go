@@ -20,15 +20,7 @@ import (
 // nothing. The 4000B case sends three fragments each way, so fragmentation,
 // reassembly and its timeout timer are pinned too.
 func TestUDPEchoSteadyStateAllocs(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		p    osmodel.Personality
-		d    osmodel.DispatchMode
-	}{
-		{"interrupt", osmodel.SPIN, osmodel.DispatchInterrupt},
-		{"thread", osmodel.SPIN, osmodel.DispatchThread},
-		{"dux", osmodel.Monolithic, osmodel.DispatchInterrupt},
-	} {
+	for _, c := range boundaries {
 		t.Run(c.name, func(t *testing.T) {
 			for _, size := range []int{8, 4000} {
 				t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {

@@ -20,6 +20,19 @@ func duxSpec(name string) HostSpec {
 	return HostSpec{Name: name, Personality: osmodel.Monolithic}
 }
 
+// boundaries are the three host boundaries application code runs behind:
+// an in-kernel extension run from the interrupt, one run from a kernel
+// thread, and a DIGITAL UNIX user process.
+var boundaries = []struct {
+	name string
+	p    osmodel.Personality
+	d    osmodel.DispatchMode
+}{
+	{"interrupt", osmodel.SPIN, osmodel.DispatchInterrupt},
+	{"thread", osmodel.SPIN, osmodel.DispatchThread},
+	{"dux", osmodel.Monolithic, osmodel.DispatchInterrupt},
+}
+
 // udpEchoRTT builds a two-host network, runs one UDP echo, and returns the
 // application-observed round-trip time.
 func udpEchoRTT(t *testing.T, model netdev.Model, a, b HostSpec, payload int) sim.Time {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"plexus/internal/netdev"
-	"plexus/internal/osmodel"
 	"plexus/internal/sim"
 	"plexus/internal/view"
 )
@@ -15,15 +14,7 @@ import (
 // with an ICMP unreachable, a SYN to a closed port with a reset, and nothing
 // stays allocated.
 func TestNoMatchOnEveryBoundary(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		p    osmodel.Personality
-		d    osmodel.DispatchMode
-	}{
-		{"interrupt", osmodel.SPIN, osmodel.DispatchInterrupt},
-		{"thread", osmodel.SPIN, osmodel.DispatchThread},
-		{"dux", osmodel.Monolithic, osmodel.DispatchInterrupt},
-	} {
+	for _, c := range boundaries {
 		t.Run(c.name, func(t *testing.T) {
 			spec := func(name string) HostSpec { return HostSpec{Name: name, Personality: c.p, Dispatch: c.d} }
 			n, a, b, err := TwoHosts(1, netdev.EthernetModel(), spec("a"), spec("b"))

@@ -23,7 +23,8 @@ type TCPAppOptions struct {
 }
 
 // TCPApp is an application-level TCP connection with the host boundary's
-// costs.
+// costs. It is its connection's tcp.App: the transport calls it, and it runs
+// the callbacks in opts as application code.
 type TCPApp struct {
 	st   *Stack
 	conn *tcp.Conn
@@ -34,25 +35,7 @@ type TCPApp struct {
 func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPAppOptions) (*TCPApp, error) {
 	app := &TCPApp{st: st, opts: opts}
 	st.Syscall(t, st.Host.Costs.SocketLayer, 0, 0)
-	c, err := st.TCP.Connect(t, dst, dstPort, tcp.ConnOptions{
-		Ephemeral: true,
-		NoSack:    opts.NoSack,
-		OnRecv: func(t *sim.Task, c *tcp.Conn, data []byte) {
-			st.deliver(t, "tcp-app-recv:", app, data, view.IP4{}, 0)
-		},
-		OnEstablished: func(t *sim.Task, c *tcp.Conn) {
-			app.conn = c
-			app.control(t, opts.OnEstablished)
-		},
-		OnPeerFin: func(t *sim.Task, c *tcp.Conn) {
-			app.control(t, opts.OnPeerFin)
-		},
-		OnClose: func(c *tcp.Conn, err error) {
-			if opts.OnClose != nil {
-				opts.OnClose(app, err)
-			}
-		},
-	})
+	c, err := st.TCP.Connect(t, dst, dstPort, app, opts.NoSack)
 	if err != nil {
 		return nil, err
 	}
@@ -64,41 +47,11 @@ func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPA
 // after each handshake completes. Every accepted connection gets its own
 // TCPApp wrapper sharing opts.
 func (st *Stack) ListenTCP(port uint16, opts TCPAppOptions, accept func(t *sim.Task, conn *TCPApp)) (*tcp.Listener, error) {
-	lst, err := st.TCP.Listen(port, tcp.ConnOptions{Ephemeral: true}, nil)
-	if err != nil {
-		return nil, err
-	}
-	apps := make(map[*tcp.Conn]*TCPApp)
-	// The hooks read app.opts at call time, so a connection's callbacks can
-	// be replaced after accept (the user-level splice forwarder does this).
-	lst.SetConnOptions(tcp.ConnOptions{
-		Ephemeral: true,
-		OnRecv: func(t *sim.Task, c *tcp.Conn, data []byte) {
-			if app := apps[c]; app != nil {
-				st.deliver(t, "tcp-app-recv:", app, data, view.IP4{}, 0)
-			}
-		},
-		OnEstablished: func(t *sim.Task, c *tcp.Conn) {
-			app := &TCPApp{st: st, conn: c, opts: opts}
-			apps[c] = app
-			app.control(t, accept)
-			app.control(t, app.opts.OnEstablished)
-		},
-		OnPeerFin: func(t *sim.Task, c *tcp.Conn) {
-			if app := apps[c]; app != nil {
-				app.control(t, app.opts.OnPeerFin)
-			}
-		},
-		OnClose: func(c *tcp.Conn, err error) {
-			if app := apps[c]; app != nil {
-				delete(apps, c)
-				if app.opts.OnClose != nil {
-					app.opts.OnClose(app, err)
-				}
-			}
-		},
+	return st.TCP.Listen(port, func(t *sim.Task, c *tcp.Conn) tcp.App {
+		app := &TCPApp{st: st, conn: c, opts: opts}
+		app.control(t, accept)
+		return app
 	})
-	return lst, nil
 }
 
 // Options returns the connection's application-level options.
@@ -107,6 +60,29 @@ func (app *TCPApp) Options() TCPAppOptions { return app.opts }
 // SetOptions replaces the connection's application-level callbacks; takes
 // effect for subsequent deliveries.
 func (app *TCPApp) SetOptions(o TCPAppOptions) { app.opts = o }
+
+// The tcp.App methods read app.opts when the transport calls them, so
+// callbacks replaced by SetOptions after connect or accept take effect (the
+// user-level splice forwarder relies on this).
+
+// Established runs OnEstablished as application code.
+func (app *TCPApp) Established(t *sim.Task) { app.control(t, app.opts.OnEstablished) }
+
+// Recv hands stream bytes to the application across the host boundary.
+func (app *TCPApp) Recv(t *sim.Task, data []byte) {
+	app.st.deliver(t, "tcp-app-recv:", app, data, view.IP4{}, 0)
+}
+
+// PeerFin runs OnPeerFin as application code.
+func (app *TCPApp) PeerFin(t *sim.Task) { app.control(t, app.opts.OnPeerFin) }
+
+// Closed runs OnClose at once on every boundary: a teardown has no task to
+// run application code in.
+func (app *TCPApp) Closed(err error) {
+	if app.opts.OnClose != nil {
+		app.opts.OnClose(app, err)
+	}
+}
 
 // recv runs the application's callback. The callback is read now, so one
 // replaced by SetOptions takes effect for data already queued.

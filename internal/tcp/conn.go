@@ -76,26 +76,23 @@ const (
 	maxPersistInterval = 60 * sim.Second
 )
 
-// ConnOptions configure a connection's application-visible behaviour.
-type ConnOptions struct {
-	// OnRecv delivers in-order payload bytes as they arrive. The slice is
+// App is the application end of a connection: the four calls a Conn makes
+// into the code above it, each in the task that processed the segment or
+// timer behind it. A passive open has no App until its listener's accept
+// returns one, which happens only once the peer has ACKed our SYN: a
+// connection that dies in SYN-RECEIVED calls nothing.
+type App interface {
+	// Established runs when the handshake completes.
+	Established(t *sim.Task)
+	// Recv delivers in-order payload bytes as they arrive. The slice is
 	// valid only during the call — it aliases a buffer the next segment
 	// overwrites — so a callee that defers its work copies what it keeps.
-	OnRecv func(t *sim.Task, c *Conn, data []byte)
-	// OnEstablished fires when the handshake completes.
-	OnEstablished func(t *sim.Task, c *Conn)
-	// OnClose fires when the connection fully terminates; err is nil for
-	// an orderly close, ErrReset for a RST.
-	OnClose func(c *Conn, err error)
-	// OnPeerFin fires when the peer's FIN arrives (end of their stream).
-	OnPeerFin func(t *sim.Task, c *Conn)
-	// Ephemeral marks the segment handler EPHEMERAL.
-	Ephemeral bool
-	// NoSack withholds the SACK-permitted option from this end's SYN (or
-	// SYN|ACK), so neither side sends SACK blocks and loss recovery runs on
-	// cumulative ACKs alone — the knob for comparing recovery with and
-	// without the scoreboard.
-	NoSack bool
+	Recv(t *sim.Task, data []byte)
+	// PeerFin runs when the peer's FIN arrives (end of their stream).
+	PeerFin(t *sim.Task)
+	// Closed runs when the connection fully terminates; err is nil for an
+	// orderly close, ErrReset for a RST.
+	Closed(err error)
 }
 
 type sndState struct {
@@ -160,8 +157,12 @@ type ConnStats struct {
 
 // Conn is one TCP connection (a TCB plus its guard binding).
 type Conn struct {
-	mgr  *Manager
-	opts ConnOptions
+	mgr *Manager
+	app App
+	// noSack withholds the SACK-permitted option from this end's SYN (or
+	// SYN|ACK), so neither side sends SACK blocks and loss recovery runs on
+	// cumulative ACKs alone.
+	noSack bool
 
 	localPort  uint16
 	remoteAddr view.IP4
@@ -250,10 +251,9 @@ type Conn struct {
 
 // newConn allocates a TCB and installs its keyed guard (exact 4-tuple match —
 // the anti-snooping edge) on TCP.PacketRecv.
-func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, opts ConnOptions) *Conn {
+func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16) *Conn {
 	c := &Conn{
 		mgr:        m,
-		opts:       opts,
 		localPort:  localPort,
 		remoteAddr: remote,
 		remotePort: remotePort,
@@ -307,13 +307,15 @@ func connName(localPort uint16, remote view.IP4, remotePort uint16) string {
 	return string(n)
 }
 
-// Connect performs an active open to dst:dstPort.
-func (m *Manager) Connect(t *sim.Task, dst view.IP4, dstPort uint16, opts ConnOptions) (*Conn, error) {
+// Connect performs an active open to dst:dstPort on behalf of app; noSack
+// withholds SACK from the handshake.
+func (m *Manager) Connect(t *sim.Task, dst view.IP4, dstPort uint16, app App, noSack bool) (*Conn, error) {
 	port, err := m.allocPort()
 	if err != nil {
 		return nil, err
 	}
-	c := m.newConn(port, dst, dstPort, opts)
+	c := m.newConn(port, dst, dstPort)
+	c.app, c.noSack = app, noSack
 	c.setState(StateSynSent, userCause(CauseConnect))
 	c.sendSYN(t)
 	return c, nil
@@ -343,7 +345,7 @@ func (c *Conn) SendBufBytes() int { return c.sndBuf.len() }
 // offers everything; a SYN|ACK echoes only what the peer offered (RFC 2018
 // §2, RFC 7323 §2.2).
 func (c *Conn) synOpts(echo bool) []byte {
-	sackPerm := !c.opts.NoSack
+	sackPerm := !c.noSack
 	wscale := int8(c.rcvWndScale)
 	if echo {
 		sackPerm = sackPerm && c.peerSackOK
@@ -826,8 +828,8 @@ func (c *Conn) sackRexmit(t *sim.Task) {
 // --- teardown ---
 
 // teardown destroys the TCB: timers stopped, guard uninstalled, demux entry
-// removed. err is reported through OnClose (nil = orderly); cause is what the
-// audit plane records for the final transition to CLOSED.
+// removed. err is reported through App.Closed (nil = orderly); cause is what
+// the audit plane records for the final transition to CLOSED.
 func (c *Conn) teardown(err error, cause Cause) {
 	if c.dead {
 		return
@@ -849,8 +851,8 @@ func (c *Conn) teardown(err error, cause Cause) {
 			break
 		}
 	}
-	if c.opts.OnClose != nil {
-		c.opts.OnClose(c, err)
+	if c.app != nil {
+		c.app.Closed(err)
 	}
 }
 
@@ -896,7 +898,7 @@ func (c *Conn) updateRcvWnd() {
 // SetRecvPaused pauses or resumes delivery to the application. While paused,
 // in-order data queues in the connection's receive buffer and the advertised
 // window closes toward zero — the receiver-side backpressure that forces the
-// peer into zero-window persist mode. Resuming flushes the buffer to OnRecv
+// peer into zero-window persist mode. Resuming flushes the buffer to App.Recv
 // and sends a window update.
 func (c *Conn) SetRecvPaused(t *sim.Task, paused bool) {
 	if c.paused == paused || c.dead {
@@ -912,8 +914,8 @@ func (c *Conn) SetRecvPaused(t *sim.Task, paused bool) {
 	data := c.rcvBuf
 	c.rcvBuf = nil
 	c.updateRcvWnd()
-	if len(data) > 0 && c.opts.OnRecv != nil {
-		c.opts.OnRecv(t, c, data)
+	if len(data) > 0 && c.app != nil {
+		c.app.Recv(t, data)
 	}
 	c.sendACK(t)
 }

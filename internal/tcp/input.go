@@ -65,9 +65,10 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 	if s.flags&view.TCPAck == 0 {
 		return
 	}
-	if c.state == StateSynRcvd {
+	synRcvd := c.state == StateSynRcvd
+	if synRcvd {
 		if seqLE(c.snd.una, s.ack) && seqLE(s.ack, c.snd.nxt) {
-			c.establish(t, segCause(s))
+			c.establish(segCause(s))
 		} else {
 			c.mgr.stats.RSTsSent++
 			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil, nil)
@@ -77,6 +78,12 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 	c.processAck(t, s)
 	if c.dead {
 		return
+	}
+	if synRcvd {
+		// Only now has snd.una passed our SYN: an application that sends
+		// or closes as it hears of the connection must not have its first
+		// byte, or its FIN, taken for the SYN. Data on this ACK follows.
+		c.announce(t)
 	}
 	// 5. Payload and FIN processing.
 	c.processText(t, s, pkt)
@@ -120,7 +127,8 @@ func (c *Conn) synSentInput(t *sim.Task, s seg) {
 	if acceptableAck {
 		c.snd.una = s.ack
 		c.sampleRTT(s.ack)
-		c.establish(t, segCause(s))
+		c.establish(segCause(s))
+		c.announce(t)
 		c.sendACK(t)
 		c.output(t)
 	} else {
@@ -170,18 +178,21 @@ func (c *Conn) rstAcceptable(s seg) bool {
 	return seqLE(c.rcv.nxt, s.seq) && seqLT(s.seq, c.rcv.nxt+c.rcv.wnd)
 }
 
-// establish transitions into ESTABLISHED and notifies the application (and,
-// for passive opens, the listener's accept function).
-func (c *Conn) establish(t *sim.Task, cause Cause) {
-	wasSynRcvd := c.state == StateSynRcvd
+// establish transitions into ESTABLISHED.
+func (c *Conn) establish(cause Cause) {
 	c.setState(StateEstablished, cause)
 	c.disarmRexmit()
 	c.synRetries = 0
-	if wasSynRcvd && c.listener != nil && c.listener.accept != nil {
-		c.listener.accept(t, c)
+}
+
+// announce tells the application the handshake completed. A passive open
+// has no App yet: its listener's accept makes one.
+func (c *Conn) announce(t *sim.Task) {
+	if c.app == nil && c.listener != nil {
+		c.app = c.listener.accept(t, c)
 	}
-	if c.opts.OnEstablished != nil {
-		c.opts.OnEstablished(t, c)
+	if c.app != nil {
+		c.app.Established(t)
 	}
 }
 
@@ -210,7 +221,7 @@ func (c *Conn) applySynOptions(s seg) {
 	if s.mss != 0 && uint32(s.mss) < c.mss {
 		c.mss = uint32(s.mss)
 	}
-	c.peerSackOK = s.sackPerm && !c.opts.NoSack
+	c.peerSackOK = s.sackPerm && !c.noSack
 	if s.wscale >= 0 {
 		c.peerWScaleOK = true
 		c.sndWndScale = uint8(s.wscale)
@@ -539,8 +550,8 @@ func (c *Conn) deliver(t *sim.Task, payload []byte) {
 		c.updateRcvWnd()
 		return
 	}
-	if c.opts.OnRecv != nil {
-		c.opts.OnRecv(t, c, payload)
+	if c.app != nil {
+		c.app.Recv(t, payload)
 	}
 }
 
@@ -613,8 +624,8 @@ func (c *Conn) drainOOO(t *sim.Task) (bool, uint32) {
 
 // peerFin runs the state transitions for a received FIN and acks it.
 func (c *Conn) peerFin(t *sim.Task, cause Cause) {
-	if c.opts.OnPeerFin != nil {
-		c.opts.OnPeerFin(t, c)
+	if c.app != nil {
+		c.app.PeerFin(t)
 	}
 	switch c.state {
 	case StateEstablished:

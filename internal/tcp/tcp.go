@@ -350,7 +350,7 @@ func connKeyOf(localPort uint16, remote view.IP4, remotePort uint16) event.Key {
 
 // payload linearises the payload of the segment a handler is processing into
 // the manager's scratch buffer. The slice is valid until the next call: it is
-// what OnRecv receives, which is why OnRecv data may not be retained.
+// what App.Recv receives, which is why that data may not be retained.
 func (m *Manager) payload(pkt *mbuf.Mbuf, s seg) []byte {
 	if s.payLen == 0 {
 		return nil
@@ -476,17 +476,18 @@ func (m *Manager) iss() uint32 {
 type Listener struct {
 	mgr    *Manager
 	port   uint16
-	accept func(t *sim.Task, c *Conn)
-	opts   ConnOptions
+	accept func(t *sim.Task, c *Conn) App
 }
 
 // Listen binds a passive endpoint: a guard matching SYNs (and continuing
-// segments of not-yet-accepted connections) for the port.
-func (m *Manager) Listen(port uint16, opts ConnOptions, accept func(t *sim.Task, c *Conn)) (*Listener, error) {
+// segments of not-yet-accepted connections) for the port. accept runs once
+// per connection, when the peer ACKs our SYN, and returns the connection's
+// App.
+func (m *Manager) Listen(port uint16, accept func(t *sim.Task, c *Conn) App) (*Listener, error) {
 	if _, used := m.listeners[port]; used {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
-	l := &Listener{mgr: m, port: port, accept: accept, opts: opts}
+	l := &Listener{mgr: m, port: port, accept: accept}
 	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
 		s, ok := parseHdr(pkt)
 		if !ok || s.dstPort != port {
@@ -505,10 +506,6 @@ func (m *Manager) Listen(port uint16, opts ConnOptions, accept func(t *sim.Task,
 	m.listeners[port] = l
 	return l, nil
 }
-
-// SetConnOptions replaces the options applied to subsequently accepted
-// connections (already-open connections are unaffected).
-func (l *Listener) SetConnOptions(opts ConnOptions) { l.opts = opts }
 
 // input handles a segment for the listening port with no matching connection.
 func (l *Listener) input(t *sim.Task, pkt *mbuf.Mbuf) {
@@ -531,7 +528,7 @@ func (l *Listener) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	// Passive open: the new TCB inherits the listener's LISTEN state, then
 	// the SYN drives LISTEN → SYN-RECEIVED — the RFC 793 §3.2 path, taken
 	// verbatim so the conformance table can require it.
-	c := l.mgr.newConn(l.port, s.src, s.srcPort, l.opts)
+	c := l.mgr.newConn(l.port, s.src, s.srcPort)
 	c.listener = l
 	c.setState(StateListen, userCause(CauseListen))
 	c.rcv.irs = s.seq

@@ -108,10 +108,10 @@ func TestOptionsSet(t *testing.T) {
 	}
 }
 
-// TestOptionsSetFixture runs the gate over testdata/reach: one field set by
-// a literal, one only defaulted in its own package, one copied from the set
-// field and one copied from the defaulted one. Only the second and the last
-// may be reported.
+// TestOptionsSetFixture runs the gate over testdata/reach: two fields set
+// by a literal, one only defaulted in its own package, one copied from a set
+// field, one copied from the defaulted one, and an embedded field set by a
+// literal. Only the defaulted field and its copy may be reported.
 func TestOptionsSetFixture(t *testing.T) {
 	unset, n, err := unsetOptions(filepath.Join("testdata", "reach"), "reachfix", nil)
 	if err != nil {
@@ -121,8 +121,8 @@ func TestOptionsSetFixture(t *testing.T) {
 	for _, d := range unset {
 		got = append(got, d.name)
 	}
-	if want := []string{"a.Options.Depth", "a.Config.Mirror"}; n != 4 || strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("unset = %v of %d fields, want %v of 4", got, n, want)
+	if want := []string{"a.Options.Depth", "a.Config.Mirror"}; n != 6 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("unset = %v of %d fields, want %v of 6", got, n, want)
 	}
 }
 
@@ -135,28 +135,7 @@ func unsetOptions(dir, module string, allow map[string]string) ([]deadDecl, int,
 	if err != nil {
 		return nil, 0, err
 	}
-	isOptions := func(name string) bool {
-		return slices.ContainsFunc(optionSuffixes, func(s string) bool { return strings.HasSuffix(name, s) })
-	}
-	fields := map[*types.Var]string{}
-	for _, p := range m.pkgs {
-		for _, name := range p.pkg.Scope().Names() {
-			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || !isOptions(name) {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					fields[f] = path.Base(p.pkg.Path()) + "." + name + "." + f.Name()
-				}
-			}
-		}
-	}
-
+	fields := optionFields(m)
 	set := map[*types.Var]bool{}
 	copied := map[*types.Var][]*types.Var{} // source field -> fields copied from it
 	assign := func(info *types.Info, f *types.Var, value ast.Expr) {
@@ -252,6 +231,126 @@ func unsetOptions(dir, module string, allow map[string]string) ([]deadDecl, int,
 	return unset, len(fields), nil
 }
 
+// optionFields maps each option field of m's non-test code to its name,
+// pkg.Type.Field: the exported fields of the exported structs whose names
+// end in one of optionSuffixes.
+func optionFields(m *reachModule) map[*types.Var]string {
+	isOptions := func(name string) bool {
+		return slices.ContainsFunc(optionSuffixes, func(s string) bool { return strings.HasSuffix(name, s) })
+	}
+	fields := map[*types.Var]string{}
+	for _, p := range m.pkgs {
+		for _, name := range p.pkg.Scope().Names() {
+			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !isOptions(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = path.Base(p.pkg.Path()) + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	return fields
+}
+
+// TestOptionsRead is TestOptionsSet's converse: every option field must be
+// read by non-test code, or setting it changes nothing. A read is a
+// selector that is not the left side of =; an embedded field is read when a
+// field or method promoted through it is used. Delete the field nothing
+// reads.
+func TestOptionsRead(t *testing.T) {
+	unread, n, err := unreadOptions(".", "plexus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d option fields in scope", n)
+	if len(unread) > 0 {
+		report := make([]string, len(unread))
+		for i, d := range unread {
+			report[i] = fmt.Sprintf("%s: %s", d.pos, d.name)
+		}
+		t.Errorf("%d option fields no non-test code reads; delete them:\n\t%s",
+			len(report), strings.Join(report, "\n\t"))
+	}
+}
+
+// TestOptionsReadFixture runs the gate over testdata/reach: main sets
+// Options.Label and nothing reads it, and main reads Spec's promoted Width
+// and Mirror, which reads its embedded Config. Only Label may be reported.
+func TestOptionsReadFixture(t *testing.T) {
+	unread, n, err := unreadOptions(filepath.Join("testdata", "reach"), "reachfix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range unread {
+		got = append(got, d.name)
+	}
+	if want := "a.Options.Label"; n != 6 || len(got) != 1 || got[0] != want {
+		t.Fatalf("unread = %v of %d fields, want [%s] of 6", got, n, want)
+	}
+}
+
+// unreadOptions loads the module rooted at dir and returns, in source order,
+// the option fields its non-test code never reads, with the number of
+// option fields in scope.
+func unreadOptions(dir, module string) ([]deadDecl, int, error) {
+	m, err := loadModule(dir, module)
+	if err != nil {
+		return nil, 0, err
+	}
+	fields := optionFields(m)
+	read := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		for _, file := range p.files {
+			written := map[ast.Expr]bool{}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN {
+						for _, lhs := range n.Lhs {
+							written[ast.Unparen(lhs)] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					sel := p.info.Selections[n]
+					if sel == nil {
+						break // a qualified identifier
+					}
+					// The embedded fields a promoted selector passes through.
+					t := sel.Recv()
+					for _, i := range sel.Index()[:len(sel.Index())-1] {
+						if ptr, ok := t.Underlying().(*types.Pointer); ok {
+							t = ptr.Elem()
+						}
+						f := t.Underlying().(*types.Struct).Field(i)
+						read[f.Origin()] = true
+						t = f.Type()
+					}
+					if f, ok := sel.Obj().(*types.Var); ok && !written[n] {
+						read[f.Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unread []deadDecl
+	for f, name := range fields {
+		if !read[f] {
+			unread = append(unread, deadDecl{pos: reachFset.Position(f.Pos()), name: name})
+		}
+	}
+	sortDecls(unread)
+	return unread, len(fields), nil
+}
+
 // A deadDecl is a package-level declaration that no root reaches.
 type deadDecl struct {
 	pos  token.Position
@@ -313,9 +412,10 @@ func (l *reachLoader) canonical(path string) (*reachPkg, error) {
 
 func (l *reachLoader) check(path, dir string, names ...[]string) (*reachPkg, error) {
 	p := &reachPkg{info: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	for _, list := range names {
 		for _, name := range list {

@@ -28,11 +28,12 @@ func OnlyFromTest() int { return 1 }
 // Unused is used by nothing but this package's own test.
 func Unused() int { return 2 }
 
-// Options is the option gate's fixture: main's literal sets Size, and Depth
-// is only defaulted in this package.
+// Options is the option gates' fixture: main's literal sets Size and
+// Label, Depth is only defaulted in this package, and nothing reads Label.
 type Options struct {
 	Size  int
 	Depth int
+	Label string
 }
 
 // Config is built from Options: Width copies the set Size, Mirror the unset
@@ -42,10 +43,13 @@ type Config struct {
 	Mirror int
 }
 
-// New fills o's defaults and builds its Config.
-func New(o Options) Config {
+// Spec holds a Config; main reads its fields through the embedding.
+type Spec struct{ Config }
+
+// New fills o's defaults and builds its Spec.
+func New(o Options) Spec {
 	if o.Depth == 0 {
 		o.Depth = 1
 	}
-	return Config{Width: o.Size, Mirror: o.Depth}
+	return Spec{Config{Width: o.Size, Mirror: o.Depth}}
 }

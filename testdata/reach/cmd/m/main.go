@@ -7,4 +7,7 @@ import (
 	"reachfix/a"
 )
 
-func main() { fmt.Println(a.Total(a.NewSquare(2)), a.New(a.Options{Size: 3})) }
+func main() {
+	s := a.New(a.Options{Size: 3, Label: "m"})
+	fmt.Println(a.Total(a.NewSquare(2)), s.Width, s.Mirror)
+}
