@@ -80,15 +80,16 @@ type AM struct {
 	onReply  ReplyFunc
 	seq      uint16
 	stats    Stats
-	// HandlerCost is charged per handler invocation, modelling the
-	// message handler's memory references.
-	HandlerCost sim.Time
 }
+
+// handlerCost is charged per handler invocation, modelling the message
+// handler's memory references.
+const handlerCost = 5 * sim.Microsecond
 
 // New installs the active-message extension on the host's Ethernet manager.
 // allotment, when nonzero, bounds each invocation (the §3.3 time limit).
 func New(eth *ether.Layer, pool *mbuf.Pool, costs osmodel.Costs, allotment sim.Time) (*AM, error) {
-	am := &AM{eth: eth, pool: pool, costs: costs, HandlerCost: 5 * sim.Microsecond}
+	am := &AM{eth: eth, pool: pool, costs: costs}
 	// The guard of Figure 2: dispatch on the Ethernet type field, via a
 	// typed view of the header.
 	guard := ether.TypeGuard(view.EtherTypeActiveMsg)
@@ -162,7 +163,7 @@ func (am *AM) input(t *sim.Task, m *mbuf.Mbuf) {
 	seq := uint16(b[2])<<8 | uint16(b[3])
 	arg := uint32(b[4])<<24 | uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7])
 	payload := b[hdrLen:]
-	t.Charge(am.HandlerCost)
+	t.Charge(handlerCost)
 	switch typ {
 	case typeRequest:
 		am.stats.RequestsRcvd++

@@ -58,10 +58,8 @@ type Stats struct {
 
 // ARP is the protocol node for one interface.
 type ARP struct {
-	sim    *sim.Sim
+	host   *osmodel.Host
 	eth    *ether.Layer
-	pool   *mbuf.Pool
-	costs  osmodel.Costs
 	selfIP view.IP4
 
 	cache   map[view.IP4]entry
@@ -71,12 +69,10 @@ type ARP struct {
 
 // New creates the ARP node and installs its guard/handler pair on
 // Ethernet.PacketRecv (guard: EtherType == ARP).
-func New(s *sim.Sim, eth *ether.Layer, pool *mbuf.Pool, costs osmodel.Costs, selfIP view.IP4) (*ARP, error) {
+func New(host *osmodel.Host, eth *ether.Layer, selfIP view.IP4) (*ARP, error) {
 	a := &ARP{
-		sim:     s,
+		host:    host,
 		eth:     eth,
-		pool:    pool,
-		costs:   costs,
 		selfIP:  selfIP,
 		cache:   make(map[view.IP4]entry),
 		pending: make(map[view.IP4]*resolution),
@@ -109,7 +105,7 @@ func (a *ARP) Lookup(ip view.IP4) (view.MAC, bool) {
 	if !ok {
 		return view.MAC{}, false
 	}
-	if a.sim.Now() > e.expires {
+	if a.host.Sim.Now() > e.expires {
 		delete(a.cache, ip)
 		return view.MAC{}, false
 	}
@@ -172,13 +168,13 @@ func (a *ARP) Send(t *sim.Task, nextHop view.IP4, etherType uint16, m *mbuf.Mbuf
 }
 
 func (a *ARP) sendRequest(t *sim.Task, ip view.IP4, r *resolution) {
-	req := a.pool.FromBytes(make([]byte, view.ARPHdrLen), 32)
+	req := a.host.Pool.FromBytes(make([]byte, view.ARPHdrLen), 32)
 	b, _ := req.MutableBytes()
 	v, _ := view.ARP(b)
 	v.Init(view.ARPRequest, a.eth.MAC(), a.selfIP, view.MAC{}, ip)
 	a.stats.RequestsSent++
 	_ = a.eth.Send(t, view.BroadcastMAC, view.EtherTypeARP, req) // the retry timer covers a loss
-	r.timer = a.sim.After(RetryInterval, "arp-retry", func() {
+	r.timer = a.host.Sim.After(RetryInterval, "arp-retry", func() {
 		cur, ok := a.pending[ip]
 		if !ok || cur != r {
 			return
@@ -193,13 +189,13 @@ func (a *ARP) sendRequest(t *sim.Task, ip view.IP4, r *resolution) {
 			return
 		}
 		// Retransmit from a fresh kernel-priority task.
-		a.eth.CPUSubmit("arp-retry", func(task *sim.Task) { a.sendRequest(task, ip, r) })
+		a.host.CPU.Submit(sim.PrioKernel, "arp-retry", func(task *sim.Task) { a.sendRequest(task, ip, r) })
 	})
 }
 
 // input processes an incoming ARP packet (full Ethernet frame, read-only).
 func (a *ARP) input(t *sim.Task, m *mbuf.Mbuf) {
-	t.Charge(a.costs.EtherProc)
+	t.Charge(a.host.Costs.EtherProc)
 	defer m.Free()
 	frame, err := m.CopyData(0, m.PktLen())
 	if err != nil || len(frame) < view.EthernetHdrLen+view.ARPHdrLen {
@@ -217,7 +213,7 @@ func (a *ARP) input(t *sim.Task, m *mbuf.Mbuf) {
 		if v.TargetIP() != a.selfIP {
 			return
 		}
-		rep := a.pool.FromBytes(make([]byte, view.ARPHdrLen), 32)
+		rep := a.host.Pool.FromBytes(make([]byte, view.ARPHdrLen), 32)
 		b, _ := rep.MutableBytes()
 		rv, _ := view.ARP(b)
 		rv.Init(view.ARPReply, a.eth.MAC(), a.selfIP, v.SenderMAC(), v.SenderIP())
@@ -230,7 +226,7 @@ func (a *ARP) input(t *sim.Task, m *mbuf.Mbuf) {
 
 // learn records a mapping and flushes any packets waiting on it.
 func (a *ARP) learn(ip view.IP4, mac view.MAC, t *sim.Task) {
-	a.insert(ip, entry{mac: mac, expires: a.sim.Now() + EntryLifetime})
+	a.insert(ip, entry{mac: mac, expires: a.host.Sim.Now() + EntryLifetime})
 	if r, ok := a.pending[ip]; ok {
 		r.timer.Stop()
 		delete(a.pending, ip)

@@ -27,59 +27,24 @@ const (
 
 // Layer is the Ethernet protocol node and manager for one interface.
 type Layer struct {
-	nic   *netdev.NIC
-	disp  *event.Dispatcher
-	raise event.Raiser
-	pool  *mbuf.Pool
-	cpu   *sim.CPU
-	costs osmodel.Costs
+	host *osmodel.Host
+	nic  *netdev.NIC
 	// sendRef is the resolved SendEvent handle for the per-frame tap check.
 	sendRef *event.Ref
 }
 
-// Config wires a Layer.
-type Config struct {
-	NIC   *netdev.NIC
-	Disp  *event.Dispatcher
-	Raise event.Raiser
-	Pool  *mbuf.Pool
-	CPU   *sim.CPU
-	Costs osmodel.Costs
-	// RequireEphemeral makes RecvEvent reject non-EPHEMERAL handlers;
-	// stacks whose receive path runs at interrupt level set this.
-	RequireEphemeral bool
-}
-
-// New declares the Ethernet events on the host dispatcher and returns the
-// layer. It must be called once per interface per dispatcher.
-func New(cfg Config) (*Layer, error) {
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, NoMatch: dropNoHandler}); err != nil {
+// New declares the Ethernet events on the host's dispatcher and returns the
+// layer for nic. It must be called once per interface per dispatcher. On a
+// host whose receive path runs at interrupt level, RecvEvent rejects
+// non-EPHEMERAL handlers (§3.3).
+func New(host *osmodel.Host, nic *netdev.NIC) (*Layer, error) {
+	if err := host.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: host.RequireEphemeral(), NoMatch: dropNoHandler}); err != nil {
 		return nil, err
 	}
-	if err := cfg.Disp.Declare(SendEvent, event.Options{}); err != nil {
+	if err := host.Disp.Declare(SendEvent, event.Options{}); err != nil {
 		return nil, err
 	}
-	return &Layer{
-		nic:     cfg.NIC,
-		disp:    cfg.Disp,
-		raise:   cfg.Raise,
-		pool:    cfg.Pool,
-		cpu:     cfg.CPU,
-		costs:   cfg.Costs,
-		sendRef: cfg.Disp.Ref(SendEvent),
-	}, nil
-}
-
-// CPUSubmit schedules kernel-priority protocol work (timer-driven
-// retransmissions and the like) on the host CPU.
-func (l *Layer) CPUSubmit(label string, fn func(*sim.Task)) {
-	l.cpu.Submit(sim.PrioKernel, label, fn)
-}
-
-// RaiseRef raises an event through the stack's configured raise path; upper
-// layers use it to push packets to the next node of the graph.
-func (l *Layer) RaiseRef(t *sim.Task, r *event.Ref, m *mbuf.Mbuf) {
-	l.raise.RaiseRef(t, r, m)
+	return &Layer{host: host, nic: nic, sendRef: host.Disp.Ref(SendEvent)}, nil
 }
 
 // MAC returns the interface hardware address.
@@ -95,7 +60,7 @@ func (l *Layer) NIC() *netdev.NIC { return l.nic }
 // it. The source address is always overwritten with the interface address —
 // the cheap anti-spoofing policy of §3.1.
 func (l *Layer) Send(t *sim.Task, dst view.MAC, etherType uint16, m *mbuf.Mbuf) error {
-	t.ChargeProf(sim.ProfProto, "ether", l.costs.EtherProc)
+	t.ChargeProf(sim.ProfProto, "ether", l.host.Costs.EtherProc)
 	if hdr := m.Hdr(); hdr != nil {
 		t.Hop(hdr.Span, "ether", "send", hdr.Len)
 	}
@@ -118,7 +83,7 @@ func (l *Layer) Send(t *sim.Task, dst view.MAC, etherType uint16, m *mbuf.Mbuf) 
 	eth.SetSrc(l.nic.MAC())
 	eth.SetEtherType(etherType)
 	if l.sendRef.HandlerCount() > 0 {
-		l.raise.RaiseRef(t, l.sendRef, fm)
+		l.sendRef.Raise(t, fm) // inline on every boundary: the frame is freed once sent
 	}
 	return l.nic.Transmit(t, fm)
 }
@@ -129,12 +94,7 @@ func (l *Layer) Send(t *sim.Task, dst view.MAC, etherType uint16, m *mbuf.Mbuf) 
 // declared RequireEphemeral, non-EPHEMERAL handlers are rejected, and
 // allotment bounds each invocation.
 func (l *Layer) InstallRecv(guard event.Guard, h event.Handler, allotment sim.Time) (*event.Binding, error) {
-	return l.disp.Install(RecvEvent, guard, h, allotment)
-}
-
-// InstallSendTap attaches an observer to outgoing frames.
-func (l *Layer) InstallSendTap(guard event.Guard, h event.Handler) (*event.Binding, error) {
-	return l.disp.Install(SendEvent, guard, h, 0)
+	return l.host.Disp.Install(RecvEvent, guard, h, allotment)
 }
 
 // TypeGuard returns a guard matching frames with the given Ethernet type —

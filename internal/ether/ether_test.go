@@ -6,11 +6,13 @@ import (
 
 	"plexus/internal/ether"
 	"plexus/internal/event"
+	"plexus/internal/ip"
 	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
 	"plexus/internal/plexus"
 	"plexus/internal/sim"
+	"plexus/internal/udp"
 	"plexus/internal/view"
 )
 
@@ -80,28 +82,71 @@ func TestThreadModeAcceptsNonEphemeral(t *testing.T) {
 	}
 }
 
+// A send tap observes the packet the send path owns, so it runs inline on
+// every boundary: deferred to a kernel thread, it would see the frame after
+// the NIC had copied and freed it.
 func TestSendTapObservesFrames(t *testing.T) {
-	n, a, b := pair(t, true)
-	taps := 0
-	if _, err := a.Ether.InstallSendTap(nil, event.Proc("tap", func(task *sim.Task, m *mbuf.Mbuf) {
-		taps++ // observe only; do not free — the send path owns the frame
-	})); err != nil {
-		t.Fatal(err)
+	payload := []byte("x")
+	events := []struct {
+		ev  event.Name
+		len int // the tapped packet's length: its own header and all above it
+	}{
+		{ether.SendEvent, view.EthernetHdrLen + view.IPv4MinHdrLen + view.UDPHdrLen + len(payload)},
+		{ip.SendEvent, view.IPv4MinHdrLen + view.UDPHdrLen + len(payload)},
+		{udp.SendEvent, view.UDPHdrLen + len(payload)},
 	}
-	if _, err := b.OpenUDP(plexus.UDPAppOptions{Port: 9}, nil); err != nil {
-		t.Fatal(err)
-	}
-	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Spawn("send", func(task *sim.Task) {
-		_ = capp.Send(task, b.Addr(), 9, []byte("x"))
-		_ = capp.Send(task, b.Addr(), 9, []byte("y"))
-	})
-	n.Sim.Run()
-	if taps != 2 {
-		t.Fatalf("tap saw %d frames, want 2", taps)
+	for _, bd := range []struct {
+		name string
+		p    osmodel.Personality
+		d    osmodel.DispatchMode
+	}{
+		{"interrupt", osmodel.SPIN, osmodel.DispatchInterrupt},
+		{"thread", osmodel.SPIN, osmodel.DispatchThread},
+		{"dux", osmodel.Monolithic, osmodel.DispatchInterrupt},
+	} {
+		for _, tap := range events {
+			t.Run(bd.name+"/"+string(tap.ev), func(t *testing.T) {
+				spec := func(name string) plexus.HostSpec {
+					return plexus.HostSpec{Name: name, Personality: bd.p, Dispatch: bd.d}
+				}
+				n, a, b, err := plexus.TwoHosts(1, netdev.EthernetModel(), spec("a"), spec("b"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// inSend is true while the sending task is in Send: a tap
+				// that runs inline sees it set.
+				inSend, taps := false, 0
+				if _, err := a.Host.Disp.Install(tap.ev, nil, event.Proc("tap", func(task *sim.Task, m *mbuf.Mbuf) {
+					// Observe only; do not free — the send path owns the packet.
+					if m.Freed() || m.PktLen() != tap.len {
+						t.Errorf("tap saw freed=%v len %d, want a live packet of %d", m.Freed(), m.PktLen(), tap.len)
+					}
+					if !inSend {
+						t.Error("tap ran outside the sending task")
+					}
+					taps++
+				}), 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.OpenUDP(plexus.UDPAppOptions{Port: 9}, nil); err != nil {
+					t.Fatal(err)
+				}
+				capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Spawn("send", func(task *sim.Task) {
+					inSend = true
+					_ = capp.Send(task, b.Addr(), 9, payload)
+					_ = capp.Send(task, b.Addr(), 9, payload)
+					inSend = false
+				})
+				n.Sim.Run()
+				if taps != 2 {
+					t.Fatalf("tap saw %d packets, want 2", taps)
+				}
+			})
+		}
 	}
 }
 

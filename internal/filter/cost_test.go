@@ -33,7 +33,7 @@ func TestInterpretedCostCharged(t *testing.T) {
 		t.Fatal("interpreter charged nothing")
 	}
 	// All instructions execute on a full match: cost = len × per-instr.
-	if want := sim.Time(p.Len()) * p.InstrCost; cost != want {
+	if want := sim.Time(p.Len()) * DefaultInstrCost; cost != want {
 		t.Errorf("cost = %v, want %v (%d instrs)", cost, want, p.Len())
 	}
 }

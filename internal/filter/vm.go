@@ -42,7 +42,8 @@ type instr struct {
 }
 
 // DefaultInstrCost is the simulated cost of one interpreted instruction —
-// interpreter dispatch plus operand handling on the modelled 1995 CPU.
+// interpreter dispatch plus operand handling on the modelled 1995 CPU — charged
+// per instruction a Program executes.
 const DefaultInstrCost = 250 * sim.Nanosecond
 
 // Program is a compiled filter for the VM backend.
@@ -50,9 +51,6 @@ type Program struct {
 	base Base
 	code []instr
 	src  string
-	// InstrCost is charged per executed instruction (DefaultInstrCost
-	// unless overridden).
-	InstrCost sim.Time
 }
 
 // CompileInterpreted parses source text and compiles it to VM bytecode.
@@ -61,7 +59,7 @@ func CompileInterpreted(src string, base Base) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{base: base, src: src, InstrCost: DefaultInstrCost}
+	p := &Program{base: base, src: src}
 	p.compile(root)
 	return p, nil
 }
@@ -233,7 +231,7 @@ func (p *Program) RunBytes(t *sim.Task, b []byte) bool {
 		}
 	}
 	if t != nil {
-		t.Charge(sim.Time(executed) * p.InstrCost)
+		t.Charge(sim.Time(executed) * DefaultInstrCost)
 	}
 	return sp > 0 && stack[sp-1] != 0
 }

@@ -33,9 +33,8 @@ type EchoReply struct {
 
 // Layer is the ICMP protocol node for one host.
 type Layer struct {
+	host  *osmodel.Host
 	ip    *ip.Layer
-	pool  *mbuf.Pool
-	costs osmodel.Costs
 	stats Stats
 	// waiters maps echo ident → callback.
 	waiters map[uint16]func(*sim.Task, EchoReply)
@@ -43,14 +42,13 @@ type Layer struct {
 
 // New creates the ICMP node and installs its guard (proto == ICMP) and
 // handler on IP.PacketRecv.
-func New(ipl *ip.Layer, disp *event.Dispatcher, pool *mbuf.Pool, costs osmodel.Costs) (*Layer, error) {
+func New(host *osmodel.Host, ipl *ip.Layer) (*Layer, error) {
 	l := &Layer{
+		host:    host,
 		ip:      ipl,
-		pool:    pool,
-		costs:   costs,
 		waiters: make(map[uint16]func(*sim.Task, EchoReply)),
 	}
-	_, err := disp.Install(ip.RecvEvent, ProtoGuard(view.IPProtoICMP),
+	_, err := host.Disp.Install(ip.RecvEvent, ProtoGuard(view.IPProtoICMP),
 		event.Ephemeral("icmp.input", l.input), 0)
 	if err != nil {
 		return nil, err
@@ -79,7 +77,7 @@ func (l *Layer) Ping(t *sim.Task, dst view.IP4, ident, seq uint16, payload []byt
 		l.waiters[ident] = cb
 	}
 	m := l.buildEcho(view.ICMPEchoRequest, ident, seq, payload)
-	t.ChargeBytes(m.PktLen(), l.costs.ChecksumPerByte)
+	t.ChargeBytes(m.PktLen(), l.host.Costs.ChecksumPerByte)
 	return l.ip.Send(t, view.IP4{}, dst, view.IPProtoICMP, m)
 }
 
@@ -96,7 +94,7 @@ func (l *Layer) buildEcho(typ uint8, ident, seq uint16, payload []byte) *mbuf.Mb
 	v.SetSeq(seq)
 	v.SetChecksum(0)
 	v.SetChecksum(view.Checksum(buf))
-	return l.pool.FromBytes(buf, 64)
+	return l.host.Pool.FromBytes(buf, 64)
 }
 
 // input handles an IP datagram (header intact, read-only) carrying ICMP.
@@ -110,7 +108,7 @@ func (l *Layer) input(t *sim.Task, m *mbuf.Mbuf) {
 	if err != nil || len(body) < view.ICMPHdrLen {
 		return
 	}
-	t.ChargeBytes(len(body), l.costs.ChecksumPerByte)
+	t.ChargeBytes(len(body), l.host.Costs.ChecksumPerByte)
 	if view.Checksum(body) != 0 {
 		l.stats.BadChecksum++
 		return
@@ -120,7 +118,7 @@ func (l *Layer) input(t *sim.Task, m *mbuf.Mbuf) {
 	case view.ICMPEchoRequest:
 		l.stats.EchoRequestsRcvd++
 		reply := l.buildEcho(view.ICMPEchoReply, v.Ident(), v.Seq(), body[view.ICMPHdrLen:])
-		t.ChargeBytes(reply.PktLen(), l.costs.ChecksumPerByte)
+		t.ChargeBytes(reply.PktLen(), l.host.Costs.ChecksumPerByte)
 		l.stats.EchoRepliesSent++
 		if err := l.ip.Send(t, view.IP4{}, ipv.Src(), view.IPProtoICMP, reply); err != nil {
 			return
@@ -176,5 +174,5 @@ func (l *Layer) sendError(t *sim.Task, typ, code uint8, orig *mbuf.Mbuf) error {
 	v.SetCode(code)
 	v.SetChecksum(0)
 	v.SetChecksum(view.Checksum(buf))
-	return l.ip.Send(t, view.IP4{}, ipv.Src(), view.IPProtoICMP, l.pool.FromBytes(buf, 64))
+	return l.ip.Send(t, view.IP4{}, ipv.Src(), view.IPProtoICMP, l.host.Pool.FromBytes(buf, 64))
 }

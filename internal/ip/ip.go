@@ -61,12 +61,9 @@ type Stats struct {
 
 // Layer is the IPv4 protocol node for one interface.
 type Layer struct {
-	sim   *sim.Sim
-	eth   *ether.Layer
-	arp   *arp.ARP
-	disp  *event.Dispatcher
-	pool  *mbuf.Pool
-	costs osmodel.Costs
+	host *osmodel.Host
+	eth  *ether.Layer
+	arp  *arp.ARP
 
 	addr view.IP4
 	mask view.IP4
@@ -82,24 +79,17 @@ type Layer struct {
 	recvRef *event.Ref
 	sendRef *event.Ref
 
-	// VerifyRxChecksum controls software verification of the header
-	// checksum on receive (on by default; an ablation disables it).
-	VerifyRxChecksum bool
-
 	// forwardFn, when set, is offered datagrams addressed to other hosts
 	// before they are dropped as NotForUs. Returning true consumes the
 	// packet; returning false lets the normal drop accounting proceed.
 	forwardFn func(t *sim.Task, m *mbuf.Mbuf) bool
 }
 
-// Config wires a Layer.
+// Config is what a Layer needs beyond its host: the interface below it and
+// its addressing.
 type Config struct {
-	Sim   *sim.Sim
 	Ether *ether.Layer
 	ARP   *arp.ARP
-	Disp  *event.Dispatcher
-	Pool  *mbuf.Pool
-	Costs osmodel.Costs
 	Addr  view.IP4
 	Mask  view.IP4
 	// Gateway, if nonzero, routes off-link destinations.
@@ -108,28 +98,24 @@ type Config struct {
 
 // New creates the IP node, declares IP.PacketRecv/IP.PacketSend, and installs
 // the layer's guard/handler pair on Ethernet.PacketRecv.
-func New(cfg Config) (*Layer, error) {
+func New(host *osmodel.Host, cfg Config) (*Layer, error) {
 	l := &Layer{
-		sim:              cfg.Sim,
-		eth:              cfg.Ether,
-		arp:              cfg.ARP,
-		disp:             cfg.Disp,
-		pool:             cfg.Pool,
-		costs:            cfg.Costs,
-		addr:             cfg.Addr,
-		mask:             cfg.Mask,
-		gw:               cfg.Gateway,
-		reasm:            make(map[reasmKey]*reasmBuf),
-		VerifyRxChecksum: true,
+		host:  host,
+		eth:   cfg.Ether,
+		arp:   cfg.ARP,
+		addr:  cfg.Addr,
+		mask:  cfg.Mask,
+		gw:    cfg.Gateway,
+		reasm: make(map[reasmKey]*reasmBuf),
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{NoMatch: dropNoHandler}); err != nil {
+	if err := host.Disp.Declare(RecvEvent, event.Options{NoMatch: dropNoHandler}); err != nil {
 		return nil, err
 	}
-	if err := cfg.Disp.Declare(SendEvent, event.Options{}); err != nil {
+	if err := host.Disp.Declare(SendEvent, event.Options{}); err != nil {
 		return nil, err
 	}
-	l.recvRef = cfg.Disp.Ref(RecvEvent)
-	l.sendRef = cfg.Disp.Ref(SendEvent)
+	l.recvRef = host.Disp.Ref(RecvEvent)
+	l.sendRef = host.Disp.Ref(SendEvent)
 	_, err := cfg.Ether.InstallRecv(
 		ether.TypeGuard(view.EtherTypeIPv4),
 		event.Ephemeral("ip.input", l.input),
@@ -208,7 +194,7 @@ func (l *Layer) nextHop(dst view.IP4) (view.IP4, error) {
 // "overwrite" policy); transports that verify instead pass an explicit src
 // which must equal the interface address.
 func (l *Layer) Send(t *sim.Task, src, dst view.IP4, proto uint8, m *mbuf.Mbuf) error {
-	t.ChargeProf(sim.ProfProto, "ip", l.costs.IPProc)
+	t.ChargeProf(sim.ProfProto, "ip", l.host.Costs.IPProc)
 	if src == (view.IP4{}) {
 		src = l.addr
 	} else if src != l.addr {
@@ -238,12 +224,12 @@ func (l *Layer) Send(t *sim.Task, src, dst view.IP4, proto uint8, m *mbuf.Mbuf) 
 			n = total - off
 			last = true
 		}
-		frag, err := l.pool.CopyRange(m, off, n, 64)
+		frag, err := l.host.Pool.CopyRange(m, off, n, 64)
 		if err != nil {
 			m.Free()
 			return err
 		}
-		t.ChargeBytes(n, l.costs.RAMPerByte)
+		t.ChargeBytes(n, l.host.Costs.RAMPerByte)
 		if err := l.sendFragment(t, src, dst, proto, id, off, !last, frag, nh); err != nil {
 			m.Free()
 			return err
@@ -285,13 +271,13 @@ func (l *Layer) sendFragment(t *sim.Task, src, dst view.IP4, proto uint8, id uin
 	v.SetSrc(src)
 	v.SetDst(dst)
 	v.ComputeChecksum()
-	t.ChargeBytesProf(sim.ProfChecksum, "ip", view.IPv4MinHdrLen, l.costs.ChecksumPerByte)
+	t.ChargeBytesProf(sim.ProfChecksum, "ip", view.IPv4MinHdrLen, l.host.Costs.ChecksumPerByte)
 	l.stats.Sent++
 	if hdr := dm.Hdr(); hdr != nil {
 		t.Hop(hdr.Span, "ip", "send", hdr.Len)
 	}
 	if l.sendRef.HandlerCount() > 0 {
-		l.eth.RaiseRef(t, l.sendRef, dm)
+		l.sendRef.Raise(t, dm) // inline on every boundary: the send path owns dm
 	}
 	return l.arp.Send(t, nextHop, view.EtherTypeIPv4, dm)
 }
@@ -301,7 +287,7 @@ func (l *Layer) sendFragment(t *sim.Task, src, dst view.IP4, proto uint8, id uin
 // addresses: the datagram re-enters the graph below IP, exactly as a
 // redirected packet should.
 func (l *Layer) Forward(t *sim.Task, m *mbuf.Mbuf) error {
-	t.ChargeProf(sim.ProfProto, "ip", l.costs.IPProc)
+	t.ChargeProf(sim.ProfProto, "ip", l.host.Costs.IPProc)
 	if hdr := m.Hdr(); hdr != nil {
 		t.Hop(hdr.Span, "ip", "forward", hdr.Len)
 	}
@@ -322,7 +308,7 @@ func (l *Layer) Forward(t *sim.Task, m *mbuf.Mbuf) error {
 // input is the guard-selected handler on Ethernet.PacketRecv: validate the
 // datagram, reassemble fragments, and raise IP.PacketRecv.
 func (l *Layer) input(t *sim.Task, m *mbuf.Mbuf) {
-	t.ChargeProf(sim.ProfProto, "ip", l.costs.IPProc)
+	t.ChargeProf(sim.ProfProto, "ip", l.host.Costs.IPProc)
 	l.stats.Received++
 	m.Adj(view.EthernetHdrLen) // strip link header; window op, legal on read-only chains
 	dm, err := m.Pullup(min(m.PktLen(), view.IPv4MinHdrLen))
@@ -347,13 +333,11 @@ func (l *Layer) input(t *sim.Task, m *mbuf.Mbuf) {
 	if m.PktLen() > v.TotalLen() {
 		m.Adj(v.TotalLen() - m.PktLen())
 	}
-	if l.VerifyRxChecksum {
-		t.ChargeBytesProf(sim.ProfChecksum, "ip", v.HdrLen(), l.costs.ChecksumPerByte)
-		if !v.VerifyChecksum() {
-			l.stats.BadChecksum++
-			m.Free()
-			return
-		}
+	t.ChargeBytesProf(sim.ProfChecksum, "ip", v.HdrLen(), l.host.Costs.ChecksumPerByte)
+	if !v.VerifyChecksum() {
+		l.stats.BadChecksum++
+		m.Free()
+		return
 	}
 	dst := v.Dst()
 	if dst != l.addr && !dst.IsBroadcast() && !dst.IsMulticast() {
@@ -375,7 +359,7 @@ func (l *Layer) input(t *sim.Task, m *mbuf.Mbuf) {
 	if hdr := m.Hdr(); hdr != nil {
 		t.Hop(hdr.Span, "ip", "recv", hdr.Len)
 	}
-	l.eth.RaiseRef(t, l.recvRef, m)
+	l.host.RaiseRef(t, l.recvRef, m)
 }
 
 // dropNoHandler is IP.PacketRecv's NoMatch action: a datagram no transport

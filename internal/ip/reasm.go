@@ -107,7 +107,7 @@ func (l *Layer) reassemble(t *sim.Task, v view.IPv4View, m *mbuf.Mbuf) *mbuf.Mbu
 	if !ok {
 		rb = l.getReasmBuf(key)
 		l.reasm[key] = rb
-		rb.timer = l.sim.AfterArg(ReassemblyTimeout, "ip-reasm-timeout", reasmExpire, rb)
+		rb.timer = l.host.Sim.AfterArg(ReassemblyTimeout, "ip-reasm-timeout", reasmExpire, rb)
 	}
 	last := !v.MoreFragments()
 	if rb.totalLen > 0 && (end > rb.totalLen || last && end != rb.totalLen) || last && end < len(rb.data) {
@@ -126,7 +126,7 @@ func (l *Layer) reassemble(t *sim.Task, v view.IPv4View, m *mbuf.Mbuf) *mbuf.Mbu
 	if err != nil {
 		return nil
 	}
-	t.ChargeBytes(payloadLen, l.costs.RAMPerByte)
+	t.ChargeBytes(payloadLen, l.host.Costs.RAMPerByte)
 
 	for u := fragOff / 8; u < (end+7)/8; u++ {
 		rb.have[u] = true
@@ -146,7 +146,7 @@ func (l *Layer) reassemble(t *sim.Task, v view.IPv4View, m *mbuf.Mbuf) *mbuf.Mbu
 	rb.timer.Stop()
 	delete(l.reasm, key)
 	l.stats.Reassembled++
-	whole := l.pool.FromBytes(rb.data[:rb.totalLen], view.IPv4MinHdrLen+16)
+	whole := l.host.Pool.FromBytes(rb.data[:rb.totalLen], view.IPv4MinHdrLen+16)
 	l.freeReasmBuf(rb)
 	dm, err := whole.Prepend(view.IPv4MinHdrLen)
 	if err != nil {

@@ -57,7 +57,7 @@ func TestDefaultCostsPopulated(t *testing.T) {
 
 func TestHostAssembly(t *testing.T) {
 	s := sim.New(1)
-	h := NewHost(s, "h", SPIN, DispatchInterrupt, DefaultCosts())
+	h := NewHost(s, "h", SPIN, DispatchInterrupt)
 	if h.CPU == nil || h.Disp == nil || h.Pool == nil || h.KernelDomain == nil || h.ExtensionDomain == nil {
 		t.Fatal("host pieces missing")
 	}
@@ -78,7 +78,7 @@ func TestBoundaryFromPersonalityAndDispatch(t *testing.T) {
 		{Monolithic, DispatchInterrupt, DigitalUnix, sim.PrioUser},
 		{Monolithic, DispatchThread, DigitalUnix, sim.PrioUser}, // dispatch ignored
 	} {
-		b := NewHost(sim.New(1), "h", c.p, c.d, DefaultCosts()).Boundary
+		b := NewHost(sim.New(1), "h", c.p, c.d).Boundary
 		if b != c.want || b.AppPriority() != c.prio {
 			t.Errorf("%v/%v: boundary %v at %v, want %v at %v", c.p, c.d, b, b.AppPriority(), c.want, c.prio)
 		}

@@ -50,7 +50,7 @@ func (st *Stack) wake(t *sim.Task, prefix string, to appSink, kernel sim.Time) *
 	t.ChargeProf(sim.ProfTrap, "socket", kernel)
 	w := pop(&st.wakeFree)
 	w.st, w.to = st, to
-	st.Host.CPU.SubmitAtArg(t.Now(), sim.PrioUser, st.label(prefix, st.Name()), userTask, w)
+	st.Host.CPU.SubmitAtArg(t.Now(), sim.PrioUser, st.Host.Label(prefix, st.Name()), userTask, w)
 	return w
 }
 

@@ -114,7 +114,7 @@ func (c *Conn) setState(next State, cause Cause) {
 	c.state = next
 	if s := c.mgr.audit; s != nil && old != next {
 		s.Transition(Transition{
-			At:         c.mgr.sim.Now(),
+			At:         c.mgr.host.Sim.Now(),
 			Host:       c.mgr.hostName,
 			LocalAddr:  c.mgr.ip.Addr(),
 			LocalPort:  c.localPort,

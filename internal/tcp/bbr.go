@@ -84,7 +84,7 @@ func (b *bbr) Init(c *Conn) {
 }
 
 func (b *bbr) OnRTTSample(c *Conn, rtt sim.Time) {
-	now := c.mgr.sim.Now()
+	now := c.mgr.host.Sim.Now()
 	if b.minRTT == 0 || rtt < b.minRTT || now-b.minRTTAt > bbrMinRTTExpiry {
 		b.minRTT = rtt
 		b.minRTTAt = now
@@ -92,7 +92,7 @@ func (b *bbr) OnRTTSample(c *Conn, rtt sim.Time) {
 }
 
 func (b *bbr) OnAck(c *Conn, acked uint32) {
-	now := c.mgr.sim.Now()
+	now := c.mgr.host.Sim.Now()
 	if !b.roundValid {
 		b.roundValid = true
 		b.roundStart = now

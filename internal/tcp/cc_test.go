@@ -11,12 +11,13 @@ package tcp
 import (
 	"testing"
 
+	"plexus/internal/osmodel"
 	"plexus/internal/sim"
 )
 
 // ccTestConn builds a bare connection bound to algo with the given windows.
 func ccTestConn(s *sim.Sim, algo string, mss, cwnd, ssthresh uint32) *Conn {
-	c := &Conn{mgr: &Manager{sim: s}, mss: mss, rto: initialRTO}
+	c := &Conn{mgr: &Manager{host: &osmodel.Host{Sim: s}}, mss: mss, rto: initialRTO}
 	c.snd.cwnd = cwnd
 	c.snd.ssthresh = ssthresh
 	c.cc = newCC(algo)
@@ -207,7 +208,7 @@ func TestWindowUpdateFreshnessRule(t *testing.T) {
 func TestMinRTOConfigurableFloor(t *testing.T) {
 	s := sim.New(1)
 	run := func(floor sim.Time) sim.Time {
-		c := &Conn{mgr: &Manager{sim: s, minRTO: floor}, rto: initialRTO}
+		c := &Conn{mgr: &Manager{host: &osmodel.Host{Sim: s}, minRTO: floor}, rto: initialRTO}
 		c.startRTT(100)
 		c.sampleRTT(101) // zero-delay sample: srtt+4·rttvar is tiny
 		return c.rto

@@ -282,7 +282,7 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16) 
 		Fn:        c.segArrives,
 		Ephemeral: true,
 	}
-	b, err := m.disp.InstallKey(RecvEvent, connKeyOf(localPort, remote, remotePort), h, 0)
+	b, err := m.host.Disp.InstallKey(RecvEvent, connKeyOf(localPort, remote, remotePort), h, 0)
 	if err != nil {
 		// RecvEvent is always declared by New, with segKey; install can
 		// only fail on a nil handler, which cannot happen here.
@@ -401,7 +401,7 @@ func (c *Conn) scheduleDelayedACK() {
 	if c.ackTimer.Pending() {
 		return
 	}
-	c.ackTimer = c.mgr.sim.AfterArg(delayedAckDelay, "tcp-delack", delackFire, c)
+	c.ackTimer = c.mgr.host.Sim.AfterArg(delayedAckDelay, "tcp-delack", delackFire, c)
 }
 
 // Send appends data to the connection's stream. It is accepted immediately
@@ -548,7 +548,7 @@ func (c *Conn) paceGate(n uint32) bool {
 	if d == 0 {
 		return false
 	}
-	now := c.mgr.sim.Now()
+	now := c.mgr.host.Sim.Now()
 	if now < c.paceNext {
 		c.armPace(c.paceNext - now)
 		return true
@@ -561,7 +561,7 @@ func (c *Conn) armPace(d sim.Time) {
 	if c.paceTimer.Pending() {
 		return
 	}
-	c.paceTimer = c.mgr.sim.AfterArg(d, "tcp-pace", paceFire, c)
+	c.paceTimer = c.mgr.host.Sim.AfterArg(d, "tcp-pace", paceFire, c)
 }
 
 // --- timers & RTT ---
@@ -573,7 +573,7 @@ func (c *Conn) armPace(d sim.Time) {
 
 func (c *Conn) submitTimer(label string, fn func(*sim.Task, any)) {
 	if !c.dead {
-		c.mgr.cpu.SubmitAtArg(c.mgr.sim.Now(), sim.PrioKernel, label, fn, c)
+		c.mgr.host.CPU.SubmitAtArg(c.mgr.host.Sim.Now(), sim.PrioKernel, label, fn, c)
 	}
 }
 
@@ -627,7 +627,7 @@ func (c *Conn) startRTT(seq uint32) {
 	}
 	c.rttValid = true
 	c.rttSeq = seq
-	c.rttStart = c.mgr.sim.Now()
+	c.rttStart = c.mgr.host.Sim.Now()
 }
 
 // sampleRTT applies Jacobson's estimator when an ACK covers the timed
@@ -637,7 +637,7 @@ func (c *Conn) sampleRTT(ack uint32) {
 		return
 	}
 	c.rttValid = false
-	m := c.mgr.sim.Now() - c.rttStart
+	m := c.mgr.host.Sim.Now() - c.rttStart
 	if c.srtt == 0 {
 		c.srtt = m
 		c.rttvar = m / 2
@@ -674,7 +674,7 @@ func (c *Conn) armRexmit() {
 	if rto > maxRTO {
 		rto = maxRTO
 	}
-	c.rexmitTimer = c.mgr.sim.AfterArg(rto, "tcp-rexmit", rexmitFire, c)
+	c.rexmitTimer = c.mgr.host.Sim.AfterArg(rto, "tcp-rexmit", rexmitFire, c)
 }
 
 func (c *Conn) disarmRexmit() {
@@ -843,7 +843,7 @@ func (c *Conn) teardown(err error, cause Cause) {
 	c.paceTimer.Stop()
 	c.disarmPersist()
 	c.releaseSndBuf()
-	c.mgr.disp.Uninstall(c.binding)
+	c.mgr.host.Disp.Uninstall(c.binding)
 	delete(c.mgr.conns, connKey{c.localPort, c.remoteAddr, c.remotePort})
 	for i, lc := range c.mgr.connList {
 		if lc == c {
@@ -879,7 +879,7 @@ func (c *Conn) releaseSndBuf() {
 // TIME-WAIT restarts it (RFC 793 p.73); only its expiry may leave the state.
 func (c *Conn) rearmTimeWait() {
 	c.twTimer.Stop()
-	c.twTimer = c.mgr.sim.AfterArg(2*msl, "tcp-timewait", timeWaitFire, c)
+	c.twTimer = c.mgr.host.Sim.AfterArg(2*msl, "tcp-timewait", timeWaitFire, c)
 }
 
 // --- receiver flow control and the persist timer ---
@@ -932,7 +932,7 @@ func (c *Conn) armPersist() {
 	if d > maxPersistInterval {
 		d = maxPersistInterval
 	}
-	c.persistTimer = c.mgr.sim.AfterArg(d, "tcp-persist", persistFire, c)
+	c.persistTimer = c.mgr.host.Sim.AfterArg(d, "tcp-persist", persistFire, c)
 }
 
 func (c *Conn) disarmPersist() {

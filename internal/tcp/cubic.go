@@ -50,7 +50,7 @@ func (cu *cubic) OnAck(c *Conn, acked uint32) {
 		cu.acc = 0
 		cu.epoch = 0
 	}
-	now := c.mgr.sim.Now()
+	now := c.mgr.host.Sim.Now()
 	mss := float64(c.mss)
 	cwndSegs := float64(c.snd.cwnd) / mss
 	if cu.epoch == 0 {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"plexus/internal/osmodel"
 	"plexus/internal/sim"
 	"plexus/internal/view"
 )
@@ -135,7 +136,7 @@ func ringConn(m *Manager, size, acked int) *Conn {
 // storage, and the next connection's first Send takes that ring instead of
 // allocating one.
 func TestTimeWaitRingIsRecycled(t *testing.T) {
-	m := &Manager{sim: sim.New(1)}
+	m := &Manager{host: &osmodel.Host{Sim: sim.New(1)}}
 	c := ringConn(m, 1000, 1000)
 	ring := c.sndBuf.buf
 	if len(ring) != 1024 {
@@ -155,7 +156,7 @@ func TestTimeWaitRingIsRecycled(t *testing.T) {
 // reset mid-stream), and never one above the recycling bound: a bulk
 // connection's storage goes to the garbage collector with its TCB.
 func TestTeardownRingRecycling(t *testing.T) {
-	m := &Manager{sim: sim.New(1)}
+	m := &Manager{host: &osmodel.Host{Sim: sim.New(1)}}
 	ringConn(m, 1000, 1000).teardown(nil, userCause(CauseClose))
 	if len(m.rings) != 1 {
 		t.Fatalf("pool holds %d rings after an empty teardown, want 1", len(m.rings))

@@ -8,11 +8,12 @@ package tcp
 import (
 	"testing"
 
+	"plexus/internal/osmodel"
 	"plexus/internal/sim"
 )
 
 func rttConn(s *sim.Sim) *Conn {
-	return &Conn{mgr: &Manager{sim: s}, rto: initialRTO}
+	return &Conn{mgr: &Manager{host: &osmodel.Host{Sim: s}}, rto: initialRTO}
 }
 
 func TestSampleRTTSeedsEstimator(t *testing.T) {

@@ -70,15 +70,10 @@ type Stats struct {
 
 // Manager is the TCP protocol manager for one host.
 type Manager struct {
-	sim   *sim.Sim
-	ip    *ip.Layer
-	disp  *event.Dispatcher
-	raise event.Raiser
+	host *osmodel.Host
+	ip   *ip.Layer
 	// recvRef is the resolved RecvEvent handle for the per-segment path.
 	recvRef *event.Ref
-	cpu     *sim.CPU
-	pool    *mbuf.Pool
-	costs   osmodel.Costs
 
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
@@ -111,8 +106,6 @@ type Manager struct {
 	// the emission path).
 	audit    TransitionSink
 	hostName string
-
-	requireEphemeral bool
 }
 
 type connKey struct {
@@ -121,17 +114,9 @@ type connKey struct {
 	remotePort uint16
 }
 
-// Config wires a Manager.
+// Config is what a Manager needs beyond its host.
 type Config struct {
-	Sim   *sim.Sim
-	IP    *ip.Layer
-	Disp  *event.Dispatcher
-	Raise event.Raiser
-	CPU   *sim.CPU
-	Pool  *mbuf.Pool
-	Costs osmodel.Costs
-	// RequireEphemeral rejects non-EPHEMERAL connection handlers (§3.3).
-	RequireEphemeral bool
+	IP *ip.Layer
 	// DefaultCC names the congestion-control algorithm by registry name
 	// ("newreno", "cubic", "bbr") for every connection ("" = NewReno).
 	DefaultCC string
@@ -141,34 +126,27 @@ type Config struct {
 }
 
 // New creates the manager, declares TCP.PacketRecv, and installs the TCP
-// layer's guard/handler on IP.PacketRecv.
-func New(cfg Config) (*Manager, error) {
+// layer's guard/handler on IP.PacketRecv. Connection handlers are installed
+// by the manager itself, so TCP.PacketRecv never requires EPHEMERAL ones.
+func New(host *osmodel.Host, cfg Config) (*Manager, error) {
 	m := &Manager{
-		sim:              cfg.Sim,
-		ip:               cfg.IP,
-		disp:             cfg.Disp,
-		raise:            cfg.Raise,
-		cpu:              cfg.CPU,
-		pool:             cfg.Pool,
-		costs:            cfg.Costs,
-		listeners:        make(map[uint16]*Listener),
-		conns:            make(map[connKey]*Conn),
-		nextPort:         32768,
-		issSeed:          uint32(cfg.Sim.Rand().Int63()),
-		defaultCC:        cfg.DefaultCC,
-		minRTO:           cfg.MinRTO,
-		requireEphemeral: cfg.RequireEphemeral,
+		host:      host,
+		ip:        cfg.IP,
+		listeners: make(map[uint16]*Listener),
+		conns:     make(map[connKey]*Conn),
+		nextPort:  32768,
+		issSeed:   uint32(host.Sim.Rand().Int63()),
+		defaultCC: cfg.DefaultCC,
+		minRTO:    cfg.MinRTO,
+		hostName:  host.CPU.Name(),
 	}
 	if m.minRTO == 0 {
 		m.minRTO = minRTO
 	}
-	if cfg.CPU != nil {
-		m.hostName = cfg.CPU.Name()
-	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, Key: segKey, NoMatch: m.noMatch}); err != nil {
+	if err := host.Disp.Declare(RecvEvent, event.Options{Key: segKey, NoMatch: m.noMatch}); err != nil {
 		return nil, err
 	}
-	m.recvRef = cfg.Disp.Ref(RecvEvent)
+	m.recvRef = host.Disp.Ref(RecvEvent)
 	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
 		if !icmp.ProtoGuard(view.IPProtoTCP)(t, pkt) {
 			return false
@@ -179,7 +157,7 @@ func New(cfg Config) (*Manager, error) {
 		s, ok := parseHdr(pkt)
 		return ok && !m.claimed[s.dstPort] && !m.claimed[s.srcPort]
 	}
-	_, err := cfg.Disp.Install(ip.RecvEvent, guard,
+	_, err := host.Disp.Install(ip.RecvEvent, guard,
 		event.Ephemeral("tcp.input", m.input), 0)
 	if err != nil {
 		return nil, err
@@ -219,7 +197,7 @@ func (m *Manager) MSS() int { return m.ip.MTU() - view.IPv4MinHdrLen - view.TCPM
 // input validates a TCP segment and raises TCP.PacketRecv; segments matching
 // no guard draw an RST.
 func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
-	t.ChargeProf(sim.ProfProto, "tcp", m.costs.TCPProc)
+	t.ChargeProf(sim.ProfProto, "tcp", m.host.Costs.TCPProc)
 	if hdr := pkt.Hdr(); hdr != nil {
 		t.Hop(hdr.Span, "tcp", "recv", hdr.Len)
 	}
@@ -237,14 +215,14 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		pkt.Free()
 		return
 	}
-	t.ChargeBytesProf(sim.ProfChecksum, "tcp", segLen, m.costs.ChecksumPerByte)
+	t.ChargeBytesProf(sim.ProfChecksum, "tcp", segLen, m.host.Costs.ChecksumPerByte)
 	a := view.PseudoHeader(ipv.Src(), ipv.Dst(), view.IPProtoTCP, segLen)
 	if err := ip.ChecksumChain(&a, pkt, hl, segLen); err != nil || a.Fold() != 0 {
 		m.stats.BadChecksum++
 		pkt.Free()
 		return
 	}
-	m.raise.RaiseRef(t, m.recvRef, pkt)
+	m.host.RaiseRef(t, m.recvRef, pkt)
 }
 
 // noMatch is TCP.PacketRecv's NoMatch action: a segment no connection or
@@ -428,10 +406,10 @@ func (m *Manager) sendSegment(t *sim.Task, srcPort uint16, dst view.IP4, dstPort
 	a.Add(pay0)
 	a.Add(pay1)
 	v.SetChecksum(a.Fold())
-	t.ChargeProf(sim.ProfProto, "tcp", m.costs.TCPProc)
-	t.ChargeBytesProf(sim.ProfChecksum, "tcp", segLen, m.costs.ChecksumPerByte)
-	seg := m.pool.Gather(64, hdr, pay0, pay1)
-	if s := m.sim; s.MetricsEnabled() {
+	t.ChargeProf(sim.ProfProto, "tcp", m.host.Costs.TCPProc)
+	t.ChargeBytesProf(sim.ProfChecksum, "tcp", segLen, m.host.Costs.ChecksumPerByte)
+	seg := m.host.Pool.Gather(64, hdr, pay0, pay1)
+	if s := m.host.Sim; s.MetricsEnabled() {
 		seg.Hdr().Span = s.NextSpan()
 		t.Hop(seg.Hdr().Span, "tcp", "send", seg.Hdr().Len)
 	}
@@ -500,7 +478,7 @@ func (m *Manager) Listen(port uint16, accept func(t *sim.Task, c *Conn) App) (*L
 		return !exists
 	}
 	h := event.Handler{Name: fmt.Sprintf("tcp.listen:%d", port), Fn: l.input, Ephemeral: true}
-	if _, err := m.disp.Install(RecvEvent, guard, h, 0); err != nil {
+	if _, err := m.host.Disp.Install(RecvEvent, guard, h, 0); err != nil {
 		return nil, err
 	}
 	m.listeners[port] = l

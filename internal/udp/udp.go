@@ -70,16 +70,13 @@ type Stats struct {
 
 // Manager is the UDP protocol manager for one host.
 type Manager struct {
-	ip    *ip.Layer
-	icmp  *icmp.Layer // may be nil; used for port-unreachable
-	disp  *event.Dispatcher
-	raise event.Raiser
+	host *osmodel.Host
+	ip   *ip.Layer
+	icmp *icmp.Layer // may be nil; used for port-unreachable
 	// recvRef/sendRef are the manager's resolved event handles for the
 	// per-datagram path.
 	recvRef *event.Ref
 	sendRef *event.Ref
-	pool    *mbuf.Pool
-	costs   osmodel.Costs
 
 	ports map[uint16]*Endpoint
 	// claimed ports belong to another UDP implementation in the graph;
@@ -87,47 +84,28 @@ type Manager struct {
 	claimed       map[uint16]bool
 	nextEphemeral uint16
 	stats         Stats
-	// requireEphemeral propagates the stack's interrupt-mode policy to
-	// endpoint handler installation.
-	requireEphemeral bool
-}
-
-// Config wires a Manager.
-type Config struct {
-	IP    *ip.Layer
-	ICMP  *icmp.Layer
-	Disp  *event.Dispatcher
-	Raise event.Raiser
-	Pool  *mbuf.Pool
-	Costs osmodel.Costs
-	// RequireEphemeral rejects non-EPHEMERAL endpoint receive handlers,
-	// the §3.3 policy for interrupt-level dispatch.
-	RequireEphemeral bool
 }
 
 // New creates the manager, declares the UDP events, and installs the UDP
-// layer's guard/handler on IP.PacketRecv.
-func New(cfg Config) (*Manager, error) {
+// layer's guard/handler on IP.PacketRecv. On a host whose receive path runs
+// at interrupt level, endpoint receive handlers must be EPHEMERAL (§3.3).
+func New(host *osmodel.Host, ipl *ip.Layer, icmpl *icmp.Layer) (*Manager, error) {
 	m := &Manager{
-		ip:               cfg.IP,
-		icmp:             cfg.ICMP,
-		disp:             cfg.Disp,
-		raise:            cfg.Raise,
-		pool:             cfg.Pool,
-		costs:            cfg.Costs,
-		ports:            make(map[uint16]*Endpoint),
-		claimed:          make(map[uint16]bool),
-		nextEphemeral:    49152,
-		requireEphemeral: cfg.RequireEphemeral,
+		host:          host,
+		ip:            ipl,
+		icmp:          icmpl,
+		ports:         make(map[uint16]*Endpoint),
+		claimed:       make(map[uint16]bool),
+		nextEphemeral: 49152,
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, NoMatch: m.noPort}); err != nil {
+	if err := host.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: host.RequireEphemeral(), NoMatch: m.noPort}); err != nil {
 		return nil, err
 	}
-	if err := cfg.Disp.Declare(SendEvent, event.Options{}); err != nil {
+	if err := host.Disp.Declare(SendEvent, event.Options{}); err != nil {
 		return nil, err
 	}
-	m.recvRef = cfg.Disp.Ref(RecvEvent)
-	m.sendRef = cfg.Disp.Ref(SendEvent)
+	m.recvRef = host.Disp.Ref(RecvEvent)
+	m.sendRef = host.Disp.Ref(SendEvent)
 	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
 		if !icmp.ProtoGuard(view.IPProtoUDP)(t, pkt) {
 			return false
@@ -146,7 +124,7 @@ func New(cfg Config) (*Manager, error) {
 		uv, _ := view.UDP(hb[:])
 		return !m.claimed[uv.DstPort()] && !m.claimed[uv.SrcPort()]
 	}
-	_, err := cfg.Disp.Install(ip.RecvEvent, guard,
+	_, err := host.Disp.Install(ip.RecvEvent, guard,
 		event.Ephemeral("udp.input", m.input), 0)
 	if err != nil {
 		return nil, err
@@ -176,7 +154,7 @@ func (m *Manager) LocalAddr() view.IP4 { return m.ip.Addr() }
 // input validates a UDP datagram and raises UDP.PacketRecv for endpoint
 // guards; datagrams for closed ports trigger port-unreachable.
 func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
-	t.ChargeProf(sim.ProfProto, "udp", m.costs.UDPProc)
+	t.ChargeProf(sim.ProfProto, "udp", m.host.Costs.UDPProc)
 	if hdr := pkt.Hdr(); hdr != nil {
 		t.Hop(hdr.Span, "udp", "recv", hdr.Len)
 	}
@@ -204,7 +182,7 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	// Verify the checksum when the sender computed one (0 = disabled, the
 	// paper's §1.1 application-specific variant).
 	if uv.Checksum() != 0 {
-		t.ChargeBytesProf(sim.ProfChecksum, "udp", ulen, m.costs.ChecksumPerByte)
+		t.ChargeBytesProf(sim.ProfChecksum, "udp", ulen, m.host.Costs.ChecksumPerByte)
 		a := view.PseudoHeader(ipv.Src(), ipv.Dst(), view.IPProtoUDP, ulen)
 		if err := ip.ChecksumChain(&a, pkt, hl, ulen); err != nil || a.Fold() != 0 {
 			m.stats.BadChecksum++
@@ -215,7 +193,7 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	// Delivered counts the datagram as it is raised; the NoMatch action
 	// takes the count back if no endpoint claims it.
 	m.stats.Delivered++
-	m.raise.RaiseRef(t, m.recvRef, pkt)
+	m.host.RaiseRef(t, m.recvRef, pkt)
 }
 
 // noPort is UDP.PacketRecv's NoMatch action: a datagram no endpoint took is
@@ -301,7 +279,7 @@ func (m *Manager) Open(opts EndpointOptions, recv RecvFunc) (*Endpoint, error) {
 	e := &Endpoint{mgr: m, opts: opts, port: port, recv: recv}
 	guard := e.guard()
 	h := event.Handler{Name: fmt.Sprintf("udp.endpoint:%d", port), Fn: e.deliver, Ephemeral: opts.Ephemeral}
-	b, err := m.disp.Install(RecvEvent, guard, h, 0)
+	b, err := m.host.Disp.Install(RecvEvent, guard, h, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -384,43 +362,78 @@ func (e *Endpoint) Manager() *Manager { return e.mgr }
 // Send transmits payload (consumed) to dst:dstPort. The source fields are the
 // endpoint's identity; there is no way to spoof them through this interface.
 func (e *Endpoint) Send(t *sim.Task, dst view.IP4, dstPort uint16, payload *mbuf.Mbuf) error {
+	return e.send(t, dst, dstPort, payload, false)
+}
+
+// SendRaw transmits a datagram whose UDP header the caller already built
+// (seg starts at the UDP header; consumed). The manager applies the
+// endpoint's spoof policy to the source port before transmission.
+func (e *Endpoint) SendRaw(t *sim.Task, dst view.IP4, seg *mbuf.Mbuf) error {
+	return e.send(t, dst, 0, seg, true)
+}
+
+// send is Send and, with raw, SendRaw: the two differ only in how the UDP
+// header of m (consumed) is made.
+func (e *Endpoint) send(t *sim.Task, dst view.IP4, dstPort uint16, m *mbuf.Mbuf, raw bool) error {
 	if e.closed {
-		payload.Free()
+		m.Free()
 		return ErrClosed
 	}
-	t.ChargeProf(sim.ProfProto, "udp", e.mgr.costs.UDPProc)
+	mgr := e.mgr
+	t.ChargeProf(sim.ProfProto, "udp", mgr.host.Costs.UDPProc)
 	// Stamp the lifecycle span at transport entry for locally originated
 	// traffic; it rides the PktHdr through every header operation below.
 	if s := t.Sim(); s.MetricsEnabled() {
-		if hdr := payload.Hdr(); hdr != nil && hdr.Span == 0 {
+		if hdr := m.Hdr(); hdr != nil && hdr.Span == 0 {
 			hdr.Span = s.NextSpan()
 		}
 	}
+	var err error
+	if raw {
+		err = e.stampSource(m)
+	} else {
+		m, err = e.header(t, dst, dstPort, m)
+	}
+	if err != nil {
+		return err
+	}
+	mgr.stats.Sent++
+	if hdr := m.Hdr(); hdr != nil {
+		t.Hop(hdr.Span, "udp", "send", hdr.Len)
+	}
+	if mgr.sendRef.HandlerCount() > 0 {
+		mgr.sendRef.Raise(t, m) // inline on every boundary: the send path owns m
+	}
+	return mgr.ip.Send(t, view.IP4{}, dst, view.IPProtoUDP, m)
+}
+
+// header prepends and fills the UDP header of payload (freed on error).
+func (e *Endpoint) header(t *sim.Task, dst view.IP4, dstPort uint16, payload *mbuf.Mbuf) (*mbuf.Mbuf, error) {
 	seg, err := payload.Prepend(view.UDPHdrLen)
 	if err != nil {
 		payload.Free()
-		return fmt.Errorf("udp: %w", err)
+		return nil, fmt.Errorf("udp: %w", err)
 	}
 	b, err := seg.MutableBytes()
 	if err != nil {
 		seg.Free()
-		return fmt.Errorf("udp: %w", err)
+		return nil, fmt.Errorf("udp: %w", err)
 	}
 	uv, err := view.UDP(b)
 	if err != nil {
 		seg.Free()
-		return err
+		return nil, err
 	}
 	uv.SetSrcPort(e.port)
 	uv.SetDstPort(dstPort)
 	uv.SetLength(seg.PktLen())
 	uv.SetChecksum(0)
 	if !e.opts.DisableChecksum {
-		t.ChargeBytesProf(sim.ProfChecksum, "udp", seg.PktLen(), e.mgr.costs.ChecksumPerByte)
+		t.ChargeBytesProf(sim.ProfChecksum, "udp", seg.PktLen(), e.mgr.host.Costs.ChecksumPerByte)
 		a := view.PseudoHeader(e.mgr.ip.Addr(), dst, view.IPProtoUDP, seg.PktLen())
 		if err := ip.ChecksumChain(&a, seg, 0, seg.PktLen()); err != nil {
 			seg.Free()
-			return err
+			return nil, err
 		}
 		c := a.Fold()
 		if c == 0 {
@@ -428,30 +441,12 @@ func (e *Endpoint) Send(t *sim.Task, dst view.IP4, dstPort uint16, payload *mbuf
 		}
 		uv.SetChecksum(c)
 	}
-	e.mgr.stats.Sent++
-	if hdr := seg.Hdr(); hdr != nil {
-		t.Hop(hdr.Span, "udp", "send", hdr.Len)
-	}
-	if e.mgr.sendRef.HandlerCount() > 0 {
-		e.mgr.raise.RaiseRef(t, e.mgr.sendRef, seg)
-	}
-	return e.mgr.ip.Send(t, view.IP4{}, dst, view.IPProtoUDP, seg)
+	return seg, nil
 }
 
-// SendRaw transmits a datagram whose UDP header the caller already built
-// (seg starts at the UDP header; consumed). The manager applies the
-// endpoint's spoof policy to the source port before transmission.
-func (e *Endpoint) SendRaw(t *sim.Task, dst view.IP4, seg *mbuf.Mbuf) error {
-	if e.closed {
-		seg.Free()
-		return ErrClosed
-	}
-	t.ChargeProf(sim.ProfProto, "udp", e.mgr.costs.UDPProc)
-	if s := t.Sim(); s.MetricsEnabled() {
-		if hdr := seg.Hdr(); hdr != nil && hdr.Span == 0 {
-			hdr.Span = s.NextSpan()
-		}
-	}
+// stampSource applies the endpoint's spoof policy to the source port of the
+// caller-built header of seg (freed on error).
+func (e *Endpoint) stampSource(seg *mbuf.Mbuf) error {
 	b, err := seg.MutableBytes()
 	if err != nil {
 		seg.Free()
@@ -472,8 +467,7 @@ func (e *Endpoint) SendRaw(t *sim.Task, dst view.IP4, seg *mbuf.Mbuf) error {
 	default: // Overwrite
 		uv.SetSrcPort(e.port)
 	}
-	e.mgr.stats.Sent++
-	return e.mgr.ip.Send(t, view.IP4{}, dst, view.IPProtoUDP, seg)
+	return nil
 }
 
 // Close releases the port and uninstalls the endpoint's handler. Extensions
@@ -483,6 +477,6 @@ func (e *Endpoint) Close() {
 		return
 	}
 	e.closed = true
-	e.mgr.disp.Uninstall(e.binding)
+	e.mgr.host.Disp.Uninstall(e.binding)
 	delete(e.mgr.ports, e.port)
 }

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"testing"
 
+	"plexus/internal/event"
 	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
 	"plexus/internal/plexus"
 	"plexus/internal/sim"
+	"plexus/internal/stats"
 	"plexus/internal/udp"
 	"plexus/internal/view"
 )
@@ -142,6 +144,57 @@ func TestSendRawVerifyPolicyBlocksSpoof(t *testing.T) {
 	}
 	if a.UDP.Stats().SpoofsBlocked != 1 {
 		t.Errorf("SpoofsBlocked = %d", a.UDP.Stats().SpoofsBlocked)
+	}
+}
+
+// Send and SendRaw share one tail: each raises the UDP.PacketSend tap and
+// records the "udp send" hop, with the datagram from its UDP header on.
+func TestSendAndSendRawTapAndHop(t *testing.T) {
+	payload := []byte("tapped")
+	for _, name := range []string{"Send", "SendRaw"} {
+		raw := name == "SendRaw"
+		t.Run(name, func(t *testing.T) {
+			n, a, b := pair(t)
+			rec := stats.NewRecorder()
+			n.Sim.SetMetrics(rec)
+			var tapped []int
+			if _, err := a.Host.Disp.Install(udp.SendEvent, nil, event.Proc("tap", func(task *sim.Task, m *mbuf.Mbuf) {
+				tapped = append(tapped, m.PktLen()) // observe only: the send path owns m
+			}), 0); err != nil {
+				t.Fatal(err)
+			}
+			ep, err := a.UDP.Open(udp.EndpointOptions{Ephemeral: true}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Spawn("send", func(task *sim.Task) {
+				var err error
+				if raw {
+					err = ep.SendRaw(task, b.Addr(), buildRawSegment(a, ep.Port(), 9, payload))
+				} else {
+					err = ep.Send(task, b.Addr(), 9, a.Host.Pool.FromBytes(payload, 64))
+				}
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			})
+			n.Sim.Run()
+			if want := view.UDPHdrLen + len(payload); len(tapped) != 1 || tapped[0] != want {
+				t.Errorf("tap saw lengths %v, want one datagram of %d", tapped, want)
+			}
+			hops := 0
+			for _, h := range rec.Hops() {
+				if h.Host == "a" && h.Layer == "udp" && h.Action == "send" {
+					hops++
+				}
+			}
+			if hops != 1 {
+				t.Errorf("%d udp send hops, want 1", hops)
+			}
+			if got := a.UDP.Stats().Sent; got != 1 {
+				t.Errorf("Sent = %d, want 1", got)
+			}
+		})
 	}
 }
 
