@@ -189,9 +189,8 @@ func run(w io.Writer, o options, b osmodel.Boundary) error {
 		if err != nil {
 			return err
 		}
-		counters := telemetry.ChromeCounters(eng)
-		instants := audit.ChromeInstants(events.Events)
-		if err := metrics.WriteChromeTraceWith(f, counters, instants); err != nil {
+		counters, err := writeChrome(f, metrics, eng, events.Events)
+		if err != nil {
 			f.Close()
 			return err
 		}
@@ -199,7 +198,7 @@ func run(w io.Writer, o options, b osmodel.Boundary) error {
 			return err
 		}
 		fmt.Fprintf(w, "wrote Chrome trace (%d samples, %d hops, %d counter points, %d state instants) to %s — open at ui.perfetto.dev\n",
-			metrics.SamplesRecorded(), metrics.HopsRecorded(), len(counters), len(instants), o.chrome)
+			metrics.SamplesRecorded(), metrics.HopsRecorded(), counters, len(events.Events), o.chrome)
 	}
 	if o.folded != "" {
 		if err := os.WriteFile(o.folded, []byte(metrics.Folded()), 0o644); err != nil {

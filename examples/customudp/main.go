@@ -43,7 +43,6 @@ func main() {
 			ep, err = mgr.Open(udp.EndpointOptions{
 				Port:            5004,
 				DisableChecksum: true, // integrity optional, by agreement
-				Ephemeral:       true,
 			}, func(t *sim.Task, payload *mbuf.Mbuf, src view.IP4, srcPort uint16) {
 				received++
 				payload.Free()

@@ -36,7 +36,7 @@ func SpoofPolicyAblation(n int) ([]AblationRow, error) {
 		if _, err := server.OpenUDP(plexus.UDPAppOptions{Port: 9}, nil); err != nil {
 			return AblationRow{}, err
 		}
-		ep, err := client.UDP.Open(udp.EndpointOptions{SpoofPolicy: policy, Ephemeral: true}, nil)
+		ep, err := client.UDP.Open(udp.EndpointOptions{SpoofPolicy: policy}, nil)
 		if err != nil {
 			return AblationRow{}, err
 		}

@@ -115,44 +115,26 @@ func pop[T any](free *[]*T) *T {
 // payload is valid only during the call: copy what must outlive it.
 type UDPAppRecv func(t *sim.Task, payload []byte, src view.IP4, srcPort uint16)
 
-// UDPAppOptions configure OpenUDP.
-type UDPAppOptions struct {
-	// Port 0 allocates an ephemeral port.
-	Port uint16
-	// Remote/RemotePort connect the endpoint (guard filters the peer).
-	Remote     view.IP4
-	RemotePort uint16
-	// DisableChecksum is the §1.1 application-specific UDP variant.
-	DisableChecksum bool
-	// AcceptMulticast admits datagrams to multicast groups.
-	AcceptMulticast bool
-}
+// UDPAppOptions configure OpenUDP: the endpoint options of the UDP manager,
+// passed straight through.
+type UDPAppOptions = udp.EndpointOptions
 
 // UDPApp is an application endpoint bound through the UDP protocol manager,
 // with the host boundary's costs applied on both paths.
 type UDPApp struct {
 	st     *Stack
 	ep     *udp.Endpoint
-	opts   UDPAppOptions
 	onRecv UDPAppRecv
 	// recvBuf is reused across deliveries (the payload is only borrowed by
 	// the callback), keeping the steady-state receive path allocation-free.
 	recvBuf []byte
 }
 
-// OpenUDP opens an application endpoint. On interrupt-mode stacks the
-// receive handler is installed EPHEMERAL, as §3.3 requires.
+// OpenUDP opens an application endpoint; like every UDP endpoint its
+// receive handler is EPHEMERAL, as interrupt-mode stacks require (§3.3).
 func (st *Stack) OpenUDP(opts UDPAppOptions, onRecv UDPAppRecv) (*UDPApp, error) {
-	app := &UDPApp{st: st, opts: opts, onRecv: onRecv}
-	epOpts := udp.EndpointOptions{
-		Port:            opts.Port,
-		Remote:          opts.Remote,
-		RemotePort:      opts.RemotePort,
-		DisableChecksum: opts.DisableChecksum,
-		AcceptMulticast: opts.AcceptMulticast,
-		Ephemeral:       true, // application handlers declare EPHEMERAL; see package doc
-	}
-	ep, err := st.UDP.Open(epOpts, app.deliver)
+	app := &UDPApp{st: st, onRecv: onRecv}
+	ep, err := st.UDP.Open(opts, app.deliver)
 	if err != nil {
 		return nil, err
 	}

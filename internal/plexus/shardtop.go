@@ -17,7 +17,6 @@ import (
 
 	"plexus/internal/netdev"
 	"plexus/internal/sim"
-	"plexus/internal/view"
 )
 
 // ShardedTopology is a Topology partitioned across per-segment simulators.
@@ -67,21 +66,14 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 
 		seg := &Segment{Name: spec.Name, Subnet: spec.Subnet}
 		seg.Switch = netdev.NewSwitch(segSim, spec.Name+"/sw", spec.Model, spec.Switch)
-		addr := func(host byte) view.IP4 {
-			return view.IP4{spec.Subnet[0], spec.Subnet[1], spec.Subnet[2], host}
-		}
-		gwAddr := addr(gatewayHostByte)
-		for i, hs := range spec.Hosts {
-			idx := byte(i + 1)
+		attach := func() *netdev.Link {
 			cable := netdev.NewLink(segSim, spec.Name+"/cable")
 			seg.Switch.AttachLink(cable)
 			seg.Cables = append(seg.Cables, cable)
-			st, err := NewStack(segSim, StackConfig{HostSpec: hs, Model: spec.Model, Link: cable,
-				MAC: segMAC(si, idx), Addr: addr(idx), Mask: mask24, Gateway: gwAddr})
-			if err != nil {
-				return nil, fmt.Errorf("plexus: host %s: %w", hs.Name, err)
-			}
-			seg.Hosts = append(seg.Hosts, st)
+			return cable
+		}
+		if err := seg.addHosts(segSim, si, spec, hostAddr(spec.Subnet, gatewayHostByte), attach); err != nil {
+			return nil, err
 		}
 
 		// The uplink: gateway NIC on side A (gateway shard), switch port on
@@ -92,34 +84,18 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 			uplink = spec.Model
 		}
 		bnd := netdev.NewBoundary(gwSim, segSim, spec.Name+"/uplink", uplink)
-		iface := *gw
-		iface.Name = gw.Name + "/" + spec.Name
-		st, err := NewStack(gwSim, StackConfig{HostSpec: iface, Model: uplink, Link: bnd.LinkA(),
-			MAC: segMAC(si, gatewayHostByte), Addr: gwAddr, Mask: mask24, CPU: top.Gateway.CPU})
-		if err != nil {
-			return nil, fmt.Errorf("plexus: gateway on %s: %w", spec.Name, err)
+		if err := top.Gateway.addIface(gwSim, gw, seg, si, 0, uplink, bnd.LinkA()); err != nil {
+			return nil, err
 		}
 		seg.Switch.AttachLinkModel(bnd.LinkB(), uplink)
-		seg.GW = st
-		seg.GWs = append(seg.GWs, st)
 		seg.Cables = append(seg.Cables, bnd.LinkB())
-		top.Gateway.Ifaces = append(top.Gateway.Ifaces, st)
 		top.Engine.Connect(bnd.CouplingAB(), segShard)
 		top.Engine.Connect(bnd.CouplingBA(), gwShard)
 		top.Boundaries = append(top.Boundaries, bnd)
 		top.Segments = append(top.Segments, seg)
 	}
-	for _, iface := range top.Gateway.Ifaces {
-		iface.IP.SetForwardFn(top.Gateway.forwardFrom(iface))
-	}
+	top.Gateway.wire()
 	return top, nil
-}
-
-// segMAC numbers hosts like NewTopology but with a 16-bit segment field, so
-// topologies wider than 254 segments stay collision-free.
-func segMAC(si int, host byte) view.MAC {
-	seg := si + 1
-	return view.MAC{0x02, 0x00, byte(seg >> 8), byte(seg), 0x00, host}
 }
 
 // Run advances every shard to time until on workers goroutines.

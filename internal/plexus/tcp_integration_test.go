@@ -2,6 +2,7 @@ package plexus
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"plexus/internal/fault"
@@ -218,6 +219,21 @@ func TestTCPConnectSkipsClaimedPort(t *testing.T) {
 	}
 	if s := conn.State(); s != tcp.StateEstablished {
 		t.Errorf("state after 5s = %v, want ESTABLISHED", s)
+	}
+}
+
+// A listener never binds a port ceded to another implementation: the
+// manager's IP guard would hide every SYN, so the listen must fail instead.
+func TestTCPListenRefusesClaimedPort(t *testing.T) {
+	_, _, server, err := TwoHosts(1, netdev.EthernetModel(), spinSpec("a"), spinSpec("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.TCP.Claim(8000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.ListenTCP(8000, TCPAppOptions{}, nil); !errors.Is(err, tcp.ErrPortInUse) {
+		t.Fatalf("ListenTCP on a claimed port: err = %v, want ErrPortInUse", err)
 	}
 }
 

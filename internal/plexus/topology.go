@@ -137,67 +137,97 @@ func NewTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*Topology, error
 			return nil, fmt.Errorf("plexus: segment %s: %d hosts exceed a /24", spec.Name, len(spec.Hosts))
 		}
 		seg := &Segment{Name: spec.Name, Subnet: spec.Subnet}
-		var sharedBus *netdev.Link
 		if spec.Switched {
 			seg.Switch = netdev.NewSwitch(s, spec.Name+"/sw", spec.Model, spec.Switch)
 		} else {
-			sharedBus = netdev.NewLink(s, spec.Name+"/"+spec.Model.Name)
-			seg.Link = sharedBus
+			seg.Link = netdev.NewLink(s, spec.Name+"/"+spec.Model.Name)
 		}
 		attach := func() *netdev.Link {
 			if !spec.Switched {
-				return sharedBus
+				return seg.Link
 			}
 			cable := netdev.NewLink(s, spec.Name+"/cable")
 			seg.Switch.AttachLink(cable)
 			seg.Cables = append(seg.Cables, cable)
 			return cable
 		}
-		addr := func(host byte) view.IP4 {
-			return view.IP4{spec.Subnet[0], spec.Subnet[1], spec.Subnet[2], host}
-		}
 		var gwAddr view.IP4
 		if top.Gateway != nil {
-			gwAddr = addr(gatewayHostByte)
+			gwAddr = hostAddr(spec.Subnet, gatewayHostByte)
 		}
-		for i, hs := range spec.Hosts {
-			idx := byte(i + 1)
-			st, err := NewStack(s, StackConfig{HostSpec: hs, Model: spec.Model, Link: attach(),
-				MAC: view.MAC{0x02, 0x00, 0x00, 0x00, byte(si + 1), idx}, Addr: addr(idx), Mask: mask24, Gateway: gwAddr})
-			if err != nil {
-				return nil, fmt.Errorf("plexus: host %s: %w", hs.Name, err)
-			}
-			seg.Hosts = append(seg.Hosts, st)
+		if err := seg.addHosts(s, si, spec, gwAddr, attach); err != nil {
+			return nil, err
 		}
 		if top.Gateway != nil {
 			// k == 0 is the hosts' default route (.254); extra parallel
 			// interfaces count down from .253 — the equal-cost links an
 			// ECMP rule spreads flows across.
 			for k := 0; k < gwLinks; k++ {
-				iface := *gw
-				iface.Name = gw.Name + "/" + spec.Name
-				if k > 0 {
-					iface.Name = fmt.Sprintf("%s.%d", iface.Name, k)
+				if err := top.Gateway.addIface(s, gw, seg, si, k, spec.Model, attach()); err != nil {
+					return nil, err
 				}
-				hb := byte(gatewayHostByte - k)
-				st, err := NewStack(s, StackConfig{HostSpec: iface, Model: spec.Model, Link: attach(),
-					MAC: view.MAC{0x02, 0x00, 0x00, 0x00, byte(si + 1), hb}, Addr: addr(hb), Mask: mask24, CPU: top.Gateway.CPU})
-				if err != nil {
-					return nil, fmt.Errorf("plexus: gateway on %s: %w", spec.Name, err)
-				}
-				seg.GWs = append(seg.GWs, st)
-				top.Gateway.Ifaces = append(top.Gateway.Ifaces, st)
 			}
-			seg.GW = seg.GWs[0]
 		}
 		top.Segments = append(top.Segments, seg)
 	}
 	if top.Gateway != nil {
-		for _, iface := range top.Gateway.Ifaces {
-			iface.IP.SetForwardFn(top.Gateway.forwardFrom(iface))
-		}
+		top.Gateway.wire()
 	}
 	return top, nil
+}
+
+// hostAddr is host's address on the /24 subnet.
+func hostAddr(subnet view.IP4, host byte) view.IP4 {
+	return view.IP4{subnet[0], subnet[1], subnet[2], host}
+}
+
+// segMAC is the MAC of host on segment si, with a 16-bit segment field so
+// topologies wider than 254 segments stay collision-free.
+func segMAC(si int, host byte) view.MAC {
+	seg := si + 1
+	return view.MAC{0x02, 0x00, byte(seg >> 8), byte(seg), 0x00, host}
+}
+
+// addHosts builds spec's hosts on s — host i at .i+1 on the link attach
+// returns for it, routing off-subnet traffic to gwAddr (zero for none).
+func (seg *Segment) addHosts(s *sim.Sim, si int, spec SegmentSpec, gwAddr view.IP4, attach func() *netdev.Link) error {
+	for i, hs := range spec.Hosts {
+		idx := byte(i + 1)
+		st, err := NewStack(s, StackConfig{HostSpec: hs, Model: spec.Model, Link: attach(),
+			MAC: segMAC(si, idx), Addr: hostAddr(spec.Subnet, idx), Mask: mask24, Gateway: gwAddr})
+		if err != nil {
+			return fmt.Errorf("plexus: host %s: %w", hs.Name, err)
+		}
+		seg.Hosts = append(seg.Hosts, st)
+	}
+	return nil
+}
+
+// addIface builds the gateway's k'th interface on seg (segment si) from the
+// gateway spec gw: address .254-k on link, on the gateway's shared CPU.
+func (g *Gateway) addIface(s *sim.Sim, gw *HostSpec, seg *Segment, si, k int, model netdev.Model, link *netdev.Link) error {
+	iface := *gw
+	iface.Name = gw.Name + "/" + seg.Name
+	if k > 0 {
+		iface.Name = fmt.Sprintf("%s.%d", iface.Name, k)
+	}
+	hb := byte(gatewayHostByte - k)
+	st, err := NewStack(s, StackConfig{HostSpec: iface, Model: model, Link: link,
+		MAC: segMAC(si, hb), Addr: hostAddr(seg.Subnet, hb), Mask: mask24, CPU: g.CPU})
+	if err != nil {
+		return fmt.Errorf("plexus: gateway on %s: %w", seg.Name, err)
+	}
+	seg.GWs = append(seg.GWs, st)
+	seg.GW = seg.GWs[0]
+	g.Ifaces = append(g.Ifaces, st)
+	return nil
+}
+
+// wire installs every interface's forwarding hook.
+func (g *Gateway) wire() {
+	for _, iface := range g.Ifaces {
+		iface.IP.SetForwardFn(g.forwardFrom(iface))
+	}
 }
 
 // PrimeARP installs static ARP entries per subnet — all host pairs plus the
@@ -223,34 +253,16 @@ func (top *Topology) PrimeARP() {
 // owning interface, all on the gateway's one shared CPU — exactly the
 // in-kernel redirection path of §5, applied host-wide. With a fabric
 // pipeline installed, the match-action stage runs on the private copy before
-// egress selection, so destination rewrites route correctly and ECMP path
-// choices pick among parallel candidate links.
+// egress selection, so destination rewrites (VIP → pool member, NAT address
+// → inside host) route correctly and ECMP path choices pick among parallel
+// candidate links. The hook consumes every datagram it parses: one with no
+// route is counted in NoRoute and freed.
 func (g *Gateway) forwardFrom(ingress *Stack) func(t *sim.Task, m *mbuf.Mbuf) bool {
 	return func(t *sim.Task, m *mbuf.Mbuf) bool {
 		v, err := view.IPv4(m.Bytes())
 		if err != nil {
 			return false
 		}
-		if g.pipeline == nil {
-			// Plain path: route on the datagram's own destination first, so
-			// unroutable traffic still falls through to NotForUs accounting.
-			egress := g.pickEgress(ingress, v.Dst(), 0)
-			if egress == nil {
-				g.stats.NoRoute++
-				return false
-			}
-			if v.TTL() <= 1 {
-				g.expireTTL(t, ingress, m)
-				return true
-			}
-			buf, span, ok := g.copyOut(m)
-			if !ok {
-				return true
-			}
-			return g.emit(t, egress, buf, span)
-		}
-		// Fabric path: the pipeline may rewrite the destination (VIP → pool
-		// member, NAT address → inside host), so routing happens after it.
 		if v.TTL() <= 1 {
 			g.expireTTL(t, ingress, m)
 			return true
@@ -259,22 +271,35 @@ func (g *Gateway) forwardFrom(ingress *Stack) func(t *sim.Task, m *mbuf.Mbuf) bo
 		if !ok {
 			return true
 		}
-		g.pkt = fabric.Packet{Buf: buf, Base: filter.BaseIP, Writable: true}
-		if g.pipeline.Exec(t, &g.pkt) == fabric.Drop {
-			g.stats.PipeDrops++
-			return true
+		path := 0
+		if g.pipeline != nil {
+			g.pkt = fabric.Packet{Buf: buf, Base: filter.BaseIP, Writable: true}
+			if g.pipeline.Exec(t, &g.pkt) == fabric.Drop {
+				g.stats.PipeDrops++
+				return true
+			}
+			path = g.pkt.Path
 		}
 		ov, err := view.IPv4(buf)
 		if err != nil {
 			g.stats.Drops++
 			return true
 		}
-		egress := g.pickEgress(ingress, ov.Dst(), g.pkt.Path)
+		egress := g.pickEgress(ingress, ov.Dst(), path)
 		if egress == nil {
 			g.stats.NoRoute++
 			return true
 		}
-		return g.emit(t, egress, buf, span)
+		ov.SetTTL(ov.TTL() - 1)
+		ov.ComputeChecksum()
+		out := egress.Host.Pool.FromBytes(buf, 0)
+		out.Hdr().Span = span
+		if err := egress.IP.Forward(t, out); err != nil {
+			g.stats.Drops++
+			return true
+		}
+		g.stats.Forwarded++
+		return true
 	}
 }
 
@@ -337,24 +362,4 @@ func (g *Gateway) copyOut(m *mbuf.Mbuf) (buf []byte, span uint64, ok bool) {
 	}
 	m.Free()
 	return buf, span, true
-}
-
-// emit decrements TTL, fixes the header checksum, and re-emits the datagram
-// out the egress interface.
-func (g *Gateway) emit(t *sim.Task, egress *Stack, buf []byte, span uint64) bool {
-	ov, err := view.IPv4(buf)
-	if err != nil {
-		g.stats.Drops++
-		return true
-	}
-	ov.SetTTL(ov.TTL() - 1)
-	ov.ComputeChecksum()
-	out := egress.Host.Pool.FromBytes(buf, 0)
-	out.Hdr().Span = span
-	if err := egress.IP.Forward(t, out); err != nil {
-		g.stats.Drops++
-		return true
-	}
-	g.stats.Forwarded++
-	return true
 }

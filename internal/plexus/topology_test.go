@@ -3,6 +3,9 @@ package plexus
 import (
 	"testing"
 
+	"plexus/internal/event"
+	"plexus/internal/fabric"
+	"plexus/internal/filter"
 	"plexus/internal/netdev"
 	"plexus/internal/sim"
 	"plexus/internal/view"
@@ -94,29 +97,44 @@ func TestTopologyGatewaySharesOneCPU(t *testing.T) {
 	}
 }
 
-// Datagrams with no route off the gateway are dropped and counted, not
-// forwarded or looped.
+// TestTopologyNoRouteCounted sends to an address no segment owns: the
+// gateway counts it in NoRoute and consumes it, with or without a fabric
+// pipeline, so IP never sees it as NotForUs.
 func TestTopologyNoRouteCounted(t *testing.T) {
-	gw := spinSpec("gw")
-	top, err := NewTopology(1, &gw, []SegmentSpec{
-		{Name: "a", Model: netdev.EthernetModel(), Subnet: view.IP4{10, 0, 1, 0}, Hosts: []HostSpec{spinSpec("h1")}},
-		{Name: "b", Model: netdev.EthernetModel(), Subnet: view.IP4{10, 0, 2, 0}, Hosts: []HostSpec{spinSpec("h2")}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top.PrimeARP()
-	h1 := hostNamed(top.Segments, "h1")
-	capp, err := h1.OpenUDP(UDPAppOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1.Spawn("send", func(tk *sim.Task) {
-		_ = capp.Send(tk, view.IP4{10, 9, 9, 9}, 7, []byte("to nowhere"))
-	})
-	top.Sim.Run()
-	if gs := top.Gateway.Stats(); gs.NoRoute != 1 || gs.Forwarded != 0 {
-		t.Errorf("gateway stats %+v, want NoRoute=1 Forwarded=0", gs)
+	for _, tc := range []struct {
+		name     string
+		pipeline *fabric.Pipeline
+	}{
+		{"no-pipeline", nil},
+		{"empty-pipeline", fabric.NewPipeline("empty", filter.BaseIP, event.QuarantinePolicy{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gw := spinSpec("gw")
+			top, err := NewTopology(1, &gw, []SegmentSpec{
+				{Name: "a", Model: netdev.EthernetModel(), Subnet: view.IP4{10, 0, 1, 0}, Hosts: []HostSpec{spinSpec("h1")}},
+				{Name: "b", Model: netdev.EthernetModel(), Subnet: view.IP4{10, 0, 2, 0}, Hosts: []HostSpec{spinSpec("h2")}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			top.Gateway.InstallPipeline(tc.pipeline)
+			top.PrimeARP()
+			h1 := hostNamed(top.Segments, "h1")
+			capp, err := h1.OpenUDP(UDPAppOptions{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h1.Spawn("send", func(tk *sim.Task) {
+				_ = capp.Send(tk, view.IP4{10, 9, 9, 9}, 7, []byte("to nowhere"))
+			})
+			top.Sim.Run()
+			if gs := top.Gateway.Stats(); gs != (GatewayStats{NoRoute: 1}) {
+				t.Errorf("gateway stats %+v, want NoRoute=1 and nothing else", gs)
+			}
+			if n := top.Segments[0].GW.IP.Stats().NotForUs; n != 0 {
+				t.Errorf("gateway ingress NotForUs = %d, want 0", n)
+			}
+		})
 	}
 }
 

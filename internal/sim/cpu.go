@@ -94,16 +94,19 @@ func (t *Task) Refund(d Time) {
 	t.charged -= d
 }
 
-// pendingTask is a submitted-but-not-yet-run task. It carries either a
-// closure (fn) or the closure-free argFn/arg pair (see SubmitAtArg).
+// pendingTask is a submitted-but-not-yet-run task; its body is fn(task,
+// arg). SubmitAt passes its closure as arg to callTask.
 type pendingTask struct {
 	label string
 	prio  Priority
-	fn    func(*Task)
-	argFn func(*Task, any)
+	fn    func(*Task, any)
 	arg   any
 	seq   uint64
 }
+
+// callTask is the body SubmitAt submits: its argument is SubmitAt's closure,
+// which a func value's pointer shape boxes without allocating.
+func callTask(t *Task, arg any) { arg.(func(*Task))(t) }
 
 // submission carries a pendingTask from SubmitAt to its arrival event
 // without a per-call closure; submissions are pooled on the CPU.
@@ -187,19 +190,15 @@ func (c *CPU) Submit(prio Priority, label string, fn func(*Task)) {
 // the past). Device interrupt delivery uses this to inject work at packet
 // arrival time.
 func (c *CPU) SubmitAt(at Time, prio Priority, label string, fn func(*Task)) {
-	c.submitAt(at, pendingTask{label: label, prio: prio, fn: fn})
+	c.SubmitAtArg(at, prio, label, callTask, fn)
 }
 
 // SubmitAtArg is SubmitAt for hot paths: fn is a plain function (kept in a
 // package-level variable by the caller) and arg a pooled argument, so the
 // submission allocates nothing in steady state.
 func (c *CPU) SubmitAtArg(at Time, prio Priority, label string, fn func(*Task, any), arg any) {
-	c.submitAt(at, pendingTask{label: label, prio: prio, argFn: fn, arg: arg})
-}
-
-func (c *CPU) submitAt(at Time, pt pendingTask) {
-	if pt.prio < 0 || pt.prio >= numPrios {
-		panic(fmt.Sprintf("sim: bad priority %d for %q", pt.prio, pt.label))
+	if prio < 0 || prio >= numPrios {
+		panic(fmt.Sprintf("sim: bad priority %d for %q", prio, label))
 	}
 	sub := c.subFree
 	if sub != nil {
@@ -208,8 +207,8 @@ func (c *CPU) submitAt(at Time, pt pendingTask) {
 	} else {
 		sub = &submission{c: c}
 	}
-	sub.pt = pt
-	c.sim.AtArg(at, pt.label, submitArrive, sub)
+	sub.pt = pendingTask{label: label, prio: prio, fn: fn, arg: arg}
+	c.sim.AtArg(at, label, submitArrive, sub)
 }
 
 // kick starts the dispatch loop if the CPU is idle.
@@ -265,11 +264,7 @@ func (c *CPU) runTask(start Time, pt pendingTask) {
 	} else {
 		task = &Task{cpu: c, label: pt.label, prio: pt.prio, start: start}
 	}
-	if pt.argFn != nil {
-		pt.argFn(task, pt.arg)
-	} else {
-		pt.fn(task)
-	}
+	pt.fn(task, pt.arg)
 	c.busy += task.charged
 	c.freeAt = start + task.charged
 	c.running = false

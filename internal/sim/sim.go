@@ -65,10 +65,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // recycled slot.
 type event struct {
 	at    Time
-	seq   uint64 // tie-break: FIFO among equal timestamps
-	gen   uint32 // recycle generation; Timers validate against it
-	fn    func()
-	argFn func(any) // alternative closure-free form (see AtArg)
+	seq   uint64    // tie-break: FIFO among equal timestamps
+	gen   uint32    // recycle generation; Timers validate against it
+	fn    func(any) // runs as fn(arg); At passes its closure through callFn
 	arg   any
 	label string
 	dead  bool   // cancelled
@@ -133,7 +132,6 @@ func (t Timer) Stop() bool {
 	}
 	e.dead = true
 	e.fn = nil
-	e.argFn = nil
 	e.arg = nil
 	return true
 }
@@ -159,7 +157,6 @@ func (s *Sim) alloc() *event {
 func (s *Sim) recycle(e *event) {
 	e.gen++
 	e.fn = nil
-	e.argFn = nil
 	e.arg = nil
 	e.label = ""
 	e.dead = false
@@ -167,26 +164,14 @@ func (s *Sim) recycle(e *event) {
 	s.free = e
 }
 
-func (s *Sim) schedule(at Time, label string, fn func(), argFn func(any), arg any) Timer {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", label, at, s.now))
-	}
-	e := s.alloc()
-	e.at = at
-	e.seq = s.seq
-	e.fn = fn
-	e.argFn = argFn
-	e.arg = arg
-	e.label = label
-	s.seq++
-	s.push(e)
-	return Timer{ev: e, gen: e.gen}
-}
+// callFn is the callback At schedules: its argument is At's closure. A func
+// value is pointer-shaped, so boxing it in the any allocates nothing.
+func callFn(arg any) { arg.(func())() }
 
 // At schedules fn to run at absolute simulated time at. Scheduling in the
 // past panics: that is always a logic error in a discrete-event model.
 func (s *Sim) At(at Time, label string, fn func()) Timer {
-	return s.schedule(at, label, fn, nil, nil)
+	return s.AtArg(at, label, callFn, fn)
 }
 
 // AtArg schedules fn(arg) at absolute time at. Unlike At, the callback is a
@@ -194,7 +179,18 @@ func (s *Sim) At(at Time, label string, fn func()) Timer {
 // keep fn in a package-level variable and pool their argument structs
 // schedule without allocating.
 func (s *Sim) AtArg(at Time, label string, fn func(any), arg any) Timer {
-	return s.schedule(at, label, nil, fn, arg)
+	if at < s.now {
+		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", label, at, s.now))
+	}
+	e := s.alloc()
+	e.at = at
+	e.seq = s.seq
+	e.fn = fn
+	e.arg = arg
+	e.label = label
+	s.seq++
+	s.push(e)
+	return Timer{ev: e, gen: e.gen}
 }
 
 // After schedules fn to run d after the current time.
@@ -273,16 +269,12 @@ func (s *Sim) Step() bool {
 		}
 		s.now = e.at
 		s.executed++
-		fn, argFn, arg := e.fn, e.argFn, e.arg
+		fn, arg := e.fn, e.arg
 		// Recycle before running: outstanding Timers are invalidated by
 		// the generation bump, and the callback may immediately reuse
 		// the slot for what it schedules.
 		s.recycle(e)
-		if argFn != nil {
-			argFn(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 		return true
 	}
 	return false

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"plexus/internal/sim"
@@ -95,55 +93,5 @@ func TestRecorderHotPathNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("record path allocates %.2f/op, want 0", allocs)
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	r := NewRecorder()
-	r.Sample("client", sim.ProfTask, "app", sim.PrioUser, 0, 10*sim.Microsecond)
-	r.Sample("server", sim.ProfProto, "ip", sim.PrioKernel, 5*sim.Microsecond, 2*sim.Microsecond)
-	r.Hop(1, sim.Microsecond, "client", "udp", "send", 8)
-	r.Hop(1, 8*sim.Microsecond, "server", "udp", "recv", 8)
-
-	var buf bytes.Buffer
-	if err := r.WriteChromeTraceWith(&buf, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Pid  int     `json:"pid"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	pids := make(map[int]bool)
-	var slices, instants int
-	for _, e := range trace.TraceEvents {
-		pids[e.Pid] = true
-		switch e.Ph {
-		case "X":
-			slices++
-		case "i":
-			instants++
-		}
-	}
-	if len(pids) != 2 {
-		t.Fatalf("want 2 host processes, got pids %v", pids)
-	}
-	if slices != 2 || instants != 2 {
-		t.Fatalf("slices=%d instants=%d, want 2/2", slices, instants)
-	}
-	// Determinism: a second export of the same recorder is byte-identical.
-	var buf2 bytes.Buffer
-	if err := r.WriteChromeTraceWith(&buf2, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("Chrome trace export is not deterministic")
 	}
 }

@@ -460,10 +460,14 @@ type Listener struct {
 // Listen binds a passive endpoint: a guard matching SYNs (and continuing
 // segments of not-yet-accepted connections) for the port. accept runs once
 // per connection, when the peer ACKs our SYN, and returns the connection's
-// App.
+// App. A port ceded with Claim is in use: this manager's guard would never
+// pass the listener a segment.
 func (m *Manager) Listen(port uint16, accept func(t *sim.Task, c *Conn) App) (*Listener, error) {
 	if _, used := m.listeners[port]; used {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
+	}
+	if m.claimed[port] {
+		return nil, fmt.Errorf("%w: %d (claimed by another implementation)", ErrPortInUse, port)
 	}
 	l := &Listener{mgr: m, port: port, accept: accept}
 	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {

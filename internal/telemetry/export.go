@@ -17,8 +17,8 @@ import (
 	"plexus/internal/sim"
 )
 
-// sortedSeries returns the engine's series ordered by key.
-func (e *Engine) sortedSeries() []*Series {
+// SortedSeries returns the engine's series ordered by key.
+func (e *Engine) SortedSeries() []*Series {
 	out := make([]*Series, len(e.series))
 	copy(out, e.series)
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
@@ -32,7 +32,7 @@ func (e *Engine) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte
 	var pts []Point
-	for _, se := range e.sortedSeries() {
+	for _, se := range e.SortedSeries() {
 		pts = se.Points(pts[:0])
 		for _, p := range pts {
 			buf = buf[:0]
@@ -70,7 +70,7 @@ func (e *Engine) Digest() uint64 {
 		h.Write(num[:])
 	}
 	var pts []Point
-	for _, se := range e.sortedSeries() {
+	for _, se := range e.SortedSeries() {
 		io.WriteString(h, se.key)
 		pts = se.Points(pts[:0])
 		for _, p := range pts {

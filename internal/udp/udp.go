@@ -241,9 +241,6 @@ type EndpointOptions struct {
 	DisableChecksum bool
 	// SpoofPolicy applies to SendRaw (default Overwrite).
 	SpoofPolicy SpoofPolicy
-	// Ephemeral marks the receive handler EPHEMERAL (required on
-	// interrupt-dispatch stacks).
-	Ephemeral bool
 	// AcceptMulticast also matches datagrams addressed to multicast
 	// groups (the network-video client sets this).
 	AcceptMulticast bool
@@ -262,7 +259,8 @@ type Endpoint struct {
 }
 
 // Open binds a port and installs the endpoint's guard and handler on
-// UDP.PacketRecv on the application's behalf.
+// UDP.PacketRecv on the application's behalf. The handler is EPHEMERAL, so
+// it may run at interrupt level (§3.3).
 func (m *Manager) Open(opts EndpointOptions, recv RecvFunc) (*Endpoint, error) {
 	port := opts.Port
 	if port == 0 {
@@ -278,7 +276,7 @@ func (m *Manager) Open(opts EndpointOptions, recv RecvFunc) (*Endpoint, error) {
 	}
 	e := &Endpoint{mgr: m, opts: opts, port: port, recv: recv}
 	guard := e.guard()
-	h := event.Handler{Name: fmt.Sprintf("udp.endpoint:%d", port), Fn: e.deliver, Ephemeral: opts.Ephemeral}
+	h := event.Ephemeral(fmt.Sprintf("udp.endpoint:%d", port), e.deliver)
 	b, err := m.host.Disp.Install(RecvEvent, guard, h, 0)
 	if err != nil {
 		return nil, err

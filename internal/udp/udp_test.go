@@ -30,10 +30,10 @@ func pair(t *testing.T) (*plexus.Network, *plexus.Stack, *plexus.Stack) {
 
 func TestPortInUse(t *testing.T) {
 	_, a, _ := pair(t)
-	if _, err := a.UDP.Open(udp.EndpointOptions{Port: 100, Ephemeral: true}, nil); err != nil {
+	if _, err := a.UDP.Open(udp.EndpointOptions{Port: 100}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.UDP.Open(udp.EndpointOptions{Port: 100, Ephemeral: true}, nil); !errors.Is(err, udp.ErrPortInUse) {
+	if _, err := a.UDP.Open(udp.EndpointOptions{Port: 100}, nil); !errors.Is(err, udp.ErrPortInUse) {
 		t.Fatalf("err = %v, want ErrPortInUse", err)
 	}
 }
@@ -42,7 +42,7 @@ func TestEphemeralAllocationUniqueness(t *testing.T) {
 	_, a, _ := pair(t)
 	seen := map[uint16]bool{}
 	for i := 0; i < 100; i++ {
-		ep, err := a.UDP.Open(udp.EndpointOptions{Ephemeral: true}, nil)
+		ep, err := a.UDP.Open(udp.EndpointOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestEphemeralAllocationUniqueness(t *testing.T) {
 
 func TestClosedEndpointSendFails(t *testing.T) {
 	n, a, b := pair(t)
-	ep, err := a.UDP.Open(udp.EndpointOptions{Ephemeral: true}, nil)
+	ep, err := a.UDP.Open(udp.EndpointOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,14 @@ func buildRawSegment(st *plexus.Stack, srcPort, dstPort uint16, payload []byte) 
 func TestSendRawOverwritePolicy(t *testing.T) {
 	n, a, b := pair(t)
 	var gotSrcPort uint16
-	if _, err := b.UDP.Open(udp.EndpointOptions{Port: 9, Ephemeral: true},
+	if _, err := b.UDP.Open(udp.EndpointOptions{Port: 9},
 		func(task *sim.Task, payload *mbuf.Mbuf, src view.IP4, srcPort uint16) {
 			gotSrcPort = srcPort
 			payload.Free()
 		}); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := a.UDP.Open(udp.EndpointOptions{Ephemeral: true, SpoofPolicy: udp.Overwrite}, nil)
+	ep, err := a.UDP.Open(udp.EndpointOptions{SpoofPolicy: udp.Overwrite}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +116,14 @@ func TestSendRawOverwritePolicy(t *testing.T) {
 func TestSendRawVerifyPolicyBlocksSpoof(t *testing.T) {
 	n, a, b := pair(t)
 	received := 0
-	if _, err := b.UDP.Open(udp.EndpointOptions{Port: 9, Ephemeral: true},
+	if _, err := b.UDP.Open(udp.EndpointOptions{Port: 9},
 		func(task *sim.Task, payload *mbuf.Mbuf, src view.IP4, srcPort uint16) {
 			received++
 			payload.Free()
 		}); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := a.UDP.Open(udp.EndpointOptions{Ephemeral: true, SpoofPolicy: udp.Verify}, nil)
+	ep, err := a.UDP.Open(udp.EndpointOptions{SpoofPolicy: udp.Verify}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSendAndSendRawTapAndHop(t *testing.T) {
 			}), 0); err != nil {
 				t.Fatal(err)
 			}
-			ep, err := a.UDP.Open(udp.EndpointOptions{Ephemeral: true}, nil)
+			ep, err := a.UDP.Open(udp.EndpointOptions{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func TestClaimedPortInvisible(t *testing.T) {
 	received := 0
 	// Binding the claimed port must fail: it belongs to the other
 	// implementation now.
-	if _, err := b.UDP.Open(udp.EndpointOptions{Port: 9, Ephemeral: true}, nil); !errors.Is(err, udp.ErrPortInUse) {
+	if _, err := b.UDP.Open(udp.EndpointOptions{Port: 9}, nil); !errors.Is(err, udp.ErrPortInUse) {
 		t.Fatalf("claimed port bindable: %v", err)
 	}
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
@@ -308,7 +308,7 @@ func TestEphemeralSkipsClaimedPort(t *testing.T) {
 	if err := b.UDP.Claim(49152); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := b.UDP.Open(udp.EndpointOptions{Ephemeral: true}, nil)
+	ep, err := b.UDP.Open(udp.EndpointOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestEphemeralSkipsClaimedPort(t *testing.T) {
 
 func TestClaimBoundPortFails(t *testing.T) {
 	_, a, _ := pair(t)
-	if _, err := a.UDP.Open(udp.EndpointOptions{Port: 70, Ephemeral: true}, nil); err != nil {
+	if _, err := a.UDP.Open(udp.EndpointOptions{Port: 70}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.UDP.Claim(70); !errors.Is(err, udp.ErrPortInUse) {
@@ -332,7 +332,7 @@ func TestManagerAccessors(t *testing.T) {
 	if a.UDP.LocalAddr() != a.Addr() {
 		t.Error("LocalAddr wrong")
 	}
-	ep, err := a.UDP.Open(udp.EndpointOptions{Port: 123, Ephemeral: true}, nil)
+	ep, err := a.UDP.Open(udp.EndpointOptions{Port: 123}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

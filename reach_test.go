@@ -72,8 +72,8 @@ func TestReachableFixture(t *testing.T) {
 // non-test code sets them, each with the reason it stays.
 var optionsAllow = map[string]string{
 	"plexus.TCPAppOptions.NoSack":     "stands in for a peer that does not offer SACK; the SACK-versus-cumulative recovery tests turn it on",
-	"plexus.UDPAppOptions.Remote":     "Figure 1's connected endpoint: a peer filter in the guard, so other senders cannot snoop its port",
-	"plexus.UDPAppOptions.RemotePort": "the port half of Remote",
+	"udp.EndpointOptions.Remote":      "Figure 1's connected endpoint: a peer filter in the guard, so other senders cannot snoop its port",
+	"udp.EndpointOptions.RemotePort":  "the port half of Remote",
 	"plexus.ExtensionSpec.Exports":    "the section 2 protection domains: the interfaces an extension offers other extensions",
 	"plexus.ExtensionSpec.Privileged": "the section 2 protection domains: a kernel extension may link kernel-only imports",
 	"video.ServerConfig.FPS":          "benchmark/ passes NewServer a zero ServerConfig, so the type and its fields wait for a change to benchmark/",
@@ -89,7 +89,7 @@ var optionSuffixes = []string{"Options", "Config", "Spec", "Policy"}
 // optionsInScope is the number of option fields TestOptionsSet counts. It is
 // a ratchet: a change that adds or removes option fields commits the new
 // count in the same diff.
-const optionsInScope = 88
+const optionsInScope = 82
 
 // TestOptionsSet is the dead-option gate. Every exported field of an
 // exported *Options, *Config, *Spec or *Policy struct must get a value from
