@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -283,6 +284,30 @@ func rawFragment(a, b *plexus.Stack, id uint16, off int, more bool, payload []by
 	return d
 }
 
+// rawSink takes every datagram of rawFragment's protocol that b's IP layer
+// delivers, fails the test unless its payload is want, and returns a
+// pointer to the number it has taken.
+func rawSink(t testing.TB, b *plexus.Stack, want []byte) *int {
+	t.Helper()
+	const proto = 253 // rawFragment's protocol
+	isProto := func(_ *sim.Task, m *mbuf.Mbuf) bool {
+		v, err := view.IPv4(m.Bytes())
+		return err == nil && v.Proto() == proto
+	}
+	seen := new(int)
+	if _, err := b.Host.Disp.Install(ip.RecvEvent, isProto, event.Ephemeral("raw.sink", func(_ *sim.Task, m *mbuf.Mbuf) {
+		*seen++
+		got, err := m.CopyData(view.IPv4MinHdrLen, m.PktLen()-view.IPv4MinHdrLen)
+		m.Free()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("delivered %d bytes (err %v), not the %d sent", len(got), err, len(want))
+		}
+	}), 0); err != nil {
+		t.Fatal(err)
+	}
+	return seen
+}
+
 // FuzzReassembly sends one datagram as whatever fragments the fuzz bytes
 // choose: size sets the datagram's length, and each 3-byte record of frags
 // is one fragment, sent in record order — two bytes pick its first 8-byte
@@ -296,7 +321,8 @@ func FuzzReassembly(f *testing.F) {
 	f.Add(uint16(2999), []byte{1, 114, 4, 0, 185, 184, 0, 185, 184, 0, 0, 184}) // last first, a duplicate
 	f.Add(uint16(2006), []byte{0, 100, 120, 0, 0, 160, 0, 200, 90, 0, 50, 184}) // overlaps
 	f.Add(uint16(12), []byte{0, 1, 0, 0, 0, 0})                                 // a short last fragment
-	const proto = 253                                                           // rawFragment's protocol
+	f.Add(uint16(511), []byte{0, 32, 31, 0, 0, 31})                             // 512 B, one bitmap word: halves reversed
+	f.Add(uint16(512), []byte{0, 0, 63, 0, 0, 63, 0, 64, 0})                    // 513 B: a whole word twice, then unit 64
 	f.Fuzz(func(t *testing.T, size uint16, frags []byte) {
 		n, a, b := pair(t)
 		src := make([]byte, 1+int(size)%4000)
@@ -310,19 +336,7 @@ func FuzzReassembly(f *testing.F) {
 			end := min(off+8*(1+int(frags[2])%185), len(src))
 			dgrams = append(dgrams, rawFragment(a, b, 77, off, end < len(src), src[off:end]))
 		}
-		isProto := func(_ *sim.Task, m *mbuf.Mbuf) bool {
-			v, err := view.IPv4(m.Bytes())
-			return err == nil && v.Proto() == proto
-		}
-		if _, err := b.Host.Disp.Install(ip.RecvEvent, isProto, event.Ephemeral("fuzz.sink", func(_ *sim.Task, m *mbuf.Mbuf) {
-			got, err := m.CopyData(view.IPv4MinHdrLen, m.PktLen()-view.IPv4MinHdrLen)
-			m.Free()
-			if err != nil || !bytes.Equal(got, src) {
-				t.Errorf("delivered %d bytes (err %v), not the %d sent", len(got), err, len(src))
-			}
-		}), 0); err != nil {
-			t.Fatal(err)
-		}
+		rawSink(t, b, src)
 		base := b.Host.Pool.Stats().InUse
 		replay(t, n, a, b, dgrams...)
 		n.Sim.RunUntil(n.Sim.Now() + ip.ReassemblyTimeout)
@@ -358,6 +372,50 @@ func TestReassemblyOutOfOrder(t *testing.T) {
 	}
 	if st := b.IP.Stats(); seen != 1 || st.Reassembled != 1 || st.FragmentsRcvd != 4 {
 		t.Errorf("delivered %d, Reassembled %d, FragmentsRcvd %d; want 1, 1, 4", seen, st.Reassembled, st.FragmentsRcvd)
+	}
+}
+
+// Datagrams whose ends sit around the arrival bitmap's 64-unit word edges
+// reassemble from fragments ending at units 63, 64 and 65 (those inside the
+// datagram): in order, reversed, and with everything before the last
+// fragment sent again as one fragment first, a whole word from 513 B on.
+// Each is delivered exactly once, and no reassembly state is left to expire.
+func TestReassemblyWordEdges(t *testing.T) {
+	for _, size := range []int{511, 512, 513, 1024, 1025} {
+		src := make([]byte, size)
+		for i := range src {
+			src[i] = byte(i*13 + size)
+		}
+		cuts := []int{0}
+		for _, unit := range []int{63, 64, 65} {
+			if unit*8 < size {
+				cuts = append(cuts, unit*8)
+			}
+		}
+		cuts = append(cuts, size)
+		for _, order := range []string{"in order", "reversed", "duplicate"} {
+			n, a, b := pair(t)
+			seen := rawSink(t, b, src)
+			var frags [][]byte
+			for i := 0; i+1 < len(cuts); i++ {
+				off, end := cuts[i], cuts[i+1]
+				frags = append(frags, rawFragment(a, b, 5, off, end < size, src[off:end]))
+			}
+			switch order {
+			case "reversed":
+				slices.Reverse(frags)
+			case "duplicate":
+				lastOff := cuts[len(cuts)-2]
+				frags = slices.Insert(frags, len(frags)-1, rawFragment(a, b, 5, 0, true, src[:lastOff]))
+			}
+			replay(t, n, a, b, frags...)
+			n.Sim.RunUntil(n.Sim.Now() + ip.ReassemblyTimeout)
+			st := b.IP.Stats()
+			if *seen != 1 || st.Reassembled != 1 || st.FragmentsRcvd != uint64(len(frags)) || st.BadHeader != 0 || st.ReasmTimeouts != 0 {
+				t.Errorf("%d B %s: delivered %d, Reassembled %d, FragmentsRcvd %d of %d, BadHeader %d, ReasmTimeouts %d; want 1, 1, all, 0, 0",
+					size, order, *seen, st.Reassembled, st.FragmentsRcvd, len(frags), st.BadHeader, st.ReasmTimeouts)
+			}
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ type reasmBuf struct {
 	l        *Layer
 	key      reasmKey
 	data     []byte
-	have     []bool // per-8-byte-unit arrival map
+	have     bitmap // per-8-byte-unit arrival map
 	totalLen int    // payload length, known once the last fragment arrives
 	timer    sim.Timer
 
@@ -50,6 +50,34 @@ func reasmExpire(arg any) {
 		l.stats.ReasmTimeouts++
 		l.freeReasmBuf(rb)
 	}
+}
+
+// bitmap holds one bit per 8-byte unit of a datagram, unit u at bit u%64 of
+// word u/64.
+type bitmap []uint64
+
+// setBits marks units [lo, hi), a whole word at a time where the range
+// covers one.
+func (m bitmap) setBits(lo, hi int) {
+	for lo < hi {
+		n := min(hi-lo, 64-lo%64)
+		m[lo/64] |= ^uint64(0) >> (64 - n) << (lo % 64)
+		lo += n
+	}
+}
+
+// allBits reports whether units [0, n) are all marked.
+func (m bitmap) allBits(n int) bool {
+	for _, w := range m[:n/64] {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	if r := n % 64; r != 0 {
+		tail := uint64(1)<<r - 1
+		return m[n/64]&tail == tail
+	}
+	return true
 }
 
 // getReasmBuf takes a buffer from the free list, or allocates one.
@@ -116,9 +144,9 @@ func (l *Layer) reassemble(t *sim.Task, v view.IPv4View, m *mbuf.Mbuf) *mbuf.Mbu
 		return nil
 	}
 	if end > len(rb.data) {
-		units, old := (end+7)/8, len(rb.have)
+		words, old := (end+511)/512, len(rb.have)
 		rb.data = slices.Grow(rb.data, end-len(rb.data))[:end]
-		rb.have = slices.Grow(rb.have, units-old)[:units]
+		rb.have = slices.Grow(rb.have, words-old)[:words]
 		clear(rb.have[old:])
 	}
 	err := m.CopyTo(hl, rb.data[fragOff:end])
@@ -128,19 +156,12 @@ func (l *Layer) reassemble(t *sim.Task, v view.IPv4View, m *mbuf.Mbuf) *mbuf.Mbu
 	}
 	t.ChargeBytes(payloadLen, l.host.Costs.RAMPerByte)
 
-	for u := fragOff / 8; u < (end+7)/8; u++ {
-		rb.have[u] = true
-	}
+	rb.have.setBits(fragOff/8, (end+7)/8)
 	if last {
 		rb.totalLen = end
 	}
-	if rb.totalLen == 0 {
+	if rb.totalLen == 0 || !rb.have.allBits((rb.totalLen+7)/8) {
 		return nil
-	}
-	for u := 0; u < (rb.totalLen+7)/8; u++ {
-		if !rb.have[u] {
-			return nil
-		}
 	}
 	// Complete: cancel the timer and rebuild a whole datagram.
 	rb.timer.Stop()

@@ -34,7 +34,8 @@ const (
 )
 
 // appChecksum is the client's application-level checksum pass: a simple
-// 32-bit sum of the bytes, placed in the frame header by the server. It adds
+// 32-bit sum of the bytes, placed in the frame header by the server, which
+// computes it in closed form (rampChecksum). It adds
 // eight bytes per step: a word splits into four 16-bit lanes of byte-pair
 // sums, and the lanes are totalled every 128 words, before any can overflow
 // (128 * 2 * 255 < 2^16).
@@ -97,6 +98,7 @@ type Server struct {
 	streams []view.IP4
 	seq     uint32
 	frame   []byte // reused by buildFrame
+	ramp    []byte // ramp[k] = 7k (mod 256): every payload is a window of it
 	stats   ServerStats
 
 	running  bool
@@ -105,14 +107,29 @@ type Server struct {
 }
 
 // NewServer opens the server's sending endpoint (checksum disabled — the
-// application-specific UDP variant).
+// application-specific UDP variant). A frame must hold at least its header.
 func NewServer(st *plexus.Stack, cfg ServerConfig) (*Server, error) {
 	cfg.defaults()
+	if cfg.FrameSize < frameHdrLen {
+		return nil, fmt.Errorf("video: frame size %d is smaller than the %d-byte frame header", cfg.FrameSize, frameHdrLen)
+	}
 	app, err := st.OpenUDP(plexus.UDPAppOptions{DisableChecksum: true}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("video: %w", err)
 	}
-	return &Server{st: st, cfg: cfg, app: app, frame: make([]byte, cfg.FrameSize)}, nil
+	frame, ramp := frameBuffers(cfg.FrameSize)
+	return &Server{st: st, cfg: cfg, app: app, frame: frame, ramp: ramp}, nil
+}
+
+// frameBuffers allocates, in one block, the frame buffer buildFrame rewrites
+// and the ramp it cuts payloads from: ramp[k] = 7k (mod 256), long enough
+// that a payload-sized window starts at every offset 0-255.
+func frameBuffers(frameSize int) (frame, ramp []byte) {
+	b := make([]byte, 2*frameSize-frameHdrLen+255)
+	for k := range b[frameSize:] {
+		b[frameSize+k] = byte(7 * k)
+	}
+	return b[:frameSize:frameSize], b[frameSize:]
 }
 
 // AddStream adds one client stream addressed to the given multicast group
@@ -152,8 +169,12 @@ func (s *Server) tick() {
 		s.tickDone = true
 	})
 	period := sim.Second / sim.Time(s.cfg.FPS)
-	simulator.After(period, "video-tick", func() { s.tick() })
+	simulator.AfterArg(period, "video-tick", videoTick, s)
 }
+
+// videoTick re-arms the frame clock, scheduled with AfterArg so a tick
+// allocates no closure.
+func videoTick(arg any) { arg.(*Server).tick() }
 
 // sendFrames reads and transmits one frame per stream.
 func (s *Server) sendFrames(t *sim.Task) {
@@ -178,34 +199,28 @@ func (s *Server) sendFrames(t *sim.Task) {
 // buildFrame synthesizes frame content, byte i being seq+7i (mod 256), with
 // the application-level header the client verifies. It rewrites the server's
 // one frame buffer: Send copies the frame into mbufs before returning.
+//
+// The payload starts at first = seq+12*7, and since 7*183 = 1 (mod 256) it is
+// the ramp's window at offset first*183, whose sum rampChecksum knows.
 func (s *Server) buildFrame(stream, seq uint32) []byte {
 	b := s.frame
-	fillRamp(b[frameHdrLen:], byte(seq)+frameHdrLen*7)
+	first := byte(seq) + frameHdrLen*7
+	n := copy(b[frameHdrLen:], s.ramp[first*183:])
 	be32(b[0:], stream)
 	be32(b[4:], seq)
-	be32(b[8:], appChecksum(b[frameHdrLen:]))
+	be32(b[8:], rampChecksum(first, n))
 	return b
 }
 
-// fillRamp writes b[k] = first+7k (mod 256), eight bytes per step: from one
-// word to the next every byte grows by 56, added lane by lane with the top
-// bit of each byte masked so that no carry crosses into its neighbour.
-func fillRamp(b []byte, first byte) {
-	const (
-		step = 0x3838383838383838 // 56 in every byte
-		high = 0x8080808080808080
-	)
-	var w uint64
-	for k := 0; k < 8; k++ {
-		w |= uint64(first+byte(7*k)) << (8 * k)
+// rampChecksum is appChecksum of the n bytes first+7k (mod 256). Since 7 is
+// odd, any 256 consecutive of them are 0-255 in some order, summing to
+// 32,640, and only the first n%256 are added one by one.
+func rampChecksum(first byte, n int) uint32 {
+	sum := uint32(n/256) * 32640
+	for k := 0; k < n%256; k++ {
+		sum += uint32(first + byte(7*k))
 	}
-	for ; len(b) >= 8; b = b[8:] {
-		binary.LittleEndian.PutUint64(b, w)
-		w = (w&^high + step) ^ w&high
-	}
-	for k := range b {
-		b[k] = byte(w >> (8 * k))
-	}
+	return sum
 }
 
 func be32(b []byte, v uint32) {

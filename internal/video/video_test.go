@@ -286,27 +286,35 @@ func TestVideoMultipleClientHosts(t *testing.T) {
 	}
 }
 
-// The word-at-a-time frame fill and checksum agree byte for byte with their
-// one-byte-per-step definitions, at every length around the 8-byte word and
-// the 1,024-byte lane-flush boundaries.
+// Frames cut from the ramp, with their closed-form checksum, agree byte for
+// byte with the one-byte-per-step definition for every seq residue, at every
+// length around the 8-byte word and the 1,024-byte lane-flush boundaries of
+// the client's checksum; seq 255 cuts the window that ends at the ramp's end.
+// The client's word-at-a-time checksum agrees with a bytewise sum.
 func TestFrameKernelsMatchBytewise(t *testing.T) {
 	for _, size := range []int{frameHdrLen, frameHdrLen + 1, 19, 20, 21, 1035, 1036, 1037, 2060, DefaultFrameSize} {
-		for _, seq := range []uint32{0, 1, 37, 255, 1 << 20} {
-			s := &Server{cfg: ServerConfig{FrameSize: size}, frame: make([]byte, size)}
+		frame, ramp := frameBuffers(size)
+		s := &Server{cfg: ServerConfig{FrameSize: size}, frame: frame, ramp: ramp}
+		want := make([]byte, size)
+		seqs := []uint32{1 << 20}
+		for seq := range 256 {
+			seqs = append(seqs, uint32(seq))
+		}
+		for _, seq := range seqs {
 			got := s.buildFrame(3, seq)
-			want := make([]byte, size)
+			var sum uint32
 			for i := frameHdrLen; i < size; i++ {
 				want[i] = byte(int(seq) + i*7)
-			}
-			var sum uint32
-			for _, x := range want[frameHdrLen:] {
-				sum += uint32(x)
+				sum += uint32(want[i])
 			}
 			be32(want[0:], 3)
 			be32(want[4:], seq)
 			be32(want[8:], sum)
 			if string(got) != string(want) {
 				t.Fatalf("size %d seq %d: frame differs from the bytewise fill", size, seq)
+			}
+			if appChecksum(got[frameHdrLen:]) != sum {
+				t.Fatalf("size %d seq %d: appChecksum differs from the bytewise sum", size, seq)
 			}
 		}
 	}
@@ -320,5 +328,52 @@ func TestFrameKernelsMatchBytewise(t *testing.T) {
 	}
 	if got := appChecksum(b); got != want {
 		t.Errorf("appChecksum of %d x 0xff = %d, want %d", len(b), got, want)
+	}
+}
+
+// rampChecksum's closed form equals the bytewise sum of first+7k for every
+// first byte, at every length to 600 and at the default frame's payload.
+func TestRampChecksumMatchesBytewise(t *testing.T) {
+	for first := 0; first < 256; first++ {
+		var sum uint32
+		for n := 0; n <= DefaultFrameSize-frameHdrLen; n++ {
+			if n <= 600 || n == DefaultFrameSize-frameHdrLen {
+				if got := rampChecksum(byte(first), n); got != sum {
+					t.Fatalf("rampChecksum(%d, %d) = %d, want %d", first, n, got, sum)
+				}
+			}
+			sum += uint32(byte(first + 7*n))
+		}
+	}
+}
+
+// A frame too small for its header is refused when the server is made, not
+// when the first tick would build it.
+func TestNewServerRejectsShortFrame(t *testing.T) {
+	_, sv, _ := videoNet(t, osmodel.SPIN)
+	for _, size := range []int{-1, 1, frameHdrLen - 1} {
+		if _, err := NewServer(sv, ServerConfig{FrameSize: size}); err == nil {
+			t.Errorf("NewServer with FrameSize %d: no error", size)
+		}
+	}
+	srv, err := NewServer(sv, ServerConfig{FrameSize: frameHdrLen})
+	if err != nil {
+		t.Fatalf("NewServer with a header-only frame: %v", err)
+	}
+	if got := srv.buildFrame(0, 1); len(got) != frameHdrLen || rd32(got[8:]) != 0 {
+		t.Errorf("header-only frame = %x", got)
+	}
+}
+
+// BenchmarkBuildFrame synthesizes one default-size frame per op: the ramp
+// window's copy and the closed-form checksum, allocating nothing.
+func BenchmarkBuildFrame(b *testing.B) {
+	frame, ramp := frameBuffers(DefaultFrameSize)
+	s := &Server{cfg: ServerConfig{FrameSize: DefaultFrameSize}, frame: frame, ramp: ramp}
+	b.SetBytes(DefaultFrameSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.buildFrame(uint32(i), uint32(i))
 	}
 }
