@@ -28,9 +28,9 @@ func ccSpec(name, algo string) HostSpec {
 }
 
 // ccTransfer is recoveryTransfer generalised over host specs: a one-way
-// transfer under a prepared injector, returning the sender's stats, its
-// connection, and the received byte count.
-func ccTransfer(t *testing.T, a, b HostSpec, size int, horizon sim.Time, noSack bool, prepare func(*Network, *fault.Injector)) (*tcp.Conn, int, *Network) {
+// transfer under a prepared injector, returning the sender's connection, the
+// received byte count, and the simulated time the last byte arrived.
+func ccTransfer(t *testing.T, a, b HostSpec, size int, horizon sim.Time, noSack bool, prepare func(*Network, *fault.Injector)) (*tcp.Conn, int, sim.Time) {
 	t.Helper()
 	n, client, server, err := TwoHosts(1, netdev.EthernetModel(), a, b)
 	if err != nil {
@@ -41,8 +41,12 @@ func ccTransfer(t *testing.T, a, b HostSpec, size int, horizon sim.Time, noSack 
 		prepare(n, in)
 	}
 	var got int
+	var done sim.Time
 	_, err = server.ListenTCP(80, TCPAppOptions{
-		OnRecv:    func(task *sim.Task, conn *TCPApp, data []byte) { got += len(data) },
+		OnRecv: func(task *sim.Task, conn *TCPApp, data []byte) {
+			got += len(data)
+			done = n.Sim.Now()
+		},
 		OnPeerFin: func(task *sim.Task, conn *TCPApp) { conn.Close(task) },
 	}, nil)
 	if err != nil {
@@ -66,7 +70,7 @@ func ccTransfer(t *testing.T, a, b HostSpec, size int, horizon sim.Time, noSack 
 	if sender == nil || sender.Conn() == nil {
 		t.Fatal("connection never established")
 	}
-	return sender.Conn(), got, n
+	return sender.Conn(), got, done
 }
 
 // dropNths kills the Kth, then the Lth, ... data-bearing frame (≥1000 wire
@@ -251,24 +255,51 @@ func TestWindowFreshnessUnderReordering(t *testing.T) {
 	}
 }
 
-// CUBIC and BBR must each carry a transfer across a lossy wire end to end,
-// selected purely through the host spec.
+// Each algorithm, with and without SACK, must carry a transfer across a
+// lossy wire end to end, selected purely through the host spec. At 8 % loss
+// every algorithm takes fast recovery, partial ACKs and a retransmission
+// timeout. The outcome of every cell is pinned: the completion time, the loss
+// counters and the final window are what the window arithmetic produced, so
+// a change to how the window is computed that moves any of them fails here.
 func TestAlternateAlgorithmsLossyTransfer(t *testing.T) {
-	for _, algo := range []string{"cubic", "bbr"} {
-		t.Run(algo, func(t *testing.T) {
+	type outcome struct {
+		done                                           sim.Time
+		retransmits, fastRecoveries, partialAcks, rtos uint64
+		cwnd, ssthresh                                 uint32
+	}
+	cases := []struct {
+		algo   string
+		noSack bool
+		want   outcome
+	}{
+		{"newreno", false, outcome{5658067040, 14, 7, 3, 4, 1460, 2920}},
+		{"newreno", true, outcome{5658018040, 14, 7, 3, 4, 1460, 2920}},
+		{"cubic", false, outcome{4253409240, 15, 6, 3, 3, 6277, 6277}},
+		{"cubic", true, outcome{3859842680, 12, 7, 2, 3, 4380, 5467}},
+		{"bbr", false, outcome{2062654775, 18, 8, 3, 1, 9132, 65535}},
+		{"bbr", true, outcome{1460036513, 15, 8, 7, 0, 9092, 65535}},
+	}
+	for _, tc := range cases {
+		name := tc.algo
+		if tc.noSack {
+			name += "/nosack"
+		}
+		t.Run(name, func(t *testing.T) {
 			const size = 256 << 10
-			conn, got, _ := ccTransfer(t, ccSpec("a", algo), spinSpec("b"), size, 300*sim.Second, false,
+			conn, got, done := ccTransfer(t, ccSpec("a", tc.algo), spinSpec("b"), size, 300*sim.Second, tc.noSack,
 				func(n *Network, in *fault.Injector) {
-					in.Lose(fault.MinSize{N: 1000, M: fault.Bernoulli{P: 0.01}})
+					in.Lose(fault.MinSize{N: 1000, M: fault.Bernoulli{P: 0.08}})
 				})
-			if name := conn.CCName(); name != algo {
-				t.Fatalf("CCName() = %q, want %q", name, algo)
+			if name := conn.CCName(); name != tc.algo {
+				t.Fatalf("CCName() = %q, want %q", name, tc.algo)
 			}
 			if got != size {
 				t.Fatalf("transfer incomplete: %d/%d", got, size)
 			}
-			if cs := conn.Stats(); cs.Retransmits == 0 {
-				t.Errorf("Retransmits = 0 under 1%% loss; the faults never landed")
+			cs := conn.Stats()
+			out := outcome{done, cs.Retransmits, cs.FastRecoveries, cs.PartialAcks, cs.RTOExpiries, conn.Cwnd(), conn.Ssthresh()}
+			if out != tc.want {
+				t.Errorf("outcome = %+v\nwant      %+v", out, tc.want)
 			}
 		})
 	}
