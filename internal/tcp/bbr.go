@@ -76,10 +76,10 @@ func newBBR() CongestionControl {
 	return &bbr{mode: bbrStartup, pacingGain: bbrHighGain, cwndGain: bbrHighGain}
 }
 
-func (*bbr) Name() string   { return "bbr" }
-func (*bbr) OwnsCwnd() bool { return true }
+func (*bbr) Name() string { return "bbr" }
 
 func (b *bbr) Init(c *Conn) {
+	c.snd.ssthresh = initialSsthresh
 	c.setCwnd(bbrInitialCwnd * c.mss)
 }
 
@@ -185,12 +185,12 @@ func (b *bbr) PacingDelay(c *Conn, bytes uint32) sim.Time {
 	return sim.Time(float64(bytes) * float64(sim.Second) / rate)
 }
 
-// SsthreshAfterLoss leaves ssthresh alone: BBR does not react to loss as a
-// congestion signal, it trusts the model.
-func (*bbr) SsthreshAfterLoss(c *Conn) uint32 { return c.snd.ssthresh }
-
-func (*bbr) OnEnterRecovery(*Conn) {}
-func (*bbr) OnExitRecovery(*Conn)  {}
+// BBR does not react to loss as a congestion signal, it trusts the model:
+// fast recovery leaves ssthresh and cwnd alone.
+func (*bbr) OnEnterRecovery(*Conn)      {}
+func (*bbr) OnDupAck(*Conn)             {}
+func (*bbr) OnPartialAck(*Conn, uint32) {}
+func (*bbr) OnExitRecovery(*Conn)       {}
 
 // OnRTO applies packet conservation: cut to a conservative window and let
 // the model rebuild it; the filters survive (a timeout does not erase what

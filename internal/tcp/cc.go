@@ -1,11 +1,11 @@
 // The pluggable congestion-control plane. The connection owns the loss
 // *detection* machinery — dup-ACK counting, the SACK scoreboard, NewReno's
-// recovery bookkeeping (RFC 6582), the RTO — and delegates the *policy*
-// questions (how fast may cwnd grow, what does it collapse to on loss,
-// should sends be paced) to a CongestionControl instance selected per
-// connection from a registry. Algorithms that compute their own window from
-// a model of the path (BBR) report OwnsCwnd and opt out of the
-// inflation/deflation arithmetic entirely.
+// recovery point and retransmissions (RFC 6582), the RTO — and calls a
+// CongestionControl instance, selected per connection from a registry, at
+// each event that moves the window. The algorithm is the only writer of
+// cwnd and ssthresh: NewReno and CUBIC share RFC 6582's inflate/deflate
+// arithmetic (renoWindow); BBR computes its window from a model of the path
+// and ignores the recovery events.
 package tcp
 
 import (
@@ -38,6 +38,9 @@ func (r RecoveryState) String() string {
 	return "RECOVERY(?)"
 }
 
+// initialSsthresh is every algorithm's ssthresh before the first loss.
+const initialSsthresh = 65535
+
 // maxCwnd caps congestion-window growth: 16 MB is beyond any
 // bandwidth-delay product the simulator models and keeps every cwnd
 // computation far from uint32 wraparound.
@@ -49,22 +52,20 @@ const maxCwnd = 1 << 24
 type CongestionControl interface {
 	// Name is the registry name the algorithm was created under.
 	Name() string
-	// Init runs once when the connection binds the algorithm, before any
-	// segment flows; the connection's MSS may still be renegotiated by the
-	// handshake.
+	// Init sets the initial cwnd and ssthresh, before any segment flows;
+	// the connection's MSS may still be renegotiated by the handshake.
 	Init(c *Conn)
 	// OnAck credits cwnd for acked bytes of new data (called outside fast
 	// recovery; during RTO recovery it regrows the collapsed window).
 	OnAck(c *Conn, acked uint32)
-	// SsthreshAfterLoss returns the new slow-start threshold on a loss
-	// event (fast retransmit or RTO).
-	SsthreshAfterLoss(c *Conn) uint32
-	// OnEnterRecovery and OnExitRecovery bracket NewReno fast recovery.
+	// OnEnterRecovery (the third duplicate ACK), OnDupAck (each later one),
+	// OnPartialAck (new data acked short of the recovery point) and
+	// OnExitRecovery (the recovery point acked) bracket fast recovery.
 	OnEnterRecovery(c *Conn)
+	OnDupAck(c *Conn)
+	OnPartialAck(c *Conn, acked uint32)
 	OnExitRecovery(c *Conn)
-	// OnRTO reacts to a retransmission timeout. Algorithms that own cwnd
-	// must collapse it here; for the rest the connection has already set
-	// cwnd to one MSS.
+	// OnRTO collapses the window on a retransmission timeout.
 	OnRTO(c *Conn)
 	// OnRTTSample observes each valid (Karn-filtered) RTT measurement.
 	OnRTTSample(c *Conn, rtt sim.Time)
@@ -72,9 +73,6 @@ type CongestionControl interface {
 	// for unpaced (ACK-clocked) operation. Paced sends ride the simulator's
 	// timer wheel.
 	PacingDelay(c *Conn, bytes uint32) sim.Time
-	// OwnsCwnd reports that the algorithm computes cwnd directly and the
-	// connection must skip the standard collapse/inflation/deflation moves.
-	OwnsCwnd() bool
 }
 
 // DefaultCC is the algorithm used when none is configured.
@@ -149,4 +147,56 @@ func slowStartGrow(c *Conn, acc *uint32) {
 	if c.snd.cwnd < c.snd.ssthresh {
 		*acc = 0
 	}
+}
+
+// renoWindow is the window arithmetic NewReno and CUBIC share: the initial
+// two segments and RFC 6582's fast-recovery inflation and deflation. They
+// differ only in the ssthresh a loss sets.
+type renoWindow struct {
+	// acc is the RFC 3465 byte-counting accumulator: bytes acked but not yet
+	// converted into cwnd growth. Every window reduction empties it.
+	acc uint32
+}
+
+func (*renoWindow) Init(c *Conn) {
+	c.snd.cwnd = 2 * c.mss // a lone segment would wait out the peer's delayed ACK
+	c.snd.ssthresh = initialSsthresh
+}
+
+// enter is RFC 6582 step 2: cwnd is ssthresh inflated by the three segments
+// the duplicate ACKs proved have left the network.
+func (w *renoWindow) enter(c *Conn, ssthresh uint32) {
+	w.acc = 0
+	c.snd.ssthresh = ssthresh
+	c.setCwnd(ssthresh + dupThresh*c.mss)
+}
+
+// OnDupAck is RFC 6582 step 3: one more segment left the network.
+func (*renoWindow) OnDupAck(c *Conn) { c.setCwnd(c.snd.cwnd + c.mss) }
+
+// OnPartialAck is RFC 6582 step 5: deflate by the bytes acked, and add one
+// MSS back when a full segment left the network.
+func (*renoWindow) OnPartialAck(c *Conn, acked uint32) {
+	w := c.mss
+	if acked < c.snd.cwnd {
+		w = c.snd.cwnd - acked
+	}
+	if acked >= c.mss {
+		w += c.mss
+	}
+	c.setCwnd(w)
+}
+
+// OnExitRecovery deflates to min(ssthresh, flight+MSS): RFC 6582 step 5's
+// conservative option, which avoids a burst after the inflation.
+func (w *renoWindow) OnExitRecovery(c *Conn) {
+	c.setCwnd(min(c.snd.ssthresh, c.flightSize()+c.mss))
+	w.acc = 0
+}
+
+// collapse is RFC 5681's timeout response.
+func (w *renoWindow) collapse(c *Conn, ssthresh uint32) {
+	c.snd.ssthresh = ssthresh
+	c.setCwnd(c.mss)
+	w.acc = 0
 }

@@ -18,10 +18,10 @@ import (
 // ccTestConn builds a bare connection bound to algo with the given windows.
 func ccTestConn(s *sim.Sim, algo string, mss, cwnd, ssthresh uint32) *Conn {
 	c := &Conn{mgr: &Manager{host: &osmodel.Host{Sim: s}}, mss: mss, rto: initialRTO}
-	c.snd.cwnd = cwnd
-	c.snd.ssthresh = ssthresh
 	c.cc = newCC(algo)
 	c.cc.Init(c)
+	c.snd.cwnd = cwnd
+	c.snd.ssthresh = ssthresh
 	return c
 }
 
@@ -66,16 +66,25 @@ func TestCongestionAvoidanceByteCounting(t *testing.T) {
 	}
 }
 
-// RFC 5681: ssthresh after loss is max(FlightSize/2, 2·SMSS).
+// RFC 5681: ssthresh after loss is max(FlightSize/2, 2·SMSS), whether the
+// loss is a fast retransmit or a timeout.
 func TestSsthreshAfterLossFloor(t *testing.T) {
-	c := ccTestConn(sim.New(1), "newreno", 1000, 64000, 64000)
-	c.snd.una, c.snd.nxt = 5000, 8000 // flight 3000: half is below the floor
-	if got := c.cc.SsthreshAfterLoss(c); got != 2000 {
-		t.Errorf("ssthresh = %d for 3000-byte flight, want the 2·MSS floor (2000)", got)
+	hooks := map[string]func(CongestionControl, *Conn){
+		"OnEnterRecovery": CongestionControl.OnEnterRecovery,
+		"OnRTO":           CongestionControl.OnRTO,
 	}
-	c.snd.nxt = 25000 // flight 20000
-	if got := c.cc.SsthreshAfterLoss(c); got != 10000 {
-		t.Errorf("ssthresh = %d for 20000-byte flight, want 10000", got)
+	for name, loss := range hooks {
+		c := ccTestConn(sim.New(1), "newreno", 1000, 64000, 64000)
+		c.snd.una, c.snd.nxt = 5000, 8000 // flight 3000: half is below the floor
+		loss(c.cc, c)
+		if got := c.Ssthresh(); got != 2000 {
+			t.Errorf("%s: ssthresh = %d for 3000-byte flight, want the 2·MSS floor (2000)", name, got)
+		}
+		c.snd.nxt = 25000 // flight 20000
+		loss(c.cc, c)
+		if got := c.Ssthresh(); got != 10000 {
+			t.Errorf("%s: ssthresh = %d for 20000-byte flight, want 10000", name, got)
+		}
 	}
 }
 

@@ -175,7 +175,6 @@ type Conn struct {
 
 	// Congestion control (policy) and loss-recovery phase (mechanism).
 	cc       CongestionControl
-	ccName   string
 	recovery RecoveryState
 	// sb is the SACK scoreboard; rexmitHint is the next selective-
 	// retransmit candidate within the current recovery episode; rescueSeq
@@ -270,12 +269,7 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16) 
 	c.snd.nxt = c.snd.iss
 	c.snd.max = c.snd.iss
 	c.snd.recover = c.snd.iss
-	// Initial window of two segments: a lone first segment would sit
-	// behind the receiver's delayed-ACK clock for 200ms.
-	c.snd.cwnd = 2 * c.mss
-	c.snd.ssthresh = 65535
 	c.cc = newCC(m.defaultCC)
-	c.ccName = c.cc.Name()
 	c.cc.Init(c)
 	h := event.Handler{
 		Name:      connName(localPort, remote, remotePort),
@@ -714,19 +708,14 @@ func (c *Conn) onRexmitTimeout(t *sim.Task) {
 		c.armRexmit()
 		return
 	}
-	// Collapse the window (RFC 5681 timeout behaviour): the algorithm picks
-	// the new ssthresh; cwnd drops to one MSS unless the algorithm owns it
-	// (BBR applies packet conservation in OnRTO instead). The scoreboard is
-	// discarded — after a timeout its view of the receiver is stale.
-	c.snd.ssthresh = c.cc.SsthreshAfterLoss(c)
+	// The algorithm collapses the window (RFC 5681 timeout behaviour). The
+	// scoreboard is discarded — after a timeout its view of the receiver is
+	// stale.
 	c.recovery = RecoveryLoss
 	c.snd.recover = c.snd.max
 	c.snd.dupAcks = 0
 	c.sb.reset()
 	c.rexmitHint = 0
-	if !c.cc.OwnsCwnd() {
-		c.setCwnd(c.mss)
-	}
 	c.cc.OnRTO(c)
 	if n := c.retransmitOldest(t); n > 0 {
 		// Go-back-N: everything past the retransmitted segment predates

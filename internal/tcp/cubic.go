@@ -21,19 +21,17 @@ const (
 )
 
 type cubic struct {
-	acc    uint32   // ABC accumulator during slow start
-	cnt    uint32   // segments acked toward the next cwnd increment
-	wmax   float64  // window (segments) at the last reduction
-	k      float64  // seconds for the cubic to regrow to wmax
-	epoch  sim.Time // start of the current avoidance epoch (0 = unset)
-	origin float64  // cubic origin point (segments)
+	renoWindow          // and its byte-counting accumulator
+	cnt        uint32   // segments acked toward the next cwnd increment
+	wmax       float64  // window (segments) at the last reduction
+	k          float64  // seconds for the cubic to regrow to wmax
+	epoch      sim.Time // start of the current avoidance epoch (0 = unset)
+	origin     float64  // cubic origin point (segments)
 }
 
 func newCubic() CongestionControl { return &cubic{} }
 
 func (*cubic) Name() string                       { return "cubic" }
-func (*cubic) Init(*Conn)                         {}
-func (*cubic) OwnsCwnd() bool                     { return false }
 func (*cubic) OnRTTSample(*Conn, sim.Time)        {}
 func (*cubic) PacingDelay(*Conn, uint32) sim.Time { return 0 }
 
@@ -95,10 +93,11 @@ func (cu *cubic) OnAck(c *Conn, acked uint32) {
 	}
 }
 
-// SsthreshAfterLoss applies the multiplicative decrease and records W_max,
+// lossSsthresh applies the multiplicative decrease and records W_max,
 // with fast convergence (RFC 8312 §4.6): a loss below the previous W_max
-// means capacity shrank, so the anchor is pulled down further.
-func (cu *cubic) SsthreshAfterLoss(c *Conn) uint32 {
+// means capacity shrank, so the anchor is pulled down further. It reads
+// cwnd, so it runs before the window moves.
+func (cu *cubic) lossSsthresh(c *Conn) uint32 {
 	cwndSegs := float64(c.snd.cwnd) / float64(c.mss)
 	if cwndSegs < cu.wmax {
 		cu.wmax = cwndSegs * (1 + cubicBeta) / 2
@@ -106,21 +105,20 @@ func (cu *cubic) SsthreshAfterLoss(c *Conn) uint32 {
 		cu.wmax = cwndSegs
 	}
 	cu.epoch = 0
-	ss := uint32(float64(c.snd.cwnd) * cubicBeta)
-	if ss < 2*c.mss {
-		ss = 2 * c.mss
-	}
-	return ss
+	return max(uint32(float64(c.snd.cwnd)*cubicBeta), 2*c.mss)
 }
 
-func (cu *cubic) OnEnterRecovery(*Conn) { cu.acc, cu.cnt = 0, 0 }
-
-func (cu *cubic) OnExitRecovery(*Conn) {
-	cu.acc, cu.cnt = 0, 0
-	cu.epoch = 0
+func (cu *cubic) OnEnterRecovery(c *Conn) {
+	cu.enter(c, cu.lossSsthresh(c))
+	cu.cnt = 0
 }
 
-func (cu *cubic) OnRTO(*Conn) {
-	cu.acc, cu.cnt = 0, 0
-	cu.epoch = 0
+func (cu *cubic) OnExitRecovery(c *Conn) {
+	cu.renoWindow.OnExitRecovery(c)
+	cu.cnt, cu.epoch = 0, 0
+}
+
+func (cu *cubic) OnRTO(c *Conn) {
+	cu.collapse(c, cu.lossSsthresh(c))
+	cu.cnt, cu.epoch = 0, 0
 }

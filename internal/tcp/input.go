@@ -378,11 +378,9 @@ func (c *Conn) staleAck(t *sim.Task, s seg, newSack bool) {
 			c.enterFastRecovery(t)
 		}
 	case RecoveryFast:
-		// Each further dup ACK means a segment left the network: inflate
-		// the window (RFC 6582 step 3) and retransmit the next SACK hole.
-		if !c.cc.OwnsCwnd() {
-			c.setCwnd(c.snd.cwnd + c.mss)
-		}
+		// Each further dup ACK means a segment left the network (RFC 6582
+		// step 3): retransmit the next SACK hole.
+		c.cc.OnDupAck(c)
 		c.sackRexmit(t)
 		c.output(t)
 	case RecoveryLoss:
@@ -390,10 +388,8 @@ func (c *Conn) staleAck(t *sim.Task, s seg, newSack bool) {
 	}
 }
 
-// enterFastRecovery is RFC 6582 step 2: remember the recovery point,
-// collapse ssthresh via the algorithm, retransmit the lost segment, and
-// inflate cwnd by the three segments the dup ACKs proved have left the
-// network.
+// enterFastRecovery is RFC 6582 step 2: remember the recovery point, let
+// the algorithm set the window, and retransmit the lost segment.
 func (c *Conn) enterFastRecovery(t *sim.Task) {
 	c.stats.FastRexmits++
 	c.mgr.stats.FastRexmits++
@@ -402,7 +398,6 @@ func (c *Conn) enterFastRecovery(t *sim.Task) {
 	c.recovery = RecoveryFast
 	c.snd.recover = c.snd.max
 	c.rexmitHint = c.snd.una
-	c.snd.ssthresh = c.cc.SsthreshAfterLoss(c)
 	c.cc.OnEnterRecovery(c)
 	hole := uint32(0)
 	if c.sb.n > 0 {
@@ -415,17 +410,14 @@ func (c *Conn) enterFastRecovery(t *sim.Task) {
 		c.rexmitHint = c.snd.una + n
 	}
 	c.rescueSeq = c.snd.max
-	if !c.cc.OwnsCwnd() {
-		c.setCwnd(c.snd.ssthresh + dupThresh*c.mss)
-	}
 	c.armRexmit()
 	c.output(t) // the inflated window may admit new data (RFC 6582 step 4)
 }
 
 // partialAck is RFC 6582 step 5: inside recovery, an ACK that advances
 // snd.una without reaching the recovery point proves the next segment is
-// also lost. Retransmit it, deflate the inflation by the amount acked (plus
-// one MSS for the segment that left the network), and stay in recovery.
+// also lost. Retransmit it, let the algorithm deflate the window, and stay
+// in recovery.
 func (c *Conn) partialAck(t *sim.Task, acked uint32) {
 	c.stats.PartialAcks++
 	hole := uint32(0)
@@ -436,36 +428,17 @@ func (c *Conn) partialAck(t *sim.Task, acked uint32) {
 		c.rexmitHint = c.snd.una + n
 	}
 	c.rescueSeq = c.snd.max
-	if !c.cc.OwnsCwnd() {
-		w := c.snd.cwnd
-		if acked >= w {
-			w = c.mss
-		} else {
-			w -= acked
-		}
-		if acked >= c.mss {
-			w += c.mss
-		}
-		c.setCwnd(w)
-	}
+	c.cc.OnPartialAck(c, acked)
 	c.armRexmit()
 	c.output(t)
 }
 
 // exitRecovery is RFC 6582 step 5's full-ACK arm: the recovery point is
-// cumulatively acked. Deflate to min(ssthresh, flight+MSS) — the
-// conservative option that avoids a burst after heavy inflation.
+// cumulatively acked.
 func (c *Conn) exitRecovery() {
 	c.recovery = RecoveryOpen
 	c.snd.dupAcks = 0
 	c.rexmitHint = 0
-	if !c.cc.OwnsCwnd() {
-		w := c.flightSize() + c.mss
-		if c.snd.ssthresh < w {
-			w = c.snd.ssthresh
-		}
-		c.setCwnd(w)
-	}
 	c.cc.OnExitRecovery(c)
 }
 

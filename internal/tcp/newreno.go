@@ -1,24 +1,18 @@
 // NewReno (RFC 6582) congestion control with RFC 3465 appropriate byte
-// counting. The recovery state machine itself — partial-ACK retransmit,
-// window inflation/deflation — lives in the connection; this type supplies
-// the growth and reduction policy.
+// counting. The recovery state machine itself — partial-ACK retransmit, the
+// recovery point — lives in the connection; this type supplies the growth
+// and reduction policy, and renoWindow the inflation and deflation.
 package tcp
 
 import "plexus/internal/sim"
 
 func init() { RegisterCC("newreno", newNewReno) }
 
-type newReno struct {
-	// acc is the appropriate-byte-counting accumulator: bytes acked but not
-	// yet converted into cwnd growth.
-	acc uint32
-}
+type newReno struct{ renoWindow }
 
 func newNewReno() CongestionControl { return &newReno{} }
 
 func (*newReno) Name() string                       { return "newreno" }
-func (*newReno) Init(*Conn)                         {}
-func (*newReno) OwnsCwnd() bool                     { return false }
 func (*newReno) OnRTTSample(*Conn, sim.Time)        {}
 func (*newReno) PacingDelay(*Conn, uint32) sim.Time { return 0 }
 
@@ -37,15 +31,8 @@ func (r *newReno) OnAck(c *Conn, acked uint32) {
 	}
 }
 
-// SsthreshAfterLoss is RFC 5681's max(FlightSize/2, 2·SMSS).
-func (*newReno) SsthreshAfterLoss(c *Conn) uint32 {
-	half := c.flightSize() / 2
-	if half < 2*c.mss {
-		half = 2 * c.mss
-	}
-	return half
-}
+// renoSsthresh is RFC 5681's ssthresh after loss: max(FlightSize/2, 2·SMSS).
+func renoSsthresh(c *Conn) uint32 { return max(c.flightSize()/2, 2*c.mss) }
 
-func (r *newReno) OnEnterRecovery(*Conn) { r.acc = 0 }
-func (r *newReno) OnExitRecovery(*Conn)  { r.acc = 0 }
-func (r *newReno) OnRTO(*Conn)           { r.acc = 0 }
+func (r *newReno) OnEnterRecovery(c *Conn) { r.enter(c, renoSsthresh(c)) }
+func (r *newReno) OnRTO(c *Conn)           { r.collapse(c, renoSsthresh(c)) }

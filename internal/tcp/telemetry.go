@@ -59,7 +59,7 @@ func (c *Conn) AckedBytes() uint32 { return c.snd.una - c.snd.iss }
 func (c *Conn) SRTT() sim.Time { return c.srtt }
 
 // CCName returns the congestion-control algorithm bound to the connection.
-func (c *Conn) CCName() string { return c.ccName }
+func (c *Conn) CCName() string { return c.cc.Name() }
 
 // Recovery returns the sender's loss-recovery phase.
 func (c *Conn) Recovery() RecoveryState { return c.recovery }
