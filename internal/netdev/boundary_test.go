@@ -29,8 +29,6 @@ func newXRig(t *testing.T, model Model, echo bool) *xrig {
 		engine: sim.NewEngine(),
 		sa:     sim.New(1),
 		sb:     sim.New(2),
-		poolA:  mbuf.NewPool(),
-		poolB:  mbuf.NewPool(),
 	}
 	shardA := r.engine.AddShard(r.sa)
 	shardB := r.engine.AddShard(r.sb)
@@ -38,17 +36,12 @@ func newXRig(t *testing.T, model Model, echo bool) *xrig {
 	r.engine.Connect(r.bnd.CouplingAB(), shardB)
 	r.engine.Connect(r.bnd.CouplingBA(), shardA)
 
-	dispA, dispB := event.NewDispatcher(event.DefaultCosts()), event.NewDispatcher(event.DefaultCosts())
-	dispA.MustDeclare(testRecvEvent, event.Options{})
-	dispB.MustDeclare(testRecvEvent, event.Options{})
-	cpuA, cpuB := sim.NewCPU(r.sa, "a"), sim.NewCPU(r.sb, "b")
-	r.a = NewNIC(r.sa, "a/nic", model, r.bnd.LinkA(), Config{
-		CPU: cpuA, Raise: dispA, Pool: r.poolA, MAC: view.MAC{2, 0, 0, 0, 0, 1},
-	})
+	ha, hb := testHost(r.sa, "a"), testHost(r.sb, "b")
+	dispA, dispB := ha.Disp, hb.Disp
+	r.poolA, r.poolB = ha.Pool, hb.Pool
+	r.a = NewNIC(ha, "a/nic", model, r.bnd.LinkA(), view.MAC{2, 0, 0, 0, 0, 1})
 	r.a.SetRecvRef(dispA.Ref(testRecvEvent))
-	r.b = NewNIC(r.sb, "b/nic", model, r.bnd.LinkB(), Config{
-		CPU: cpuB, Raise: dispB, Pool: r.poolB, MAC: view.MAC{2, 0, 0, 0, 0, 2},
-	})
+	r.b = NewNIC(hb, "b/nic", model, r.bnd.LinkB(), view.MAC{2, 0, 0, 0, 0, 2})
 	r.b.SetRecvRef(dispB.Ref(testRecvEvent))
 	if _, err := dispA.Install(testRecvEvent, nil, event.Proc("sinkA", func(task *sim.Task, m *mbuf.Mbuf) {
 		r.rxAtA = append(r.rxAtA, task.Now())
@@ -85,7 +78,7 @@ func buildFrame(pool *mbuf.Pool, src, dst view.MAC, payload int) *mbuf.Mbuf {
 func (r *xrig) sendA(t *testing.T, payload int) {
 	t.Helper()
 	m := buildFrame(r.poolA, r.a.MAC(), r.b.MAC(), payload)
-	r.a.cpu.Submit(sim.PrioKernel, "tx", func(task *sim.Task) {
+	r.a.host.CPU.Submit(sim.PrioKernel, "tx", func(task *sim.Task) {
 		if err := r.a.Transmit(task, m); err != nil {
 			t.Errorf("transmit: %v", err)
 		}

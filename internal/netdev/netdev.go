@@ -12,6 +12,7 @@ import (
 
 	"plexus/internal/event"
 	"plexus/internal/mbuf"
+	"plexus/internal/osmodel"
 	"plexus/internal/sim"
 	"plexus/internal/view"
 )
@@ -267,14 +268,13 @@ type NICStats struct {
 
 // NIC is one network interface on a host.
 type NIC struct {
-	sim    *sim.Sim
-	cpu    *sim.CPU
-	raiser event.Raiser
-	pool   *mbuf.Pool
-	model  Model
-	name   string
-	mac    view.MAC
-	link   *Link
+	// host supplies the simulator, the CPU that runs the receive interrupt,
+	// the buffer pool, and the raise hand-off into the protocol graph.
+	host  *osmodel.Host
+	model Model
+	name  string
+	mac   view.MAC
+	link  *Link
 	// recvRef is the resolved receive event, raised (at interrupt
 	// priority, after driver costs) for every frame that passes the MAC
 	// filter.
@@ -294,33 +294,15 @@ type rxJob struct {
 	next *rxJob
 }
 
-// Config carries the per-NIC wiring.
-type Config struct {
-	CPU *sim.CPU
-	// Raise delivers arrivals into the protocol graph; a bare Dispatcher
-	// raises inline, a Stack may interpose thread handoff.
-	Raise event.Raiser
-	Pool  *mbuf.Pool
-	MAC   view.MAC
-}
-
 // SetRecvRef wires (or rewires) the NIC's receive event, which it raises on
 // arrivals; r must reference a declared event. The NIC is built before the
 // layer that declares that event, so this follows construction.
 func (n *NIC) SetRecvRef(r *event.Ref) { n.recvRef = r }
 
-// NewNIC creates a NIC and attaches it to the link.
-func NewNIC(s *sim.Sim, name string, model Model, link *Link, cfg Config) *NIC {
-	n := &NIC{
-		sim:    s,
-		cpu:    cfg.CPU,
-		raiser: cfg.Raise,
-		pool:   cfg.Pool,
-		model:  model,
-		name:   name,
-		mac:    cfg.MAC,
-		link:   link,
-	}
+// NewNIC creates a NIC on host with hardware address mac and attaches it to
+// the link.
+func NewNIC(host *osmodel.Host, name string, model Model, link *Link, mac view.MAC) *NIC {
+	n := &NIC{host: host, model: model, name: name, mac: mac, link: link}
 	n.rxLabel = "rx:" + name
 	link.atts = append(link.atts, n)
 	return n
@@ -352,8 +334,8 @@ func (n *NIC) Transmit(t *sim.Task, m *mbuf.Mbuf) error {
 	// Stamp a lifecycle span at NIC entry if no upper layer already did:
 	// from here the packet is traceable even when injected below the
 	// protocol stack.
-	if n.sim.MetricsEnabled() && m.Hdr().Span == 0 {
-		m.Hdr().Span = n.sim.NextSpan()
+	if s := n.host.Sim; s.MetricsEnabled() && m.Hdr().Span == 0 {
+		m.Hdr().Span = s.NextSpan()
 	}
 	span := m.Hdr().Span
 	t.ChargeProf(sim.ProfDriver, n.name, n.model.TxDriver)
@@ -459,7 +441,7 @@ func (n *NIC) deliverAt(at sim.Time, f *frame) {
 		j = &rxJob{nic: n}
 	}
 	j.f = f
-	n.cpu.SubmitAtArg(at, sim.PrioInterrupt, n.rxLabel, nicRx, j)
+	n.host.CPU.SubmitAtArg(at, sim.PrioInterrupt, n.rxLabel, nicRx, j)
 }
 
 // nicRx is the receive-interrupt body. It is a package-level func so that
@@ -474,7 +456,7 @@ func nicRx(t *sim.Task, a any) {
 	t.ChargeProf(sim.ProfTrap, n.name, n.model.IntrEntry)
 	t.ChargeProf(sim.ProfDriver, n.name, n.model.RxDriver)
 	t.ChargeBytesProf(sim.ProfCopy, n.name, len(wire), n.model.PIOPerByte)
-	m := n.pool.FromBytes(wire, 0)
+	m := n.host.Pool.FromBytes(wire, 0)
 	n.stats.RxFrames++
 	n.stats.RxBytes += uint64(len(wire))
 	m.Hdr().Span = f.span // sender's lifecycle span survives the wire
@@ -488,5 +470,5 @@ func nicRx(t *sim.Task, a any) {
 	}
 	// Received packets are read-only through the graph (§3.4).
 	m.SetReadOnly()
-	n.raiser.RaiseRef(t, n.recvRef, m)
+	n.host.RaiseRef(t, n.recvRef, m)
 }

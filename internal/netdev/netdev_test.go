@@ -5,6 +5,7 @@ import (
 
 	"plexus/internal/event"
 	"plexus/internal/mbuf"
+	"plexus/internal/osmodel"
 	"plexus/internal/sim"
 	"plexus/internal/view"
 )
@@ -27,28 +28,31 @@ type rig struct {
 
 const testRecvEvent event.Name = "Test.PacketRecv"
 
+// testHost is a SPIN interrupt-dispatch host, which raises arrivals inline
+// as a bare dispatcher does, with testRecvEvent declared.
+func testHost(s *sim.Sim, name string) *osmodel.Host {
+	h := osmodel.NewHost(s, name, osmodel.SPIN, osmodel.DispatchInterrupt)
+	h.Disp.MustDeclare(testRecvEvent, event.Options{})
+	return h
+}
+
 func newRig(t *testing.T, model Model) *rig {
 	t.Helper()
 	s := sim.New(1)
+	ha, hb := testHost(s, "a"), testHost(s, "b")
 	r := &rig{
 		sim:   s,
 		link:  NewLink(s, "wire"),
-		cpuA:  sim.NewCPU(s, "a"),
-		cpuB:  sim.NewCPU(s, "b"),
-		dispA: event.NewDispatcher(event.DefaultCosts()),
-		dispB: event.NewDispatcher(event.DefaultCosts()),
-		poolA: mbuf.NewPool(),
-		poolB: mbuf.NewPool(),
+		cpuA:  ha.CPU,
+		cpuB:  hb.CPU,
+		dispA: ha.Disp,
+		dispB: hb.Disp,
+		poolA: ha.Pool,
+		poolB: hb.Pool,
 	}
-	r.dispA.MustDeclare(testRecvEvent, event.Options{})
-	r.dispB.MustDeclare(testRecvEvent, event.Options{})
-	r.a = NewNIC(s, "a/nic", model, r.link, Config{
-		CPU: r.cpuA, Raise: r.dispA, Pool: r.poolA, MAC: view.MAC{2, 0, 0, 0, 0, 1},
-	})
+	r.a = NewNIC(ha, "a/nic", model, r.link, view.MAC{2, 0, 0, 0, 0, 1})
 	r.a.SetRecvRef(r.dispA.Ref(testRecvEvent))
-	r.b = NewNIC(s, "b/nic", model, r.link, Config{
-		CPU: r.cpuB, Raise: r.dispB, Pool: r.poolB, MAC: view.MAC{2, 0, 0, 0, 0, 2},
-	})
+	r.b = NewNIC(hb, "b/nic", model, r.link, view.MAC{2, 0, 0, 0, 0, 2})
 	r.b.SetRecvRef(r.dispB.Ref(testRecvEvent))
 	if _, err := r.dispB.Install(testRecvEvent, nil, event.Proc("sink", func(task *sim.Task, m *mbuf.Mbuf) {
 		data, _ := m.CopyData(0, m.PktLen())

@@ -31,16 +31,10 @@ func newSwRig(t *testing.T, model Model, cfg SwitchConfig, n int) *swRig {
 	s := sim.New(1)
 	r := &swRig{sim: s, sw: NewSwitch(s, "sw0", model, cfg)}
 	for i := 0; i < n; i++ {
-		h := &swHost{
-			cable: NewLink(s, "cable"),
-			cpu:   sim.NewCPU(s, "host"),
-			pool:  mbuf.NewPool(),
-		}
-		disp := event.NewDispatcher(event.DefaultCosts())
-		disp.MustDeclare(testRecvEvent, event.Options{})
-		h.nic = NewNIC(s, "nic", model, h.cable, Config{
-			CPU: h.cpu, Raise: disp, Pool: h.pool, MAC: view.MAC{2, 0, 0, 0, 1, byte(i + 1)},
-		})
+		host := testHost(s, "host")
+		h := &swHost{cable: NewLink(s, "cable"), cpu: host.CPU, pool: host.Pool}
+		disp := host.Disp
+		h.nic = NewNIC(host, "nic", model, h.cable, view.MAC{2, 0, 0, 0, 1, byte(i + 1)})
 		h.nic.SetRecvRef(disp.Ref(testRecvEvent))
 		if _, err := disp.Install(testRecvEvent, nil, event.Proc("sink", func(task *sim.Task, m *mbuf.Mbuf) {
 			data, _ := m.CopyData(0, m.PktLen())

@@ -68,12 +68,7 @@ func NewStack(s *sim.Sim, cfg StackConfig) (*Stack, error) {
 	host.Disp.SetQuarantine(cfg.Quarantine)
 	st := &Stack{Host: host, cfg: cfg}
 
-	nic := netdev.NewNIC(s, name+"/"+cfg.Model.Name, cfg.Model, cfg.Link, netdev.Config{
-		CPU:   host.CPU,
-		Raise: host,
-		Pool:  host.Pool,
-		MAC:   cfg.MAC,
-	})
+	nic := netdev.NewNIC(host, name+"/"+cfg.Model.Name, cfg.Model, cfg.Link, cfg.MAC)
 	// The receive event is declared by ether.New below; the NIC's handle
 	// is wired once it exists.
 	eth, err := ether.New(host, nic)
