@@ -69,21 +69,23 @@ func TestCongestionAvoidanceByteCounting(t *testing.T) {
 // RFC 5681: ssthresh after loss is max(FlightSize/2, 2·SMSS), whether the
 // loss is a fast retransmit or a timeout.
 func TestSsthreshAfterLossFloor(t *testing.T) {
-	hooks := map[string]func(CongestionControl, *Conn){
-		"OnEnterRecovery": CongestionControl.OnEnterRecovery,
-		"OnRTO":           CongestionControl.OnRTO,
-	}
-	for name, loss := range hooks {
+	for _, loss := range []struct {
+		name string
+		hook func(CongestionControl, *Conn)
+	}{
+		{"OnEnterRecovery", CongestionControl.OnEnterRecovery},
+		{"OnRTO", CongestionControl.OnRTO},
+	} {
 		c := ccTestConn(sim.New(1), "newreno", 1000, 64000, 64000)
 		c.snd.una, c.snd.nxt = 5000, 8000 // flight 3000: half is below the floor
-		loss(c.cc, c)
+		loss.hook(c.cc, c)
 		if got := c.Ssthresh(); got != 2000 {
-			t.Errorf("%s: ssthresh = %d for 3000-byte flight, want the 2·MSS floor (2000)", name, got)
+			t.Errorf("%s: ssthresh = %d for 3000-byte flight, want the 2·MSS floor (2000)", loss.name, got)
 		}
 		c.snd.nxt = 25000 // flight 20000
-		loss(c.cc, c)
+		loss.hook(c.cc, c)
 		if got := c.Ssthresh(); got != 10000 {
-			t.Errorf("%s: ssthresh = %d for 20000-byte flight, want 10000", name, got)
+			t.Errorf("%s: ssthresh = %d for 20000-byte flight, want 10000", loss.name, got)
 		}
 	}
 }
