@@ -21,7 +21,7 @@ const (
 )
 
 type cubic struct {
-	renoWindow          // and its byte-counting accumulator
+	renoWindow          // initial window, RFC 6582 recovery, byte-counting acc
 	cnt        uint32   // segments acked toward the next cwnd increment
 	wmax       float64  // window (segments) at the last reduction
 	k          float64  // seconds for the cubic to regrow to wmax
