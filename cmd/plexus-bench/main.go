@@ -11,7 +11,7 @@
 //
 //	plexus-bench                 # run everything
 //	plexus-bench -exp fig5       # one experiment of bench.Sweeps (-exp typo lists them)
-//	plexus-bench -exp fig5 -fastdriver
+//	plexus-bench -exp fig5-fastdriver
 //	plexus-bench -parallel 1     # sequential (deterministic baseline)
 //	plexus-bench -json           # also write BENCH_<exp>.json per experiment
 //	                             #   (host timings go to stderr)
@@ -35,11 +35,10 @@ import (
 
 func main() {
 	names := []string{"all"}
-	for _, sw := range bench.Sweeps(false, nil) {
+	for _, sw := range bench.Sweeps(nil) {
 		names = append(names, sw.Name)
 	}
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, " | "))
-	fast := flag.Bool("fastdriver", false, "use the faster device driver variant (§4.1)")
 	parallel := flag.Int("parallel", 0, "experiment cells run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	shards := flag.Int("shards", 1, "shard worker goroutines per sharded scale cell (rows identical at any value)")
 	hosts := flag.String("hosts", "1000,10000,50000", "comma-separated host counts for the sharded scale cells (\"\" = none)")
@@ -60,7 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	for _, sw := range bench.Sweeps(*fast, hostCounts) {
+	for _, sw := range bench.Sweeps(hostCounts) {
 		if *exp != "all" && *exp != sw.Name {
 			continue
 		}
@@ -70,7 +69,7 @@ func main() {
 		start := time.Now()
 		rows, err := sw.Run()
 		if err == nil {
-			err = printRows(rows, *fast)
+			err = printRows(rows)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "plexus-bench: %s: %v\n", sw.Name, err)
@@ -162,17 +161,12 @@ func header(w io.Writer, title, columns string) {
 	fmt.Fprintln(w, columns)
 }
 
-// printRows prints an experiment's rows as its aligned text section; fast
-// marks Figure 5's faster-driver variant.
-func printRows(rows any, fast bool) error {
+// printRows prints an experiment's rows as its aligned text section.
+func printRows(rows any) error {
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	switch rows := rows.(type) {
 	case []bench.Fig5Row:
-		title := "Figure 5: UDP round-trip latency, 8-byte packets (µs)"
-		if fast {
-			title += " — faster device driver"
-		}
-		header(w, title, "device\tsystem\tRTT (µs)\tp50\tp90\tp99")
+		header(w, "Figure 5: UDP round-trip latency, 8-byte packets (µs)", "device\tsystem\tRTT (µs)\tp50\tp90\tp99")
 		for _, r := range rows {
 			fmt.Fprintf(w, "%s\t%s\t%.0f\t%.0f\t%.0f\t%.0f\n",
 				r.Device, r.System, r.RTT.Micros(), r.P50.Micros(), r.P90.Micros(), r.P99.Micros())

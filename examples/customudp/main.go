@@ -3,7 +3,7 @@
 // improve performance" for loss-tolerant media. The receiving extension is
 // installed at runtime through the dynamic linker against a restricted
 // logical protection domain; a rogue extension that names a privileged
-// interface is rejected at link time; and unlinking removes the endpoint,
+// interface is rejected at link time; and unloading removes the endpoint,
 // demonstrating the runtime-adaptation property.
 package main
 
@@ -31,26 +31,27 @@ func main() {
 
 	// The receiving extension arrives as a partially resolved object: it
 	// imports the UDP manager interface and the packet-buffer pool,
-	// nothing else.
-	var ep *udp.Endpoint
+	// nothing else. The endpoint it opens belongs to the extension.
 	received := 0
-	ext := &domain.Extension{
+	ext, err := b.InstallExtension(plexus.ExtensionSpec{
 		Name:    "audio-receiver",
 		Imports: []domain.Symbol{"UDP.Manager", "Mbuf.Pool"},
-		Init: func(resolved map[domain.Symbol]any) error {
-			mgr := resolved["UDP.Manager"].(*udp.Manager)
-			var err error
-			ep, err = mgr.Open(udp.EndpointOptions{
+		Install: func(ctx *plexus.ExtensionCtx) error {
+			mgr, _ := ctx.Resolve("UDP.Manager")
+			ep, err := mgr.(*udp.Manager).Open(udp.EndpointOptions{
 				Port:            5004,
 				DisableChecksum: true, // integrity optional, by agreement
 			}, func(t *sim.Task, payload *mbuf.Mbuf, src view.IP4, srcPort uint16) {
 				received++
 				payload.Free()
 			})
-			return err
+			if err != nil {
+				return err
+			}
+			ctx.OnUnload(ep.Close)
+			return nil
 		},
-	}
-	linked, err := b.LinkExtension(ext)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func main() {
 
 	// A rogue extension naming an interface outside its domain is
 	// rejected at link time — this is the whole protection story.
-	rogue := &domain.Extension{
+	rogue := plexus.ExtensionSpec{
 		Name:    "snooper",
 		Imports: []domain.Symbol{"UDP.Manager", "Device.NIC", "Dispatcher.Install"},
 	}
-	if _, err := b.LinkExtension(rogue); err != nil {
+	if _, err := b.InstallExtension(rogue); err != nil {
 		fmt.Printf("rogue extension rejected: %v\n", err)
 	} else {
 		log.Fatal("rogue extension linked; protection is broken")
@@ -82,14 +83,13 @@ func main() {
 	net.Sim.RunUntil(200 * sim.Millisecond)
 	fmt.Printf("received %d/10 checksum-free datagrams (UDP checksum field = 0 on the wire)\n", received)
 
-	// Runtime adaptation: the application leaves, its extension unlinks,
+	// Runtime adaptation: the application leaves, its extension unloads,
 	// and the endpoint it installed goes with it.
-	ep.Close()
-	if err := linked.Unlink(); err != nil {
+	if _, err := ext.Unload(); err != nil {
 		log.Fatal(err)
 	}
 	a.Spawn("late", func(t *sim.Task) { _ = sender.Send(t, b.Addr(), 5004, make([]byte, 320)) })
 	net.Sim.RunUntil(300 * sim.Millisecond)
-	fmt.Printf("after unlink: still %d received; late datagram drew port-unreachable (%d sent by B)\n",
+	fmt.Printf("after unload: still %d received; late datagram drew port-unreachable (%d sent by B)\n",
 		received, b.ICMP.Stats().UnreachSent)
 }

@@ -19,11 +19,11 @@ func sweep[R any](name string, run func() ([]R, error)) Sweep {
 
 // Sweeps lists every experiment in plexus-bench's order, each with the
 // parameters of its committed file; they are written here and nowhere else.
-// fastDriver runs Figure 5 with the paper's faster device driver, and hosts
-// are the scale sweep's sharded host cells (nil for none).
-func Sweeps(fastDriver bool, hosts []int) []Sweep {
+// hosts are the scale sweep's sharded host cells (nil for none).
+func Sweeps(hosts []int) []Sweep {
 	return []Sweep{
-		sweep("fig5", func() ([]Fig5Row, error) { return Fig5(fastDriver) }),
+		sweep("fig5", func() ([]Fig5Row, error) { return Fig5(false) }),
+		sweep("fig5-fastdriver", func() ([]Fig5Row, error) { return Fig5(true) }),
 		sweep("tput", func() ([]TputRow, error) { return Throughput(TputBytes) }),
 		sweep("fig6", func() ([]Fig6Row, error) { return Fig6([]int{1, 5, 10, 15, 20, 25, 30}) }),
 		sweep("fig7", func() ([]Fig7Row, error) { return Fig7([]int{64, 256, 512, 1024, 1460}) }),

@@ -12,7 +12,10 @@
 // resulting shapes compare with the paper's figures.
 package osmodel
 
-import "plexus/internal/sim"
+import (
+	"plexus/internal/event"
+	"plexus/internal/sim"
+)
 
 // Personality selects the operating-system structure a host models.
 type Personality int
@@ -147,9 +150,10 @@ type Costs struct {
 // DefaultCosts returns the calibrated 1995-Alpha cost model. See DESIGN.md §4
 // for the calibration targets.
 func DefaultCosts() Costs {
+	dispatch := event.DefaultCosts()
 	return Costs{
-		GuardEval:   200 * sim.Nanosecond,
-		EventInvoke: 1 * sim.Microsecond,
+		GuardEval:   dispatch.GuardEval,
+		EventInvoke: dispatch.Invoke,
 
 		Syscall:     6 * sim.Microsecond,
 		CopyPerByte: 25 * sim.Nanosecond,

@@ -1,8 +1,6 @@
 package plexus
 
 import (
-	"fmt"
-
 	"plexus/internal/event"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
@@ -38,42 +36,23 @@ type HostSpec struct {
 var mask24 = view.IP4{255, 255, 255, 0}
 
 // Network is a set of hosts sharing one link — the paper's two-machine
-// testbeds and the video experiment's server-plus-clients configuration.
+// testbeds and the video experiment's server-plus-clients configuration: the
+// one bus segment of a topology, on its own simulator.
 type Network struct {
-	Sim   *sim.Sim
-	Link  *netdev.Link
-	Hosts []*Stack
+	Sim *sim.Sim
+	Segment
 }
 
-// NewNetwork builds hosts on a fresh simulator and a shared link of the
-// given device model, assigning sequential addresses 10.0.0.1… on a /24.
+// NewNetwork builds hosts on a fresh simulator as one bus segment of the
+// given device model, named after it, assigning sequential addresses
+// 10.0.0.1… on a /24.
 func NewNetwork(seed int64, model netdev.Model, specs []HostSpec) (*Network, error) {
-	s := sim.New(seed)
-	link := netdev.NewLink(s, model.Name)
-	n := &Network{Sim: s, Link: link}
-	for i, spec := range specs {
-		idx := byte(i + 1)
-		st, err := NewStack(s, StackConfig{HostSpec: spec, Model: model, Link: link,
-			MAC: view.MAC{0x02, 0x00, 0x00, 0x00, 0x00, idx}, Addr: view.IP4{10, 0, 0, idx}, Mask: mask24})
-		if err != nil {
-			return nil, fmt.Errorf("plexus: host %s: %w", spec.Name, err)
-		}
-		n.Hosts = append(n.Hosts, st)
+	n := &Network{Sim: sim.New(seed)}
+	spec := SegmentSpec{Name: model.Name, Model: model, Subnet: view.IP4{10, 0, 0, 0}, Hosts: specs}
+	if err := n.build(n.Sim, 0, &spec, 0); err != nil {
+		return nil, err
 	}
 	return n, nil
-}
-
-// PrimeARP installs static ARP entries pairwise so latency experiments
-// measure the protocol path, not a first-packet ARP exchange (the paper's
-// numbers are steady-state).
-func (n *Network) PrimeARP() {
-	for _, a := range n.Hosts {
-		for _, b := range n.Hosts {
-			if a != b {
-				a.ARP.AddStatic(b.Addr(), b.NIC.MAC())
-			}
-		}
-	}
 }
 
 // TwoHosts is the common two-machine testbed: returns (hostA, hostB).

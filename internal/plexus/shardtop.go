@@ -52,27 +52,17 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 		Gateway:    &Gateway{CPU: sim.NewCPU(gwSim, gw.Name)},
 	}
 	gwShard := top.Engine.AddShard(gwSim)
-	for si, spec := range segs {
+	for si := range segs {
+		spec := &segs[si]
 		if !spec.Switched {
 			return nil, fmt.Errorf("plexus: segment %s: sharded topologies require switched segments", spec.Name)
-		}
-		if len(spec.Hosts) > gatewayHostByte-1 {
-			return nil, fmt.Errorf("plexus: segment %s: %d hosts exceed a /24", spec.Name, len(spec.Hosts))
 		}
 		segSim := sim.New(seed + 1 + int64(si))
 		segSim.SetSpanBase(sim.SpanBase(si + 1))
 		segShard := top.Engine.AddShard(segSim)
 		top.Sims = append(top.Sims, segSim)
-
-		seg := &Segment{Name: spec.Name, Subnet: spec.Subnet}
-		seg.Switch = netdev.NewSwitch(segSim, spec.Name+"/sw", spec.Model, spec.Switch)
-		attach := func() *netdev.Link {
-			cable := netdev.NewLink(segSim, spec.Name+"/cable")
-			seg.Switch.AttachLink(cable)
-			seg.Cables = append(seg.Cables, cable)
-			return cable
-		}
-		if err := seg.addHosts(segSim, si, spec, hostAddr(spec.Subnet, gatewayHostByte), attach); err != nil {
+		seg := &Segment{}
+		if err := seg.build(segSim, si, spec, 1); err != nil {
 			return nil, err
 		}
 

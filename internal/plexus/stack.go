@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"plexus/internal/arp"
-	"plexus/internal/domain"
 	"plexus/internal/ether"
 	"plexus/internal/event"
 	"plexus/internal/icmp"
@@ -128,13 +127,6 @@ func (st *Stack) populateDomains() {
 	e.MustExport("UDP.Manager", st.UDP)
 	e.MustExport("TCP.Manager", st.TCP)
 	e.MustExport("ICMP.Layer", st.ICMP)
-}
-
-// LinkExtension dynamically links an application extension against the
-// restricted extension domain — the runtime-adaptation path of §1. The
-// extension's imports must all resolve or the link is rejected.
-func (st *Stack) LinkExtension(ext *domain.Extension) (*domain.Linked, error) {
-	return domain.Link(ext, st.Host.ExtensionDomain, st.Host.ExtensionDomain)
 }
 
 // Name returns the host name.

@@ -34,10 +34,7 @@ func (n *Network) Monitor(opts MonitorOptions) *telemetry.Engine {
 	e := telemetry.New(n.Sim, opts.Telemetry)
 	telemetry.AttachSimQueue(e, "net", n.Sim)
 	telemetry.AttachLink(e, "link", n.Link)
-	for _, h := range n.Hosts {
-		telemetry.AttachPool(e, h.Name(), h.Host.Pool, poolCap)
-		telemetry.AttachTCP(e, h.TCP, telemetry.TCPOptions{StallWindow: opts.TCPStallWindow})
-	}
+	attachHosts(e, n.Hosts, opts)
 	e.Start()
 	return e
 }
@@ -51,10 +48,7 @@ func (top *ShardedTopology) Monitor(opts MonitorOptions) []*telemetry.Engine {
 
 	gw := telemetry.New(top.GatewaySim, opts.Telemetry)
 	telemetry.AttachSimQueue(gw, "gw", top.GatewaySim)
-	for _, iface := range top.Gateway.Ifaces {
-		telemetry.AttachPool(gw, iface.Name(), iface.Host.Pool, poolCap)
-		telemetry.AttachTCP(gw, iface.TCP, telemetry.TCPOptions{StallWindow: opts.TCPStallWindow})
-	}
+	attachHosts(gw, top.Gateway.Ifaces, opts)
 	gw.Start()
 	engines = append(engines, gw)
 
@@ -62,14 +56,20 @@ func (top *ShardedTopology) Monitor(opts MonitorOptions) []*telemetry.Engine {
 		e := telemetry.New(top.Sims[si+1], opts.Telemetry)
 		telemetry.AttachSimQueue(e, seg.Name, top.Sims[si+1])
 		telemetry.AttachSwitch(e, seg.Switch, opts.SwitchPinWindow)
-		for _, h := range seg.Hosts {
-			telemetry.AttachPool(e, h.Name(), h.Host.Pool, poolCap)
-			telemetry.AttachTCP(e, h.TCP, telemetry.TCPOptions{StallWindow: opts.TCPStallWindow})
-		}
+		attachHosts(e, seg.Hosts, opts)
 		e.Start()
 		engines = append(engines, e)
 	}
 	return engines
+}
+
+// attachHosts attaches each host's mbuf pool and TCP connections to e, in
+// order; the engine's digest depends on that order.
+func attachHosts(e *telemetry.Engine, hosts []*Stack, opts MonitorOptions) {
+	for _, h := range hosts {
+		telemetry.AttachPool(e, h.Name(), h.Host.Pool, poolCap)
+		telemetry.AttachTCP(e, h.TCP, telemetry.TCPOptions{StallWindow: opts.TCPStallWindow})
+	}
 }
 
 // MergedDigest folds per-shard engine digests into one determinism witness,

@@ -1,8 +1,9 @@
-// Multi-segment topologies: several subnets — each a shared bus or a
-// switched star — joined by a gateway host that runs the in-kernel IP
-// forwarding path on one shared CPU. This is the fabric the scale
-// experiments run on: NewNetwork's single shared link models the paper's
-// two-machine testbeds, NewTopology models the machine room around them.
+// Topologies: subnets — each a shared bus or a switched star — joined by a
+// gateway host that runs the in-kernel IP forwarding path on one shared CPU.
+// Every builder makes its segments with Segment.build: NewNetwork's one bus
+// models the paper's two-machine testbeds, NewTopology the machine room
+// around them, and NewShardedTopology the same room on one simulator per
+// segment.
 package plexus
 
 import (
@@ -128,44 +129,22 @@ func NewTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*Topology, error
 	if len(segs) > 1 {
 		top.Gateway = &Gateway{CPU: sim.NewCPU(s, gw.Name)}
 	}
-	for si, spec := range segs {
-		gwLinks := spec.GatewayLinks
-		if gwLinks < 1 || top.Gateway == nil {
-			gwLinks = 1
-		}
-		if len(spec.Hosts) > gatewayHostByte-gwLinks {
-			return nil, fmt.Errorf("plexus: segment %s: %d hosts exceed a /24", spec.Name, len(spec.Hosts))
-		}
-		seg := &Segment{Name: spec.Name, Subnet: spec.Subnet}
-		if spec.Switched {
-			seg.Switch = netdev.NewSwitch(s, spec.Name+"/sw", spec.Model, spec.Switch)
-		} else {
-			seg.Link = netdev.NewLink(s, spec.Name+"/"+spec.Model.Name)
-		}
-		attach := func() *netdev.Link {
-			if !spec.Switched {
-				return seg.Link
-			}
-			cable := netdev.NewLink(s, spec.Name+"/cable")
-			seg.Switch.AttachLink(cable)
-			seg.Cables = append(seg.Cables, cable)
-			return cable
-		}
-		var gwAddr view.IP4
+	for si := range segs {
+		spec := &segs[si]
+		gwLinks := 0
 		if top.Gateway != nil {
-			gwAddr = hostAddr(spec.Subnet, gatewayHostByte)
+			gwLinks = max(spec.GatewayLinks, 1)
 		}
-		if err := seg.addHosts(s, si, spec, gwAddr, attach); err != nil {
+		seg := &Segment{}
+		if err := seg.build(s, si, spec, gwLinks); err != nil {
 			return nil, err
 		}
-		if top.Gateway != nil {
-			// k == 0 is the hosts' default route (.254); extra parallel
-			// interfaces count down from .253 — the equal-cost links an
-			// ECMP rule spreads flows across.
-			for k := 0; k < gwLinks; k++ {
-				if err := top.Gateway.addIface(s, gw, seg, si, k, spec.Model, attach()); err != nil {
-					return nil, err
-				}
+		// k == 0 is the hosts' default route (.254); extra parallel
+		// interfaces count down from .253 — the equal-cost links an ECMP
+		// rule spreads flows across.
+		for k := 0; k < gwLinks; k++ {
+			if err := top.Gateway.addIface(s, gw, seg, si, k, spec.Model, seg.attach(s)); err != nil {
+				return nil, err
 			}
 		}
 		top.Segments = append(top.Segments, seg)
@@ -182,18 +161,32 @@ func hostAddr(subnet view.IP4, host byte) view.IP4 {
 }
 
 // segMAC is the MAC of host on segment si, with a 16-bit segment field so
-// topologies wider than 254 segments stay collision-free.
+// topologies wider than 256 segments stay collision-free.
 func segMAC(si int, host byte) view.MAC {
-	seg := si + 1
-	return view.MAC{0x02, 0x00, byte(seg >> 8), byte(seg), 0x00, host}
+	return view.MAC{0x02, 0x00, byte(si >> 8), byte(si), 0x00, host}
 }
 
-// addHosts builds spec's hosts on s — host i at .i+1 on the link attach
-// returns for it, routing off-subnet traffic to gwAddr (zero for none).
-func (seg *Segment) addHosts(s *sim.Sim, si int, spec SegmentSpec, gwAddr view.IP4, attach func() *netdev.Link) error {
+// build makes spec's medium on s — a shared bus, or a switch each station
+// reaches by its own cable — and its hosts, as segment si: host i at .i+1.
+// gwLinks is the number of gateway interfaces the caller attaches next, at
+// .254 counting down; with any, the hosts route off-subnet traffic to .254.
+func (seg *Segment) build(s *sim.Sim, si int, spec *SegmentSpec, gwLinks int) error {
+	if len(spec.Hosts) > gatewayHostByte-max(gwLinks, 1) {
+		return fmt.Errorf("plexus: segment %s: %d hosts exceed a /24", spec.Name, len(spec.Hosts))
+	}
+	seg.Name, seg.Subnet = spec.Name, spec.Subnet
+	if spec.Switched {
+		seg.Switch = netdev.NewSwitch(s, spec.Name+"/sw", spec.Model, spec.Switch)
+	} else {
+		seg.Link = netdev.NewLink(s, spec.Name)
+	}
+	var gwAddr view.IP4
+	if gwLinks > 0 {
+		gwAddr = hostAddr(spec.Subnet, gatewayHostByte)
+	}
 	for i, hs := range spec.Hosts {
 		idx := byte(i + 1)
-		st, err := NewStack(s, StackConfig{HostSpec: hs, Model: spec.Model, Link: attach(),
+		st, err := NewStack(s, StackConfig{HostSpec: hs, Model: spec.Model, Link: seg.attach(s),
 			MAC: segMAC(si, idx), Addr: hostAddr(spec.Subnet, idx), Mask: mask24, Gateway: gwAddr})
 		if err != nil {
 			return fmt.Errorf("plexus: host %s: %w", hs.Name, err)
@@ -201,6 +194,18 @@ func (seg *Segment) addHosts(s *sim.Sim, si int, spec SegmentSpec, gwAddr view.I
 		seg.Hosts = append(seg.Hosts, st)
 	}
 	return nil
+}
+
+// attach returns the link a new station on s joins seg by: the bus, or a
+// fresh cable into the switch.
+func (seg *Segment) attach(s *sim.Sim) *netdev.Link {
+	if seg.Switch == nil {
+		return seg.Link
+	}
+	cable := netdev.NewLink(s, seg.Name+"/cable")
+	seg.Switch.AttachLink(cable)
+	seg.Cables = append(seg.Cables, cable)
+	return cable
 }
 
 // addIface builds the gateway's k'th interface on seg (segment si) from the
@@ -230,19 +235,27 @@ func (g *Gateway) wire() {
 	}
 }
 
-// PrimeARP installs static ARP entries per subnet — all host pairs plus the
-// gateway interface — so experiments measure the steady-state path.
+// PrimeARP installs static ARP entries on every subnet so experiments
+// measure the steady-state path.
 func (top *Topology) PrimeARP() {
 	for _, seg := range top.Segments {
-		members := seg.Hosts
-		if len(seg.GWs) > 0 {
-			members = append(append([]*Stack{}, seg.Hosts...), seg.GWs...)
-		}
-		for _, a := range members {
-			for _, b := range members {
-				if a != b {
-					a.ARP.AddStatic(b.Addr(), b.NIC.MAC())
-				}
+		seg.PrimeARP()
+	}
+}
+
+// PrimeARP installs static ARP entries between every pair of the segment's
+// stations — its hosts and gateway interfaces — so latency experiments
+// measure the protocol path, not a first-packet ARP exchange (the paper's
+// numbers are steady-state).
+func (seg *Segment) PrimeARP() {
+	members := seg.Hosts
+	if len(seg.GWs) > 0 {
+		members = append(append([]*Stack{}, seg.Hosts...), seg.GWs...)
+	}
+	for _, a := range members {
+		for _, b := range members {
+			if a != b {
+				a.ARP.AddStatic(b.Addr(), b.NIC.MAC())
 			}
 		}
 	}

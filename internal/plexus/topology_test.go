@@ -180,3 +180,41 @@ func TestTopologySingleSwitchedSegment(t *testing.T) {
 		t.Errorf("bystander saw %d frames on a switched segment, want only the initial flood", cSeen)
 	}
 }
+
+// TestNetworkIsOneBusSegment pins the one address scheme: NewNetwork's hosts
+// are those of a one-bus-segment NewTopology on 10.0.0.0/24 — names, MACs,
+// addresses, masks, no gateway, the same device model — and a Network's
+// MACs stay 02:00:00:00:00:i.
+func TestNetworkIsOneBusSegment(t *testing.T) {
+	specs := []HostSpec{spinSpec("a"), spinSpec("b"), spinSpec("c")}
+	n, err := NewNetwork(1, netdev.EthernetModel(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := NewTopology(1, nil, []SegmentSpec{
+		{Name: "lan", Model: netdev.EthernetModel(), Subnet: view.IP4{10, 0, 0, 0}, Hosts: specs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := top.Segments[0]
+	if len(n.Hosts) != len(specs) || len(seg.Hosts) != len(specs) {
+		t.Fatalf("%d network hosts and %d segment hosts, want %d", len(n.Hosts), len(seg.Hosts), len(specs))
+	}
+	for i, h := range n.Hosts {
+		got, want := h.cfg, seg.Hosts[i].cfg
+		if got.Link != n.Link || want.Link != seg.Link {
+			t.Errorf("host %d is not on its bus", i)
+		}
+		got.Link, want.Link = nil, nil
+		if got != want {
+			t.Errorf("host %d: network %+v, segment %+v", i, got, want)
+		}
+		if mac := h.NIC.MAC(); mac != (view.MAC{0x02, 0x00, 0x00, 0x00, 0x00, byte(i + 1)}) {
+			t.Errorf("host %d MAC %v, want 02:00:00:00:00:%02x", i, mac, i+1)
+		}
+		if got.Addr != (view.IP4{10, 0, 0, byte(i + 1)}) || got.Mask != mask24 || got.Gateway != (view.IP4{}) {
+			t.Errorf("host %d: addr %v mask %v gateway %v", i, got.Addr, got.Mask, got.Gateway)
+		}
+	}
+}

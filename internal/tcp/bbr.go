@@ -13,8 +13,6 @@ package tcp
 
 import "plexus/internal/sim"
 
-func init() { RegisterCC("bbr", newBBR) }
-
 const (
 	// bbrHighGain is 2/ln2: fast enough to double the sending rate each
 	// round during STARTUP.

@@ -1,7 +1,7 @@
-// The pluggable congestion-control plane. The connection owns the loss
-// *detection* machinery — dup-ACK counting, the SACK scoreboard, NewReno's
-// recovery point and retransmissions (RFC 6582), the RTO — and calls a
-// CongestionControl instance, selected per connection from a registry, at
+// The congestion-control plane. The connection owns the loss *detection*
+// machinery — dup-ACK counting, the SACK scoreboard, NewReno's recovery
+// point and retransmissions (RFC 6582), the RTO — and calls a
+// CongestionControl instance, chosen per host by name from a closed set, at
 // each event that moves the window. The algorithm is the only writer of
 // cwnd and ssthresh: NewReno and CUBIC share RFC 6582's inflate/deflate
 // arithmetic (renoWindow); BBR computes its window from a model of the path
@@ -50,7 +50,7 @@ const maxCwnd = 1 << 24
 // connection. Implementations are per-connection (they may hold state) and
 // must not allocate on the OnAck path — the zero-alloc pin covers it.
 type CongestionControl interface {
-	// Name is the registry name the algorithm was created under.
+	// Name is the name the algorithm was selected by.
 	Name() string
 	// Init sets the initial cwnd and ssthresh, before any segment flows;
 	// the connection's MSS may still be renegotiated by the handshake.
@@ -78,18 +78,19 @@ type CongestionControl interface {
 // DefaultCC is the algorithm used when none is configured.
 const DefaultCC = "newreno"
 
-var ccRegistry = map[string]func() CongestionControl{}
-
-// RegisterCC adds an algorithm factory under name; later registrations
-// replace earlier ones. The built-ins register themselves from init.
-func RegisterCC(name string, factory func() CongestionControl) {
-	ccRegistry[name] = factory
+// ccAlgorithms is the closed set of algorithms a host can select by name:
+// cwnd, ssthresh and setCwnd are unexported, so only an algorithm in this
+// package can move the window.
+var ccAlgorithms = map[string]func() CongestionControl{
+	"newreno": newNewReno,
+	"cubic":   newCubic,
+	"bbr":     newBBR,
 }
 
-// CCNames lists the registered algorithms, sorted.
+// CCNames lists the algorithms, sorted.
 func CCNames() []string {
-	names := make([]string, 0, len(ccRegistry))
-	for n := range ccRegistry {
+	names := make([]string, 0, len(ccAlgorithms))
+	for n := range ccAlgorithms {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -100,10 +101,10 @@ func CCNames() []string {
 // (a misspelled algorithm must degrade to standard behaviour, not crash a
 // simulation mid-sweep).
 func newCC(name string) CongestionControl {
-	if f, ok := ccRegistry[name]; ok {
+	if f, ok := ccAlgorithms[name]; ok {
 		return f()
 	}
-	return ccRegistry[DefaultCC]()
+	return ccAlgorithms[DefaultCC]()
 }
 
 // setCwnd applies a congestion-window value under the global clamps: never

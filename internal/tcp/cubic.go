@@ -11,8 +11,6 @@ import (
 	"plexus/internal/sim"
 )
 
-func init() { RegisterCC("cubic", newCubic) }
-
 const (
 	// cubicBeta is the multiplicative decrease factor (RFC 8312 §4.5).
 	cubicBeta = 0.7

@@ -6,8 +6,6 @@ package tcp
 
 import "plexus/internal/sim"
 
-func init() { RegisterCC("newreno", newNewReno) }
-
 type newReno struct{ renoWindow }
 
 func newNewReno() CongestionControl { return &newReno{} }

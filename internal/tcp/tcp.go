@@ -117,7 +117,7 @@ type connKey struct {
 // Config is what a Manager needs beyond its host.
 type Config struct {
 	IP *ip.Layer
-	// DefaultCC names the congestion-control algorithm by registry name
+	// DefaultCC names the congestion-control algorithm by name
 	// ("newreno", "cubic", "bbr") for every connection ("" = NewReno).
 	DefaultCC string
 	// MinRTO overrides the retransmission-timeout floor (0 = the RFC 6298

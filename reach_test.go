@@ -21,12 +21,10 @@ import (
 // reachAllow names the declarations TestReachable keeps although no root
 // reaches them, each with the reason it stays. Each is one more root.
 var reachAllow = map[string]string{
-	"mbuf.Mbuf.CheckInvariants":    "the chain invariant checker the mbuf tests run after every operation",
-	"plexus.Extension.Unload":      "extension lifecycle: the extension and rogue tests assert its teardown and leak accounting",
-	"plexus.Extension.Stats":       "extension lifecycle: the per-extension fault counters the rogue tests assert",
-	"plexus.ExtensionCtx.After":    "extension lifecycle: a timer Unload must cancel",
-	"plexus.ExtensionCtx.Every":    "extension lifecycle: a ticker Unload must stop",
-	"plexus.ExtensionCtx.OnUnload": "extension lifecycle: a closer Unload must run",
+	"mbuf.Mbuf.CheckInvariants": "the chain invariant checker the mbuf tests run after every operation",
+	"plexus.Extension.Stats":    "extension lifecycle: the per-extension fault counters the rogue tests assert",
+	"plexus.ExtensionCtx.After": "extension lifecycle: a timer Unload must cancel",
+	"plexus.ExtensionCtx.Every": "extension lifecycle: a ticker Unload must stop",
 }
 
 // TestReachable is the dead-code gate. Every package-level declaration in

@@ -21,7 +21,7 @@ import (
 func TestCommittedSweeps(t *testing.T) {
 	defer bench.SetParallelism(0)
 	bench.SetParallelism(4)
-	for _, sw := range bench.Sweeps(false, nil) {
+	for _, sw := range bench.Sweeps(nil) {
 		if sw.Name == "cc" {
 			continue
 		}
