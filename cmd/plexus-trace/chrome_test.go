@@ -25,7 +25,7 @@ func TestWriteChrome(t *testing.T) {
 	s := sim.New(1)
 	eng := telemetry.New(s, telemetry.Options{})
 	se := eng.Series("tcp.cwnd", "server", "conn=80")
-	eng.Register("cwnd", func(sm *telemetry.Sample) { sm.Observe(se, 2920) })
+	eng.Register(func(sm *telemetry.Sample) { sm.Observe(se, 2920) })
 	eng.Tick()
 
 	transitions := []tcp.Transition{{At: 3 * sim.Microsecond, Host: "client", Old: tcp.StateSynSent, New: tcp.StateEstablished}}

@@ -73,7 +73,6 @@ type Stats struct {
 type AM struct {
 	eth     *ether.Layer
 	pool    *mbuf.Pool
-	costs   osmodel.Costs
 	binding *event.Binding
 
 	handlers [MaxHandlers]Handler
@@ -88,8 +87,9 @@ const handlerCost = 5 * sim.Microsecond
 
 // New installs the active-message extension on the host's Ethernet manager.
 // allotment, when nonzero, bounds each invocation (the §3.3 time limit).
+// Handlers are charged handlerCost, not an entry of costs, which nothing reads.
 func New(eth *ether.Layer, pool *mbuf.Pool, costs osmodel.Costs, allotment sim.Time) (*AM, error) {
-	am := &AM{eth: eth, pool: pool, costs: costs}
+	am := &AM{eth: eth, pool: pool}
 	// The guard of Figure 2: dispatch on the Ethernet type field, via a
 	// typed view of the header.
 	guard := ether.TypeGuard(view.EtherTypeActiveMsg)

@@ -8,6 +8,7 @@ import (
 	"plexus/internal/osmodel"
 	"plexus/internal/plexus"
 	"plexus/internal/sim"
+	"plexus/internal/tcp"
 	"plexus/internal/view"
 )
 
@@ -161,38 +162,13 @@ type ccFlow struct {
 	app      *plexus.TCPApp
 }
 
-// ccConnStats is the per-flow sender-side counter snapshot runCC hands back
-// beside the row, for tests that assert on recovery behavior.
-type ccConnStats struct {
-	SegsSent, Retransmits, FastRexmits, RTOExpiries uint64
-	FastRecoveries, PartialAcks, SackRexmits        uint64
-	SacksRcvd, DupAcksRcvd                          uint64
-	EndCwnd                                         uint32
-}
-
-// snapStats snapshots both senders' connection counters.
-func snapStats(flows *[2]ccFlow) [2]ccConnStats {
-	var out [2]ccConnStats
-	for i := range flows {
-		c := flows[i].app.Conn()
-		st := c.Stats()
-		out[i] = ccConnStats{
-			SegsSent: st.SegsSent, Retransmits: st.Retransmits,
-			FastRexmits: st.FastRexmits, RTOExpiries: st.RTOExpiries,
-			FastRecoveries: st.FastRecoveries, PartialAcks: st.PartialAcks,
-			SackRexmits: st.SackRexmits, SacksRcvd: st.SacksRcvd,
-			DupAcksRcvd: st.DupAcksRcvd, EndCwnd: c.Cwnd(),
-		}
-	}
-	return out
-}
-
 // runCCInner runs one fairness cell: two clients each offer size bytes (more
 // than the wire can move inside the horizon, so neither sender runs dry) to
 // the server through the shared switch, flow B starting 5ms after flow A so
 // the cell measures convergence to fairness rather than lockstep symmetry.
-// Beside the row it returns both senders' connection counters.
-func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
+// Beside the row it returns both senders' connection counters, read after
+// the run, for tests that assert on recovery behavior.
+func runCCInner(c ccCell, size int) (CCRow, [2]tcp.ConnStats, error) {
 	winEnd := ccWindowEnd(c.bwMbps)
 	model := ccModel(c.bwMbps, c.prop)
 	spec := func(name, cc string) plexus.HostSpec {
@@ -220,7 +196,7 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 		},
 	}})
 	if err != nil {
-		return CCRow{}, [2]ccConnStats{}, err
+		return CCRow{}, [2]tcp.ConnStats{}, err
 	}
 	top.PrimeARP()
 	defer recordEvents(top.Sim)
@@ -269,7 +245,7 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 		OnPeerFin: func(t *sim.Task, conn *plexus.TCPApp) { conn.Close(t) },
 	}, nil)
 	if err != nil {
-		return CCRow{}, [2]ccConnStats{}, err
+		return CCRow{}, [2]tcp.ConnStats{}, err
 	}
 
 	msg := make([]byte, size)
@@ -307,17 +283,17 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 	top.Sim.RunUntil(ccHorizon(c.bwMbps))
 
 	if err := aud.check(); err != nil {
-		return CCRow{}, [2]ccConnStats{}, err
+		return CCRow{}, [2]tcp.ConnStats{}, err
 	}
 	if flows[0].gotTotal == 0 || flows[1].gotTotal == 0 {
-		return CCRow{}, [2]ccConnStats{}, fmt.Errorf("bench: cc flow stalled: A %d B %d bytes delivered",
+		return CCRow{}, [2]tcp.ConnStats{}, fmt.Errorf("bench: cc flow stalled: A %d B %d bytes delivered",
 			flows[0].gotTotal, flows[1].gotTotal)
 	}
 	for i := range flows {
 		// A drained send buffer means the cell measured idle wire, not
 		// congestion — the offered load was sized wrong for this grid point.
 		if flows[i].gotTotal >= size {
-			return CCRow{}, [2]ccConnStats{}, fmt.Errorf("bench: cc flow %d ran dry: delivered all %d offered bytes", i, size)
+			return CCRow{}, [2]tcp.ConnStats{}, fmt.Errorf("bench: cc flow %d ran dry: delivered all %d offered bytes", i, size)
 		}
 	}
 
@@ -325,8 +301,8 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 	goodput := func(f *ccFlow) float64 {
 		return float64(f.got) * 8 / window / 1e6
 	}
-	ratio := func(f *ccFlow) float64 {
-		st := f.app.Conn().Stats()
+	stats := [2]tcp.ConnStats{flows[0].app.Conn().Stats(), flows[1].app.Conn().Stats()}
+	ratio := func(st tcp.ConnStats) float64 {
 		if st.SegsSent == 0 {
 			return 0
 		}
@@ -335,9 +311,9 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 	row := CCRow{
 		GoodputA:         goodput(&flows[0]),
 		GoodputB:         goodput(&flows[1]),
-		RexmitRatioA:     ratio(&flows[0]),
-		RexmitRatioB:     ratio(&flows[1]),
-		SackRexmits:      flows[0].app.Conn().Stats().SackRexmits + flows[1].app.Conn().Stats().SackRexmits,
+		RexmitRatioA:     ratio(stats[0]),
+		RexmitRatioB:     ratio(stats[1]),
+		SackRexmits:      stats[0].SackRexmits + stats[1].SackRexmits,
 		QueuePeak:        peak,
 		QueueCap:         seg.Switch.QueueCap(),
 		PortDrops:        port.Stats().Drops,
@@ -351,7 +327,7 @@ func runCCInner(c ccCell, size int) (CCRow, [2]ccConnStats, error) {
 		row.QueueMean = float64(depthSum) / float64(samples)
 	}
 	row.ElapsedSec = window
-	return row, snapStats(&flows), nil
+	return row, stats, nil
 }
 
 // ccSeeds is the number of independent replications per grid point. One

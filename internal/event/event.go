@@ -186,8 +186,8 @@ type Binding struct {
 	fn        HandlerFunc
 	allotment sim.Time // 0 = unlimited
 	// The flags share one word: a Binding stays in the 128-byte size class.
-	keyed, ephemeral, removed, quarantined bool
-	stats                                  BindingStats
+	keyed, removed, quarantined bool
+	stats                       BindingStats
 }
 
 // Stats returns a snapshot of the binding's counters.
@@ -384,7 +384,7 @@ func (d *Dispatcher) install(name Name, b *Binding, h Handler, allotment sim.Tim
 	if allotment > 0 && !h.Ephemeral {
 		return nil, fmt.Errorf("%w: %s on %s", ErrAllotmentNotEphemeral, h.Name, name)
 	}
-	b.event, b.name, b.fn, b.ephemeral, b.allotment = ev, h.Name, h.Fn, h.Ephemeral, allotment
+	b.event, b.name, b.fn, b.allotment = ev, h.Name, h.Fn, allotment
 	ev.add(b)
 	return b, nil
 }

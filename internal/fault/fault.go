@@ -1,6 +1,6 @@
-// Package fault is the deterministic fault-injection plane: it turns the raw
-// per-frame hooks of internal/netdev (drop, mangle, delay, duplicate, carrier
-// state) into declarative, composable, seeded models — Bernoulli and
+// Package fault is the deterministic fault-injection plane: a link's one
+// netdev.Impairment, owning its carrier state and composing declarative,
+// seeded models onto every frame — Bernoulli and
 // Gilbert–Elliott loss, bit-flip corruption, duplication, jitter-induced
 // reordering — plus a time-scheduled scenario driver for link flaps and
 // partitions.
@@ -27,8 +27,8 @@ import (
 	"plexus/internal/view"
 )
 
-// Stats counts fault firings per model class. Flapped mirrors the link's
-// down-drop counter so one snapshot describes the whole fault plane.
+// Stats counts fault firings per model class; Flapped counts the frames
+// offered to the link while its carrier was cut.
 type Stats struct {
 	Lost        uint64 `json:"lost"`
 	Mangled     uint64 `json:"mangled"`
@@ -38,15 +38,16 @@ type Stats struct {
 	Flapped     uint64 `json:"flapped"`
 }
 
-// Injector owns a link's fault hooks and composes declarative models onto
-// them. Attach installs the injector as the link's drop/mangle/delay/dup
-// functions; models added afterwards take effect immediately. An injector
-// belongs to one simulator and is not safe for concurrent use — exactly like
-// the simulator itself.
+// Injector is a link's fault plane: Attach installs it as the link's
+// netdev.Impairment, and models added afterwards take effect immediately.
+// An injector belongs to one simulator and is not safe for concurrent use —
+// exactly like the simulator itself.
 type Injector struct {
-	sim  *sim.Sim
-	link *netdev.Link
-	rng  *rand.Rand
+	sim *sim.Sim
+	rng *rand.Rand
+	// down is the carrier state: while it is cut, every frame offered to the
+	// link is discarded (the Scenario's flaps).
+	down bool
 
 	loss    []DropModel
 	corrupt []CorruptModel
@@ -61,14 +62,11 @@ type Injector struct {
 	stats Stats
 }
 
-// Attach creates an injector on link, installing it as the link's fault
-// hooks. All randomness is drawn from s's seeded PRNG.
+// Attach creates an injector on link, installing it as the link's
+// impairment. All randomness is drawn from s's seeded PRNG.
 func Attach(s *sim.Sim, link *netdev.Link) *Injector {
-	in := &Injector{sim: s, link: link, rng: s.Rand()}
-	link.SetDropFn(in.dropFrame)
-	link.SetMangleFn(in.mangleFrame)
-	link.SetDelayFn(in.delayFrame)
-	link.SetDupFn(in.dupFrame)
+	in := &Injector{sim: s, rng: s.Rand()}
+	link.Impair(in)
 	return in
 }
 
@@ -111,7 +109,7 @@ func (in *Injector) Heal() {
 }
 
 // Reset removes every model and the partition, quieting the fault plane
-// (counters and link carrier state are left untouched).
+// (counters and carrier state are left untouched).
 func (in *Injector) Reset() {
 	in.loss = nil
 	in.corrupt = nil
@@ -120,13 +118,8 @@ func (in *Injector) Reset() {
 	in.Heal()
 }
 
-// Stats returns a snapshot of fault counters; Flapped reflects frames the
-// link discarded while its carrier was down.
-func (in *Injector) Stats() Stats {
-	s := in.stats
-	s.Flapped = in.link.DownDrops()
-	return s
-}
+// Stats returns a snapshot of fault counters.
+func (in *Injector) Stats() Stats { return in.stats }
 
 func macSet(macs []view.MAC) map[view.MAC]bool {
 	m := make(map[view.MAC]bool, len(macs))
@@ -136,20 +129,46 @@ func macSet(macs []view.MAC) map[view.MAC]bool {
 	return m
 }
 
-// dropFrame is the link's dropFn: partition first, then loss models in the
-// order added.
-func (in *Injector) dropFrame(wire []byte) bool {
+// Down implements netdev.Impairment: a cut carrier discards the frame.
+func (in *Injector) Down() bool {
+	if in.down {
+		in.stats.Flapped++
+	}
+	return in.down
+}
+
+// Frame implements netdev.Impairment. Every corruption model gets a chance
+// at the frame; then the partition and the loss models, in the order added,
+// may lose it; a frame that survives draws its jitter and duplication.
+func (in *Injector) Frame(wire []byte) (lost bool, delay sim.Time, dup bool) {
+	for _, m := range in.corrupt {
+		if m.Corrupt(in.rng, wire) {
+			in.stats.Mangled++
+		}
+	}
 	if in.partA != nil && in.crossesPartition(wire) {
 		in.stats.Partitioned++
-		return true
+		return true, 0, false
 	}
 	for _, m := range in.loss {
 		if m.Drop(in.rng, wire) {
 			in.stats.Lost++
-			return true
+			return true, 0, false
 		}
 	}
-	return false
+	for _, m := range in.delay {
+		delay += m.Delay(in.rng, wire)
+	}
+	if delay > 0 {
+		in.stats.Delayed++
+	}
+	for _, m := range in.dup {
+		if m.Drop(in.rng, wire) {
+			in.stats.Duplicated++
+			return false, delay, true
+		}
+	}
+	return false, delay, false
 }
 
 func (in *Injector) crossesPartition(wire []byte) bool {
@@ -163,36 +182,4 @@ func (in *Injector) crossesPartition(wire []byte) bool {
 	}
 	src := eth.Src()
 	return in.partA[src] && in.partB[dst] || in.partB[src] && in.partA[dst]
-}
-
-// mangleFrame is the link's mangleFn: every corruption model gets a chance.
-func (in *Injector) mangleFrame(wire []byte) {
-	for _, m := range in.corrupt {
-		if m.Corrupt(in.rng, wire) {
-			in.stats.Mangled++
-		}
-	}
-}
-
-// dupFrame is the link's dupFn.
-func (in *Injector) dupFrame(wire []byte) bool {
-	for _, m := range in.dup {
-		if m.Drop(in.rng, wire) {
-			in.stats.Duplicated++
-			return true
-		}
-	}
-	return false
-}
-
-// delayFrame is the link's delayFn: model delays accumulate.
-func (in *Injector) delayFrame(wire []byte) sim.Time {
-	var d sim.Time
-	for _, m := range in.delay {
-		d += m.Delay(in.rng, wire)
-	}
-	if d > 0 {
-		in.stats.Delayed++
-	}
-	return d
 }

@@ -5,6 +5,7 @@ package fault_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"plexus/internal/fault"
@@ -22,7 +23,7 @@ func spinSpec(name string) plexus.HostSpec {
 // udpRig is a two-host network with a fault injector on the link and a UDP
 // sink on host B. sendN fires n datagrams from A at the given spacing; each
 // carries its sequence number so the sink can observe loss, duplication, and
-// reordering.
+// reordering, and the sink records when each one reached it.
 type udpRig struct {
 	t        *testing.T
 	net      *plexus.Network
@@ -30,6 +31,7 @@ type udpRig struct {
 	in       *fault.Injector
 	capp     *plexus.UDPApp
 	received []int
+	at       []sim.Time
 	sent     int
 }
 
@@ -45,6 +47,7 @@ func newUDPRig(t *testing.T, seed int64) *udpRig {
 		var seq int
 		fmt.Sscanf(string(data), "%d", &seq)
 		r.received = append(r.received, seq)
+		r.at = append(r.at, task.Now())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +86,8 @@ func TestInjectorLossObservedEndToEnd(t *testing.T) {
 	if got := len(r.received); got != r.sent-int(st.Lost) {
 		t.Errorf("delivered %d, sent %d, lost %d: counts disagree", got, r.sent, st.Lost)
 	}
-	if r.net.Link.Dropped() != st.Lost {
-		t.Errorf("link counted %d drops, injector %d", r.net.Link.Dropped(), st.Lost)
+	if got := r.net.Link.Dropped(); got != st.Lost+st.Partitioned+st.Flapped {
+		t.Errorf("link counted %d drops, injector %+v", got, st)
 	}
 }
 
@@ -96,9 +99,6 @@ func TestInjectorDuplicateDeliversTwice(t *testing.T) {
 	st := r.in.Stats()
 	if st.Duplicated != 50 {
 		t.Fatalf("duplicated %d frames, want 50", st.Duplicated)
-	}
-	if r.net.Link.Duplicated() != 50 {
-		t.Errorf("link counted %d duplications", r.net.Link.Duplicated())
 	}
 	// UDP has no duplicate suppression: every copy reaches the app.
 	if got := len(r.received); got != 150 {
@@ -241,5 +241,108 @@ func TestInjectorDeterministicUnderSeed(t *testing.T) {
 	}
 	if st1.Lost == 0 || st1.Duplicated == 0 || st1.Delayed == 0 || st1.Flapped == 0 {
 		t.Errorf("scenario too quiet to prove determinism: %+v", st1)
+	}
+}
+
+// One seeded injector with every model class, a partition and a flap: its
+// counters and every datagram's delivery instant are pinned. A change in
+// the order the fault plane draws from the PRNG, or in where the link
+// consults it, moves a number here.
+func TestInjectorTimelinePinned(t *testing.T) {
+	r := newUDPRig(t, 42)
+	r.in.Lose(fault.Bernoulli{P: 0.1}).
+		Lose(fault.Burst(0.05, 3)).
+		Corrupt(fault.BitFlip{P: 0.2}).
+		Duplicate(fault.Bernoulli{P: 0.1}).
+		Delay(fault.Jitter{P: 0.3, Max: 2 * sim.Millisecond})
+	sc := r.in.Scenario()
+	sc.PartitionAt(10*sim.Millisecond, []view.MAC{r.a.NIC.MAC()}, []view.MAC{r.b.NIC.MAC()})
+	sc.HealAt(14 * sim.Millisecond)
+	sc.DownAt(25 * sim.Millisecond)
+	sc.UpAt(29 * sim.Millisecond)
+	r.sendN(40, sim.Millisecond)
+
+	want := fault.Stats{Lost: 3, Mangled: 3, Duplicated: 3, Delayed: 5, Partitioned: 4, Flapped: 4}
+	if st := r.in.Stats(); st != want {
+		t.Errorf("Stats = %+v, want %+v", st, want)
+	}
+	var got []string
+	for i, seq := range r.received {
+		got = append(got, fmt.Sprintf("%d@%d", seq, r.at[i]))
+	}
+	const wantTimeline = "0@1221120 1@2221120 2@3221120 4@5221120 3@5384219 5@6221120 7@8259608 " +
+		"8@9221120 14@15722111 16@17221120 17@18221120 18@19221120 19@20221120 21@22221120 " +
+		"20@22411692 22@23221120 22@23313680 23@24221120 28@29221120 29@30221120 32@33221120 " +
+		"34@35221120 33@36212101 35@36304661 35@36397221 36@37221120 37@38221120 38@39221120 " +
+		"38@39313680 39@40221120"
+	if s := strings.Join(got, " "); s != wantTimeline {
+		t.Errorf("deliveries:\n got %s\nwant %s", s, wantTimeline)
+	}
+}
+
+// A cut carrier discards what is offered to it at every site that offers a
+// frame — a NIC transmit, a switch port's egress and a boundary drain — and
+// the injector counts each one as Flapped.
+func TestFlappedCountsEveryOfferingSite(t *testing.T) {
+	gw := spinSpec("gw")
+	top, err := plexus.NewShardedTopology(1, &gw, []plexus.SegmentSpec{
+		{Name: "lan0", Model: netdev.EthernetModel(), Switched: true,
+			Subnet: view.IP4{10, 0, 1, 0}, Hosts: []plexus.HostSpec{spinSpec("h")}},
+		{Name: "lan1", Model: netdev.EthernetModel(), Switched: true,
+			Subnet: view.IP4{10, 0, 2, 0}, Hosts: []plexus.HostSpec{spinSpec("far")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top.PrimeARPSparse()
+	seg := top.Segments[0]
+	h, gwIf := seg.Hosts[0], seg.GW
+	// Cables[0] is h's cable; the last is the uplink, the boundary's side
+	// in this segment's shard.
+	cable := fault.Attach(top.Sims[1], seg.Cables[0])
+	uplink := fault.Attach(top.Sims[1], seg.Cables[len(seg.Cables)-1])
+	uplink.Scenario().DownAt(0)
+	cable.Scenario().DownAt(3 * sim.Millisecond)
+
+	send := func(from *plexus.Stack, at sim.Time, to view.IP4) {
+		app, err := from.OpenUDP(plexus.UDPAppOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from.SpawnAt(at, "send", func(task *sim.Task) { _ = app.Send(task, to, 9, []byte("x")) })
+	}
+	delivered := 0
+	for _, st := range []*plexus.Stack{h, gwIf} {
+		if _, err := st.OpenUDP(plexus.UDPAppOptions{Port: 9}, func(*sim.Task, []byte, view.IP4, uint16) {
+			delivered++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 1ms: h's frame crosses its cable, and the switch floods it out of
+	// the uplink port onto the cut carrier.
+	send(h, sim.Millisecond, gwIf.Addr())
+	top.Run(1500*sim.Microsecond, 1)
+	if c, u := cable.Stats().Flapped, uplink.Stats().Flapped; c != 0 || u != 1 {
+		t.Fatalf("after a switch egress: cable flapped %d, uplink %d; want 0, 1", c, u)
+	}
+	// 2ms: the gateway's frame crosses the boundary and is drained onto the
+	// cut carrier.
+	send(gwIf, 2*sim.Millisecond, h.Addr())
+	top.Run(2500*sim.Microsecond, 1)
+	if c, u := cable.Stats().Flapped, uplink.Stats().Flapped; c != 0 || u != 2 {
+		t.Fatalf("after a boundary drain: cable flapped %d, uplink %d; want 0, 2", c, u)
+	}
+	// 4ms: h's NIC transmits onto its own cut cable.
+	send(h, 4*sim.Millisecond, gwIf.Addr())
+	top.Run(10*sim.Millisecond, 1)
+	if c, u := cable.Stats().Flapped, uplink.Stats().Flapped; c != 1 || u != 2 {
+		t.Fatalf("after a NIC transmit: cable flapped %d, uplink %d; want 1, 2", c, u)
+	}
+	if delivered != 0 {
+		t.Errorf("%d datagrams crossed a cut carrier", delivered)
+	}
+	if c, u := seg.Cables[0].Dropped(), seg.Cables[len(seg.Cables)-1].Dropped(); c != 1 || u != 2 {
+		t.Errorf("links dropped %d (cable) and %d (uplink), want the injectors' 1 and 2", c, u)
 	}
 }

@@ -29,13 +29,13 @@ func (sc *Scenario) At(at sim.Time, step func()) {
 func (sc *Scenario) DownAt(at sim.Time) {
 	sc.At(at, func() {
 		sc.flaps++
-		sc.in.link.SetUp(false)
+		sc.in.down = true
 	})
 }
 
 // UpAt restores the link carrier.
 func (sc *Scenario) UpAt(at sim.Time) {
-	sc.At(at, func() { sc.in.link.SetUp(true) })
+	sc.At(at, func() { sc.in.down = false })
 }
 
 // FlapEvery scripts count link flaps: starting at start and repeating every

@@ -50,7 +50,6 @@ const DefaultInstrCost = 250 * sim.Nanosecond
 type Program struct {
 	base Base
 	code []instr
-	src  string
 }
 
 // CompileInterpreted parses source text and compiles it to VM bytecode.
@@ -59,7 +58,7 @@ func CompileInterpreted(src string, base Base) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{base: base, src: src}
+	p := &Program{base: base}
 	p.compile(root)
 	return p, nil
 }

@@ -52,7 +52,6 @@ type ServerStats struct {
 
 // Server is an HTTP/1.0 server bound to a port on one host.
 type Server struct {
-	st      *plexus.Stack
 	handler HandlerFunc
 	stats   ServerStats
 	// out is the scratch buffer each response is formatted into; Send
@@ -81,7 +80,7 @@ func statusText(code int) string {
 
 // Serve starts an HTTP server on port with the given handler.
 func Serve(st *plexus.Stack, port uint16, handler HandlerFunc) (*Server, error) {
-	s := &Server{st: st, handler: handler}
+	s := &Server{handler: handler}
 	recv := s.recv // bound once: each evaluation of a method value allocates
 	_, err := st.ListenTCP(port, plexus.TCPAppOptions{}, func(t *sim.Task, conn *plexus.TCPApp) {
 		opts := conn.Options()

@@ -15,6 +15,17 @@ func spin(name string) plexus.HostSpec {
 	return plexus.HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchInterrupt}
 }
 
+// mangle is a test netdev.Impairment that edits every transmitted frame in
+// place.
+type mangle func(wire []byte)
+
+func (mangle) Down() bool { return false }
+
+func (m mangle) Frame(wire []byte) (bool, sim.Time, bool) {
+	m(wire)
+	return false, 0, false
+}
+
 func pair(t *testing.T) (*plexus.Network, *plexus.Stack, *plexus.Stack) {
 	t.Helper()
 	n, a, b, err := plexus.TwoHosts(1, netdev.EthernetModel(), spin("a"), spin("b"))
@@ -76,12 +87,12 @@ func TestCancelStopsCallbacks(t *testing.T) {
 func TestCorruptedICMPDropped(t *testing.T) {
 	n, a, b := pair(t)
 	got := 0
-	n.Link.SetMangleFn(func(wire []byte) {
+	n.Link.Impair(mangle(func(wire []byte) {
 		// Flip a bit in the ICMP payload (frame: 14 eth + 20 ip + 8 icmp).
 		if len(wire) > 43 {
 			wire[43] ^= 0x10
 		}
-	})
+	}))
 	a.Spawn("ping", func(task *sim.Task) {
 		_ = a.ICMP.Ping(task, b.Addr(), 1, 1, []byte("data"), func(*sim.Task, icmp.EchoReply) { got++ })
 	})

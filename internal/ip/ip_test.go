@@ -22,6 +22,22 @@ func spin(name string) plexus.HostSpec {
 	return plexus.HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchInterrupt}
 }
 
+// impairment is a test netdev.Impairment: each transmitted frame is passed
+// to mangle, then lost if lose says so.
+type impairment struct {
+	mangle func(wire []byte)
+	lose   func(wire []byte) bool
+}
+
+func (impairment) Down() bool { return false }
+
+func (im impairment) Frame(wire []byte) (bool, sim.Time, bool) {
+	if im.mangle != nil {
+		im.mangle(wire)
+	}
+	return im.lose != nil && im.lose(wire), 0, false
+}
+
 func pair(t testing.TB) (*plexus.Network, *plexus.Stack, *plexus.Stack) {
 	t.Helper()
 	n, a, b, err := plexus.TwoHosts(1, netdev.EthernetModel(), spin("a"), spin("b"))
@@ -145,11 +161,11 @@ func TestHeaderChecksumValidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	n.Link.SetMangleFn(func(wire []byte) {
+	n.Link.Impair(impairment{mangle: func(wire []byte) {
 		if len(wire) > 22 {
 			wire[22] ^= 0xff // flip a TTL bit in the IP header
 		}
-	})
+	}})
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -209,10 +225,10 @@ func TestReassemblyTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := 0
-	n.Link.SetDropFn(func(wire []byte) bool {
+	n.Link.Impair(impairment{lose: func(wire []byte) bool {
 		frames++
 		return frames == 2 // lose the second fragment
-	})
+	}})
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -233,20 +249,20 @@ func TestReassemblyTimeout(t *testing.T) {
 func captureFragments(t *testing.T, n *plexus.Network, a, b *plexus.Stack, msg []byte) [][]byte {
 	t.Helper()
 	var frags [][]byte
-	n.Link.SetDropFn(func(wire []byte) bool {
+	n.Link.Impair(impairment{lose: func(wire []byte) bool {
 		if wire[12] != 0x08 || wire[13] != 0x00 {
 			return false
 		}
 		frags = append(frags, append([]byte(nil), wire[view.EthernetHdrLen:]...))
 		return true
-	})
+	}})
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Spawn("send", func(task *sim.Task) { _ = capp.Send(task, b.Addr(), 9, msg) })
 	n.Sim.Run()
-	n.Link.SetDropFn(nil)
+	n.Link.Impair(nil)
 	return frags
 }
 
@@ -480,14 +496,14 @@ func TestReassemblyRejectsShortMiddleFragment(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	n.Link.SetMangleFn(func(wire []byte) {
+	n.Link.Impair(impairment{mangle: func(wire []byte) {
 		v, err := view.IPv4(wire[view.EthernetHdrLen:])
 		if err != nil || !v.MoreFragments() || v.FragOffset() != 0 {
 			return
 		}
 		v.SetTotalLen(v.TotalLen() - 3) // the last 3 bytes become link padding
 		v.ComputeChecksum()
-	})
+	}})
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -52,19 +52,11 @@ type PktHdr struct {
 	// Len is the total data length of the chain. Maintained by all
 	// mutating operations.
 	Len int
-	// RcvIf names the device the packet arrived on (empty for locally
-	// originated packets).
-	RcvIf string
-	// Timestamp is an opaque arrival stamp (simulated nanoseconds in this
-	// reproduction); the mbuf layer does not interpret it.
-	Timestamp int64
 	// Span is the packet-lifecycle trace ID (see sim.Metrics): stamped at
 	// NIC/socket entry, carried across every header operation that moves
 	// the PktHdr, and copied across the wire so one ID follows the packet
 	// end to end. 0 means unstamped; the mbuf layer does not interpret it.
 	Span uint64
-	// Multicast marks link-level multicast/broadcast receptions.
-	Multicast bool
 }
 
 // Mbuf is one buffer in a packet chain. The first mbuf of a packet carries a

@@ -20,26 +20,22 @@ import (
 // later. Timing is identical to a local Link: serialization and propagation
 // are charged once, by the transmitting side.
 type Boundary struct {
-	name string
-	la   *Link
-	lb   *Link
-	ab   *portal // captures on A, re-emits on B
-	ba   *portal // captures on B, re-emits on A
+	la *Link
+	lb *Link
+	ab *portal // captures on A, re-emits on B
+	ba *portal // captures on B, re-emits on A
 }
 
-// NewBoundary creates the cable between simulators sa and sb. The model
-// supplies wire timing; its minimum-frame serialization plus propagation
-// delay is the coupling lookahead, so it must match the model of the NICs
-// and switch ports attached to the boundary's links.
-func NewBoundary(sa, sb *sim.Sim, name string, model Model) *Boundary {
-	b := &Boundary{
-		name: name,
-		la:   NewLink(sa, name+"/a"),
-		lb:   NewLink(sb, name+"/b"),
-	}
+// NewBoundary creates the cable between two shards: the first attaches its
+// devices to LinkA, the second to LinkB. The model supplies wire
+// timing; its minimum-frame serialization plus propagation delay is the
+// coupling lookahead, so it must match the model of the NICs and switch
+// ports attached to the boundary's links.
+func NewBoundary(model Model) *Boundary {
+	b := &Boundary{la: &Link{}, lb: &Link{}}
 	lookahead := model.serialization(model.MinFrame) + model.PropDelay
-	b.ab = &portal{src: b.la, dst: b.lb, lookahead: lookahead}
-	b.ba = &portal{src: b.lb, dst: b.la, lookahead: lookahead}
+	b.ab = &portal{dst: b.lb, lookahead: lookahead}
+	b.ba = &portal{dst: b.la, lookahead: lookahead}
 	b.ab.peer = b.ba
 	b.ba.peer = b.ab
 	// Each portal listens on its source link like any other attachment.
@@ -91,17 +87,15 @@ type bcell struct {
 // The engine's channel/WaitGroup edges order these phases, so no field needs
 // atomics and the schedule stays deterministic.
 type portal struct {
-	src       *Link
 	dst       *Link
 	peer      *portal
 	lookahead sim.Time
 
-	out     []*bcell // filling: captured by src this round
-	inbox   []*bcell // released: drained by dst this round
-	back    []*bcell // consumed by dst, recycled at next flip
-	free    *bcell
-	nfree   int
-	spilled uint64 // cells dropped past bcellFreeCap
+	out   []*bcell // filling: captured on the source link this round
+	inbox []*bcell // released: drained by dst this round
+	back  []*bcell // consumed by dst, recycled at next flip
+	free  *bcell
+	nfree int
 
 	transferred uint64
 }
@@ -137,8 +131,7 @@ func (p *portal) Lookahead() sim.Time { return p.lookahead }
 func (p *portal) Flip() {
 	for _, c := range p.back {
 		if p.nfree >= bcellFreeCap {
-			p.spilled++
-			continue
+			continue // left for the GC
 		}
 		c.next = p.free
 		p.free = c
@@ -156,10 +149,9 @@ func (p *portal) Drain() {
 		return
 	}
 	for _, c := range p.inbox {
-		if !p.dst.up {
+		if p.dst.down() {
 			// Carrier cut on the far side: the frame crossed the boundary
 			// but goes nowhere, same as a down local link.
-			p.dst.downDrops++
 			continue
 		}
 		f := p.dst.getFrame(len(c.buf))

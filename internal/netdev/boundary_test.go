@@ -32,7 +32,7 @@ func newXRig(t *testing.T, model Model, echo bool) *xrig {
 	}
 	shardA := r.engine.AddShard(r.sa)
 	shardB := r.engine.AddShard(r.sb)
-	r.bnd = NewBoundary(r.sa, r.sb, "uplink", model)
+	r.bnd = NewBoundary(model)
 	r.engine.Connect(r.bnd.CouplingAB(), shardB)
 	r.engine.Connect(r.bnd.CouplingBA(), shardA)
 
@@ -159,13 +159,14 @@ func TestBoundaryDeterministicAcrossWorkers(t *testing.T) {
 // frames exactly like a down local link.
 func TestBoundaryDownLinkDrops(t *testing.T) {
 	r := newXRig(t, EthernetModel(), false)
-	r.bnd.LinkB().SetUp(false)
+	imp := &testImpairment{down: true}
+	r.bnd.LinkB().Impair(imp)
 	r.sendA(t, 100)
 	r.engine.Run(10*sim.Millisecond, 1)
 	if len(r.rxAtB) != 0 {
 		t.Fatalf("down link delivered %d frames", len(r.rxAtB))
 	}
-	if got := r.bnd.LinkB().DownDrops(); got != 1 {
-		t.Fatalf("down drops = %d, want 1", got)
+	if got := r.bnd.LinkB().Dropped(); got != 1 || imp.downs != 1 {
+		t.Fatalf("down drops = %d, impairment saw %d, want 1", got, imp.downs)
 	}
 }

@@ -122,37 +122,38 @@ type attachment interface {
 // NIC-transmit direction is a serial resource: a frame transmits only when
 // the previous NIC frame has left the wire. A switch port transmitting back
 // down the same cable keeps its own transmitter state (see Port), so a
-// host↔switch cable is full-duplex.
+// host↔switch cable is full-duplex. The zero Link is a perfect wire.
 type Link struct {
-	sim       *sim.Sim
-	name      string
 	atts      []attachment
 	busyUntil sim.Time
 	frames    uint64
 	bytes     uint64
 	busy      sim.Time
-	dropped   uint64
-	// up is the carrier state: a down link (cable pulled, switch port
-	// flapped) silently discards every frame offered to it.
-	up         bool
-	downDrops  uint64
-	duplicated uint64
+	// drops counts the frames imp discarded: lost on the wire, or offered
+	// while the carrier was cut.
+	drops uint64
+	imp   Impairment
 	// liveFrames counts wire snapshots currently held (in flight or pending
 	// receive interrupts); at quiescence it must return to zero.
 	liveFrames int
-	// dropFn, when set, is consulted per frame; true drops it on the wire.
-	dropFn func(wire []byte) bool
-	// mangleFn, when set, may corrupt each frame's bytes in flight.
-	mangleFn func(wire []byte)
-	// delayFn, when set, adds per-frame extra propagation delay; unequal
-	// delays reorder deliveries.
-	delayFn func(wire []byte) sim.Time
-	// dupFn, when set, is consulted per frame; true delivers the frame twice
-	// to every receiver (a duplicating network path).
-	dupFn func(wire []byte) bool
 	// freeFrames recycles wire-snapshot buffers so steady-state transmission
 	// allocates nothing.
 	freeFrames *frame
+}
+
+// Impairment is a link's fault plane: it owns the carrier state and decides
+// what happens to each transmitted frame. internal/fault's Injector is the
+// implementation; the zero Link has none.
+type Impairment interface {
+	// Down reports whether the carrier is cut. It is asked once per frame
+	// offered to the link by a NIC, a switch port or a boundary drain; a
+	// frame offered to a cut carrier is discarded.
+	Down() bool
+	// Frame runs on each frame a NIC puts on the wire. It may corrupt wire
+	// in place, and reports whether the frame is lost, the extra
+	// propagation delay it suffers (unequal delays reorder deliveries), and
+	// whether every receiver gets it twice.
+	Frame(wire []byte) (lost bool, delay sim.Time, dup bool)
 }
 
 // frame is one reference-counted wire snapshot: the transmitter fills it, each
@@ -203,46 +204,28 @@ func releaseFrame(f *frame) {
 	l.freeFrames = f
 }
 
-// SetDropFn installs a loss-injection predicate: frames for which fn returns
-// true vanish on the wire. Tests use this to exercise retransmission.
-func (l *Link) SetDropFn(fn func(wire []byte) bool) { l.dropFn = fn }
+// Impair installs imp as the link's fault plane, replacing any earlier one;
+// nil makes the link a perfect wire again.
+func (l *Link) Impair(imp Impairment) { l.imp = imp }
 
-// SetMangleFn installs a corruption hook: fn may modify each frame's bytes in
-// flight. Tests use this to exercise checksum validation.
-func (l *Link) SetMangleFn(fn func(wire []byte)) { l.mangleFn = fn }
+// Dropped reports how many frames the impairment discarded: lost on the
+// wire, or offered while the carrier was cut.
+func (l *Link) Dropped() uint64 { return l.drops }
 
-// SetDelayFn installs a jitter hook: fn returns extra propagation delay per
-// frame. Unequal delays reorder deliveries, exercising receivers'
-// out-of-order paths.
-func (l *Link) SetDelayFn(fn func(wire []byte) sim.Time) { l.delayFn = fn }
-
-// SetDupFn installs a duplication hook: frames for which fn returns true are
-// delivered twice to every receiver, as on a network path that replays
-// packets.
-func (l *Link) SetDupFn(fn func(wire []byte) bool) { l.dupFn = fn }
-
-// Dropped reports how many frames the loss injector discarded.
-func (l *Link) Dropped() uint64 { return l.dropped }
-
-// SetUp raises or cuts the link carrier. While down, every offered frame is
-// silently discarded (counted by DownDrops); receivers see nothing.
-func (l *Link) SetUp(up bool) { l.up = up }
-
-// DownDrops reports how many frames were discarded because the link was down.
-func (l *Link) DownDrops() uint64 { return l.downDrops }
-
-// Duplicated reports how many frames the duplication hook replayed.
-func (l *Link) Duplicated() uint64 { return l.duplicated }
+// down reports whether the carrier is cut, counting the frame offered to it
+// as dropped if so.
+func (l *Link) down() bool {
+	if l.imp != nil && l.imp.Down() {
+		l.drops++
+		return true
+	}
+	return false
+}
 
 // LiveFrames reports wire snapshots currently referenced (in flight or
 // awaiting a receive interrupt). A quiesced simulation must report zero —
 // the frame-pool balance check chaos tests rely on.
 func (l *Link) LiveFrames() int { return l.liveFrames }
-
-// NewLink creates an empty link with the carrier up.
-func NewLink(s *sim.Sim, name string) *Link {
-	return &Link{sim: s, name: name, up: true}
-}
 
 // Frames reports how many frames crossed the link.
 func (l *Link) Frames() uint64 { return l.frames }
@@ -341,8 +324,7 @@ func (n *NIC) Transmit(t *sim.Task, m *mbuf.Mbuf) error {
 	t.ChargeProf(sim.ProfDriver, n.name, n.model.TxDriver)
 	t.ChargeBytesProf(sim.ProfCopy, n.name, size, n.model.PIOPerByte)
 	// Carrier down: the driver ran, but the frame goes nowhere.
-	if !n.link.up {
-		n.link.downDrops++
+	if n.link.down() {
 		t.Hop(span, "wire", "drop-linkdown", size)
 		m.Free()
 		return nil
@@ -383,21 +365,17 @@ func (n *NIC) Transmit(t *sim.Task, m *mbuf.Mbuf) error {
 		releaseFrame(f)
 		return err
 	}
-	if n.link.mangleFn != nil {
-		n.link.mangleFn(f.buf)
-	}
-	if n.link.dropFn != nil && n.link.dropFn(f.buf) {
-		n.link.dropped++
-		t.Hop(span, "wire", "drop-loss", size)
-		releaseFrame(f)
-		return nil
-	}
-	if n.link.delayFn != nil {
-		arrival += n.link.delayFn(f.buf)
-	}
-	dup := n.link.dupFn != nil && n.link.dupFn(f.buf)
-	if dup {
-		n.link.duplicated++
+	dup := false
+	if imp := n.link.imp; imp != nil {
+		lost, delay, twice := imp.Frame(f.buf)
+		if lost {
+			n.link.drops++
+			t.Hop(span, "wire", "drop-loss", size)
+			releaseFrame(f)
+			return nil
+		}
+		arrival += delay
+		dup = twice
 	}
 	for _, dst := range n.link.atts {
 		if dst == attachment(n) {
@@ -461,13 +439,7 @@ func nicRx(t *sim.Task, a any) {
 	n.stats.RxBytes += uint64(len(wire))
 	m.Hdr().Span = f.span // sender's lifecycle span survives the wire
 	releaseFrame(f)       // the packet owns a private copy now
-	m.Hdr().RcvIf = n.name
-	m.Hdr().Timestamp = int64(t.Now())
 	t.Hop(m.Hdr().Span, "wire", "rx", len(wire))
-	if eth, err := view.Ethernet(m.Bytes()); err == nil {
-		d := eth.Dst()
-		m.Hdr().Multicast = d.IsBroadcast() || d.IsMulticast()
-	}
 	// Received packets are read-only through the graph (§3.4).
 	m.SetReadOnly()
 	n.host.RaiseRef(t, n.recvRef, m)

@@ -42,7 +42,7 @@ func newRig(t *testing.T, model Model) *rig {
 	ha, hb := testHost(s, "a"), testHost(s, "b")
 	r := &rig{
 		sim:   s,
-		link:  NewLink(s, "wire"),
+		link:  &Link{},
 		cpuA:  ha.CPU,
 		cpuB:  hb.CPU,
 		dispA: ha.Disp,
@@ -200,13 +200,44 @@ func TestTxQueueOverflowDrops(t *testing.T) {
 	}
 }
 
+// testImpairment is a scripted Impairment: down cuts the carrier, and each
+// transmitted frame's fate comes from whichever of lose and dup are set. It
+// counts what it did, as internal/fault's Injector does.
+type testImpairment struct {
+	down bool
+	lose func(wire []byte) bool
+	dup  func(wire []byte) bool
+
+	downs, lost, dups int
+}
+
+func (ti *testImpairment) Down() bool {
+	if ti.down {
+		ti.downs++
+	}
+	return ti.down
+}
+
+func (ti *testImpairment) Frame(wire []byte) (bool, sim.Time, bool) {
+	if ti.lose != nil && ti.lose(wire) {
+		ti.lost++
+		return true, 0, false
+	}
+	dup := ti.dup != nil && ti.dup(wire)
+	if dup {
+		ti.dups++
+	}
+	return false, 0, dup
+}
+
 func TestLossInjection(t *testing.T) {
 	r := newRig(t, EthernetModel())
 	n := 0
-	r.link.SetDropFn(func(wire []byte) bool {
+	imp := &testImpairment{lose: func(wire []byte) bool {
 		n++
 		return n%2 == 0
-	})
+	}}
+	r.link.Impair(imp)
 	for i := 0; i < 6; i++ {
 		r.send(t, r.frameTo(r.b.MAC(), 10))
 	}
@@ -214,31 +245,32 @@ func TestLossInjection(t *testing.T) {
 	if len(r.rxB) != 3 {
 		t.Fatalf("delivered %d of 6 with 50%% loss", len(r.rxB))
 	}
-	if r.link.Dropped() != 3 {
-		t.Errorf("Dropped = %d", r.link.Dropped())
+	if r.link.Dropped() != 3 || imp.lost != 3 {
+		t.Errorf("Dropped = %d, impairment lost %d", r.link.Dropped(), imp.lost)
 	}
 }
 
 // A down link discards frames silently; raising it restores delivery.
 func TestLinkDownDropsFrames(t *testing.T) {
 	r := newRig(t, EthernetModel())
-	if !r.link.up {
+	if r.link.down() {
 		t.Fatal("new link must start up")
 	}
-	r.link.SetUp(false)
+	imp := &testImpairment{down: true}
+	r.link.Impair(imp)
 	r.send(t, r.frameTo(r.b.MAC(), 10))
 	r.sim.Run()
 	if len(r.rxB) != 0 {
 		t.Fatal("frame delivered over a down link")
 	}
-	if r.link.DownDrops() != 1 {
-		t.Errorf("DownDrops = %d", r.link.DownDrops())
+	if r.link.Dropped() != 1 || imp.downs != 1 {
+		t.Errorf("Dropped = %d, impairment saw %d frames while down", r.link.Dropped(), imp.downs)
 	}
-	r.link.SetUp(true)
+	imp.down = false
 	r.send(t, r.frameTo(r.b.MAC(), 10))
 	r.sim.Run()
 	if len(r.rxB) != 1 {
-		t.Fatalf("delivery did not resume after SetUp(true): %d frames", len(r.rxB))
+		t.Fatalf("delivery did not resume after the carrier came back: %d frames", len(r.rxB))
 	}
 }
 
@@ -246,18 +278,19 @@ func TestLinkDownDropsFrames(t *testing.T) {
 func TestDuplicationHook(t *testing.T) {
 	r := newRig(t, EthernetModel())
 	n := 0
-	r.link.SetDupFn(func(wire []byte) bool {
+	imp := &testImpairment{dup: func(wire []byte) bool {
 		n++
 		return n == 1 // duplicate only the first frame
-	})
+	}}
+	r.link.Impair(imp)
 	r.send(t, r.frameTo(r.b.MAC(), 10))
 	r.send(t, r.frameTo(r.b.MAC(), 10))
 	r.sim.Run()
 	if len(r.rxB) != 3 {
 		t.Fatalf("delivered %d frames, want 3 (one duplicated)", len(r.rxB))
 	}
-	if r.link.Duplicated() != 1 {
-		t.Errorf("Duplicated = %d", r.link.Duplicated())
+	if imp.dups != 1 {
+		t.Errorf("duplicated %d", imp.dups)
 	}
 }
 
@@ -267,7 +300,7 @@ func TestDuplicationHook(t *testing.T) {
 func TestDuplicateArrivesAfterOriginal(t *testing.T) {
 	model := EthernetModel()
 	r := newRig(t, model)
-	r.link.SetDupFn(func(wire []byte) bool { return true })
+	r.link.Impair(&testImpairment{dup: func(wire []byte) bool { return true }})
 	r.send(t, r.frameTo(r.b.MAC(), 100))
 	r.sim.Run()
 	if len(r.rxAtB) != 2 {
@@ -304,11 +337,13 @@ func TestMalformedFrameCountsRxErrors(t *testing.T) {
 func TestLiveFramesBalanced(t *testing.T) {
 	r := newRig(t, EthernetModel())
 	n := 0
-	r.link.SetDropFn(func(wire []byte) bool {
-		n++
-		return n%3 == 0
+	r.link.Impair(&testImpairment{
+		lose: func(wire []byte) bool {
+			n++
+			return n%3 == 0
+		},
+		dup: func(wire []byte) bool { return n%2 == 0 },
 	})
-	r.link.SetDupFn(func(wire []byte) bool { return n%2 == 0 })
 	for i := 0; i < 12; i++ {
 		r.send(t, r.frameTo(r.b.MAC(), 50))
 	}

@@ -286,8 +286,7 @@ func (sw *Switch) flood(now sim.Time, in *Port, f *frame) {
 func (p *Port) enqueue(now sim.Time, f *frame) {
 	// A down cable (pulled, port flapped) discards egress silently, just
 	// as it does for the host-transmit direction.
-	if !p.link.up {
-		p.link.downDrops++
+	if p.link.down() {
 		return
 	}
 	// Retire entries whose frames have left the wire by now.

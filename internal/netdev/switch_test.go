@@ -32,7 +32,7 @@ func newSwRig(t *testing.T, model Model, cfg SwitchConfig, n int) *swRig {
 	r := &swRig{sim: s, sw: NewSwitch(s, "sw0", model, cfg)}
 	for i := 0; i < n; i++ {
 		host := testHost(s, "host")
-		h := &swHost{cable: NewLink(s, "cable"), cpu: host.CPU, pool: host.Pool}
+		h := &swHost{cable: &Link{}, cpu: host.CPU, pool: host.Pool}
 		disp := host.Disp
 		h.nic = NewNIC(host, "nic", model, h.cable, view.MAC{2, 0, 0, 0, 1, byte(i + 1)})
 		h.nic.SetRecvRef(disp.Ref(testRecvEvent))

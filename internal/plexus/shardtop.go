@@ -35,8 +35,9 @@ type ShardedTopology struct {
 
 // NewShardedTopology builds segs as independent shards joined through gw.
 // Every segment must be switched (a shared bus has no store-and-forward
-// element to terminate the uplink), and at least two segments are required —
-// a single segment has no boundary to shard at; use NewTopology.
+// element to terminate the uplink) and joined by one gateway link, and at
+// least two segments are required — a single segment has no boundary to
+// shard at; use NewTopology.
 func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedTopology, error) {
 	if len(segs) < 2 {
 		return nil, fmt.Errorf("plexus: sharded topology needs at least two segments")
@@ -57,6 +58,9 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 		if !spec.Switched {
 			return nil, fmt.Errorf("plexus: segment %s: sharded topologies require switched segments", spec.Name)
 		}
+		if spec.GatewayLinks > 1 {
+			return nil, fmt.Errorf("plexus: segment %s: sharded topologies build one gateway link per segment, not %d", spec.Name, spec.GatewayLinks)
+		}
 		segSim := sim.New(seed + 1 + int64(si))
 		segSim.SetSpanBase(sim.SpanBase(si + 1))
 		segShard := top.Engine.AddShard(segSim)
@@ -73,7 +77,7 @@ func NewShardedTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*ShardedT
 		if uplink == (netdev.Model{}) {
 			uplink = spec.Model
 		}
-		bnd := netdev.NewBoundary(gwSim, segSim, spec.Name+"/uplink", uplink)
+		bnd := netdev.NewBoundary(uplink)
 		if err := top.Gateway.addIface(gwSim, gw, seg, si, 0, uplink, bnd.LinkA()); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package plexus
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"plexus/internal/audit"
@@ -200,5 +201,19 @@ func TestShardedTopologyRejectsUnshardable(t *testing.T) {
 		{Name: "lan1", Model: netdev.EthernetModel(), Subnet: view.IP4{10, 0, 2, 0}},
 	}); err == nil {
 		t.Fatal("shared-bus segment in sharded topology did not error")
+	}
+}
+
+// TestShardedTopologyRejectsGatewayLinks: the sharded builder makes one
+// uplink per segment, so a spec asking for parallel gateway links is an
+// error that names the segment, not a silently single link.
+func TestShardedTopologyRejectsGatewayLinks(t *testing.T) {
+	gw := HostSpec{Name: "gw", Personality: osmodel.SPIN}
+	_, err := NewShardedTopology(1, &gw, []SegmentSpec{
+		{Name: "lan0", Model: netdev.EthernetModel(), Switched: true, Subnet: view.IP4{10, 0, 1, 0}},
+		{Name: "lan1", Model: netdev.EthernetModel(), Switched: true, Subnet: view.IP4{10, 0, 2, 0}, GatewayLinks: 2},
+	})
+	if err == nil || !strings.Contains(err.Error(), "lan1") {
+		t.Fatalf("GatewayLinks: 2 on a sharded segment: err = %v, want an error naming lan1", err)
 	}
 }

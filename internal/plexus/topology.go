@@ -41,7 +41,8 @@ type SegmentSpec struct {
 	Uplink netdev.Model
 	// GatewayLinks is the number of parallel gateway interfaces on this
 	// segment (default 1). Extra interfaces take addresses counting down
-	// from .253; a fabric ECMP rule spreads flows across them.
+	// from .253; a fabric ECMP rule spreads flows across them. Only
+	// NewTopology builds more than one; NewShardedTopology rejects it.
 	GatewayLinks int
 }
 
@@ -143,7 +144,7 @@ func NewTopology(seed int64, gw *HostSpec, segs []SegmentSpec) (*Topology, error
 		// interfaces count down from .253 — the equal-cost links an ECMP
 		// rule spreads flows across.
 		for k := 0; k < gwLinks; k++ {
-			if err := top.Gateway.addIface(s, gw, seg, si, k, spec.Model, seg.attach(s)); err != nil {
+			if err := top.Gateway.addIface(s, gw, seg, si, k, spec.Model, seg.attach()); err != nil {
 				return nil, err
 			}
 		}
@@ -178,7 +179,7 @@ func (seg *Segment) build(s *sim.Sim, si int, spec *SegmentSpec, gwLinks int) er
 	if spec.Switched {
 		seg.Switch = netdev.NewSwitch(s, spec.Name+"/sw", spec.Model, spec.Switch)
 	} else {
-		seg.Link = netdev.NewLink(s, spec.Name)
+		seg.Link = &netdev.Link{}
 	}
 	var gwAddr view.IP4
 	if gwLinks > 0 {
@@ -186,7 +187,7 @@ func (seg *Segment) build(s *sim.Sim, si int, spec *SegmentSpec, gwLinks int) er
 	}
 	for i, hs := range spec.Hosts {
 		idx := byte(i + 1)
-		st, err := NewStack(s, StackConfig{HostSpec: hs, Model: spec.Model, Link: seg.attach(s),
+		st, err := NewStack(s, StackConfig{HostSpec: hs, Model: spec.Model, Link: seg.attach(),
 			MAC: segMAC(si, idx), Addr: hostAddr(spec.Subnet, idx), Mask: mask24, Gateway: gwAddr})
 		if err != nil {
 			return fmt.Errorf("plexus: host %s: %w", hs.Name, err)
@@ -196,13 +197,13 @@ func (seg *Segment) build(s *sim.Sim, si int, spec *SegmentSpec, gwLinks int) er
 	return nil
 }
 
-// attach returns the link a new station on s joins seg by: the bus, or a
+// attach returns the link a new station joins seg by: the bus, or a
 // fresh cable into the switch.
-func (seg *Segment) attach(s *sim.Sim) *netdev.Link {
+func (seg *Segment) attach() *netdev.Link {
 	if seg.Switch == nil {
 		return seg.Link
 	}
-	cable := netdev.NewLink(s, seg.Name+"/cable")
+	cable := &netdev.Link{}
 	seg.Switch.AttachLink(cable)
 	seg.Cables = append(seg.Cables, cable)
 	return cable

@@ -101,7 +101,6 @@ type pendingTask struct {
 	prio  Priority
 	fn    func(*Task, any)
 	arg   any
-	seq   uint64
 }
 
 // callTask is the body SubmitAt submits: its argument is SubmitAt's closure,
@@ -125,8 +124,6 @@ func submitArrive(a any) {
 	sub.pt = pendingTask{}
 	sub.next = c.subFree
 	c.subFree = sub
-	pt.seq = c.seq
-	c.seq++
 	c.queue[pt.prio] = append(c.queue[pt.prio], pt)
 	if m := c.sim.metrics; m != nil {
 		depth := 0
@@ -144,7 +141,6 @@ func submitArrive(a any) {
 type CPU struct {
 	sim  *Sim
 	name string
-	seq  uint64
 	// queue[p][qhead[p]:] holds the pending tasks of priority p. Dequeue
 	// advances the head index instead of shifting the slice (a saturated
 	// CPU's backlog makes shifting quadratic); the dead prefix is compacted

@@ -64,14 +64,13 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // generation counter is bumped so stale Timer handles cannot touch the
 // recycled slot.
 type event struct {
-	at    Time
-	seq   uint64    // tie-break: FIFO among equal timestamps
-	gen   uint32    // recycle generation; Timers validate against it
-	fn    func(any) // runs as fn(arg); At passes its closure through callFn
-	arg   any
-	label string
-	dead  bool   // cancelled
-	next  *event // free-list link
+	at   Time
+	seq  uint64    // tie-break: FIFO among equal timestamps
+	gen  uint32    // recycle generation; Timers validate against it
+	fn   func(any) // runs as fn(arg); At passes its closure through callFn
+	arg  any
+	dead bool   // cancelled
+	next *event // free-list link
 }
 
 // eventBefore is the heap order: earliest timestamp first, FIFO within a
@@ -158,7 +157,6 @@ func (s *Sim) recycle(e *event) {
 	e.gen++
 	e.fn = nil
 	e.arg = nil
-	e.label = ""
 	e.dead = false
 	e.next = s.free
 	s.free = e
@@ -187,7 +185,6 @@ func (s *Sim) AtArg(at Time, label string, fn func(any), arg any) Timer {
 	e.seq = s.seq
 	e.fn = fn
 	e.arg = arg
-	e.label = label
 	s.seq++
 	s.push(e)
 	return Timer{ev: e, gen: e.gen}

@@ -116,7 +116,6 @@ type sndState struct {
 }
 
 type rcvState struct {
-	irs uint32
 	nxt uint32
 	wnd uint32
 }
@@ -241,7 +240,6 @@ type Conn struct {
 	binding    *event.Binding
 	listener   *Listener
 	stats      ConnStats
-	closedErr  error
 	dead       bool
 	// probeTag is the telemetry probe's opaque per-connection slot (cached
 	// series handles); see telemetry.go.
@@ -824,7 +822,6 @@ func (c *Conn) teardown(err error, cause Cause) {
 		return
 	}
 	c.dead = true
-	c.closedErr = err
 	c.setState(StateClosed, cause)
 	c.disarmRexmit()
 	c.ackTimer.Stop()

@@ -117,7 +117,6 @@ func (c *Conn) synSentInput(t *sim.Task, s seg) {
 	if s.flags&view.TCPSyn == 0 {
 		return
 	}
-	c.rcv.irs = s.seq
 	c.rcv.nxt = s.seq + 1
 	// SYN windows are unscaled; wl1/wl2 seed the freshness rule.
 	c.snd.wnd = s.wnd

@@ -238,7 +238,6 @@ func (m *Manager) noMatch(t *sim.Task, pkt *mbuf.Mbuf) {
 // Manager.payload.
 type seg struct {
 	src     view.IP4
-	dst     view.IP4
 	srcPort uint16
 	dstPort uint16
 	seq     uint32
@@ -293,7 +292,6 @@ func parseHdr(pkt *mbuf.Mbuf) (seg, bool) {
 	dataOff := tv.DataOff()
 	s := seg{
 		src:     ipv.Src(),
-		dst:     ipv.Dst(),
 		srcPort: tv.SrcPort(),
 		dstPort: tv.DstPort(),
 		seq:     tv.Seq(),
@@ -513,7 +511,6 @@ func (l *Listener) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	c := l.mgr.newConn(l.port, s.src, s.srcPort)
 	c.listener = l
 	c.setState(StateListen, userCause(CauseListen))
-	c.rcv.irs = s.seq
 	c.rcv.nxt = s.seq + 1
 	// A SYN's window is never scaled (RFC 7323 §2.2); wl1/wl2 seed the
 	// window-update freshness rule.

@@ -1,5 +1,5 @@
 // Package telemetry is the deterministic time-series plane: a simulated-time
-// sampling engine that fires named probes on a fixed interval and appends
+// sampling engine that fires probes on a fixed interval and appends
 // their observations into preallocated overwrite-oldest series rings.
 //
 // The design follows the flight recorder (internal/stats) discipline:
@@ -89,12 +89,6 @@ func (s *Sample) At() sim.Time { return s.at }
 // Observe appends v to se at the tick's timestamp.
 func (s *Sample) Observe(se *Series, v int64) { se.push(s.at, v) }
 
-// probe is one registered sampling callback.
-type probe struct {
-	name string
-	fn   func(*Sample)
-}
-
 // Options configures an Engine.
 type Options struct {
 	// Interval is the sampling period; 0 means 1ms.
@@ -117,7 +111,7 @@ type Engine struct {
 	interval  sim.Time
 	seriesCap int // seriesPoints; the tests shrink it
 
-	probes []probe
+	probes []func(*Sample)
 	series []*Series
 	byKey  map[string]*Series
 
@@ -151,10 +145,10 @@ func (e *Engine) Interval() sim.Time { return e.interval }
 // Ticks reports how many sampling rounds have fired.
 func (e *Engine) Ticks() uint64 { return e.ticks }
 
-// Register adds a named probe. Probes fire in registration order on every
-// tick; name is diagnostic only. Registration is a setup-time operation.
-func (e *Engine) Register(name string, fn func(*Sample)) {
-	e.probes = append(e.probes, probe{name: name, fn: fn})
+// Register adds a probe. Probes fire in registration order on every tick.
+// Registration is a setup-time operation.
+func (e *Engine) Register(fn func(*Sample)) {
+	e.probes = append(e.probes, fn)
 }
 
 // Series returns (creating if needed) the series for name on host with the
@@ -217,8 +211,8 @@ func (e *Engine) Stop() { e.running = false }
 func (e *Engine) Tick() {
 	e.ticks++
 	e.sample.at = e.sim.Now()
-	for i := range e.probes {
-		e.probes[i].fn(&e.sample)
+	for _, fn := range e.probes {
+		fn(&e.sample)
 	}
 	e.evalRules(e.sample.at)
 }

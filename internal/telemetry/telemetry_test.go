@@ -19,7 +19,7 @@ func newTestEngine(interval sim.Time, cap int) (*sim.Sim, *Engine, *counterSourc
 	}
 	src := &counterSource{}
 	se := e.Series("test.counter", "a", "")
-	e.Register("test", func(sm *Sample) { sm.Observe(se, src.v) })
+	e.Register(func(sm *Sample) { sm.Observe(se, src.v) })
 	return s, e, src
 }
 
@@ -102,7 +102,7 @@ func TestTickIsZeroAlloc(t *testing.T) {
 	// A second series plus one rule of each kind, so the pinned path covers
 	// rule evaluation too.
 	se2 := e.Series("test.gauge", "a", "k=v")
-	e.Register("test2", func(sm *Sample) { sm.Observe(se2, src.v*2) })
+	e.Register(func(sm *Sample) { sm.Observe(se2, src.v*2) })
 	e.Watch(Rule{Name: "np", Kind: RuleNoProgress, Watch: se2, Window: 5 * sim.Millisecond})
 	e.Watch(Rule{Name: "pin", Kind: RulePinnedAtCap, Watch: se2, Threshold: 1 << 40, Window: sim.Millisecond})
 	e.Watch(Rule{Name: "near", Kind: RuleNearCap, Watch: se2, Threshold: 1 << 40, Pct: 95})
@@ -119,7 +119,7 @@ func TestWatchdogNoProgress(t *testing.T) {
 	acked := e.Series("tcp.acked_bytes", "b", "conn=80-10.0.0.1:5001")
 	inflight := e.Series("tcp.bytes_in_flight", "b", "conn=80-10.0.0.1:5001")
 	var ack, fly int64
-	e.Register("tcp", func(sm *Sample) {
+	e.Register(func(sm *Sample) {
 		sm.Observe(acked, ack)
 		sm.Observe(inflight, fly)
 	})
@@ -168,7 +168,7 @@ func TestWatchdogPinnedAtCap(t *testing.T) {
 	e := New(s, Options{Interval: sim.Millisecond})
 	depth := e.Series("switch.queue_depth", "sw0", "port=2")
 	var d int64
-	e.Register("sw", func(sm *Sample) { sm.Observe(depth, d) })
+	e.Register(func(sm *Sample) { sm.Observe(depth, d) })
 	e.Watch(Rule{Name: "switch.queue_pinned", Kind: RulePinnedAtCap,
 		Watch: depth, Threshold: 64, Window: 5 * sim.Millisecond})
 	e.Start()
@@ -203,7 +203,7 @@ func TestWatchdogNearCap(t *testing.T) {
 	e := New(s, Options{Interval: sim.Millisecond})
 	hw := e.Series("mbuf.high_water", "a", "")
 	var v int64
-	e.Register("mbuf", func(sm *Sample) { sm.Observe(hw, v) })
+	e.Register(func(sm *Sample) { sm.Observe(hw, v) })
 	e.Watch(Rule{Name: "mbuf.near_cap", Kind: RuleNearCap, Watch: hw, Threshold: 1000, Pct: 95})
 	e.Start()
 
@@ -227,7 +227,7 @@ func buildDump(t *testing.T) ([]byte, uint64) {
 	t.Helper()
 	s, e, src := newTestEngine(sim.Millisecond, 8)
 	extra := e.Series("test.gauge", "b", "port=3")
-	e.Register("extra", func(sm *Sample) { sm.Observe(extra, src.v+1) })
+	e.Register(func(sm *Sample) { sm.Observe(extra, src.v+1) })
 	e.Start()
 	for i := 1; i <= 20; i++ {
 		src.v = int64(i * i)

@@ -22,7 +22,7 @@ func AttachPool(e *Engine, host string, p *mbuf.Pool, capMbufs int64) {
 	inUse := e.Series("mbuf.in_use", host, "")
 	clusters := e.Series("mbuf.clusters_in_use", host, "")
 	hiWater := e.Series("mbuf.high_water", host, "")
-	e.Register("mbuf:"+host, func(s *Sample) {
+	e.Register(func(s *Sample) {
 		g := p.Gauge()
 		s.Observe(inUse, g.InUse)
 		s.Observe(clusters, g.InUseClusters)
@@ -44,11 +44,11 @@ func AttachLink(e *Engine, name string, l *netdev.Link) {
 	bytes := e.Series("link.tx_bytes", name, "")
 	busy := e.Series("link.busy_ns", name, "")
 	drops := e.Series("link.drops", name, "")
-	e.Register("link:"+name, func(s *Sample) {
+	e.Register(func(s *Sample) {
 		s.Observe(frames, int64(l.Frames()))
 		s.Observe(bytes, int64(l.Bytes()))
 		s.Observe(busy, int64(l.BusyTime()))
-		s.Observe(drops, int64(l.Dropped()+l.DownDrops()))
+		s.Observe(drops, int64(l.Dropped()))
 	})
 }
 
@@ -72,7 +72,7 @@ func AttachSwitch(e *Engine, sw *netdev.Switch, pinWindow sim.Time) {
 			})
 		}
 	}
-	e.Register("switch:"+sw.Name(), func(s *Sample) {
+	e.Register(func(s *Sample) {
 		now := s.At()
 		for i, p := range ports {
 			s.Observe(depth[i], int64(p.QueueDepth(now)))
@@ -87,7 +87,7 @@ func AttachSwitch(e *Engine, sw *netdev.Switch, pinWindow sim.Time) {
 // series the sharded scale experiments watch for imbalance.
 func AttachSimQueue(e *Engine, name string, s *sim.Sim) {
 	depth := e.Series("sim.queue_depth", name, "")
-	e.Register("simq:"+name, func(sm *Sample) {
+	e.Register(func(sm *Sample) {
 		sm.Observe(depth, int64(s.QueueLen()))
 	})
 }
@@ -192,7 +192,7 @@ func (tp *tcpProbe) sweep(s *Sample) {
 // tick over N established connections allocates nothing.
 func AttachTCP(e *Engine, m *tcp.Manager, opts TCPOptions) {
 	tp := &tcpProbe{eng: e, mgr: m, opts: opts}
-	e.Register("tcp:"+m.HostName(), func(s *Sample) {
+	e.Register(func(s *Sample) {
 		tp.s = s
 		tp.gen++
 		m.EachConn(tp.visit)

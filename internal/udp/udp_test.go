@@ -19,6 +19,17 @@ func spin(name string) plexus.HostSpec {
 	return plexus.HostSpec{Name: name, Personality: osmodel.SPIN, Dispatch: osmodel.DispatchInterrupt}
 }
 
+// mangle is a test netdev.Impairment that edits every transmitted frame in
+// place.
+type mangle func(wire []byte)
+
+func (mangle) Down() bool { return false }
+
+func (m mangle) Frame(wire []byte) (bool, sim.Time, bool) {
+	m(wire)
+	return false, 0, false
+}
+
 func pair(t *testing.T) (*plexus.Network, *plexus.Stack, *plexus.Stack) {
 	t.Helper()
 	n, a, b, err := plexus.TwoHosts(1, netdev.EthernetModel(), spin("a"), spin("b"))
@@ -207,11 +218,11 @@ func TestChecksumValidationDrops(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	n.Link.SetMangleFn(func(wire []byte) {
+	n.Link.Impair(mangle(func(wire []byte) {
 		if len(wire) > 45 {
 			wire[45] ^= 0x01 // flip a payload bit; UDP checksum must catch it
 		}
-	})
+	}))
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -239,11 +250,11 @@ func TestChecksumDisabledMissesCorruption(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	n.Link.SetMangleFn(func(wire []byte) {
+	n.Link.Impair(mangle(func(wire []byte) {
 		if len(wire) > 45 {
 			wire[45] ^= 0x01
 		}
-	})
+	}))
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{DisableChecksum: true}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -266,10 +266,8 @@ func optionFields(m *reachModule) map[*types.Var]string {
 }
 
 // TestOptionsRead is TestOptionsSet's converse: every option field must be
-// read by non-test code, or setting it changes nothing. A read is a
-// selector that is not the left side of =; an embedded field is read when a
-// field or method promoted through it is used. Delete the field nothing
-// reads.
+// read by non-test code, or setting it changes nothing. What counts as a
+// read is fieldReads'. Delete the field nothing reads.
 func TestOptionsRead(t *testing.T) {
 	unread, n, err := unreadOptions(".", "plexus")
 	if err != nil {
@@ -312,17 +310,148 @@ func unreadOptions(dir, module string) ([]deadDecl, int, error) {
 		return nil, 0, err
 	}
 	fields := optionFields(m)
-	read := map[*types.Var]bool{}
+	return unreadOf(fields, fieldReads(m)), len(fields), nil
+}
+
+// fieldsAllow names the unexported fields TestFieldsRead keeps although no
+// non-test code reads them, each with the reason it stays.
+var fieldsAllow = map[string]string{
+	"benchmark.report.values": "benchmark/ keeps what a run produced beside the declared metrics; it waits for a change to benchmark/",
+}
+
+// TestFieldsRead is the dead-state gate. Every unexported field of a named
+// struct in non-test code must be read by non-test code, as fieldReads
+// counts reads. A field only written, or only accumulated, is state
+// nothing consults. Delete it, or allowlist it with a reason.
+func TestFieldsRead(t *testing.T) {
+	unread, err := unreadFields(".", "plexus", fieldsAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unread) > 0 {
+		report := make([]string, len(unread))
+		for i, d := range unread {
+			report[i] = fmt.Sprintf("%s: %s", d.pos, d.name)
+		}
+		t.Errorf("%d unexported fields no non-test code reads; delete them, or allowlist them with a reason:\n\t%s",
+			len(report), strings.Join(report, "\n\t"))
+	}
+}
+
+// TestFieldsReadFixture runs the gate over testdata/reach: Counter has one
+// field nothing reads, one only accumulated with +=, and one read only
+// through its struct's use as a map key. Only the first two may be
+// reported.
+func TestFieldsReadFixture(t *testing.T) {
+	unread, err := unreadFields(filepath.Join("testdata", "reach"), "reachfix", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range unread {
+		got = append(got, d.name)
+	}
+	if want := []string{"a.Counter.note", "a.Counter.total"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("unread = %v, want %v", got, want)
+	}
+}
+
+// unreadFields loads the module rooted at dir and returns, in source order,
+// the unexported fields of its non-test named structs that its non-test
+// code never reads. The names in allow (pkg.Type.field) count as read; each
+// must name an unread field.
+func unreadFields(dir, module string, allow map[string]string) ([]deadDecl, error) {
+	m, err := loadModule(dir, module)
+	if err != nil {
+		return nil, err
+	}
+	fields := map[*types.Var]string{}
 	for _, p := range m.pkgs {
+		for _, obj := range p.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); !f.Exported() && f.Name() != "_" {
+					fields[f] = path.Base(p.pkg.Path()) + "." + tn.Name() + "." + f.Name()
+				}
+			}
+		}
+	}
+	read := fieldReads(m)
+	byName := map[string]*types.Var{}
+	for f, name := range fields {
+		byName[name] = f
+	}
+	for name := range allow {
+		f := byName[name]
+		if f == nil || read[f] {
+			return nil, fmt.Errorf("allowlisted field %s is gone or read: drop it from the allowlist", name)
+		}
+		read[f] = true
+	}
+	return unreadOf(fields, read), nil
+}
+
+// unreadOf returns, in source order, the fields not in read.
+func unreadOf(fields map[*types.Var]string, read map[*types.Var]bool) []deadDecl {
+	var unread []deadDecl
+	for f, name := range fields {
+		if !read[f] {
+			unread = append(unread, deadDecl{pos: reachFset.Position(f.Pos()), name: name})
+		}
+	}
+	sortDecls(unread)
+	return unread
+}
+
+// fieldReads returns the struct fields m's non-test code reads. A read is a
+// selector that is not the whole left side of =, op= or ++/--; an embedded
+// field is read when a field or method promoted through it is used; and a
+// struct compared with == or != or used as a map key has every field read,
+// the fields of its struct-valued fields included.
+func fieldReads(m *reachModule) map[*types.Var]bool {
+	read := map[*types.Var]bool{}
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Array:
+			readAll(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				f := u.Field(i)
+				read[f.Origin()] = true
+				readAll(f.Type())
+			}
+		}
+	}
+	for _, p := range m.pkgs {
+		for _, tv := range p.info.Types {
+			if mt, ok := tv.Type.Underlying().(*types.Map); ok {
+				readAll(mt.Key())
+			}
+		}
 		for _, file := range p.files {
 			written := map[ast.Expr]bool{}
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					if n.Tok == token.ASSIGN {
+					if n.Tok != token.DEFINE {
 						for _, lhs := range n.Lhs {
 							written[ast.Unparen(lhs)] = true
 						}
+					}
+				case *ast.IncDecStmt:
+					written[ast.Unparen(n.X)] = true
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(p.info.Types[n.X].Type)
+						readAll(p.info.Types[n.Y].Type)
 					}
 				case *ast.SelectorExpr:
 					sel := p.info.Selections[n]
@@ -347,14 +476,7 @@ func unreadOptions(dir, module string) ([]deadDecl, int, error) {
 			})
 		}
 	}
-	var unread []deadDecl
-	for f, name := range fields {
-		if !read[f] {
-			unread = append(unread, deadDecl{pos: reachFset.Position(f.Pos()), name: name})
-		}
-	}
-	sortDecls(unread)
-	return unread, len(fields), nil
+	return read
 }
 
 // A deadDecl is a package-level declaration that no root reaches.

@@ -53,3 +53,23 @@ func New(o Options) Spec {
 	}
 	return Spec{Config{Width: o.Size, Mirror: o.Depth}}
 }
+
+// Counter is the field gate's fixture: note is only written, total is only
+// accumulated, and key's name is read only through key's use as a map key.
+type Counter struct {
+	note  string
+	total int
+}
+
+type key struct{ name string }
+
+// Count returns how many distinct names it is given.
+func (c *Counter) Count(names ...string) int {
+	c.note = "counted"
+	seen := map[key]bool{}
+	for _, n := range names {
+		seen[key{n}] = true
+		c.total += len(n)
+	}
+	return len(seen)
+}

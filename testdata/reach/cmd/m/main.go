@@ -9,5 +9,6 @@ import (
 
 func main() {
 	s := a.New(a.Options{Size: 3, Label: "m"})
-	fmt.Println(a.Total(a.NewSquare(2)), s.Width, s.Mirror)
+	var c a.Counter
+	fmt.Println(a.Total(a.NewSquare(2)), s.Width, s.Mirror, c.Count("x", "y", "x"))
 }
