@@ -150,7 +150,7 @@ func benchDispatch(b *testing.B, guards int, keyed bool) {
 	if _, err := d.Install("E", nil, event.Proc("h", func(*sim.Task, *mbuf.Mbuf) {}), 0); err != nil {
 		b.Fatal(err)
 	}
-	m := mbuf.DefaultPool().FromBytes(make([]byte, 64), 16)
+	m := mbuf.NewPool().FromBytes(make([]byte, 64), 16)
 	defer m.Free()
 	var task *sim.Task
 	cpu.Submit(sim.PrioKernel, "bench", func(t *sim.Task) { task = t })

@@ -21,7 +21,7 @@ func run(t *testing.T, fn func(task *sim.Task)) *sim.Sim {
 
 func pkt(t *testing.T, firstByte byte) *mbuf.Mbuf {
 	t.Helper()
-	m := mbuf.DefaultPool().FromBytes([]byte{firstByte, 2, 3, 4}, 16)
+	m := mbuf.NewPool().FromBytes([]byte{firstByte, 2, 3, 4}, 16)
 	t.Cleanup(m.Free)
 	return m
 }

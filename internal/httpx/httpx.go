@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -217,16 +218,31 @@ func fields3(s string) (f [3]string, ok bool) {
 // Result is a fetched response.
 type Result struct {
 	Status int
-	Body   []byte
+	// Body aliases the client's receive buffer, which is recycled for the
+	// next GET once done returns: it is valid only during done, as OnRecv
+	// data is only during OnRecv. Copy it to keep it.
+	Body []byte
 	// Latency is request-sent to response-complete.
 	Latency sim.Time
 }
 
 // get is one GET in flight.
 type get struct {
-	raw      []byte
+	// raw accumulates the response; it comes from rawBufs and goes back
+	// when the GET finishes.
+	raw      *[]byte
 	started  sim.Time
 	finished bool
+}
+
+// rawBufs recycles response buffers from one GET to the next.
+var rawBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// release returns the response buffer to rawBufs.
+func (g *get) release() {
+	*g.raw = (*g.raw)[:0]
+	rawBufs.Put(g.raw)
+	g.raw = nil
 }
 
 // Get issues an HTTP/1.0 GET from the client host and delivers the parsed
@@ -235,7 +251,7 @@ type get struct {
 // close error when the connection ends without one (reset, or no answer to
 // the SYN).
 func Get(t *sim.Task, client *plexus.Stack, server view.IP4, port uint16, path string, done func(t *sim.Task, r Result, err error)) error {
-	g := &get{}
+	g := &get{raw: rawBufs.Get().(*[]byte)}
 	_, err := client.ConnectTCP(t, server, port, plexus.TCPAppOptions{
 		OnEstablished: func(t2 *sim.Task, conn *plexus.TCPApp) {
 			g.started = t2.Now()
@@ -248,7 +264,11 @@ func Get(t *sim.Task, client *plexus.Stack, server view.IP4, port uint16, path s
 			_ = conn.Send(t2, req)
 		},
 		OnRecv: func(t2 *sim.Task, conn *plexus.TCPApp, data []byte) {
-			g.raw = append(g.raw, data...)
+			// A monolithic host's woken process can deliver data after a
+			// reset already ended the GET; nothing reads it then.
+			if !g.finished {
+				*g.raw = append(*g.raw, data...)
+			}
 		},
 		OnPeerFin: func(t2 *sim.Task, conn *plexus.TCPApp) {
 			if g.finished {
@@ -256,9 +276,10 @@ func Get(t *sim.Task, client *plexus.Stack, server view.IP4, port uint16, path s
 			}
 			g.finished = true
 			conn.Close(t2)
-			r, perr := parseResponse(g.raw)
+			r, perr := parseResponse(*g.raw)
 			r.Latency = t2.Now() - g.started
 			done(t2, r, perr)
+			g.release()
 		},
 		OnClose: func(conn *plexus.TCPApp, err error) {
 			if g.finished {
@@ -267,6 +288,7 @@ func Get(t *sim.Task, client *plexus.Stack, server view.IP4, port uint16, path s
 			// The connection died before the server's FIN. The close
 			// arrives outside any task, so done runs in one of its own.
 			g.finished = true
+			g.release()
 			client.Spawn("http-get-fail", func(t2 *sim.Task) { done(t2, Result{}, err) })
 		},
 	})

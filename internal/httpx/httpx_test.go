@@ -1,6 +1,7 @@
 package httpx
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -44,7 +45,9 @@ func TestHTTPGet(t *testing.T) {
 	calls := 0
 	client.Spawn("get", func(task *sim.Task) {
 		err := Get(task, client, server.Addr(), 80, "/", func(t2 *sim.Task, r Result, err error) {
+			// Body is valid only during done.
 			res, gotErr = r, err
+			res.Body = bytes.Clone(r.Body)
 			calls++
 		})
 		if err != nil {
@@ -97,7 +100,7 @@ func TestHTTPLargeBodySpansSegments(t *testing.T) {
 	var gotErr error
 	client.Spawn("get", func(task *sim.Task) {
 		_ = Get(task, client, server.Addr(), 80, "/big", func(t2 *sim.Task, r Result, err error) {
-			body, gotErr = r.Body, err
+			body, gotErr = bytes.Clone(r.Body), err
 		})
 	})
 	n.Sim.RunUntil(5 * 60 * sim.Second)

@@ -15,7 +15,6 @@ package mbuf
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Buffer geometry, in the spirit of 4.4BSD.
@@ -77,10 +76,11 @@ type Mbuf struct {
 }
 
 // Pool allocates and recycles mbufs, keeping the statistics BSD's mbstat
-// exposes. A Pool is safe for concurrent use, although the simulator is
-// single-threaded; tests may exercise pools in parallel.
+// exposes. A Pool has one owner, like the Sim that drives it: each host has
+// its own, used only by the goroutine running that host's Sim. Pools never
+// cross shards — a boundary coupling carries a byte snapshot, not an mbuf —
+// so a Pool takes no lock.
 type Pool struct {
-	mu        sync.Mutex
 	freeSmall []*Mbuf
 	freeClust []*cluster
 	stats     Stats
@@ -111,8 +111,6 @@ type Gauge struct {
 
 // Gauge returns the pool's live-buffer gauge.
 func (p *Pool) Gauge() Gauge {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return Gauge{
 		InUse:             p.stats.InUse,
 		InUseClusters:     p.stats.InUseClusters,
@@ -124,24 +122,14 @@ func (p *Pool) Gauge() Gauge {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// defaultPool backs the package-level helpers.
-var defaultPool = NewPool()
-
-// DefaultPool returns the shared package-level pool.
-func DefaultPool() *Pool { return defaultPool }
-
 // Stats returns a snapshot of pool counters.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stats
 }
 
-// get hands out a small mbuf, attaching a recycled (or, outside the lock, a
-// freshly made) cluster when withCluster is set. One lock acquisition covers
-// both free lists and all stat updates.
+// get hands out a small mbuf, attaching a recycled or freshly made cluster
+// when withCluster is set.
 func (p *Pool) get(withCluster bool) *Mbuf {
-	p.mu.Lock()
 	var m *Mbuf
 	if n := len(p.freeSmall); n > 0 {
 		m = p.freeSmall[n-1]
@@ -170,11 +158,9 @@ func (p *Pool) get(withCluster bool) *Mbuf {
 			c.refs = 1
 			m.clust = c
 			p.stats.Recycled++
+		} else {
+			m.clust = &cluster{buf: make([]byte, MCLBYTES), refs: 1}
 		}
-	}
-	p.mu.Unlock()
-	if withCluster && m.clust == nil {
-		m.clust = &cluster{buf: make([]byte, MCLBYTES), refs: 1}
 	}
 	return m
 }
@@ -616,7 +602,6 @@ func (m *Mbuf) release() {
 		m.clust = nil
 	}
 	p := m.pool
-	p.mu.Lock()
 	p.stats.Free++
 	p.stats.InUse--
 	if c != nil && c.refs == 0 {
@@ -630,7 +615,6 @@ func (m *Mbuf) release() {
 	if c != nil && c.refs == 0 && len(p.freeClust) < 256 {
 		p.freeClust = append(p.freeClust, c)
 	}
-	p.mu.Unlock()
 }
 
 // Free returns the whole chain to its pool. Using a chain after Free is a

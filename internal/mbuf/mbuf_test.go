@@ -495,14 +495,6 @@ func TestDoubleFreePanics(t *testing.T) {
 	m.Free()
 }
 
-func TestDefaultPool(t *testing.T) {
-	m := DefaultPool().FromBytes(payload(10), 0)
-	if m.PktLen() != 10 {
-		t.Fatal("default pool broken")
-	}
-	m.Free()
-}
-
 func TestHdrAccessors(t *testing.T) {
 	p := NewPool()
 	m := p.FromBytes(payload(10), 0)

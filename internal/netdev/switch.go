@@ -96,7 +96,6 @@ type Switch struct {
 	macs    map[view.MAC]macEntry
 	stats   SwitchStats
 	jobFree *swJob
-	inLabel string
 }
 
 // Port is one switch port: the attachment point joining the fabric to a
@@ -145,7 +144,6 @@ func NewSwitch(s *sim.Sim, name string, model Model, cfg SwitchConfig) *Switch {
 		ageTime: MACAgeTime,
 		red:     cfg.RED,
 		macs:    make(map[view.MAC]macEntry),
-		inLabel: "switch:" + name,
 	}
 }
 
@@ -215,7 +213,7 @@ func (p *Port) deliverAt(at sim.Time, f *frame) {
 	}
 	j.port = p
 	j.f = f
-	sw.sim.AtArg(at, sw.inLabel, switchIngress, j)
+	sw.sim.AtArg(at, "switch-ingress", switchIngress, j)
 }
 
 // switchIngress is the ingress-processing body, a package-level func so that

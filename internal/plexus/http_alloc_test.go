@@ -12,14 +12,15 @@ import (
 
 // maxGetAllocs is what one warm HTTP/1.0 GET allocates (67 before parsing
 // and formatting worked in place and send rings were recycled, 33 before a
-// TCPApp became its connection's tcp.App). About 9 are simulator events:
-// every GET leaves two TIME-WAIT timers pending for 60 simulated seconds,
-// far longer than the test runs, so the event free list never refills. The
-// rest are per connection — the TCB, its congestion controller, handler
-// name and binding on both hosts, the TCPApp on both hosts, the growth of
-// the tables TIME-WAIT fills — and per request: the GET's state and
-// callbacks, the received bytes, the request-line string and the Request.
-const maxGetAllocs = 29
+// TCPApp became its connection's tcp.App, 29 before the client recycled its
+// response buffer). About 9 are simulator events: every GET leaves two
+// TIME-WAIT timers pending for 60 simulated seconds, far longer than the
+// test runs, so the event free list never refills. The rest are per
+// connection — the TCB, its congestion controller, handler name and binding
+// on both hosts, the TCPApp on both hosts, the growth of the tables
+// TIME-WAIT fills — and per request: the GET's state and callbacks, the
+// request-line string and the Request.
+const maxGetAllocs = 28
 
 // TestHTTPGetAllocs pins the allocations of one complete GET — connect,
 // request, response, close — between two in-kernel hosts, once warm. It

@@ -158,18 +158,16 @@ type CPU struct {
 	// Allocation-free dispatch machinery: pooled submissions, a pooled
 	// Task (at most one task body runs per CPU at a time — the model is
 	// run-to-completion — so a small free list suffices), and the
-	// completion callback/label materialized once instead of per task.
-	subFree   *submission
-	taskFree  *Task
-	kickFn    func()
-	nextLabel string
+	// completion callback materialized once instead of per task.
+	subFree  *submission
+	taskFree *Task
+	kickFn   func()
 }
 
 // NewCPU creates a processor attached to s.
 func NewCPU(s *Sim, name string) *CPU {
 	c := &CPU{sim: s, name: name}
 	c.kickFn = c.kick
-	c.nextLabel = "cpu-next:" + name
 	return c
 }
 
@@ -275,7 +273,7 @@ func (c *CPU) runTask(start Time, pt pendingTask) {
 	// The CPU is occupied until freeAt; dispatch the next queued task then.
 	// kick re-checks freeAt: if another task slipped in at this timestamp
 	// and advanced it, that task's own completion event takes over.
-	c.sim.At(c.freeAt, c.nextLabel, c.kickFn)
+	c.sim.At(c.freeAt, "cpu-next", c.kickFn)
 }
 
 // Busy returns total busy time since creation.

@@ -282,6 +282,10 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16) 
 	}
 	c.binding = b
 	m.conns[connKey{localPort, remote, remotePort}] = c
+	if m.portConns == nil {
+		m.portConns = make(map[uint16]int)
+	}
+	m.portConns[localPort]++
 	m.connList = append(m.connList, c)
 	return c
 }
@@ -831,6 +835,11 @@ func (c *Conn) teardown(err error, cause Cause) {
 	c.releaseSndBuf()
 	c.mgr.host.Disp.Uninstall(c.binding)
 	delete(c.mgr.conns, connKey{c.localPort, c.remoteAddr, c.remotePort})
+	if n := c.mgr.portConns[c.localPort]; n > 1 {
+		c.mgr.portConns[c.localPort] = n - 1
+	} else {
+		delete(c.mgr.portConns, c.localPort)
+	}
 	for i, lc := range c.mgr.connList {
 		if lc == c {
 			c.mgr.connList = append(c.mgr.connList[:i], c.mgr.connList[i+1:]...)

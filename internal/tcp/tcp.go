@@ -81,6 +81,12 @@ type Manager struct {
 	// allocation-free iteration the telemetry probe samples through (map
 	// order would vary run to run).
 	connList []*Conn
+	// portConns counts the live TCBs on each local port, so allocPort and
+	// Claim test a port with one lookup: a passive open shares its
+	// listener's port, and TIME-WAIT holds its port until teardown. It
+	// changes only where conns gains or loses an entry (newConn, teardown)
+	// and is nil until the first connection.
+	portConns map[uint16]int
 	// claimed ports are owned by another implementation of TCP installed
 	// in the graph (paper §3.1: TCP-standard's guard processes all TCP
 	// packets but those destined for TCP-special); segments to or from
@@ -179,10 +185,8 @@ func (m *Manager) Claim(port uint16) error {
 	if _, used := m.listeners[port]; used {
 		return fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
-	for k := range m.conns {
-		if k.localPort == port {
-			return fmt.Errorf("%w: %d", ErrPortInUse, port)
-		}
+	if m.portConns[port] > 0 {
+		return fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
 	if m.claimed == nil {
 		m.claimed = make(map[uint16]bool)
@@ -425,17 +429,7 @@ func (m *Manager) allocPort() (uint16, error) {
 		if m.nextPort == 49152 {
 			m.nextPort = 32768
 		}
-		if _, used := m.listeners[p]; used || m.claimed[p] {
-			continue
-		}
-		inUse := false
-		for k := range m.conns {
-			if k.localPort == p {
-				inUse = true
-				break
-			}
-		}
-		if !inUse {
+		if _, used := m.listeners[p]; !used && !m.claimed[p] && m.portConns[p] == 0 {
 			return p, nil
 		}
 	}

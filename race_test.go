@@ -1,0 +1,6 @@
+//go:build race
+
+package repro
+
+// raceEnabled reports a -race build.
+const raceEnabled = true
