@@ -166,7 +166,7 @@ func BenchmarkDispatch8Guards(b *testing.B)  { benchDispatch(b, 8, false) }
 func BenchmarkDispatch64Guards(b *testing.B) { benchDispatch(b, 64, false) }
 
 // BenchmarkDispatchKeyed raises past one run of rejecting keyed bindings:
-// the run's index makes 4,096 of them cost about what 64 do on the host,
+// the event's key index makes 4,096 of them cost about what 64 do on the host,
 // while the simulated charge stays one GuardEval each.
 func BenchmarkDispatchKeyed(b *testing.B) {
 	for _, n := range []int{64, 4096} {

@@ -42,6 +42,13 @@ const (
 // it costs the host, in the two counts that repeat from run to run (time
 // does not). On a failure, or on another toolchain, it prints the measured
 // file to commit with the change that moved it.
+//
+// The sweeps run on one P (GOMAXPROCS 1) so that the counts are the sweep's
+// own: with more Ps, the runtime may start an OS thread inside a measured
+// window on a busy machine, heap-allocating its m, g0, gsignal and profiling
+// stacks (5,248 B on go1.24 linux/amd64, fig5 +1.2 %), and a goroutine that
+// moves between Ps misses the sync.Pool entries left in the other P's
+// private slot.
 func TestHostCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector allocation counts are not the program's: its runtime drops sync.Pool entries at random and allocates more (fig6 a third more objects)")
@@ -59,6 +66,7 @@ func TestHostCost(t *testing.T) {
 	got := hostCosts{Toolchain: runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH, Sweeps: map[string]hostCost{}}
 	defer bench.SetParallelism(0)
 	bench.SetParallelism(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var failures []string
 	for _, sw := range fencedSweeps() {
 		var before, after runtime.MemStats

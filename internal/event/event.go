@@ -25,14 +25,15 @@
 // An event whose bindings mostly demultiplex on an exact header match (a
 // transport's per-connection 4-tuple) may declare a key extractor, its
 // owner's code, run at most once per raise outside crash containment;
-// InstallKey installs a binding whose guard is an exact-match Key. Consecutive
-// keyed bindings form a run, one dispatch-list entry that indexes its members
-// by key, so a raise's host cost grows with closure guards and matches, not
-// keyed bindings. Simulated cost stays linear: a run charges n×GuardEval (one
-// ChargeProf per member with a sim.Metrics sink) and derives GuardRejects from
-// its scan count, so every charge, sample and counter is a closure guard's.
-// The index relies on guards being side-effect free: none installs or
-// uninstalls.
+// InstallKey installs a binding whose guard is an exact-match Key and which
+// holds the key until Uninstall: the event indexes each key's one binding.
+// Consecutive keyed bindings form a run, one dispatch-list entry; a raise
+// looks the key up once, so its host cost grows with closure guards and
+// matches, not keyed bindings. Simulated cost stays linear: a run charges
+// n×GuardEval (one ChargeProf per member with a sim.Metrics sink) and derives
+// GuardRejects from its scan count, so every charge, sample and counter is a
+// closure guard's. The index relies on guards being side-effect free: none
+// installs or uninstalls.
 //
 // # Crash containment and quarantine
 //
@@ -151,6 +152,8 @@ var (
 	// ErrNoKey reports a keyed install on an event that declares no key
 	// extractor.
 	ErrNoKey = errors.New("event: event declares no key")
+	// ErrKeyBound reports a keyed install on a key the event's index holds.
+	ErrKeyBound = errors.New("event: key already bound")
 )
 
 // BindingStats counts a binding's dispatch activity and its faults. The sum
@@ -179,14 +182,14 @@ func (s BindingStats) Faults() uint64 {
 type Binding struct {
 	event     *Ref
 	guard     Guard
-	key       Key      // a keyed binding's guard: the packet's extracted key must equal it
-	run       *keyRun  // the run holding a live keyed binding, or the run a run entry stands for
-	next      *Binding // the run's next binding with the same key, in install order
-	name      string   // the handler's diagnostic name
+	key       Key     // a keyed binding's guard: the packet's extracted key must equal it
+	run       *keyRun // the run holding a live keyed binding, or the run a run entry stands for
+	name      string  // the handler's diagnostic name
 	fn        HandlerFunc
 	allotment sim.Time // 0 = unlimited
-	// The flags share one word: a Binding stays in the 128-byte size class.
+	// The flags and slot share one word: a Binding stays in the 128-byte size class.
 	keyed, removed, quarantined bool
+	slot                        int32 // a live keyed binding's index in run.members
 	stats                       BindingStats
 }
 
@@ -220,10 +223,10 @@ type QuarantinePolicy struct {
 // keyRun is a run: consecutive keyed bindings of one event. Its entry is the
 // Binding that stands for it in the event's dispatch list.
 type keyRun struct {
-	entry    Binding
-	bindings []*Binding       // live members, in install order
-	index    map[Key]*Binding // first member with each key; later ones chain through next
-	scans    uint64           // raises that reached the run
+	entry   Binding
+	members []*Binding // in install order; nil where one was removed
+	live    int        // non-nil members
+	scans   uint64     // raises that reached the run
 }
 
 // add appends b to ev's dispatch order: into the run at its end if b is
@@ -233,25 +236,23 @@ func (ev *Ref) add(b *Binding) {
 		ev.bindings = append(ev.bindings, b)
 		return
 	}
+	if ev.index == nil {
+		ev.index = make(map[Key]*Binding)
+	}
+	ev.index[b.key] = b
 	var r *keyRun
 	if n := len(ev.bindings); n > 0 && ev.bindings[n-1].keyed {
 		r = ev.bindings[n-1].run
 	} else {
-		r = &keyRun{index: make(map[Key]*Binding)}
+		r = &keyRun{}
 		r.entry = Binding{keyed: true, run: r}
 		ev.bindings = append(ev.bindings, &r.entry)
 	}
 	b.run = r
 	b.stats.GuardRejects -= r.scans
-	r.bindings = append(r.bindings, b)
-	if h := r.index[b.key]; h == nil {
-		r.index[b.key] = b
-	} else {
-		for h.next != nil {
-			h = h.next
-		}
-		h.next = b
-	}
+	b.slot = int32(len(r.members))
+	r.members = append(r.members, b)
+	r.live++
 }
 
 // Dispatcher routes raised events to installed handlers.
@@ -265,9 +266,6 @@ type Dispatcher struct {
 	// the per-raise snapshot does not allocate in steady state. Indexed by
 	// depth-1; nested raises each get their own buffer.
 	scratch [][]*Binding
-	// spill is, per raise depth, matched's buffer once a raise's runs accept
-	// more bindings than the snapshot has room for (see scanRun).
-	spill [][]*Binding
 	// quar is the quarantine policy; zero value = disabled.
 	quar QuarantinePolicy
 	// ejected retains quarantined bindings (already detached from their
@@ -321,8 +319,10 @@ func (d *Dispatcher) Health() Health {
 				acc(b)
 				continue
 			}
-			for _, kb := range b.run.bindings {
-				acc(kb)
+			for _, kb := range b.run.members {
+				if kb != nil {
+					acc(kb)
+				}
 			}
 		}
 	}
@@ -357,7 +357,8 @@ func (d *Dispatcher) Install(name Name, guard Guard, h Handler, allotment sim.Ti
 
 // InstallKey is Install with an exact-match guard: the binding matches the
 // packets whose key, as the event's declared extractor computes it, equals
-// key. It fails with ErrNoKey if the event declares no extractor.
+// key, and holds key until Uninstall. It fails with ErrNoKey if the event
+// declares no extractor, and with ErrKeyBound if another binding holds key.
 func (d *Dispatcher) InstallKey(name Name, key Key, h Handler, allotment sim.Time) (*Binding, error) {
 	return d.install(name, &Binding{keyed: true, key: key}, h, allotment)
 }
@@ -371,6 +372,9 @@ func (d *Dispatcher) install(name Name, b *Binding, h Handler, allotment sim.Tim
 	}
 	if b.keyed && ev.opts.Key == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoKey, name)
+	}
+	if b.keyed && ev.Bound(b.key) {
+		return nil, fmt.Errorf("%w: %#x on %s", ErrKeyBound, uint64(b.key), name)
 	}
 	if ev.opts.RequireEphemeral && !h.Ephemeral {
 		return nil, fmt.Errorf("%w: %s on %s", ErrNotEphemeral, h.Name, name)
@@ -395,6 +399,7 @@ func (d *Dispatcher) install(name Name, b *Binding, h Handler, allotment sim.Tim
 //   - Double-uninstall is a no-op returning false.
 //   - Uninstalling a quarantined binding marks it removed but returns false
 //     (quarantine had already detached it).
+//   - It frees a keyed binding's key, quarantined or not.
 //   - A binding uninstalled during a raise does not fire later in that same
 //     raise, even though the raise's dispatch snapshot was taken before the
 //     removal.
@@ -405,6 +410,9 @@ func (d *Dispatcher) Uninstall(b *Binding) bool {
 		return false
 	}
 	b.removed = true
+	if b.keyed {
+		delete(b.event.index, b.key)
+	}
 	if b.quarantined {
 		return false
 	}
@@ -418,7 +426,7 @@ func detach(b *Binding) {
 	ev := b.event
 	entry := b
 	if r := b.run; r != nil {
-		if r.remove(b); len(r.bindings) > 0 {
+		if r.remove(b); r.live > 0 {
 			return
 		}
 		entry = &r.entry
@@ -427,24 +435,24 @@ func detach(b *Binding) {
 	ev.bindings = append(ev.bindings[:i], ev.bindings[i+1:]...)
 }
 
-// remove takes b out of the run and its key chain and freezes its
-// GuardRejects.
+// remove takes b out of the run and freezes its GuardRejects. Once nil
+// slots outnumber members, the members close up: removal is amortised O(1).
 func (r *keyRun) remove(b *Binding) {
 	b.stats.GuardRejects += r.scans
 	b.run = nil
-	i := slices.Index(r.bindings, b)
-	r.bindings = slices.Delete(r.bindings, i, i+1)
-	if h := r.index[b.key]; h != b {
-		for h.next != b {
-			h = h.next
-		}
-		h.next = b.next
-	} else if b.next != nil {
-		r.index[b.key] = b.next
-	} else {
-		delete(r.index, b.key)
+	r.members[b.slot] = nil
+	if r.live--; len(r.members) <= 2*r.live {
+		return
 	}
-	b.next = nil
+	live := r.members[:0]
+	for _, kb := range r.members {
+		if kb != nil {
+			kb.slot = int32(len(live))
+			live = append(live, kb)
+		}
+	}
+	clear(r.members[len(live):])
+	r.members = live
 }
 
 // HandlerCount reports the number of handlers installed on an event.
@@ -469,6 +477,7 @@ type Ref struct {
 	// bindings is the dispatch order: closure-guarded and unguarded
 	// bindings, and one entry per run of keyed bindings.
 	bindings []*Binding
+	index    map[Key]*Binding // each held key's binding; nil until InstallKey
 	raises   uint64
 }
 
@@ -491,10 +500,16 @@ func (r *Ref) HandlerCount() int {
 	n := len(r.bindings)
 	for _, b := range r.bindings {
 		if b.keyed {
-			n += len(b.run.bindings) - 1
+			n += b.run.live - 1
 		}
 	}
 	return n
+}
+
+// Bound reports whether an InstallKey binding not yet uninstalled holds key.
+func (r *Ref) Bound(key Key) bool {
+	_, ok := r.index[key]
+	return ok
 }
 
 // Raise is Dispatcher.Raise through the resolved handle.
@@ -558,45 +573,24 @@ func (d *Dispatcher) fault(b *Binding) {
 	d.ejected = append(d.ejected, b)
 }
 
-// keyScan is a raise's state across its runs: the packet's key, extracted at
-// the first run, and whether matched has moved to the spill buffer.
-type keyScan struct {
-	key               Key
-	ok, done, spilled bool
-}
-
-// scanRun evaluates run r, the snapshot's entry i: it charges every member's
-// guard and appends the members keyed as the packet is to matched. If
-// duplicate keys make the hits outnumber the entries passed, matched moves to
-// the depth's spill buffer rather than overwrite an entry not yet scanned.
-func (d *Dispatcher) scanRun(t *sim.Task, ev *Ref, r *keyRun, m *mbuf.Mbuf, ks *keyScan, matched []*Binding, i int, depth int32) []*Binding {
+// scanRun charges every guard of run r and reports whether hit, the binding
+// holding the packet's key, is r's member.
+func (d *Dispatcher) scanRun(t *sim.Task, r *keyRun, hit *Binding) bool {
 	if t.Sim().Metrics() != nil {
-		for _, kb := range r.bindings {
-			t.ChargeProf(sim.ProfDispatch, kb.name, d.costs.GuardEval)
+		for _, kb := range r.members {
+			if kb != nil {
+				t.ChargeProf(sim.ProfDispatch, kb.name, d.costs.GuardEval)
+			}
 		}
 	} else {
-		t.Charge(sim.Time(len(r.bindings)) * d.costs.GuardEval)
+		t.Charge(sim.Time(r.live) * d.costs.GuardEval)
 	}
 	r.scans++
-	if !ks.done {
-		ks.key, ks.ok = ev.opts.Key(m)
-		ks.done = true
+	if hit == nil || hit.run != r {
+		return false
 	}
-	if !ks.ok {
-		return matched
-	}
-	for kb := r.index[ks.key]; kb != nil; kb = kb.next {
-		kb.stats.GuardRejects-- // accepted: this scan is no reject
-		if len(matched) > i && !ks.spilled {
-			for int(depth) > len(d.spill) {
-				d.spill = append(d.spill, nil)
-			}
-			matched = append(d.spill[depth-1][:0], matched...)
-			ks.spilled = true
-		}
-		matched = append(matched, kb)
-	}
-	return matched
+	hit.stats.GuardRejects-- // accepted: this scan is no reject
+	return true
 }
 
 // Raise announces the event to every installed handler whose guard accepts
@@ -646,19 +640,27 @@ func (d *Dispatcher) raise(t *sim.Task, ev *Ref, m *mbuf.Mbuf) int {
 	// Dispatch is two-phase: every guard is evaluated against the intact
 	// packet first, then the matching handlers run. A handler may consume
 	// the packet (strip headers, free it), which must not corrupt the
-	// view later guards see. matched overlays the snapshot's storage: it
-	// only ever writes an index the scan has already passed (see scanRun).
+	// view later guards see. matched overlays the snapshot's storage: each
+	// entry yields at most one match, so it only ever writes an index the
+	// scan has already passed.
 	matched := bindings[:0]
-	var ks keyScan
-	for i, b := range bindings {
+	var hit *Binding
+	if len(ev.index) > 0 {
+		if key, ok := ev.opts.Key(m); ok {
+			hit = ev.index[key]
+		}
+	}
+	for _, b := range bindings {
 		if b.removed || b.quarantined {
 			continue
 		}
-		if b.guard != nil || b.keyed {
-			if b.keyed {
-				matched = d.scanRun(t, ev, b.run, m, &ks, matched, i, depth)
-				continue
+		if b.keyed {
+			if d.scanRun(t, b.run, hit) {
+				matched = append(matched, hit)
 			}
+			continue
+		}
+		if b.guard != nil {
 			t.ChargeProf(sim.ProfDispatch, b.name, d.costs.GuardEval)
 			before := t.Charged()
 			ok, panicked := d.evalGuard(t, b, m)
@@ -682,9 +684,6 @@ func (d *Dispatcher) raise(t *sim.Task, ev *Ref, m *mbuf.Mbuf) int {
 			}
 		}
 		matched = append(matched, b)
-	}
-	if ks.spilled {
-		d.spill[depth-1] = matched[:0]
 	}
 	for _, b := range matched {
 		// Re-check liveness: an earlier handler in this same raise may have

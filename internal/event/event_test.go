@@ -376,8 +376,8 @@ func TestDefaultCostsShape(t *testing.T) {
 // TestRaiseSteadyStateAllocs pins the zero-alloc property of dispatch: on a
 // warm dispatcher (scratch snapshot buffer grown), Raise allocates nothing
 // per call, whether closure and keyed guards mix and accept or reject, or
-// one run holds 4,096 keyed bindings with duplicate keys and the raise hits,
-// misses or carries no key.
+// one run holds 4,096 keyed bindings and the raise hits, misses or carries no
+// key.
 func TestRaiseSteadyStateAllocs(t *testing.T) {
 	nop := func(*sim.Task, *mbuf.Mbuf) {}
 	cases := []struct {
@@ -395,25 +395,25 @@ func TestRaiseSteadyStateAllocs(t *testing.T) {
 				if _, err := d.Install("E", reject, Proc("miss", nop), 0); err != nil {
 					return err
 				}
-				if _, err := d.InstallKey("E", 9, Proc("keyed-hit", nop), 0); err != nil {
-					return err
-				}
-				if _, err := d.InstallKey("E", 8, Proc("keyed-miss", nop), 0); err != nil {
-					return err
+				// Four runs of two; only the first run's key 9 hits.
+				for _, key := range []Key{Key(9 + 2*i), Key(10 + 2*i)} {
+					if _, err := d.InstallKey("E", key, Proc("keyed", nop), 0); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
-		}, map[byte]int{9: 8}},
+		}, map[byte]int{9: 5}},
 		{"4096 keyed bindings in one run", func(d *Dispatcher) error {
 			for i := 0; i < 4096; i++ {
-				// Keys 0..253, each on 16 or 17 bindings; 0xfe is a miss
-				// and 0xff no key.
-				if _, err := d.InstallKey("E", Key(i%254), Proc("keyed", nop), 0); err != nil {
+				// The even keys 0..8190: 8 hits, 7 misses and 0xff has
+				// no key.
+				if _, err := d.InstallKey("E", Key(2*i), Proc("keyed", nop), 0); err != nil {
 					return err
 				}
 			}
 			return nil
-		}, map[byte]int{7: 17, 0xfe: 0, 0xff: 0}},
+		}, map[byte]int{8: 1, 7: 0, 0xff: 0}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -72,7 +72,7 @@ func TestKeyedBindings(t *testing.T) {
 				name  string
 				keyed bool
 				key   Key
-			}{{"closure1", false, 7}, {"keyed2", true, 7}, {"keyed-other", true, 8}, {"closure3", false, 7}, {"keyed4", true, 7}} {
+			}{{"closure1", false, 7}, {"keyed2", true, 7}, {"keyed-other", true, 8}, {"closure3", false, 7}, {"keyed4", true, 9}, {"closure5", false, 7}} {
 				name := b.name
 				h := Proc(name, func(*sim.Task, *mbuf.Mbuf) { order = append(order, name) })
 				var err error
@@ -91,7 +91,7 @@ func TestKeyedBindings(t *testing.T) {
 					t.Errorf("Raise invoked %d handlers, want 4", n)
 				}
 			})
-			want := []string{"closure1", "keyed2", "closure3", "keyed4"}
+			want := []string{"closure1", "keyed2", "closure3", "closure5"}
 			if len(order) != len(want) {
 				t.Fatalf("order = %v, want %v", order, want)
 			}
@@ -109,7 +109,7 @@ func TestKeyedBindings(t *testing.T) {
 				d := NewDispatcher(DefaultCosts())
 				d.MustDeclare("E", Options{Key: firstByteKey})
 				var bs []*Binding
-				for _, key := range []Key{1, 2, 1, 0xff} {
+				for _, key := range []Key{1, 2, 3, 0xff} {
 					h := Proc("h", func(task *sim.Task, _ *mbuf.Mbuf) { task.Charge(3 * sim.Microsecond) })
 					var b *Binding
 					var err error
@@ -177,9 +177,7 @@ func TestKeyedBindings(t *testing.T) {
 			d.MustDeclare("E", Options{Key: firstByteKey})
 			var victim *Binding
 			victimRan := false
-			if _, err := d.InstallKey("E", 5, Proc("assassin", func(*sim.Task, *mbuf.Mbuf) { d.Uninstall(victim) }), 0); err != nil {
-				t.Fatal(err)
-			}
+			mustInstall(t, d, "E", nil, Proc("assassin", func(*sim.Task, *mbuf.Mbuf) { d.Uninstall(victim) }))
 			victim, err := d.InstallKey("E", 5, Proc("victim", func(*sim.Task, *mbuf.Mbuf) { victimRan = true }), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -189,6 +187,114 @@ func TestKeyedBindings(t *testing.T) {
 			run(t, func(task *sim.Task) { invoked = d.Raise(task, "E", m) })
 			if victimRan || invoked != 1 {
 				t.Fatalf("victimRan=%v invoked=%d, want false and 1", victimRan, invoked)
+			}
+		}},
+		{"InstallKey on a bound key fails and leaves dispatch unchanged", func(t *testing.T) {
+			d := NewDispatcher(DefaultCosts())
+			d.MustDeclare("E", Options{Key: firstByteKey})
+			var ran []string
+			for _, name := range []string{"owner", "intruder"} {
+				_, err := d.InstallKey("E", 5, Proc(name, func(*sim.Task, *mbuf.Mbuf) { ran = append(ran, name) }), 0)
+				if want := map[string]error{"owner": nil, "intruder": ErrKeyBound}[name]; !errors.Is(err, want) {
+					t.Fatalf("InstallKey %s: err = %v, want %v", name, err, want)
+				}
+			}
+			if n := d.HandlerCount("E"); n != 1 {
+				t.Fatalf("HandlerCount = %d after a refused install, want 1", n)
+			}
+			m := pkt(t, 5)
+			run(t, func(task *sim.Task) {
+				if n := d.Raise(task, "E", m); n != 1 {
+					t.Errorf("Raise invoked %d handlers, want 1", n)
+				}
+				if c := DefaultCosts(); task.Charged() != c.GuardEval+c.Invoke {
+					t.Errorf("raise charged %v, want one guard and one invocation", task.Charged())
+				}
+			})
+			if len(ran) != 1 || ran[0] != "owner" {
+				t.Fatalf("ran %v, want [owner]", ran)
+			}
+		}},
+		{"a key is free again after Uninstall", func(t *testing.T) {
+			d := NewDispatcher(DefaultCosts())
+			d.MustDeclare("E", Options{Key: firstByteKey})
+			ref := d.Ref("E")
+			first, err := d.InstallKey("E", 5, Proc("first", nop), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.Uninstall(first) || ref.Bound(5) {
+				t.Fatalf("after Uninstall: Bound(5) = %v, want false", ref.Bound(5))
+			}
+			again := false
+			if _, err := d.InstallKey("E", 5, Proc("again", func(*sim.Task, *mbuf.Mbuf) { again = true }), 0); err != nil {
+				t.Fatalf("InstallKey of a freed key: %v", err)
+			}
+			m := pkt(t, 5)
+			run(t, func(task *sim.Task) { d.Raise(task, "E", m) })
+			if !again || !ref.Bound(5) {
+				t.Fatalf("reinstalled binding ran %v, Bound(5) = %v; want true, true", again, ref.Bound(5))
+			}
+		}},
+		{"a quarantined binding keeps its key until Uninstall", func(t *testing.T) {
+			d := NewDispatcher(DefaultCosts())
+			d.SetQuarantine(QuarantinePolicy{Threshold: 1})
+			d.MustDeclare("E", Options{Key: firstByteKey})
+			ref := d.Ref("E")
+			rogue, err := d.InstallKey("E", 4, Proc("rogue", func(*sim.Task, *mbuf.Mbuf) { panic("rogue handler") }), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := pkt(t, 4)
+			run(t, func(task *sim.Task) { d.Raise(task, "E", m) })
+			if !rogue.Quarantined() || d.HandlerCount("E") != 0 {
+				t.Fatalf("quarantined %v, HandlerCount %d; want true, 0", rogue.Quarantined(), d.HandlerCount("E"))
+			}
+			if !ref.Bound(4) {
+				t.Fatal("a quarantined binding's key is free before Uninstall")
+			}
+			if _, err := d.InstallKey("E", 4, Proc("h", nop), 0); !errors.Is(err, ErrKeyBound) {
+				t.Fatalf("InstallKey of a quarantined binding's key: err = %v, want ErrKeyBound", err)
+			}
+			if d.Uninstall(rogue) || ref.Bound(4) {
+				t.Fatalf("Uninstall of a quarantined binding: Bound(4) = %v, want false", ref.Bound(4))
+			}
+			if _, err := d.InstallKey("E", 4, Proc("h", nop), 0); err != nil {
+				t.Fatalf("InstallKey after Uninstall: %v", err)
+			}
+		}},
+		{"Bound sees keys across several runs", func(t *testing.T) {
+			d := NewDispatcher(DefaultCosts())
+			d.MustDeclare("E", Options{Key: firstByteKey})
+			ref := d.Ref("E")
+			var bs []*Binding
+			for _, key := range []Key{1, 2, 3} {
+				b, err := d.InstallKey("E", key, Proc("keyed", nop), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bs = append(bs, b)
+				mustInstall(t, d, "E", keyGuard(9), Proc("closure", nop)) // ends the run
+			}
+			for key, want := range map[Key]bool{1: true, 2: true, 3: true, 4: false} {
+				if ref.Bound(key) != want {
+					t.Errorf("Bound(%d) = %v, want %v", key, !want, want)
+				}
+			}
+			d.Uninstall(bs[1]) // empties the middle run
+			for key, want := range map[Key]bool{1: true, 2: false, 3: true} {
+				if ref.Bound(key) != want {
+					t.Errorf("after Uninstall: Bound(%d) = %v, want %v", key, !want, want)
+				}
+			}
+			m := pkt(t, 3)
+			run(t, func(task *sim.Task) {
+				if n := d.Raise(task, "E", m); n != 1 {
+					t.Errorf("Raise of key 3 invoked %d handlers, want 1", n)
+				}
+			})
+			if s := bs[2].Stats(); s.Invocations != 1 || s.GuardRejects != 0 {
+				t.Fatalf("last run's binding %+v, want one invocation and no reject", s)
 			}
 		}},
 		{"quarantine ejects keyed and closure bindings at one threshold", func(t *testing.T) {
@@ -234,9 +340,13 @@ func TestKeyedBindings(t *testing.T) {
 // return value, the charge after every raise, every sample, and at the end
 // every binding's stats, HandlerCount and Health.
 //
+// Both plays refuse a keyed install on a key a keyed install still holds:
+// the keyed play by ErrKeyBound, the closure play by the script's own record
+// of held keys, which Uninstall frees and quarantine does not.
+//
 // A script is a sequence of operations, each an opcode byte and its
-// arguments (see scriptOp); the seeds hit duplicate keys, an emptied run, a
-// closure between two runs, a run uninstalled mid-raise and quarantine.
+// arguments (see scriptOp); the seeds hit held keys, an emptied run, a
+// closure between two runs, a run emptied mid-raise and quarantine.
 func FuzzKeyedAgreesWithClosure(f *testing.F) {
 	keyed := func(key, behavior, param byte) []byte { return []byte{opKeyed, key, behavior, param} }
 	closure := func(variant, key, behavior, param byte) []byte {
@@ -245,22 +355,27 @@ func FuzzKeyedAgreesWithClosure(f *testing.F) {
 	uninstall := func(j byte) []byte { return []byte{opUninstall, j} }
 	raise := func(p byte) []byte { return []byte{opRaise, p} }
 	for _, seed := range [][][]byte{
-		// duplicate keys within one run, a hit, a miss and no key
+		// held keys refused within one run, a hit, a miss and no key
 		{keyed(1, doCharge, 1), keyed(1, doCharge, 2), keyed(2, doCharge, 3), keyed(1, doCharge, 0),
 			closure(guardNone, 0, doCharge, 1), raise(1), raise(2), raise(3), raise(4)},
 		// a run emptied between raises, then refilled
 		{keyed(1, doCharge, 1), keyed(2, doCharge, 1), raise(1), uninstall(0), uninstall(1), raise(1),
 			keyed(1, doCharge, 2), raise(1), raise(2)},
-		// a closure between two runs, then uninstalled
-		{keyed(1, doCharge, 1), keyed(2, doCharge, 1), closure(guardKey, 1, doCharge, 2), keyed(1, doCharge, 3),
-			keyed(3, doCharge, 1), raise(1), uninstall(2), keyed(1, doCharge, 1), raise(1), raise(3)},
-		// a run uninstalled mid-raise by its own members, a keyed install
-		// and a nested raise in the same raise
-		{keyed(1, doUninstall, 0), keyed(1, doUninstall, 1), closure(guardNone, 0, doInstall, 1<<2|1),
-			closure(guardNone, 0, doRaise, 0), raise(1), raise(1), raise(2)},
-		// handler and guard panics into quarantine at threshold 2
+		// a closure between two runs, then uninstalled; a held key refused
+		// in the second run, and free again once its binding is uninstalled
+		{keyed(1, doCharge, 1), keyed(2, doCharge, 1), closure(guardKey, 1, doCharge, 2), keyed(0, doCharge, 3),
+			keyed(3, doCharge, 1), raise(1), uninstall(2), keyed(1, doCharge, 1), raise(1), raise(3),
+			uninstall(0), keyed(1, doCharge, 2), raise(1)},
+		// a run emptied mid-raise, by its hit uninstalling itself and a
+		// closure uninstalling the other member, then a keyed install of the
+		// freed key and a nested raise in the same raise
+		{keyed(1, doUninstall, 0), keyed(2, doCharge, 1), closure(guardNone, 0, doUninstall, 1),
+			closure(guardNone, 0, doInstall, 1<<2|1), closure(guardNone, 0, doRaise, 0), raise(1), raise(1), raise(2)},
+		// handler and guard panics into quarantine at threshold 2; the
+		// quarantined binding's key stays held until its Uninstall
 		{keyed(1, doPanic, 0), closure(guardPanic, 1, doCharge, 1), keyed(1, doCharge, 1), keyed(2, doPanic, 0),
-			raise(1), raise(2), raise(1), raise(2), raise(1), raise(4)},
+			raise(1), raise(2), raise(1), raise(2), raise(1), raise(4), keyed(1, doCharge, 1), uninstall(0),
+			keyed(1, doCharge, 1), raise(1)},
 	} {
 		f.Add(slices.Concat(seed...))
 	}
@@ -340,6 +455,7 @@ type scriptWorld struct {
 	d     *Dispatcher
 	keyed bool // keyed installs use InstallKey, else keyGuard
 	bs    []*Binding
+	held  map[Key]*Binding // each key a keyed install holds, to its binding
 	depth int
 	log   []string
 }
@@ -347,7 +463,7 @@ type scriptWorld struct {
 // playScript plays script on a fresh dispatcher, keyed or as closures, with
 // or without a recording metrics sink.
 func playScript(t *testing.T, script []byte, keyed, sink bool) play {
-	w := &scriptWorld{d: NewDispatcher(DefaultCosts()), keyed: keyed}
+	w := &scriptWorld{d: NewDispatcher(DefaultCosts()), keyed: keyed, held: map[Key]*Binding{}}
 	w.d.SetQuarantine(QuarantinePolicy{Threshold: 2})
 	w.d.MustDeclare("E", Options{Key: firstByteKey, NoMatch: func(*sim.Task, *mbuf.Mbuf) {
 		w.log = append(w.log, "no match")
@@ -392,7 +508,8 @@ func playScript(t *testing.T, script []byte, keyed, sink bool) play {
 }
 
 // install adds binding number len(w.bs): keyed on key (a keyGuard in the
-// closure play), or closure-guarded by variant.
+// closure play), or closure-guarded by variant. A keyed install of a held
+// key is refused instead, and installs nothing.
 func (w *scriptWorld) install(variant byte, keyed bool, key Key, behavior, param byte) {
 	id := len(w.bs)
 	if id >= maxScriptBindings {
@@ -410,7 +527,11 @@ func (w *scriptWorld) install(variant byte, keyed bool, key Key, behavior, param
 	case variant == guardNone:
 		b, err = w.d.Install("E", nil, h, 0)
 	case variant == guardKey:
-		b, err = w.d.Install("E", keyGuard(key), h, 0)
+		if _, held := w.held[key]; keyed && held {
+			err = ErrKeyBound // what InstallKey answers in the keyed play
+		} else {
+			b, err = w.d.Install("E", keyGuard(key), h, 0)
+		}
 	default:
 		b, err = w.d.Install("E", func(_ *sim.Task, m *mbuf.Mbuf) bool {
 			if k, ok := firstByteKey(m); ok && k == key {
@@ -419,15 +540,29 @@ func (w *scriptWorld) install(variant byte, keyed bool, key Key, behavior, param
 			return false
 		}, h, 0)
 	}
+	if errors.Is(err, ErrKeyBound) {
+		w.log = append(w.log, fmt.Sprintf("key %d refused", key))
+		return
+	}
 	if err != nil {
 		panic(err)
+	}
+	if keyed {
+		w.held[key] = b
 	}
 	w.bs = append(w.bs, b)
 }
 
 func (w *scriptWorld) uninstall(j byte) {
-	if len(w.bs) > 0 {
-		w.log = append(w.log, fmt.Sprintf("uninstall %v", w.d.Uninstall(w.bs[int(j)%len(w.bs)])))
+	if len(w.bs) == 0 {
+		return
+	}
+	b := w.bs[int(j)%len(w.bs)]
+	w.log = append(w.log, fmt.Sprintf("uninstall %v", w.d.Uninstall(b)))
+	for key, hb := range w.held {
+		if hb == b {
+			delete(w.held, key)
+		}
 	}
 }
 

@@ -45,7 +45,6 @@ type KernelStats struct {
 	Forwarded    uint64 // client → backend packets
 	Returned     uint64 // backend → client packets
 	FlowsCreated uint64
-	Dropped      uint64
 }
 
 // flowKey identifies a client flow.
@@ -143,12 +142,10 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	t.Charge(rewriteCost)
 	ipv, err := view.IPv4(pkt.Bytes())
 	if err != nil {
-		k.stats.Dropped++
 		return
 	}
 	srcPort, dstPort, ok := ports(pkt, ipv)
 	if !ok {
-		k.stats.Dropped++
 		return
 	}
 	// Work on a private copy: the incoming chain is read-only. All
@@ -160,7 +157,6 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	}
 	buf := k.scratch[:n]
 	if pkt.CopyTo(0, buf) != nil {
-		k.stats.Dropped++
 		return
 	}
 	if dstPort == k.servicePort {
@@ -170,7 +166,6 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		if !okf {
 			natPort, err := k.allocNAT()
 			if err != nil {
-				k.stats.Dropped++
 				return
 			}
 			e = &natEntry{key: fk, natPort: natPort}
@@ -179,7 +174,6 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 			k.stats.FlowsCreated++
 		}
 		if !k.rewrite(buf, k.backend, e.natPort, k.backendPort) {
-			k.stats.Dropped++
 			return
 		}
 		k.stats.Forwarded++
@@ -187,20 +181,16 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		// Backend → client.
 		e, okf := k.byNAT[dstPort]
 		if !okf {
-			k.stats.Dropped++
 			return
 		}
 		if !k.rewrite(buf, e.key.client, k.servicePort, e.key.clientPort) {
-			k.stats.Dropped++
 			return
 		}
 		k.stats.Returned++
 	}
 	out := k.st.Host.Pool.FromBytes(buf, 0)
 	out.Hdr().Span = pkt.Hdr().Span
-	if err := k.st.IP.Forward(t, out); err != nil {
-		k.stats.Dropped++
-	}
+	_ = k.st.IP.Forward(t, out) // consumes out, dropping what it cannot forward
 }
 
 func (k *Kernel) allocNAT() (uint16, error) {

@@ -48,7 +48,6 @@ type HandlerFunc func(t *sim.Task, req *Request) Response
 type ServerStats struct {
 	Requests    uint64
 	BadRequests uint64
-	BytesOut    uint64
 }
 
 // Server is an HTTP/1.0 server bound to a port on one host.
@@ -151,7 +150,6 @@ func (s *Server) respond(t *sim.Task, c *plexus.TCPApp, head []byte) {
 	b = append(b, "\r\n\r\n"...)
 	b = append(b, resp.Body...)
 	s.out = b
-	s.stats.BytesOut += uint64(len(b))
 	_ = c.Send(t, b)
 	c.Close(t) // HTTP/1.0: one request per connection
 }

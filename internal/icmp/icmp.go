@@ -16,7 +16,6 @@ import (
 type Stats struct {
 	EchoRequestsRcvd uint64
 	EchoRepliesRcvd  uint64
-	EchoRepliesSent  uint64
 	BadChecksum      uint64
 	UnreachSent      uint64
 	TimeExceededSent uint64
@@ -119,7 +118,6 @@ func (l *Layer) input(t *sim.Task, m *mbuf.Mbuf) {
 		l.stats.EchoRequestsRcvd++
 		reply := l.buildEcho(view.ICMPEchoReply, v.Ident(), v.Seq(), body[view.ICMPHdrLen:])
 		t.ChargeBytes(reply.PktLen(), l.host.Costs.ChecksumPerByte)
-		l.stats.EchoRepliesSent++
 		if err := l.ip.Send(t, view.IP4{}, ipv.Src(), view.IPProtoICMP, reply); err != nil {
 			return
 		}

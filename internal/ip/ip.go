@@ -52,7 +52,6 @@ type Stats struct {
 	BadChecksum   uint64
 	BadHeader     uint64
 	NotForUs      uint64
-	FragmentsSent uint64
 	FragmentsRcvd uint64
 	Reassembled   uint64
 	ReasmTimeouts uint64
@@ -214,7 +213,6 @@ func (l *Layer) Send(t *sim.Task, src, dst view.IP4, proto uint8, m *mbuf.Mbuf) 
 	}
 	// Fragment: each piece is a copy of its payload range, built straight
 	// from the source chain into pool mbufs.
-	l.stats.FragmentsSent++ // counts fragmented datagrams
 	maxPayload := (mtu - view.IPv4MinHdrLen) &^ 7
 	total := m.PktLen()
 	for off := 0; off < total; off += maxPayload {

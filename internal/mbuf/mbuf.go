@@ -90,7 +90,6 @@ type Pool struct {
 type Stats struct {
 	AllocSmall        uint64 // small mbufs handed out
 	AllocCluster      uint64 // clusters handed out
-	Free              uint64 // mbufs returned
 	InUse             int64  // currently live mbufs
 	InUseClusters     int64  // currently live clusters (shared clusters count once)
 	HighWater         int64  // maximum InUse ever observed
@@ -602,7 +601,6 @@ func (m *Mbuf) release() {
 		m.clust = nil
 	}
 	p := m.pool
-	p.stats.Free++
 	p.stats.InUse--
 	if c != nil && c.refs == 0 {
 		p.stats.InUseClusters--

@@ -244,7 +244,6 @@ type NICStats struct {
 	TxBytes    uint64
 	TxDrops    uint64 // transmit-queue overflows
 	RxFrames   uint64
-	RxBytes    uint64
 	RxFiltered uint64 // well-formed frames dropped by the MAC address filter
 	RxErrors   uint64 // malformed frames (truncated Ethernet header)
 }
@@ -436,7 +435,6 @@ func nicRx(t *sim.Task, a any) {
 	t.ChargeBytesProf(sim.ProfCopy, n.name, len(wire), n.model.PIOPerByte)
 	m := n.host.Pool.FromBytes(wire, 0)
 	n.stats.RxFrames++
-	n.stats.RxBytes += uint64(len(wire))
 	m.Hdr().Span = f.span // sender's lifecycle span survives the wire
 	releaseFrame(f)       // the packet owns a private copy now
 	t.Hop(m.Hdr().Span, "wire", "rx", len(wire))

@@ -63,15 +63,12 @@ type SwitchStats struct {
 	Forwarded uint64 // unicast frames sent out exactly one port
 	Flooded   uint64 // broadcast/multicast/unknown-destination frames
 	Dropped   uint64 // tail drops across all output queues
-	Filtered  uint64 // unicast frames whose owner is the ingress port
 	RxErrors  uint64 // malformed frames discarded at ingress
-	Learned   uint64 // MAC-table inserts or moves
 	Aged      uint64 // MAC-table entries expired by aging
 }
 
 // PortStats counts one port's activity.
 type PortStats struct {
-	RxFrames uint64
 	TxFrames uint64
 	TxBytes  uint64
 	Drops    uint64 // output-queue drops (tail and RED together)
@@ -228,7 +225,6 @@ func switchIngress(a any) {
 	sw.jobFree = j
 
 	now := sw.sim.Now()
-	p.stats.RxFrames++
 	sw.stats.RxFrames++
 	eth, err := view.Ethernet(f.buf)
 	if err != nil {
@@ -239,10 +235,7 @@ func switchIngress(a any) {
 	// Learn the sender's address on the ingress port (never a group
 	// address: those are destinations only).
 	if src := eth.Src(); !src.IsMulticast() {
-		e, ok := sw.macs[src]
-		if !ok || e.port != p {
-			sw.stats.Learned++
-		}
+		e := sw.macs[src]
 		e.port = p
 		e.expires = now + sw.ageTime
 		sw.macs[src] = e
@@ -251,10 +244,8 @@ func switchIngress(a any) {
 	if dst.IsBroadcast() || dst.IsMulticast() {
 		sw.flood(now, p, f)
 	} else if e, ok := sw.macs[dst]; ok && now <= e.expires {
-		if e.port == p {
-			// Destination lives on the ingress segment; nothing to do.
-			sw.stats.Filtered++
-		} else {
+		// A destination on the ingress segment needs nothing.
+		if e.port != p {
 			sw.stats.Forwarded++
 			e.port.enqueue(now, f)
 		}

@@ -12,10 +12,7 @@
 // resulting shapes compare with the paper's figures.
 package osmodel
 
-import (
-	"plexus/internal/event"
-	"plexus/internal/sim"
-)
+import "plexus/internal/sim"
 
 // Personality selects the operating-system structure a host models.
 type Personality int
@@ -89,14 +86,9 @@ func (b Boundary) AppPriority() sim.Priority {
 }
 
 // Costs is the CPU cost model. All values are simulated time on the host CPU.
+// The dispatcher's own charges (paper §2: "roughly one procedure call") are
+// event.DefaultCosts, which NewHost builds every host's dispatcher with.
 type Costs struct {
-	// --- dispatcher (paper §2: "roughly one procedure call") ---
-
-	// GuardEval is charged per guard predicate evaluated.
-	GuardEval sim.Time
-	// EventInvoke is charged per handler invocation.
-	EventInvoke sim.Time
-
 	// --- kernel structure (the terms that separate the two systems) ---
 
 	// Syscall is one trap into (and return from) the kernel.
@@ -150,11 +142,7 @@ type Costs struct {
 // DefaultCosts returns the calibrated 1995-Alpha cost model. See DESIGN.md §4
 // for the calibration targets.
 func DefaultCosts() Costs {
-	dispatch := event.DefaultCosts()
 	return Costs{
-		GuardEval:   dispatch.GuardEval,
-		EventInvoke: dispatch.Invoke,
-
 		Syscall:     6 * sim.Microsecond,
 		CopyPerByte: 25 * sim.Nanosecond,
 		SocketLayer: 55 * sim.Microsecond,

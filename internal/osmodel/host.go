@@ -44,18 +44,14 @@ func NewHost(s *sim.Sim, name string, p Personality, d DispatchMode) *Host {
 			b = PlexusThread
 		}
 	}
-	costs := DefaultCosts()
 	return &Host{
-		Name:     name,
-		Sim:      s,
-		CPU:      sim.NewCPU(s, name),
-		Pool:     mbuf.NewPool(),
-		Boundary: b,
-		Costs:    costs,
-		Disp: event.NewDispatcher(event.Costs{
-			GuardEval: costs.GuardEval,
-			Invoke:    costs.EventInvoke,
-		}),
+		Name:            name,
+		Sim:             s,
+		CPU:             sim.NewCPU(s, name),
+		Pool:            mbuf.NewPool(),
+		Boundary:        b,
+		Costs:           DefaultCosts(),
+		Disp:            event.NewDispatcher(event.DefaultCosts()),
 		KernelDomain:    domain.New(name + "/kernel"),
 		ExtensionDomain: domain.New(name + "/extension"),
 		labels:          make(map[[2]string]string),

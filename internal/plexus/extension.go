@@ -141,14 +141,9 @@ type Extension struct {
 // ExtensionStats aggregates dispatch and fault counters across the
 // extension's bindings.
 type ExtensionStats struct {
-	Bindings      int
-	Quarantined   int // bindings ejected by the dispatcher's quarantine
-	Invocations   uint64
-	Faults        uint64
-	Panics        uint64
-	GuardPanics   uint64
-	Terminations  uint64
-	GuardOverruns uint64
+	Bindings    int
+	Quarantined int // bindings ejected by the dispatcher's quarantine
+	Faults      uint64
 }
 
 // Stats returns the extension's aggregated counters.
@@ -158,13 +153,7 @@ func (e *Extension) Stats() ExtensionStats {
 		if b.Quarantined() {
 			st.Quarantined++
 		}
-		s := b.Stats()
-		st.Invocations += s.Invocations
-		st.Faults += s.Faults()
-		st.Panics += s.Panics
-		st.GuardPanics += s.GuardPanics
-		st.Terminations += s.Terminations
-		st.GuardOverruns += s.GuardOverruns
+		st.Faults += b.Stats().Faults()
 	}
 	return st
 }

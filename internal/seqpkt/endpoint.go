@@ -39,12 +39,10 @@ type peerState struct {
 
 // EndpointStats counts per-endpoint activity.
 type EndpointStats struct {
-	Sent        uint64
 	Acked       uint64
 	Retransmits uint64
 	Abandoned   uint64
 	Delivered   uint64
-	Duplicates  uint64
 	OOOBuffered uint64
 }
 
@@ -125,8 +123,6 @@ func (e *Endpoint) Send(t *sim.Task, dst view.IP4, dstPort uint16, payload []byt
 		payload: append([]byte(nil), payload...),
 	}
 	e.pending[seq] = p
-	e.stats.Sent++
-	e.mgr.stats.DataSent++
 	e.setState(p, XferSent, CauseSend)
 	if err := e.mgr.send(t, e.port, dst, dstPort, typeData, seq, p.payload); err != nil {
 		return seq, err
@@ -159,12 +155,10 @@ func rexmitTask(t *sim.Task, a any) {
 	if p.tries >= MaxRexmits {
 		delete(e.pending, p.seq)
 		e.stats.Abandoned++
-		e.mgr.stats.Abandoned++
 		e.setState(p, XferAbandoned, CauseRetryCap)
 		return
 	}
 	e.stats.Retransmits++
-	e.mgr.stats.Retransmits++
 	e.setState(p, XferSent, CauseRexmit)
 	_ = e.mgr.send(t, e.port, p.dst, p.dstPort, typeData, p.seq, p.payload) // the re-armed timer retries a loss
 	e.armRexmit(p)
@@ -185,7 +179,6 @@ func (e *Endpoint) deliver(t *sim.Task, pkt *mbuf.Mbuf) {
 	}
 	switch h.typ {
 	case typeAck:
-		e.mgr.stats.AcksRcvd++
 		if p, okp := e.pending[h.seq]; okp {
 			p.timer.Stop()
 			delete(e.pending, h.seq)
@@ -193,7 +186,6 @@ func (e *Endpoint) deliver(t *sim.Task, pkt *mbuf.Mbuf) {
 			e.setState(p, XferAcked, CauseAck)
 		}
 	case typeData:
-		e.mgr.stats.DataRcvd++
 		key := peerKey{addr: h.src, port: h.srcPort}
 		ps := e.peers[key]
 		if ps == nil {
@@ -208,7 +200,6 @@ func (e *Endpoint) deliver(t *sim.Task, pkt *mbuf.Mbuf) {
 		ack := true
 		switch {
 		case h.seq < ps.nextSeq:
-			e.stats.Duplicates++
 			e.mgr.stats.Duplicates++
 		case h.seq == ps.nextSeq:
 			e.handoff(t, ps.nextSeq, h.payload, h.src, h.srcPort)
@@ -216,7 +207,6 @@ func (e *Endpoint) deliver(t *sim.Task, pkt *mbuf.Mbuf) {
 			e.drainOOO(t, ps, h.src, h.srcPort)
 		default:
 			if _, dup := ps.ooo[h.seq]; dup {
-				e.stats.Duplicates++
 				e.mgr.stats.Duplicates++
 			} else if len(ps.ooo) < maxOOO {
 				ps.ooo[h.seq] = append([]byte(nil), h.payload...)
@@ -226,7 +216,6 @@ func (e *Endpoint) deliver(t *sim.Task, pkt *mbuf.Mbuf) {
 			}
 		}
 		if ack {
-			e.mgr.stats.AcksSent++
 			_ = e.mgr.send(t, e.port, h.src, h.srcPort, typeAck, h.seq, nil) // the sender's retransmit covers a loss
 		}
 	}

@@ -72,16 +72,8 @@ var (
 
 // Stats counts manager-level activity.
 type Stats struct {
-	DataSent    uint64
-	DataRcvd    uint64
-	AcksSent    uint64
-	AcksRcvd    uint64
-	Retransmits uint64
-	Abandoned   uint64 // sends dropped after MaxRexmits
 	Duplicates  uint64
 	BadChecksum uint64
-	BadHeader   uint64
-	NoPort      uint64
 }
 
 // Manager is the SPP protocol manager for one host.
@@ -161,14 +153,12 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	}
 	ipv, err := view.IPv4(pkt.Bytes())
 	if err != nil {
-		m.stats.BadHeader++
 		pkt.Free()
 		return
 	}
 	hl := ipv.HdrLen()
 	plen := ipv.TotalLen() - hl
 	if plen < hdrLen {
-		m.stats.BadHeader++
 		pkt.Free()
 		return
 	}
@@ -184,7 +174,6 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 
 // noPort is SeqPkt.PacketRecv's NoMatch action.
 func (m *Manager) noPort(_ *sim.Task, pkt *mbuf.Mbuf) {
-	m.stats.NoPort++
 	pkt.Free()
 }
 

@@ -129,9 +129,7 @@ type oooSeg struct {
 // ConnStats counts per-connection activity.
 type ConnStats struct {
 	BytesSent    uint64
-	BytesRcvd    uint64
 	SegsSent     uint64
-	SegsRcvd     uint64
 	Retransmits  uint64
 	FastRexmits  uint64
 	RTOExpiries  uint64
@@ -145,8 +143,7 @@ type ConnStats struct {
 	PartialAcks uint64
 	// SackRexmits counts scoreboard-driven selective retransmissions.
 	SackRexmits uint64
-	// SacksSent/SacksRcvd count segments carrying SACK blocks.
-	SacksSent uint64
+	// SacksRcvd counts segments arriving with SACK blocks.
 	SacksRcvd uint64
 	// StaleWndUpdates counts window updates refused by the WL1/WL2
 	// freshness rule — each one is a reordered segment that would have
@@ -241,6 +238,7 @@ type Conn struct {
 	listener   *Listener
 	stats      ConnStats
 	dead       bool
+	slot       int // index in mgr.connList
 	// probeTag is the telemetry probe's opaque per-connection slot (cached
 	// series handles); see telemetry.go.
 	probeTag any
@@ -276,17 +274,19 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16) 
 	}
 	b, err := m.host.Disp.InstallKey(RecvEvent, connKeyOf(localPort, remote, remotePort), h, 0)
 	if err != nil {
-		// RecvEvent is always declared by New, with segKey; install can
-		// only fail on a nil handler, which cannot happen here.
+		// RecvEvent is always declared by New, with segKey, and a TCB's
+		// 4-tuple is free: allocPort hands out no port a TCB holds, and a
+		// listener passes on no segment of a bound key.
 		panic(err)
 	}
 	c.binding = b
-	m.conns[connKey{localPort, remote, remotePort}] = c
 	if m.portConns == nil {
 		m.portConns = make(map[uint16]int)
 	}
 	m.portConns[localPort]++
+	c.slot = len(m.connList)
 	m.connList = append(m.connList, c)
+	m.liveConns++
 	return c
 }
 
@@ -834,21 +834,33 @@ func (c *Conn) teardown(err error, cause Cause) {
 	c.disarmPersist()
 	c.releaseSndBuf()
 	c.mgr.host.Disp.Uninstall(c.binding)
-	delete(c.mgr.conns, connKey{c.localPort, c.remoteAddr, c.remotePort})
-	if n := c.mgr.portConns[c.localPort]; n > 1 {
-		c.mgr.portConns[c.localPort] = n - 1
-	} else {
-		delete(c.mgr.portConns, c.localPort)
-	}
-	for i, lc := range c.mgr.connList {
-		if lc == c {
-			c.mgr.connList = append(c.mgr.connList[:i], c.mgr.connList[i+1:]...)
-			break
-		}
-	}
+	c.mgr.dropConn(c)
 	if c.app != nil {
 		c.app.Closed(err)
 	}
+}
+
+// dropConn takes c off its port count and connList. Once nil slots
+// outnumber TCBs the list closes up: teardown is amortised O(1).
+func (m *Manager) dropConn(c *Conn) {
+	if n := m.portConns[c.localPort]; n > 1 {
+		m.portConns[c.localPort] = n - 1
+	} else {
+		delete(m.portConns, c.localPort)
+	}
+	m.connList[c.slot] = nil
+	if m.liveConns--; len(m.connList) <= 2*m.liveConns {
+		return
+	}
+	live := m.connList[:0]
+	for _, lc := range m.connList {
+		if lc != nil {
+			lc.slot = len(live)
+			live = append(live, lc)
+		}
+	}
+	clear(m.connList[len(live):])
+	m.connList = live
 }
 
 // enterTimeWait schedules the final teardown after 2*MSL. cause is the

@@ -18,7 +18,6 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 	if !ok {
 		return
 	}
-	c.stats.SegsRcvd++
 
 	switch c.state {
 	case StateSynSent:
@@ -391,7 +390,6 @@ func (c *Conn) staleAck(t *sim.Task, s seg, newSack bool) {
 // the algorithm set the window, and retransmit the lost segment.
 func (c *Conn) enterFastRecovery(t *sim.Task) {
 	c.stats.FastRexmits++
-	c.mgr.stats.FastRexmits++
 	c.stats.FastRecoveries++
 	c.mgr.stats.FastRecoveries++
 	c.recovery = RecoveryFast
@@ -516,7 +514,6 @@ func (c *Conn) deliver(t *sim.Task, payload []byte) {
 		return
 	}
 	c.rcv.nxt += uint32(len(payload))
-	c.stats.BytesRcvd += uint64(len(payload))
 	if c.paused {
 		c.rcvBuf = append(c.rcvBuf, payload...)
 		c.updateRcvWnd()

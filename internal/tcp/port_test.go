@@ -158,3 +158,36 @@ func BenchmarkConnectAmongTimeWait(b *testing.B) {
 		})
 	}
 }
+
+// A TIME-WAIT connection still holds its 4-tuple: its peer's segments, a new
+// SYN included, reach the connection and never the listener on its port.
+func TestTimeWaitSegmentSkipsListener(t *testing.T) {
+	m := portManager(t)
+	const port, peerPort = 80, 0x1234
+	if _, err := m.Listen(port, func(*sim.Task, *Conn) App {
+		t.Error("the listener accepted a connection")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := m.newConn(port, portPeer, peerPort)
+	c.enterTimeWait(userCause(CauseClose))
+	if !m.recvRef.Bound(connKeyOf(port, portPeer, peerPort)) {
+		t.Fatal("a TIME-WAIT connection's key is free")
+	}
+	flags := []uint8{view.TCPSyn, view.TCPAck, view.TCPAck | view.TCPFin}
+	for _, f := range flags {
+		seg := dgram(nil, nil)
+		copy(seg[12:], []byte{10, 0, 0, 2, 10, 0, 0, 1}) // from the peer
+		seg[view.IPv4MinHdrLen+13] = f
+		pkt := m.host.Pool.FromBytes(seg, 0)
+		m.host.CPU.Submit(sim.PrioKernel, "rx", func(t *sim.Task) { m.recvRef.Raise(t, pkt) })
+		m.host.Sim.RunUntil(m.host.Sim.Now() + sim.Millisecond)
+	}
+	if got, want := c.binding.Stats().Invocations, uint64(len(flags)); got != want {
+		t.Fatalf("the TIME-WAIT connection handled %d segments, want %d", got, want)
+	}
+	if h := m.host.Disp.Health(); h.Invocations != uint64(len(flags)) || h.Panics != 0 {
+		t.Fatalf("dispatcher health %+v: a handler besides the connection ran", h)
+	}
+}

@@ -121,10 +121,12 @@ func BenchmarkByteRing(b *testing.B) {
 var sinkInt int
 
 // ringConn is a bare SYN-SENT connection — Send buffers, output sends
-// nothing — whose first Send wrote size bytes; acked of them are then
-// acknowledged.
+// nothing — on m's books as newConn leaves one, whose first Send wrote size
+// bytes; acked of them are then acknowledged.
 func ringConn(m *Manager, size, acked int) *Conn {
-	c := &Conn{mgr: m, state: StateSynSent}
+	c := &Conn{mgr: m, state: StateSynSent, slot: len(m.connList)}
+	m.connList = append(m.connList, c)
+	m.liveConns++
 	if err := c.Send(nil, make([]byte, size)); err != nil {
 		panic(err)
 	}

@@ -162,6 +162,5 @@ func (c *Conn) ackOpts() []byte {
 	if n == 0 {
 		return nil
 	}
-	c.stats.SacksSent++
 	return putSackOption(c.optBuf[:], blocks[:n])
 }

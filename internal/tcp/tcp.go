@@ -44,7 +44,6 @@ type Stats struct {
 	SegsIn      uint64
 	SegsOut     uint64
 	BadChecksum uint64
-	BadHeader   uint64
 	NoMatch     uint64 // segments for no connection (RST territory)
 	RSTsSent    uint64
 	// RSTsRejected counts RSTs dropped by sequence validation (RFC 793
@@ -52,7 +51,6 @@ type Stats struct {
 	// SYN in SYN-SENT, or arriving in TIME-WAIT (RFC 1337).
 	RSTsRejected uint64
 	Retransmits  uint64
-	FastRexmits  uint64
 	// FastRecoveries counts NewReno fast-recovery episodes across all
 	// connections; SackRexmits counts scoreboard-driven selective
 	// retransmissions.
@@ -76,15 +74,15 @@ type Manager struct {
 	recvRef *event.Ref
 
 	listeners map[uint16]*Listener
-	conns     map[connKey]*Conn
-	// connList mirrors conns in creation order: the deterministic,
-	// allocation-free iteration the telemetry probe samples through (map
-	// order would vary run to run).
-	connList []*Conn
+	// connList holds the live TCBs in creation order (nil where one was
+	// torn down), the deterministic iteration the telemetry probe samples
+	// through. A TCB's demux entry is its keyed binding: see recvRef.Bound.
+	connList  []*Conn
+	liveConns int // non-nil entries of connList
 	// portConns counts the live TCBs on each local port, so allocPort and
 	// Claim test a port with one lookup: a passive open shares its
 	// listener's port, and TIME-WAIT holds its port until teardown. It
-	// changes only where conns gains or loses an entry (newConn, teardown)
+	// changes only where connList gains or loses a TCB (newConn, teardown)
 	// and is nil until the first connection.
 	portConns map[uint16]int
 	// claimed ports are owned by another implementation of TCP installed
@@ -114,12 +112,6 @@ type Manager struct {
 	hostName string
 }
 
-type connKey struct {
-	localPort  uint16
-	remoteAddr view.IP4
-	remotePort uint16
-}
-
 // Config is what a Manager needs beyond its host.
 type Config struct {
 	IP *ip.Layer
@@ -139,7 +131,6 @@ func New(host *osmodel.Host, cfg Config) (*Manager, error) {
 		host:      host,
 		ip:        cfg.IP,
 		listeners: make(map[uint16]*Listener),
-		conns:     make(map[connKey]*Conn),
 		nextPort:  32768,
 		issSeed:   uint32(host.Sim.Rand().Int63()),
 		defaultCC: cfg.DefaultCC,
@@ -176,7 +167,7 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // NumConns reports how many TCBs are live (any state before full teardown).
 // TIME-WAIT holds its slot — and its port — until the 2*MSL timer frees it.
-func (m *Manager) NumConns() int { return len(m.conns) }
+func (m *Manager) NumConns() int { return m.liveConns }
 
 // Claim cedes a port to another TCP implementation in the graph: this
 // manager's guard stops matching segments to or from it. It fails if the
@@ -208,14 +199,12 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 	m.stats.SegsIn++
 	ipv, err := view.IPv4(pkt.Bytes())
 	if err != nil {
-		m.stats.BadHeader++
 		pkt.Free()
 		return
 	}
 	hl := ipv.HdrLen()
 	segLen := ipv.TotalLen() - hl
 	if segLen < view.TCPMinHdrLen {
-		m.stats.BadHeader++
 		pkt.Free()
 		return
 	}
@@ -470,8 +459,7 @@ func (m *Manager) Listen(port uint16, accept func(t *sim.Task, c *Conn) App) (*L
 		// Established connections have their own bindings, installed
 		// before this one's turn only for new peers: reject segments
 		// belonging to an existing connection.
-		_, exists := m.conns[connKey{port, s.src, s.srcPort}]
-		return !exists
+		return !m.recvRef.Bound(connKeyOf(port, s.src, s.srcPort))
 	}
 	h := event.Handler{Name: fmt.Sprintf("tcp.listen:%d", port), Fn: l.input, Ephemeral: true}
 	if _, err := m.host.Disp.Install(RecvEvent, guard, h, 0); err != nil {

@@ -23,7 +23,9 @@ func (m *Manager) HostName() string { return m.hostName }
 // EachConn calls fn for every live connection in creation order.
 func (m *Manager) EachConn(fn func(*Conn)) {
 	for _, c := range m.connList {
-		fn(c)
+		if c != nil {
+			fn(c)
+		}
 	}
 }
 

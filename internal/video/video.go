@@ -87,7 +87,6 @@ func (c *ServerConfig) defaults() {
 type ServerStats struct {
 	FramesSent uint64
 	TicksLate  uint64 // frame periods that began with the previous period's work unfinished
-	Ticks      uint64
 }
 
 // Server is the video-server extension.
@@ -156,7 +155,6 @@ func (s *Server) tick() {
 		s.running = false
 		return
 	}
-	s.stats.Ticks++
 	if !s.tickDone {
 		// The previous frame period's sends are still queued on the
 		// CPU: the server failed its deadline (paper: "when the server

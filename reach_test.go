@@ -310,11 +310,11 @@ func unreadOptions(dir, module string) ([]deadDecl, int, error) {
 		return nil, 0, err
 	}
 	fields := optionFields(m)
-	return unreadOf(fields, fieldReads(m)), len(fields), nil
+	return unreadOf(fields, fieldReads(m.pkgs)), len(fields), nil
 }
 
-// fieldsAllow names the unexported fields TestFieldsRead keeps although no
-// non-test code reads them, each with the reason it stays.
+// fieldsAllow names the fields TestFieldsRead keeps although nothing reads
+// them, each with the reason it stays.
 var fieldsAllow = map[string]string{
 	"benchmark.report.values": "benchmark/ keeps what a run produced beside the declared metrics; it waits for a change to benchmark/",
 }
@@ -322,7 +322,10 @@ var fieldsAllow = map[string]string{
 // TestFieldsRead is the dead-state gate. Every unexported field of a named
 // struct in non-test code must be read by non-test code, as fieldReads
 // counts reads. A field only written, or only accumulated, is state
-// nothing consults. Delete it, or allowlist it with a reason.
+// nothing consults. The exported fields of a struct whose name ends in
+// Stats are held to the same rule, except that a read from test code
+// counts: a counter is a test oracle. Delete what it reports, or allowlist
+// it with a reason.
 func TestFieldsRead(t *testing.T) {
 	unread, err := unreadFields(".", "plexus", fieldsAllow)
 	if err != nil {
@@ -333,15 +336,16 @@ func TestFieldsRead(t *testing.T) {
 		for i, d := range unread {
 			report[i] = fmt.Sprintf("%s: %s", d.pos, d.name)
 		}
-		t.Errorf("%d unexported fields no non-test code reads; delete them, or allowlist them with a reason:\n\t%s",
+		t.Errorf("%d fields nothing reads; delete them, or allowlist them with a reason:\n\t%s",
 			len(report), strings.Join(report, "\n\t"))
 	}
 }
 
 // TestFieldsReadFixture runs the gate over testdata/reach: Counter has one
 // field nothing reads, one only accumulated with +=, and one read only
-// through its struct's use as a map key. Only the first two may be
-// reported.
+// through its struct's use as a map key; of Stats's counters, main reads
+// one, only a test reads another and nothing reads the third. Only
+// Counter's first two and Stats's third may be reported.
 func TestFieldsReadFixture(t *testing.T) {
 	unread, err := unreadFields(filepath.Join("testdata", "reach"), "reachfix", nil)
 	if err != nil {
@@ -351,15 +355,16 @@ func TestFieldsReadFixture(t *testing.T) {
 	for _, d := range unread {
 		got = append(got, d.name)
 	}
-	if want := []string{"a.Counter.note", "a.Counter.total"}; strings.Join(got, " ") != strings.Join(want, " ") {
+	if want := []string{"a.Counter.note", "a.Counter.total", "a.Stats.Dropped"}; strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("unread = %v, want %v", got, want)
 	}
 }
 
 // unreadFields loads the module rooted at dir and returns, in source order,
 // the unexported fields of its non-test named structs that its non-test
-// code never reads. The names in allow (pkg.Type.field) count as read; each
-// must name an unread field.
+// code never reads, and the exported fields of its *Stats structs that
+// neither its non-test nor its test code reads. The names in allow
+// (pkg.Type.field) count as read; each must name an unread field.
 func unreadFields(dir, module string, allow map[string]string) ([]deadDecl, error) {
 	m, err := loadModule(dir, module)
 	if err != nil {
@@ -376,14 +381,26 @@ func unreadFields(dir, module string, allow map[string]string) ([]deadDecl, erro
 			if !ok {
 				continue
 			}
+			counters := strings.HasSuffix(tn.Name(), "Stats")
 			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); !f.Exported() && f.Name() != "_" {
+				if f := st.Field(i); (!f.Exported() || counters) && f.Name() != "_" {
 					fields[f] = path.Base(p.pkg.Path()) + "." + tn.Name() + "." + f.Name()
 				}
 			}
 		}
 	}
-	read := fieldReads(m)
+	read := fieldReads(m.pkgs)
+	// A test build type-checks its package's files anew, so its fields are
+	// other objects: match a test's reads to the declaration's position.
+	testRead := map[token.Pos]bool{}
+	for f := range fieldReads(m.tests) {
+		testRead[f.Pos()] = true
+	}
+	for f := range fields {
+		if f.Exported() && testRead[f.Pos()] {
+			read[f] = true
+		}
+	}
 	byName := map[string]*types.Var{}
 	for f, name := range fields {
 		byName[name] = f
@@ -410,12 +427,12 @@ func unreadOf(fields map[*types.Var]string, read map[*types.Var]bool) []deadDecl
 	return unread
 }
 
-// fieldReads returns the struct fields m's non-test code reads. A read is a
+// fieldReads returns the struct fields the code of pkgs reads. A read is a
 // selector that is not the whole left side of =, op= or ++/--; an embedded
 // field is read when a field or method promoted through it is used; and a
 // struct compared with == or != or used as a map key has every field read,
 // the fields of its struct-valued fields included.
-func fieldReads(m *reachModule) map[*types.Var]bool {
+func fieldReads(pkgs []*reachPkg) map[*types.Var]bool {
 	read := map[*types.Var]bool{}
 	var readAll func(t types.Type)
 	readAll = func(t types.Type) {
@@ -430,7 +447,7 @@ func fieldReads(m *reachModule) map[*types.Var]bool {
 			}
 		}
 	}
-	for _, p := range m.pkgs {
+	for _, p := range pkgs {
 		for _, tv := range p.info.Types {
 			if mt, ok := tv.Type.Underlying().(*types.Map); ok {
 				readAll(mt.Key())

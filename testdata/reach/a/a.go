@@ -63,6 +63,22 @@ type Counter struct {
 
 type key struct{ name string }
 
+// Stats is the counter gate's fixture: main reads Names, only a test reads
+// Calls, and Dropped is only accumulated.
+type Stats struct {
+	Names   int
+	Calls   int
+	Dropped int
+}
+
+// Tally counts a call and the names it is given.
+func Tally(names ...string) Stats {
+	s := Stats{Names: len(names)}
+	s.Calls++
+	s.Dropped += 0
+	return s
+}
+
 // Count returns how many distinct names it is given.
 func (c *Counter) Count(names ...string) int {
 	c.note = "counted"

@@ -8,6 +8,13 @@ func TestUnused(t *testing.T) {
 	}
 }
 
+// A counter only a test reads is read.
+func TestTally(t *testing.T) {
+	if Tally().Calls != 1 {
+		t.Fatal("Calls")
+	}
+}
+
 // A test's literal does not set an option.
 func TestNew(t *testing.T) {
 	if c := New(Options{Depth: 2}); c.Mirror != 2 {
