@@ -133,7 +133,10 @@ func benchDispatch(b *testing.B, guards int, keyed bool) {
 	s := sim.New(1)
 	cpu := sim.NewCPU(s, "cpu")
 	d := event.NewDispatcher(event.Costs{})
-	d.MustDeclare("E", event.Options{Key: func(m *mbuf.Mbuf) (event.Key, bool) { return event.Key(m.Bytes()[0]), true }})
+	d.MustDeclare("E", event.Options{Key: func(m *mbuf.Mbuf) (event.Key, event.Key, bool) {
+		k := event.Key(m.Bytes()[0])
+		return k, k, true
+	}})
 	reject := func(*sim.Task, *mbuf.Mbuf) bool { return false }
 	for i := 0; i < guards-1; i++ {
 		h := event.Proc("r", func(*sim.Task, *mbuf.Mbuf) {})

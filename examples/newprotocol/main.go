@@ -28,7 +28,7 @@ func main() {
 	}
 
 	// Install the application-defined protocol on both hosts. This is the
-	// same act as installing UDP or TCP: a guard on IP.PacketRecv keyed to
+	// same act as installing UDP or TCP: an entry on IP.PacketRecv keyed to
 	// the new protocol number, a manager for endpoint rights.
 	install := func(st *plexus.Stack) *seqpkt.Manager {
 		m, err := seqpkt.Install(seqpkt.Config{

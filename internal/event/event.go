@@ -22,18 +22,20 @@
 //
 // # Keyed guards
 //
-// An event whose bindings mostly demultiplex on an exact header match (a
-// transport's per-connection 4-tuple) may declare a key extractor, its
-// owner's code, run at most once per raise outside crash containment;
-// InstallKey installs a binding whose guard is an exact-match Key and which
-// holds the key until Uninstall: the event indexes each key's one binding.
-// Consecutive keyed bindings form a run, one dispatch-list entry; a raise
-// looks the key up once, so its host cost grows with closure guards and
-// matches, not keyed bindings. Simulated cost stays linear: a run charges
-// n×GuardEval (one ChargeProf per member with a sim.Metrics sink) and derives
-// GuardRejects from its scan count, so every charge, sample and counter is a
-// closure guard's. The index relies on guards being side-effect free: none
-// installs or uninstalls.
+// An event whose bindings mostly demultiplex on exact header matches (a
+// transport's 4-tuple, IP's protocol and port) may declare a key extractor,
+// its owner's code, run at most once per raise outside crash containment,
+// yielding a packet's exact and wildcard keys. InstallKey installs a binding
+// whose guard is an exact-match Key; it holds the key, and any AddKey gives
+// it, until Uninstall. A raise matches the exact key's holder, else the
+// wildcard key's: one keyed match at most, an exact entry shadowing a
+// wildcard. Consecutive keyed bindings form a run, one dispatch-list entry;
+// eight keys are found by a scan of the runs, more through an index, so host
+// cost grows with closure guards and matches, not keyed bindings. Simulated
+// cost stays linear: a run charges n×GuardEval (one ChargeProf per member
+// with a sim.Metrics sink) and derives GuardRejects from its scan count, so
+// every charge, sample and counter is a closure guard's. The lookup relies
+// on guards being side-effect free: none installs or uninstalls.
 //
 // # Crash containment and quarantine
 //
@@ -52,6 +54,7 @@ package event
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -111,10 +114,10 @@ type Options struct {
 	// RequireEphemeral makes the event reject non-EPHEMERAL handlers at
 	// install time. Events raised from interrupt context declare this.
 	RequireEphemeral bool
-	// Key, if set, extracts a packet's exact-match key for the event's
-	// keyed bindings (InstallKey); ok=false means no keyed binding matches
-	// the packet. It must not panic: it runs outside crash containment.
-	Key func(*mbuf.Mbuf) (Key, bool)
+	// Key, if set, extracts a packet's exact and wildcard keys for the
+	// event's keyed bindings (InstallKey); ok=false means no keyed binding
+	// matches the packet. It must not panic: it runs outside containment.
+	Key func(*mbuf.Mbuf) (exact, wild Key, ok bool)
 	// NoMatch, if set, disposes of a packet a raise invoked no handler for
 	// (counts the drop, answers with an error, frees it). It runs at the end
 	// of that raise, in whichever task the raise runs, outside containment.
@@ -150,9 +153,9 @@ var (
 	// an ordinary handler could leave shared state corrupt.
 	ErrAllotmentNotEphemeral = errors.New("event: time allotment requires an EPHEMERAL handler")
 	// ErrNoKey reports a keyed install on an event that declares no key
-	// extractor.
+	// extractor, or AddKey on a binding holding no key.
 	ErrNoKey = errors.New("event: event declares no key")
-	// ErrKeyBound reports a keyed install on a key the event's index holds.
+	// ErrKeyBound reports a keyed install or AddKey of a key the event holds.
 	ErrKeyBound = errors.New("event: key already bound")
 )
 
@@ -182,13 +185,14 @@ func (s BindingStats) Faults() uint64 {
 type Binding struct {
 	event     *Ref
 	guard     Guard
-	key       Key     // a keyed binding's guard: the packet's extracted key must equal it
+	key       Key     // InstallKey's key; those AddKey gives are in the event's index only
 	run       *keyRun // the run holding a live keyed binding, or the run a run entry stands for
 	name      string  // the handler's diagnostic name
 	fn        HandlerFunc
 	allotment sim.Time // 0 = unlimited
 	// The flags and slot share one word: a Binding stays in the 128-byte size class.
 	keyed, removed, quarantined bool
+	multi                       bool  // AddKey gave the binding more keys
 	slot                        int32 // a live keyed binding's index in run.members
 	stats                       BindingStats
 }
@@ -236,10 +240,6 @@ func (ev *Ref) add(b *Binding) {
 		ev.bindings = append(ev.bindings, b)
 		return
 	}
-	if ev.index == nil {
-		ev.index = make(map[Key]*Binding)
-	}
-	ev.index[b.key] = b
 	var r *keyRun
 	if n := len(ev.bindings); n > 0 && ev.bindings[n-1].keyed {
 		r = ev.bindings[n-1].run
@@ -253,6 +253,41 @@ func (ev *Ref) add(b *Binding) {
 	b.slot = int32(len(r.members))
 	r.members = append(r.members, b)
 	r.live++
+	if ev.index != nil {
+		ev.index[b.key] = b
+	} else if n := 0; ev.find(func(*Binding) bool { n++; return n > 8 }) != nil {
+		ev.makeIndex() // past eight keys, a scan costs more than an index
+	}
+}
+
+// makeIndex builds the event's key index from its runs' members, once.
+func (ev *Ref) makeIndex() {
+	if ev.index == nil {
+		ev.index = make(map[Key]*Binding)
+		ev.find(func(kb *Binding) bool { ev.index[kb.key] = kb; return false })
+	}
+}
+
+// holder returns the binding holding key, or nil.
+func (ev *Ref) holder(key Key) *Binding {
+	if ev.index != nil {
+		return ev.index[key]
+	}
+	return ev.find(func(kb *Binding) bool { return kb.key == key })
+}
+
+// find returns the first live keyed binding f accepts, or nil.
+func (ev *Ref) find(f func(*Binding) bool) *Binding {
+	for _, e := range ev.bindings {
+		if e.keyed {
+			for _, kb := range e.run.members {
+				if kb != nil && f(kb) {
+					return kb
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Dispatcher routes raised events to installed handlers.
@@ -317,14 +352,9 @@ func (d *Dispatcher) Health() Health {
 		for _, b := range ev.bindings {
 			if !b.keyed {
 				acc(b)
-				continue
-			}
-			for _, kb := range b.run.members {
-				if kb != nil {
-					acc(kb)
-				}
 			}
 		}
+		ev.find(func(kb *Binding) bool { acc(kb); return false })
 	}
 	for _, b := range d.ejected {
 		acc(b)
@@ -363,6 +393,22 @@ func (d *Dispatcher) InstallKey(name Name, key Key, h Handler, allotment sim.Tim
 	return d.install(name, &Binding{keyed: true, key: key}, h, allotment)
 }
 
+// AddKey gives keyed binding b one more key, held until Uninstall. It fails
+// with ErrNoKey on a closure or uninstalled binding and with ErrKeyBound on
+// a held key.
+func (d *Dispatcher) AddKey(b *Binding, key Key) error {
+	ev := b.event
+	if !b.keyed || b.removed {
+		return fmt.Errorf("%w: %s on %s", ErrNoKey, b.name, ev.name)
+	}
+	if ev.Bound(key) {
+		return fmt.Errorf("%w: %#x on %s", ErrKeyBound, uint64(key), ev.name)
+	}
+	ev.makeIndex()
+	ev.index[key], b.multi = b, true
+	return nil
+}
+
 // install validates b, with handler h and its allotment, against the named
 // event and appends it to the event's dispatch order.
 func (d *Dispatcher) install(name Name, b *Binding, h Handler, allotment sim.Time) (*Binding, error) {
@@ -399,7 +445,7 @@ func (d *Dispatcher) install(name Name, b *Binding, h Handler, allotment sim.Tim
 //   - Double-uninstall is a no-op returning false.
 //   - Uninstalling a quarantined binding marks it removed but returns false
 //     (quarantine had already detached it).
-//   - It frees a keyed binding's key, quarantined or not.
+//   - It frees every key a keyed binding holds, quarantined or not.
 //   - A binding uninstalled during a raise does not fire later in that same
 //     raise, even though the raise's dispatch snapshot was taken before the
 //     removal.
@@ -410,7 +456,9 @@ func (d *Dispatcher) Uninstall(b *Binding) bool {
 		return false
 	}
 	b.removed = true
-	if b.keyed {
+	if b.multi {
+		maps.DeleteFunc(b.event.index, func(_ Key, kb *Binding) bool { return kb == b })
+	} else if b.keyed {
 		delete(b.event.index, b.key)
 	}
 	if b.quarantined {
@@ -477,7 +525,7 @@ type Ref struct {
 	// bindings is the dispatch order: closure-guarded and unguarded
 	// bindings, and one entry per run of keyed bindings.
 	bindings []*Binding
-	index    map[Key]*Binding // each held key's binding; nil until InstallKey
+	index    map[Key]*Binding // each held key's binding; nil while every key is a live member's only one
 	raises   uint64
 }
 
@@ -507,10 +555,7 @@ func (r *Ref) HandlerCount() int {
 }
 
 // Bound reports whether an InstallKey binding not yet uninstalled holds key.
-func (r *Ref) Bound(key Key) bool {
-	_, ok := r.index[key]
-	return ok
-}
+func (r *Ref) Bound(key Key) bool { return r.holder(key) != nil }
 
 // Raise is Dispatcher.Raise through the resolved handle.
 func (r *Ref) Raise(t *sim.Task, m *mbuf.Mbuf) int { return r.d.raise(t, r, m) }
@@ -569,6 +614,9 @@ func (d *Dispatcher) fault(b *Binding) {
 		return
 	}
 	b.quarantined = true
+	if b.keyed {
+		b.event.makeIndex() // the key outlives b's run membership
+	}
 	detach(b)
 	d.ejected = append(d.ejected, b)
 }
@@ -645,9 +693,11 @@ func (d *Dispatcher) raise(t *sim.Task, ev *Ref, m *mbuf.Mbuf) int {
 	// scan has already passed.
 	matched := bindings[:0]
 	var hit *Binding
-	if len(ev.index) > 0 {
-		if key, ok := ev.opts.Key(m); ok {
-			hit = ev.index[key]
+	if ev.opts.Key != nil {
+		if exact, wild, ok := ev.opts.Key(m); ok {
+			if hit = ev.holder(exact); hit == nil && wild != exact {
+				hit = ev.holder(wild)
+			}
 		}
 	}
 	for _, b := range bindings {

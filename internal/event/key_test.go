@@ -4,23 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"plexus/internal/mbuf"
 	"plexus/internal/sim"
 )
 
-// firstByteKey is the test events' key extractor: a packet's key is its
-// first byte, and a packet starting with 0xff has no key.
-func firstByteKey(m *mbuf.Mbuf) (Key, bool) {
+// firstByteKey is the test events' key extractor: a packet's exact key is
+// its first byte and its wildcard key 0x80 or 0x81, by the byte's parity; a
+// packet starting with 0xff has no key.
+func firstByteKey(m *mbuf.Mbuf) (exact, wild Key, ok bool) {
 	b := m.Bytes()[0]
-	return Key(b), b != 0xff
+	return Key(b), Key(0x80 | b&1), b != 0xff
 }
 
-// keyGuard is the closure guard equivalent to a keyed binding on key.
+// keyGuard is the closure guard equivalent to a keyed binding on key, where
+// no binding holds a wildcard key.
 func keyGuard(key Key) Guard {
 	return func(_ *sim.Task, m *mbuf.Mbuf) bool {
-		k, ok := firstByteKey(m)
+		k, _, ok := firstByteKey(m)
 		return ok && k == key
 	}
 }
@@ -63,7 +66,7 @@ func TestKeyedBindings(t *testing.T) {
 		{"keyed and closure bindings fire in install order", func(t *testing.T) {
 			d := NewDispatcher(DefaultCosts())
 			calls := 0
-			d.MustDeclare("E", Options{Key: func(m *mbuf.Mbuf) (Key, bool) {
+			d.MustDeclare("E", Options{Key: func(m *mbuf.Mbuf) (Key, Key, bool) {
 				calls++
 				return firstByteKey(m)
 			}})
@@ -297,6 +300,110 @@ func TestKeyedBindings(t *testing.T) {
 				t.Fatalf("last run's binding %+v, want one invocation and no reject", s)
 			}
 		}},
+		{"an exact key shadows a wildcard key", func(t *testing.T) {
+			d := NewDispatcher(DefaultCosts())
+			d.MustDeclare("E", Options{Key: firstByteKey})
+			var ran []string
+			for _, b := range []struct {
+				name string
+				key  Key
+			}{{"wild-even", 0x80}, {"exact-2", 2}} {
+				name := b.name
+				if _, err := d.InstallKey("E", b.key, Proc(name, func(*sim.Task, *mbuf.Mbuf) { ran = append(ran, name) }), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range []struct {
+				first byte
+				want  string
+			}{{2, "exact-2"}, {4, "wild-even"}, {0x80, "wild-even"}, {3, ""}, {0xff, ""}} {
+				ran = nil
+				m := pkt(t, c.first)
+				run(t, func(task *sim.Task) {
+					d.Raise(task, "E", m)
+					if costs := DefaultCosts(); task.Charged() != 2*costs.GuardEval+sim.Time(len(ran))*costs.Invoke {
+						t.Errorf("raise charged %v for %d invocations", task.Charged(), len(ran))
+					}
+				})
+				if got := strings.Join(ran, ","); got != c.want {
+					t.Errorf("raise of %#x ran %q, want %q", c.first, got, c.want)
+				}
+			}
+		}},
+		{"AddKey gives a binding more keys, and Uninstall frees them all", func(t *testing.T) {
+			d := NewDispatcher(DefaultCosts())
+			d.MustDeclare("E", Options{Key: firstByteKey})
+			ref := d.Ref("E")
+			calls := 0
+			b, err := d.InstallKey("E", 1, Proc("multi", func(*sim.Task, *mbuf.Mbuf) { calls++ }), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := d.InstallKey("E", 2, Proc("other", nop), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closure := mustInstall(t, d, "E", nil, Proc("closure", nop))
+			for _, c := range []struct {
+				b    *Binding
+				key  Key
+				want error
+			}{{b, 3, nil}, {b, 0x81, nil}, {b, 2, ErrKeyBound}, {other, 3, ErrKeyBound}, {closure, 4, ErrNoKey}} {
+				if err := d.AddKey(c.b, c.key); !errors.Is(err, c.want) {
+					t.Fatalf("AddKey(%d) = %v, want %v", c.key, err, c.want)
+				}
+			}
+			if n := d.HandlerCount("E"); n != 3 {
+				t.Fatalf("HandlerCount = %d, want 3: AddKey installs no binding", n)
+			}
+			for _, first := range []byte{1, 3, 5, 2} {
+				m := pkt(t, first)
+				run(t, func(task *sim.Task) { d.Raise(task, "E", m) })
+			}
+			if s := b.Stats(); calls != 3 || s.Invocations != 3 || s.GuardRejects != 1 {
+				t.Fatalf("multi-key binding ran %d times, stats %+v; want 3 invocations and 1 reject", calls, s)
+			}
+			d.Uninstall(b)
+			for key, want := range map[Key]bool{1: false, 3: false, 0x81: false, 2: true} {
+				if ref.Bound(key) != want {
+					t.Errorf("after Uninstall: Bound(%#x) = %v, want %v", key, !want, want)
+				}
+			}
+			if err := d.AddKey(b, 7); !errors.Is(err, ErrNoKey) {
+				t.Fatalf("AddKey on an uninstalled binding = %v, want ErrNoKey", err)
+			}
+		}},
+		{"eight keys are scanned, the ninth makes the index", func(t *testing.T) {
+			d := NewDispatcher(DefaultCosts())
+			d.MustDeclare("E", Options{Key: firstByteKey})
+			ref := d.Ref("E")
+			var bs []*Binding
+			for key := Key(1); key <= 9; key++ {
+				if key == 5 {
+					mustInstall(t, d, "E", keyGuard(0), Proc("closure", nop)) // a second run
+				}
+				b, err := d.InstallKey("E", key, Proc("keyed", nop), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bs = append(bs, b)
+				if indexed := ref.index != nil; indexed != (key == 9) {
+					t.Fatalf("%d keys: index made %v", key, indexed)
+				}
+			}
+			for key := Key(0); key <= 10; key++ {
+				if want := key >= 1 && key <= 9; ref.Bound(key) != want {
+					t.Errorf("Bound(%d) = %v, want %v", key, !want, want)
+				}
+			}
+			for i, b := range bs {
+				m := pkt(t, byte(i+1))
+				run(t, func(task *sim.Task) { d.Raise(task, "E", m) })
+				if b.Stats().Invocations != 1 {
+					t.Fatalf("key %d's binding ran %d times, want 1", i+1, b.Stats().Invocations)
+				}
+			}
+		}},
 		{"quarantine ejects keyed and closure bindings at one threshold", func(t *testing.T) {
 			d := NewDispatcher(DefaultCosts())
 			d.SetQuarantine(QuarantinePolicy{Threshold: 3})
@@ -332,21 +439,25 @@ func TestKeyedBindings(t *testing.T) {
 }
 
 // FuzzKeyedAgreesWithClosure is differential: a script of installs,
-// uninstalls and raises plays once with keyed bindings, which the dispatcher
-// gathers into indexed runs, and once with every keyed binding installed as
-// its equivalent closure guard, which is the ordered scan. Handlers charge,
+// uninstalls, added keys and raises plays once with keyed bindings, which
+// the dispatcher gathers into runs, and once with every keyed binding
+// installed as its equivalent closure guard, which is the ordered scan.
+// Keys are exact (0..9) or wildcard (0x80, 0x81), so bindings shadow one
+// another, and past eight keys the event makes its index. Handlers charge,
 // uninstall, install, panic into quarantine and raise again. With and
 // without a metrics sink, the two plays must agree on every invocation and
 // return value, the charge after every raise, every sample, and at the end
 // every binding's stats, HandlerCount and Health.
 //
-// Both plays refuse a keyed install on a key a keyed install still holds:
-// the keyed play by ErrKeyBound, the closure play by the script's own record
-// of held keys, which Uninstall frees and quarantine does not.
+// The closure play keeps the script's own record of held keys, which
+// Uninstall frees and quarantine does not: its keyed guards accept what the
+// holder of a packet's exact key, else of its wildcard key, would, and it
+// refuses what InstallKey and AddKey must.
 //
 // A script is a sequence of operations, each an opcode byte and its
-// arguments (see scriptOp); the seeds hit held keys, an emptied run, a
-// closure between two runs, a run emptied mid-raise and quarantine.
+// arguments (see the opcodes); the seeds hit held keys, an emptied run, a
+// closure between two runs, a run emptied mid-raise, quarantine, shadowed
+// wildcards, multi-key bindings and the index.
 func FuzzKeyedAgreesWithClosure(f *testing.F) {
 	keyed := func(key, behavior, param byte) []byte { return []byte{opKeyed, key, behavior, param} }
 	closure := func(variant, key, behavior, param byte) []byte {
@@ -354,6 +465,7 @@ func FuzzKeyedAgreesWithClosure(f *testing.F) {
 	}
 	uninstall := func(j byte) []byte { return []byte{opUninstall, j} }
 	raise := func(p byte) []byte { return []byte{opRaise, p} }
+	addKey := func(j, key byte) []byte { return []byte{opAddKey, j, key} }
 	for _, seed := range [][][]byte{
 		// held keys refused within one run, a hit, a miss and no key
 		{keyed(1, doCharge, 1), keyed(1, doCharge, 2), keyed(2, doCharge, 3), keyed(1, doCharge, 0),
@@ -376,6 +488,17 @@ func FuzzKeyedAgreesWithClosure(f *testing.F) {
 		{keyed(1, doPanic, 0), closure(guardPanic, 1, doCharge, 1), keyed(1, doCharge, 1), keyed(2, doPanic, 0),
 			raise(1), raise(2), raise(1), raise(2), raise(1), raise(4), keyed(1, doCharge, 1), uninstall(0),
 			keyed(1, doCharge, 1), raise(1)},
+		// a wildcard shadowed by exact keys, one of them added to another
+		// binding, which the wildcard's holder then loses to Uninstall
+		{keyed(10, doCharge, 1), keyed(2, doCharge, 2), closure(guardNone, 0, doCharge, 3), keyed(11, doCharge, 1),
+			addKey(1, 4), addKey(0, 4), addKey(2, 6), raise(0), raise(2), raise(4), raise(6), raise(3),
+			uninstall(1), raise(2), raise(4), addKey(1, 4), raise(10)},
+		// nine keys make the index mid-script; a quarantined wildcard
+		// holder keeps shadowing until its Uninstall
+		{keyed(0, doCharge, 1), keyed(1, doCharge, 1), keyed(2, doCharge, 1), keyed(3, doCharge, 1),
+			keyed(10, doPanic, 0), keyed(5, doCharge, 1), keyed(6, doCharge, 1), raise(8), raise(8), raise(8),
+			keyed(7, doCharge, 1), keyed(9, doCharge, 1), keyed(11, doCharge, 1), raise(4), raise(8),
+			uninstall(4), raise(8), keyed(10, doCharge, 2), raise(8), raise(9)},
 	} {
 		f.Add(slices.Concat(seed...))
 	}
@@ -407,6 +530,7 @@ const (
 	opClosure          // variant, key, behavior, param: a closure-guarded binding
 	opUninstall        // j: uninstall the j-th binding installed
 	opRaise            // p: raise the p-th test packet
+	opAddKey           // j, key: AddKey to the j-th binding installed
 	numOps
 )
 
@@ -422,7 +546,7 @@ const (
 const (
 	doCharge    = iota // charge param%4 µs
 	doUninstall        // uninstall the param-th binding installed
-	doInstall          // install a keyed binding on key param%4 behaving as param>>2
+	doInstall          // install a keyed binding on key param behaving as param>>2
 	doPanic            // panic
 	doRaise            // raise the packet again, at depth ≤ 2
 	numBehaviors
@@ -455,7 +579,8 @@ type scriptWorld struct {
 	d     *Dispatcher
 	keyed bool // keyed installs use InstallKey, else keyGuard
 	bs    []*Binding
-	held  map[Key]*Binding // each key a keyed install holds, to its binding
+	held  map[Key]*Binding  // each key a keyed binding holds, to its binding
+	keyB  map[*Binding]bool // the keyed installs
 	depth int
 	log   []string
 }
@@ -463,12 +588,15 @@ type scriptWorld struct {
 // playScript plays script on a fresh dispatcher, keyed or as closures, with
 // or without a recording metrics sink.
 func playScript(t *testing.T, script []byte, keyed, sink bool) play {
-	w := &scriptWorld{d: NewDispatcher(DefaultCosts()), keyed: keyed, held: map[Key]*Binding{}}
+	w := &scriptWorld{d: NewDispatcher(DefaultCosts()), keyed: keyed, held: map[Key]*Binding{}, keyB: map[*Binding]bool{}}
 	w.d.SetQuarantine(QuarantinePolicy{Threshold: 2})
 	w.d.MustDeclare("E", Options{Key: firstByteKey, NoMatch: func(*sim.Task, *mbuf.Mbuf) {
 		w.log = append(w.log, "no match")
 	}})
-	pkts := []*mbuf.Mbuf{pkt(t, 0), pkt(t, 1), pkt(t, 2), pkt(t, 3), pkt(t, 0xff)}
+	pkts := []*mbuf.Mbuf{pkt(t, 0xff)}
+	for b := byte(0); b < 10; b++ {
+		pkts = append(pkts, pkt(t, b))
+	}
 	body := func(task *sim.Task) {
 		for i := 0; i < len(script); {
 			arg := func(n int) byte {
@@ -479,10 +607,10 @@ func playScript(t *testing.T, script []byte, keyed, sink bool) play {
 			}
 			switch script[i] % numOps {
 			case opKeyed:
-				w.install(guardKey, true, Key(arg(1)%4), arg(2), arg(3))
+				w.install(guardKey, true, scriptKey(arg(1)), arg(2), arg(3))
 				i += 4
 			case opClosure:
-				w.install(arg(1)%numGuards, false, Key(arg(2)%4), arg(3), arg(4))
+				w.install(arg(1)%numGuards, false, scriptKey(arg(2)), arg(3), arg(4))
 				i += 5
 			case opUninstall:
 				w.uninstall(arg(1))
@@ -490,6 +618,9 @@ func playScript(t *testing.T, script []byte, keyed, sink bool) play {
 			case opRaise:
 				w.raise(task, pkts[int(arg(1))%len(pkts)])
 				i += 2
+			case opAddKey:
+				w.addKey(arg(1), scriptKey(arg(2)))
+				i += 3
 			}
 		}
 	}
@@ -507,7 +638,16 @@ func playScript(t *testing.T, script []byte, keyed, sink bool) play {
 	return p
 }
 
-// install adds binding number len(w.bs): keyed on key (a keyGuard in the
+// scriptKey is the key a script byte names: 0..9 exact, 10 and 11 the
+// wildcards 0x80 and 0x81.
+func scriptKey(arg byte) Key {
+	if k := Key(arg % 12); k < 10 {
+		return k
+	}
+	return 0x80 | Key(arg%12-10)
+}
+
+// install adds binding number len(w.bs): keyed on key (a heldGuard in the
 // closure play), or closure-guarded by variant. A keyed install of a held
 // key is refused instead, and installs nothing.
 func (w *scriptWorld) install(variant byte, keyed bool, key Key, behavior, param byte) {
@@ -526,15 +666,19 @@ func (w *scriptWorld) install(variant byte, keyed bool, key Key, behavior, param
 		b, err = w.d.InstallKey("E", key, h, 0)
 	case variant == guardNone:
 		b, err = w.d.Install("E", nil, h, 0)
-	case variant == guardKey:
-		if _, held := w.held[key]; keyed && held {
+	case !keyed && variant == guardKey:
+		b, err = w.d.Install("E", keyGuard(key), h, 0)
+	case keyed:
+		if _, held := w.held[key]; held {
 			err = ErrKeyBound // what InstallKey answers in the keyed play
 		} else {
-			b, err = w.d.Install("E", keyGuard(key), h, 0)
+			self := new(*Binding)
+			b, err = w.d.Install("E", w.heldGuard(self), h, 0)
+			*self = b
 		}
 	default:
 		b, err = w.d.Install("E", func(_ *sim.Task, m *mbuf.Mbuf) bool {
-			if k, ok := firstByteKey(m); ok && k == key {
+			if k, _, ok := firstByteKey(m); ok && k == key {
 				panic("rogue guard")
 			}
 			return false
@@ -548,9 +692,47 @@ func (w *scriptWorld) install(variant byte, keyed bool, key Key, behavior, param
 		panic(err)
 	}
 	if keyed {
-		w.held[key] = b
+		w.held[key], w.keyB[b] = b, true
 	}
 	w.bs = append(w.bs, b)
+}
+
+// heldGuard is a keyed binding in the closure play: it accepts what the
+// keyed play's lookup gives *self, the holder of the packet's exact key,
+// else of its wildcard key.
+func (w *scriptWorld) heldGuard(self **Binding) Guard {
+	return func(_ *sim.Task, m *mbuf.Mbuf) bool {
+		exact, wild, ok := firstByteKey(m)
+		hb, held := w.held[exact]
+		if !held {
+			hb = w.held[wild]
+		}
+		return ok && hb == *self
+	}
+}
+
+// addKey gives the j-th binding installed key: by AddKey in the keyed play,
+// and in the closure play by the record of held keys, refusing what AddKey
+// refuses.
+func (w *scriptWorld) addKey(j byte, key Key) {
+	if len(w.bs) == 0 {
+		return
+	}
+	b := w.bs[int(j)%len(w.bs)]
+	_, held := w.held[key]
+	var err error
+	switch {
+	case w.keyed:
+		err = w.d.AddKey(b, key)
+	case !w.keyB[b] || b.removed:
+		err = ErrNoKey
+	case held:
+		err = ErrKeyBound
+	}
+	if err == nil {
+		w.held[key] = b
+	}
+	w.log = append(w.log, fmt.Sprintf("add key %d: no key %v, bound %v", key, errors.Is(err, ErrNoKey), errors.Is(err, ErrKeyBound)))
 }
 
 func (w *scriptWorld) uninstall(j byte) {
@@ -581,7 +763,7 @@ func (w *scriptWorld) act(task *sim.Task, m *mbuf.Mbuf, behavior, param byte) {
 	case doUninstall:
 		w.uninstall(param)
 	case doInstall:
-		w.install(guardKey, true, Key(param%4), param>>2, param)
+		w.install(guardKey, true, scriptKey(param), param>>2, param)
 	case doPanic:
 		panic("rogue handler")
 	case doRaise:

@@ -19,6 +19,7 @@ package forward
 
 import (
 	"errors"
+	"fmt"
 
 	"plexus/internal/event"
 	"plexus/internal/fabric"
@@ -38,7 +39,10 @@ const natBase = 61000
 const rewriteCost = 4 * sim.Microsecond
 
 // Errors.
-var errNATFull = errors.New("forward: NAT port space exhausted")
+var (
+	errNATFull   = errors.New("forward: NAT port space exhausted")
+	errPortInUse = errors.New("forward: port in use")
+)
 
 // KernelStats counts in-kernel forwarder activity.
 type KernelStats struct {
@@ -65,6 +69,9 @@ type Kernel struct {
 	servicePort uint16
 	backend     view.IP4
 	backendPort uint16
+	// binding holds the service port's key on IP.PacketRecv, and each NAT
+	// port's.
+	binding *event.Binding
 
 	flows   map[flowKey]*natEntry
 	byNAT   map[uint16]*natEntry
@@ -76,9 +83,10 @@ type Kernel struct {
 
 // NewKernel installs a forwarder for proto (view.IPProtoTCP or
 // view.IPProtoUDP) traffic to servicePort, redirecting it to
-// backend:backendPort. The node claims the service port (and its NAT ports)
+// backend:backendPort. The node takes the service port (and its NAT ports)
 // from the local transport manager — the §3.1 multiple-implementations
-// mechanism — and installs a guard/handler pair on IP.PacketRecv.
+// mechanism — by holding their keys on IP.PacketRecv with its one binding.
+// It fails if the port is in use.
 func NewKernel(st *plexus.Stack, proto uint8, servicePort uint16, backend view.IP4, backendPort uint16) (*Kernel, error) {
 	k := &Kernel{
 		st:          st,
@@ -90,37 +98,24 @@ func NewKernel(st *plexus.Stack, proto uint8, servicePort uint16, backend view.I
 		byNAT:       make(map[uint16]*natEntry),
 		nextNAT:     natBase,
 	}
-	if err := k.claim(servicePort); err != nil {
+	if k.inUse(servicePort) {
+		return nil, fmt.Errorf("%w: %d", errPortInUse, servicePort)
+	}
+	b, err := st.Host.Disp.InstallKey(ip.RecvEvent, ip.RecvKey(proto, servicePort),
+		event.Ephemeral("forward.kernel", k.input), 0)
+	if err != nil {
 		return nil, err
 	}
-	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		ipv, err := view.IPv4(pkt.Bytes())
-		if err != nil || ipv.Proto() != proto {
-			return false
-		}
-		_, dstPort, ok := ports(pkt, ipv)
-		if !ok {
-			return false
-		}
-		if dstPort == servicePort {
-			return true
-		}
-		_, isNAT := k.byNAT[dstPort]
-		return isNAT && ipv.Src() == backend
-	}
-	if _, err := st.Host.Disp.Install(ip.RecvEvent, guard,
-		event.Ephemeral("forward.kernel", k.input), 0); err != nil {
-		return nil, err
-	}
+	k.binding = b
 	return k, nil
 }
 
-// claim takes a port away from the local transport implementation.
-func (k *Kernel) claim(port uint16) error {
+// inUse reports whether the local transport uses port.
+func (k *Kernel) inUse(port uint16) bool {
 	if k.proto == view.IPProtoTCP {
-		return k.st.TCP.Claim(port)
+		return k.st.TCP.InUse(port)
 	}
-	return k.st.UDP.Claim(port)
+	return k.st.UDP.InUse(port)
 }
 
 // Stats returns a snapshot of counters.
@@ -145,7 +140,9 @@ func (k *Kernel) input(t *sim.Task, pkt *mbuf.Mbuf) {
 		return
 	}
 	srcPort, dstPort, ok := ports(pkt, ipv)
-	if !ok {
+	// A NAT port's key takes datagrams from anyone: only the backend's
+	// return to a client.
+	if !ok || dstPort != k.servicePort && ipv.Src() != k.backend {
 		return
 	}
 	// Work on a private copy: the incoming chain is read-only. All
@@ -200,10 +197,8 @@ func (k *Kernel) allocNAT() (uint16, error) {
 		if k.nextNAT == natBase+2048 {
 			k.nextNAT = natBase
 		}
-		if _, used := k.byNAT[p]; !used {
-			if err := k.claim(p); err != nil {
-				continue
-			}
+		if _, used := k.byNAT[p]; !used && !k.inUse(p) &&
+			k.st.Host.Disp.AddKey(k.binding, ip.RecvKey(k.proto, p)) == nil {
 			return p, nil
 		}
 	}

@@ -184,3 +184,81 @@ func TestKernelForwarderUDP(t *testing.T) {
 		t.Fatalf("reply = %q", reply)
 	}
 }
+
+// The forwarder takes its service port's segments only: the forwarder host's
+// own connection to a remote host's service port completes, its SYN-ACK
+// coming from that port to an ephemeral one.
+func TestKernelForwarderHostConnectsToServicePort(t *testing.T) {
+	n, _, fwd, server := threeHosts(t, osmodel.SPIN)
+	echoServer(t, server, 8000)
+	k, err := NewKernel(fwd, view.IPProtoTCP, 8000, server.Addr(), 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := runRequest(t, n, fwd, server.Addr(), 8000, []byte("direct"))
+	if string(reply) != "DIRECT" {
+		t.Fatalf("reply = %q", reply)
+	}
+	if st := k.Stats(); st.Forwarded != 0 || st.Returned != 0 {
+		t.Errorf("the forwarder handled the host's own connection: %+v", st)
+	}
+}
+
+// A NAT port takes datagrams from anyone, and the forwarder returns only the
+// backend's to the client: one from another host is dropped, and neither it
+// nor the host's UDP sees it.
+func TestKernelForwarderDropsNATPortStranger(t *testing.T) {
+	n, client, fwd, server := threeHosts(t, osmodel.SPIN)
+	var echo *plexus.UDPApp
+	echo, err := server.OpenUDP(plexus.UDPAppOptions{Port: 9000}, func(task *sim.Task, data []byte, src view.IP4, srcPort uint16) {
+		_ = echo.Send(task, src, srcPort, data)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKernel(fwd, view.IPProtoUDP, 8000, server.Addr(), 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	capp, err := client.OpenUDP(plexus.UDPAppOptions{}, func(*sim.Task, []byte, view.IP4, uint16) { replies++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Spawn("via", func(task *sim.Task) { _ = capp.Send(task, fwd.Addr(), 8000, []byte("hop")) })
+	n.Sim.Run()
+	if replies != 1 || k.Stats().Returned != 1 {
+		t.Fatalf("%d replies, %+v: the forwarded exchange failed", replies, k.Stats())
+	}
+	received := fwd.UDP.Stats().Received
+	client.Spawn("stranger", func(task *sim.Task) { _ = capp.Send(task, fwd.Addr(), natBase, []byte("spoof")) })
+	n.Sim.Run()
+	if replies != 1 || k.Stats().Returned != 1 {
+		t.Errorf("a stranger's datagram to the NAT port was returned: %d replies, %+v", replies, k.Stats())
+	}
+	if fwd.UDP.Stats().Received != received || fwd.ICMP.Stats().UnreachSent != 0 {
+		t.Errorf("the host's UDP saw the NAT port's datagram: %+v", fwd.UDP.Stats())
+	}
+}
+
+// A port held by a forwarder, or by a listener, is in use: NewKernel fails
+// on it.
+func TestNewKernelRefusesHeldPort(t *testing.T) {
+	_, _, fwd, server := threeHosts(t, osmodel.SPIN)
+	if _, err := NewKernel(fwd, view.IPProtoTCP, 8000, server.Addr(), 9000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewKernel(fwd, view.IPProtoTCP, 8000, server.Addr(), 9001); err == nil {
+		t.Fatal("a second forwarder took the held port 8000")
+	}
+	if _, err := fwd.ListenTCP(8000, plexus.TCPAppOptions{}, nil); err == nil {
+		t.Fatal("a listener took the forwarder's port 8000")
+	}
+	echoServer(t, fwd, 7000)
+	if _, err := NewKernel(fwd, view.IPProtoTCP, 7000, server.Addr(), 9000); err == nil {
+		t.Fatal("a forwarder took the listener's port 7000")
+	}
+	if _, err := NewKernel(fwd, view.IPProtoUDP, 8000, server.Addr(), 9000); err != nil {
+		t.Fatalf("UDP 8000 is free: %v", err)
+	}
+}

@@ -39,31 +39,20 @@ type Layer struct {
 	waiters map[uint16]func(*sim.Task, EchoReply)
 }
 
-// New creates the ICMP node and installs its guard (proto == ICMP) and
-// handler on IP.PacketRecv.
+// New creates the ICMP node and installs its handler on IP.PacketRecv under
+// the ICMP key.
 func New(host *osmodel.Host, ipl *ip.Layer) (*Layer, error) {
 	l := &Layer{
 		host:    host,
 		ip:      ipl,
 		waiters: make(map[uint16]func(*sim.Task, EchoReply)),
 	}
-	_, err := host.Disp.Install(ip.RecvEvent, ProtoGuard(view.IPProtoICMP),
+	_, err := host.Disp.InstallKey(ip.RecvEvent, ip.RecvKey(view.IPProtoICMP, 0),
 		event.Ephemeral("icmp.input", l.input), 0)
 	if err != nil {
 		return nil, err
 	}
 	return l, nil
-}
-
-// ProtoGuard returns a guard on IP.PacketRecv matching one IP protocol.
-func ProtoGuard(proto uint8) event.Guard {
-	return func(t *sim.Task, m *mbuf.Mbuf) bool {
-		v, err := view.IPv4(m.Bytes())
-		if err != nil {
-			return false
-		}
-		return v.Proto() == proto
-	}
 }
 
 // Stats returns a snapshot of counters.

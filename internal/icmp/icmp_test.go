@@ -3,7 +3,10 @@ package icmp_test
 import (
 	"testing"
 
+	"plexus/internal/event"
 	"plexus/internal/icmp"
+	"plexus/internal/ip"
+	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
 	"plexus/internal/plexus"
@@ -125,32 +128,57 @@ func TestPortUnreachableQuotesOriginal(t *testing.T) {
 	}
 }
 
+// protoGuard is the closure guard on IP.PacketRecv that the protocol
+// managers' keyed entries replaced: it matches one IP protocol.
+func protoGuard(proto uint8) event.Guard {
+	return func(t *sim.Task, m *mbuf.Mbuf) bool {
+		v, err := view.IPv4(m.Bytes())
+		if err != nil {
+			return false
+		}
+		return v.Proto() == proto
+	}
+}
+
+// ICMP's keyed entry on IP.PacketRecv takes exactly the datagrams the
+// protocol guard it replaced accepted: an echo request reaches the ICMP layer
+// under ICMP's protocol number and under no other, and garbage reaches
+// nobody.
 func TestProtoGuard(t *testing.T) {
-	g := icmp.ProtoGuard(view.IPProtoTCP)
-	// Build a minimal IP packet with proto=UDP: guard must reject.
-	_, a, _ := pair(t)
-	dgram := make([]byte, 20)
-	dgram[0] = 0x45
-	v, _ := view.IPv4(dgram)
-	v.SetProto(view.IPProtoUDP)
-	m := a.Host.Pool.FromBytes(dgram, 0)
-	defer m.Free()
-	if g(nil, m) {
-		t.Error("guard matched wrong protocol")
+	n, a, b := pair(t)
+	g := protoGuard(view.IPProtoICMP)
+	echo := func(proto uint8) *mbuf.Mbuf {
+		d := make([]byte, view.IPv4MinHdrLen+view.ICMPHdrLen)
+		d[0] = 0x45
+		v, _ := view.IPv4(d)
+		v.SetTotalLen(len(d))
+		v.SetTTL(64)
+		v.SetProto(proto)
+		v.SetSrc(a.Addr())
+		v.SetDst(b.Addr())
+		v.ComputeChecksum()
+		iv, _ := view.ICMP(d[view.IPv4MinHdrLen:])
+		iv.SetType(view.ICMPEchoRequest)
+		iv.SetChecksum(view.Checksum(d[view.IPv4MinHdrLen:]))
+		return b.Host.Pool.FromBytes(d, 0)
 	}
-	v2, _ := view.IPv4(m.Bytes())
-	_ = v2
-	// And with proto=TCP it matches.
-	b, _ := m.MutableBytes()
-	vb, _ := view.IPv4(b)
-	vb.SetProto(view.IPProtoTCP)
-	if !g(nil, m) {
-		t.Error("guard rejected right protocol")
+	cases := []struct {
+		name string
+		m    *mbuf.Mbuf
+	}{
+		{"icmp", echo(view.IPProtoICMP)},
+		{"udp", echo(view.IPProtoUDP)},
+		{"tcp", echo(view.IPProtoTCP)},
+		{"unclaimed protocol", echo(253)},
+		{"garbage", b.Host.Pool.FromBytes([]byte{1, 2, 3}, 0)},
 	}
-	// Garbage never matches.
-	short := a.Host.Pool.FromBytes([]byte{1, 2, 3}, 0)
-	defer short.Free()
-	if g(nil, short) {
-		t.Error("guard matched garbage")
+	for _, c := range cases {
+		want := g(nil, c.m)
+		before := b.ICMP.Stats().EchoRequestsRcvd
+		b.Spawn("rx", func(task *sim.Task) { b.Host.Disp.Raise(task, ip.RecvEvent, c.m) })
+		n.Sim.Run()
+		if got := b.ICMP.Stats().EchoRequestsRcvd != before; got != want {
+			t.Errorf("%s: reached ICMP %v, protocol guard %v", c.name, got, want)
+		}
 	}
 }

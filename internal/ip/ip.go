@@ -6,8 +6,9 @@
 // On receive, the layer installs a guard (EtherType == IPv4) and handler on
 // Ethernet.PacketRecv; the handler validates the datagram and raises
 // IP.PacketRecv with the IP header still intact, so that the next layer's
-// guards can demultiplex on the protocol field and transport guards can see
-// addresses — exactly the decision-tree structure of the paper's Figure 1.
+// keyed entries can demultiplex on the protocol field and destination port,
+// and transport guards can see addresses — exactly the decision-tree
+// structure of the paper's Figure 1.
 package ip
 
 import (
@@ -23,8 +24,29 @@ import (
 	"plexus/internal/view"
 )
 
-// RecvEvent carries validated IPv4 datagrams (header intact) up the graph.
+// RecvEvent carries validated IPv4 datagrams (header intact) up the graph,
+// to bindings keyed by RecvKey.
 const RecvEvent event.Name = "IP.PacketRecv"
+
+// RecvKey is the RecvEvent key of proto's datagrams to port; port 0 is the
+// protocol's wildcard key. A transport holds its wildcard key, and another
+// implementation takes a port from it by holding the port's key.
+func RecvKey(proto uint8, port uint16) event.Key { return event.Key(proto)<<16 | event.Key(port) }
+
+// recvKey is RecvEvent's key extractor: a TCP or UDP datagram's exact key
+// names its destination port, 0 if it is too short to carry one, and any
+// other datagram's is its protocol's wildcard key.
+func recvKey(m *mbuf.Mbuf) (exact, wild event.Key, ok bool) {
+	v, err := view.IPv4(m.Bytes())
+	if err != nil {
+		return 0, 0, false
+	}
+	var ports [4]byte // read with CopyTo: they may straddle mbufs
+	if p := v.Proto(); p == view.IPProtoTCP || p == view.IPProtoUDP {
+		_ = m.CopyTo(v.HdrLen(), ports[:]) // out of range, it leaves ports zero
+	}
+	return RecvKey(v.Proto(), uint16(ports[2])<<8|uint16(ports[3])), RecvKey(v.Proto(), 0), true
+}
 
 // SendEvent is raised (when observed) for every outgoing datagram.
 const SendEvent event.Name = "IP.PacketSend"
@@ -107,7 +129,7 @@ func New(host *osmodel.Host, cfg Config) (*Layer, error) {
 		gw:    cfg.Gateway,
 		reasm: make(map[reasmKey]*reasmBuf),
 	}
-	if err := host.Disp.Declare(RecvEvent, event.Options{NoMatch: dropNoHandler}); err != nil {
+	if err := host.Disp.Declare(RecvEvent, event.Options{Key: recvKey, NoMatch: dropNoHandler}); err != nil {
 		return nil, err
 	}
 	if err := host.Disp.Declare(SendEvent, event.Options{}); err != nil {

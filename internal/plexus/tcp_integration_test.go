@@ -5,7 +5,10 @@ import (
 	"errors"
 	"testing"
 
+	"plexus/internal/event"
 	"plexus/internal/fault"
+	"plexus/internal/ip"
+	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/sim"
 	"plexus/internal/tcp"
@@ -189,17 +192,25 @@ func TestTCPOrderlyCloseBothSides(t *testing.T) {
 	}
 }
 
-// An active open never takes a local port ceded to another implementation:
-// the manager's IP guard would hide the SYN-ACK, leaving the connection stuck
-// in SYN-SENT.
+// holdTCPPort makes another implementation of TCP on st: a binding holding
+// port's key on IP.PacketRecv, which takes the port's segments from st.TCP.
+func holdTCPPort(t *testing.T, st *Stack, port uint16) {
+	t.Helper()
+	_, err := st.Host.Disp.InstallKey(ip.RecvEvent, ip.RecvKey(view.IPProtoTCP, port),
+		event.Ephemeral("tcp.other", func(_ *sim.Task, m *mbuf.Mbuf) { m.Free() }), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An active open never takes a local port another implementation holds:
+// its key would take the SYN-ACK, leaving the connection stuck in SYN-SENT.
 func TestTCPConnectSkipsClaimedPort(t *testing.T) {
 	n, client, server, err := TwoHosts(1, netdev.EthernetModel(), spinSpec("a"), spinSpec("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.TCP.Claim(32768); err != nil {
-		t.Fatal(err)
-	}
+	holdTCPPort(t, client, 32768)
 	if _, err := server.ListenTCP(80, TCPAppOptions{}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +233,14 @@ func TestTCPConnectSkipsClaimedPort(t *testing.T) {
 	}
 }
 
-// A listener never binds a port ceded to another implementation: the
-// manager's IP guard would hide every SYN, so the listen must fail instead.
+// A listener never binds a port another implementation holds: its key would
+// take every SYN, so the listen must fail instead.
 func TestTCPListenRefusesClaimedPort(t *testing.T) {
 	_, _, server, err := TwoHosts(1, netdev.EthernetModel(), spinSpec("a"), spinSpec("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.TCP.Claim(8000); err != nil {
-		t.Fatal(err)
-	}
+	holdTCPPort(t, server, 8000)
 	if _, err := server.ListenTCP(8000, TCPAppOptions{}, nil); !errors.Is(err, tcp.ErrPortInUse) {
 		t.Fatalf("ListenTCP on a claimed port: err = %v, want ErrPortInUse", err)
 	}

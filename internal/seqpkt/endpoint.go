@@ -60,10 +60,10 @@ type Endpoint struct {
 	closed   bool
 }
 
-// Open binds port and installs the endpoint's guard/handler pair through the
-// manager — applications never touch the dispatcher directly.
+// Open binds port and installs the endpoint's handler under the port's key
+// through the manager — applications never touch the dispatcher directly.
 func (m *Manager) Open(port uint16, recv RecvFunc) (*Endpoint, error) {
-	if _, used := m.ports[port]; used {
+	if m.recvRef.Bound(event.Key(port)) {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
 	e := &Endpoint{
@@ -73,17 +73,12 @@ func (m *Manager) Open(port uint16, recv RecvFunc) (*Endpoint, error) {
 		pending: make(map[uint32]*pendingSend),
 		peers:   make(map[peerKey]*peerState),
 	}
-	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		h, ok := parsePacket(pkt)
-		return ok && h.dstPort == port
-	}
-	b, err := m.disp.Install(RecvEvent, guard,
+	b, err := m.disp.InstallKey(RecvEvent, event.Key(port),
 		event.Handler{Name: fmt.Sprintf("seqpkt.endpoint:%d", port), Fn: e.deliver, Ephemeral: true}, 0)
 	if err != nil {
 		return nil, err
 	}
 	e.binding = b
-	m.ports[port] = e
 	return e, nil
 }
 
@@ -104,7 +99,6 @@ func (e *Endpoint) Close() {
 		e.setState(p, XferCancelled, CauseClose)
 	}
 	e.mgr.disp.Uninstall(e.binding)
-	delete(e.mgr.ports, e.port)
 }
 
 // Send transmits one reliable, ordered datagram to dst:dstPort. The source

@@ -10,8 +10,8 @@
 // the receiver delivers datagrams to the application in order, buffering a
 // small window of out-of-order arrivals. It rides directly on IP with its
 // own protocol number, installed into the protocol graph at runtime exactly
-// like the built-in transports: a guard on IP.PacketRecv demultiplexes on
-// the protocol field, endpoint guards demultiplex ports, and the manager
+// like the built-in transports: a keyed entry on IP.PacketRecv demultiplexes
+// on the protocol field, endpoints' keyed entries on ports, and the manager
 // enforces the same anti-spoofing/anti-snooping policies.
 package seqpkt
 
@@ -19,7 +19,6 @@ import (
 	"errors"
 
 	"plexus/internal/event"
-	"plexus/internal/icmp"
 	"plexus/internal/ip"
 	"plexus/internal/mbuf"
 	"plexus/internal/osmodel"
@@ -30,8 +29,8 @@ import (
 // IPProto is SPP's protocol number (from the unassigned range of the era).
 const IPProto = 77
 
-// RecvEvent carries validated SPP packets (IP header intact) to endpoint
-// guards.
+// RecvEvent carries validated SPP packets (IP header intact) to endpoints,
+// keyed by port.
 const RecvEvent event.Name = "SeqPkt.PacketRecv"
 
 // Wire format, after the IP header:
@@ -88,7 +87,6 @@ type Manager struct {
 	pool    *mbuf.Pool
 	costs   osmodel.Costs
 
-	ports map[uint16]*Endpoint
 	stats Stats
 	// hostName is the precomputed audit/telemetry label (the CPU name).
 	hostName string
@@ -112,7 +110,7 @@ type Config struct {
 
 // Install creates the manager and installs the protocol into the graph —
 // the runtime-extension act itself. It declares SeqPkt.PacketRecv and hangs
-// the manager's guard/handler on IP.PacketRecv next to UDP's and TCP's.
+// the manager's keyed handler on IP.PacketRecv next to UDP's and TCP's.
 func Install(cfg Config) (*Manager, error) {
 	m := &Manager{
 		sim:      cfg.Sim,
@@ -122,14 +120,13 @@ func Install(cfg Config) (*Manager, error) {
 		cpu:      cfg.CPU,
 		pool:     cfg.Pool,
 		costs:    cfg.Costs,
-		ports:    make(map[uint16]*Endpoint),
 		hostName: cfg.CPU.Name(),
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, NoMatch: m.noPort}); err != nil {
+	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, Key: portKey, NoMatch: m.noPort}); err != nil {
 		return nil, err
 	}
 	m.recvRef = cfg.Disp.Ref(RecvEvent)
-	_, err := cfg.Disp.Install(ip.RecvEvent, icmp.ProtoGuard(IPProto),
+	_, err := cfg.Disp.InstallKey(ip.RecvEvent, ip.RecvKey(IPProto, 0),
 		event.Ephemeral("seqpkt.input", m.input), 0)
 	if err != nil {
 		return nil, err
@@ -173,15 +170,23 @@ func (m *Manager) input(t *sim.Task, pkt *mbuf.Mbuf) {
 }
 
 // noPort is SeqPkt.PacketRecv's NoMatch action.
-func (m *Manager) noPort(_ *sim.Task, pkt *mbuf.Mbuf) {
-	pkt.Free()
+func (m *Manager) noPort(_ *sim.Task, pkt *mbuf.Mbuf) { pkt.Free() }
+
+// portKey is RecvEvent's key extractor: the destination port of a packet
+// carrying a whole SPP header (read with CopyTo: it may straddle mbufs).
+func portKey(pkt *mbuf.Mbuf) (exact, wild event.Key, ok bool) {
+	ipv, err := view.IPv4(pkt.Bytes())
+	var p [4]byte
+	ok = err == nil && ipv.TotalLen()-ipv.HdrLen() >= hdrLen && ipv.TotalLen() <= pkt.PktLen() &&
+		pkt.CopyTo(ipv.HdrLen(), p[:]) == nil
+	k := event.Key(p[2])<<8 | event.Key(p[3])
+	return k, k, ok
 }
 
 // header is a parsed SPP packet.
 type header struct {
 	src     view.IP4
 	srcPort uint16
-	dstPort uint16
 	typ     uint8
 	seq     uint32
 	payload []byte
@@ -200,7 +205,6 @@ func parsePacket(pkt *mbuf.Mbuf) (header, bool) {
 	return header{
 		src:     ipv.Src(),
 		srcPort: uint16(raw[0])<<8 | uint16(raw[1]),
-		dstPort: uint16(raw[2])<<8 | uint16(raw[3]),
 		typ:     raw[4],
 		seq:     uint32(raw[6])<<24 | uint32(raw[7])<<16 | uint32(raw[8])<<8 | uint32(raw[9]),
 		payload: raw[hdrLen:],

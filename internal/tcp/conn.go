@@ -276,7 +276,7 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16) 
 	if err != nil {
 		// RecvEvent is always declared by New, with segKey, and a TCB's
 		// 4-tuple is free: allocPort hands out no port a TCB holds, and a
-		// listener passes on no segment of a bound key.
+		// listener's wildcard key gets no segment of a bound key.
 		panic(err)
 	}
 	c.binding = b

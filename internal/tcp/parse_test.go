@@ -80,7 +80,8 @@ func chain(p *mbuf.Pool, dgram []byte, headLen int) *mbuf.Mbuf {
 // checkAgainstRef parses one layout of dgram both ways and fails on any
 // difference in verdict, fields or payload bytes. It holds segKey to the same
 // reference: a connection's keyed binding must accept exactly the segments a
-// guard comparing the parsed 4-tuple would.
+// guard comparing the parsed 4-tuple would, and a listener's wildcard key
+// must name the parsed destination port.
 func checkAgainstRef(t *testing.T, p *mbuf.Pool, m *Manager, dgram []byte, headLen int) {
 	t.Helper()
 	pkt := chain(p, dgram, headLen)
@@ -90,7 +91,7 @@ func checkAgainstRef(t *testing.T, p *mbuf.Pool, m *Manager, dgram []byte, headL
 	if ok != wantOK {
 		t.Fatalf("head %d: parseHdr ok=%v, reference ok=%v", headLen, ok, wantOK)
 	}
-	key, keyOK := segKey(pkt)
+	key, wild, keyOK := segKey(pkt)
 	if keyOK != wantOK {
 		t.Fatalf("head %d: segKey ok=%v, reference ok=%v", headLen, keyOK, wantOK)
 	}
@@ -99,6 +100,9 @@ func checkAgainstRef(t *testing.T, p *mbuf.Pool, m *Manager, dgram []byte, headL
 	}
 	if wantKey := connKeyOf(want.dstPort, want.src, want.srcPort); key != wantKey {
 		t.Fatalf("head %d: segKey %#x, reference 4-tuple key %#x", headLen, key, wantKey)
+	}
+	if wantWild := connKeyOf(want.dstPort, view.IP4{}, 0); wild != wantWild {
+		t.Fatalf("head %d: segKey wildcard %#x, reference listener key %#x", headLen, wild, wantWild)
 	}
 	if got != want.seg {
 		t.Fatalf("head %d: parseHdr\n %+v\nreference\n %+v", headLen, got, want.seg)

@@ -1,13 +1,15 @@
 package tcp
 
 import (
-	"errors"
 	"strconv"
+	"strings"
 	"testing"
 
 	"plexus/internal/arp"
 	"plexus/internal/ether"
+	"plexus/internal/event"
 	"plexus/internal/ip"
+	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
 	"plexus/internal/sim"
@@ -71,29 +73,29 @@ func TestFreedPortReusedAfterWrap(t *testing.T) {
 	}
 }
 
-// A passive connection holds its listener's port by itself: with the
-// listener gone, the connection still keeps the port from an active open and
-// from Claim, until it is torn down.
+// A passive connection holds its listener's port by itself: with no
+// listener, the connection still keeps the port from an active open and
+// from another implementation of TCP, until it is torn down.
 func TestPassiveConnHoldsPortWithoutListener(t *testing.T) {
 	m := portManager(t)
 	const port = 32768
-	if _, err := m.Listen(port, nil); err != nil {
-		t.Fatal(err)
-	}
+	// No API closes a listener: a TCB on the port with none is the state
+	// one that did would leave.
 	c := m.newConn(port, portPeer, 5000)
-	// No API closes a listener; deleting its entry leaves the state one
-	// that did would: the connection is the port's only holder.
-	delete(m.listeners, port)
-	if err := m.Claim(port); !errors.Is(err, ErrPortInUse) {
-		t.Fatalf("Claim of a port a passive connection holds = %v, want ErrPortInUse", err)
+	if !m.InUse(port) {
+		t.Fatal("a port a passive connection holds is not in use")
 	}
 	m.nextPort = port
 	if p, err := m.allocPort(); err != nil || p != port+1 {
 		t.Fatalf("allocPort = %d, %v; want %d", p, err, port+1)
 	}
 	c.teardown(nil, userCause(CauseClose))
-	if err := m.Claim(port); err != nil {
-		t.Fatalf("Claim after teardown: %v", err)
+	if m.InUse(port) {
+		t.Fatal("the port is in use after teardown")
+	}
+	holdPort(t, m, port)
+	if !m.InUse(port) {
+		t.Fatal("a port another implementation holds is not in use")
 	}
 }
 
@@ -102,15 +104,104 @@ func TestClaimRefusesTimeWaitPort(t *testing.T) {
 	m := portManager(t)
 	c := openPort(t, m)
 	c.enterTimeWait(userCause(CauseClose))
-	if err := m.Claim(c.localPort); !errors.Is(err, ErrPortInUse) {
-		t.Fatalf("Claim of a TIME-WAIT port = %v, want ErrPortInUse", err)
+	if !m.InUse(c.localPort) {
+		t.Fatal("a TIME-WAIT port is not in use")
 	}
 	m.host.Sim.Run()
 	if m.NumConns() != 0 {
 		t.Fatalf("%d TCBs live after 2·MSL", m.NumConns())
 	}
-	if err := m.Claim(c.localPort); err != nil {
-		t.Fatalf("Claim after TIME-WAIT expired: %v", err)
+	if m.InUse(c.localPort) {
+		t.Fatal("the port is in use after TIME-WAIT expired")
+	}
+}
+
+// holdPort makes another implementation of TCP on m's host: a binding
+// holding port's key on IP.PacketRecv.
+func holdPort(tb testing.TB, m *Manager, port uint16) {
+	tb.Helper()
+	_, err := m.host.Disp.InstallKey(ip.RecvEvent, ip.RecvKey(view.IPProtoTCP, port),
+		event.Ephemeral("tcp.other", func(_ *sim.Task, pkt *mbuf.Mbuf) { pkt.Free() }), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// listenerGuard is the closure guard a listener on port held before its
+// binding became a wildcard key: the port's segments that no connection's
+// key on ref takes.
+func listenerGuard(ref *event.Ref, port uint16) event.Guard {
+	return func(_ *sim.Task, pkt *mbuf.Mbuf) bool {
+		s, ok := parseHdr(pkt)
+		return ok && s.dstPort == port && !ref.Bound(connKeyOf(port, s.src, s.srcPort))
+	}
+}
+
+// A listener's wildcard key takes exactly the segments its closure guard
+// took: each segment reaches the same binding, or none, with the listener
+// keyed and with it closure-guarded, next to a keyed connection on its port
+// and one on another port.
+func TestListenerKeyAgreesWithClosure(t *testing.T) {
+	const port = 80
+	other := view.IP4{10, 0, 0, 9}
+	d := event.NewDispatcher(event.DefaultCosts())
+	var got []string
+	record := func(name string) event.Handler {
+		return event.Proc(name, func(*sim.Task, *mbuf.Mbuf) { got = append(got, name) })
+	}
+	for _, e := range []event.Name{"keyed", "closure"} {
+		d.MustDeclare(e, event.Options{Key: segKey})
+		var err error
+		if e == "keyed" {
+			_, err = d.InstallKey(e, connKeyOf(port, view.IP4{}, 0), record("listener"), 0)
+		} else {
+			_, err = d.Install(e, listenerGuard(d.Ref(e), port), record("listener"), 0)
+		}
+		for _, key := range []event.Key{connKeyOf(port, portPeer, 5000), connKeyOf(port+1, portPeer, 5000)} {
+			if err == nil {
+				_, err = d.InstallKey(e, key, record("conn"), 0)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := func(src view.IP4, srcPort, dstPort uint16, headLen int, edit func([]byte)) *mbuf.Mbuf {
+		b := dgram(nil, []byte("x"))
+		copy(b[12:16], src[:])
+		b[20], b[21], b[22], b[23] = byte(srcPort>>8), byte(srcPort), byte(dstPort>>8), byte(dstPort)
+		if edit != nil {
+			edit(b)
+		}
+		return chain(mbuf.NewPool(), b, headLen)
+	}
+	cases := []struct {
+		name string
+		pkt  *mbuf.Mbuf
+		want string // the binding it must reach, or ""
+	}{
+		{"new peer", seg(other, 5000, port, 64, nil), "listener"},
+		{"the connection's peer", seg(portPeer, 5000, port, 64, nil), "conn"},
+		{"the peer from another port", seg(portPeer, 5001, port, 64, nil), "listener"},
+		{"another port's connection", seg(portPeer, 5000, port+1, 64, nil), "conn"},
+		{"a port nobody holds", seg(other, 5000, port+2, 64, nil), ""},
+		{"ports straddling mbufs", seg(other, 5000, port, 22, nil), "listener"},
+		{"data offset past the segment", seg(other, 5000, port, 64, func(b []byte) { b[32] = 15 << 4 }), ""},
+		{"truncated", seg(other, 5000, port, 64, func(b []byte) { b[3] = 30 }), ""},
+	}
+	for _, c := range cases {
+		var reached [2]string
+		for i, e := range []event.Name{"keyed", "closure"} {
+			got = got[:0]
+			run := func(task *sim.Task) { d.Raise(task, e, c.pkt) }
+			s := sim.New(1)
+			sim.NewCPU(s, "cpu").Submit(sim.PrioKernel, "raise", run)
+			s.Run()
+			reached[i] = strings.Join(got, ",")
+		}
+		if reached[0] != reached[1] || reached[0] != c.want {
+			t.Errorf("%s: keyed reached %q, closure %q; want %q", c.name, reached[0], reached[1], c.want)
+		}
 	}
 }
 

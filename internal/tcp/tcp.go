@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"plexus/internal/event"
-	"plexus/internal/icmp"
 	"plexus/internal/ip"
 	"plexus/internal/mbuf"
 	"plexus/internal/osmodel"
@@ -73,26 +72,20 @@ type Manager struct {
 	// recvRef is the resolved RecvEvent handle for the per-segment path.
 	recvRef *event.Ref
 
-	listeners map[uint16]*Listener
 	// connList holds the live TCBs in creation order (nil where one was
 	// torn down), the deterministic iteration the telemetry probe samples
 	// through. A TCB's demux entry is its keyed binding: see recvRef.Bound.
 	connList  []*Conn
 	liveConns int // non-nil entries of connList
-	// portConns counts the live TCBs on each local port, so allocPort and
-	// Claim test a port with one lookup: a passive open shares its
-	// listener's port, and TIME-WAIT holds its port until teardown. It
-	// changes only where connList gains or loses a TCB (newConn, teardown)
-	// and is nil until the first connection.
+	// portConns counts the live TCBs on each local port, so InUse tests a
+	// port with one lookup: a passive open shares its listener's port, and
+	// TIME-WAIT holds its port until teardown. It changes only where
+	// connList gains or loses a TCB (newConn, teardown) and is nil until
+	// the first connection.
 	portConns map[uint16]int
-	// claimed ports are owned by another implementation of TCP installed
-	// in the graph (paper §3.1: TCP-standard's guard processes all TCP
-	// packets but those destined for TCP-special); segments to or from
-	// them are invisible to this manager. Nil until the first Claim.
-	claimed  map[uint16]bool
-	nextPort uint16
-	issSeed  uint32
-	stats    Stats
+	nextPort  uint16
+	issSeed   uint32
+	stats     Stats
 	// rings holds send-ring storage of connections that finished sending,
 	// for the next connections' first Sends (see takeRing).
 	rings [][]byte
@@ -124,13 +117,15 @@ type Config struct {
 }
 
 // New creates the manager, declares TCP.PacketRecv, and installs the TCP
-// layer's guard/handler on IP.PacketRecv. Connection handlers are installed
-// by the manager itself, so TCP.PacketRecv never requires EPHEMERAL ones.
+// layer's handler on IP.PacketRecv under TCP's wildcard key, so that another
+// implementation of TCP takes a port by holding its key (paper §3.1:
+// TCP-standard processes all TCP packets but those destined for
+// TCP-special). Connection handlers are installed by the manager itself, so
+// TCP.PacketRecv never requires EPHEMERAL ones.
 func New(host *osmodel.Host, cfg Config) (*Manager, error) {
 	m := &Manager{
 		host:      host,
 		ip:        cfg.IP,
-		listeners: make(map[uint16]*Listener),
 		nextPort:  32768,
 		issSeed:   uint32(host.Sim.Rand().Int63()),
 		defaultCC: cfg.DefaultCC,
@@ -144,17 +139,7 @@ func New(host *osmodel.Host, cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m.recvRef = host.Disp.Ref(RecvEvent)
-	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		if !icmp.ProtoGuard(view.IPProtoTCP)(t, pkt) {
-			return false
-		}
-		if len(m.claimed) == 0 {
-			return true
-		}
-		s, ok := parseHdr(pkt)
-		return ok && !m.claimed[s.dstPort] && !m.claimed[s.srcPort]
-	}
-	_, err := host.Disp.Install(ip.RecvEvent, guard,
+	_, err := host.Disp.InstallKey(ip.RecvEvent, ip.RecvKey(view.IPProtoTCP, 0),
 		event.Ephemeral("tcp.input", m.input), 0)
 	if err != nil {
 		return nil, err
@@ -169,21 +154,15 @@ func (m *Manager) Stats() Stats { return m.stats }
 // TIME-WAIT holds its slot — and its port — until the 2*MSL timer frees it.
 func (m *Manager) NumConns() int { return m.liveConns }
 
-// Claim cedes a port to another TCP implementation in the graph: this
-// manager's guard stops matching segments to or from it. It fails if the
-// port is in local use.
-func (m *Manager) Claim(port uint16) error {
-	if _, used := m.listeners[port]; used {
-		return fmt.Errorf("%w: %d", ErrPortInUse, port)
-	}
-	if m.portConns[port] > 0 {
-		return fmt.Errorf("%w: %d", ErrPortInUse, port)
-	}
-	if m.claimed == nil {
-		m.claimed = make(map[uint16]bool)
-	}
-	m.claimed[port] = true
-	return nil
+// InUse reports whether port is in use: by a TCB (TIME-WAIT's included), by
+// a listener, or by another implementation of TCP holding it on
+// IP.PacketRecv, which takes the port's segments from this manager.
+func (m *Manager) InUse(port uint16) bool { return m.portConns[port] > 0 || m.held(port) }
+
+// held reports whether a listener or another implementation holds port.
+func (m *Manager) held(port uint16) bool {
+	return m.recvRef.Bound(connKeyOf(port, view.IP4{}, 0)) ||
+		m.host.Disp.Ref(ip.RecvEvent).Bound(ip.RecvKey(view.IPProtoTCP, port))
 }
 
 // MSS returns the maximum segment size for the interface.
@@ -302,12 +281,14 @@ func parseHdr(pkt *mbuf.Mbuf) (seg, bool) {
 }
 
 // segKey is RecvEvent's key extractor: the segment's connection key as seen
-// from the receiver, ok exactly when parseHdr accepts the segment. A
+// from the receiver and, as its wildcard, the key of a listener on its
+// destination port; ok exactly when parseHdr accepts the segment. A
 // connection's keyed binding thus matches exactly the segments of its
-// 4-tuple (the local address is IP's to check).
-func segKey(pkt *mbuf.Mbuf) (event.Key, bool) {
+// 4-tuple (the local address is IP's to check), and a listener its port's
+// segments that no connection's key takes.
+func segKey(pkt *mbuf.Mbuf) (exact, wild event.Key, ok bool) {
 	s, ok := parseHdr(pkt)
-	return connKeyOf(s.dstPort, s.src, s.srcPort), ok
+	return connKeyOf(s.dstPort, s.src, s.srcPort), connKeyOf(s.dstPort, view.IP4{}, 0), ok
 }
 
 // connKeyOf packs a connection's 4-tuple, less the local address, into the
@@ -409,8 +390,7 @@ func (m *Manager) sendSegment(t *sim.Task, srcPort uint16, dst view.IP4, dstPort
 	_ = m.ip.Send(t, view.IP4{}, dst, view.IPProtoTCP, seg)
 }
 
-// allocPort picks a free local port for an active open: neither in local use
-// nor ceded to another implementation with Claim.
+// allocPort picks a local port not in use for an active open.
 func (m *Manager) allocPort() (uint16, error) {
 	for i := 0; i < 16384; i++ {
 		p := m.nextPort
@@ -418,7 +398,7 @@ func (m *Manager) allocPort() (uint16, error) {
 		if m.nextPort == 49152 {
 			m.nextPort = 32768
 		}
-		if _, used := m.listeners[p]; !used && !m.claimed[p] && m.portConns[p] == 0 {
+		if !m.InUse(p) {
 			return p, nil
 		}
 	}
@@ -438,34 +418,20 @@ type Listener struct {
 	accept func(t *sim.Task, c *Conn) App
 }
 
-// Listen binds a passive endpoint: a guard matching SYNs (and continuing
-// segments of not-yet-accepted connections) for the port. accept runs once
+// Listen binds a passive endpoint: a binding holding the port's listener
+// key, the wildcard that takes SYNs (and continuing segments of
+// not-yet-accepted connections) no connection's key takes. accept runs once
 // per connection, when the peer ACKs our SYN, and returns the connection's
-// App. A port ceded with Claim is in use: this manager's guard would never
-// pass the listener a segment.
+// App. A port another implementation holds is in use.
 func (m *Manager) Listen(port uint16, accept func(t *sim.Task, c *Conn) App) (*Listener, error) {
-	if _, used := m.listeners[port]; used {
+	if m.held(port) {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
-	if m.claimed[port] {
-		return nil, fmt.Errorf("%w: %d (claimed by another implementation)", ErrPortInUse, port)
-	}
 	l := &Listener{mgr: m, port: port, accept: accept}
-	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		s, ok := parseHdr(pkt)
-		if !ok || s.dstPort != port {
-			return false
-		}
-		// Established connections have their own bindings, installed
-		// before this one's turn only for new peers: reject segments
-		// belonging to an existing connection.
-		return !m.recvRef.Bound(connKeyOf(port, s.src, s.srcPort))
-	}
 	h := event.Handler{Name: fmt.Sprintf("tcp.listen:%d", port), Fn: l.input, Ephemeral: true}
-	if _, err := m.host.Disp.Install(RecvEvent, guard, h, 0); err != nil {
+	if _, err := m.host.Disp.InstallKey(RecvEvent, connKeyOf(port, view.IP4{}, 0), h, 0); err != nil {
 		return nil, err
 	}
-	m.listeners[port] = l
 	return l, nil
 }
 

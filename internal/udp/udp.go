@@ -78,24 +78,21 @@ type Manager struct {
 	recvRef *event.Ref
 	sendRef *event.Ref
 
-	ports map[uint16]*Endpoint
-	// claimed ports belong to another UDP implementation in the graph;
-	// this manager's guard skips them entirely.
-	claimed       map[uint16]bool
+	ports         map[uint16]*Endpoint
 	nextEphemeral uint16
 	stats         Stats
 }
 
 // New creates the manager, declares the UDP events, and installs the UDP
-// layer's guard/handler on IP.PacketRecv. On a host whose receive path runs
-// at interrupt level, endpoint receive handlers must be EPHEMERAL (§3.3).
+// layer's handler on IP.PacketRecv under UDP's wildcard key. On a host whose
+// receive path runs at interrupt level, endpoint receive handlers must be
+// EPHEMERAL (§3.3).
 func New(host *osmodel.Host, ipl *ip.Layer, icmpl *icmp.Layer) (*Manager, error) {
 	m := &Manager{
 		host:          host,
 		ip:            ipl,
 		icmp:          icmpl,
 		ports:         make(map[uint16]*Endpoint),
-		claimed:       make(map[uint16]bool),
 		nextEphemeral: 49152,
 	}
 	if err := host.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: host.RequireEphemeral(), NoMatch: m.noPort}); err != nil {
@@ -106,25 +103,7 @@ func New(host *osmodel.Host, ipl *ip.Layer, icmpl *icmp.Layer) (*Manager, error)
 	}
 	m.recvRef = host.Disp.Ref(RecvEvent)
 	m.sendRef = host.Disp.Ref(SendEvent)
-	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		if !icmp.ProtoGuard(view.IPProtoUDP)(t, pkt) {
-			return false
-		}
-		if len(m.claimed) == 0 {
-			return true
-		}
-		ipv, err := view.IPv4(pkt.Bytes())
-		if err != nil {
-			return false
-		}
-		var hb [view.UDPHdrLen]byte
-		if err := pkt.CopyTo(ipv.HdrLen(), hb[:]); err != nil {
-			return false
-		}
-		uv, _ := view.UDP(hb[:])
-		return !m.claimed[uv.DstPort()] && !m.claimed[uv.SrcPort()]
-	}
-	_, err := host.Disp.Install(ip.RecvEvent, guard,
+	_, err := host.Disp.InstallKey(ip.RecvEvent, ip.RecvKey(view.IPProtoUDP, 0),
 		event.Ephemeral("udp.input", m.input), 0)
 	if err != nil {
 		return nil, err
@@ -135,18 +114,12 @@ func New(host *osmodel.Host, ipl *ip.Layer, icmpl *icmp.Layer) (*Manager, error)
 // Stats returns a snapshot of counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// Claim cedes a port to another UDP implementation in the graph. It fails if
-// the port is locally bound.
-func (m *Manager) Claim(port uint16) error {
-	if _, used := m.ports[port]; used {
-		return fmt.Errorf("%w: %d", ErrPortInUse, port)
-	}
-	m.claimed[port] = true
-	return nil
+// InUse reports whether port is bound here or held on IP.PacketRecv, as
+// another implementation of UDP holds the ports it takes from this one.
+func (m *Manager) InUse(port uint16) bool {
+	_, bound := m.ports[port]
+	return bound || m.host.Disp.Ref(ip.RecvEvent).Bound(ip.RecvKey(view.IPProtoUDP, port))
 }
-
-// Unclaim returns a claimed port to this manager.
-func (m *Manager) Unclaim(port uint16) { delete(m.claimed, port) }
 
 // LocalAddr returns the host's IP address.
 func (m *Manager) LocalAddr() view.IP4 { return m.ip.Addr() }
@@ -208,8 +181,7 @@ func (m *Manager) noPort(t *sim.Task, pkt *mbuf.Mbuf) {
 	pkt.Free()
 }
 
-// allocEphemeral picks a free high port: neither bound nor ceded to another
-// implementation with Claim.
+// allocEphemeral picks a high port not in use.
 func (m *Manager) allocEphemeral() (uint16, error) {
 	for i := 0; i < 16384; i++ {
 		p := m.nextEphemeral
@@ -217,7 +189,7 @@ func (m *Manager) allocEphemeral() (uint16, error) {
 		if m.nextEphemeral == 0 {
 			m.nextEphemeral = 49152
 		}
-		if _, used := m.ports[p]; !used && !m.claimed[p] && p != 0 {
+		if !m.InUse(p) {
 			return p, nil
 		}
 	}
@@ -269,10 +241,8 @@ func (m *Manager) Open(opts EndpointOptions, recv RecvFunc) (*Endpoint, error) {
 			return nil, err
 		}
 		port = p
-	} else if _, used := m.ports[port]; used {
+	} else if m.InUse(port) {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
-	} else if m.claimed[port] {
-		return nil, fmt.Errorf("%w: %d (claimed by another implementation)", ErrPortInUse, port)
 	}
 	e := &Endpoint{mgr: m, opts: opts, port: port, recv: recv}
 	guard := e.guard()

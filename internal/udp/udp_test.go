@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"plexus/internal/event"
+	"plexus/internal/ip"
 	"plexus/internal/mbuf"
 	"plexus/internal/netdev"
 	"plexus/internal/osmodel"
@@ -271,17 +272,31 @@ func TestChecksumDisabledMissesCorruption(t *testing.T) {
 	}
 }
 
-// Claimed ports are invisible to the manager.
-func TestClaimedPortInvisible(t *testing.T) {
-	n, a, b := pair(t)
-	if err := b.UDP.Claim(9); err != nil {
+// holdPort makes another implementation of UDP on st: a binding holding
+// port's key on IP.PacketRecv, which takes the port's datagrams from st.UDP.
+// It returns the binding and the number of datagrams it has taken.
+func holdPort(t *testing.T, st *plexus.Stack, port uint16) (*event.Binding, *int) {
+	t.Helper()
+	taken := new(int)
+	b, err := st.Host.Disp.InstallKey(ip.RecvEvent, ip.RecvKey(view.IPProtoUDP, port),
+		event.Ephemeral("udp.other", func(_ *sim.Task, m *mbuf.Mbuf) {
+			*taken++
+			m.Free()
+		}), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	received := 0
-	// Binding the claimed port must fail: it belongs to the other
-	// implementation now.
+	return b, taken
+}
+
+// A port another implementation holds is invisible to the manager.
+func TestClaimedPortInvisible(t *testing.T) {
+	n, a, b := pair(t)
+	other, taken := holdPort(t, b, 9)
+	// Binding the held port must fail: it belongs to the other
+	// implementation.
 	if _, err := b.UDP.Open(udp.EndpointOptions{Port: 9}, nil); !errors.Is(err, udp.ErrPortInUse) {
-		t.Fatalf("claimed port bindable: %v", err)
+		t.Fatalf("held port bindable: %v", err)
 	}
 	capp, err := a.OpenUDP(plexus.UDPAppOptions{}, nil)
 	if err != nil {
@@ -291,50 +306,56 @@ func TestClaimedPortInvisible(t *testing.T) {
 		_ = capp.Send(task, b.Addr(), 9, []byte("hidden"))
 	})
 	n.Sim.Run()
-	if received != 0 {
-		t.Fatal("claimed-port datagram reached the manager")
+	if *taken != 1 {
+		t.Fatalf("the other implementation took %d datagrams, want 1", *taken)
 	}
-	// The manager's guard rejected it wholesale: not even counted as
-	// received, and no port-unreachable generated.
+	// The port's key shadowed UDP's wildcard key: the manager never saw
+	// the datagram, so it is not counted as received and no
+	// port-unreachable is generated.
 	if b.UDP.Stats().Received != 0 {
-		t.Errorf("Received = %d, want 0 for claimed port", b.UDP.Stats().Received)
+		t.Errorf("Received = %d, want 0 for a held port", b.UDP.Stats().Received)
 	}
 	if b.ICMP.Stats().UnreachSent != 0 {
-		t.Errorf("UnreachSent = %d; claimed traffic belongs to another implementation", b.ICMP.Stats().UnreachSent)
+		t.Errorf("UnreachSent = %d; held-port traffic belongs to another implementation", b.ICMP.Stats().UnreachSent)
 	}
-	b.UDP.Unclaim(9)
+	b.Host.Disp.Uninstall(other)
 	a.Spawn("send2", func(task *sim.Task) {
 		_ = capp.Send(task, b.Addr(), 9, []byte("visible"))
 	})
 	n.Sim.Run()
 	if b.UDP.Stats().Received != 1 {
-		t.Errorf("after Unclaim, Received = %d", b.UDP.Stats().Received)
+		t.Errorf("after the other implementation left, Received = %d", b.UDP.Stats().Received)
 	}
 }
 
-// The ephemeral allocator never hands out a port ceded to another
-// implementation: the manager's own guard would hide its traffic.
+// The ephemeral allocator never hands out a port another implementation
+// holds: that implementation's key would take the endpoint's traffic.
 func TestEphemeralSkipsClaimedPort(t *testing.T) {
 	_, _, b := pair(t)
-	if err := b.UDP.Claim(49152); err != nil {
-		t.Fatal(err)
-	}
+	holdPort(t, b, 49152)
 	ep, err := b.UDP.Open(udp.EndpointOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ep.Port() == 49152 {
-		t.Fatal("ephemeral allocation returned the claimed port 49152")
+		t.Fatal("ephemeral allocation returned the held port 49152")
 	}
 }
 
+// A bound port is in use, which another implementation asks before it takes
+// a port, until its endpoint closes.
 func TestClaimBoundPortFails(t *testing.T) {
 	_, a, _ := pair(t)
-	if _, err := a.UDP.Open(udp.EndpointOptions{Port: 70}, nil); err != nil {
+	ep, err := a.UDP.Open(udp.EndpointOptions{Port: 70}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.UDP.Claim(70); !errors.Is(err, udp.ErrPortInUse) {
-		t.Fatalf("err = %v, want ErrPortInUse", err)
+	if !a.UDP.InUse(70) {
+		t.Fatal("a bound port is not in use")
+	}
+	ep.Close()
+	if a.UDP.InUse(70) {
+		t.Fatal("a closed endpoint's port is in use")
 	}
 }
 
